@@ -75,17 +75,11 @@ impl<T> Bidirectional<T> {
     /// Creates both endpoints of a link between the named roles `a` and
     /// `b`, registering each direction with the telemetry layer (so the
     /// per-channel occupancy watermark can be checked against the
-    /// statically verified k-MC bound). Identical to [`Self::pair`] when
-    /// telemetry is disabled.
-    pub fn pair_labelled(a: &'static str, b: &'static str) -> (Self, Self) {
-        Self::build(Some((a, b)), LinkConfig::default())
-    }
-
-    /// Creates both endpoints of a link between the named roles `a` and
-    /// `b`, shaped by the directions' verified k-MC bounds (see the
-    /// module docs): bounds become batch-receive windows and payload-pool
-    /// sizes, and `config.bounded` additionally caps each bounded
-    /// direction's ring for back-pressure.
+    /// statically verified k-MC bound; the names are discarded when
+    /// telemetry is disabled) and shaped by the directions' verified
+    /// k-MC bounds (see the module docs): bounds become batch-receive
+    /// windows and payload-pool sizes, and `config.bounded` additionally
+    /// caps each bounded direction's ring for back-pressure.
     pub fn pair_configured(a: &'static str, b: &'static str, config: LinkConfig) -> (Self, Self) {
         Self::build(Some((a, b)), config)
     }

@@ -1,6 +1,6 @@
 //! Asynchronous channels used as the session transport.
 //!
-//! Four families, mirroring what Rumpsteak needs from Tokio/futures:
+//! Three families, mirroring what Rumpsteak needs from Tokio/futures:
 //!
 //! * [`spsc`] — lock-free single-producer/single-consumer queue: a
 //!   growable power-of-two ring with an atomic waker handoff, a
@@ -12,17 +12,16 @@
 //!   session links: every [`Bidirectional`] direction has exactly one
 //!   producer and one consumer by construction, so no send or receive on
 //!   a session channel ever takes a lock.
-//! * [`unbounded`] — **multi**-producer single-consumer FIFO with
-//!   non-blocking sends, for the places senders are genuinely cloned
-//!   (fan-in workloads, baseline comparisons). Sends enqueue into the
+//! * [`unbounded`] — the one **multi**-producer single-consumer FIFO,
+//!   kept for the places senders are genuinely cloned (ring/mesh scaling
+//!   rows, the Ferrite baseline, stress tests). Sends enqueue into the
 //!   peer's queue (the "asynchronous queue" of the paper) and never
 //!   block, which is what makes asynchronous message reordering
-//!   profitable.
-//! * [`bounded`] — like `unbounded` but with a capacity; `send` is a future
-//!   that waits for space. Used to model back-pressured links.
-//! * [`oneshot`] — single-value rendezvous used by join handles and
-//!   request/response patterns, implemented as a small atomic state
-//!   machine.
+//!   profitable. Back-pressure is the SPSC ring's capacity cap; there
+//!   is no bounded MPSC.
+//! * [`oneshot`] — the one single-value rendezvous, behind every
+//!   [`JoinHandle`](crate::JoinHandle) and request/response pattern,
+//!   implemented as a small atomic state machine.
 //!
 //! [`Bidirectional`] bundles an SPSC sender and receiver between two
 //! fixed peers; one call to [`Bidirectional::pair`] yields both
@@ -34,19 +33,17 @@
 use std::fmt;
 
 mod bidirectional;
-mod bounded;
 mod oneshot;
 pub mod pool;
 mod spsc;
 mod unbounded;
 
 pub use bidirectional::{Bidirectional, LinkConfig};
-pub use bounded::{bounded, BoundedReceiver, BoundedSender};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use pool::{BufferPool, PooledBuf};
 pub use spsc::{
-    spsc, spsc_bounded, spsc_labelled, spsc_with, SendSlot, SpscConfig, SpscReceiver, SpscRecv,
-    SpscRecvBatch, SpscSendWait, SpscSender,
+    spsc, spsc_bounded, spsc_with, SendSlot, SpscConfig, SpscReceiver, SpscRecv, SpscRecvBatch,
+    SpscSendWait, SpscSender,
 };
 pub use unbounded::{unbounded, Receiver, Sender};
 

@@ -1,6 +1,7 @@
 //! Single-value channel, implemented as a small atomic state machine —
 //! no mutex anywhere, consistent with the lock-free [`spsc`](super::spsc)
-//! data plane.
+//! data plane. This is the runtime's only single-value rendezvous: a
+//! [`JoinHandle`](crate::JoinHandle) is the receiving half of one.
 //!
 //! The whole channel is one `AtomicU8` plus two cells (value, waker)
 //! whose ownership the state machine arbitrates:

@@ -300,7 +300,6 @@ mod tests {
 
     #[test]
     fn steady_state_is_all_hits() {
-        telemetry::channel::reset();
         let stats = telemetry::channel::register("PoolFrom", "PoolTo");
         let pool = BufferPool::with_stats(2, 1024, stats);
         // Warm-up: the first takes miss.
@@ -315,7 +314,6 @@ mod tests {
             assert_eq!(link.pool_misses, 1);
             assert_eq!(link.pool_hits, 9);
         }
-        telemetry::channel::reset();
     }
 
     #[test]

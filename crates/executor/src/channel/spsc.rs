@@ -299,8 +299,8 @@ struct Inner<T> {
     tx_alive: AtomicBool,
     /// Cleared by `Receiver::drop`; later sends fail fast.
     rx_alive: AtomicBool,
-    /// Telemetry handle (a no-op ZST unless the link was created with
-    /// [`spsc_labelled`] in a telemetry build).
+    /// Telemetry handle (a no-op ZST unless the link was created with a
+    /// [`SpscConfig::label`] in a telemetry build).
     stats: telemetry::channel::LinkStats,
 }
 
@@ -324,8 +324,8 @@ impl<T> Drop for Inner<T> {
 }
 
 /// Construction parameters for an SPSC ring; the named constructors
-/// ([`spsc`], [`spsc_labelled`], [`spsc_bounded`]) cover the common
-/// shapes, [`spsc_with`] takes the full set.
+/// ([`spsc`], [`spsc_bounded`]) cover the common shapes, [`spsc_with`]
+/// takes the full set.
 #[derive(Clone, Copy, Debug)]
 pub struct SpscConfig {
     /// Role names registering the link with the telemetry layer (ignored
@@ -364,18 +364,6 @@ impl Default for SpscConfig {
 /// [`unbounded`](super::unbounded) where multiple producers are needed.
 pub fn spsc<T>() -> (SpscSender<T>, SpscReceiver<T>) {
     spsc_with(SpscConfig::default())
-}
-
-/// Creates an SPSC channel registered with the telemetry layer as the
-/// directed link `from → to`, so its occupancy high-watermark, growth and
-/// waker-retry counts appear in channel snapshots (and are checked
-/// against the link's registered k-MC bound). Identical to [`spsc`] when
-/// telemetry is disabled.
-pub fn spsc_labelled<T>(from: &'static str, to: &'static str) -> (SpscSender<T>, SpscReceiver<T>) {
-    spsc_with(SpscConfig {
-        label: Some((from, to)),
-        ..SpscConfig::default()
-    })
 }
 
 /// Creates a capacity-capped SPSC channel: the ring never grows, and a
@@ -1099,8 +1087,10 @@ mod tests {
 
     #[test]
     fn labelled_channel_reports_watermark_and_growth() {
-        telemetry::channel::reset();
-        let (mut tx, mut rx) = spsc_labelled::<u32>("SpscFrom", "SpscTo");
+        let (mut tx, mut rx) = spsc_with::<u32>(SpscConfig {
+            label: Some(("SpscFrom", "SpscTo")),
+            ..SpscConfig::default()
+        });
         for i in 0..(MIN_CAP as u32 * 2) {
             tx.send(i).unwrap();
         }
@@ -1119,7 +1109,6 @@ mod tests {
         } else {
             assert!(links.is_empty());
         }
-        telemetry::channel::reset();
     }
 
     #[test]

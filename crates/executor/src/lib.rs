@@ -5,15 +5,16 @@
 //! in the paper relies on:
 //!
 //! * lightweight **tasks** multiplexed over a pool of worker threads
-//!   ([`Runtime::spawn`], [`spawn`]),
+//!   ([`Runtime::spawn`]),
 //! * a **work-stealing scheduler** (one local deque per worker plus a global
 //!   injector, in the style of Tokio/Rayon),
 //! * waker-based **asynchronous channels** ([`channel`]) used as the session
 //!   transport: lock-free SPSC rings behind the bidirectional role-to-role
-//!   links, unbounded and bounded MPSC queues for genuinely multi-producer
-//!   uses, and an atomic oneshot rendezvous,
-//! * [`block_on`] to drive a root future from a synchronous context, and
-//!   [`yield_now`] for cooperative rescheduling.
+//!   links, one unbounded MPSC queue for genuinely multi-producer uses,
+//!   and an atomic oneshot rendezvous (also behind every [`JoinHandle`]),
+//! * [`block_on`] to drive a root future from a synchronous context — a
+//!   plain park loop that starts no threads — and [`yield_now`] for
+//!   cooperative rescheduling.
 //!
 //! # Example
 //!
@@ -44,5 +45,6 @@ mod task;
 mod yield_now;
 
 pub use join::{JoinError, JoinHandle};
-pub use runtime::{block_on, spawn, Runtime};
+pub use park::block_on;
+pub use runtime::Runtime;
 pub use yield_now::yield_now;

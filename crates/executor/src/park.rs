@@ -26,8 +26,10 @@ impl Wake for ThreadWaker {
     }
 }
 
-/// Polls `future` to completion, parking the current thread between polls.
-pub(crate) fn block_on<F: Future>(future: F) -> F::Output {
+/// Runs a future to completion on the current thread, parking it between
+/// polls. Starts no threads and needs no [`Runtime`](crate::Runtime):
+/// tasks the future awaits run wherever they were spawned.
+pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = pin!(future);
     let parker = Arc::new(ThreadWaker {
         thread: std::thread::current(),

@@ -421,7 +421,7 @@ impl Runtime {
         let (result_tx, handle) = join::pair();
         let task = Task::new(
             async move {
-                result_tx.complete(future.await);
+                result_tx.send(future.await);
             },
             self.shared.clone(),
         );
@@ -629,28 +629,6 @@ fn steal_work(
     None
 }
 
-/// The process-wide default runtime backing [`spawn`] and [`block_on`].
-fn global() -> &'static Runtime {
-    static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-    GLOBAL.get_or_init(Runtime::with_default_threads)
-}
-
-/// Spawns a future onto the process-wide default runtime.
-pub fn spawn<F>(future: F) -> JoinHandle<F::Output>
-where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
-{
-    global().spawn(future)
-}
-
-/// Runs a future to completion on the current thread, using the
-/// process-wide default runtime for any tasks it spawns.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    global();
-    park::block_on(future)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,7 +660,7 @@ mod tests {
     fn nested_spawn() {
         let rt = Runtime::new(2);
         let out = rt.block_on(async {
-            let inner = crate::spawn(async { 21u32 });
+            let inner = rt.spawn(async { 21u32 });
             inner.await.unwrap() * 2
         });
         assert_eq!(out, 42);

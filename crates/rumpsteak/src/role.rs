@@ -71,13 +71,8 @@ pub trait Label {
 pub struct Mesh<M> {
     pending: HashMap<(&'static str, &'static str), Bidirectional<M>>,
     /// Verified k-MC bound per directed channel; consulted when the link
-    /// is created to size its batch window, payload pool and (in bounded
-    /// mode) its back-pressure capacity.
+    /// is created to size its batch window and payload pool.
     bounds: HashMap<(&'static str, &'static str), usize>,
-    /// When set, every direction with a registered bound is built
-    /// capacity-capped: a producer overrunning the verified depth parks
-    /// instead of growing the ring.
-    bounded: bool,
 }
 
 impl<M> Mesh<M> {
@@ -87,7 +82,6 @@ impl<M> Mesh<M> {
         Self {
             pending: HashMap::new(),
             bounds: HashMap::new(),
-            bounded: false,
         }
     }
 
@@ -102,13 +96,6 @@ impl<M> Mesh<M> {
         *bound = (*bound).max(k);
     }
 
-    /// Switches the mesh into back-pressure mode: every direction with a
-    /// bound registered via [`set_bound`](Self::set_bound) is built
-    /// capacity-capped at that bound.
-    pub fn enable_backpressure(&mut self) {
-        self.bounded = true;
-    }
-
     /// Returns `from`'s endpoint of the `from ↔ to` link, creating the
     /// pair on first request and handing out the stored counterpart on the
     /// second.
@@ -117,8 +104,8 @@ impl<M> Mesh<M> {
     /// telemetry builds every session channel's occupancy watermark is
     /// tracked per role pair (and checked against a registered k-MC
     /// bound); in default builds the labels are discarded. Registered
-    /// bounds shape the link (batch window, pool size, optional
-    /// back-pressure capacity) in every build.
+    /// bounds shape the link (batch window, pool size) in every build;
+    /// the rings stay growable.
     pub fn take(&mut self, from: &'static str, to: &'static str) -> Bidirectional<M> {
         if let Some(endpoint) = self.pending.remove(&(to, from)) {
             return endpoint;
@@ -126,7 +113,7 @@ impl<M> Mesh<M> {
         let config = LinkConfig {
             bound_ab: self.bounds.get(&(from, to)).copied(),
             bound_ba: self.bounds.get(&(to, from)).copied(),
-            bounded: self.bounded,
+            bounded: false,
         };
         let (mine, theirs) = Bidirectional::pair_configured(from, to, config);
         self.pending.insert((from, to), theirs);
@@ -169,31 +156,6 @@ impl<M> Mesh<M> {
             missing.join(", ")
         );
     }
-}
-
-/// Human-readable diagnostics for every link that exerted back-pressure
-/// (parked its producer on a full bounded ring), in the spirit of
-/// [`Mesh::assert_balanced`]: each line names the directed link, how
-/// often it parked and the capacity it ran at. Empty when no link
-/// parked — which is what a *verified* protocol on bounded links must
-/// report, since its k-MC bound proves the capacity is never overrun —
-/// and always empty without the `telemetry` feature.
-pub fn backpressure_report() -> Vec<String> {
-    crate::telemetry::channel::snapshot()
-        .iter()
-        .filter(|link| link.backpressure_parks > 0)
-        .map(|link| {
-            let capacity = match link.kmc_bound {
-                Some(k) => format!("k = {k}"),
-                None => "unregistered bound".to_owned(),
-            };
-            format!(
-                "`{} -> {}` exerted back-pressure: {} producer park(s) at capacity {} \
-                 (high watermark {})",
-                link.from, link.to, link.backpressure_parks, capacity, link.high_watermark,
-            )
-        })
-        .collect()
 }
 
 /// Generates role structs, their [`Role`]/[`Route`] implementations and a
@@ -267,19 +229,6 @@ macro_rules! roles {
         /// k-MC bound as their batch-receive window and payload-pool
         /// size; the rings stay growable.
         pub fn connect() -> ($($role),*) {
-            connect_with_backpressure(false)
-        }
-
-        /// Like [`connect`], but additionally caps every channel with a
-        /// `bounds` clause entry at its verified k-MC bound: a producer
-        /// overrunning the verified depth parks (back-pressure) instead
-        /// of growing the ring. A verified execution never parks, which
-        /// `rumpsteak::role::backpressure_report` can confirm.
-        pub fn connect_bounded() -> ($($role),*) {
-            connect_with_backpressure(true)
-        }
-
-        fn connect_with_backpressure(bounded: bool) -> ($($role),*) {
             // Register the statically verified per-channel bounds before
             // any link exists; re-registration max-merges, so repeated
             // `connect()` calls are idempotent. No-op without telemetry.
@@ -291,12 +240,8 @@ macro_rules! roles {
                 );
             )*
             let mut mesh = $crate::role::Mesh::<$msg>::new();
-            if bounded {
-                mesh.enable_backpressure();
-            }
             // The same bounds shape the links themselves: batch-receive
-            // windows and payload pools in every mode, capacity caps in
-            // bounded mode.
+            // windows and payload pools.
             $(
                 mesh.set_bound(stringify!($bfrom), stringify!($bto), $bound as usize);
             )*

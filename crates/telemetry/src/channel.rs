@@ -23,37 +23,29 @@
 //! atomic RMWs on the shared cell; the global registry mutex is touched
 //! only on registration (link creation) and snapshots, never per message.
 
-#[cfg(feature = "telemetry")]
-use std::collections::HashMap;
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
-use std::sync::{Arc, Mutex, OnceLock};
 
-#[cfg(feature = "telemetry")]
-use crate::hist::Histogram;
-use crate::hist::HistogramSnapshot;
-#[cfg(feature = "telemetry")]
+use crate::gate::{recorder, Gated, Handle, Registry};
+use crate::hist::{Histogram, HistogramSnapshot};
 use crate::Counter;
 
 /// Slots in a link's latency stamp ring. A power of two so indexing is
 /// a mask; deep enough that a stamp is only overwritten after 1024
 /// further sends — far beyond any verified k-MC bound — so the seqlock
 /// tag check below almost never misses on an in-process link.
-#[cfg(feature = "telemetry")]
 const STAMP_SLOTS: usize = 1024;
 
 /// One stamp: the send-side monotonic time `t`, published under a
 /// sequence `tag` (send index + 1) with release ordering so a reader
 /// that observes the tag also observes the time.
-#[cfg(feature = "telemetry")]
+#[derive(Default)]
 struct StampSlot {
     tag: AtomicU64,
     t: AtomicU64,
 }
 
 /// Shared statistics cell for one directed link `from → to`.
-#[cfg(feature = "telemetry")]
+#[derive(Default)]
 struct LinkCell {
     from: &'static str,
     to: &'static str,
@@ -97,57 +89,17 @@ struct LinkCell {
     /// Recv stamps whose slot had been overwritten (or whose sender ran
     /// in another process) — counted, never recorded as a latency.
     stamp_misses: Counter,
-    /// The stamp ring itself.
+    /// The stamp ring itself: [`STAMP_SLOTS`] slots.
     stamps: Box<[StampSlot]>,
 }
 
-#[cfg(feature = "telemetry")]
-type Registry = Mutex<HashMap<(&'static str, &'static str), Arc<LinkCell>>>;
-
-#[cfg(feature = "telemetry")]
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-#[cfg(feature = "telemetry")]
-fn cell(from: &'static str, to: &'static str) -> Arc<LinkCell> {
-    registry()
-        .lock()
-        .expect("channel registry poisoned")
-        .entry((from, to))
-        .or_insert_with(|| {
-            Arc::new(LinkCell {
-                from,
-                to,
-                high_watermark: Counter::new(),
-                grows: Counter::new(),
-                shrinks: Counter::new(),
-                waker_retries: Counter::new(),
-                sends: Counter::new(),
-                wakes: Counter::new(),
-                batches: Counter::new(),
-                batched_messages: Counter::new(),
-                pool_hits: Counter::new(),
-                pool_misses: Counter::new(),
-                backpressure_parks: Counter::new(),
-                instances: Counter::new(),
-                bound: AtomicU64::new(0),
-                batch_window: AtomicU64::new(0),
-                latency: Histogram::new(),
-                stamp_send_seq: AtomicU64::new(0),
-                stamp_recv_seq: AtomicU64::new(0),
-                stamp_misses: Counter::new(),
-                stamps: (0..STAMP_SLOTS)
-                    .map(|_| StampSlot {
-                        tag: AtomicU64::new(0),
-                        t: AtomicU64::new(0),
-                    })
-                    .collect(),
-            })
-        })
-        .clone()
-}
+static LINKS: Registry<(&'static str, &'static str), LinkCell> =
+    Registry::new(|(from, to)| LinkCell {
+        from,
+        to,
+        stamps: (0..STAMP_SLOTS).map(|_| StampSlot::default()).collect(),
+        ..LinkCell::default()
+    });
 
 /// Hot-path statistics handle stored inside each instrumented SPSC ring.
 ///
@@ -156,28 +108,9 @@ fn cell(from: &'static str, to: &'static str) -> Arc<LinkCell> {
 /// — join handles, baselines — stay untracked).
 #[derive(Clone, Default)]
 pub struct LinkStats {
-    #[cfg(feature = "telemetry")]
-    cell: Option<Arc<LinkCell>>,
-    #[cfg(feature = "telemetry")]
-    stamp_send: bool,
-    #[cfg(feature = "telemetry")]
-    stamp_recv: bool,
-}
-
-/// Expands to a no-op recorder in disabled builds and a guarded
-/// cell update in telemetry builds — every recorder below has the
-/// same shape.
-macro_rules! recorder {
-    ($(#[$doc:meta])* $name:ident => |$cell:ident| $body:expr) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(&self) {
-            #[cfg(feature = "telemetry")]
-            if let Some($cell) = &self.cell {
-                $body;
-            }
-        }
-    };
+    cell: Handle<LinkCell>,
+    /// Which sides publish / consume latency stamps: `(send, recv)`.
+    stamps: Gated<(bool, bool)>,
 }
 
 impl LinkStats {
@@ -190,13 +123,11 @@ impl LinkStats {
     /// [`snapshot`] (`high_watermark > kmc_bound`).
     #[inline]
     pub fn record_depth(&self, depth: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = self.cell.attached() {
             cell.high_watermark.record_max(depth);
-            #[cfg(debug_assertions)]
-            {
+            if cfg!(debug_assertions) {
                 let bound = cell.bound.load(Ordering::Relaxed);
-                debug_assert!(
+                assert!(
                     bound == 0 || depth <= bound,
                     "channel {} -> {} exceeded its verified k-MC bound: \
                      depth {depth} > k = {bound}",
@@ -205,8 +136,6 @@ impl LinkStats {
                 );
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = depth;
     }
 
     recorder! {
@@ -252,13 +181,10 @@ impl LinkStats {
     /// Records one batch-receive drain of `n` messages.
     #[inline]
     pub fn record_batch(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = self.cell.attached() {
             cell.batches.incr();
             cell.batched_messages.add(n);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
     }
 
     /// Returns this handle with its stamp sides reconfigured. Both sides
@@ -268,17 +194,9 @@ impl LinkStats {
     /// double-counted here.
     #[must_use]
     pub fn with_stamps(self, send: bool, recv: bool) -> Self {
-        #[cfg(feature = "telemetry")]
-        {
-            let mut this = self;
-            this.stamp_send = send;
-            this.stamp_recv = recv;
-            this
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (send, recv);
-            self
+        LinkStats {
+            stamps: Gated::new(|| (send, recv)),
+            ..self
         }
     }
 
@@ -288,14 +206,11 @@ impl LinkStats {
     /// stamp already tagged.
     #[inline]
     pub fn stamp_send(&self) {
-        #[cfg(feature = "telemetry")]
-        if self.stamp_send {
-            if let Some(cell) = &self.cell {
-                let index = cell.stamp_send_seq.fetch_add(1, Ordering::Relaxed);
-                let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
-                slot.t.store(crate::trace::now_ns(), Ordering::Relaxed);
-                slot.tag.store(index + 1, Ordering::Release);
-            }
+        if let (Some(cell), Some((true, _))) = (self.cell.attached(), self.stamps.get()) {
+            let index = cell.stamp_send_seq.fetch_add(1, Ordering::Relaxed);
+            let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
+            slot.t.store(crate::trace::now_ns(), Ordering::Relaxed);
+            slot.tag.store(index + 1, Ordering::Release);
         }
     }
 
@@ -306,56 +221,40 @@ impl LinkStats {
     /// counted miss, never a bogus latency.
     #[inline]
     pub fn stamp_recv(&self) {
-        #[cfg(feature = "telemetry")]
-        if self.stamp_recv {
-            if let Some(cell) = &self.cell {
-                let index = cell.stamp_recv_seq.fetch_add(1, Ordering::Relaxed);
-                let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
+        if let (Some(cell), Some((_, true))) = (self.cell.attached(), self.stamps.get()) {
+            let index = cell.stamp_recv_seq.fetch_add(1, Ordering::Relaxed);
+            let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
+            if slot.tag.load(Ordering::Acquire) == index + 1 {
+                let t = slot.t.load(Ordering::Relaxed);
+                // Revalidate: a racing sender lapping the ring would
+                // have bumped the tag past ours.
                 if slot.tag.load(Ordering::Acquire) == index + 1 {
-                    let t = slot.t.load(Ordering::Relaxed);
-                    // Revalidate: a racing sender lapping the ring would
-                    // have bumped the tag past ours.
-                    if slot.tag.load(Ordering::Acquire) == index + 1 {
-                        cell.latency
-                            .record(crate::trace::now_ns().saturating_sub(t));
-                        return;
-                    }
+                    cell.latency
+                        .record(crate::trace::now_ns().saturating_sub(t));
+                    return;
                 }
-                cell.stamp_misses.incr();
             }
+            cell.stamp_misses.incr();
         }
     }
 
     /// Consumes `n` recv stamps (a batch drain observed at one instant).
     #[inline]
     pub fn stamp_recv_batch(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
         for _ in 0..n {
             self.stamp_recv();
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
     }
 }
 
 /// Registers (or re-attaches to) the directed link `from → to` and
 /// returns its hot-path handle. No-op handle in disabled builds.
 pub fn register(from: &'static str, to: &'static str) -> LinkStats {
-    #[cfg(feature = "telemetry")]
-    {
-        let cell = cell(from, to);
+    let stats = attach(from, to);
+    if let Some(cell) = stats.cell.attached() {
         cell.instances.incr();
-        LinkStats {
-            cell: Some(cell),
-            stamp_send: true,
-            stamp_recv: true,
-        }
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (from, to);
-        LinkStats::default()
-    }
+    stats
 }
 
 /// Attaches to the directed link `from → to` *without* counting a new
@@ -363,18 +262,9 @@ pub fn register(from: &'static str, to: &'static str) -> LinkStats {
 /// payload-buffer pool, say) record onto the same counters without
 /// inflating `instances`. No-op handle in disabled builds.
 pub fn attach(from: &'static str, to: &'static str) -> LinkStats {
-    #[cfg(feature = "telemetry")]
-    {
-        LinkStats {
-            cell: Some(cell(from, to)),
-            stamp_send: true,
-            stamp_recv: true,
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (from, to);
-        LinkStats::default()
+    LinkStats {
+        cell: LINKS.attach((from, to)),
+        stamps: Gated::new(|| (true, true)),
     }
 }
 
@@ -383,32 +273,14 @@ pub fn attach(from: &'static str, to: &'static str) -> LinkStats {
 /// sharing role names must both hold, so the looser cap is the one every
 /// observation is checked against).
 pub fn set_bound(from: &'static str, to: &'static str, k: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if k == 0 {
-            return;
-        }
-        cell(from, to).bound.fetch_max(k, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (from, to, k);
+    LINKS.raise((from, to), |cell| &cell.bound, k);
 }
 
 /// Registers the batch-receive window the link `from → to` runs with,
 /// so snapshots can check it against the registered k-MC bound.
 /// Re-registration keeps the larger window (mirroring [`set_bound`]).
 pub fn set_batch_window(from: &'static str, to: &'static str, window: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if window == 0 {
-            return;
-        }
-        cell(from, to)
-            .batch_window
-            .fetch_max(window, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (from, to, window);
+    LINKS.raise((from, to), |cell| &cell.batch_window, window);
 }
 
 /// Point-in-time statistics for one directed link.
@@ -480,51 +352,35 @@ impl LinkSnapshot {
 /// Snapshots every registered link, sorted by `(from, to)`. Empty in
 /// disabled builds.
 pub fn snapshot() -> Vec<LinkSnapshot> {
-    #[cfg(feature = "telemetry")]
-    {
-        let mut links: Vec<LinkSnapshot> = registry()
-            .lock()
-            .expect("channel registry poisoned")
-            .values()
-            .map(|cell| {
-                let bound = cell.bound.load(Ordering::Relaxed);
-                let batch_window = cell.batch_window.load(Ordering::Relaxed);
-                LinkSnapshot {
-                    from: cell.from,
-                    to: cell.to,
-                    high_watermark: cell.high_watermark.get(),
-                    grows: cell.grows.get(),
-                    shrinks: cell.shrinks.get(),
-                    waker_retries: cell.waker_retries.get(),
-                    sends: cell.sends.get(),
-                    wakes: cell.wakes.get(),
-                    batches: cell.batches.get(),
-                    batched_messages: cell.batched_messages.get(),
-                    pool_hits: cell.pool_hits.get(),
-                    pool_misses: cell.pool_misses.get(),
-                    backpressure_parks: cell.backpressure_parks.get(),
-                    instances: cell.instances.get(),
-                    kmc_bound: (bound > 0).then_some(bound),
-                    batch_window: (batch_window > 0).then_some(batch_window),
-                    latency: cell.latency.snapshot(),
-                    stamp_misses: cell.stamp_misses.get(),
-                }
-            })
-            .collect();
-        links.sort_by_key(|link| (link.from, link.to));
-        links
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    LINKS.snapshot(|(from, to), cell| {
+        let bound = cell.bound.load(Ordering::Relaxed);
+        let batch_window = cell.batch_window.load(Ordering::Relaxed);
+        LinkSnapshot {
+            from,
+            to,
+            high_watermark: cell.high_watermark.get(),
+            grows: cell.grows.get(),
+            shrinks: cell.shrinks.get(),
+            waker_retries: cell.waker_retries.get(),
+            sends: cell.sends.get(),
+            wakes: cell.wakes.get(),
+            batches: cell.batches.get(),
+            batched_messages: cell.batched_messages.get(),
+            pool_hits: cell.pool_hits.get(),
+            pool_misses: cell.pool_misses.get(),
+            backpressure_parks: cell.backpressure_parks.get(),
+            instances: cell.instances.get(),
+            kmc_bound: (bound > 0).then_some(bound),
+            batch_window: (batch_window > 0).then_some(batch_window),
+            latency: cell.latency.snapshot(),
+            stamp_misses: cell.stamp_misses.get(),
+        }
+    })
 }
 
 /// Clears the registry (tests and trace tools isolating phases).
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
-    registry()
-        .lock()
-        .expect("channel registry poisoned")
-        .clear();
+    LINKS.reset();
 }
 
 #[cfg(test)]
@@ -533,7 +389,6 @@ mod tests {
 
     #[test]
     fn watermark_and_bound_round_trip() {
-        reset();
         let stats = register("TestA", "TestB");
         set_bound("TestA", "TestB", 3);
         stats.record_depth(1);
@@ -554,12 +409,10 @@ mod tests {
         } else {
             assert!(links.is_empty());
         }
-        reset();
     }
 
     #[test]
     fn instances_merge_into_one_cell() {
-        reset();
         let first = register("MergeA", "MergeB");
         let second = register("MergeA", "MergeB");
         first.record_depth(2);
@@ -570,12 +423,10 @@ mod tests {
             assert_eq!(link.instances, 2);
             assert_eq!(link.high_watermark, 5);
         }
-        reset();
     }
 
     #[test]
     fn data_plane_counters_round_trip() {
-        reset();
         let stats = register("PlaneA", "PlaneB");
         set_bound("PlaneA", "PlaneB", 8);
         set_batch_window("PlaneA", "PlaneB", 8);
@@ -608,12 +459,10 @@ mod tests {
         } else {
             assert!(links.is_empty());
         }
-        reset();
     }
 
     #[test]
     fn oversized_batch_window_is_flagged() {
-        reset();
         register("WideA", "WideB");
         set_bound("WideA", "WideB", 2);
         set_batch_window("WideA", "WideB", 5);
@@ -622,12 +471,10 @@ mod tests {
             let link = links.iter().find(|l| l.from == "WideA").unwrap();
             assert!(link.violates_batch_window());
         }
-        reset();
     }
 
     #[test]
     fn stamp_pairs_record_latency() {
-        reset();
         let stats = register("StampA", "StampB");
         for _ in 0..100 {
             stats.stamp_send();
@@ -642,12 +489,10 @@ mod tests {
         } else {
             assert!(links.is_empty());
         }
-        reset();
     }
 
     #[test]
     fn unmatched_recv_stamps_miss_safely() {
-        reset();
         // Receiver side of a cross-process link: sends never stamped
         // locally, so every recv stamp must miss, not fabricate data.
         let stats = register("MissA", "MissB").with_stamps(false, true);
@@ -658,12 +503,10 @@ mod tests {
             assert!(link.latency.is_empty());
             assert_eq!(link.stamp_misses, 5);
         }
-        reset();
     }
 
     #[test]
     fn lapped_stamp_ring_misses_instead_of_lying() {
-        reset();
         let stats = register("LapA", "LapB");
         // Send far past the ring capacity without consuming: the first
         // 1024 recv indices find slots overwritten by later sends.
@@ -679,7 +522,6 @@ mod tests {
             assert_eq!(link.latency.count + link.stamp_misses, 64);
             assert_eq!(link.stamp_misses, 64, "lapped slots must not match");
         }
-        reset();
     }
 
     #[test]

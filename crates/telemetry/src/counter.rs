@@ -1,5 +1,9 @@
 //! The relaxed atomic counter and its cache-line padding.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::gate::Gated;
+
 /// Pads and aligns `T` to 128 bytes so per-worker counter blocks never
 /// share a cache line (two lines on x86, where the spatial prefetcher
 /// pairs adjacent lines). A ZST payload stays zero-sized, so disabled
@@ -32,20 +36,16 @@ impl<T> std::ops::Deref for CachePadded<T> {
 /// relaxed ordering is enough because snapshots only need eventually
 /// consistent totals (exactness is guaranteed once the counted threads
 /// are quiescent, which is when the tests read them). Without the
-/// feature it is a ZST whose methods are empty `#[inline]` bodies.
+/// feature it is a ZST whose methods fold to empty `#[inline]` bodies.
 #[derive(Default)]
 pub struct Counter {
-    #[cfg(feature = "telemetry")]
-    value: std::sync::atomic::AtomicU64,
+    value: Gated<AtomicU64>,
 }
 
 impl Counter {
     /// A fresh zero counter.
-    pub const fn new() -> Self {
-        Self {
-            #[cfg(feature = "telemetry")]
-            value: std::sync::atomic::AtomicU64::new(0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds one.
@@ -57,31 +57,26 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        self.value
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
+        if let Some(value) = self.value.get() {
+            value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value (0 in disabled builds).
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        return self.value.load(std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        0
+        self.value
+            .get()
+            .map_or(0, |value| value.load(Ordering::Relaxed))
     }
 
     /// Raises the counter to `n` if it is below (used for high-watermark
     /// tracking; relaxed `fetch_max`).
     #[inline]
     pub fn record_max(&self, n: u64) {
-        #[cfg(feature = "telemetry")]
-        self.value
-            .fetch_max(n, std::sync::atomic::Ordering::Relaxed);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = n;
+        if let Some(value) = self.value.get() {
+            value.fetch_max(n, Ordering::Relaxed);
+        }
     }
 }
 

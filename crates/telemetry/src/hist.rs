@@ -25,12 +25,10 @@
 //! endpoint. Without the `telemetry` feature everything compiles to
 //! no-ops and empty snapshots.
 
-#[cfg(feature = "telemetry")]
-use std::collections::HashMap;
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
+
+use crate::gate::{Gated, Registry};
 
 /// Sub-bucket resolution: each power-of-two range is split into
 /// `2^SUB_BITS` equal buckets, bounding relative error at `2^-SUB_BITS`.
@@ -69,14 +67,12 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 }
 
 /// A lock-free log-linear histogram of `u64` values (nanoseconds, by
-/// convention). A ZST-alike no-op without the `telemetry` feature.
+/// convention). A ZST no-op without the `telemetry` feature.
 #[derive(Default)]
 pub struct Histogram {
-    #[cfg(feature = "telemetry")]
-    inner: OnceLock<Box<Buckets>>,
+    inner: Gated<OnceLock<Box<Buckets>>>,
 }
 
-#[cfg(feature = "telemetry")]
 struct Buckets {
     count: AtomicU64,
     sum: AtomicU64,
@@ -84,7 +80,6 @@ struct Buckets {
     slots: [AtomicU64; BUCKETS],
 }
 
-#[cfg(feature = "telemetry")]
 impl Buckets {
     fn new() -> Box<Buckets> {
         Box::new(Buckets {
@@ -109,39 +104,31 @@ impl Histogram {
     /// feature.
     #[inline]
     pub fn record(&self, value: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            let buckets = self.inner.get_or_init(Buckets::new);
+        if let Some(inner) = self.inner.get() {
+            let buckets = inner.get_or_init(Buckets::new);
             buckets.slots[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
             buckets.count.fetch_add(1, Ordering::Relaxed);
             buckets.sum.fetch_add(value, Ordering::Relaxed);
             buckets.max.fetch_max(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = value;
     }
 
     /// Plain-integer copy of the current state. Empty (count 0) without
     /// the feature or before the first record.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(feature = "telemetry")]
-        {
-            let Some(buckets) = self.inner.get() else {
-                return HistogramSnapshot::default();
-            };
-            HistogramSnapshot {
-                count: buckets.count.load(Ordering::Relaxed),
-                sum: buckets.sum.load(Ordering::Relaxed),
-                max: buckets.max.load(Ordering::Relaxed),
-                buckets: buckets
-                    .slots
-                    .iter()
-                    .map(|slot| slot.load(Ordering::Relaxed))
-                    .collect(),
-            }
+        let Some(buckets) = self.inner.get().and_then(OnceLock::get) else {
+            return HistogramSnapshot::default();
+        };
+        HistogramSnapshot {
+            count: buckets.count.load(Ordering::Relaxed),
+            sum: buckets.sum.load(Ordering::Relaxed),
+            max: buckets.max.load(Ordering::Relaxed),
+            buckets: buckets
+                .slots
+                .iter()
+                .map(|slot| slot.load(Ordering::Relaxed))
+                .collect(),
         }
-        #[cfg(not(feature = "telemetry"))]
-        HistogramSnapshot::default()
     }
 }
 
@@ -233,58 +220,26 @@ impl HistogramSnapshot {
 
 // ---- session lifetime registry --------------------------------------
 
-#[cfg(feature = "telemetry")]
-type SessionRegistry = Mutex<HashMap<&'static str, Arc<Histogram>>>;
-
-#[cfg(feature = "telemetry")]
-fn session_registry() -> &'static SessionRegistry {
-    static REGISTRY: OnceLock<SessionRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
+static SESSIONS: Registry<&'static str, Histogram> = Registry::new(|_| Histogram::new());
 
 /// Records one completed session's spawn→teardown lifetime for `role`.
 /// Called by `try_session` on successful completion; teardown is not a
 /// hot path, so the registry lookup per session is acceptable.
 pub fn record_session(role: &'static str, lifetime_ns: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        let hist = session_registry()
-            .lock()
-            .expect("session registry poisoned")
-            .entry(role)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone();
-        hist.record(lifetime_ns);
+    if let Some(lifetimes) = SESSIONS.attach(role).attached() {
+        lifetimes.record(lifetime_ns);
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (role, lifetime_ns);
 }
 
 /// Lifetime distribution of every role that completed at least one
 /// session, sorted by role name. Empty in disabled builds.
 pub fn sessions_snapshot() -> Vec<(&'static str, HistogramSnapshot)> {
-    #[cfg(feature = "telemetry")]
-    {
-        let mut sessions: Vec<(&'static str, HistogramSnapshot)> = session_registry()
-            .lock()
-            .expect("session registry poisoned")
-            .iter()
-            .map(|(role, hist)| (*role, hist.snapshot()))
-            .collect();
-        sessions.sort_by_key(|(role, _)| *role);
-        sessions
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    SESSIONS.snapshot(|role, lifetimes| (role, lifetimes.snapshot()))
 }
 
 /// Clears the session registry (tests isolating phases).
 pub fn reset_sessions() {
-    #[cfg(feature = "telemetry")]
-    session_registry()
-        .lock()
-        .expect("session registry poisoned")
-        .clear();
+    SESSIONS.reset();
 }
 
 #[cfg(test)]

@@ -40,8 +40,11 @@
 //! Without the `telemetry` cargo feature every type here still exists but
 //! is a zero-sized no-op: [`Counter::incr`] is an empty inline function,
 //! [`channel::LinkStats`] is a ZST, [`trace::event`] compiles away.
-//! Instrumented call sites therefore never need `#[cfg]`; they test
-//! [`ENABLED`] only where avoiding an argument computation matters.
+//! One primitive carries the trick for all of them (`gate::Gated`, the
+//! only type whose shape depends on the feature) and one registry type
+//! holds every instrument's named cells. Instrumented call sites
+//! therefore never need `#[cfg]`; they test [`ENABLED`] only where
+//! avoiding an argument computation matters.
 
 pub mod channel;
 pub mod hist;
@@ -51,6 +54,7 @@ pub mod trace;
 pub mod transport;
 
 mod counter;
+mod gate;
 
 pub use counter::{CachePadded, Counter};
 

@@ -33,10 +33,8 @@
 //! [`merge_chrome_trace`] aligns their clocks and emits one timeline
 //! with Chrome *flow events* connecting each send to its receive.
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Session events per thread ring; the oldest events are overwritten
 /// once a thread exceeds this many undrained events.
@@ -85,7 +83,6 @@ impl Kind {
         })
     }
 
-    #[cfg(feature = "telemetry")]
     fn from_u8(byte: u8) -> Kind {
         match byte {
             0 => Kind::Send,
@@ -97,7 +94,6 @@ impl Kind {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn as_u8(self) -> u8 {
         match self {
             Kind::Send => 0,
@@ -171,10 +167,9 @@ pub fn event_seq(
     label: &'static str,
     seq: u64,
 ) {
-    #[cfg(feature = "telemetry")]
-    enabled::event(kind, role, peer, label, seq);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (kind, role, peer, label, seq);
+    if crate::ENABLED {
+        ring::event(kind, role, peer, label, seq);
+    }
 }
 
 /// Registers the estimated clock offset of `peer`'s trace epoch
@@ -182,42 +177,27 @@ pub fn event_seq(
 /// as measured by the transport's accept handshake. Dumped with the
 /// process trace so [`merge_chrome_trace`] can align timelines.
 pub fn set_peer_offset(peer: &str, offset_ns: i64) {
-    #[cfg(feature = "telemetry")]
-    {
-        let mut offsets = peer_offset_table().lock().expect("offset table poisoned");
-        match offsets.iter_mut().find(|(name, _)| name == peer) {
-            Some((_, off)) => *off = offset_ns,
-            None => offsets.push((peer.to_owned(), offset_ns)),
-        }
+    if !crate::ENABLED {
+        return;
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (peer, offset_ns);
+    let mut offsets = PEER_OFFSETS.lock().expect("offset table poisoned");
+    match offsets.iter_mut().find(|(name, _)| name == peer) {
+        Some((_, off)) => *off = offset_ns,
+        None => offsets.push((peer.to_owned(), offset_ns)),
+    }
 }
 
 /// The registered per-peer clock offsets. Empty in disabled builds.
 pub fn peer_offsets() -> Vec<(String, i64)> {
-    #[cfg(feature = "telemetry")]
-    return peer_offset_table()
-        .lock()
-        .expect("offset table poisoned")
-        .clone();
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    PEER_OFFSETS.lock().expect("offset table poisoned").clone()
 }
 
-#[cfg(feature = "telemetry")]
-fn peer_offset_table() -> &'static Mutex<Vec<(String, i64)>> {
-    static TABLE: OnceLock<Mutex<Vec<(String, i64)>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Vec::new()))
-}
+static PEER_OFFSETS: Mutex<Vec<(String, i64)>> = Mutex::new(Vec::new());
 
 /// Drains every thread ring into per-thread traces (oldest first),
 /// advancing each ring's read cursor. Empty in disabled builds.
 pub fn drain() -> Vec<ThreadTrace> {
-    #[cfg(feature = "telemetry")]
-    return enabled::drain();
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    ring::drain()
 }
 
 /// Renders drained traces as a Chrome trace-event JSON document
@@ -697,8 +677,9 @@ fn push_json_string(out: &mut String, value: &str) {
     out.push('"');
 }
 
-#[cfg(feature = "telemetry")]
-mod enabled {
+/// The per-thread rings behind [`event`] and [`drain`]. Always compiled;
+/// disabled builds never record, so no ring is ever created.
+mod ring {
     use super::*;
 
     /// One event slot: six atomic words validated by a per-slot seqlock.
@@ -748,10 +729,7 @@ mod enabled {
     unsafe impl Send for Ring {}
     unsafe impl Sync for Ring {}
 
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
+    static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 
     thread_local! {
         static RING: std::cell::OnceCell<Arc<Ring>> = const { std::cell::OnceCell::new() };
@@ -760,7 +738,7 @@ mod enabled {
     fn ring_for_current_thread() -> Arc<Ring> {
         RING.with(|cell| {
             cell.get_or_init(|| {
-                let mut rings = registry().lock().expect("trace registry poisoned");
+                let mut rings = RINGS.lock().expect("trace registry poisoned");
                 let thread = std::thread::current()
                     .name()
                     .map(str::to_owned)
@@ -865,7 +843,7 @@ mod enabled {
     }
 
     pub(super) fn drain() -> Vec<ThreadTrace> {
-        let rings = registry().lock().expect("trace registry poisoned");
+        let rings = RINGS.lock().expect("trace registry poisoned");
         let mut traces = Vec::with_capacity(rings.len());
         for ring in rings.iter() {
             let tail = ring.tail.load(Ordering::Acquire);

@@ -25,24 +25,15 @@
 //! global registry mutex is touched only on registration and
 //! snapshots, never per frame.
 
-#[cfg(feature = "telemetry")]
-use std::collections::HashMap;
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
-use std::sync::{Arc, Mutex, OnceLock};
 
-#[cfg(feature = "telemetry")]
-use crate::hist::Histogram;
-use crate::hist::HistogramSnapshot;
-#[cfg(feature = "telemetry")]
+use crate::gate::{recorder, Handle, Registry};
+use crate::hist::{Histogram, HistogramSnapshot};
 use crate::Counter;
 
 /// Shared statistics cell for one directed remote link `from → to`.
-#[cfg(feature = "telemetry")]
+#[derive(Default)]
 struct TransportCell {
-    from: &'static str,
-    to: &'static str,
     /// Frames written to the socket.
     frames_sent: Counter,
     /// Frames decoded off the socket.
@@ -66,39 +57,8 @@ struct TransportCell {
     wire_latency: Histogram,
 }
 
-#[cfg(feature = "telemetry")]
-type Registry = Mutex<HashMap<(&'static str, &'static str), Arc<TransportCell>>>;
-
-#[cfg(feature = "telemetry")]
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-#[cfg(feature = "telemetry")]
-fn cell(from: &'static str, to: &'static str) -> Arc<TransportCell> {
-    registry()
-        .lock()
-        .expect("transport registry poisoned")
-        .entry((from, to))
-        .or_insert_with(|| {
-            Arc::new(TransportCell {
-                from,
-                to,
-                frames_sent: Counter::new(),
-                frames_received: Counter::new(),
-                bytes_sent: Counter::new(),
-                bytes_received: Counter::new(),
-                window_stalls: Counter::new(),
-                reconnects: Counter::new(),
-                instances: Counter::new(),
-                send_window: AtomicU64::new(0),
-                kmc_bound: AtomicU64::new(0),
-                wire_latency: Histogram::new(),
-            })
-        })
-        .clone()
-}
+static LINKS: Registry<(&'static str, &'static str), TransportCell> =
+    Registry::new(|_| TransportCell::default());
 
 /// Hot-path statistics handle stored inside each instrumented remote
 /// link (and cloned into its writer/reader threads).
@@ -107,21 +67,7 @@ fn cell(from: &'static str, to: &'static str) -> Arc<TransportCell> {
 /// whose recorders are no-ops even with telemetry on.
 #[derive(Clone, Default)]
 pub struct TransportStats {
-    #[cfg(feature = "telemetry")]
-    cell: Option<Arc<TransportCell>>,
-}
-
-macro_rules! recorder {
-    ($(#[$doc:meta])* $name:ident => |$cell:ident| $body:expr) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(&self) {
-            #[cfg(feature = "telemetry")]
-            if let Some($cell) = &self.cell {
-                $body;
-            }
-        }
-    };
+    cell: Handle<TransportCell>,
 }
 
 impl TransportStats {
@@ -129,26 +75,20 @@ impl TransportStats {
     /// (header included).
     #[inline]
     pub fn record_frame_sent(&self, bytes: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = self.cell.attached() {
             cell.frames_sent.incr();
             cell.bytes_sent.add(bytes);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = bytes;
     }
 
     /// Records one frame decoded off the socket carrying `bytes` bytes
     /// (header included).
     #[inline]
     pub fn record_frame_received(&self, bytes: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = self.cell.attached() {
             cell.frames_received.incr();
             cell.bytes_received.add(bytes);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = bytes;
     }
 
     recorder! {
@@ -165,29 +105,20 @@ impl TransportStats {
     /// (sender timestamp already shifted into the receiver's clock).
     #[inline]
     pub fn record_wire_latency(&self, ns: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(cell) = &self.cell {
+        if let Some(cell) = self.cell.attached() {
             cell.wire_latency.record(ns);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = ns;
     }
 }
 
 /// Registers (or re-attaches to) the directed remote link `from → to`
 /// and returns its hot-path handle. No-op handle in disabled builds.
 pub fn register(from: &'static str, to: &'static str) -> TransportStats {
-    #[cfg(feature = "telemetry")]
-    {
-        let cell = cell(from, to);
+    let stats = attach(from, to);
+    if let Some(cell) = stats.cell.attached() {
         cell.instances.incr();
-        TransportStats { cell: Some(cell) }
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (from, to);
-        TransportStats::default()
-    }
+    stats
 }
 
 /// Attaches to the directed remote link `from → to` *without* counting
@@ -195,16 +126,8 @@ pub fn register(from: &'static str, to: &'static str) -> TransportStats {
 /// plumbing) records onto the same counters without inflating
 /// `instances`. No-op handle in disabled builds.
 pub fn attach(from: &'static str, to: &'static str) -> TransportStats {
-    #[cfg(feature = "telemetry")]
-    {
-        TransportStats {
-            cell: Some(cell(from, to)),
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = (from, to);
-        TransportStats::default()
+    TransportStats {
+        cell: LINKS.attach((from, to)),
     }
 }
 
@@ -212,31 +135,13 @@ pub fn attach(from: &'static str, to: &'static str) -> TransportStats {
 /// Re-registration keeps the larger window (mirroring
 /// [`channel::set_bound`](crate::channel::set_bound)).
 pub fn set_window(from: &'static str, to: &'static str, window: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if window == 0 {
-            return;
-        }
-        cell(from, to)
-            .send_window
-            .fetch_max(window, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (from, to, window);
+    LINKS.raise((from, to), |cell| &cell.send_window, window);
 }
 
 /// Registers the statically verified k-MC bound the link's window was
 /// derived from. Re-registration keeps the larger bound.
 pub fn set_bound(from: &'static str, to: &'static str, k: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if k == 0 {
-            return;
-        }
-        cell(from, to).kmc_bound.fetch_max(k, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (from, to, k);
+    LINKS.raise((from, to), |cell| &cell.kmc_bound, k);
 }
 
 /// Point-in-time statistics for one directed remote link.
@@ -284,45 +189,29 @@ impl TransportSnapshot {
 /// Snapshots every registered remote link, sorted by `(from, to)`.
 /// Empty in disabled builds.
 pub fn snapshot() -> Vec<TransportSnapshot> {
-    #[cfg(feature = "telemetry")]
-    {
-        let mut links: Vec<TransportSnapshot> = registry()
-            .lock()
-            .expect("transport registry poisoned")
-            .values()
-            .map(|cell| {
-                let window = cell.send_window.load(Ordering::Relaxed);
-                let bound = cell.kmc_bound.load(Ordering::Relaxed);
-                TransportSnapshot {
-                    from: cell.from,
-                    to: cell.to,
-                    frames_sent: cell.frames_sent.get(),
-                    frames_received: cell.frames_received.get(),
-                    bytes_sent: cell.bytes_sent.get(),
-                    bytes_received: cell.bytes_received.get(),
-                    window_stalls: cell.window_stalls.get(),
-                    reconnects: cell.reconnects.get(),
-                    instances: cell.instances.get(),
-                    send_window: (window > 0).then_some(window),
-                    kmc_bound: (bound > 0).then_some(bound),
-                    wire_latency: cell.wire_latency.snapshot(),
-                }
-            })
-            .collect();
-        links.sort_by_key(|link| (link.from, link.to));
-        links
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    LINKS.snapshot(|(from, to), cell| {
+        let window = cell.send_window.load(Ordering::Relaxed);
+        let bound = cell.kmc_bound.load(Ordering::Relaxed);
+        TransportSnapshot {
+            from,
+            to,
+            frames_sent: cell.frames_sent.get(),
+            frames_received: cell.frames_received.get(),
+            bytes_sent: cell.bytes_sent.get(),
+            bytes_received: cell.bytes_received.get(),
+            window_stalls: cell.window_stalls.get(),
+            reconnects: cell.reconnects.get(),
+            instances: cell.instances.get(),
+            send_window: (window > 0).then_some(window),
+            kmc_bound: (bound > 0).then_some(bound),
+            wire_latency: cell.wire_latency.snapshot(),
+        }
+    })
 }
 
 /// Clears the registry (tests and trace tools isolating phases).
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
-    registry()
-        .lock()
-        .expect("transport registry poisoned")
-        .clear();
+    LINKS.reset();
 }
 
 #[cfg(test)]
@@ -331,7 +220,6 @@ mod tests {
 
     #[test]
     fn counters_and_window_round_trip() {
-        reset();
         let stats = register("NetA", "NetB");
         set_window("NetA", "NetB", 4);
         set_bound("NetA", "NetB", 4);
@@ -362,12 +250,10 @@ mod tests {
         } else {
             assert!(links.is_empty());
         }
-        reset();
     }
 
     #[test]
     fn oversized_window_is_flagged() {
-        reset();
         register("WinA", "WinB");
         set_window("WinA", "WinB", 7);
         set_bound("WinA", "WinB", 2);
@@ -376,12 +262,10 @@ mod tests {
             let link = links.iter().find(|l| l.from == "WinA").unwrap();
             assert!(link.window_exceeds_bound());
         }
-        reset();
     }
 
     #[test]
     fn instances_merge_into_one_cell() {
-        reset();
         let first = register("RetryA", "RetryB");
         let second = register("RetryA", "RetryB");
         first.record_window_stall();
@@ -392,7 +276,6 @@ mod tests {
             assert_eq!(link.instances, 2);
             assert_eq!(link.window_stalls, 2);
         }
-        reset();
     }
 
     #[test]
