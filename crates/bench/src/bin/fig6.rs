@@ -43,13 +43,15 @@
 //! so a telemetry sweep doubles as an end-to-end check of the
 //! verifier's guarantee.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
+use bench::artifact::{Artifact, Row, Telemetry};
 use bench::protocols::{double_buffering, fft8, streaming};
 use bench::timing::{measure, throughput};
-use bench::{channels, meta, scaling, transport};
+use bench::{channels, check, meta, scaling, transport};
 use dep_telemetry as telemetry;
+use optimiser::cost::EdgeCosts;
+use theory::json::{self, Json};
 
 const BUDGET: Duration = Duration::from_millis(300);
 const MAX_RUNS: usize = 50;
@@ -124,16 +126,6 @@ fn main() {
     }
 }
 
-/// One measured cell of the `--json` sweep.
-struct JsonResult {
-    protocol: &'static str,
-    threads: usize,
-    /// `"key": value` pairs describing the workload size.
-    params: String,
-    ops: u64,
-    ns_per_op: f64,
-}
-
 fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path: Option<String>) {
     let budget = if quick {
         Duration::from_millis(40)
@@ -170,20 +162,20 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     let mut scheduler: Vec<(usize, telemetry::scheduler::RuntimeSnapshot)> = Vec::new();
     for threads in THREADS {
         let rt = executor::Runtime::new(threads);
-        let mut bench = |protocol: &'static str, params: String, ops: u64, f: &mut dyn FnMut()| {
+        let mut bench = |protocol: &str, params: &[(&str, u64)], ops: u64, f: &mut dyn FnMut()| {
             let mean = measure(f, budget, max_runs);
-            results.push(JsonResult {
-                protocol,
-                threads,
-                params,
+            results.push(Row {
+                protocol: protocol.to_owned(),
+                threads: threads as u64,
+                params: params.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
                 ops,
-                ns_per_op: mean.as_nanos() as f64 / ops as f64,
+                ns_per_op: json::rounded(mean.as_nanos() as f64 / ops as f64, 1),
             });
         };
 
         bench(
             "ring",
-            format!("\"tasks\": {ring_tasks}, \"laps\": {ring_laps}"),
+            &[("tasks", ring_tasks as u64), ("laps", ring_laps as u64)],
             (ring_tasks * ring_laps) as u64,
             &mut || {
                 scaling::run_ring(&rt, ring_tasks, ring_laps);
@@ -191,7 +183,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "mesh",
-            format!("\"peers\": {mesh_peers}, \"rounds\": {mesh_rounds}"),
+            &[("peers", mesh_peers as u64), ("rounds", mesh_rounds as u64)],
             (mesh_peers * (mesh_peers - 1) * mesh_rounds) as u64,
             &mut || {
                 scaling::run_mesh(&rt, mesh_peers, mesh_rounds);
@@ -199,7 +191,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "gen_ring",
-            format!("\"tasks\": {ring_tasks}, \"laps\": {ring_laps}"),
+            &[("tasks", ring_tasks as u64), ("laps", ring_laps as u64)],
             (ring_tasks * ring_laps) as u64,
             &mut || {
                 gen_ring.run(&rt, ring_laps);
@@ -207,7 +199,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "gen_mesh",
-            format!("\"peers\": {mesh_peers}, \"rounds\": {mesh_rounds}"),
+            &[("peers", mesh_peers as u64), ("rounds", mesh_rounds as u64)],
             gen_mesh.messages_per_round() * mesh_rounds as u64,
             &mut || {
                 gen_mesh.run(&rt, mesh_rounds);
@@ -218,7 +210,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         // mutex-channel baseline the lock-free ring must beat.
         bench(
             "channel_spsc_pingpong",
-            format!("\"rounds\": {chan_rounds}"),
+            &[("rounds", chan_rounds as u64)],
             u64::from(chan_rounds),
             &mut || {
                 channels::spsc_ping_pong(&rt, chan_rounds);
@@ -226,7 +218,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "channel_mpsc_pingpong",
-            format!("\"rounds\": {chan_rounds}"),
+            &[("rounds", chan_rounds as u64)],
             u64::from(chan_rounds),
             &mut || {
                 channels::mpsc_ping_pong(&rt, chan_rounds);
@@ -234,7 +226,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "channel_spsc_burst",
-            format!("\"messages\": {chan_burst}"),
+            &[("messages", chan_burst as u64)],
             u64::from(chan_burst),
             &mut || {
                 channels::spsc_burst(&rt, chan_burst);
@@ -252,7 +244,10 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
                     "1k" => "channel_spsc_burst_1k",
                     _ => "channel_spsc_burst_16k",
                 },
-                format!("\"messages\": {chan_payload_burst}, \"payload_bytes\": {payload}"),
+                &[
+                    ("messages", chan_payload_burst as u64),
+                    ("payload_bytes", payload as u64),
+                ],
                 u64::from(chan_payload_burst),
                 &mut || {
                     channels::spsc_burst_payload(&rt, chan_payload_burst, payload);
@@ -263,7 +258,10 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
                     "1k" => "channel_spsc_burst_1k_pooled",
                     _ => "channel_spsc_burst_16k_pooled",
                 },
-                format!("\"messages\": {chan_payload_burst}, \"payload_bytes\": {payload}"),
+                &[
+                    ("messages", chan_payload_burst as u64),
+                    ("payload_bytes", payload as u64),
+                ],
                 u64::from(chan_payload_burst),
                 &mut || {
                     channels::spsc_burst_pooled(&rt, chan_payload_burst, payload);
@@ -276,7 +274,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         // framed round trip / one delivered frame.
         bench(
             "transport_tcp_pingpong",
-            format!("\"rounds\": {net_rounds}"),
+            &[("rounds", net_rounds as u64)],
             u64::from(net_rounds),
             &mut || {
                 transport::tcp_ping_pong(&rt, net_rounds);
@@ -285,7 +283,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         #[cfg(unix)]
         bench(
             "transport_uds_pingpong",
-            format!("\"rounds\": {net_rounds}"),
+            &[("rounds", net_rounds as u64)],
             u64::from(net_rounds),
             &mut || {
                 transport::uds_ping_pong(&rt, net_rounds);
@@ -293,7 +291,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "transport_tcp_burst",
-            format!("\"messages\": {net_burst}"),
+            &[("messages", net_burst as u64)],
             u64::from(net_burst),
             &mut || {
                 transport::tcp_burst(&rt, net_burst);
@@ -304,7 +302,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         // two rows to prove the optimiser's pick actually wins.
         bench(
             "streaming_proj",
-            format!("\"n\": {stream_n}"),
+            &[("n", stream_n as u64)],
             u64::from(stream_n),
             &mut || {
                 streaming::run_rumpsteak(&rt, stream_n, false);
@@ -312,7 +310,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "streaming",
-            format!("\"n\": {stream_n}"),
+            &[("n", stream_n as u64)],
             u64::from(stream_n),
             &mut || {
                 streaming::run_rumpsteak(&rt, stream_n, true);
@@ -324,7 +322,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         // so this pair is the throughput win of automatic reordering.
         bench(
             "double_buffering_proj",
-            format!("\"n\": {buffer_n}"),
+            &[("n", buffer_n as u64)],
             buffer_n as u64,
             &mut || {
                 double_buffering::run_rumpsteak(&rt, buffer_n, false);
@@ -332,13 +330,13 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         );
         bench(
             "double_buffering",
-            format!("\"n\": {buffer_n}"),
+            &[("n", buffer_n as u64)],
             buffer_n as u64,
             &mut || {
                 double_buffering::run_rumpsteak(&rt, buffer_n, true);
             },
         );
-        bench("fft", format!("\"n\": {fft_n}"), fft_n as u64, &mut || {
+        bench("fft", &[("n", fft_n as u64)], fft_n as u64, &mut || {
             fft8::run_rumpsteak(&rt, fft_n);
         });
         if with_telemetry {
@@ -346,101 +344,53 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         }
     }
 
-    // Smoke assertion (runs in `--quick` CI too): the channel-layer and
-    // transport rows must populate with real timings, so a refactor that
-    // silently drops either sweep cannot pass the gate by omission.
-    for required in [
-        "channel_spsc_pingpong",
-        "channel_mpsc_pingpong",
-        "channel_spsc_burst",
-        "channel_spsc_burst_1k",
-        "channel_spsc_burst_1k_pooled",
-        "channel_spsc_burst_16k",
-        "channel_spsc_burst_16k_pooled",
-        "transport_tcp_pingpong",
-        #[cfg(unix)]
-        "transport_uds_pingpong",
-        "transport_tcp_burst",
-        // The opt-vs-proj pairs the CI quality gate compares.
-        "streaming_proj",
-        "streaming",
-        "double_buffering_proj",
-        "double_buffering",
-    ] {
+    // Every row must populate with a real timing (which rows must exist
+    // is `bench-check gate`'s business: it fails on a vanished one).
+    for row in &results {
         assert!(
-            results
-                .iter()
-                .any(|r| r.protocol == required && r.ns_per_op.is_finite() && r.ns_per_op > 0.0),
-            "fig6 --json produced no timing for the `{required}` row"
+            row.ns_per_op.is_finite() && row.ns_per_op > 0.0,
+            "fig6 --json produced no timing for the `{}` row",
+            row.protocol
         );
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fig6\",");
-    let _ = writeln!(
-        out,
-        "  \"mode\": \"{}\",",
-        if quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(
-        out,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    // Provenance: a trajectory artifact without its revision, toolchain
-    // and date is not reproducible evidence.
-    let _ = writeln!(out, "  \"git_revision\": \"{}\",", meta::git_revision());
-    let _ = writeln!(out, "  \"rustc_version\": \"{}\",", meta::rustc_version());
-    let _ = writeln!(out, "  \"generated_at\": \"{}\",", meta::timestamp_utc());
-    out.push_str("  \"unit\": \"ns/op\",\n  \"results\": [\n");
-    for (index, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"protocol\": \"{}\", \"threads\": {}, \"params\": {{{}}}, \
-             \"ops\": {}, \"ns_per_op\": {:.1}}}",
-            r.protocol, r.threads, r.params, r.ops, r.ns_per_op
-        );
-        out.push_str(if index + 1 < results.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]");
-    if with_edge_costs {
-        // The per-edge cost micro-profile runs once, after the sweep, on
-        // a two-worker runtime (one producer, one consumer — the shape
-        // every class's harness needs).
-        let rt = executor::Runtime::new(2);
-        let classes = bench::edge_costs::measure(&rt, quick);
+    // The per-edge cost micro-profile runs once, after the sweep, on a
+    // two-worker runtime (one producer, one consumer — the shape every
+    // class's harness needs).
+    let edge_costs = with_edge_costs.then(|| {
+        let classes = bench::edge_costs::measure(&executor::Runtime::new(2), quick);
         assert!(
             !classes.is_empty(),
             "fig6 --edge-costs measured no link classes"
         );
-        out.push_str(",\n  \"edge_costs\": {\n    \"unit\": \"ns\",\n    \"classes\": [\n");
-        for (index, class) in classes.iter().enumerate() {
-            let _ = write!(
-                out,
-                "      {{\"class\": \"{}\", \"send_base_ns\": {:.2}, \
-                 \"recv_base_ns\": {:.2}, \"ns_per_byte\": {:.4}}}",
-                class.class, class.send_base_ns, class.recv_base_ns, class.ns_per_byte
-            );
-            out.push_str(if index + 1 < classes.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        EdgeCosts {
+            unit: "ns".to_owned(),
+            classes,
         }
-        out.push_str("    ]\n  }");
-    }
+    });
+    let artifact = Artifact {
+        bench: "fig6".to_owned(),
+        mode: if quick { "quick" } else { "full" }.to_owned(),
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        // Provenance: a trajectory artifact without its revision,
+        // toolchain and date is not reproducible evidence.
+        git_revision: meta::git_revision(),
+        rustc_version: meta::rustc_version().to_owned(),
+        generated_at: meta::timestamp_utc(),
+        unit: "ns/op".to_owned(),
+        results,
+        edge_costs,
+        telemetry: with_telemetry.then(|| telemetry_section(&scheduler)),
+    };
     if with_telemetry {
-        out.push_str(",\n");
-        out.push_str(&telemetry_section(&scheduler));
-    } else {
-        out.push('\n');
+        let violations = check::telemetry(&artifact);
+        assert!(
+            violations.is_empty(),
+            "--telemetry sweep violates its invariants:\n  {}",
+            violations.join("\n  ")
+        );
     }
-    out.push_str("}\n");
+    let out = format!("{:#}\n", artifact.to_json());
 
     // Quick mode defaults to the system temp directory so CI smoke runs
     // can neither clobber the committed full-mode trajectory artifact nor
@@ -453,137 +403,25 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     std::fs::write(&path, &out)
         .unwrap_or_else(|error| panic!("failed to write {}: {error}", path.display()));
     print!("{out}");
-    eprintln!("wrote {} ({} results)", path.display(), results.len());
+    eprintln!(
+        "wrote {} ({} results)",
+        path.display(),
+        artifact.results.len()
+    );
 }
 
-/// Renders the `"telemetry"` top-level JSON member: per-worker scheduler
-/// counters for every swept thread count plus the global per-channel
-/// table. Hard-fails if any session channel's observed high-watermark
-/// exceeded its statically verified k-MC bound — a `--telemetry` run
-/// doubles as an end-to-end check of the verifier's guarantee.
-fn telemetry_section(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)]) -> String {
-    let counters_json = |snapshot: &telemetry::scheduler::CountersSnapshot| {
-        let fields: Vec<String> = snapshot
-            .fields()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        format!("{{{}}}", fields.join(", "))
-    };
-
-    // Latency histograms render as fixed quantiles (`null` when the
-    // link recorded none — e.g. a stamp ring that only ever sent). The
-    // quantile ladder must be monotone by construction; assert it so a
-    // histogram regression fails the sweep rather than the plot.
-    let hist_json = |hist: &telemetry::hist::HistogramSnapshot| {
-        if hist.is_empty() {
-            return "null".to_owned();
-        }
-        let (p50, p90, p99, p999) = (hist.p50(), hist.p90(), hist.p99(), hist.p999());
-        assert!(
-            p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= hist.max,
-            "histogram quantiles are not monotone: \
-             p50={p50} p90={p90} p99={p99} p999={p999} max={}",
-            hist.max,
-        );
-        format!(
-            "{{\"count\": {}, \"p50\": {p50}, \"p90\": {p90}, \
-             \"p99\": {p99}, \"p999\": {p999}, \"max\": {}}}",
-            hist.count, hist.max,
-        )
-    };
-
-    let mut out = String::new();
-    out.push_str("  \"telemetry\": {\n    \"scheduler\": [\n");
-    for (index, (threads, snapshot)) in scheduler.iter().enumerate() {
-        let _ = writeln!(out, "      {{\"threads\": {threads}, \"workers\": [");
-        for (w, worker) in snapshot.workers.iter().enumerate() {
-            let _ = write!(out, "        {}", counters_json(worker));
-            out.push_str(if w + 1 < snapshot.workers.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = write!(
-            out,
-            "      ], \"external\": {}}}",
-            counters_json(&snapshot.external)
-        );
-        out.push_str(if index + 1 < scheduler.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("    ],\n    \"channels\": [\n");
-
-    let links = telemetry::channel::snapshot();
-    assert!(
-        links.iter().any(|link| link.kmc_bound.is_some()),
-        "--telemetry sweep registered no channel bounds — the session \
-         protocols did not run through labelled links"
-    );
-    for (index, link) in links.iter().enumerate() {
-        assert!(
-            !link.violates_bound(),
-            "channel {} -> {} exceeded its verified k-MC bound: \
-             high_watermark {} > k = {}",
-            link.from,
-            link.to,
-            link.high_watermark,
-            link.kmc_bound.unwrap_or(0),
-        );
-        // A batch window wider than the verified bound would drain past
-        // what the k-MC check covers — hard-fail, same as a watermark
-        // violation.
-        assert!(
-            !link.violates_batch_window(),
-            "channel {} -> {} runs a batch window past its k-MC bound: \
-             window {:?} > k = {:?}",
-            link.from,
-            link.to,
-            link.batch_window,
-            link.kmc_bound,
-        );
-        let json_u64 = |value: Option<u64>| match value {
-            Some(v) => v.to_string(),
-            None => "null".to_owned(),
-        };
-        let bound = json_u64(link.kmc_bound);
-        let batch_window = json_u64(link.batch_window);
-        let _ = write!(
-            out,
-            "      {{\"from\": \"{}\", \"to\": \"{}\", \"high_watermark\": {}, \
-             \"kmc_bound\": {bound}, \"batch_window\": {batch_window}, \
-             \"grows\": {}, \"shrinks\": {}, \"waker_retries\": {}, \
-             \"sends\": {}, \"wakes\": {}, \"batches\": {}, \
-             \"batched_messages\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-             \"backpressure_parks\": {}, \"instances\": {}, \
-             \"stamp_misses\": {}, \"latency\": {}}}",
-            link.from,
-            link.to,
-            link.high_watermark,
-            link.grows,
-            link.shrinks,
-            link.waker_retries,
-            link.sends,
-            link.wakes,
-            link.batches,
-            link.batched_messages,
-            link.pool_hits,
-            link.pool_misses,
-            link.backpressure_parks,
-            link.instances,
-            link.stamp_misses,
-            hist_json(&link.latency),
-        );
-        out.push_str(if index + 1 < links.len() { ",\n" } else { "\n" });
-    }
+/// Snapshots the `"telemetry"` section, hard-failing if the bench's own
+/// labelled links did not behave as their harness promises. (The
+/// invariants every instrumented sweep must satisfy — watermarks and
+/// windows within the verified k-MC bounds, monotone quantile ladders —
+/// are `check::telemetry`, which the caller runs on the whole artifact.)
+fn telemetry_section(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)]) -> Telemetry {
+    let section = Telemetry::snapshot(scheduler);
     // The pooled streaming pair ran under telemetry: check its batch
     // economics end to end — whole windows of messages per waker
     // round-trip, not one wake per message.
-    if let Some(link) = links
+    if let Some(link) = section
+        .channels
         .iter()
         .find(|l| l.from == channels::POOLED_BURST_FROM && l.to == channels::POOLED_BURST_TO)
     {
@@ -597,74 +435,22 @@ fn telemetry_section(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)
         // Every slot commit stamped and every pop read the stamp back:
         // an empty histogram here means the latency path is dead.
         assert!(
-            !link.latency.is_empty(),
+            link.latency.is_some(),
             "pooled burst link recorded {} sends but no send->recv \
              latency samples",
             link.sends,
         );
     }
-    out.push_str("    ],\n    \"transport\": [\n");
-
-    // Remote links registered by the transport benches: per-link frame
-    // and byte counters next to the socket send window and the k-MC
-    // bound it was derived from. A window above its bound would buffer
-    // more frames than the verification covers — hard-fail, same as a
-    // channel watermark violation.
-    let remote = telemetry::transport::snapshot();
-    assert!(
-        remote.iter().any(|link| link.send_window.is_some()),
-        "--telemetry sweep registered no transport windows — the \
-         transport benches did not run through labelled remote links"
-    );
-    for (index, link) in remote.iter().enumerate() {
-        assert!(
-            !link.window_exceeds_bound(),
-            "transport {} -> {} runs a send window past its k-MC bound: \
-             window {:?} > k = {:?}",
-            link.from,
-            link.to,
-            link.send_window,
-            link.kmc_bound,
-        );
-        let json_u64 = |value: Option<u64>| match value {
-            Some(v) => v.to_string(),
-            None => "null".to_owned(),
-        };
-        let window = json_u64(link.send_window);
-        let bound = json_u64(link.kmc_bound);
-        let _ = write!(
-            out,
-            "      {{\"from\": \"{}\", \"to\": \"{}\", \"frames_sent\": {}, \
-             \"frames_received\": {}, \"bytes_sent\": {}, \"bytes_received\": {}, \
-             \"window_stalls\": {}, \"reconnects\": {}, \"instances\": {}, \
-             \"send_window\": {window}, \"kmc_bound\": {bound}, \
-             \"wire_latency\": {}}}",
-            link.from,
-            link.to,
-            link.frames_sent,
-            link.frames_received,
-            link.bytes_sent,
-            link.bytes_received,
-            link.window_stalls,
-            link.reconnects,
-            link.instances,
-            hist_json(&link.wire_latency),
-        );
-        out.push_str(if index + 1 < remote.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
     // The loopback transport bench pairs each frame encode with its
     // decode on the in-process peer, so the wire-latency histogram must
     // have samples; empty means the trace-context stamp path is dead.
-    if let Some(link) = remote
+    if let Some(link) = section
+        .transport
         .iter()
         .find(|l| l.from == transport::NET_PING && l.to == transport::NET_PONG)
     {
         assert!(
-            !link.wire_latency.is_empty(),
+            link.wire_latency.is_some(),
             "transport link {} -> {} sent {} frames but recorded no \
              wire latency samples",
             link.from,
@@ -672,180 +458,74 @@ fn telemetry_section(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)
             link.frames_sent,
         );
     }
-    out.push_str("    ],\n    \"sessions\": [\n");
-
-    // Session spawn-to-teardown lifetimes, one histogram per role name.
-    let sessions = telemetry::hist::sessions_snapshot();
-    for (index, (role, hist)) in sessions.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"role\": \"{role}\", \"lifetime_ns\": {}}}",
-            hist_json(hist)
-        );
-        out.push_str(if index + 1 < sessions.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    assert!(
-        sessions.iter().any(|(_, hist)| !hist.is_empty()),
-        "--telemetry sweep recorded no session lifetimes — try_session \
-         never stamped spawn/teardown"
-    );
-    out.push_str("    ]\n  }\n");
-    out
+    section
 }
 
-fn row(cells: &[String]) {
-    println!("{}", cells.join("\t"));
-}
-
-fn bench_throughput(items: usize, mut f: impl FnMut()) -> f64 {
-    throughput(items, measure(&mut f, BUDGET, MAX_RUNS))
-}
-
-fn table_streaming(rt: &executor::Runtime) {
-    println!("# Fig 6 / C.1 — Streaming: throughput (n/us) vs values transferred");
-    row(&[
-        "n".into(),
-        "Sesh".into(),
-        "MultiCrusty".into(),
-        "Ferrite".into(),
-        "Rumpsteak".into(),
-        "Rumpsteak(opt)".into(),
-    ]);
-    for n in [10u32, 20, 30, 40, 50] {
-        let items = n as usize;
-        row(&[
-            n.to_string(),
-            format!(
-                "{:.6}",
-                bench_throughput(items, || {
-                    streaming::run_sesh(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(items, || {
-                    streaming::run_multicrusty(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(items, || {
-                    streaming::run_ferrite(rt, n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(items, || {
-                    streaming::run_rumpsteak(rt, n, false);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(items, || {
-                    streaming::run_rumpsteak(rt, n, true);
-                })
-            ),
-        ]);
+/// Prints one Fig 6 table: a row per size in `sizes`, a throughput cell
+/// (items/µs) per framework in `runs`.
+fn table<R>(title: &str, frameworks: &[&str], sizes: [usize; 5], runs: &[&dyn Fn(usize) -> R]) {
+    println!("# Fig 6 / C.1 — {title}");
+    println!("n\t{}", frameworks.join("\t"));
+    for n in sizes {
+        let cell = |run: &&dyn Fn(usize) -> R| {
+            let mean = measure(|| drop(std::hint::black_box(run(n))), BUDGET, MAX_RUNS);
+            format!("{:.6}", throughput(n, mean))
+        };
+        let cells: Vec<String> = runs.iter().map(cell).collect();
+        println!("{n}\t{}", cells.join("\t"));
     }
     println!();
+}
+
+const FRAMEWORKS: [&str; 5] = [
+    "Sesh",
+    "MultiCrusty",
+    "Ferrite",
+    "Rumpsteak",
+    "Rumpsteak(opt)",
+];
+
+fn table_streaming(rt: &executor::Runtime) {
+    table(
+        "Streaming: throughput (n/us) vs values transferred",
+        &FRAMEWORKS,
+        [10, 20, 30, 40, 50],
+        &[
+            &|n| streaming::run_sesh(n as u32),
+            &|n| streaming::run_multicrusty(n as u32),
+            &|n| streaming::run_ferrite(rt, n as u32),
+            &|n| streaming::run_rumpsteak(rt, n as u32, false),
+            &|n| streaming::run_rumpsteak(rt, n as u32, true),
+        ],
+    );
 }
 
 fn table_double_buffering(rt: &executor::Runtime) {
-    println!("# Fig 6 / C.1 — Double buffering: throughput (n/us) vs buffer size");
-    row(&[
-        "n".into(),
-        "Sesh".into(),
-        "MultiCrusty".into(),
-        "Ferrite".into(),
-        "Rumpsteak".into(),
-        "Rumpsteak(opt)".into(),
-    ]);
-    for n in [5000usize, 10000, 15000, 20000, 25000] {
-        row(&[
-            n.to_string(),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    double_buffering::run_sesh(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    double_buffering::run_multicrusty(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    double_buffering::run_ferrite(rt, n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    double_buffering::run_rumpsteak(rt, n, false);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    double_buffering::run_rumpsteak(rt, n, true);
-                })
-            ),
-        ]);
-    }
-    println!();
+    table(
+        "Double buffering: throughput (n/us) vs buffer size",
+        &FRAMEWORKS,
+        [5000, 10000, 15000, 20000, 25000],
+        &[
+            &|n| double_buffering::run_sesh(n),
+            &|n| double_buffering::run_multicrusty(n),
+            &|n| double_buffering::run_ferrite(rt, n),
+            &|n| double_buffering::run_rumpsteak(rt, n, false),
+            &|n| double_buffering::run_rumpsteak(rt, n, true),
+        ],
+    );
 }
 
 fn table_fft(rt: &executor::Runtime) {
-    println!("# Fig 6 / C.1 — FFT: throughput (n/us) vs matrix columns");
-    row(&[
-        "n".into(),
-        "Sesh".into(),
-        "MultiCrusty".into(),
-        "Ferrite".into(),
-        "RustFFT".into(),
-        "Rumpsteak".into(),
-    ]);
-    for n in [1000usize, 2000, 3000, 4000, 5000] {
-        row(&[
-            n.to_string(),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    fft8::run_sesh(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    fft8::run_multicrusty(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    fft8::run_ferrite(rt, n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    fft8::run_sequential(n);
-                })
-            ),
-            format!(
-                "{:.6}",
-                bench_throughput(n, || {
-                    fft8::run_rumpsteak(rt, n);
-                })
-            ),
-        ]);
-    }
-    println!();
+    table(
+        "FFT: throughput (n/us) vs matrix columns",
+        &["Sesh", "MultiCrusty", "Ferrite", "RustFFT", "Rumpsteak"],
+        [1000, 2000, 3000, 4000, 5000],
+        &[
+            &|n| fft8::run_sesh(n),
+            &|n| fft8::run_multicrusty(n),
+            &|n| fft8::run_ferrite(rt, n),
+            &|n| fft8::run_sequential(n),
+            &|n| fft8::run_rumpsteak(rt, n),
+        ],
+    );
 }

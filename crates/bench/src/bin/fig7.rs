@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin fig7 \
 //!     [streaming|nested-choice|ring|k-buffering|pipeline|amr]
+//! cargo run --release -p bench --bin fig7 -- --ablation
 //! ```
 //!
 //! Each row reports seconds per check for SoundBinary, k-MC and
@@ -17,9 +18,16 @@
 //! check) against deriving it automatically (the optimiser's full
 //! generate-and-verify search), per family and depth — the price of the
 //! paper's automation.
+//!
+//! `--ablation` prints the Appendix B.5 ablation instead of a figure:
+//! the subtyping check with and without its fail-early cut-off, on
+//! rejecting inputs (where the cut-off prunes doomed derivation paths
+//! long before the recursion bound) and on an accepting one (where both
+//! configurations find the same derivation).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use bench::timing::measure;
 use bench::verification::{k_buffering, nested_choice, ring, streaming};
 
 const BUDGET: Duration = Duration::from_millis(200);
@@ -33,6 +41,7 @@ fn main() {
         "k-buffering" => table_k_buffering(),
         "pipeline" => table_pipeline(),
         "amr" => table_amr(),
+        "--ablation" => table_ablation(),
         "all" => {
             table_streaming();
             table_nested_choice();
@@ -44,7 +53,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown table `{other}`; expected \
-                 streaming|nested-choice|ring|k-buffering|pipeline|amr|all"
+                 streaming|nested-choice|ring|k-buffering|pipeline|amr|all or --ablation"
             );
             std::process::exit(2);
         }
@@ -53,18 +62,11 @@ fn main() {
 
 /// Times one boolean check, asserting it holds.
 fn time_check(mut f: impl FnMut() -> bool) -> f64 {
-    // Warmup + verify.
     assert!(f(), "verification unexpectedly failed");
-    let mut runs = 0u32;
-    let start = Instant::now();
-    loop {
+    let run = || {
         std::hint::black_box(f());
-        runs += 1;
-        if start.elapsed() >= BUDGET || runs >= 100 {
-            break;
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64() / runs as f64;
+    };
+    let seconds = measure(run, BUDGET, 100).as_secs_f64();
     // Micro-assertion: every emitted cell must actually populate — a
     // zero/NaN timing would render the table silently meaningless (e.g.
     // if a check was optimised out or a clock regressed).
@@ -73,6 +75,16 @@ fn time_check(mut f: impl FnMut() -> bool) -> f64 {
         "verification timing failed to populate"
     );
     seconds
+}
+
+/// [`time_check`] for a sweep that stops measuring once one instance
+/// took over a second (the next, larger one would take far longer).
+fn time_capped(enabled: &mut bool, f: impl FnMut() -> bool) -> Option<f64> {
+    enabled.then(|| {
+        let seconds = time_check(f);
+        *enabled = seconds <= 1.0;
+        seconds
+    })
 }
 
 fn fmt(seconds: Option<f64>) -> String {
@@ -88,15 +100,7 @@ fn table_streaming() {
     let mut kmc_enabled = true;
     for n in (0..=100).step_by(10) {
         let soundbinary = Some(time_check(|| streaming::check_soundbinary(n)));
-        let kmc = if kmc_enabled {
-            let t = time_check(|| streaming::check_kmc(n));
-            if t > 1.0 {
-                kmc_enabled = false;
-            }
-            Some(t)
-        } else {
-            None
-        };
+        let kmc = time_capped(&mut kmc_enabled, || streaming::check_kmc(n));
         let rumpsteak = Some(time_check(|| streaming::check_rumpsteak(n)));
         println!(
             "{n}\t{}\t{}\t{}",
@@ -130,15 +134,7 @@ fn table_ring() {
     println!("n\tk-MC\tRumpsteak");
     let mut kmc_enabled = true;
     for n in (2..=30).step_by(2) {
-        let kmc = if kmc_enabled {
-            let t = time_check(|| ring::check_kmc(n));
-            if t > 1.0 {
-                kmc_enabled = false;
-            }
-            Some(t)
-        } else {
-            None
-        };
+        let kmc = time_capped(&mut kmc_enabled, || ring::check_kmc(n));
         let rumpsteak = Some(time_check(|| ring::check_rumpsteak(n)));
         println!("{n}\t{}\t{}", fmt(kmc), fmt(rumpsteak));
     }
@@ -150,15 +146,7 @@ fn table_pipeline() {
     println!("n\tk-MC\tRumpsteak(per-stage)");
     let mut kmc_enabled = true;
     for n in 1..=10 {
-        let kmc = if kmc_enabled {
-            let t = time_check(|| k_buffering::check_kmc_pipeline(n));
-            if t > 1.0 {
-                kmc_enabled = false;
-            }
-            Some(t)
-        } else {
-            None
-        };
+        let kmc = time_capped(&mut kmc_enabled, || k_buffering::check_kmc_pipeline(n));
         let rumpsteak = Some(time_check(|| k_buffering::check_rumpsteak_pipeline(n)));
         println!("{n}\t{}\t{}", fmt(kmc), fmt(rumpsteak));
     }
@@ -229,20 +217,53 @@ fn table_amr() {
     println!();
 }
 
+/// Fail-early on vs off. The rejecting rows check the *projection*
+/// against the double-buffering kernel with `n` extra anticipated
+/// readys — a genuinely false subtyping in which every path is doomed,
+/// but only fail-early notices before the bound.
+fn table_ablation() {
+    use subtyping::SubtypeVisitor;
+
+    let fsm = |text: &str| {
+        bench::verification::to_fsm("r", &theory::local::parse(text).expect("well-formed type"))
+    };
+    let projected = fsm("rec x . s!ready . s?value . t?ready . t!value . x");
+    // Microseconds: the pruned checks finish well under the figures'
+    // six-decimal seconds.
+    let us = |seconds: f64| format!("{:.3}", seconds * 1e6);
+    println!("# Ablation (Appendix B.5) — fail-early cut-off: microseconds per check");
+    println!("case\tn\twith\twithout");
+    for n in [1usize, 2, 4, 8] {
+        let optimised = fsm(&format!(
+            "{}rec x . s!ready . s?value . t?ready . t!value . x",
+            "s!ready . ".repeat(n)
+        ));
+        let bound = n + 6;
+        let with = time_check(|| !SubtypeVisitor::new(&projected, &optimised, bound).run());
+        let without = time_check(|| {
+            !SubtypeVisitor::new(&projected, &optimised, bound)
+                .without_fail_early()
+                .run()
+        });
+        println!("rejecting\t{n}\t{}\t{}", us(with), us(without));
+    }
+    let optimised = fsm("s!ready . rec x . s!ready . s?value . t?ready . t!value . x");
+    let with = time_check(|| SubtypeVisitor::new(&optimised, &projected, 8).run());
+    let without = time_check(|| {
+        SubtypeVisitor::new(&optimised, &projected, 8)
+            .without_fail_early()
+            .run()
+    });
+    println!("accepting\t1\t{}\t{}", us(with), us(without));
+    println!();
+}
+
 fn table_k_buffering() {
     println!("# Fig 7 / C.2 — k-buffering: seconds vs unrolls");
     println!("n\tk-MC\tRumpsteak");
     let mut kmc_enabled = true;
     for n in (0..=100).step_by(5) {
-        let kmc = if kmc_enabled {
-            let t = time_check(|| k_buffering::check_kmc(n));
-            if t > 1.0 {
-                kmc_enabled = false;
-            }
-            Some(t)
-        } else {
-            None
-        };
+        let kmc = time_capped(&mut kmc_enabled, || k_buffering::check_kmc(n));
         let rumpsteak = Some(time_check(|| k_buffering::check_rumpsteak(n)));
         println!("{n}\t{}\t{}", fmt(kmc), fmt(rumpsteak));
     }

@@ -34,6 +34,18 @@ use std::fmt::Write as _;
 use bench::protocols::{double_buffering, fft8, streaming};
 use dep_telemetry as telemetry;
 
+/// Writes the timeline to `out_path`, or stdout without one.
+fn write_document(json: &theory::json::Value, out_path: Option<String>) {
+    match out_path {
+        Some(path) => {
+            std::fs::write(&path, json.to_string())
+                .unwrap_or_else(|error| panic!("failed to write {path}: {error}"));
+            eprintln!("wrote {path}");
+        }
+        None => println!("{json}"),
+    }
+}
+
 /// Parses the dumps, merges them, writes the timeline, and reports
 /// per-edge flow coverage; the process exit code is the check.
 fn merge_dumps(paths: &[String], out_path: Option<String>) -> ! {
@@ -50,15 +62,8 @@ fn merge_dumps(paths: &[String], out_path: Option<String>) -> ! {
                 .unwrap_or_else(|error| panic!("{path} is not a trace dump: {error}"))
         })
         .collect();
-    let (json, report) = telemetry::trace::merge_chrome_trace(&dumps);
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json)
-                .unwrap_or_else(|error| panic!("failed to write {path}: {error}"));
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
+    let (json, report) = bench::trace::merge_chrome_trace(&dumps);
+    write_document(&json, out_path);
     eprintln!(
         "{} flow event(s) across {} edge(s)",
         report.flows,
@@ -162,20 +167,7 @@ fn main() {
     let traces = telemetry::trace::drain();
     let events: usize = traces.iter().map(|t| t.events.len()).sum();
     let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
-    let json = telemetry::trace::chrome_trace_json(&traces);
-
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json)
-                .unwrap_or_else(|error| panic!("failed to write {path}: {error}"));
-            eprintln!("wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    let mut summary = String::new();
-    let _ = write!(
-        summary,
+    let mut summary = format!(
         "{events} events across {} threads ({dropped} dropped)",
         traces.len()
     );
@@ -188,6 +180,13 @@ fn main() {
             trace.dropped
         );
     }
+    let dump = telemetry::trace::ProcessDump {
+        process: "rumpsteak-trace".to_owned(),
+        peer_offsets: Vec::new(),
+        traces,
+    };
+    let (json, _) = bench::trace::merge_chrome_trace(&[dump]);
+    write_document(&json, out_path);
     eprintln!("{summary}");
     assert!(
         events > 0,

@@ -34,9 +34,12 @@ use std::time::Instant;
 
 use executor::channel::Bidirectional;
 use executor::Runtime;
+use optimiser::cost::ClassCost;
 #[cfg(unix)]
 use rumpsteak::net::loopback_pair_uds;
 use rumpsteak::net::{loopback_pair_tcp, NetLink};
+
+use theory::json;
 
 use crate::{channels, transport};
 
@@ -53,17 +56,15 @@ const SLOPE_PAYLOADS: (usize, usize) = (1024, 16384);
 /// Send window of the socket payload sweeps, mirroring the burst rows.
 const NET_WINDOW: usize = 64;
 
-/// Measured cost table of one link class, one entry of the artifact's
-/// `edge_costs.classes` array.
-pub struct EdgeClassCost {
-    /// Class name as the optimiser's cost model knows it.
-    pub class: &'static str,
-    /// Fixed cost of one send, nanoseconds.
-    pub send_base_ns: f64,
-    /// Fixed cost of one receive, nanoseconds.
-    pub recv_base_ns: f64,
-    /// Marginal cost of one payload byte, nanoseconds.
-    pub ns_per_byte: f64,
+/// One entry of the artifact's `edge_costs.classes` array, at the
+/// artifact's fixed precision.
+fn class_cost(class: &str, send_base_ns: f64, recv_base_ns: f64, ns_per_byte: f64) -> ClassCost {
+    ClassCost {
+        class: class.to_owned(),
+        send_base_ns: json::rounded(send_base_ns, 2),
+        recv_base_ns: json::rounded(recv_base_ns, 2),
+        ns_per_byte: json::rounded(ns_per_byte, 4),
+    }
 }
 
 /// Times one run of `f` in nanoseconds.
@@ -86,6 +87,22 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 fn slope(ns_small: f64, ns_large: f64) -> f64 {
     let (small, large) = SLOPE_PAYLOADS;
     ((ns_large - ns_small) / (large - small) as f64).max(0.0)
+}
+
+/// Per-message base cost fitted from the two payload sweeps: the line's
+/// intercept, i.e. the small-payload cost with its payload contribution
+/// subtracted back out. A noisy large-payload run can steepen the slope
+/// until the intercept reaches zero or below; the fit has then failed
+/// to separate the two, and the measured small-payload cost itself is
+/// the base — an overestimate by the payload's share, but real work is
+/// never reported as free.
+fn fitted_base(ns_small: f64, ns_large: f64) -> f64 {
+    let intercept = ns_small - slope(ns_small, ns_large) * SLOPE_PAYLOADS.0 as f64;
+    if intercept > 0.0 {
+        intercept
+    } else {
+        ns_small
+    }
 }
 
 /// Floods the SPSC ring with `messages` values, then drains it: the two
@@ -146,7 +163,7 @@ fn net_payload_burst(
 /// Measures every link class. `quick` shrinks iteration counts and
 /// repetitions the same way `fig6 --json --quick` shrinks its budget:
 /// same shapes, smaller sample.
-pub fn measure(rt: &Runtime, quick: bool) -> Vec<EdgeClassCost> {
+pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
     let reps = if quick { 2 } else { 5 };
     let spsc_messages: u32 = if quick { 4000 } else { 20000 };
     let payload_messages: u32 = if quick { 1000 } else { 5000 };
@@ -170,15 +187,15 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<EdgeClassCost> {
             }) / f64::from(payload_messages)
         })
     };
-    classes.push(EdgeClassCost {
-        class: "spsc",
-        send_base_ns: send_ns.max(0.0),
-        recv_base_ns: recv_ns.max(0.0),
-        ns_per_byte: slope(per_payload(small), per_payload(large)),
-    });
+    classes.push(class_cost(
+        "spsc",
+        send_ns.max(0.0),
+        recv_ns.max(0.0),
+        slope(per_payload(small), per_payload(large)),
+    ));
 
-    // bounded: the pooled zero-copy path; base is the 1 KiB cost minus
-    // the payload contribution, split evenly between the two ends.
+    // bounded: the pooled zero-copy path; the fitted base is split
+    // evenly between the two ends.
     let per_pooled = |payload: usize| {
         best_of(reps, || {
             timed(|| {
@@ -187,14 +204,13 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<EdgeClassCost> {
         })
     };
     let (pooled_small, pooled_large) = (per_pooled(small), per_pooled(large));
-    let pooled_slope = slope(pooled_small, pooled_large);
-    let pooled_base = ((pooled_small - pooled_slope * small as f64) / 2.0).max(0.0);
-    classes.push(EdgeClassCost {
-        class: "bounded",
-        send_base_ns: pooled_base,
-        recv_base_ns: pooled_base,
-        ns_per_byte: pooled_slope,
-    });
+    let pooled_base = fitted_base(pooled_small, pooled_large) / 2.0;
+    classes.push(class_cost(
+        "bounded",
+        pooled_base,
+        pooled_base,
+        slope(pooled_small, pooled_large),
+    ));
 
     // tcp: one framed loopback hop is half the ping-pong round trip;
     // the wire path is symmetric, so send and receive split it evenly.
@@ -215,12 +231,12 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<EdgeClassCost> {
             net_payload_burst(rt, links, net_messages, payload) / f64::from(net_messages)
         })
     };
-    classes.push(EdgeClassCost {
-        class: "tcp",
-        send_base_ns: tcp_hop / 2.0,
-        recv_base_ns: tcp_hop / 2.0,
-        ns_per_byte: slope(tcp_payload(small), tcp_payload(large)),
-    });
+    classes.push(class_cost(
+        "tcp",
+        tcp_hop / 2.0,
+        tcp_hop / 2.0,
+        slope(tcp_payload(small), tcp_payload(large)),
+    ));
 
     // uds: same split over a Unix-domain socket pair.
     #[cfg(unix)]
@@ -242,12 +258,12 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<EdgeClassCost> {
                 net_payload_burst(rt, links, net_messages, payload) / f64::from(net_messages)
             })
         };
-        classes.push(EdgeClassCost {
-            class: "uds",
-            send_base_ns: uds_hop / 2.0,
-            recv_base_ns: uds_hop / 2.0,
-            ns_per_byte: slope(uds_payload(small), uds_payload(large)),
-        });
+        classes.push(class_cost(
+            "uds",
+            uds_hop / 2.0,
+            uds_hop / 2.0,
+            slope(uds_payload(small), uds_payload(large)),
+        ));
     }
 
     classes
@@ -258,10 +274,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fitted_base_survives_a_noisy_large_payload_run() {
+        // A clean fit: 100 ns at 1 KiB, 400 ns at 16 KiB.
+        let clean = fitted_base(100.0, 400.0);
+        assert!((clean - 80.0).abs() < 1e-9, "{clean}");
+        // The large sweep 4x slower than the small one predicts: the
+        // line's intercept is negative, the base must not collapse to 0.
+        assert_eq!(fitted_base(100.0, 6400.0), 100.0);
+    }
+
+    #[test]
     fn every_class_measures_finite_nonnegative_costs() {
         let rt = Runtime::new(2);
         let classes = measure(&rt, true);
-        let names: Vec<&str> = classes.iter().map(|c| c.class).collect();
+        let names: Vec<&str> = classes.iter().map(|c| c.class.as_str()).collect();
         assert!(names.contains(&"spsc"));
         assert!(names.contains(&"bounded"));
         assert!(names.contains(&"tcp"));

@@ -22,19 +22,25 @@
 //!   `rumpsteak-gen --optimise --costs` ranks AMR candidates with,
 //! * [`meta`] — provenance metadata (git revision, rustc version,
 //!   timestamp) stamped into the JSON artifacts,
+//! * [`artifact`] — the `fig6 --json` artifact as Rust types, with its
+//!   one JSON encoding, and [`check`] — the invariants `bench-check`
+//!   (and `fig6` itself) hold it and the optimiser's report to,
+//! * [`trace`] — Chrome trace-event rendering for `rumpsteak-trace`,
 //! * [`table1`] — the expressiveness matrix of Table 1,
-//! * [`timing`] — a small wall-clock harness used by the `fig6`/`fig7`
-//!   binaries to print the same rows as Appendix C.
+//! * [`timing`] — the harness's one wall-clock timing loop.
 //!
-//! Criterion benches under `benches/` regenerate each figure; the
-//! `fig6`, `fig7` and `table1` binaries print the corresponding tables.
+//! The `fig6`, `fig7` and `table1` binaries print the corresponding
+//! tables; `bench-check` gates their machine-readable output in CI.
 
+pub mod artifact;
 pub mod channels;
+pub mod check;
 pub mod edge_costs;
 pub mod meta;
 pub mod protocols;
 pub mod scaling;
 pub mod table1;
 pub mod timing;
+pub mod trace;
 pub mod transport;
 pub mod verification;

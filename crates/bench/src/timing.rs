@@ -1,8 +1,6 @@
-//! Minimal wall-clock measurement used by the figure binaries.
-//!
-//! Criterion provides the statistically rigorous benchmarks; this module
-//! exists so the `fig6`/`fig7` binaries can print Appendix C-style tables
-//! quickly (one warmup, then repeated runs until a time budget).
+//! The harness's one timing loop: minimal wall-clock measurement (one
+//! warmup, then repeated runs until a time budget) behind every row the
+//! `fig6`/`fig7` binaries print or write.
 
 use std::time::{Duration, Instant};
 

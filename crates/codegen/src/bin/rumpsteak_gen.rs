@@ -21,6 +21,8 @@
 use std::io::Read;
 use std::process::ExitCode;
 
+use theory::json::Json;
+
 const USAGE: &str = "\
 usage: rumpsteak-gen [FILE | -] [options]
 
@@ -274,17 +276,7 @@ fn main() -> ExitCode {
             }
         }
         if let Some(path) = options.report.as_deref() {
-            let mut json = String::from("[\n");
-            for (index, report) in reports.iter().enumerate() {
-                json.push_str("  ");
-                json.push_str(&report.to_json());
-                json.push_str(if index + 1 < reports.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            json.push_str("]\n");
+            let json = format!("{:#}\n", reports.to_json());
             if let Err(e) = std::fs::write(path, json) {
                 eprintln!("error: cannot write {path}: {e}");
                 return ExitCode::from(2);

@@ -317,7 +317,7 @@ mod tests {
         let mut analysis = analyse(STREAMING).unwrap();
         let reports = optimise(&mut analysis, &optimiser::Config::with_depth(1)).unwrap();
         // The source's value/stop choice hoists above its ready receive.
-        assert!(reports[0].improved());
+        assert!(reports[0].improved);
         for ((role, local), machine) in analysis.locals.iter().zip(&analysis.fsms) {
             assert_eq!(&fsm::from_local(role, local).unwrap(), machine);
         }

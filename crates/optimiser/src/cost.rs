@@ -55,6 +55,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use theory::json;
+use theory::json_record;
 use theory::name::Name;
 use theory::sort::Sort;
 
@@ -110,6 +112,33 @@ impl EdgeCost {
     /// edge earlier than the projection would.
     pub fn occupancy_ns(&self, bytes: usize) -> f64 {
         OCCUPANCY_FACTOR * self.ns_per_byte * bytes as f64
+    }
+}
+
+json_record! {
+    /// The `edge_costs` section of a `fig6 --json --edge-costs` artifact,
+    /// the measured profile [`CostModel::from_profile`] loads.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct EdgeCosts {
+        /// Always `"ns"`.
+        pub unit: String,
+        /// One measured cost table per link class.
+        pub classes: Vec<ClassCost>,
+    }
+}
+
+json_record! {
+    /// One link class's measured [`EdgeCost`], keyed by class name.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ClassCost {
+        /// Class name (`spsc`, `bounded`, `tcp`, `uds`).
+        pub class: String,
+        /// Fixed cost of the send side of one message, in ns.
+        pub send_base_ns: f64,
+        /// Fixed cost of the receive side of one message, in ns.
+        pub recv_base_ns: f64,
+        /// Marginal cost per payload byte, in ns.
+        pub ns_per_byte: f64,
     }
 }
 
@@ -228,44 +257,35 @@ impl CostModel {
     /// artifact (`BENCH_fig6.json`). Classes present in the profile
     /// replace the default table's entries; the rest keep their
     /// documented fallbacks, so a partial profile still ranks sensibly.
-    pub fn from_profile(json: &str) -> Result<Self, CostError> {
-        let value = json::parse(json).map_err(CostError::Json)?;
-        let section = value
-            .get("edge_costs")
-            .ok_or(CostError::MissingSection)?
-            .get("classes")
-            .ok_or_else(|| CostError::Malformed("no `classes` array".into()))?;
-        let classes = section
-            .as_array()
-            .ok_or_else(|| CostError::Malformed("`classes` is not an array".into()))?;
+    pub fn from_profile(profile: &str) -> Result<Self, CostError> {
+        let profile = json::parse(profile).map_err(|e| CostError::Json(e.to_string()))?;
+        let section: Option<EdgeCosts> = profile
+            .field("edge_costs")
+            .map_err(|e| CostError::Malformed(e.to_string()))?;
+        let section = section.ok_or(CostError::MissingSection)?;
+        if section.classes.is_empty() {
+            return Err(CostError::Malformed("`classes` array is empty".into()));
+        }
         let mut model = CostModel::default_table();
         model.source = CostSource::Measured;
-        let mut parsed = 0usize;
-        for class in classes {
-            let name = class
-                .get("class")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| CostError::Malformed("class entry without a name".into()))?;
-            let field = |key: &str| {
-                class.get(key).and_then(json::Value::as_f64).ok_or_else(|| {
-                    CostError::Malformed(format!("class `{name}` missing numeric `{key}`"))
-                })
-            };
+        for ClassCost {
+            class,
+            send_base_ns,
+            recv_base_ns,
+            ns_per_byte,
+        } in section.classes
+        {
             let cost = EdgeCost {
-                send_base_ns: field("send_base_ns")?,
-                recv_base_ns: field("recv_base_ns")?,
-                ns_per_byte: field("ns_per_byte")?,
+                send_base_ns,
+                recv_base_ns,
+                ns_per_byte,
             };
-            if !(cost.send_base_ns >= 0.0 && cost.recv_base_ns >= 0.0 && cost.ns_per_byte >= 0.0) {
+            if !(send_base_ns >= 0.0 && recv_base_ns >= 0.0 && ns_per_byte >= 0.0) {
                 return Err(CostError::Malformed(format!(
-                    "class `{name}` has a negative or non-finite cost"
+                    "class `{class}` has a negative cost"
                 )));
             }
-            model.classes.insert(name.to_owned(), cost);
-            parsed += 1;
-        }
-        if parsed == 0 {
-            return Err(CostError::Malformed("`classes` array is empty".into()));
+            model.classes.insert(class, cost);
         }
         Ok(model)
     }
@@ -361,235 +381,6 @@ fn max_size(sorts: &[Sort]) -> usize {
     sorts.iter().map(wire_size).max().unwrap_or(0)
 }
 
-/// A minimal hand-rolled JSON reader, just enough to pull the
-/// `edge_costs` section out of `BENCH_fig6.json` — the workspace has no
-/// serde, and the bench artifacts are hand-written JSON too.
-mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// Member lookup on objects; `None` elsewhere.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Object(members) => members.get(key),
-                _ => None,
-            }
-        }
-
-        /// The elements of an array; `None` elsewhere.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// The number as `f64`; `None` elsewhere.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The string contents; `None` elsewhere.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing input at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(value)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while matches!(
-                self.peek(),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .filter(|n| n.is_finite())
-                .map(Value::Number)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = Vec::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return String::from_utf8(out)
-                            .map_err(|_| "invalid UTF-8 in string escape".into());
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(c @ (b'"' | b'\\' | b'/')) => out.push(c),
-                            Some(b'n') => out.push(b'\n'),
-                            Some(b't') => out.push(b'\t'),
-                            Some(b'r') => out.push(b'\r'),
-                            Some(b'b') => out.push(0x08),
-                            Some(b'f') => out.push(0x0c),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| "invalid \\u escape".to_owned())?;
-                                // Surrogate pairs are absent from our
-                                // artifacts; reject rather than mangle.
-                                let c = char::from_u32(hex)
-                                    .ok_or_else(|| "unpaired surrogate in \\u escape".to_owned())?;
-                                let mut buf = [0u8; 4];
-                                out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                                self.pos += 4;
-                            }
-                            _ => return Err("invalid escape".into()),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(c) => {
-                        out.push(c);
-                        self.pos += 1;
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut members = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(members));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let value = self.value()?;
-                members.insert(key, value);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,6 +423,21 @@ mod tests {
         assert!(matches!(
             CostModel::from_profile(r#"{"edge_costs": {"classes": []}}"#),
             Err(CostError::Malformed(_))
+        ));
+        assert!(matches!(
+            CostModel::from_profile(
+                r#"{"edge_costs": {"unit": "ns", "classes": [{"class": "spsc",
+                    "send_base_ns": -1.0, "recv_base_ns": 1.0, "ns_per_byte": 0}]}}"#
+            ),
+            Err(CostError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(matches!(
+            CostModel::from_profile(&"[".repeat(100_000)),
+            Err(CostError::Json(_))
         ));
     }
 

@@ -46,9 +46,10 @@ pub mod cost;
 pub mod rewrite;
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 use theory::fsm::{self, Fsm, FsmError};
+use theory::json;
+use theory::json_record;
 use theory::local::LocalType;
 use theory::name::Name;
 
@@ -178,8 +179,17 @@ impl Optimised {
 
     /// Condenses the run into the machine-readable [`Report`].
     pub fn report(&self) -> Report {
+        let saving = |c: &Candidate| c.estimated_saving_ns.map(|ns| json::rounded(ns, 1));
+        let best = self.best().map(|c| BestCandidate {
+            local: c.local.to_string(),
+            score: c.score,
+            states: c.fsm.len(),
+            visited_pairs: c.stats.visited_pairs,
+            estimated_saving_ns: saving(c),
+            derivation: c.derivation.iter().map(Step::to_string).collect(),
+        });
         Report {
-            role: self.role.clone(),
+            role: self.role.to_string(),
             projection: self.projection.to_string(),
             generated: self.generated,
             pruned: self.pruned,
@@ -187,14 +197,8 @@ impl Optimised {
             truncated: self.truncated,
             bound: self.bound,
             cost_source: self.cost_source.map(|s| s.to_string()),
-            best: self.best().map(|c| BestCandidate {
-                local: c.local.to_string(),
-                score: c.score,
-                states: c.fsm.len(),
-                derivation: c.derivation.iter().map(Step::to_string).collect(),
-                visited_pairs: c.stats.visited_pairs,
-                estimated_saving_ns: c.estimated_saving_ns,
-            }),
+            improved: best.is_some(),
+            best,
             candidates: self
                 .candidates
                 .iter()
@@ -203,164 +207,82 @@ impl Optimised {
                     score: c.score,
                     states: c.fsm.len(),
                     visited_pairs: c.stats.visited_pairs,
-                    estimated_saving_ns: c.estimated_saving_ns,
+                    estimated_saving_ns: saving(c),
                 })
                 .collect(),
         }
     }
 }
 
-/// Machine-readable summary of one role's optimisation run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Report {
-    /// The optimised role.
-    pub role: Name,
-    /// Textual form of the input projection.
-    pub projection: String,
-    /// Candidates generated.
-    pub generated: usize,
-    /// Rewrite applications dropped by data-dependence pruning.
-    pub pruned: usize,
-    /// Candidates that passed the subtype check.
-    pub verified: usize,
-    /// Whether generation hit the candidate cap.
-    pub truncated: bool,
-    /// Subtype bound used for verification.
-    pub bound: usize,
-    /// `"measured"` or `"default-table"` when a cost model ranked the
-    /// candidates; `None` under the receives-crossed proxy.
-    pub cost_source: Option<String>,
-    /// The winning candidate; `None` when no verified candidate improves
-    /// on the projection, in which case the projection is kept.
-    pub best: Option<BestCandidate>,
-    /// Every verified candidate, in rank order.
-    pub candidates: Vec<CandidateSummary>,
-}
-
-/// The winning candidate inside a [`Report`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct BestCandidate {
-    /// Textual form of the reordered local type.
-    pub local: String,
-    /// Receives that sends were moved ahead of.
-    pub score: usize,
-    /// FSM state count.
-    pub states: usize,
-    /// Human-readable rewrite steps, in application order.
-    pub derivation: Vec<String>,
-    /// State-pair visits of the verifying subtype check.
-    pub visited_pairs: usize,
-    /// Estimated nanoseconds saved under the configured cost model.
-    pub estimated_saving_ns: Option<f64>,
-}
-
-/// One verified candidate inside a [`Report`], in rank order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CandidateSummary {
-    /// Textual form of the reordered local type.
-    pub local: String,
-    /// Receives that sends were moved ahead of.
-    pub score: usize,
-    /// FSM state count.
-    pub states: usize,
-    /// State-pair visits of the verifying subtype check.
-    pub visited_pairs: usize,
-    /// Estimated nanoseconds saved under the configured cost model.
-    pub estimated_saving_ns: Option<f64>,
-}
-
-impl Report {
-    /// Whether the role's type changed.
-    pub fn improved(&self) -> bool {
-        self.best.is_some()
-    }
-
-    /// Renders the report as one JSON object (the same shape for every
-    /// role, so reports concatenate into a JSON array naturally).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"role\": {}, \"projection\": {}, \"generated\": {}, \"pruned\": {}, \
-             \"verified\": {}, \"truncated\": {}, \"bound\": {}, \"cost_source\": {}, \
-             \"improved\": {}, \"best\": ",
-            json_string(self.role.as_str()),
-            json_string(&self.projection),
-            self.generated,
-            self.pruned,
-            self.verified,
-            self.truncated,
-            self.bound,
-            match &self.cost_source {
-                Some(source) => json_string(source),
-                None => "null".to_owned(),
-            },
-            self.improved(),
-        );
-        match &self.best {
-            None => out.push_str("null"),
-            Some(best) => {
-                let derivation: Vec<String> =
-                    best.derivation.iter().map(|s| json_string(s)).collect();
-                let _ = write!(
-                    out,
-                    "{{\"local\": {}, \"score\": {}, \"states\": {}, \"visited_pairs\": {}, \
-                     \"estimated_saving_ns\": {}, \"derivation\": [{}]}}",
-                    json_string(&best.local),
-                    best.score,
-                    best.states,
-                    best.visited_pairs,
-                    json_f64(best.estimated_saving_ns),
-                    derivation.join(", "),
-                );
-            }
-        }
-        out.push_str(", \"candidates\": [");
-        for (index, candidate) in self.candidates.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"local\": {}, \"score\": {}, \"states\": {}, \"visited_pairs\": {}, \
-                 \"estimated_saving_ns\": {}}}",
-                json_string(&candidate.local),
-                candidate.score,
-                candidate.states,
-                candidate.visited_pairs,
-                json_f64(candidate.estimated_saving_ns),
-            );
-        }
-        out.push_str("]}");
-        out
+json_record! {
+    /// Machine-readable summary of one role's optimisation run: one
+    /// element of the array `rumpsteak-gen --optimise --report` writes.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Report {
+        /// The optimised role.
+        pub role: String,
+        /// Textual form of the input projection.
+        pub projection: String,
+        /// Candidates generated.
+        pub generated: usize,
+        /// Rewrite applications dropped by data-dependence pruning.
+        pub pruned: usize,
+        /// Candidates that passed the subtype check.
+        pub verified: usize,
+        /// Whether generation hit the candidate cap.
+        pub truncated: bool,
+        /// Subtype bound used for verification.
+        pub bound: usize,
+        /// `"measured"` or `"default-table"` when a cost model ranked the
+        /// candidates; `None` under the receives-crossed proxy.
+        pub cost_source: Option<String>,
+        /// Whether the role's type changed, i.e. `best` is present.
+        pub improved: bool,
+        /// The winning candidate; `None` when no verified candidate
+        /// improves on the projection, in which case the projection is
+        /// kept.
+        pub best: Option<BestCandidate>,
+        /// Every verified candidate, in rank order.
+        pub candidates: Vec<CandidateSummary>,
     }
 }
 
-/// Renders an optional estimated saving: one decimal, `null` when the
-/// search ran without a cost model.
-fn json_f64(value: Option<f64>) -> String {
-    match value {
-        Some(v) => format!("{v:.1}"),
-        None => "null".to_owned(),
+json_record! {
+    /// The winning candidate inside a [`Report`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct BestCandidate {
+        /// Textual form of the reordered local type.
+        pub local: String,
+        /// Receives that sends were moved ahead of.
+        pub score: usize,
+        /// FSM state count.
+        pub states: usize,
+        /// State-pair visits of the verifying subtype check.
+        pub visited_pairs: usize,
+        /// Estimated nanoseconds saved under the configured cost model,
+        /// to one decimal.
+        pub estimated_saving_ns: Option<f64>,
+        /// Human-readable rewrite steps, in application order.
+        pub derivation: Vec<String>,
     }
 }
 
-fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+json_record! {
+    /// One verified candidate inside a [`Report`], in rank order.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CandidateSummary {
+        /// Textual form of the reordered local type.
+        pub local: String,
+        /// Receives that sends were moved ahead of.
+        pub score: usize,
+        /// FSM state count.
+        pub states: usize,
+        /// State-pair visits of the verifying subtype check.
+        pub visited_pairs: usize,
+        /// Estimated nanoseconds saved under the configured cost model,
+        /// to one decimal.
+        pub estimated_saving_ns: Option<f64>,
     }
-    out.push('"');
-    out
 }
 
 /// Derives verified AMR reorderings of `projection` for `role`.
@@ -487,6 +409,7 @@ pub fn optimise_fsm(projection: &Fsm, config: &Config) -> Result<Optimised, FsmE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use theory::json::{Json, Value};
     use theory::local::parse;
 
     fn run(projection: &str, depth: usize) -> Optimised {
@@ -552,7 +475,7 @@ mod tests {
             outcome.best_local(),
             &parse("rec x . q!v . p?v . x").unwrap()
         );
-        assert!(!outcome.report().improved());
+        assert!(!outcome.report().improved);
     }
 
     #[test]
@@ -668,7 +591,7 @@ mod tests {
             .candidates
             .iter()
             .all(|c| c.derivation.iter().all(|s| s.score() == 0)));
-        assert!(outcome.report().to_json().contains("\"pruned\": "));
+        assert_eq!(outcome.report().pruned, outcome.pruned);
     }
 
     #[test]
@@ -677,24 +600,52 @@ mod tests {
         let config = Config::with_depth(0).with_cost(CostModel::default_table());
         let outcome = optimise(&"self".into(), &projection, &config).unwrap();
         let json = outcome.report().to_json();
-        assert!(json.contains("\"cost_source\": \"default-table\""));
-        assert!(json.contains("\"estimated_saving_ns\": "));
-        assert!(json.contains("\"candidates\": ["));
+        assert_eq!(
+            json.get("cost_source"),
+            Some(&Value::String("default-table".into()))
+        );
+        let Some(Value::Array(candidates)) = json.get("candidates") else {
+            panic!("no `candidates` array in {json}");
+        };
+        assert!(matches!(
+            candidates[0].get("estimated_saving_ns"),
+            Some(Value::F64(_))
+        ));
         // Without a model the fields degrade to null, not vanish.
         let legacy = run("rec x . p?v . q!v . x", 0).report().to_json();
-        assert!(legacy.contains("\"cost_source\": null"));
-        assert!(legacy.contains("\"estimated_saving_ns\": null"));
+        assert_eq!(legacy.get("cost_source"), Some(&Value::Null));
+        let best = legacy.get("best").expect("best is present");
+        assert_eq!(best.get("estimated_saving_ns"), Some(&Value::Null));
     }
 
     #[test]
     fn report_json_is_well_formed() {
-        let outcome = run("rec x . p?v . q!v . x", 0);
-        let json = outcome.report().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"role\": \"self\""));
-        assert!(json.contains("\"improved\": true"));
-        assert!(json.contains("\"derivation\": [\"hoist q! past p?\"]"));
-        let unimproved = run("end", 1).report().to_json();
-        assert!(unimproved.contains("\"best\": null"));
+        let report = run("rec x . p?v . q!v . x", 0).report();
+        assert_eq!(report.role, "self");
+        assert!(report.improved);
+        let best = report.best.as_ref().expect("improved");
+        assert_eq!(best.derivation, ["hoist q! past p?"]);
+        assert_eq!(
+            json::decode(&report.to_json().to_string()),
+            Ok(report.clone())
+        );
+        let unimproved = run("end", 1).report();
+        assert_eq!(unimproved.to_json().get("best"), Some(&Value::Null));
+        assert_eq!(
+            json::decode(&unimproved.to_json().to_string()),
+            Ok(unimproved)
+        );
+    }
+
+    #[test]
+    fn non_finite_savings_serialise_to_json_the_reader_accepts() {
+        let mut report = run("rec x . p?v . q!v . x", 0).report();
+        for saving in [f64::NAN, f64::INFINITY] {
+            report.best.as_mut().expect("improved").estimated_saving_ns = Some(saving);
+            report.candidates[0].estimated_saving_ns = Some(saving);
+            let decoded: Report = json::decode(&report.to_json().to_string())
+                .expect("the writer's output always parses");
+            assert_eq!(decoded.candidates[0].estimated_saving_ns, None);
+        }
     }
 }

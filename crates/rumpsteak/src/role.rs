@@ -175,8 +175,9 @@ impl<M> Mesh<M> {
 /// for manually verified protocols — registers each directed channel's
 /// statically verified bound with the telemetry layer when `connect()`
 /// runs, so runtime watermarks are checked against it (`observed_depth
-/// <= k`). The clause compiles to nothing without the `telemetry`
-/// feature:
+/// <= k`). Only that registration is a no-op without the `telemetry`
+/// feature: in every build `connect()` also sizes each link's
+/// batch-receive window and payload pool from its bound:
 ///
 /// ```ignore
 /// roles! {

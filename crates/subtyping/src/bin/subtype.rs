@@ -31,6 +31,24 @@
 
 use std::process::ExitCode;
 
+use theory::json::Json;
+use theory::json_record;
+
+json_record! {
+    /// The bulk form's `--json` output.
+    struct BulkVerdicts {
+        bound: usize,
+        candidates: Vec<CandidateVerdict>,
+    }
+}
+
+json_record! {
+    struct CandidateVerdict {
+        verdict: bool,
+        visited_pairs: usize,
+    }
+}
+
 const USAGE: &str = "\
 usage: subtype <subtype> <supertype> [options]
        subtype <cand1> <cand2> ... <supertype> [options]
@@ -46,12 +64,12 @@ options:
                 states may be revisited on one derivation path
                 (default: 16); larger bounds verify deeper reorderings
                 at higher cost
-    --json      print one JSON object instead of prose:
-                {\"verdict\": bool, \"bound\": N, \"visited_pairs\": N}
-                where visited_pairs counts the state-pair visits the
-                search performed (its cost metric); with multiple
-                candidates, {\"bound\": N, \"candidates\": [...]} with
-                one {\"verdict\", \"visited_pairs\"} entry per candidate
+    --json      print one JSON object instead of prose, with members
+                verdict (bool), bound and visited_pairs, where
+                visited_pairs counts the state-pair visits the search
+                performed (its cost metric); with multiple candidates,
+                members bound and candidates, the latter holding one
+                object with verdict and visited_pairs per candidate
     -h, --help  show this help
 
 exit codes: 0 every subtyping holds, 1 some not shown, 2 usage or
@@ -116,10 +134,7 @@ fn main() -> ExitCode {
             }
         };
         if json {
-            println!(
-                "{{\"verdict\": {}, \"bound\": {}, \"visited_pairs\": {}}}",
-                stats.verdict, stats.bound, stats.visited_pairs
-            );
+            println!("{}", stats.to_json());
         } else if stats.verdict {
             println!(
                 "subtype holds (bound {bound}, {} state pairs visited)",
@@ -161,19 +176,14 @@ fn main() -> ExitCode {
     let stats = subtyping::check_candidates(candidates.iter(), &sup_fsm, bound);
     let all_hold = stats.iter().all(|s| s.verdict);
     if json {
-        let entries: Vec<String> = stats
+        let candidates = stats
             .iter()
-            .map(|s| {
-                format!(
-                    "{{\"verdict\": {}, \"visited_pairs\": {}}}",
-                    s.verdict, s.visited_pairs
-                )
+            .map(|s| CandidateVerdict {
+                verdict: s.verdict,
+                visited_pairs: s.visited_pairs,
             })
             .collect();
-        println!(
-            "{{\"bound\": {bound}, \"candidates\": [{}]}}",
-            entries.join(", ")
-        );
+        println!("{}", BulkVerdicts { bound, candidates }.to_json());
     } else {
         for (index, s) in stats.iter().enumerate() {
             println!(

@@ -56,16 +56,19 @@ pub fn is_subtype_local(sub: &LocalType, sup: &LocalType, bound: usize) -> Resul
     Ok(is_subtype(&sub, &sup, bound))
 }
 
-/// Outcome of one instrumented subtyping check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckStats {
-    /// Whether the subtyping was shown to hold.
-    pub verdict: bool,
-    /// The recursion-unrolling bound the check ran with.
-    pub bound: usize,
-    /// State-pair visits performed by the search — the cost metric
-    /// reported by `subtype --json` and the optimiser report.
-    pub visited_pairs: usize,
+theory::json_record! {
+    /// Outcome of one instrumented subtyping check; its JSON form is
+    /// what `subtype --json` prints.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct CheckStats {
+        /// Whether the subtyping was shown to hold.
+        pub verdict: bool,
+        /// The recursion-unrolling bound the check ran with.
+        pub bound: usize,
+        /// State-pair visits performed by the search — the cost metric
+        /// reported by `subtype --json` and the optimiser report.
+        pub visited_pairs: usize,
+    }
 }
 
 /// Instrumented variant of [`is_subtype`]: same verdict, plus search

@@ -23,10 +23,10 @@
 //! * [`trace`] — per-thread bounded lock-free event rings recording
 //!   `(role, peer, label, t_ns, seq)` for every session Send/Receive/
 //!   Select/Branch and every wire frame, drop-oldest with a drop
-//!   counter, dumpable as Chrome trace-event JSON (`chrome://tracing` /
-//!   Perfetto) — and, per process, as a text dump that
-//!   [`trace::merge_chrome_trace`] stitches across processes with flow
-//!   events connecting each frame send to its receive.
+//!   counter, dumpable per process as a text dump that
+//!   `rumpsteak-trace` renders as Chrome trace-event JSON
+//!   (`chrome://tracing` / Perfetto), stitched across processes with
+//!   flow events connecting each frame send to its receive.
 //! * [`hist`] — lock-free log-linear (HDR-style) latency histograms
 //!   with exact-reference-tested quantiles, recording per-link
 //!   send→recv latency (via [`channel`]/[`transport`]) and session

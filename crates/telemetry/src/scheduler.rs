@@ -118,7 +118,7 @@ impl CountersSnapshot {
         }
     }
 
-    /// `"key": value` pairs in declaration order, for JSON rendering.
+    /// `(name, value)` pairs in declaration order, for metric rendering.
     pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
             ("spawns", self.spawns),

@@ -17,8 +17,8 @@
 //! only after the seqlock validates that both words came from the same
 //! write.
 //!
-//! [`drain`] collects all rings into [`ThreadTrace`]s and
-//! [`chrome_trace_json`] renders them in the Chrome trace-event format
+//! [`drain`] collects all rings into [`ThreadTrace`]s; `rumpsteak-trace`
+//! (`bench::trace`) renders them in the Chrome trace-event format
 //! accepted by `chrome://tracing` and Perfetto.
 //!
 //! # Cross-process stitching
@@ -29,9 +29,9 @@
 //! number) on the two sides of every socket, and the accept handshake
 //! estimates each peer's clock offset ([`set_peer_offset`]). A process
 //! writes everything as a line-oriented text dump ([`dump_text`]);
-//! `rumpsteak-trace --merge` parses the dumps ([`parse_dump`]) and
-//! [`merge_chrome_trace`] aligns their clocks and emits one timeline
-//! with Chrome *flow events* connecting each send to its receive.
+//! `rumpsteak-trace --merge` parses the dumps ([`parse_dump`]), aligns
+//! their clocks and emits one timeline with Chrome *flow events*
+//! connecting each send to its receive.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -175,7 +175,7 @@ pub fn event_seq(
 /// Registers the estimated clock offset of `peer`'s trace epoch
 /// relative to this process (`peer_clock - local_clock`, nanoseconds),
 /// as measured by the transport's accept handshake. Dumped with the
-/// process trace so [`merge_chrome_trace`] can align timelines.
+/// process trace so `rumpsteak-trace --merge` can align timelines.
 pub fn set_peer_offset(peer: &str, offset_ns: i64) {
     if !crate::ENABLED {
         return;
@@ -200,59 +200,7 @@ pub fn drain() -> Vec<ThreadTrace> {
     ring::drain()
 }
 
-/// Renders drained traces as a Chrome trace-event JSON document
-/// (instant events, one `tid` per thread), loadable in
-/// `chrome://tracing` or <https://ui.perfetto.dev>.
-pub fn chrome_trace_json(traces: &[ThreadTrace]) -> String {
-    let mut out =
-        String::with_capacity(256 + traces.iter().map(|t| t.events.len()).sum::<usize>() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    for (tid, trace) in traces.iter().enumerate() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        // Thread name metadata record.
-        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-        out.push_str(&tid.to_string());
-        out.push_str(",\"args\":{\"name\":");
-        push_json_string(&mut out, &trace.thread);
-        out.push_str("}}");
-        for event in &trace.events {
-            out.push_str(",{\"name\":");
-            let name = format!(
-                "{} {} {}",
-                event.role,
-                match event.kind {
-                    Kind::Send | Kind::Select | Kind::FrameSend => "->",
-                    Kind::Receive | Kind::Branch | Kind::FrameRecv => "<-",
-                },
-                event.peer
-            );
-            push_json_string(&mut out, &name);
-            out.push_str(",\"cat\":\"");
-            out.push_str(event.kind.as_str());
-            out.push_str("\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":");
-            out.push_str(&tid.to_string());
-            out.push_str(",\"ts\":");
-            // Chrome expects microseconds; keep nanosecond precision as a
-            // fraction.
-            out.push_str(&format!("{:.3}", event.t_ns as f64 / 1000.0));
-            out.push_str(",\"args\":{\"label\":");
-            push_json_string(&mut out, event.label);
-            out.push_str(",\"peer\":");
-            push_json_string(&mut out, event.peer);
-            out.push_str(",\"seq\":");
-            out.push_str(&event.seq.to_string());
-            out.push_str("}}");
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-// ---- per-process dumps and cross-process merging --------------------
+// ---- per-process dumps ----------------------------------------------
 
 /// One process's complete trace state: its per-thread event rings plus
 /// the clock offsets its transport handshakes measured for each peer.
@@ -412,269 +360,6 @@ pub fn parse_dump(text: &str) -> Result<ProcessDump, String> {
         peer_offsets,
         traces,
     })
-}
-
-/// Per-edge frame-flow accounting from a merge: how many frame sends
-/// and receives each directed edge contributed, and how many were
-/// matched into flow events.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EdgeFlows {
-    /// Sending role.
-    pub from: String,
-    /// Receiving role.
-    pub to: String,
-    /// `frame_send` events seen for the edge.
-    pub sends: u64,
-    /// `frame_recv` events seen for the edge.
-    pub recvs: u64,
-    /// Send/receive pairs matched into flow events.
-    pub matched: u64,
-}
-
-/// Summary returned beside the merged timeline JSON.
-#[derive(Clone, Debug, Default)]
-pub struct MergeReport {
-    /// Flow events emitted (matched send→recv pairs).
-    pub flows: u64,
-    /// Per directed edge accounting, sorted by `(from, to)`.
-    pub edges: Vec<EdgeFlows>,
-}
-
-/// Stitches per-process dumps into one Chrome trace-event timeline.
-///
-/// The first dump is the reference clock; every other dump's
-/// timestamps are shifted by the handshake-measured offset (looked up
-/// in the reference's table, or the negated inverse in the dump's
-/// own). Each process becomes a `pid` lane with its threads as `tid`s;
-/// every `frame_send` is connected to the `frame_recv` with the same
-/// `(from, to, seq)` key by a Chrome flow event (`ph:"s"` → `ph:"f"`),
-/// which Perfetto draws as an arrow across the process lanes.
-pub fn merge_chrome_trace(dumps: &[ProcessDump]) -> (String, MergeReport) {
-    use std::collections::BTreeMap;
-
-    // Clock shift per dump, into the reference (first) dump's epoch.
-    let shifts: Vec<i64> = dumps
-        .iter()
-        .enumerate()
-        .map(|(index, dump)| {
-            if index == 0 {
-                return 0;
-            }
-            if let Some((_, offset)) = dumps[0]
-                .peer_offsets
-                .iter()
-                .find(|(peer, _)| *peer == dump.process)
-            {
-                // offset = dump_clock - ref_clock.
-                return -offset;
-            }
-            if let Some((_, offset)) = dump
-                .peer_offsets
-                .iter()
-                .find(|(peer, _)| *peer == dumps[0].process)
-            {
-                // offset = ref_clock - dump_clock.
-                return *offset;
-            }
-            0
-        })
-        .collect();
-
-    // Flatten with shifted timestamps; normalise so the earliest event
-    // sits at t = 0 (Chrome dislikes negative timestamps).
-    struct Placed {
-        pid: usize,
-        tid: usize,
-        ts_ns: i64,
-        event: TraceEvent,
-    }
-    let mut placed: Vec<Placed> = Vec::new();
-    for (index, dump) in dumps.iter().enumerate() {
-        for (tid, trace) in dump.traces.iter().enumerate() {
-            for event in &trace.events {
-                placed.push(Placed {
-                    pid: index + 1,
-                    tid,
-                    ts_ns: event.t_ns as i64 + shifts[index],
-                    event: *event,
-                });
-            }
-        }
-    }
-    let base = placed.iter().map(|p| p.ts_ns).min().unwrap_or(0);
-    for p in &mut placed {
-        p.ts_ns -= base;
-    }
-
-    // Frame flow matching on (from, to, seq), in timestamp order per key.
-    type FlowKey = (&'static str, &'static str, u64);
-    let mut sends: BTreeMap<FlowKey, Vec<usize>> = BTreeMap::new();
-    let mut recvs: BTreeMap<FlowKey, Vec<usize>> = BTreeMap::new();
-    for (index, p) in placed.iter().enumerate() {
-        if p.event.seq == 0 {
-            continue;
-        }
-        let key = (p.event.role, p.event.peer, p.event.seq);
-        match p.event.kind {
-            Kind::FrameSend => sends.entry(key).or_default().push(index),
-            Kind::FrameRecv => recvs.entry(key).or_default().push(index),
-            _ => {}
-        }
-    }
-
-    type EdgeMap = BTreeMap<(&'static str, &'static str), EdgeFlows>;
-    fn edge_entry<'a>(
-        edges: &'a mut EdgeMap,
-        from: &'static str,
-        to: &'static str,
-    ) -> &'a mut EdgeFlows {
-        edges.entry((from, to)).or_insert_with(move || EdgeFlows {
-            from: from.to_owned(),
-            to: to.to_owned(),
-            sends: 0,
-            recvs: 0,
-            matched: 0,
-        })
-    }
-    let mut edges: EdgeMap = BTreeMap::new();
-    for (&(from, to, _), list) in &sends {
-        edge_entry(&mut edges, from, to).sends += list.len() as u64;
-    }
-    for (&(from, to, _), list) in &recvs {
-        edge_entry(&mut edges, from, to).recvs += list.len() as u64;
-    }
-    let mut flows: Vec<(usize, usize)> = Vec::new();
-    for (key, send_list) in &sends {
-        if let Some(recv_list) = recvs.get(key) {
-            let matched = send_list.len().min(recv_list.len());
-            edges
-                .get_mut(&(key.0, key.1))
-                .expect("edge registered")
-                .matched += matched as u64;
-            flows.extend(
-                send_list
-                    .iter()
-                    .copied()
-                    .zip(recv_list.iter().copied())
-                    .take(matched),
-            );
-        }
-    }
-
-    // Render the merged document.
-    let ts_us = |ns: i64| format!("{:.3}", ns as f64 / 1000.0);
-    let mut out = String::with_capacity(4096 + placed.len() * 128);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let emit = |out: &mut String, first: &mut bool, record: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&record);
-    };
-    for (index, dump) in dumps.iter().enumerate() {
-        let pid = index + 1;
-        let mut name = String::new();
-        push_json_string(&mut name, &dump.process);
-        emit(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{name}}}}}"
-            ),
-        );
-        for (tid, trace) in dump.traces.iter().enumerate() {
-            let mut thread = String::new();
-            push_json_string(&mut thread, &trace.thread);
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{thread}}}}}"
-                ),
-            );
-        }
-    }
-    for p in &placed {
-        let mut name = String::new();
-        let arrow = match p.event.kind {
-            Kind::Send | Kind::Select | Kind::FrameSend => "->",
-            Kind::Receive | Kind::Branch | Kind::FrameRecv => "<-",
-        };
-        push_json_string(
-            &mut name,
-            &format!("{} {} {}", p.event.role, arrow, p.event.peer),
-        );
-        let mut label = String::new();
-        push_json_string(&mut label, p.event.label);
-        emit(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":{name},\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{\"label\":{label},\"seq\":{}}}}}",
-                p.event.kind.as_str(),
-                p.pid,
-                p.tid,
-                ts_us(p.ts_ns),
-                p.event.seq,
-            ),
-        );
-    }
-    for (flow_id, &(send_index, recv_index)) in flows.iter().enumerate() {
-        let send = &placed[send_index];
-        let recv = &placed[recv_index];
-        let mut name = String::new();
-        push_json_string(
-            &mut name,
-            &format!("{} => {}", send.event.role, send.event.peer),
-        );
-        emit(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":{name},\"cat\":\"frame-flow\",\"ph\":\"s\",\"id\":{flow_id},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                send.pid,
-                send.tid,
-                ts_us(send.ts_ns),
-            ),
-        );
-        // Offset-estimation error can place the receive marginally
-        // before the send; clamp so the arrow always points forward.
-        let recv_ts = recv.ts_ns.max(send.ts_ns);
-        emit(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":{name},\"cat\":\"frame-flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{flow_id},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                recv.pid,
-                recv.tid,
-                ts_us(recv_ts),
-            ),
-        );
-    }
-    out.push_str("]}");
-
-    let report = MergeReport {
-        flows: flows.len() as u64,
-        edges: edges.into_values().collect(),
-    };
-    (out, report)
-}
-
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            ch if (ch as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", ch as u32)),
-            ch => out.push(ch),
-        }
-    }
-    out.push('"');
 }
 
 /// The per-thread rings behind [`event`] and [`drain`]. Always compiled;
@@ -929,36 +614,6 @@ mod tests {
         assert!(second >= first);
     }
 
-    #[test]
-    fn chrome_json_shape() {
-        let traces = vec![ThreadTrace {
-            thread: "worker-0".into(),
-            events: vec![TraceEvent {
-                t_ns: 1500,
-                kind: Kind::Send,
-                role: "S",
-                peer: "T",
-                label: "Value",
-                seq: 0,
-            }],
-            dropped: 0,
-        }];
-        let json = chrome_trace_json(&traces);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"cat\":\"send\""));
-        assert!(json.contains("\"label\":\"Value\""));
-        assert!(json.contains("\"ts\":1.500"));
-        assert!(json.contains("worker-0"));
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
-    }
-
     fn frame_event(
         kind: Kind,
         role: &'static str,
@@ -1008,64 +663,6 @@ mod tests {
         assert!(parse_dump("not a dump").is_err());
         assert!(parse_dump("rumpsteak-trace-dump v1\nbogus\tline\n").is_err());
         assert!(parse_dump("rumpsteak-trace-dump v1\n").is_err()); // no process
-    }
-
-    #[test]
-    fn merge_emits_flow_events_and_aligns_clocks() {
-        // Process S stamps with a clock 1 ms ahead of T's; T measured
-        // offset(S) = +1_000_000 during the handshake. T is the
-        // reference (first dump).
-        let t_dump = ProcessDump {
-            process: "T".into(),
-            peer_offsets: vec![("S".into(), 1_000_000)],
-            traces: vec![ThreadTrace {
-                thread: "netlink-reader S->T".into(),
-                events: vec![frame_event(Kind::FrameRecv, "S", "T", 5_000, 1)],
-                dropped: 0,
-            }],
-        };
-        let s_dump = ProcessDump {
-            process: "S".into(),
-            peer_offsets: vec![],
-            traces: vec![ThreadTrace {
-                thread: "netlink-writer S->T".into(),
-                events: vec![frame_event(Kind::FrameSend, "S", "T", 1_002_000, 1)],
-                dropped: 0,
-            }],
-        };
-        let (json, report) = merge_chrome_trace(&[t_dump, s_dump]);
-        assert_eq!(report.flows, 1);
-        assert_eq!(report.edges.len(), 1);
-        let edge = &report.edges[0];
-        assert_eq!((edge.from.as_str(), edge.to.as_str()), ("S", "T"));
-        assert_eq!((edge.sends, edge.recvs, edge.matched), (1, 1, 1));
-        // Both phases of the flow pair are present, with distinct pids.
-        assert!(json.contains("\"ph\":\"s\""));
-        assert!(json.contains("\"ph\":\"f\""));
-        assert!(json.contains("\"process_name\""));
-        // S's event shifted by -offset: 1_002_000 - 1_000_000 = 2_000 ns
-        // against T's 5_000 ns; normalised base is 2_000, so the send
-        // lands at ts 0 and the receive at 3 us.
-        assert!(json.contains("\"ts\":0.000"));
-        assert!(json.contains("\"ts\":3.000"));
-    }
-
-    #[test]
-    fn merge_reports_unmatched_edges() {
-        let only_sends = ProcessDump {
-            process: "A".into(),
-            peer_offsets: vec![],
-            traces: vec![ThreadTrace {
-                thread: "w".into(),
-                events: vec![frame_event(Kind::FrameSend, "A", "B", 10, 1)],
-                dropped: 0,
-            }],
-        };
-        let (_, report) = merge_chrome_trace(&[only_sends]);
-        assert_eq!(report.flows, 0);
-        assert_eq!(report.edges.len(), 1);
-        assert_eq!(report.edges[0].matched, 0);
-        assert_eq!(report.edges[0].sends, 1);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * [`fsm`] — communicating finite state machines and conversions
 //!   local type ⇄ FSM (the representation the subtyping algorithm and the
 //!   k-MC checker operate on),
-//! * [`dot`] — Graphviz output for debugging protocols.
+//! * [`dot`] — Graphviz output for debugging protocols,
+//! * [`json`] — the workspace's one JSON reader and writer, behind every
+//!   machine-readable artifact the tools above emit or load.
 //!
 //! # Example: the streaming protocol of §2
 //!
@@ -42,6 +44,7 @@
 pub mod dot;
 pub mod fsm;
 pub mod global;
+pub mod json;
 pub mod local;
 pub mod name;
 pub mod projection;
