@@ -148,11 +148,10 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     // they run fewer messages than the token burst.
     let (chan_rounds, chan_burst, chan_payload_burst) = (2000u32, 20000u32, 5000u32);
     // Networked-transport microbenches: rounds per framed ping-pong run
-    // and messages per k-bounded burst run (see `bench::transport`).
-    // Each run sets up a real connected socket pair plus its writer and
-    // reader threads, so these use fewer iterations than the in-process
-    // channel rows.
-    let (net_rounds, net_burst) = (500u32, 5000u32);
+    // and messages per k-bounded burst run (see `bench::transport`),
+    // sized so that one run — which also connects and tears down its
+    // socket pair — takes some tens of milliseconds.
+    let (net_rounds, net_burst) = (2000u32, 20000u32);
     // Template-generated topologies (pring.scr / pmesh.scr), instantiated
     // once per sweep: the projection cost is setup, not measured time.
     let gen_ring = scaling::generated::GeneratedRing::new(ring_tasks);

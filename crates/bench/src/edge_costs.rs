@@ -167,8 +167,7 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
     let reps = if quick { 2 } else { 5 };
     let spsc_messages: u32 = if quick { 4000 } else { 20000 };
     let payload_messages: u32 = if quick { 1000 } else { 5000 };
-    let net_rounds: u32 = if quick { 100 } else { 500 };
-    let net_messages: u32 = if quick { 300 } else { 2000 };
+    let net_rounds: u32 = if quick { 500 } else { 2000 };
     let (small, large) = SLOPE_PAYLOADS;
 
     let mut classes = Vec::new();
@@ -228,7 +227,7 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
                 Some(1),
             )
             .expect("loopback TCP pair");
-            net_payload_burst(rt, links, net_messages, payload) / f64::from(net_messages)
+            net_payload_burst(rt, links, payload_messages, payload) / f64::from(payload_messages)
         })
     };
     classes.push(class_cost(
@@ -255,7 +254,8 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
                     Some(1),
                 )
                 .expect("loopback UDS pair");
-                net_payload_burst(rt, links, net_messages, payload) / f64::from(net_messages)
+                net_payload_burst(rt, links, payload_messages, payload)
+                    / f64::from(payload_messages)
             })
         };
         classes.push(class_cost(

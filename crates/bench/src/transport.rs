@@ -3,9 +3,9 @@
 //! The distributed backend frames session messages over a socket and
 //! caps each direction's in-flight window at the link's verified k-MC
 //! bound; these rows measure that path end to end — hand-rolled wire
-//! encoding, length-prefixed framing, the bounded rings bridging the
-//! session task to the writer/reader threads, and the kernel loopback
-//! hop — isolated from protocol logic:
+//! encoding, length-prefixed framing in the link's write buffer, the
+//! task's own non-blocking socket calls, the readiness wake-up and the
+//! kernel loopback hop — isolated from protocol logic:
 //!
 //! * **tcp ping-pong** — two tasks bounce a token over a connected
 //!   loopback TCP pair: one framed hop each way per round, the latency
@@ -112,9 +112,9 @@ pub fn tcp_burst(rt: &Runtime, messages: u32) -> u64 {
         for next in 0..messages {
             source.send(next).await.unwrap();
         }
-        // Dropping the link closes the outgoing ring; the writer thread
-        // drains it and shuts the socket down, so the consumer sees EOF
-        // only after the last frame.
+        // Dropping the link flushes what the socket has not taken yet,
+        // then shuts the write half down, so the consumer sees EOF only
+        // after the last frame.
     });
     rt.block_on(producer).unwrap();
     rt.block_on(consumer).unwrap()
@@ -168,13 +168,13 @@ mod tests {
         assert_eq!(outbound.send_window, Some(PING_PONG_WINDOW as u64));
         assert_eq!(outbound.kmc_bound, Some(PING_PONG_WINDOW as u64));
         assert!(!outbound.window_exceeds_bound());
-        // The session-facing ring is labelled and bounded identically,
+        // The link reports its window occupancy under the same label,
         // so the channel registry proves the watermark never exceeded k.
         let channels = telemetry::channel::snapshot();
         let ring = channels
             .iter()
             .find(|link| link.from == NET_PING && link.to == NET_PONG)
-            .expect("ring registered under the same label");
+            .expect("channel cell registered under the same label");
         assert!(!ring.violates_bound());
         telemetry::transport::reset();
         telemetry::channel::reset();

@@ -3,11 +3,16 @@
 //! deserialise, with the byte stream re-chunked at adversarial
 //! boundaries between the two ends.
 //!
-//! No property-testing crate is used: a small deterministic xorshift
-//! generator drives both the message payloads and the chunk sizes, so
-//! failures replay exactly from the printed seed.
+//! The round-trip tests use no property-testing crate: a small
+//! deterministic xorshift generator drives both the message payloads
+//! and the chunk sizes, so failures replay exactly from the printed
+//! seed. The decoder's two intake paths are compared with the proptest
+//! shim.
+
+use std::io::Read;
 
 use bench::protocols::{double_buffering, streaming};
+use proptest::prelude::*;
 use rumpsteak::net::{encode_frame, encode_frame_traced, FrameDecoder, FRAME_HEADER};
 use rumpsteak::wire::{from_bytes, to_bytes, TraceContext, Wire};
 
@@ -195,5 +200,75 @@ fn trace_context_survives_every_single_byte_boundary() {
         assert_eq!(frame.trace, Some(ctx));
         assert_eq!(frame.payload, payload);
         assert_eq!(decoder.buffered(), 0);
+    }
+}
+
+/// A socket as the link sees it: hands out the stream in reads of the
+/// given lengths (cycled), each at most what the caller offered.
+struct ShortReads<'a> {
+    stream: &'a [u8],
+    lens: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let len = *self.lens.next().expect("cycle of a non-empty vec");
+        let len = len.min(buf.len()).min(self.stream.len());
+        buf[..len].copy_from_slice(&self.stream[..len]);
+        self.stream = &self.stream[len..];
+        Ok(len)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The decoder reading a socket itself (`read_from`, what `NetLink`
+    /// does) yields exactly the frames of the whole stream `push`ed at
+    /// once, however short the reads and whichever frames are traced —
+    /// payloads up to a few read chunks long, so the buffer both wraps
+    /// to its front and grows.
+    #[test]
+    fn read_from_short_reads_yields_the_frames_push_does(
+        payload_lens in proptest::collection::vec(
+            prop_oneof![0usize..64, 0usize..5_000, 30_000usize..70_000],
+            1..12,
+        ),
+        read_lens in proptest::collection::vec(1usize..40_000, 1..8),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Rng(seed | 1);
+        let mut stream = Vec::new();
+        for (index, len) in payload_lens.iter().enumerate() {
+            let payload: Vec<u8> = (0..*len).map(|_| rng.next() as u8).collect();
+            let trace = (rng.below(2) == 0).then(|| TraceContext {
+                session: rng.next(),
+                seq: index as u64,
+                t_ns: rng.next(),
+            });
+            encode_frame_traced(&payload, trace.as_ref(), &mut stream).unwrap();
+        }
+
+        let mut pushed = FrameDecoder::new();
+        pushed.push(&stream);
+        let mut expected = Vec::new();
+        while let Some(frame) = pushed.next_frame().unwrap() {
+            expected.push(frame);
+        }
+        prop_assert_eq!(expected.len(), payload_lens.len());
+
+        let mut reader = ShortReads { stream: &stream, lens: read_lens.iter().cycle() };
+        let mut decoder = FrameDecoder::new();
+        let mut frames = Vec::new();
+        loop {
+            while let Some(frame) = decoder.next_frame().unwrap() {
+                frames.push(frame);
+            }
+            if decoder.read_from(&mut reader).unwrap() == 0 {
+                break;
+            }
+        }
+        prop_assert_eq!(decoder.buffered(), 0);
+        prop_assert_eq!(frames, expected);
     }
 }

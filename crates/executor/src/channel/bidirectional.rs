@@ -89,7 +89,6 @@ impl<T> Bidirectional<T> {
             label: from_to,
             capacity: if config.bounded { bound } else { None },
             bound_hint: bound,
-            ..SpscConfig::default()
         };
         let label_ab = label;
         let label_ba = label.map(|(a, b)| (b, a));

@@ -326,7 +326,7 @@ impl<T> Drop for Inner<T> {
 /// Construction parameters for an SPSC ring; the named constructors
 /// ([`spsc`], [`spsc_bounded`]) cover the common shapes, [`spsc_with`]
 /// takes the full set.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SpscConfig {
     /// Role names registering the link with the telemetry layer (ignored
     /// in uninstrumented builds).
@@ -339,25 +339,6 @@ pub struct SpscConfig {
     /// correct execution can reach): the quiescent-point shrink retires
     /// oversized buffers back toward it. Ignored in bounded mode.
     pub bound_hint: Option<usize>,
-    /// Publish a latency stamp at each slot commit (telemetry builds).
-    /// On by default; a transport link turns one side off where the ring
-    /// terminates in an I/O thread instead of a session future.
-    pub stamp_send: bool,
-    /// Consume a latency stamp at each pop (telemetry builds). On by
-    /// default, mirroring `stamp_send`.
-    pub stamp_recv: bool,
-}
-
-impl Default for SpscConfig {
-    fn default() -> Self {
-        SpscConfig {
-            label: None,
-            capacity: None,
-            bound_hint: None,
-            stamp_send: true,
-            stamp_recv: true,
-        }
-    }
 }
 
 /// Creates a lock-free SPSC channel. Neither endpoint is cloneable; use
@@ -379,9 +360,7 @@ pub fn spsc_bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
 /// Creates an SPSC channel from the full [`SpscConfig`].
 pub fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T>) {
     let stats = match config.label {
-        Some((from, to)) => {
-            telemetry::channel::register(from, to).with_stamps(config.stamp_send, config.stamp_recv)
-        }
+        Some((from, to)) => telemetry::channel::register(from, to),
         None => telemetry::channel::LinkStats::default(),
     };
     let capacity = config.capacity.map(|c| c.max(1));

@@ -14,7 +14,16 @@
 //!   and an atomic oneshot rendezvous (also behind every [`JoinHandle`]),
 //! * [`block_on`] to drive a root future from a synchronous context — a
 //!   plain park loop that starts no threads — and [`yield_now`] for
-//!   cooperative rescheduling.
+//!   cooperative rescheduling,
+//! * on Linux, [`io`]: readiness notification for non-blocking
+//!   descriptors. One `epoll` instance per process; workers that run out
+//!   of local work collect its edges before they search or park, and one
+//!   lazily started `io-reactor` thread collects them for everybody
+//!   else, so the park handshake is unchanged. `epoll` is reached
+//!   through three `extern "C"` declarations (std already links the C
+//!   library); the four call sites — `epoll_create1`, `epoll_wait`, and
+//!   `epoll_ctl` once to add and once to delete — are the module's only
+//!   `unsafe`, each with its `// Safety:` argument.
 //!
 //! # Example
 //!
@@ -38,6 +47,8 @@
 //! ```
 
 pub mod channel;
+#[cfg(target_os = "linux")]
+pub mod io;
 mod join;
 mod park;
 mod runtime;

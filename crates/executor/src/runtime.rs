@@ -15,7 +15,8 @@
 //! * a global lock-free `Injector` receives tasks scheduled from outside
 //!   the pool (spawns, cross-thread wakes) plus spilled local backlogs,
 //! * idle workers first drain the LIFO slot and local deque, then
-//!   batch-steal from the injector, then batch-steal from a sibling
+//!   dispatch pending socket readiness ([`io::turn_now`](crate::io::turn_now)),
+//!   then batch-steal from the injector, then batch-steal from a sibling
 //!   (random start index to spread contention), and finally park.
 //!
 //! Wake-ups are O(1) and lock-free: pushers consult a **searching-worker
@@ -538,7 +539,16 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
             continue;
         }
 
-        // 3. Out of local work: become a searcher and steal.
+        // 3. Out of local work: collect pending I/O readiness first. A
+        // socket this thread's last task just wrote to may have made a
+        // task of this worker runnable, and dispatching the edge here
+        // wakes it into the LIFO slot instead of via the reactor thread.
+        #[cfg(target_os = "linux")]
+        if crate::io::turn_now() {
+            continue;
+        }
+
+        // 4. Still nothing: become a searcher and steal.
         shared.searching.fetch_add(1, Ordering::SeqCst);
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -557,7 +567,7 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
                 continue 'run;
             }
 
-            // 4. Nothing anywhere: stop searching and park. The *last*
+            // 5. Nothing anywhere: stop searching and park. The *last*
             // searcher re-checks the queues first — pushers skip wakes
             // while `searching > 0`, so someone must cover a task pushed
             // in that window.

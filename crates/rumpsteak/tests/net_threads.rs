@@ -1,11 +1,13 @@
-//! What a `NetLink` pair costs in OS threads: its four bridge threads
-//! (one writer and one reader per link) and nothing else — in
-//! particular `executor::block_on`, which those threads park in, starts
-//! none. Alone in its own test binary so sibling tests' threads cannot
+//! What `NetLink`s cost in OS threads: the process's one `io-reactor`
+//! thread, started by the first link and shared by all — no thread per
+//! link, and none from `executor::block_on`, which the test drives them
+//! with. Alone in its own test binary so sibling tests' threads cannot
 //! perturb the count.
 #![cfg(target_os = "linux")]
 
-use rumpsteak::net::loopback_pair_tcp;
+mod common;
+
+use rumpsteak::net::{loopback_pair_tcp, NetLink};
 
 /// The `Threads:` line of `/proc/self/status`.
 fn threads() -> usize {
@@ -17,14 +19,29 @@ fn threads() -> usize {
     line.trim().parse().expect("thread count is a number")
 }
 
-#[test]
-fn loopback_pair_starts_exactly_its_four_bridge_threads() {
-    let before = threads();
-    let (mut a, mut b) = loopback_pair_tcp::<u64>("ThreadsA", "ThreadsB", Some(1), Some(1))
-        .expect("loopback sockets");
+fn round_trip(a: &mut NetLink<u64>, b: &mut NetLink<u64>) {
     executor::block_on(a.send(41)).expect("B alive");
     let got = executor::block_on(b.recv()).expect("A sent a value");
     executor::block_on(b.send(got + 1)).expect("A alive");
     assert_eq!(executor::block_on(a.recv()), Some(42));
-    assert_eq!(threads() - before, 4);
+}
+
+#[test]
+fn any_number_of_loopback_pairs_share_one_reactor_thread() {
+    common::within(|| {
+        let before = threads();
+        let (mut a, mut b) = loopback_pair_tcp::<u64>("ThreadsA", "ThreadsB", Some(1), Some(1))
+            .expect("loopback sockets");
+        let (mut c, mut d) = loopback_pair_tcp::<u64>("ThreadsC", "ThreadsD", Some(1), Some(1))
+            .expect("loopback sockets");
+        round_trip(&mut a, &mut b);
+        round_trip(&mut c, &mut d);
+        assert_eq!(threads() - before, 1);
+        let reactors = std::fs::read_dir("/proc/self/task")
+            .expect("procfs mounted")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.trim() == "io-reactor")
+            .count();
+        assert_eq!(reactors, 1);
+    });
 }

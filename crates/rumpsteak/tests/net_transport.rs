@@ -13,6 +13,7 @@
 use std::time::Duration;
 
 use rumpsteak::net::{loopback_pair_tcp, NetLink, RemoteMesh, Topology};
+use rumpsteak::transport::Transport;
 use rumpsteak::{
     choice, messages, session, try_session, Branch, End, IntoSession, Receive, Select, Send,
 };
@@ -162,36 +163,56 @@ fn uds_session_streams_across_sockets() {
 
 /// A producer that outruns both the consumer and the socket must park
 /// on the k-bounded send window: `window_stalls` is observed on the
-/// transport registry while the session-facing ring's occupancy
-/// watermark stays within the verified bound.
+/// transport registry while the link's occupancy watermark stays within
+/// the verified bound.
 #[test]
 fn saturating_producer_stalls_within_window() {
     const WINDOW: usize = 2;
-    const MESSAGES: usize = 16;
     // Large frames fill the kernel socket buffers after a handful of
-    // messages, so back-pressure reaches the producer well before the
-    // consumer wakes up.
+    // messages, so back-pressure reaches the producer while the
+    // consumer has not read a byte.
     const PAYLOAD: usize = 256 * 1024;
+    // Messages sent after the first one parked, and the number after
+    // which a producer that never parked gives up (far more bytes than
+    // loopback buffers hold).
+    const MORE: usize = 8;
+    const GIVE_UP: usize = 512;
 
     let (mut producer, mut consumer) =
         loopback_pair_tcp::<Vec<u8>>("SatSrc", "SatSink", Some(WINDOW), Some(1))
             .expect("loopback TCP pair");
+    let (parked, on_parked) = std::sync::mpsc::channel();
     let feeder = std::thread::spawn(move || {
-        for index in 0..MESSAGES {
+        let mut parked_at = None;
+        let mut index = 0;
+        while parked_at.is_none_or(|at| index < at + MORE) {
+            assert!(index < GIVE_UP, "the producer never parked on its window");
             let mut payload = vec![0xCD; PAYLOAD];
             payload[0] = index as u8;
-            executor::block_on(producer.send(payload)).expect("consumer alive");
+            let mut message = Some(payload);
+            executor::block_on(std::future::poll_fn(|cx| {
+                let poll = Transport::poll_send(&mut producer, cx, &mut message);
+                if poll.is_pending() && parked_at.is_none() {
+                    parked_at = Some(index);
+                    parked.send(()).expect("consumer waiting");
+                }
+                poll
+            }))
+            .expect("consumer alive");
+            index += 1;
         }
+        index
     });
-    // Let the producer saturate the window, the socket and the inbound
-    // ring before draining anything.
-    std::thread::sleep(Duration::from_millis(100));
-    for index in 0..MESSAGES {
-        let payload = executor::block_on(consumer.recv()).expect("producer sent all messages");
+    // Nothing is drained until the window, the socket and the kernel
+    // buffers behind it are all full.
+    on_parked.recv().expect("producer parks or panics");
+    let mut received = 0;
+    while let Some(payload) = executor::block_on(consumer.recv()) {
         assert_eq!(payload.len(), PAYLOAD);
-        assert_eq!(payload[0], index as u8, "frames delivered out of order");
+        assert_eq!(payload[0], received as u8, "frames delivered out of order");
+        received += 1;
     }
-    feeder.join().unwrap();
+    assert_eq!(received, feeder.join().unwrap());
     drop(consumer);
 
     if rumpsteak::telemetry::ENABLED {
@@ -207,18 +228,18 @@ fn saturating_producer_stalls_within_window() {
         assert_eq!(link.send_window, Some(WINDOW as u64));
         assert_eq!(link.kmc_bound, Some(WINDOW as u64));
         assert!(!link.window_exceeds_bound());
-        // The session-facing ring is bounded at k, so its watermark —
-        // measured race-free by the ring itself — proves the link never
-        // buffered past the verified depth.
+        // The link reports its window occupancy at every accepted
+        // frame, so the watermark proves it never buffered past the
+        // verified depth.
         let channels = rumpsteak::telemetry::channel::snapshot();
         let ring = channels
             .iter()
             .find(|l| l.from == "SatSrc" && l.to == "SatSink")
-            .expect("saturated ring registered");
+            .expect("saturated link's channel cell registered");
         assert!(ring.high_watermark >= 1);
         assert!(
             !ring.violates_bound(),
-            "ring watermark {} exceeded the verified bound {WINDOW}",
+            "window watermark {} exceeded the verified bound {WINDOW}",
             ring.high_watermark
         );
     }

@@ -25,7 +25,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::gate::{recorder, Gated, Handle, Registry};
+use crate::gate::{recorder, Handle, Registry};
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::Counter;
 
@@ -109,8 +109,6 @@ static LINKS: Registry<(&'static str, &'static str), LinkCell> =
 #[derive(Clone, Default)]
 pub struct LinkStats {
     cell: Handle<LinkCell>,
-    /// Which sides publish / consume latency stamps: `(send, recv)`.
-    stamps: Gated<(bool, bool)>,
 }
 
 impl LinkStats {
@@ -187,26 +185,13 @@ impl LinkStats {
         }
     }
 
-    /// Returns this handle with its stamp sides reconfigured. Both sides
-    /// default to on; a transport link disables the side whose ring
-    /// terminates in an I/O thread rather than a session future, so the
-    /// wire segment is measured by the frame trace context instead of
-    /// double-counted here.
-    #[must_use]
-    pub fn with_stamps(self, send: bool, recv: bool) -> Self {
-        LinkStats {
-            stamps: Gated::new(|| (send, recv)),
-            ..self
-        }
-    }
-
     /// Publishes a send timestamp into the link's stamp ring. Called at
     /// slot commit, *before* the tail release store, so the matching
     /// receive — which cannot observe the message earlier — finds the
     /// stamp already tagged.
     #[inline]
     pub fn stamp_send(&self) {
-        if let (Some(cell), Some((true, _))) = (self.cell.attached(), self.stamps.get()) {
+        if let Some(cell) = self.cell.attached() {
             let index = cell.stamp_send_seq.fetch_add(1, Ordering::Relaxed);
             let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
             slot.t.store(crate::trace::now_ns(), Ordering::Relaxed);
@@ -221,7 +206,7 @@ impl LinkStats {
     /// counted miss, never a bogus latency.
     #[inline]
     pub fn stamp_recv(&self) {
-        if let (Some(cell), Some((_, true))) = (self.cell.attached(), self.stamps.get()) {
+        if let Some(cell) = self.cell.attached() {
             let index = cell.stamp_recv_seq.fetch_add(1, Ordering::Relaxed);
             let slot = &cell.stamps[index as usize & (STAMP_SLOTS - 1)];
             if slot.tag.load(Ordering::Acquire) == index + 1 {
@@ -264,7 +249,6 @@ pub fn register(from: &'static str, to: &'static str) -> LinkStats {
 pub fn attach(from: &'static str, to: &'static str) -> LinkStats {
     LinkStats {
         cell: LINKS.attach((from, to)),
-        stamps: Gated::new(|| (true, true)),
     }
 }
 
@@ -495,7 +479,7 @@ mod tests {
     fn unmatched_recv_stamps_miss_safely() {
         // Receiver side of a cross-process link: sends never stamped
         // locally, so every recv stamp must miss, not fabricate data.
-        let stats = register("MissA", "MissB").with_stamps(false, true);
+        let stats = register("MissA", "MissB");
         stats.stamp_recv_batch(5);
         let links = snapshot();
         if crate::ENABLED {

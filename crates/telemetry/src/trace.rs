@@ -51,9 +51,9 @@ pub enum Kind {
     Select,
     /// An external choice was received (`Branch` resolved).
     Branch,
-    /// A wire frame was written to the socket (writer thread).
+    /// A wire frame was accepted for the socket (the link's `poll_send`).
     FrameSend,
-    /// A wire frame was decoded off the socket (reader thread).
+    /// A wire frame was decoded off the socket (the link's `poll_recv`).
     FrameRecv,
 }
 

@@ -17,9 +17,9 @@
 //! while a peer was still binding). The registered `send_window`
 //! mirrors the k-MC bound it was sized from, so tooling can assert
 //! `send_window <= kmc_bound` per link; the occupancy watermark that
-//! the bound promises to cap is recorded exactly by the link's
-//! session-facing ring in [`channel`](crate::channel), which the
-//! transport reuses unchanged.
+//! the bound promises to cap — frames accepted and not yet fully
+//! written — is recorded by the link under the same role pair in
+//! [`channel`](crate::channel), next to the in-process rings.
 //!
 //! Hot-path updates are relaxed atomic RMWs on the shared cell; the
 //! global registry mutex is touched only on registration and
@@ -61,7 +61,7 @@ static LINKS: Registry<(&'static str, &'static str), TransportCell> =
     Registry::new(|_| TransportCell::default());
 
 /// Hot-path statistics handle stored inside each instrumented remote
-/// link (and cloned into its writer/reader threads).
+/// link, one per direction.
 ///
 /// A ZST in disabled builds; [`Default`] yields an *unlabelled* handle
 /// whose recorders are no-ops even with telemetry on.
