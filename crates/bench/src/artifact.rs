@@ -120,8 +120,6 @@ json_record! {
         pub wakes: u64,
         pub batches: u64,
         pub batched_messages: u64,
-        pub pool_hits: u64,
-        pub pool_misses: u64,
         pub backpressure_parks: u64,
         pub instances: u64,
         pub stamp_misses: u64,
@@ -207,8 +205,7 @@ mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {
     high_watermark, kmc_bound, batch_window, grows, shrinks, waker_retries, sends, wakes,
-    batches, batched_messages, pool_hits, pool_misses, backpressure_parks, instances,
-    stamp_misses;
+    batches, batched_messages, backpressure_parks, instances, stamp_misses;
     from: link.from.to_owned(),
     to: link.to.to_owned(),
     latency: Quantiles::of(&link.latency),

@@ -24,7 +24,7 @@
 //!
 //! `--edge-costs` appends an `"edge_costs"` section: the per-link-class
 //! cost micro-profile (send/recv base ns and ns-per-byte slope for the
-//! SPSC, pooled-bounded, TCP and UDS classes — see `bench::edge_costs`)
+//! SPSC, TCP and UDS classes — see `bench::edge_costs`)
 //! that `rumpsteak-gen --optimise --costs BENCH_fig6.json` loads to rank
 //! AMR candidates by estimated nanoseconds saved.
 //!
@@ -231,18 +231,14 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
                 channels::spsc_burst(&rt, chan_burst);
             },
         );
-        // Large-payload streaming, alloc/move baseline vs the zero-copy
-        // data plane (pooled buffers + bounded ring + batch receive) at
-        // two payload sizes. The pooled row must beat its baseline by
-        // >= 25% at 1 KiB — that delta is what the pool and batch window
-        // exist to buy.
-        for payload in [1024usize, 16384] {
-            let suffix: &'static str = if payload == 1024 { "1k" } else { "16k" };
+        // Large-payload streaming (allocate, fill, move, free) at two
+        // payload sizes.
+        for (protocol, payload) in [
+            ("channel_spsc_burst_1k", 1024usize),
+            ("channel_spsc_burst_16k", 16384),
+        ] {
             bench(
-                match suffix {
-                    "1k" => "channel_spsc_burst_1k",
-                    _ => "channel_spsc_burst_16k",
-                },
+                protocol,
                 &[
                     ("messages", chan_payload_burst as u64),
                     ("payload_bytes", payload as u64),
@@ -250,20 +246,6 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
                 u64::from(chan_payload_burst),
                 &mut || {
                     channels::spsc_burst_payload(&rt, chan_payload_burst, payload);
-                },
-            );
-            bench(
-                match suffix {
-                    "1k" => "channel_spsc_burst_1k_pooled",
-                    _ => "channel_spsc_burst_16k_pooled",
-                },
-                &[
-                    ("messages", chan_payload_burst as u64),
-                    ("payload_bytes", payload as u64),
-                ],
-                u64::from(chan_payload_burst),
-                &mut || {
-                    channels::spsc_burst_pooled(&rt, chan_payload_burst, payload);
                 },
             );
         }
@@ -416,30 +398,30 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
 /// are `check::telemetry`, which the caller runs on the whole artifact.)
 fn telemetry_section(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)]) -> Telemetry {
     let section = Telemetry::snapshot(scheduler);
-    // The pooled streaming pair ran under telemetry: check its batch
-    // economics end to end — whole windows of messages per waker
-    // round-trip, not one wake per message.
-    if let Some(link) = section
+    // The streaming session's `S -> T` link is the one session link
+    // with a batch window (`bounds { S -> T: 6 }`) and it ran under
+    // telemetry: check its batch economics end to end — whole windows
+    // of messages per waker round-trip, not one wake per message.
+    let link = section
         .channels
         .iter()
-        .find(|l| l.from == channels::POOLED_BURST_FROM && l.to == channels::POOLED_BURST_TO)
-    {
-        assert!(
-            link.wakes < link.sends,
-            "pooled burst link delivered {} wakes for {} sends — the batch \
-             window saved no waker round-trips",
-            link.wakes,
-            link.sends,
-        );
-        // Every slot commit stamped and every pop read the stamp back:
-        // an empty histogram here means the latency path is dead.
-        assert!(
-            link.latency.is_some(),
-            "pooled burst link recorded {} sends but no send->recv \
-             latency samples",
-            link.sends,
-        );
-    }
+        .find(|l| l.from == "S" && l.to == "T")
+        .expect("the streaming rows ran, so their `S -> T` link is registered");
+    assert!(
+        link.wakes < link.sends,
+        "streaming `S -> T` link delivered {} wakes for {} sends — the \
+         batch window saved no waker round-trips",
+        link.wakes,
+        link.sends,
+    );
+    // Every slot commit stamped and every pop read the stamp back: an
+    // empty histogram here means the latency path is dead.
+    assert!(
+        link.latency.is_some(),
+        "streaming `S -> T` link recorded {} sends but no send->recv \
+         latency samples",
+        link.sends,
+    );
     // The loopback transport bench pairs each frame encode with its
     // decode on the in-process peer, so the wire-latency histogram must
     // have samples; empty means the trace-context stamp path is dead.

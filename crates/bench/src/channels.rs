@@ -16,20 +16,12 @@
 //!   writes, cached-index refreshes, growth) with wakeups amortised over
 //!   whole bursts rather than paid per message.
 
-use executor::channel::{unbounded, Bidirectional, LinkConfig};
+use executor::channel::{unbounded, Bidirectional};
 use executor::Runtime;
-
-use dep_telemetry as telemetry;
 
 /// Messages each burst turn publishes before yielding to the consumer;
 /// larger than the ring's initial capacity so growth stays on the path.
 const BURST_WINDOW: u32 = 64;
-
-/// Telemetry label of the pooled streaming link (producer side), so the
-/// `--telemetry` artifact can check its batch/pool/wake economics.
-pub const POOLED_BURST_FROM: &str = "BurstSrc";
-/// Telemetry label of the pooled streaming link (consumer side).
-pub const POOLED_BURST_TO: &str = "BurstSink";
 
 /// Bounces a token `rounds` times over one [`Bidirectional`] SPSC link;
 /// returns the number of round trips completed.
@@ -126,11 +118,10 @@ fn payload_seq(buf: &[u8]) -> u32 {
     u32::from_le_bytes(buf[..4].try_into().expect("payload holds a header"))
 }
 
-/// Large-payload burst over the naive alloc/move path: every message is
-/// a freshly allocated `Vec<u8>` of `payload` bytes, moved through an
-/// unbounded ring and freed by the consumer — O(messages) allocator
-/// traffic, one waker round-trip per parked receive. The baseline the
-/// pooled path is gated against.
+/// Large-payload burst: every message is a freshly allocated `Vec<u8>`
+/// of `payload` bytes, moved through an unbounded ring and freed by the
+/// consumer — O(messages) allocator traffic, one waker round-trip per
+/// parked receive.
 pub fn spsc_burst_payload(rt: &Runtime, messages: u32, payload: usize) -> u64 {
     let (mut source, mut sink) = Bidirectional::pair();
     let consumer = rt.spawn(async move {
@@ -156,55 +147,6 @@ pub fn spsc_burst_payload(rt: &Runtime, messages: u32, payload: usize) -> u64 {
                 next += 1;
             }
             executor::yield_now().await;
-        }
-    });
-    rt.block_on(producer).unwrap();
-    rt.block_on(consumer).unwrap()
-}
-
-/// The same large-payload stream over the zero-copy data plane: payload
-/// buffers come from the link's pool (recycled by the consumer's drop,
-/// O(k) allocations total), the ring is capacity-bounded at the burst
-/// window (the producer parks under back-pressure instead of growing),
-/// and the consumer drains through the k-sized batch window — one waker
-/// round-trip and one index publication per window of messages.
-pub fn spsc_burst_pooled(rt: &Runtime, messages: u32, payload: usize) -> u64 {
-    let window = BURST_WINDOW as usize;
-    // Register the capacity as this link's verified bound: the bounded
-    // ring makes it a hard runtime invariant, so the telemetry watermark
-    // check holds by construction.
-    telemetry::channel::set_bound(POOLED_BURST_FROM, POOLED_BURST_TO, window as u64);
-    telemetry::channel::set_bound(POOLED_BURST_TO, POOLED_BURST_FROM, 1);
-    let (mut source, mut sink) = Bidirectional::<executor::channel::PooledBuf>::pair_configured(
-        POOLED_BURST_FROM,
-        POOLED_BURST_TO,
-        LinkConfig {
-            bound_ab: Some(window),
-            bound_ba: Some(1),
-            bounded: true,
-        },
-    );
-    let pool = source.payload_pool_with_capacity(payload);
-    let consumer = rt.spawn(async move {
-        let mut received = 0u64;
-        let mut expected = 0u32;
-        // Dropping each buffer recycles it straight back to the pool.
-        while let Some(buf) = sink.recv().await {
-            assert_eq!(buf.len(), payload, "payload truncated");
-            assert_eq!(payload_seq(&buf), expected, "pooled burst out of order");
-            expected += 1;
-            received += 1;
-        }
-        received
-    });
-    let producer = rt.spawn(async move {
-        for seq in 0..messages {
-            let mut buf = pool.take();
-            fill_payload(&mut buf, payload, seq);
-            let mut slot = Some(buf);
-            std::future::poll_fn(|cx| source.poll_send(cx, &mut slot))
-                .await
-                .unwrap_or_else(|_| panic!("burst consumer dropped early"));
         }
     });
     rt.block_on(producer).unwrap();
@@ -238,26 +180,5 @@ mod tests {
     fn payload_burst_delivers_every_message_in_order() {
         let rt = Runtime::new(2);
         assert_eq!(spsc_burst_payload(&rt, 500, 1024), 500);
-    }
-
-    #[test]
-    fn pooled_burst_delivers_every_message_in_order() {
-        let rt = Runtime::new(2);
-        assert_eq!(spsc_burst_pooled(&rt, 500, 1024), 500);
-        if telemetry::ENABLED {
-            let links = telemetry::channel::snapshot();
-            let link = links
-                .iter()
-                .find(|l| l.from == POOLED_BURST_FROM && l.to == POOLED_BURST_TO)
-                .expect("pooled burst link registered");
-            // The bounded ring makes the verified bound a hard invariant.
-            assert!(!link.violates_bound(), "watermark exceeded the bound");
-            assert!(!link.violates_batch_window());
-            // Batch economics: far fewer waker handoffs than messages.
-            assert!(link.wakes < link.sends);
-            // Pool economics: the steady state recycles, so misses stay
-            // within the O(k) working set.
-            assert!(link.pool_misses <= BURST_WINDOW as u64 + 1);
-        }
     }
 }

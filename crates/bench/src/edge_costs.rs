@@ -17,10 +17,6 @@
 //!   measured rather than assumed. The per-byte slope comes from the
 //!   alloc/move payload path: allocating and filling the payload *is*
 //!   the honest per-byte cost of moving bytes through this class.
-//! * **`bounded`** — the zero-copy pooled path (bounded ring + buffer
-//!   pool + batch receive). Its per-byte slope is 10–15× shallower than
-//!   `spsc`'s; the base is the 1 KiB cost with the payload contribution
-//!   subtracted back out.
 //! * **`tcp` / `uds`** — the framed socket transport over loopback.
 //!   Base cost is half the measured ping-pong round trip (one framed
 //!   hop), split evenly between send and receive since the wire path is
@@ -87,22 +83,6 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 fn slope(ns_small: f64, ns_large: f64) -> f64 {
     let (small, large) = SLOPE_PAYLOADS;
     ((ns_large - ns_small) / (large - small) as f64).max(0.0)
-}
-
-/// Per-message base cost fitted from the two payload sweeps: the line's
-/// intercept, i.e. the small-payload cost with its payload contribution
-/// subtracted back out. A noisy large-payload run can steepen the slope
-/// until the intercept reaches zero or below; the fit has then failed
-/// to separate the two, and the measured small-payload cost itself is
-/// the base — an overestimate by the payload's share, but real work is
-/// never reported as free.
-fn fitted_base(ns_small: f64, ns_large: f64) -> f64 {
-    let intercept = ns_small - slope(ns_small, ns_large) * SLOPE_PAYLOADS.0 as f64;
-    if intercept > 0.0 {
-        intercept
-    } else {
-        ns_small
-    }
 }
 
 /// Floods the SPSC ring with `messages` values, then drains it: the two
@@ -193,24 +173,6 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
         slope(per_payload(small), per_payload(large)),
     ));
 
-    // bounded: the pooled zero-copy path; the fitted base is split
-    // evenly between the two ends.
-    let per_pooled = |payload: usize| {
-        best_of(reps, || {
-            timed(|| {
-                channels::spsc_burst_pooled(rt, payload_messages, payload);
-            }) / f64::from(payload_messages)
-        })
-    };
-    let (pooled_small, pooled_large) = (per_pooled(small), per_pooled(large));
-    let pooled_base = fitted_base(pooled_small, pooled_large) / 2.0;
-    classes.push(class_cost(
-        "bounded",
-        pooled_base,
-        pooled_base,
-        slope(pooled_small, pooled_large),
-    ));
-
     // tcp: one framed loopback hop is half the ping-pong round trip;
     // the wire path is symmetric, so send and receive split it evenly.
     let tcp_hop = best_of(reps, || {
@@ -274,22 +236,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fitted_base_survives_a_noisy_large_payload_run() {
-        // A clean fit: 100 ns at 1 KiB, 400 ns at 16 KiB.
-        let clean = fitted_base(100.0, 400.0);
-        assert!((clean - 80.0).abs() < 1e-9, "{clean}");
-        // The large sweep 4x slower than the small one predicts: the
-        // line's intercept is negative, the base must not collapse to 0.
-        assert_eq!(fitted_base(100.0, 6400.0), 100.0);
-    }
-
-    #[test]
     fn every_class_measures_finite_nonnegative_costs() {
         let rt = Runtime::new(2);
         let classes = measure(&rt, true);
         let names: Vec<&str> = classes.iter().map(|c| c.class.as_str()).collect();
         assert!(names.contains(&"spsc"));
-        assert!(names.contains(&"bounded"));
         assert!(names.contains(&"tcp"));
         #[cfg(unix)]
         assert!(names.contains(&"uds"));

@@ -64,8 +64,7 @@ const TELEMETRY: &str = r#"{
      "injector_pops": 0, "sibling_steals": 0, "spills": 0, "parks": 0, "unparks": 1}}],
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
     "grows": 0, "shrinks": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
-    "batched_messages": 40, "pool_hits": 0, "pool_misses": 0, "backpressure_parks": 0,
-    "instances": 2, "stamp_misses": 0,
+    "batched_messages": 40, "backpressure_parks": 0, "instances": 2, "stamp_misses": 0,
     "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
   "transport": [{"from": "Ping", "to": "Pong", "frames_sent": 500, "frames_received": 500,
     "bytes_sent": 8000, "bytes_received": 8000, "window_stalls": 3, "reconnects": 0,

@@ -137,23 +137,6 @@ fn every_protocol_matches_its_golden() {
     }
 }
 
-/// `examples/distributed_streaming.rs` is the `dstreaming` golden
-/// shipped verbatim as a runnable example; CI runs it as two OS
-/// processes. If the emitter changes, regenerate both copies.
-#[test]
-fn distributed_example_matches_its_golden() {
-    let example =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/distributed_streaming.rs");
-    let example = std::fs::read_to_string(example).expect("distributed example exists");
-    let golden =
-        std::fs::read_to_string(fixture("goldens", "dstreaming.rs")).expect("golden exists");
-    assert_eq!(
-        example, golden,
-        "examples/distributed_streaming.rs drifted from the dstreaming golden; \
-         copy the regenerated golden over the example"
-    );
-}
-
 #[test]
 fn generation_is_deterministic_across_runs() {
     let source = std::fs::read_to_string(fixture("protocols", "ring.scr")).unwrap();

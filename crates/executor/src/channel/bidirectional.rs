@@ -17,19 +17,17 @@
 //! each direction's bound becomes the endpoint's **batch-receive
 //! window** (the receiver drains up to k queued messages per waker
 //! round-trip into a local stash — k is precisely the number of
-//! in-flight messages the verification proves safe), sizes the
-//! endpoint's **payload-buffer pool** ([`Bidirectional::payload_pool`]),
-//! and — in bounded mode — caps the ring so an unverified producer
-//! parks instead of growing the queue past the verified depth.
+//! in-flight messages the verification proves safe) and — in bounded
+//! mode — caps the ring so an unverified producer parks instead of
+//! growing the queue past the verified depth.
 
 use std::collections::VecDeque;
 use std::task::{Context, Poll};
 
 use dep_telemetry as telemetry;
 
-use super::pool::BufferPool;
 use super::spsc::{spsc_with, SpscConfig, SpscReceiver, SpscSender};
-use super::{SendError, TrySendError};
+use super::SendError;
 
 /// Construction parameters for one role-to-role link, from the
 /// perspective of endpoint `a` in `pair_configured(a, b, config)`.
@@ -54,17 +52,7 @@ pub struct Bidirectional<T> {
     /// Batch-receive window for the incoming direction (1 = unbatched),
     /// from the verified k-MC bound of that direction.
     window: usize,
-    /// k-MC bound of the outgoing direction; sizes the payload pool.
-    send_bound: usize,
-    /// Telemetry label of the outgoing direction.
-    label: Option<(&'static str, &'static str)>,
-    /// Lazily created payload-buffer arena for outgoing messages.
-    pool: Option<BufferPool>,
 }
-
-/// Default byte capacity for payload-pool buffers when the caller does
-/// not specify one.
-const DEFAULT_PAYLOAD_CAPACITY: usize = 4096;
 
 impl<T> Bidirectional<T> {
     /// Creates both endpoints of a fresh link.
@@ -78,8 +66,8 @@ impl<T> Bidirectional<T> {
     /// statically verified k-MC bound; the names are discarded when
     /// telemetry is disabled) and shaped by the directions' verified
     /// k-MC bounds (see the module docs): bounds become batch-receive
-    /// windows and payload-pool sizes, and `config.bounded` additionally
-    /// caps each bounded direction's ring for back-pressure.
+    /// windows, and `config.bounded` additionally caps each bounded
+    /// direction's ring for back-pressure.
     pub fn pair_configured(a: &'static str, b: &'static str, config: LinkConfig) -> (Self, Self) {
         Self::build(Some((a, b)), config)
     }
@@ -90,10 +78,8 @@ impl<T> Bidirectional<T> {
             capacity: if config.bounded { bound } else { None },
             bound_hint: bound,
         };
-        let label_ab = label;
-        let label_ba = label.map(|(a, b)| (b, a));
-        let (ab_tx, ab_rx) = spsc_with(direction(config.bound_ab, label_ab));
-        let (ba_tx, ba_rx) = spsc_with(direction(config.bound_ba, label_ba));
+        let (ab_tx, ab_rx) = spsc_with(direction(config.bound_ab, label));
+        let (ba_tx, ba_rx) = spsc_with(direction(config.bound_ba, label.map(|(a, b)| (b, a))));
         let window = |bound: Option<usize>| bound.unwrap_or(1).max(1);
         if telemetry::ENABLED {
             // Record each direction's batch window next to its k-MC
@@ -109,43 +95,22 @@ impl<T> Bidirectional<T> {
                 rx: ba_rx,
                 stash: VecDeque::new(),
                 window: window(config.bound_ba),
-                send_bound: window(config.bound_ab),
-                label: label_ab,
-                pool: None,
             },
             Self {
                 tx: ba_tx,
                 rx: ab_rx,
                 stash: VecDeque::new(),
                 window: window(config.bound_ab),
-                send_bound: window(config.bound_ba),
-                label: label_ba,
-                pool: None,
             },
         )
     }
 
     /// Enqueues a message for the peer. Non-blocking and lock-free. On a
     /// back-pressured (bounded) link a full ring is reported as an error
-    /// like a closed one; use [`try_send`](Self::try_send) to tell the
-    /// cases apart or [`poll_send`](Self::poll_send) to park instead.
+    /// like a closed one; use [`poll_send`](Self::poll_send) to park
+    /// instead.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         self.tx.send(value)
-    }
-
-    /// Non-blocking send distinguishing a full bounded ring
-    /// ([`TrySendError::Full`], recoverable) from a dropped peer.
-    pub fn try_send(&mut self, value: T) -> Result<(), TrySendError<T>> {
-        self.tx.try_send(value)
-    }
-
-    /// Constructs a message directly in the ring slot it will occupy
-    /// (see [`SpscSender::send_with`]).
-    pub fn send_with<F>(&mut self, make: F) -> Result<(), TrySendError<()>>
-    where
-        F: FnOnce() -> T,
-    {
-        self.tx.send_with(make)
     }
 
     /// Poll-based send: reserves a slot (parking on a full bounded ring)
@@ -221,32 +186,6 @@ impl<T> Bidirectional<T> {
     /// unbatched).
     pub fn batch_window(&self) -> usize {
         self.window
-    }
-
-    /// The payload-buffer arena for messages sent over this endpoint,
-    /// created on first use with O(k) slots (k = the outgoing
-    /// direction's verified bound) and recording its hit/miss counters
-    /// onto this link's telemetry cell. Clones share the arena: hand one
-    /// clone to the peer so consumed payloads recycle back.
-    pub fn payload_pool(&mut self) -> BufferPool {
-        self.payload_pool_with_capacity(DEFAULT_PAYLOAD_CAPACITY)
-    }
-
-    /// Like [`payload_pool`](Self::payload_pool) with an explicit byte
-    /// capacity for freshly allocated buffers. The capacity only applies
-    /// when the pool is first created.
-    pub fn payload_pool_with_capacity(&mut self, default_capacity: usize) -> BufferPool {
-        if let Some(pool) = &self.pool {
-            return pool.clone();
-        }
-        let stats = match self.label {
-            Some((from, to)) => telemetry::channel::attach(from, to),
-            None => telemetry::channel::LinkStats::default(),
-        };
-        // k in flight plus one in the producer's hand.
-        let pool = BufferPool::with_stats(self.send_bound + 1, default_capacity, stats);
-        self.pool = Some(pool.clone());
-        pool
     }
 }
 
@@ -325,11 +264,11 @@ mod tests {
                 bounded: true,
             },
         );
-        a.try_send(1u32).unwrap();
-        a.try_send(2).unwrap();
-        assert!(matches!(a.try_send(3), Err(TrySendError::Full(3))));
+        a.send(1u32).unwrap();
+        a.send(2).unwrap();
+        assert!(matches!(a.send(3), Err(SendError(3))));
         assert_eq!(b.try_recv(), Some(1));
-        a.try_send(3).unwrap();
+        a.send(3).unwrap();
         crate::block_on(async {
             assert_eq!(b.recv().await, Some(2));
             assert_eq!(b.recv().await, Some(3));
@@ -347,17 +286,5 @@ mod tests {
             assert!(value.is_none());
             assert_eq!(b.recv().await, Some(9));
         });
-    }
-
-    #[test]
-    fn payload_pool_is_shared_per_endpoint() {
-        let (mut a, _b) = Bidirectional::<u8>::pair();
-        let pool = a.payload_pool();
-        let again = a.payload_pool();
-        let mut buf = pool.take();
-        buf.push(1);
-        drop(buf);
-        // Same arena: the recycled buffer is visible through both handles.
-        assert_eq!(again.idle(), 1);
     }
 }

@@ -14,12 +14,12 @@
 //!   counters only to publish their own side (one release store each) and
 //!   re-read the opposite counter only when the cached copy says
 //!   full/empty (the classic cached-index SPSC optimisation).
-//! * **Reserve/commit sends.** [`SpscSender::try_reserve`] hands out a
+//! * **Reserve/commit sends.** [`SpscSender::poll_reserve`] hands out a
 //!   [`SendSlot`] naming the ring slot the next message will occupy;
 //!   [`SendSlot::write`] moves the value straight into that slot and
-//!   publishes it. `send` and [`SpscSender::send_with`] are thin wrappers,
-//!   so a producer constructs each message once, at its final address,
-//!   instead of building it on the stack and moving it into the queue.
+//!   publishes it. `send` is a thin wrapper, so a producer constructs
+//!   each message once, at its final address, instead of building it on
+//!   the stack and moving it into the queue.
 //! * **Epoch-free growth, bounded shrink.** When an *unbounded* ring
 //!   fills, the producer allocates a doubled buffer, copies the live range
 //!   (logical indices keep their values, only the mask changes), publishes
@@ -36,14 +36,14 @@
 //!   whole retired chain immediately.
 //! * **Bounded mode (verified back-pressure).** A ring created with a
 //!   capacity never grows: once `tail - head` reaches the capacity,
-//!   `try_reserve`/`try_send` report [`TrySendError::Full`] and
+//!   `send` fails (handing the message back) and
 //!   [`SpscSender::poll_reserve`] *parks* the producer task until the
 //!   consumer frees a slot. Sized from a protocol's statically verified
 //!   k-MC bound, the capacity is one a verified execution can never
 //!   exceed — the park path is back-pressure insurance for unverified
 //!   callers, and telemetry counts every park so a verified protocol can
 //!   prove it paid nothing.
-//! * **Batched receive.** [`SpscReceiver::try_recv_batch`] pops up to a
+//! * **Batched receive.** `SpscReceiver::try_recv_batch` pops up to a
 //!   window of messages while publishing the consumer index *once*, so a
 //!   streaming consumer pays one release store (one cache-line handoff to
 //!   the producer) per window instead of per message; sized from the k-MC
@@ -79,7 +79,7 @@ use std::task::{Context, Poll, Waker};
 
 use dep_telemetry as telemetry;
 
-use super::{SendError, TrySendError};
+use super::SendError;
 
 /// Initial ring capacity (power of two). Small on purpose: session links
 /// are created per role pair, and most carry only a few in-flight labels.
@@ -323,16 +323,15 @@ impl<T> Drop for Inner<T> {
     }
 }
 
-/// Construction parameters for an SPSC ring; the named constructors
-/// ([`spsc`], [`spsc_bounded`]) cover the common shapes, [`spsc_with`]
-/// takes the full set.
+/// Construction parameters for an SPSC ring: [`spsc`] is the default
+/// shape, [`spsc_with`] takes the full set.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SpscConfig {
+pub(super) struct SpscConfig {
     /// Role names registering the link with the telemetry layer (ignored
     /// in uninstrumented builds).
     pub label: Option<(&'static str, &'static str)>,
     /// `Some(k)`: a capacity-capped ring that never grows and exerts
-    /// back-pressure (park or [`TrySendError::Full`]) at `k` in-flight
+    /// back-pressure (park, or a failed `send`) at `k` in-flight
     /// messages. `None`: the classic growable unbounded ring.
     pub capacity: Option<usize>,
     /// For unbounded rings, the verified k-MC bound (messages in flight a
@@ -347,18 +346,8 @@ pub fn spsc<T>() -> (SpscSender<T>, SpscReceiver<T>) {
     spsc_with(SpscConfig::default())
 }
 
-/// Creates a capacity-capped SPSC channel: the ring never grows, and a
-/// full queue exerts back-pressure instead. Size it from the protocol's
-/// verified k-MC bound and a correct execution never parks.
-pub fn spsc_bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
-    spsc_with(SpscConfig {
-        capacity: Some(capacity),
-        ..SpscConfig::default()
-    })
-}
-
 /// Creates an SPSC channel from the full [`SpscConfig`].
-pub fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T>) {
+pub(super) fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T>) {
     let stats = match config.label {
         Some((from, to)) => telemetry::channel::register(from, to),
         None => telemetry::channel::LinkStats::default(),
@@ -443,67 +432,43 @@ impl<T> SpscSender<T> {
     /// Publishes a message and hands the peer's waker to the scheduler if
     /// the peer is waiting. Never blocks. Fails when the receiver is
     /// gone — and, on a capacity-bounded ring, when the queue is full
-    /// (use [`try_send`](Self::try_send) to tell the two apart, or
-    /// [`poll_reserve`](Self::poll_reserve) to park until space frees).
+    /// (use [`poll_reserve`](Self::poll_reserve) to park until space
+    /// frees instead).
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
-        self.try_send(value).map_err(|error| match error {
-            TrySendError::Full(value) | TrySendError::Closed(value) => SendError(value),
-        })
-    }
-
-    /// Like [`send`](Self::send), but a full bounded ring is reported as
-    /// the recoverable [`TrySendError::Full`] instead of being folded
-    /// into the closed case.
-    pub fn try_send(&mut self, value: T) -> Result<(), TrySendError<T>> {
         match self.try_reserve() {
-            Ok(slot) => {
+            Some(slot) => {
                 slot.write(value);
                 Ok(())
             }
-            Err(TrySendError::Full(())) => Err(TrySendError::Full(value)),
-            Err(TrySendError::Closed(())) => Err(TrySendError::Closed(value)),
+            None => Err(SendError(value)),
         }
     }
 
-    /// Constructs a message directly in the ring slot it will occupy: the
-    /// closure runs after the slot is reserved, and its return value is
-    /// written straight to the slot address (a single move the optimiser
-    /// routinely elides into in-place construction), never to an
-    /// intermediate queue-transfer copy.
-    pub fn send_with<F>(&mut self, make: F) -> Result<(), TrySendError<()>>
-    where
-        F: FnOnce() -> T,
-    {
-        let slot = self.try_reserve()?;
-        slot.write(make());
-        Ok(())
-    }
-
-    /// Reserves the next ring slot without blocking. The returned
-    /// [`SendSlot`] publishes the message on [`write`](SendSlot::write);
-    /// dropping it instead abandons the reservation (nothing is
-    /// published). Fails with [`TrySendError::Full`] only on a
-    /// capacity-bounded ring.
-    pub fn try_reserve(&mut self) -> Result<SendSlot<'_, T>, TrySendError<()>> {
+    /// Reserves the next ring slot without blocking; `None` when the
+    /// receiver is gone or a capacity-bounded ring is full.
+    fn try_reserve(&mut self) -> Option<SendSlot<'_, T>> {
         if !self.inner.rx_alive.load(Acquire) {
-            return Err(TrySendError::Closed(()));
+            return None;
         }
         self.maybe_shrink();
         if self.tail - self.cached_head >= self.limit {
             self.cached_head = self.inner.head.load(Acquire);
             if self.tail - self.cached_head >= self.limit {
                 if self.bounded {
-                    return Err(TrySendError::Full(()));
+                    return None;
                 }
                 self.grow();
             }
         }
-        Ok(SendSlot { sender: self })
+        Some(SendSlot { sender: self })
     }
 
     /// Reserves the next ring slot, parking the task while a bounded ring
     /// is full; the consumer's next pop wakes it. On unbounded rings this
-    /// never returns `Pending`. Fails only when the receiver is gone.
+    /// never returns `Pending`. The returned [`SendSlot`] publishes the
+    /// message on [`write`](SendSlot::write); dropping it instead
+    /// abandons the reservation (nothing is published). Fails only when
+    /// the receiver is gone.
     pub fn poll_reserve(
         &mut self,
         cx: &mut Context<'_>,
@@ -540,25 +505,6 @@ impl<T> SpscSender<T> {
             }
         }
         Poll::Ready(Ok(SendSlot { sender: self }))
-    }
-
-    /// Sends `value`, awaiting queue space on a full bounded ring (the
-    /// back-pressure counterpart of the non-blocking [`send`](Self::send)).
-    pub fn send_wait(&mut self, value: T) -> SpscSendWait<'_, T> {
-        SpscSendWait {
-            sender: self,
-            value: Some(value),
-        }
-    }
-
-    /// True if the receiving half has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.inner.rx_alive.load(Acquire)
-    }
-
-    /// The back-pressure capacity, if this ring was created bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.bounded.then_some(self.limit)
     }
 
     /// Publishes the value just written to slot `tail` (the commit half
@@ -676,7 +622,7 @@ impl<T> Drop for SpscSender<T> {
 }
 
 /// A reserved ring slot: the reserve half of the producer's
-/// reserve/commit protocol (see [`SpscSender::try_reserve`]).
+/// reserve/commit protocol (see [`SpscSender::poll_reserve`]).
 ///
 /// [`write`](Self::write) moves a value directly into the slot and
 /// publishes it; dropping the reservation without writing publishes
@@ -697,34 +643,6 @@ impl<T> SendSlot<'_, T> {
         // `commit` publishes the write.
         unsafe { ptr::write((*sender.buffer).slot(sender.tail), MaybeUninit::new(value)) };
         sender.commit();
-    }
-}
-
-/// Future returned by [`SpscSender::send_wait`].
-#[must_use = "futures do nothing unless awaited"]
-pub struct SpscSendWait<'a, T> {
-    sender: &'a mut SpscSender<T>,
-    value: Option<T>,
-}
-
-impl<T> Future for SpscSendWait<'_, T> {
-    type Output = Result<(), SendError<T>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // No structural pinning: all fields are Unpin.
-        let this = unsafe { self.get_unchecked_mut() };
-        match this.sender.poll_reserve(cx) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(Err(SendError(()))) => {
-                let value = this.value.take().expect("polled after completion");
-                Poll::Ready(Err(SendError(value)))
-            }
-            Poll::Ready(Ok(slot)) => {
-                let value = this.value.take().expect("polled after completion");
-                slot.write(value);
-                Poll::Ready(Ok(()))
-            }
-        }
     }
 }
 
@@ -774,7 +692,7 @@ impl<T> SpscReceiver<T> {
     /// reuse slots (and unparks it on a bounded ring) — exactly **once**
     /// for the whole batch. Returns the number popped (0 when the queue
     /// is empty). A `window` of 0 is treated as 1.
-    pub fn try_recv_batch(&mut self, window: usize, out: &mut VecDeque<T>) -> usize {
+    pub(super) fn try_recv_batch(&mut self, window: usize, out: &mut VecDeque<T>) -> usize {
         if self.head == self.cached_tail && !self.refresh() {
             return 0;
         }
@@ -808,21 +726,6 @@ impl<T> SpscReceiver<T> {
         SpscRecv { receiver: self }
     }
 
-    /// Awaits at least one message, then drains up to `window` of them
-    /// into `out` with a single index publication; resolves to the number
-    /// drained (0 once the sender is gone and the queue is empty).
-    pub fn recv_batch<'a>(
-        &'a mut self,
-        window: usize,
-        out: &'a mut VecDeque<T>,
-    ) -> SpscRecvBatch<'a, T> {
-        SpscRecvBatch {
-            receiver: self,
-            window,
-            out,
-        }
-    }
-
     /// Poll-based receive for hand-written futures: `Ready(None)` once the
     /// sender is gone and the queue is drained. Lock-free in every state.
     pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
@@ -851,7 +754,7 @@ impl<T> SpscReceiver<T> {
     /// Poll-based batch receive: `Ready(n)` once `n >= 1` messages were
     /// drained into `out`, `Ready(0)` once the sender is gone and the
     /// queue is empty.
-    pub fn poll_recv_batch(
+    pub(super) fn poll_recv_batch(
         &mut self,
         cx: &mut Context<'_>,
         window: usize,
@@ -959,24 +862,6 @@ impl<T> Future for SpscRecv<'_, T> {
     }
 }
 
-/// Future returned by [`SpscReceiver::recv_batch`].
-#[must_use = "futures do nothing unless awaited"]
-pub struct SpscRecvBatch<'a, T> {
-    receiver: &'a mut SpscReceiver<T>,
-    window: usize,
-    out: &'a mut VecDeque<T>,
-}
-
-impl<T> Future for SpscRecvBatch<'_, T> {
-    type Output = usize;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // No structural pinning: all fields are Unpin.
-        let this = unsafe { self.get_unchecked_mut() };
-        this.receiver.poll_recv_batch(cx, this.window, this.out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,9 +906,7 @@ mod tests {
     fn send_fails_when_receiver_dropped() {
         let (mut tx, rx) = spsc::<u8>();
         drop(rx);
-        assert!(tx.send(1).is_err());
-        assert!(tx.is_closed());
-        assert!(matches!(tx.try_send(2), Err(TrySendError::Closed(2))));
+        assert!(matches!(tx.send(1), Err(SendError(1))));
     }
 
     #[test]
@@ -1112,35 +995,35 @@ mod tests {
         assert_eq!(rx.try_recv(), Some(7));
     }
 
-    #[test]
-    fn send_with_constructs_in_slot() {
-        let (mut tx, mut rx) = spsc::<Vec<u8>>();
-        tx.send_with(|| vec![1, 2, 3]).unwrap();
-        assert_eq!(rx.try_recv(), Some(vec![1, 2, 3]));
+    fn bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
+        spsc_with(SpscConfig {
+            capacity: Some(capacity),
+            ..SpscConfig::default()
+        })
     }
 
     #[test]
     fn bounded_reports_full_and_recovers() {
-        let (mut tx, mut rx) = spsc_bounded::<u32>(2);
-        assert_eq!(tx.capacity(), Some(2));
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        let (mut tx, mut rx) = bounded::<u32>(2);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert!(matches!(tx.send(3), Err(SendError(3))));
         assert_eq!(rx.try_recv(), Some(1));
-        tx.try_send(3).unwrap();
-        assert!(matches!(tx.try_send(4), Err(TrySendError::Full(4))));
+        tx.send(3).unwrap();
+        assert!(matches!(tx.send(4), Err(SendError(4))));
         assert_eq!(rx.try_recv(), Some(2));
         assert_eq!(rx.try_recv(), Some(3));
         assert_eq!(rx.try_recv(), None);
     }
 
     #[test]
-    fn bounded_send_wait_parks_until_space() {
+    fn bounded_reserve_parks_until_space() {
         let rt = crate::Runtime::new(2);
-        let (mut tx, mut rx) = spsc_bounded::<u32>(1);
+        let (mut tx, mut rx) = bounded::<u32>(1);
         let producer = rt.spawn(async move {
             for i in 0..100 {
-                tx.send_wait(i).await.unwrap();
+                std::future::poll_fn(|cx| tx.poll_reserve(cx).map(|slot| slot.unwrap().write(i)))
+                    .await;
             }
         });
         let consumer = rt.spawn(async move {
@@ -1153,26 +1036,6 @@ mod tests {
         });
         rt.block_on(producer).unwrap();
         assert_eq!(rt.block_on(consumer).unwrap(), 100);
-    }
-
-    #[test]
-    fn send_wait_fails_when_receiver_dropped_mid_park() {
-        let rt = crate::Runtime::new(2);
-        let (mut tx, mut rx) = spsc_bounded::<u32>(1);
-        tx.try_send(0).unwrap();
-        let producer = rt.spawn(async move {
-            // The ring is full; this parks until the receiver disappears.
-            tx.send_wait(1).await
-        });
-        let dropper = rt.spawn(async move {
-            crate::yield_now().await;
-            assert_eq!(rx.try_recv(), Some(0));
-            drop(rx);
-        });
-        rt.block_on(dropper).unwrap();
-        // Either the pop freed space first (Ok) or the closure won (Err);
-        // both mean the producer did not deadlock.
-        let _ = rt.block_on(producer).unwrap();
     }
 
     #[test]
@@ -1199,8 +1062,10 @@ mod tests {
         drop(tx);
         crate::block_on(async {
             let mut out = VecDeque::new();
-            assert_eq!(rx.recv_batch(16, &mut out).await, 2);
-            assert_eq!(rx.recv_batch(16, &mut out).await, 0);
+            for drained in [2, 0] {
+                let n = std::future::poll_fn(|cx| rx.poll_recv_batch(cx, 16, &mut out)).await;
+                assert_eq!(n, drained);
+            }
             assert_eq!(out, VecDeque::from([1, 2]));
         });
     }

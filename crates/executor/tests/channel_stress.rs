@@ -6,10 +6,13 @@
 //! the iteration counts scale down in debug builds so plain `cargo test`
 //! stays fast.
 
-use std::collections::VecDeque;
+use std::future::poll_fn;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::task::{Context, Poll, Waker};
 
-use executor::channel::{spsc, spsc_bounded, Bidirectional, TrySendError};
+use executor::channel::{
+    oneshot, spsc, Bidirectional, LinkConfig, SendError, SendSlot, SpscSender,
+};
 use executor::Runtime;
 
 #[cfg(debug_assertions)]
@@ -21,6 +24,18 @@ const MESSAGES: u64 = 500_000;
 const RACE_ITERATIONS: u64 = 50;
 #[cfg(not(debug_assertions))]
 const RACE_ITERATIONS: u64 = 500;
+
+/// A link whose `a → b` direction carries the k-MC bound `bound` (so `b`
+/// batch-receives with that window); `bounded` additionally caps that
+/// ring at the bound — the one door to the back-pressured ring.
+fn link<T>(bound: usize, bounded: bool) -> (Bidirectional<T>, Bidirectional<T>) {
+    let config = LinkConfig {
+        bound_ab: Some(bound),
+        bound_ba: None,
+        bounded,
+    };
+    Bidirectional::pair_configured("StressA", "StressB", config)
+}
 
 /// Splitmix-style deterministic RNG so failures reproduce.
 fn next_rand(state: &mut u64) -> u64 {
@@ -248,25 +263,32 @@ fn waker_handoff_interleavings() {
 }
 
 /// Two-thread in-place sends: the producer thread commits every message
-/// through the reserve/commit path (`try_reserve().write()` and
-/// `send_with`), racing a consumer thread across many growths and
+/// through the reserve/commit path (`poll_reserve` then `write`, and the
+/// `send` wrapper), racing a consumer thread across many growths and
 /// wraparounds. Exactly-once, in-order delivery must be identical to the
 /// plain `send` path.
 #[test]
 fn two_thread_in_place_send_exactly_once_in_order() {
     let (mut tx, mut rx) = spsc::<u64>();
+    fn reserve(tx: &mut SpscSender<u64>) -> SendSlot<'_, u64> {
+        // An unbounded ring never parks, so no waker is ever stored.
+        match tx.poll_reserve(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(Ok(slot)) => slot,
+            _ => unreachable!("receiver alive, ring growable"),
+        }
+    }
     let producer = std::thread::spawn(move || {
         for i in 0..MESSAGES {
             // Alternate the two commit flavours so both race the
             // consumer; an abandoned reservation in between must be
             // invisible.
             if i % 2 == 0 {
-                tx.try_reserve().unwrap().write(i);
+                reserve(&mut tx).write(i);
             } else {
-                tx.send_with(|| i).unwrap();
+                tx.send(i).unwrap();
             }
             if i % 1024 == 0 {
-                drop(tx.try_reserve().unwrap());
+                drop(reserve(&mut tx));
                 std::thread::yield_now();
             }
         }
@@ -282,9 +304,9 @@ fn two_thread_in_place_send_exactly_once_in_order() {
 
 /// Batch receives interleaved with the waker handoff at 1, 2 and 8
 /// workers: a producer task streams messages with yields sprinkled in, a
-/// consumer task drains through `recv_batch` with varying windows. Every
-/// message arrives exactly once, in order, and the final batch resolves
-/// to 0 only after the producer is gone.
+/// consumer task drains a windowed link (bounds 1, 3 and 16) through
+/// `Bidirectional::recv`. Every message arrives exactly once, in order,
+/// and the receive resolves to `None` only after the producer is gone.
 #[test]
 fn recv_batch_waker_handoff_across_workers() {
     #[cfg(debug_assertions)]
@@ -295,7 +317,8 @@ fn recv_batch_waker_handoff_across_workers() {
     for workers in [1usize, 2, 8] {
         for window in [1usize, 3, 16] {
             let rt = Runtime::new(workers);
-            let (mut tx, mut rx) = spsc::<u64>();
+            let (mut tx, mut rx) = link::<u64>(window, false);
+            assert_eq!(rx.batch_window(), window);
             let producer = rt.spawn(async move {
                 for i in 0..STREAM {
                     tx.send(i).unwrap();
@@ -305,18 +328,10 @@ fn recv_batch_waker_handoff_across_workers() {
                 }
             });
             let consumer = rt.spawn(async move {
-                let mut out = VecDeque::new();
                 let mut expected = 0u64;
-                loop {
-                    let n = rx.recv_batch(window, &mut out).await;
-                    if n == 0 {
-                        break;
-                    }
-                    assert!(n <= window.max(1), "{workers} workers, window {window}");
-                    while let Some(value) = out.pop_front() {
-                        assert_eq!(value, expected, "{workers} workers, window {window}");
-                        expected += 1;
-                    }
+                while let Some(value) = rx.recv().await {
+                    assert_eq!(value, expected, "{workers} workers, window {window}");
+                    expected += 1;
                 }
                 expected
             });
@@ -333,7 +348,8 @@ fn recv_batch_waker_handoff_across_workers() {
 /// Bounded-mode park/unpark under a deliberately full ring: a tiny
 /// capacity forces the producer through the back-pressure park on nearly
 /// every send while consumers of varying speed drain it. The capacity
-/// invariant (`in flight <= k`) is asserted on every observation.
+/// invariant is asserted on every observation: at most `k` in the ring
+/// plus the `k - 1` a batch receive left in the consumer's stash.
 #[test]
 fn bounded_park_unpark_under_full_ring() {
     #[cfg(debug_assertions)]
@@ -344,19 +360,20 @@ fn bounded_park_unpark_under_full_ring() {
     for capacity in [1usize, 2, 7] {
         for workers in [1usize, 2, 8] {
             let rt = Runtime::new(workers);
-            let (mut tx, mut rx) = spsc_bounded::<u64>(capacity);
+            let (mut tx, mut rx) = link::<u64>(capacity, true);
             let producer = rt.spawn(async move {
                 for i in 0..STREAM {
-                    tx.send_wait(i).await.unwrap();
+                    let mut slot = Some(i);
+                    poll_fn(|cx| tx.poll_send(cx, &mut slot)).await.unwrap();
                 }
             });
             let consumer = rt.spawn(async move {
                 let mut expected = 0u64;
                 loop {
+                    let pending = rx.pending();
                     assert!(
-                        rx.len() <= capacity,
-                        "capacity {capacity} exceeded: {} in flight",
-                        rx.len()
+                        pending < 2 * capacity,
+                        "capacity {capacity} exceeded: {pending} in flight"
                     );
                     match rx.recv().await {
                         Some(value) => {
@@ -381,30 +398,37 @@ fn bounded_park_unpark_under_full_ring() {
     }
 }
 
-/// The sync `try_send` path on a full bounded ring: `Full` is returned
-/// (with the value recoverable), never a growth, and the ring recovers
-/// as the consumer drains.
+/// A producer parked on a full capped ring must observe the receiver
+/// going away: the drop wakes it and the send resolves to an error that
+/// hands the message back, never a hang.
 #[test]
-fn bounded_try_send_full_is_recoverable() {
-    let (mut tx, mut rx) = spsc_bounded::<u64>(3);
-    let mut next = 0u64;
-    let mut expected = 0u64;
-    for _ in 0..10_000 {
-        match tx.try_send(next) {
-            Ok(()) => next += 1,
-            Err(TrySendError::Full(value)) => {
-                assert_eq!(value, next);
-                assert_eq!(rx.try_recv(), Some(expected));
-                expected += 1;
-            }
-            Err(TrySendError::Closed(_)) => unreachable!("receiver alive"),
-        }
+fn bounded_send_fails_when_receiver_dropped_mid_park() {
+    for workers in [1usize, 2] {
+        let rt = Runtime::new(workers);
+        let (mut tx, rx) = link::<u32>(1, true);
+        tx.send(0).unwrap();
+        let (parked_tx, parked_rx) = oneshot();
+        let producer = rt.spawn(async move {
+            let mut parked_tx = Some(parked_tx);
+            let mut slot = Some(1);
+            poll_fn(|cx| {
+                let poll = tx.poll_send(cx, &mut slot);
+                if let (Poll::Pending, Some(parked)) = (&poll, parked_tx.take()) {
+                    parked.send(());
+                }
+                poll
+            })
+            .await
+        });
+        let dropper = rt.spawn(async move {
+            // The ring is full and the producer's waker is armed.
+            parked_rx.await.unwrap();
+            drop(rx);
+        });
+        rt.block_on(dropper).unwrap();
+        let sent = rt.block_on(producer).unwrap();
+        assert!(matches!(sent, Err(SendError(1))), "{workers} workers");
     }
-    while let Some(value) = rx.try_recv() {
-        assert_eq!(value, expected);
-        expected += 1;
-    }
-    assert_eq!(expected, next);
 }
 
 /// Drop-mid-batch leak check: payloads drained into the batch stash but
@@ -432,35 +456,32 @@ fn drop_mid_batch_is_leak_free() {
 
     const SENT: usize = 500;
     {
-        let (mut tx, mut rx) = spsc::<Counted>();
+        let (mut tx, mut rx) = link::<Counted>(64, false);
         for i in 0..SENT {
             tx.send(Counted(i as u64)).unwrap();
         }
-        let mut out = VecDeque::new();
-        // Drain two windows into the stash, consume only part of one.
-        assert_eq!(rx.try_recv_batch(64, &mut out), 64);
-        assert_eq!(rx.try_recv_batch(32, &mut out), 32);
-        for _ in 0..40 {
-            drop(out.pop_front().unwrap());
+        // Drain two windows into the stash, consume only part of the
+        // second.
+        for _ in 0..70 {
+            drop(rx.try_recv().unwrap());
         }
-        assert_eq!(DROPS.load(Ordering::Relaxed), 40);
-        // 56 still in `out`, the rest still queued; drop everything.
-        drop(out);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 96);
-        drop((tx, rx));
+        assert_eq!(DROPS.load(Ordering::Relaxed), 70);
+        // 58 still stashed, the rest still queued; drop everything.
+        drop(rx);
+        assert_eq!(DROPS.load(Ordering::Relaxed), 128);
+        drop(tx);
     }
     assert_eq!(DROPS.load(Ordering::Relaxed), SENT);
 
     {
-        let (mut tx, mut rx) = spsc::<ZstToken>();
+        let (mut tx, mut rx) = link::<ZstToken>(100, false);
         for _ in 0..SENT {
             tx.send(ZstToken).unwrap();
         }
-        let mut out = VecDeque::new();
-        assert_eq!(rx.try_recv_batch(100, &mut out), 100);
-        drop(out);
+        drop(rx.try_recv().unwrap());
+        drop(rx);
         assert_eq!(ZST_DROPS.load(Ordering::Relaxed), 100);
-        drop((tx, rx));
+        drop(tx);
     }
     assert_eq!(ZST_DROPS.load(Ordering::Relaxed), SENT);
 }

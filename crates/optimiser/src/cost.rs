@@ -2,12 +2,12 @@
 //! nanoseconds saved* instead of the crude receives-crossed proxy.
 //!
 //! The proxy from the original search counts how many receives a send
-//! was moved ahead of — every crossing is worth the same. PR 7's
-//! pooled-buffer benches showed that is wrong by an order of magnitude:
-//! payload size dominates link cost (a 16 KiB `value` costs 10–15× a
-//! bare token), so hoisting a bulky send past a cheap `ready` can *lose*
-//! throughput even though it crosses a receive. This module prices each
-//! rewrite step with measured link costs:
+//! was moved ahead of — every crossing is worth the same. The
+//! large-payload burst benches showed that is wrong by an order of
+//! magnitude: payload size dominates link cost (a 16 KiB `value` costs
+//! 10–15× a bare token), so hoisting a bulky send past a cheap `ready`
+//! can *lose* throughput even though it crosses a receive. This module
+//! prices each rewrite step with measured link costs:
 //!
 //! * **benefit** — the latency of every receive the send was moved ahead
 //!   of no longer blocks the send: `recv_base_ns + ns_per_byte ×
@@ -27,15 +27,15 @@
 //!
 //! [`CostModel::from_profile`] reads the machine-readable `edge_costs`
 //! section that `fig6 --json --edge-costs` emits into `BENCH_fig6.json`:
-//! per link class (in-process SPSC, bounded/pooled, loopback TCP, UDS),
-//! a send base cost, a receive base cost and a per-byte transfer cost,
-//! each fitted from two payload sizes of the corresponding
-//! microbenchmark. [`CostModel::default_table`] is the documented
-//! fallback when no profile is supplied: a static table transcribed from
-//! the committed artifact's channel rows (SPSC burst ≈ 15 ns/token,
-//! 1 KiB burst ≈ 380 ns → ≈ 0.36 ns/byte; pooled ≈ 0.03 ns/byte;
-//! loopback sockets in the tens of µs per frame), so the ranking is
-//! sensible out of the box and exact with `--costs`.
+//! per link class (in-process SPSC, loopback TCP, UDS), a send base
+//! cost, a receive base cost and a per-byte transfer cost, each fitted
+//! from two payload sizes of the corresponding microbenchmark.
+//! [`CostModel::default_table`] is the documented fallback when no
+//! profile is supplied: a static table transcribed from the committed
+//! artifact's channel rows (SPSC burst ≈ 15 ns/token, 1 KiB burst
+//! ≈ 380 ns → ≈ 0.36 ns/byte; loopback sockets in the tens of µs per
+//! frame), so the ranking is sensible out of the box and exact with
+//! `--costs`.
 //!
 //! Sends are priced on the edge towards their peer, receives on the edge
 //! from theirs; [`CostModel::set_edge`] pins a per-peer override (used by
@@ -49,8 +49,8 @@
 //! layer moves for it, mirroring `rumpsteak::wire`: `unit` 0, `bool` 1,
 //! 32-bit ints 4, 64-bit ints and floats 8. Sorts whose size the type
 //! alone cannot determine use documented defaults: `str` 1024 (the
-//! smaller pooled-bench payload), custom sorts 16384 (the bulky
-//! pooled-bench payload — `buffer` in the double-buffering protocol).
+//! smaller burst-bench payload), custom sorts 16384 (the bulky
+//! burst-bench payload — `buffer` in the double-buffering protocol).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -69,11 +69,11 @@ use crate::rewrite::Step;
 pub const OCCUPANCY_FACTOR: f64 = 0.5;
 
 /// Assumed wire size of a `str` payload, in bytes (no static bound; the
-/// smaller pooled-bench payload is the documented default).
+/// smaller burst-bench payload is the documented default).
 pub const STR_WIRE_SIZE: usize = 1024;
 
 /// Assumed wire size of a custom (application-defined) payload sort, in
-/// bytes: the bulky pooled-bench payload, e.g. the double-buffering
+/// bytes: the bulky burst-bench payload, e.g. the double-buffering
 /// `buffer`.
 pub const CUSTOM_WIRE_SIZE: usize = 16384;
 
@@ -131,7 +131,7 @@ json_record! {
     /// One link class's measured [`EdgeCost`], keyed by class name.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ClassCost {
-        /// Class name (`spsc`, `bounded`, `tcp`, `uds`).
+        /// Class name (`spsc`, `tcp`, `uds`).
         pub class: String,
         /// Fixed cost of the send side of one message, in ns.
         pub send_base_ns: f64,
@@ -191,8 +191,7 @@ impl std::error::Error for CostError {}
 /// The per-edge cost table driving estimated-ns-saved scoring.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
-    /// Cost per link class, keyed by class name (`spsc`, `bounded`,
-    /// `tcp`, `uds`).
+    /// Cost per link class, keyed by class name (`spsc`, `tcp`, `uds`).
     classes: BTreeMap<String, EdgeCost>,
     /// The class priced for edges without an override: the in-process
     /// SPSC ring, the data plane generated code runs on.
@@ -215,16 +214,6 @@ impl CostModel {
                 send_base_ns: 15.0,
                 recv_base_ns: 15.0,
                 ns_per_byte: 0.36,
-            },
-        );
-        // channel_spsc_burst_1k_pooled ≈ 86 ns, 16k_pooled ≈ 506 ns →
-        // slope ≈ (506 − 86) / 15360 ≈ 0.03 ns/byte.
-        classes.insert(
-            "bounded".to_owned(),
-            EdgeCost {
-                send_base_ns: 12.0,
-                recv_base_ns: 12.0,
-                ns_per_byte: 0.03,
             },
         );
         // transport_tcp_pingpong ≈ 60–120 µs per round trip: tens of µs
@@ -404,10 +393,7 @@ mod tests {
         assert_eq!(model.class("spsc").unwrap().recv_base_ns, 30.0);
         assert_eq!(model.class("tcp").unwrap().ns_per_byte, 2.5);
         // Classes absent from the profile keep the documented fallback.
-        assert_eq!(
-            model.class("bounded"),
-            CostModel::default_table().class("bounded")
-        );
+        assert_eq!(model.class("uds"), CostModel::default_table().class("uds"));
     }
 
     #[test]

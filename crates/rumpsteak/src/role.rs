@@ -71,7 +71,7 @@ pub trait Label {
 pub struct Mesh<M> {
     pending: HashMap<(&'static str, &'static str), Bidirectional<M>>,
     /// Verified k-MC bound per directed channel; consulted when the link
-    /// is created to size its batch window and payload pool.
+    /// is created to size its batch window.
     bounds: HashMap<(&'static str, &'static str), usize>,
 }
 
@@ -104,8 +104,8 @@ impl<M> Mesh<M> {
     /// telemetry builds every session channel's occupancy watermark is
     /// tracked per role pair (and checked against a registered k-MC
     /// bound); in default builds the labels are discarded. Registered
-    /// bounds shape the link (batch window, pool size) in every build;
-    /// the rings stay growable.
+    /// bounds set the link's batch window in every build; the rings stay
+    /// growable.
     pub fn take(&mut self, from: &'static str, to: &'static str) -> Bidirectional<M> {
         if let Some(endpoint) = self.pending.remove(&(to, from)) {
             return endpoint;
@@ -177,7 +177,7 @@ impl<M> Mesh<M> {
 /// runs, so runtime watermarks are checked against it (`observed_depth
 /// <= k`). Only that registration is a no-op without the `telemetry`
 /// feature: in every build `connect()` also sizes each link's
-/// batch-receive window and payload pool from its bound:
+/// batch-receive window from its bound:
 ///
 /// ```ignore
 /// roles! {
@@ -227,8 +227,8 @@ macro_rules! roles {
         /// Instantiates every role with a fully connected channel mesh.
         ///
         /// Channels with a `bounds` clause entry are built with that
-        /// k-MC bound as their batch-receive window and payload-pool
-        /// size; the rings stay growable.
+        /// k-MC bound as their batch-receive window; the rings stay
+        /// growable.
         pub fn connect() -> ($($role),*) {
             // Register the statically verified per-channel bounds before
             // any link exists; re-registration max-merges, so repeated
@@ -242,7 +242,7 @@ macro_rules! roles {
             )*
             let mut mesh = $crate::role::Mesh::<$msg>::new();
             // The same bounds shape the links themselves: batch-receive
-            // windows and payload pools.
+            // windows.
             $(
                 mesh.set_bound(stringify!($bfrom), stringify!($bto), $bound as usize);
             )*

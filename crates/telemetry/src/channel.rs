@@ -9,10 +9,9 @@
 //! run — which is exactly the quantity the static bound promises to cap.
 //!
 //! Beyond the watermark-vs-bound check, the cell carries the data-plane
-//! efficiency counters the zero-copy path is judged by: `sends` against
+//! efficiency counters the batch path is judged by: `sends` against
 //! `wakes` (how many messages travelled per waker handoff), `batches`
-//! against `batched_messages` (the realised batch factor), pool
-//! `hits`/`misses` (payload-buffer reuse against the k-MC working set),
+//! against `batched_messages` (the realised batch factor),
 //! `backpressure_parks` (a *verified* protocol on a bounded ring must
 //! report zero) and `shrinks` (oversized rings retired at quiescent
 //! points). The registered `batch_window` mirrors the k-MC bound the
@@ -67,10 +66,6 @@ struct LinkCell {
     /// Messages moved by those drains (`batched_messages / batches` is
     /// the realised window).
     batched_messages: Counter,
-    /// Payload buffers served from the link's pool.
-    pool_hits: Counter,
-    /// Payload buffers freshly allocated because the pool was empty.
-    pool_misses: Counter,
     /// Producer parks on a full bounded ring (back-pressure engaged;
     /// zero for a verified protocol running at its k-MC capacity).
     backpressure_parks: Counter,
@@ -162,16 +157,6 @@ impl LinkStats {
     }
 
     recorder! {
-        /// Records one payload buffer served from the pool.
-        record_pool_hit => |cell| cell.pool_hits.incr()
-    }
-
-    recorder! {
-        /// Records one payload buffer allocated past the pool.
-        record_pool_miss => |cell| cell.pool_misses.incr()
-    }
-
-    recorder! {
         /// Records one producer park under back-pressure.
         record_backpressure_park => |cell| cell.backpressure_parks.incr()
     }
@@ -235,21 +220,13 @@ impl LinkStats {
 /// Registers (or re-attaches to) the directed link `from → to` and
 /// returns its hot-path handle. No-op handle in disabled builds.
 pub fn register(from: &'static str, to: &'static str) -> LinkStats {
-    let stats = attach(from, to);
+    let stats = LinkStats {
+        cell: LINKS.attach((from, to)),
+    };
     if let Some(cell) = stats.cell.attached() {
         cell.instances.incr();
     }
     stats
-}
-
-/// Attaches to the directed link `from → to` *without* counting a new
-/// instance: auxiliary structures sharing a link's telemetry cell (its
-/// payload-buffer pool, say) record onto the same counters without
-/// inflating `instances`. No-op handle in disabled builds.
-pub fn attach(from: &'static str, to: &'static str) -> LinkStats {
-    LinkStats {
-        cell: LINKS.attach((from, to)),
-    }
 }
 
 /// Registers the statically verified k-MC bound for the directed link
@@ -290,10 +267,6 @@ pub struct LinkSnapshot {
     pub batches: u64,
     /// Messages moved by batch drains.
     pub batched_messages: u64,
-    /// Payload buffers served from the pool.
-    pub pool_hits: u64,
-    /// Payload buffers allocated past the pool.
-    pub pool_misses: u64,
     /// Producer parks under back-pressure.
     pub backpressure_parks: u64,
     /// Link instances created under this name pair.
@@ -350,8 +323,6 @@ pub fn snapshot() -> Vec<LinkSnapshot> {
             wakes: cell.wakes.get(),
             batches: cell.batches.get(),
             batched_messages: cell.batched_messages.get(),
-            pool_hits: cell.pool_hits.get(),
-            pool_misses: cell.pool_misses.get(),
             backpressure_parks: cell.backpressure_parks.get(),
             instances: cell.instances.get(),
             kmc_bound: (bound > 0).then_some(bound),
@@ -420,9 +391,6 @@ mod tests {
         stats.record_wake();
         stats.record_batch(6);
         stats.record_batch(4);
-        stats.record_pool_hit();
-        stats.record_pool_hit();
-        stats.record_pool_miss();
         stats.record_backpressure_park();
         stats.record_shrink();
         let links = snapshot();
@@ -432,8 +400,6 @@ mod tests {
             assert_eq!(link.wakes, 1);
             assert_eq!(link.batches, 2);
             assert_eq!(link.batched_messages, 10);
-            assert_eq!(link.pool_hits, 2);
-            assert_eq!(link.pool_misses, 1);
             assert_eq!(link.backpressure_parks, 1);
             assert_eq!(link.shrinks, 1);
             assert_eq!(link.batch_window, Some(8));
@@ -518,8 +484,6 @@ mod tests {
         stats.record_send();
         stats.record_wake();
         stats.record_batch(10);
-        stats.record_pool_hit();
-        stats.record_pool_miss();
         stats.record_backpressure_park();
         stats.stamp_send();
         stats.stamp_recv();

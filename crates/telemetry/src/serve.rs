@@ -229,18 +229,6 @@ pub fn render() -> String {
     );
     family(
         &mut out,
-        "rumpsteak_channel_pool_hits_total",
-        "counter",
-        &rows(&|l| l.pool_hits),
-    );
-    family(
-        &mut out,
-        "rumpsteak_channel_pool_misses_total",
-        "counter",
-        &rows(&|l| l.pool_misses),
-    );
-    family(
-        &mut out,
         "rumpsteak_channel_backpressure_parks_total",
         "counter",
         &rows(&|l| l.backpressure_parks),
