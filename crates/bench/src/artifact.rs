@@ -1,4 +1,4 @@
-//! The `fig6 --json` artifact (`BENCH_fig6.json`) as Rust types.
+//! The `fig6 --json` artifact as Rust types.
 //!
 //! `fig6` builds an [`Artifact`] and writes its one JSON form;
 //! `bench-check` and the tests decode the same type, so the producer and
@@ -20,16 +20,8 @@ json_record! {
     pub struct Artifact {
         /// Always `"fig6"`.
         pub bench: String,
-        /// `"full"` or `"quick"`.
-        pub mode: String,
         /// `std::thread::available_parallelism` of the measuring host.
         pub host_parallelism: u64,
-        /// Provenance: revision the binary was built from.
-        pub git_revision: String,
-        /// Provenance: compiler that built it.
-        pub rustc_version: String,
-        /// Provenance: UTC timestamp of the run.
-        pub generated_at: String,
         /// Unit of every row's `ns_per_op`: `"ns/op"`.
         pub unit: String,
         /// One row per protocol × worker-thread count.
@@ -114,7 +106,6 @@ json_record! {
         pub kmc_bound: Option<u64>,
         pub batch_window: Option<u64>,
         pub grows: u64,
-        pub shrinks: u64,
         pub waker_retries: u64,
         pub sends: u64,
         pub wakes: u64,
@@ -204,8 +195,8 @@ mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
 });
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {
-    high_watermark, kmc_bound, batch_window, grows, shrinks, waker_retries, sends, wakes,
-    batches, batched_messages, backpressure_parks, instances, stamp_misses;
+    high_watermark, kmc_bound, batch_window, grows, waker_retries, sends, wakes, batches,
+    batched_messages, backpressure_parks, instances, stamp_misses;
     from: link.from.to_owned(),
     to: link.to.to_owned(),
     latency: Quantiles::of(&link.latency),

@@ -1,7 +1,7 @@
-//! Checks the artifacts the evaluation harness emits; CI's one gate.
+//! Checks the artifacts the evaluation harness emits: schema and
+//! cross-field invariants, no timing comparison.
 //!
 //! ```text
-//! bench-check gate BASELINE.json CURRENT.json   # fig6 run vs committed BENCH_fig6.json
 //! bench-check telemetry ARTIFACT.json           # fig6 --json --telemetry output
 //! bench-check report REPORT.json                # rumpsteak-gen --optimise --report output
 //! bench-check trace TRACE.json                  # rumpsteak-trace output
@@ -22,8 +22,7 @@ use bench::check;
 use theory::json::{self, Json, Value};
 
 const USAGE: &str = "\
-usage: bench-check gate BASELINE.json CURRENT.json
-       bench-check telemetry ARTIFACT.json
+usage: bench-check telemetry ARTIFACT.json
        bench-check report REPORT.json
        bench-check trace TRACE.json";
 
@@ -43,12 +42,6 @@ fn load<T: Json>(path: &str) -> Result<T, u8> {
 fn run(args: &[String]) -> Result<Vec<String>, u8> {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match args.as_slice() {
-        ["gate", baseline, current] => {
-            let (table, failures) =
-                check::gate(&load::<Artifact>(baseline)?, &load::<Artifact>(current)?);
-            print!("{table}");
-            Ok(failures)
-        }
         ["telemetry", path] => Ok(check::telemetry(&load::<Artifact>(path)?)),
         ["report", path] => Ok(check::report(&load::<Vec<optimiser::Report>>(path)?)),
         ["trace", path] => Ok(match load::<Value>(path)?.get("traceEvents") {

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig6 [streaming|double-buffering|fft]
-//! cargo run --release -p bench --bin fig6 -- --json [--quick] [--edge-costs] [--out PATH]
+//! cargo run --release -p bench --bin fig6 -- --json [--edge-costs] [--out PATH]
 //! cargo run --release -p bench --features telemetry --bin fig6 -- \
-//!     --json --telemetry [--quick] [--out PATH]
+//!     --json --telemetry [--out PATH]
 //! ```
 //!
 //! The default mode prints one row per parameter value with the
@@ -13,19 +13,18 @@
 //!
 //! `--json` instead sweeps the Rumpsteak implementations (plus the ring
 //! and mesh scheduler-scaling workloads, hand-wired and
-//! template-generated) across worker-thread counts and writes
-//! `BENCH_fig6.json` (protocol × threads × ns/op) — the repo's
-//! perf-trajectory artifact. `--quick` keeps the same workload sizes but
-//! shrinks the measurement budget and run count, so its per-op numbers
-//! stay comparable with the committed full-mode artifact (which the CI
-//! bench gate diffs against); so that smoke runs can never dirty the
-//! working tree, it defaults its output to the system temp directory.
-//! `--out PATH` routes the artifact anywhere explicitly.
+//! template-generated, and the socket transport) across worker-thread
+//! counts and writes the artifact (protocol × threads × ns/op) to
+//! `--out PATH`, by default `fig6.json` in the system temp directory so
+//! a run never dirties the working tree. The rows are mean-only smoke
+//! numbers: the sweep exists to run the whole stack (under telemetry, to
+//! fill its tables) and to host the edge-cost profile. Performance
+//! claims belong to `BENCHMARK.json` and the `benchmark/` package.
 //!
 //! `--edge-costs` appends an `"edge_costs"` section: the per-link-class
 //! cost micro-profile (send/recv base ns and ns-per-byte slope for the
 //! SPSC, TCP and UDS classes — see `bench::edge_costs`)
-//! that `rumpsteak-gen --optimise --costs BENCH_fig6.json` loads to rank
+//! that `rumpsteak-gen --optimise --costs PATH` loads to rank
 //! AMR candidates by estimated nanoseconds saved.
 //!
 //! `--telemetry` (instrumented builds only) appends a `"telemetry"`
@@ -48,20 +47,25 @@ use std::time::Duration;
 use bench::artifact::{Artifact, Row, Telemetry};
 use bench::protocols::{double_buffering, fft8, streaming};
 use bench::timing::{measure, throughput};
-use bench::{channels, check, meta, scaling, transport};
+use bench::{check, scaling, transport};
 use dep_telemetry as telemetry;
 use optimiser::cost::EdgeCosts;
 use theory::json::{self, Json};
 
+/// Measurement budget and run cap of one table cell.
 const BUDGET: Duration = Duration::from_millis(300);
 const MAX_RUNS: usize = 50;
+
+/// Measurement budget and run cap of one `--json` row; small, because
+/// the sweep's rows carry no performance claim (see the module docs).
+const SWEEP_BUDGET: Duration = Duration::from_millis(40);
+const SWEEP_MAX_RUNS: usize = 5;
 
 /// Worker-thread counts swept by `--json`.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let mut json = false;
-    let mut quick = false;
     let mut with_telemetry = false;
     let mut with_edge_costs = false;
     let mut out: Option<String> = None;
@@ -70,7 +74,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--quick" => quick = true,
             "--telemetry" => with_telemetry = true,
             "--edge-costs" => with_edge_costs = true,
             "--out" => match args.next() {
@@ -84,8 +87,8 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument `{other}`; expected \
-                     streaming|double-buffering|fft|all, --json, --quick, \
-                     --edge-costs, --out PATH"
+                     streaming|double-buffering|fft|all, --json, \
+                     --edge-costs, --telemetry, --out PATH"
                 );
                 std::process::exit(2);
             }
@@ -95,8 +98,8 @@ fn main() {
         eprintln!("--json always sweeps every protocol; drop the table name");
         std::process::exit(2);
     }
-    if (quick || out.is_some() || with_telemetry || with_edge_costs) && !json {
-        eprintln!("--quick, --out, --telemetry and --edge-costs only apply to --json mode");
+    if (out.is_some() || with_telemetry || with_edge_costs) && !json {
+        eprintln!("--out, --telemetry and --edge-costs only apply to --json mode");
         std::process::exit(2);
     }
     if with_telemetry && !telemetry::ENABLED {
@@ -108,7 +111,7 @@ fn main() {
     }
 
     if json {
-        emit_json(quick, with_telemetry, with_edge_costs, out);
+        emit_json(with_telemetry, with_edge_costs, out);
         return;
     }
     let which = which.unwrap_or_else(|| "all".into());
@@ -126,27 +129,11 @@ fn main() {
     }
 }
 
-fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path: Option<String>) {
-    let budget = if quick {
-        Duration::from_millis(40)
-    } else {
-        BUDGET
-    };
-    let max_runs = if quick { 5 } else { MAX_RUNS };
+fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<String>) {
     // Workload sizes: (ring tasks, ring laps, mesh peers, mesh rounds,
-    // streaming n, double-buffering n, fft columns). Quick mode keeps the
-    // *same* sizes and only shrinks the time budget and run count: per-op
-    // costs depend on workload shape, so shrinking sizes would make quick
-    // runs incomparable with the committed full-mode baseline the CI
-    // bench gate diffs against (a single run of every workload is well
-    // under a millisecond, so identical sizes cost quick mode nothing).
+    // streaming n, double-buffering n, fft columns).
     let (ring_tasks, ring_laps, mesh_peers, mesh_rounds, stream_n, buffer_n, fft_n) =
         (64, 100, 12, 50, 50, 10000, 1000);
-    // Channel-layer microbenches: rounds per ping-pong run, messages per
-    // burst run, messages per large-payload burst run (see
-    // `bench::channels`). Payload bursts move real bytes per message, so
-    // they run fewer messages than the token burst.
-    let (chan_rounds, chan_burst, chan_payload_burst) = (2000u32, 20000u32, 5000u32);
     // Networked-transport microbenches: rounds per framed ping-pong run
     // and messages per k-bounded burst run (see `bench::transport`),
     // sized so that one run — which also connects and tears down its
@@ -162,7 +149,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     for threads in THREADS {
         let rt = executor::Runtime::new(threads);
         let mut bench = |protocol: &str, params: &[(&str, u64)], ops: u64, f: &mut dyn FnMut()| {
-            let mean = measure(f, budget, max_runs);
+            let mean = measure(f, SWEEP_BUDGET, SWEEP_MAX_RUNS);
             results.push(Row {
                 protocol: protocol.to_owned(),
                 threads: threads as u64,
@@ -204,53 +191,8 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
                 gen_mesh.run(&rt, mesh_rounds);
             },
         );
-        // Channel layer: one op = one SPSC/MPSC round trip (ping-pong)
-        // or one delivered message (burst). The MPSC row is the
-        // mutex-channel baseline the lock-free ring must beat.
-        bench(
-            "channel_spsc_pingpong",
-            &[("rounds", chan_rounds as u64)],
-            u64::from(chan_rounds),
-            &mut || {
-                channels::spsc_ping_pong(&rt, chan_rounds);
-            },
-        );
-        bench(
-            "channel_mpsc_pingpong",
-            &[("rounds", chan_rounds as u64)],
-            u64::from(chan_rounds),
-            &mut || {
-                channels::mpsc_ping_pong(&rt, chan_rounds);
-            },
-        );
-        bench(
-            "channel_spsc_burst",
-            &[("messages", chan_burst as u64)],
-            u64::from(chan_burst),
-            &mut || {
-                channels::spsc_burst(&rt, chan_burst);
-            },
-        );
-        // Large-payload streaming (allocate, fill, move, free) at two
-        // payload sizes.
-        for (protocol, payload) in [
-            ("channel_spsc_burst_1k", 1024usize),
-            ("channel_spsc_burst_16k", 16384),
-        ] {
-            bench(
-                protocol,
-                &[
-                    ("messages", chan_payload_burst as u64),
-                    ("payload_bytes", payload as u64),
-                ],
-                u64::from(chan_payload_burst),
-                &mut || {
-                    channels::spsc_burst_payload(&rt, chan_payload_burst, payload);
-                },
-            );
-        }
-        // Networked transport: the same ping-pong/burst shapes over the
-        // framed socket path, windows capped at the k-MC bound (1 for
+        // Networked transport: ping-pong and burst over the framed
+        // socket path, windows capped at the k-MC bound (1 for
         // the alternating ping-pong, 64 for the burst). One op = one
         // framed round trip / one delivered frame.
         bench(
@@ -279,8 +221,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
             },
         );
         // Projected vs AMR-optimised streaming, side by side, like the
-        // double-buffering pair below: the CI quality gate compares the
-        // two rows to prove the optimiser's pick actually wins.
+        // double-buffering pair below.
         bench(
             "streaming_proj",
             &[("n", stream_n as u64)],
@@ -325,8 +266,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
         }
     }
 
-    // Every row must populate with a real timing (which rows must exist
-    // is `bench-check gate`'s business: it fails on a vanished one).
+    // Every row must populate with a real timing.
     for row in &results {
         assert!(
             row.ns_per_op.is_finite() && row.ns_per_op > 0.0,
@@ -339,7 +279,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     // two-worker runtime (one producer, one consumer — the shape every
     // class's harness needs).
     let edge_costs = with_edge_costs.then(|| {
-        let classes = bench::edge_costs::measure(&executor::Runtime::new(2), quick);
+        let classes = bench::edge_costs::measure(&executor::Runtime::new(2));
         assert!(
             !classes.is_empty(),
             "fig6 --edge-costs measured no link classes"
@@ -351,13 +291,7 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     });
     let artifact = Artifact {
         bench: "fig6".to_owned(),
-        mode: if quick { "quick" } else { "full" }.to_owned(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
-        // Provenance: a trajectory artifact without its revision,
-        // toolchain and date is not reproducible evidence.
-        git_revision: meta::git_revision(),
-        rustc_version: meta::rustc_version().to_owned(),
-        generated_at: meta::timestamp_utc(),
         unit: "ns/op".to_owned(),
         results,
         edge_costs,
@@ -373,14 +307,10 @@ fn emit_json(quick: bool, with_telemetry: bool, with_edge_costs: bool, out_path:
     }
     let out = format!("{:#}\n", artifact.to_json());
 
-    // Quick mode defaults to the system temp directory so CI smoke runs
-    // can neither clobber the committed full-mode trajectory artifact nor
-    // dirty the working tree; `--out` overrides either default.
-    let path = match out_path {
-        Some(path) => std::path::PathBuf::from(path),
-        None if quick => std::env::temp_dir().join("BENCH_fig6.quick.json"),
-        None => std::path::PathBuf::from("BENCH_fig6.json"),
-    };
+    let path = out_path.map_or_else(
+        || std::env::temp_dir().join("fig6.json"),
+        std::path::PathBuf::from,
+    );
     std::fs::write(&path, &out)
         .unwrap_or_else(|error| panic!("failed to write {}: {error}", path.display()));
     print!("{out}");

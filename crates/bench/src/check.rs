@@ -8,34 +8,9 @@
 //! before writing it, so an instrumented sweep doubles as an end-to-end
 //! check of the verifier's guarantee.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
 use optimiser::Report;
 
 use crate::artifact::{Artifact, Quantiles};
-
-/// Slowdown of a protocol's best row the gate tolerates against the
-/// committed baseline. Generous on purpose: shared CI runners and the
-/// quick mode's smaller sample must not trip it, an order-of-magnitude
-/// regression still does.
-pub const TOLERANCE: f64 = 2.5;
-
-/// Microbench families that must be present in both runs, so a row
-/// family cannot escape regression coverage by vanishing.
-pub const REQUIRED_FAMILIES: [&str; 2] = ["channel_", "transport_"];
-
-/// `(optimised, projected)` rows of the optimiser's quality loop: the
-/// AMR-optimised variant must beat the projection it replaced —
-/// strictly in the baseline (full measurement budget, so a loss there
-/// is a bad pick), within [`QUALITY_SLACK`] in the noisier current run.
-pub const QUALITY_PAIRS: [(&str, &str); 2] = [
-    ("double_buffering", "double_buffering_proj"),
-    ("streaming", "streaming_proj"),
-];
-
-/// Allowed optimised/projected ratio in the current (quick) run.
-pub const QUALITY_SLACK: f64 = 1.25;
 
 fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>) -> bool {
     let Some(q) = hist else {
@@ -53,7 +28,7 @@ fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>)
 
 /// Invariants of an instrumented `fig6 --json --telemetry` artifact:
 ///
-/// * provenance is present, and so is the `telemetry` section;
+/// * the `telemetry` section is present;
 /// * every scheduler entry has `threads` worker blocks and some worker
 ///   recorded polls;
 /// * every channel with a registered k-MC bound has `high_watermark <=
@@ -67,15 +42,6 @@ fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>)
 ///   role carry one (the stamp paths cannot all be dead).
 pub fn telemetry(artifact: &Artifact) -> Vec<String> {
     let mut errors = Vec::new();
-    for (key, value) in [
-        ("git_revision", &artifact.git_revision),
-        ("rustc_version", &artifact.rustc_version),
-        ("generated_at", &artifact.generated_at),
-    ] {
-        if value.is_empty() {
-            errors.push(format!("`{key}` is empty"));
-        }
-    }
     let Some(telemetry) = &artifact.telemetry else {
         errors.push("no `telemetry` section (run fig6 with --telemetry)".to_owned());
         return errors;
@@ -234,112 +200,4 @@ pub fn report(roles: &[Report]) -> Vec<String> {
         }
     }
     errors
-}
-
-/// Protocol → best (minimum) ns/op across thread counts.
-fn best_ns_per_op(artifact: &Artifact) -> BTreeMap<&str, f64> {
-    let mut best = BTreeMap::new();
-    for row in &artifact.results {
-        let entry = best.entry(row.protocol.as_str()).or_insert(f64::INFINITY);
-        *entry = row.ns_per_op.min(*entry);
-    }
-    best
-}
-
-/// Compares a fresh `fig6 --json` run against the committed baseline:
-/// every baseline protocol's best row within [`TOLERANCE`], both runs
-/// carrying the [`REQUIRED_FAMILIES`], and the [`QUALITY_PAIRS`]
-/// holding. Quick mode runs the same workload sizes as the full-mode
-/// baseline, so per-op numbers are directly comparable.
-///
-/// Returns the comparison table and the failures, worst regression
-/// first; the gate passes when the latter is empty.
-pub fn gate(baseline: &Artifact, current: &Artifact) -> (String, Vec<String>) {
-    let runs = [
-        ("baseline", best_ns_per_op(baseline), 1.0),
-        ("current", best_ns_per_op(current), QUALITY_SLACK),
-    ];
-    let [(_, base, _), (_, cur, _)] = &runs;
-    let mut table = format!(
-        "{:<30} {:>12} {:>12} {:>8}  verdict\n",
-        "protocol", "baseline", "current", "ratio"
-    );
-
-    // Every row is compared before any verdict is acted on: a perf PR
-    // gets the complete regression picture from a single CI run.
-    let mut regressions: Vec<(f64, String)> = Vec::new();
-    for (protocol, &base_ns) in base {
-        let Some(&cur_ns) = cur.get(protocol) else {
-            let _ = writeln!(
-                table,
-                "{protocol:<30} {base_ns:>12.1} {:>12} {:>8}  FAIL",
-                "MISSING", "-"
-            );
-            regressions.push((
-                f64::INFINITY,
-                format!("{protocol}: missing from current run"),
-            ));
-            continue;
-        };
-        let ratio = cur_ns / base_ns;
-        let ok = ratio <= TOLERANCE;
-        let verdict = if ok { "ok" } else { "FAIL" };
-        let _ = writeln!(
-            table,
-            "{protocol:<30} {base_ns:>12.1} {cur_ns:>12.1} {ratio:>8.2}  {verdict}"
-        );
-        if !ok {
-            regressions.push((
-                ratio,
-                format!(
-                    "{protocol}: {cur_ns:.1} ns/op vs baseline {base_ns:.1} \
-                     ({ratio:.2}x > tolerance {TOLERANCE}x)"
-                ),
-            ));
-        }
-    }
-    regressions.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let mut failures: Vec<String> = regressions.into_iter().map(|(_, line)| line).collect();
-    if base.is_empty() {
-        failures.push("baseline has no results".to_owned());
-    }
-
-    let _ = writeln!(
-        table,
-        "\n{:<44} {:>10} {:>10} {:>8}  verdict",
-        "quality pair", "opt", "proj", "ratio"
-    );
-    for (run, rows, limit) in &runs {
-        for family in REQUIRED_FAMILIES {
-            if !rows.keys().any(|protocol| protocol.starts_with(family)) {
-                failures.push(format!(
-                    "required protocol family `{family}` missing from {run} run"
-                ));
-            }
-        }
-        for (opt, proj) in QUALITY_PAIRS {
-            let (Some(opt_ns), Some(proj_ns)) = (rows.get(opt), rows.get(proj)) else {
-                failures.push(format!(
-                    "quality pair {opt} vs {proj}: row missing from {run} run"
-                ));
-                continue;
-            };
-            let ratio = opt_ns / proj_ns;
-            let ok = ratio <= *limit;
-            let _ = writeln!(
-                table,
-                "{:<44} {opt_ns:>10.1} {proj_ns:>10.1} {ratio:>8.2}  {}",
-                format!("{opt} vs {proj} [{run}]"),
-                if ok { "ok" } else { "FAIL" }
-            );
-            if !ok {
-                failures.push(format!(
-                    "{opt} vs {proj} [{run}]: optimised {opt_ns:.1} ns/op does not beat \
-                     projection {proj_ns:.1} ({ratio:.2}x > {limit}x) — the optimiser's \
-                     pick lost on the bench"
-                ));
-            }
-        }
-    }
-    (table, failures)
 }

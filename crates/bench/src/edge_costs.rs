@@ -23,8 +23,8 @@
 //!   symmetric; the slope comes from `Vec<u8>` payload bursts at the
 //!   same two sizes.
 //!
-//! Every value is clamped non-negative so a noisy quick run can never
-//! emit a profile `CostModel::from_profile` rejects.
+//! Every value is clamped non-negative so a noisy run can never emit a
+//! profile `CostModel::from_profile` rejects.
 
 use std::time::Instant;
 
@@ -37,17 +37,21 @@ use rumpsteak::net::{loopback_pair_tcp, NetLink};
 
 use theory::json;
 
-use crate::{channels, transport};
+use crate::transport;
 
 /// Telemetry label of the payload-sweep links (producer side).
 pub const EDGE_COST_FROM: &str = "EdgeCostSrc";
 /// Telemetry label of the payload-sweep links (consumer side).
 pub const EDGE_COST_TO: &str = "EdgeCostSink";
 
-/// Payload sizes the per-byte slope is fitted between; matching the
-/// `channel_spsc_burst_{1k,16k}` rows keeps the profile comparable with
-/// the throughput table in the same artifact.
+/// Payload sizes the per-byte slope is fitted between: the optimiser's
+/// assumed `str` and custom-sort wire sizes.
 const SLOPE_PAYLOADS: (usize, usize) = (1024, 16384);
+
+/// Messages each payload-burst turn publishes before yielding to the
+/// consumer; larger than the ring's initial capacity so growth stays on
+/// the path.
+const BURST_WINDOW: u32 = 64;
 
 /// Send window of the socket payload sweeps, mirroring the burst rows.
 const NET_WINDOW: usize = 64;
@@ -112,6 +116,38 @@ fn spsc_phases(rt: &Runtime, messages: u32) -> (f64, f64) {
     (send_ns, recv_ns)
 }
 
+/// Large-payload burst over the in-process ring: every message is a
+/// freshly allocated and filled `Vec<u8>` of `payload` bytes carrying a
+/// sequence header, moved through an unbounded ring in
+/// [`BURST_WINDOW`]-sized turns and freed by the consumer.
+fn spsc_burst_payload(rt: &Runtime, messages: u32, payload: usize) {
+    let (mut source, mut sink) = Bidirectional::<Vec<u8>>::pair();
+    let consumer = rt.spawn(async move {
+        let mut expected = 0u32;
+        while let Some(buf) = sink.recv().await {
+            assert_eq!(buf.len(), payload, "payload truncated");
+            let seq = u32::from_le_bytes(buf[..4].try_into().expect("payload holds a header"));
+            assert_eq!(seq, expected, "payload burst out of order");
+            expected += 1;
+        }
+        expected
+    });
+    let producer = rt.spawn(async move {
+        let mut next = 0u32;
+        while next < messages {
+            for _ in 0..BURST_WINDOW.min(messages - next) {
+                let mut buf = vec![0xA5; payload];
+                buf[..4].copy_from_slice(&next.to_le_bytes());
+                source.send(buf).unwrap();
+                next += 1;
+            }
+            executor::yield_now().await;
+        }
+    });
+    rt.block_on(producer).unwrap();
+    assert_eq!(rt.block_on(consumer).unwrap(), messages);
+}
+
 /// Floods `messages` payload vectors through one framed socket
 /// direction while the far side drains; returns total nanoseconds.
 fn net_payload_burst(
@@ -140,14 +176,12 @@ fn net_payload_burst(
     })
 }
 
-/// Measures every link class. `quick` shrinks iteration counts and
-/// repetitions the same way `fig6 --json --quick` shrinks its budget:
-/// same shapes, smaller sample.
-pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
-    let reps = if quick { 2 } else { 5 };
-    let spsc_messages: u32 = if quick { 4000 } else { 20000 };
-    let payload_messages: u32 = if quick { 1000 } else { 5000 };
-    let net_rounds: u32 = if quick { 500 } else { 2000 };
+/// Measures every link class.
+pub fn measure(rt: &Runtime) -> Vec<ClassCost> {
+    let reps = 2;
+    let spsc_messages: u32 = 4000;
+    let payload_messages: u32 = 1000;
+    let net_rounds: u32 = 500;
     let (small, large) = SLOPE_PAYLOADS;
 
     let mut classes = Vec::new();
@@ -162,7 +196,7 @@ pub fn measure(rt: &Runtime, quick: bool) -> Vec<ClassCost> {
     let per_payload = |payload: usize| {
         best_of(reps, || {
             timed(|| {
-                channels::spsc_burst_payload(rt, payload_messages, payload);
+                spsc_burst_payload(rt, payload_messages, payload);
             }) / f64::from(payload_messages)
         })
     };
@@ -238,7 +272,7 @@ mod tests {
     #[test]
     fn every_class_measures_finite_nonnegative_costs() {
         let rt = Runtime::new(2);
-        let classes = measure(&rt, true);
+        let classes = measure(&rt);
         let names: Vec<&str> = classes.iter().map(|c| c.class.as_str()).collect();
         assert!(names.contains(&"spsc"));
         assert!(names.contains(&"tcp"));

@@ -8,11 +8,7 @@
 //!   unrolls, nested choice, ring, k-buffering) targeting the subtyping
 //!   algorithm, k-MC and SoundBinary,
 //! * [`scaling`] — executor-scaling workloads (token ring, all-to-all
-//!   mesh) behind `fig6 --json`, which tracks scheduler throughput per
-//!   protocol × thread count in `BENCH_fig6.json`,
-//! * [`channels`] — channel-layer microbenchmarks (SPSC ping-pong and
-//!   burst throughput vs the mutex-MPSC baseline), also swept by
-//!   `fig6 --json`,
+//!   mesh) swept per thread count by `fig6 --json`,
 //! * [`transport`] — networked-transport microbenchmarks (framed
 //!   loopback TCP/UDS ping-pong and k-bounded burst) measuring the
 //!   distributed backend's wire path, also swept by `fig6 --json`,
@@ -20,8 +16,6 @@
 //!   `fig6 --json --edge-costs`: per-message send/recv base cost and
 //!   per-byte slope for each class, the measured table
 //!   `rumpsteak-gen --optimise --costs` ranks AMR candidates with,
-//! * [`meta`] — provenance metadata (git revision, rustc version,
-//!   timestamp) stamped into the JSON artifacts,
 //! * [`artifact`] — the `fig6 --json` artifact as Rust types, with its
 //!   one JSON encoding, and [`check`] — the invariants `bench-check`
 //!   (and `fig6` itself) hold it and the optimiser's report to,
@@ -30,13 +24,13 @@
 //! * [`timing`] — the harness's one wall-clock timing loop.
 //!
 //! The `fig6`, `fig7` and `table1` binaries print the corresponding
-//! tables; `bench-check` gates their machine-readable output in CI.
+//! tables; `bench-check` validates their machine-readable output in CI.
+//! None of this carries a performance claim: those belong to
+//! `BENCHMARK.json` and the standalone `benchmark/` package.
 
 pub mod artifact;
-pub mod channels;
 pub mod check;
 pub mod edge_costs;
-pub mod meta;
 pub mod protocols;
 pub mod scaling;
 pub mod table1;

@@ -15,7 +15,7 @@
 //!   socket pair, separating protocol-stack cost from framing cost.
 //! * **tcp burst** — one producer floods a k-bounded window while the
 //!   consumer drains: throughput of the framed path with back-pressure
-//!   engaged, the distributed analogue of the SPSC burst row.
+//!   engaged.
 //!
 //! Every link is labelled with the `Net*` role names below so the
 //! `--telemetry` artifact reports the transport rows separately from

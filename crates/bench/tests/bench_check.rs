@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use bench::artifact::{Artifact, ChannelRow};
+use bench::artifact::{Artifact, ChannelRow, Row};
 use optimiser::Report;
 use proptest::prelude::*;
 use theory::json::{self, Json, Value};
@@ -36,24 +36,18 @@ fn bench_check(args: &[&str]) -> (Option<i32>, String) {
 /// message containing `complaint`.
 fn assert_rejected(subcommand: &str, name: &str, doctored: &impl Json, complaint: &str) {
     let path = temp_json(name, doctored);
-    let path = path.to_str().unwrap();
-    let args = match subcommand {
-        "gate" => vec!["gate", committed_path(), path],
-        other => vec![other, path],
-    };
-    let (code, stderr) = bench_check(&args);
+    let (code, stderr) = bench_check(&[subcommand, path.to_str().unwrap()]);
     assert_eq!(code, Some(1), "{name}: {stderr}");
     assert!(stderr.contains(complaint), "{name}: {stderr}");
 }
 
-fn committed_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig6.json")
-}
-
-fn committed() -> Artifact {
-    let text = std::fs::read_to_string(committed_path()).expect("committed artifact readable");
-    json::decode(&text).expect("committed artifact decodes")
-}
+/// A measured edge-cost profile, as `fig6 --json --edge-costs` writes
+/// it (the rest of the artifact is not the optimiser's business).
+const PROFILE: &str = r#"{"edge_costs": {"unit": "ns", "classes": [
+  {"class": "spsc", "send_base_ns": 10.16, "recv_base_ns": 27.88, "ns_per_byte": 0.2898},
+  {"class": "tcp", "send_base_ns": 3541.2, "recv_base_ns": 3541.2, "ns_per_byte": 0.536},
+  {"class": "uds", "send_base_ns": 1099.48, "recv_base_ns": 1099.48, "ns_per_byte": 1.3709}
+]}}"#;
 
 /// A minimal `telemetry` section satisfying every invariant.
 const TELEMETRY: &str = r#"{
@@ -63,7 +57,7 @@ const TELEMETRY: &str = r#"{
     "external": {"spawns": 1, "completions": 0, "polls": 0, "lifo_hits": 0, "local_pops": 0,
      "injector_pops": 0, "sibling_steals": 0, "spills": 0, "parks": 0, "unparks": 1}}],
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
-    "grows": 0, "shrinks": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
+    "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
     "batched_messages": 40, "backpressure_parks": 0, "instances": 2, "stamp_misses": 0,
     "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
   "transport": [{"from": "Ping", "to": "Pong", "frames_sent": 500, "frames_received": 500,
@@ -74,22 +68,28 @@ const TELEMETRY: &str = r#"{
     "lifetime_ns": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}]
 }"#;
 
-/// The committed artifact with [`TELEMETRY`] attached.
+/// A minimal artifact with every section present: one row, [`PROFILE`]
+/// and [`TELEMETRY`].
 fn instrumented() -> Artifact {
+    let profile = json::parse(PROFILE).expect("fixture parses");
     Artifact {
+        bench: "fig6".to_owned(),
+        host_parallelism: 2,
+        unit: "ns/op".to_owned(),
+        results: vec![Row {
+            protocol: "streaming".to_owned(),
+            threads: 1,
+            params: [("n".to_owned(), 50)].into(),
+            ops: 50,
+            ns_per_op: 133.6,
+        }],
+        edge_costs: profile.field("edge_costs").expect("fixture decodes"),
         telemetry: Some(json::decode(TELEMETRY).expect("fixture decodes")),
-        ..committed()
     }
 }
 
 fn channel(artifact: &mut Artifact) -> &mut ChannelRow {
     &mut artifact.telemetry.as_mut().unwrap().channels[0]
-}
-
-#[test]
-fn committed_artifact_passes_the_gate_against_itself() {
-    let (code, stderr) = bench_check(&["gate", committed_path(), committed_path()]);
-    assert_eq!(code, Some(0), "{stderr}");
 }
 
 #[test]
@@ -154,8 +154,7 @@ fn report_accepts_fresh_output_and_rejects_each_violation() {
         codegen::optimise(&mut analysis, &config).expect("optimises")
     };
     let default_table = fresh(optimiser::CostModel::default_table());
-    let profile = std::fs::read_to_string(committed_path()).unwrap();
-    let measured = fresh(optimiser::CostModel::from_profile(&profile).expect("profile loads"));
+    let measured = fresh(optimiser::CostModel::from_profile(PROFILE).expect("profile loads"));
     for (name, reports) in [("default", &default_table), ("measured", &measured)] {
         assert!(
             reports.iter().any(|r| r.improved),
@@ -186,45 +185,10 @@ fn report_accepts_fresh_output_and_rejects_each_violation() {
 }
 
 #[test]
-fn gate_rejects_each_violation() {
-    let mut doctored = committed();
-    doctored
-        .results
-        .retain(|row| !row.protocol.starts_with("channel_"));
-    assert_rejected(
-        "gate",
-        "family",
-        &doctored,
-        "family `channel_` missing from current",
-    );
-
-    let mut doctored = committed();
-    for row in &mut doctored.results {
-        if row.protocol == "streaming_proj" {
-            row.ns_per_op *= 0.3; // no regression, but the optimised row now loses to it
-        }
-    }
-    assert_rejected(
-        "gate",
-        "quality",
-        &doctored,
-        "streaming vs streaming_proj [current]",
-    );
-
-    let mut doctored = committed();
-    for row in &mut doctored.results {
-        if row.protocol == "fft" {
-            row.ns_per_op *= 3.0;
-        }
-    }
-    assert_rejected("gate", "slower", &doctored, "fft:");
-}
-
-#[test]
 fn fresh_fig6_output_decodes_and_passes() {
     let out = std::env::temp_dir().join(format!("bench-check-fig6-{}.json", std::process::id()));
     let out = out.to_str().unwrap();
-    let mut args = vec!["--json", "--quick", "--edge-costs", "--out", out];
+    let mut args = vec!["--json", "--edge-costs", "--out", out];
     if rumpsteak::telemetry::ENABLED {
         args.push("--telemetry");
     }
@@ -239,7 +203,32 @@ fn fresh_fig6_output_decodes_and_passes() {
     );
     let text = std::fs::read_to_string(out).expect("fig6 wrote its artifact");
     let artifact: Artifact = json::decode(&text).expect("fresh artifact decodes");
-    assert_eq!(artifact.mode, "quick");
+    // The surviving row set by name: a vanished paper or `transport_*`
+    // row fails here.
+    const FAMILIES: [&str; 12] = [
+        "ring",
+        "mesh",
+        "gen_ring",
+        "gen_mesh",
+        "transport_tcp_pingpong",
+        "transport_uds_pingpong",
+        "transport_tcp_burst",
+        "streaming_proj",
+        "streaming",
+        "double_buffering_proj",
+        "double_buffering",
+        "fft",
+    ];
+    let rows: Vec<(&str, u64)> = artifact
+        .results
+        .iter()
+        .map(|row| (row.protocol.as_str(), row.threads))
+        .collect();
+    let expected: Vec<(&str, u64)> = [1, 2, 4, 8]
+        .iter()
+        .flat_map(|&threads| FAMILIES.map(|family| (family, threads)))
+        .collect();
+    assert_eq!(rows, expected);
     optimiser::CostModel::from_profile(&text).expect("fresh profile loads into the optimiser");
     if rumpsteak::telemetry::ENABLED {
         let (code, stderr) = bench_check(&["telemetry", out]);

@@ -7,7 +7,7 @@
 //! rumpsteak-gen protocol.scr --check --k 2        # verify before emitting
 //! rumpsteak-gen protocol.scr --param n=4          # instantiate `role w[1..n]`
 //! rumpsteak-gen protocol.scr --optimise --bound 2 # AMR-optimise projections
-//! rumpsteak-gen protocol.scr --optimise --costs BENCH_fig6.json  # measured costs
+//! rumpsteak-gen protocol.scr --optimise --costs fig6.json  # measured costs
 //! rumpsteak-gen protocol.scr --skeleton           # runnable program skeleton
 //! rumpsteak-gen protocol.scr --skeleton --distributed  # per-process program
 //! rumpsteak-gen protocol.scr --format dot         # Graphviz FSMs
@@ -65,11 +65,10 @@ options:
                             role) to FILE
     --costs FILE            with --optimise, rank candidates by measured
                             per-edge costs loaded from a bench artifact
-                            (the `edge_costs` section of BENCH_fig6.json,
-                            regenerated with `fig6 --json --edge-costs`);
+                            (the `edge_costs` section of what
+                            `fig6 --json --edge-costs --out FILE` writes);
                             without --costs a documented static default
-                            table calibrated on the committed artifact is
-                            used
+                            table is used
     --check                 verify the system about to be emitted (the
                             optimised one under --optimise): k-MC
                             (deadlocks, reception errors, orphans) plus a

@@ -20,20 +20,16 @@
 //!   publishes it. `send` is a thin wrapper, so a producer constructs
 //!   each message once, at its final address, instead of building it on
 //!   the stack and moving it into the queue.
-//! * **Epoch-free growth, bounded shrink.** When an *unbounded* ring
-//!   fills, the producer allocates a doubled buffer, copies the live range
-//!   (logical indices keep their values, only the mask changes), publishes
-//!   it with a release store and *retires* the old buffer onto an
-//!   intrusive chain instead of freeing it. A consumer that raced the
-//!   growth keeps reading the old buffer — frozen by the producer from
-//!   that point on — and picks up the new one the next time it refreshes
-//!   its cached `tail`. Conversely, a ring that grew during a burst does
-//!   not hold the peak-size buffer forever: the producer periodically
-//!   probes for a quiescent point (`head == tail`, i.e. the queue is
-//!   empty, so no slot is live and the consumer provably re-reads the
-//!   buffer pointer before its next access) and swaps back to the
-//!   configured shrink target, freeing the oversized buffer *and* its
-//!   whole retired chain immediately.
+//! * **Epoch-free growth.** When an *unbounded* ring fills, the producer
+//!   allocates a doubled buffer, copies the live range (logical indices
+//!   keep their values, only the mask changes), publishes it with a
+//!   release store and *retires* the old buffer onto an intrusive chain
+//!   instead of freeing it. A consumer that raced the growth keeps
+//!   reading the old buffer — frozen by the producer from that point on —
+//!   and picks up the new one the next time it refreshes its cached
+//!   `tail`. The chain is freed when the channel drops. A ring sized from
+//!   its protocol's k-MC bound never grows; un-hinted rings (the paper's
+//!   queues are unbounded) double until they fit their peak.
 //! * **Bounded mode (verified back-pressure).** A ring created with a
 //!   capacity never grows: once `tail - head` reaches the capacity,
 //!   `send` fails (handing the message back) and
@@ -84,12 +80,6 @@ use super::SendError;
 /// Initial ring capacity (power of two). Small on purpose: session links
 /// are created per role pair, and most carry only a few in-flight labels.
 const MIN_CAP: usize = 16;
-
-/// How often (in sends) an oversized unbounded ring probes for the
-/// quiescent point that lets it shrink back to its target capacity. The
-/// probe costs one acquire load of `head`, so it is rationed rather than
-/// paid on every send.
-const SHRINK_PROBE: usize = 64;
 
 /// Not armed. The cell may still hold a disarmed waker from an earlier
 /// round, which the parked side re-arms cheaply when `will_wake` matches.
@@ -246,8 +236,7 @@ struct Buffer<T> {
     /// Power-of-two capacity; `cap - 1` is the index mask.
     cap: usize,
     /// The buffer this one replaced, kept allocated (never read through)
-    /// until the channel drops — or until a quiescent-point shrink proves
-    /// no reader can exist — so a consumer racing a growth still reads
+    /// until the channel drops, so a consumer racing a growth still reads
     /// valid memory.
     retired: *mut Buffer<T>,
 }
@@ -335,8 +324,8 @@ pub(super) struct SpscConfig {
     /// messages. `None`: the classic growable unbounded ring.
     pub capacity: Option<usize>,
     /// For unbounded rings, the verified k-MC bound (messages in flight a
-    /// correct execution can reach): the quiescent-point shrink retires
-    /// oversized buffers back toward it. Ignored in bounded mode.
+    /// correct execution can reach): the initial ring is sized to hold it,
+    /// so a verified session never grows. Ignored in bounded mode.
     pub bound_hint: Option<usize>,
 }
 
@@ -353,19 +342,12 @@ pub(super) fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T
         None => telemetry::channel::LinkStats::default(),
     };
     let capacity = config.capacity.map(|c| c.max(1));
-    let (cap, shrink_target) = match capacity {
-        // A bounded ring is allocated at its final size once and never
-        // grows or shrinks.
-        Some(limit) => {
-            let cap = limit.next_power_of_two();
-            (cap, cap)
-        }
-        None => {
-            let target = config
-                .bound_hint
-                .map_or(MIN_CAP, |k| k.next_power_of_two().max(MIN_CAP));
-            (target, target)
-        }
+    let cap = match capacity {
+        // A bounded ring is allocated at its final size once.
+        Some(limit) => limit.next_power_of_two(),
+        None => config
+            .bound_hint
+            .map_or(MIN_CAP, |k| k.next_power_of_two().max(MIN_CAP)),
     };
     let buffer = Box::into_raw(Buffer::alloc(cap, ptr::null_mut()));
     let inner = Arc::new(Inner {
@@ -386,7 +368,6 @@ pub(super) fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T
             cap,
             limit,
             bounded: capacity.is_some(),
-            shrink_target,
             tail: 0,
             cached_head: 0,
             armed_waker: None,
@@ -414,9 +395,6 @@ pub struct SpscSender<T> {
     limit: usize,
     /// Bounded mode: full means back-pressure, never growth.
     bounded: bool,
-    /// Capacity the quiescent-point shrink retires oversized buffers
-    /// back to; equals `cap` in bounded mode (shrink disabled).
-    shrink_target: usize,
     /// Mirror of `inner.tail` (only the producer advances it).
     tail: usize,
     /// Last observed `inner.head`; always <= the true head, so staleness
@@ -450,7 +428,6 @@ impl<T> SpscSender<T> {
         if !self.inner.rx_alive.load(Acquire) {
             return None;
         }
-        self.maybe_shrink();
         if self.tail - self.cached_head >= self.limit {
             self.cached_head = self.inner.head.load(Acquire);
             if self.tail - self.cached_head >= self.limit {
@@ -476,7 +453,6 @@ impl<T> SpscSender<T> {
         if !self.inner.rx_alive.load(Acquire) {
             return Poll::Ready(Err(SendError(())));
         }
-        self.maybe_shrink();
         if self.tail - self.cached_head >= self.limit {
             self.cached_head = self.inner.head.load(Acquire);
             if self.tail - self.cached_head >= self.limit {
@@ -571,41 +547,6 @@ impl<T> SpscSender<T> {
         self.buffer = new;
         self.cap *= 2;
         self.limit = self.cap;
-    }
-
-    /// Rations the quiescent-point probe: every [`SHRINK_PROBE`] sends
-    /// while the ring is oversized, refresh `head` and shrink if the
-    /// queue turns out to be empty.
-    #[inline]
-    fn maybe_shrink(&mut self) {
-        if self.cap > self.shrink_target && self.tail.is_multiple_of(SHRINK_PROBE) {
-            self.cached_head = self.inner.head.load(Acquire);
-            if self.cached_head == self.tail {
-                self.shrink();
-            }
-        }
-    }
-
-    /// Swaps the oversized ring for a fresh target-capacity buffer and
-    /// frees the old one together with its whole retired chain. Producer
-    /// only, and only at a quiescent point.
-    #[cold]
-    fn shrink(&mut self) {
-        let old = self.buffer;
-        let new = Box::into_raw(Buffer::alloc(self.shrink_target, ptr::null_mut()));
-        self.inner.buffer.store(new, Release);
-        self.buffer = new;
-        self.cap = self.shrink_target;
-        self.limit = self.cap;
-        // Safety: `head == tail` (loaded acquire in `maybe_shrink`, so
-        // the consumer's last slot read happens-before this free), no
-        // logical index is live, and the consumer dereferences a buffer
-        // pointer only under `head < cached_tail` — which forces it to
-        // first observe a tail we publish *after* the new buffer, and
-        // therefore to reload the pointer. Nothing can read the old
-        // chain again.
-        unsafe { Buffer::free_chain(old) };
-        self.inner.stats.record_shrink();
     }
 }
 
@@ -1071,39 +1012,11 @@ mod tests {
     }
 
     #[test]
-    fn oversized_ring_shrinks_at_quiescent_point() {
-        let (mut tx, mut rx) = spsc::<usize>();
-        // Grow well past the shrink target…
-        for i in 0..(MIN_CAP * 16) {
-            tx.send(i).unwrap();
-        }
-        for i in 0..(MIN_CAP * 16) {
-            assert_eq!(rx.try_recv(), Some(i));
-        }
-        assert!(tx.cap > MIN_CAP);
-        // …then keep sending and draining: once a probe lands on an empty
-        // queue the ring must retire the oversized buffer.
-        for i in 0..(SHRINK_PROBE * 2) {
-            tx.send(i).unwrap();
-            assert_eq!(rx.try_recv(), Some(i));
-        }
-        assert_eq!(tx.cap, MIN_CAP);
-        // The shrunk ring still works, including re-growth.
-        for i in 0..(MIN_CAP * 4) {
-            tx.send(i).unwrap();
-        }
-        for i in 0..(MIN_CAP * 4) {
-            assert_eq!(rx.try_recv(), Some(i));
-        }
-    }
-
-    #[test]
     fn bound_hint_sizes_the_initial_ring() {
         let (tx, _rx) = spsc_with::<u32>(SpscConfig {
             bound_hint: Some(100),
             ..SpscConfig::default()
         });
         assert_eq!(tx.cap, 128);
-        assert_eq!(tx.shrink_target, 128);
     }
 }

@@ -26,16 +26,15 @@
 //! # Where the numbers come from
 //!
 //! [`CostModel::from_profile`] reads the machine-readable `edge_costs`
-//! section that `fig6 --json --edge-costs` emits into `BENCH_fig6.json`:
+//! section of the artifact `fig6 --json --edge-costs` writes:
 //! per link class (in-process SPSC, loopback TCP, UDS), a send base
 //! cost, a receive base cost and a per-byte transfer cost, each fitted
 //! from two payload sizes of the corresponding microbenchmark.
 //! [`CostModel::default_table`] is the documented fallback when no
-//! profile is supplied: a static table transcribed from the committed
-//! artifact's channel rows (SPSC burst ≈ 15 ns/token, 1 KiB burst
-//! ≈ 380 ns → ≈ 0.36 ns/byte; loopback sockets in the tens of µs per
-//! frame), so the ranking is sensible out of the box and exact with
-//! `--costs`.
+//! profile is supplied: a static table of round defaults (SPSC
+//! ≈ 15 ns/token, a 1 KiB payload ≈ 380 ns → ≈ 0.36 ns/byte; loopback
+//! sockets in the tens of µs per frame), so the ranking is sensible out
+//! of the box and measured on the deploying host with `--costs`.
 //!
 //! Sends are priced on the edge towards their peer, receives on the edge
 //! from theirs; [`CostModel::set_edge`] pins a per-peer override (used by
@@ -202,12 +201,12 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The documented static fallback, transcribed from the committed
-    /// `BENCH_fig6.json` channel and transport rows (see module docs).
+    /// The documented static fallback (see module docs).
     pub fn default_table() -> Self {
         let mut classes = BTreeMap::new();
-        // channel_spsc_burst ≈ 14.5 ns/token; channel_spsc_burst_1k
-        // ≈ 379 ns → slope ≈ (379 − 14.5) / 1024 ≈ 0.36 ns/byte.
+        // Documented defaults: a token burst ≈ 14.5 ns/message, a 1 KiB
+        // payload burst ≈ 379 ns → slope ≈ (379 − 14.5) / 1024
+        // ≈ 0.36 ns/byte.
         classes.insert(
             "spsc".to_owned(),
             EdgeCost {
@@ -216,8 +215,9 @@ impl CostModel {
                 ns_per_byte: 0.36,
             },
         );
-        // transport_tcp_pingpong ≈ 60–120 µs per round trip: tens of µs
-        // per framed one-way hop, split evenly between the two sides.
+        // Documented defaults: a loopback round trip of 60–120 µs, i.e.
+        // tens of µs per framed one-way hop, split evenly between the
+        // two sides.
         classes.insert(
             "tcp".to_owned(),
             EdgeCost {
@@ -243,7 +243,7 @@ impl CostModel {
     }
 
     /// Loads the `edge_costs` section of a `fig6 --json --edge-costs`
-    /// artifact (`BENCH_fig6.json`). Classes present in the profile
+    /// artifact. Classes present in the profile
     /// replace the default table's entries; the rest keep their
     /// documented fallbacks, so a partial profile still ranks sensibly.
     pub fn from_profile(profile: &str) -> Result<Self, CostError> {

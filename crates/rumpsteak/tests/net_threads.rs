@@ -37,11 +37,18 @@ fn any_number_of_loopback_pairs_share_one_reactor_thread() {
         round_trip(&mut a, &mut b);
         round_trip(&mut c, &mut d);
         assert_eq!(threads() - before, 1);
-        let reactors = std::fs::read_dir("/proc/self/task")
-            .expect("procfs mounted")
-            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .filter(|name| name.trim() == "io-reactor")
-            .count();
-        assert_eq!(reactors, 1);
+        let reactors = || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("procfs mounted")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|name| name.trim() == "io-reactor")
+                .count()
+        };
+        // A thread names itself once it runs; until then `comm` still
+        // reads as its parent's. The watchdog bounds the wait.
+        while reactors() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(reactors(), 1);
     });
 }

@@ -11,11 +11,10 @@
 //! Beyond the watermark-vs-bound check, the cell carries the data-plane
 //! efficiency counters the batch path is judged by: `sends` against
 //! `wakes` (how many messages travelled per waker handoff), `batches`
-//! against `batched_messages` (the realised batch factor),
+//! against `batched_messages` (the realised batch factor) and
 //! `backpressure_parks` (a *verified* protocol on a bounded ring must
-//! report zero) and `shrinks` (oversized rings retired at quiescent
-//! points). The registered `batch_window` mirrors the k-MC bound the
-//! receive window was sized from, so tooling can assert
+//! report zero). The registered `batch_window` mirrors the k-MC bound
+//! the receive window was sized from, so tooling can assert
 //! `batch_window <= kmc_bound` per link.
 //!
 //! Hot-path updates (`LinkStats::record_depth` and friends) are relaxed
@@ -52,8 +51,6 @@ struct LinkCell {
     high_watermark: Counter,
     /// Ring growth events.
     grows: Counter,
-    /// Quiescent-point shrink events (oversized buffers retired).
-    shrinks: Counter,
     /// Waker-handoff CAS retries (contended registration/wake races).
     waker_retries: Counter,
     /// Messages published.
@@ -134,11 +131,6 @@ impl LinkStats {
     recorder! {
         /// Records one ring growth event.
         record_grow => |cell| cell.grows.incr()
-    }
-
-    recorder! {
-        /// Records one quiescent-point shrink event.
-        record_shrink => |cell| cell.shrinks.incr()
     }
 
     recorder! {
@@ -255,8 +247,6 @@ pub struct LinkSnapshot {
     pub high_watermark: u64,
     /// Ring growth events.
     pub grows: u64,
-    /// Quiescent-point shrink events.
-    pub shrinks: u64,
     /// Waker-handoff CAS retries.
     pub waker_retries: u64,
     /// Messages published.
@@ -317,7 +307,6 @@ pub fn snapshot() -> Vec<LinkSnapshot> {
             to,
             high_watermark: cell.high_watermark.get(),
             grows: cell.grows.get(),
-            shrinks: cell.shrinks.get(),
             waker_retries: cell.waker_retries.get(),
             sends: cell.sends.get(),
             wakes: cell.wakes.get(),
@@ -392,7 +381,6 @@ mod tests {
         stats.record_batch(6);
         stats.record_batch(4);
         stats.record_backpressure_park();
-        stats.record_shrink();
         let links = snapshot();
         if crate::ENABLED {
             let link = links.iter().find(|l| l.from == "PlaneA").unwrap();
@@ -401,7 +389,6 @@ mod tests {
             assert_eq!(link.batches, 2);
             assert_eq!(link.batched_messages, 10);
             assert_eq!(link.backpressure_parks, 1);
-            assert_eq!(link.shrinks, 1);
             assert_eq!(link.batch_window, Some(8));
             assert!(!link.violates_batch_window());
             // The messages-per-wake economy the batch path is judged by.
@@ -479,7 +466,6 @@ mod tests {
         let stats = LinkStats::default();
         stats.record_depth(1000);
         stats.record_grow();
-        stats.record_shrink();
         stats.record_waker_retry();
         stats.record_send();
         stats.record_wake();

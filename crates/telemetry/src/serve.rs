@@ -223,12 +223,6 @@ pub fn render() -> String {
     );
     family(
         &mut out,
-        "rumpsteak_channel_shrinks_total",
-        "counter",
-        &rows(&|l| l.shrinks),
-    );
-    family(
-        &mut out,
         "rumpsteak_channel_backpressure_parks_total",
         "counter",
         &rows(&|l| l.backpressure_parks),

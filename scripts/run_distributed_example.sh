@@ -80,21 +80,19 @@ trap 'exit 130' INT TERM
 topology="$workdir/topology.txt"
 metrics_port=""
 if [[ "$mode" == tcp || -n "$trace_bin" ]]; then
-    # Free loopback ports, bound briefly by python to reserve them: two
-    # for a TCP topology, one more for the metrics endpoint.
+    # Loopback ports nobody listens on (a connect probe is refused),
+    # drawn below the kernel's ephemeral range: two for a TCP topology,
+    # one more for the metrics endpoint. A port can still be taken
+    # between the probe and the role's bind; the role then fails loudly.
     count=0
     [[ "$mode" == tcp ]] && count=2
     [[ -n "$trace_bin" ]] && count=$((count + 1))
-    read -r -a ports < <(COUNT="$count" python3 - <<'EOF'
-import os, socket
-sockets = [socket.socket() for _ in range(int(os.environ["COUNT"]))]
-for s in sockets:
-    s.bind(("127.0.0.1", 0))
-print(*(s.getsockname()[1] for s in sockets))
-for s in sockets:
-    s.close()
-EOF
-)
+    ports=()
+    while ((${#ports[@]} < count)); do
+        port=$((20000 + RANDOM % 12768))
+        [[ " ${ports[*]} " == *" $port "* ]] && continue
+        (exec 3<> "/dev/tcp/127.0.0.1/$port") 2> /dev/null || ports+=("$port")
+    done
     [[ -n "$trace_bin" ]] && metrics_port="${ports[-1]}"
 fi
 if [[ "$mode" == tcp ]]; then
@@ -106,41 +104,45 @@ fi
 echo "== topology ($mode) =="
 cat "$topology"
 
-if [[ -n "$trace_bin" ]]; then
-    # Polls role S's metrics endpoint until the exposition carries
-    # per-link wire-latency histogram series (and every line parses),
-    # then saves that scrape. Exits 1 on timeout — the run is over and
-    # the endpoint is gone, so a miss means the mid-run window closed
-    # without a valid scrape.
-    cat > "$workdir/scrape.py" <<'EOF'
-import pathlib, re, sys, time, urllib.request
-
-url, out_path, ready_path = sys.argv[1], sys.argv[2], sys.argv[3]
-line_re = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [0-9.e+-]+$")
-# The session is over in milliseconds, so the launcher holds the roles
-# back until this file exists — interpreter startup must not eat the
-# scrape window.
-pathlib.Path(ready_path).touch()
-deadline = time.monotonic() + 30
-while time.monotonic() < deadline:
-    try:
-        with urllib.request.urlopen(url, timeout=1) as response:
-            body = response.read().decode()
-    except OSError:
-        time.sleep(0.0005)
-        continue
-    for line in body.splitlines():
-        if line and not line.startswith("#") and not line_re.match(line):
-            sys.exit(f"unparseable exposition line: {line!r}")
-    if 'rumpsteak_wire_latency_ns{' in body and 'quantile="0.99"' in body:
-        with open(out_path, "w") as handle:
-            handle.write(body)
-        print(f"scraped {len(body)} byte(s) mid-run")
-        sys.exit(0)
-    time.sleep(0.0005)
-sys.exit("metrics endpoint never served per-link histogram series")
-EOF
-fi
+# Polls role S's metrics endpoint until the exposition carries per-link
+# wire-latency histogram series (and every line parses), then saves
+# that scrape. Fails on timeout — the run is over and the endpoint is
+# gone, so a miss means the mid-run window closed without a valid
+# scrape. Builtins only inside the loop: the session is over in
+# milliseconds, so a fork per poll would eat the scrape window.
+scrape() {
+    local line_re='^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [0-9.e+-]+$'
+    local deadline=$((SECONDS + 30)) lines line body in_headers
+    # The launcher holds the roles back until this file exists.
+    : > "$workdir/scrape.ready"
+    while ((SECONDS < deadline)); do
+        if ! { exec 3<> "/dev/tcp/127.0.0.1/$metrics_port"; } 2> /dev/null; then
+            continue
+        fi
+        printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
+        mapfile -t lines <&3
+        exec 3<&-
+        body=""
+        in_headers=1
+        for line in "${lines[@]}"; do
+            if ((in_headers)); then
+                [[ "$line" == $'\r' ]] && in_headers=0
+            elif [[ -n "$line" && "$line" != \#* && ! "$line" =~ $line_re ]]; then
+                echo "unparseable exposition line: $line" >&2
+                return 1
+            else
+                body+="$line"$'\n'
+            fi
+        done
+        if [[ "$body" == *'rumpsteak_wire_latency_ns{'* && "$body" == *'quantile="0.99"'* ]]; then
+            printf '%s' "$body" > "$workdir/metrics.txt"
+            echo "scraped ${#body} byte(s) mid-run"
+            return 0
+        fi
+    done
+    echo "metrics endpoint never served per-link histogram series" >&2
+    return 1
+}
 
 # One telemetry attempt can lose the race between the scraper and a
 # fast session (the endpoint lives exactly as long as the run), so the
@@ -152,9 +154,7 @@ for attempt in $(seq 1 "$attempts"); do
     scrape_pid=""
     if [[ -n "$trace_bin" ]]; then
         rm -f "$workdir/scrape.ready"
-        python3 "$workdir/scrape.py" \
-            "http://127.0.0.1:$metrics_port/metrics" "$workdir/metrics.txt" \
-            "$workdir/scrape.ready" > "$workdir/scrape.log" 2>&1 &
+        scrape > "$workdir/scrape.log" 2>&1 &
         scrape_pid=$!
         pids+=("$scrape_pid")
         # Hold the roles until the scraper is actually polling.

@@ -9,7 +9,7 @@
 //!     that sends on that edge, leaves candidates avoiding the edge
 //!     untouched, and therefore never lifts an on-edge candidate above
 //!     an off-edge candidate that already out-ranked it;
-//! (c) the acceptance pin: with the committed `BENCH_fig6.json` profile
+//! (c) the acceptance pin: with a measured `fig6 --edge-costs` profile
 //!     loaded through `CostModel::from_profile`, the optimiser ranks the
 //!     small-payload hoist above the large-payload hoist on a protocol
 //!     where the receives-crossed proxy scores them equal.
@@ -224,14 +224,19 @@ proptest! {
 /// (c) the acceptance pin. Receives-crossed scores the bulky hoist
 /// (`q!big(str)` past `p?a`) and the cheap hoist (`s!tiny(i32)` past
 /// `p?b`) identically — and generation order ranks the bulky one first.
-/// The measured profile from the committed artifact must flip that:
+/// The measured profile must flip that:
 /// the per-byte cost makes parking 1 KiB in the channel more expensive
 /// than parking 4 bytes, so the cheap hoist wins.
 #[test]
 fn committed_profile_ranks_cheap_payload_hoist_above_bulky_one() {
-    let artifact = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fig6.json");
-    let profile = std::fs::read_to_string(artifact).expect("committed BENCH_fig6.json readable");
-    let model = CostModel::from_profile(&profile).expect("committed artifact carries edge_costs");
+    // One `fig6 --json --edge-costs` measurement, trimmed to the section
+    // the optimiser reads.
+    let profile = r#"{"edge_costs": {"unit": "ns", "classes": [
+      {"class": "spsc", "send_base_ns": 10.16, "recv_base_ns": 27.88, "ns_per_byte": 0.2898},
+      {"class": "tcp", "send_base_ns": 3541.2, "recv_base_ns": 3541.2, "ns_per_byte": 0.536},
+      {"class": "uds", "send_base_ns": 1099.48, "recv_base_ns": 1099.48, "ns_per_byte": 1.3709}
+    ]}}"#;
+    let model = CostModel::from_profile(profile).expect("profile carries edge_costs");
     assert_eq!(model.source(), CostSource::Measured);
 
     fn single(candidate: &optimiser::Candidate) -> Option<&Step> {
