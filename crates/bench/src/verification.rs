@@ -48,6 +48,13 @@ fn rediscover(role: &str, projected: &LocalType, expected: &LocalType, depth: us
         .clone()
 }
 
+/// Runs k-MC on a family's `(system, k)` instance. The instances are
+/// public so that the k-MC differential test explores exactly what Fig 7
+/// times.
+fn kmc_safe((system, k): (kmc::System, usize)) -> bool {
+    kmc::check(&system, k).is_ok()
+}
+
 /// Fig 7 (left): the streaming protocol with `n` unrolled values.
 pub mod streaming {
     use super::*;
@@ -115,15 +122,20 @@ pub mod streaming {
         .expect("binary by construction")
     }
 
-    /// k-MC check of the optimised source against the sink; the channel
-    /// bound must cover the unrolled values.
-    pub fn check_kmc(unrolls: usize) -> bool {
+    /// The k-MC instance: the optimised source against the sink, with a
+    /// channel bound that covers the unrolled values.
+    pub fn kmc_instance(unrolls: usize) -> (kmc::System, usize) {
         let system = kmc::System::new(vec![
             to_fsm("s", &rename_peer(&optimised(unrolls), "t")),
             to_fsm("t", &sink()),
         ])
         .expect("two distinct roles");
-        kmc::check(&system, unrolls + 1).is_ok()
+        (system, unrolls + 1)
+    }
+
+    /// k-MC check of [`kmc_instance`].
+    pub fn check_kmc(unrolls: usize) -> bool {
+        super::kmc_safe(kmc_instance(unrolls))
     }
 
     /// Renames the single peer of a binary type (helper so that the
@@ -216,13 +228,19 @@ pub mod nested_choice {
         .expect("binary by construction")
     }
 
-    /// k-MC check of `T_n` against the communicating partner of `T'_n`
-    /// (the projection onto `p` of the supertype protocol, i.e. its dual).
-    pub fn check_kmc(levels: usize) -> bool {
+    /// The k-MC instance: `T_n` against the communicating partner of
+    /// `T'_n` (the projection onto `p` of the supertype protocol, i.e. its
+    /// dual).
+    pub fn kmc_instance(levels: usize) -> (kmc::System, usize) {
         let a = analysis(&subtype_scribble(levels)).fsms.remove(0);
         let p = analysis(&supertype_scribble(levels)).fsms.remove(1);
         let system = kmc::System::new(vec![a, p]).expect("two distinct roles");
-        kmc::check(&system, levels.max(1)).is_ok()
+        (system, levels.max(1))
+    }
+
+    /// k-MC check of [`kmc_instance`].
+    pub fn check_kmc(levels: usize) -> bool {
+        super::kmc_safe(kmc_instance(levels))
     }
 }
 
@@ -313,11 +331,16 @@ pub mod ring {
         })
     }
 
+    /// The k-MC instance: the whole optimised system at once, one
+    /// message per channel.
+    pub fn kmc_instance(n: usize) -> (kmc::System, usize) {
+        let machines = (0..n).map(|i| to_fsm(&role(i), &optimised(i, n))).collect();
+        (kmc::System::new(machines).expect("distinct roles"), 1)
+    }
+
     /// k-MC must analyse the whole optimised system at once.
     pub fn check_kmc(n: usize) -> bool {
-        let machines = (0..n).map(|i| to_fsm(&role(i), &optimised(i, n))).collect();
-        let system = kmc::System::new(machines).expect("distinct roles");
-        kmc::check(&system, 1).is_ok()
+        super::kmc_safe(kmc_instance(n))
     }
 }
 
@@ -400,15 +423,21 @@ pub mod k_buffering {
         )
     }
 
-    /// k-MC check of the whole optimised system with channel bound n+1.
-    pub fn check_kmc(n: usize) -> bool {
+    /// The k-MC instance: the whole optimised system with channel bound
+    /// n+1.
+    pub fn kmc_instance(n: usize) -> (kmc::System, usize) {
         let system = kmc::System::new(vec![
             to_fsm("k", &optimised(n)),
             to_fsm("s", &source()),
             to_fsm("t", &sink()),
         ])
         .expect("distinct roles");
-        kmc::check(&system, n + 1).is_ok()
+        (system, n + 1)
+    }
+
+    /// k-MC check of [`kmc_instance`].
+    pub fn check_kmc(n: usize) -> bool {
+        super::kmc_safe(kmc_instance(n))
     }
 
     /// Instantiates the parameterised `kbuffering.scr` pipeline with
@@ -438,11 +467,16 @@ pub mod k_buffering {
         })
     }
 
+    /// The k-MC instance of the `stages`-deep pipeline: the whole system
+    /// at k = 2.
+    pub fn kmc_pipeline_instance(stages: usize) -> (kmc::System, usize) {
+        let system = kmc::System::new(pipeline(stages).fsms).expect("distinct roles");
+        (system, 2)
+    }
+
     /// Whole-system k-MC of the `stages`-deep pipeline.
     pub fn check_kmc_pipeline(stages: usize) -> bool {
-        let analysis = pipeline(stages);
-        let system = kmc::System::new(analysis.fsms).expect("distinct roles");
-        kmc::check(&system, 2).is_ok()
+        super::kmc_safe(kmc_pipeline_instance(stages))
     }
 }
 

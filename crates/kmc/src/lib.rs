@@ -10,16 +10,53 @@
 //! * **deadlocks** — a non-final configuration with no enabled transition,
 //! * **reception errors** — a machine committed to receiving from `p` whose
 //!   incoming channel head from `p` matches none of its expected labels,
-//! * **orphan messages** — all machines terminated but a channel is
-//!   non-empty,
+//! * **orphan messages** — a channel is non-empty and the machine it leads
+//!   to has terminated, so its contents can never be received,
 //! * **k-exhaustivity** — whether some send was ever disabled by a full
 //!   channel (if so, the verdict is only conclusive up to bound `k`).
 //!
 //! Exploration is a breadth-first search over the global configuration
 //! graph, which grows exponentially with the number of participants and
 //! with `k` — exactly the scaling the paper demonstrates in Fig 7.
+//!
+//! # How configurations are stored
+//!
+//! The search never builds a [`Config`]. A configuration is one
+//! variable-length record of `u32` words:
+//!
+//! ```text
+//! [ state of machine 0 .. n-1 | length of queue 0 .. c-1 | labels of queue 0 | labels of queue 1 | .. ]
+//! ```
+//!
+//! Only the `c` channels some machine sends on get a queue, in
+//! `from * n + to` order; a channel nobody sends on stays empty forever
+//! and costs no word. Labels are [`LabelId`]s, oldest first. Empty queues
+//! cost one length word whatever `k` is, and equal configurations are
+//! equal word for word, so hashing and comparing a configuration is
+//! hashing and comparing a slice.
+//!
+//! **The arena is the breadth-first queue.** Records are appended to one
+//! `Vec<u32>` in the order they are discovered and never move or change;
+//! record `id` is the `id`-th record appended. A cursor walks the record
+//! ids from 0: everything before it has been expanded, everything from it
+//! on is the FIFO frontier, so discovery order *is* breadth-first order
+//! and the first violation found is the one a `VecDeque` of
+//! configurations would find. Each successor is assembled in one reused
+//! scratch buffer and copied into the arena only if it is new.
+//!
+//! **The visited set** is an open-addressing table (linear probing, a
+//! power-of-two number of slots) of record ids with each record's 64-bit
+//! hash stored beside its id. Its invariants: at most half the slots are
+//! occupied, so a probe always ends at a free slot; a slot's stored hash
+//! is the hash of the record its id names, so growth re-places entries
+//! from the stored hashes without reading the arena; ids never change once
+//! handed out, so doubling the table moves slots, not records. A lookup
+//! compares the arena slice only when the full hash matches.
+//!
+//! [`Config`]s are materialised only for the one configuration a
+//! [`Violation`] carries.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use theory::fsm::{Direction, Fsm, StateIndex};
@@ -27,10 +64,9 @@ use theory::name::Name;
 
 /// Interned message label: an index into [`System::labels`].
 ///
-/// Configurations store label ids instead of [`Name`]s so that hashing a
-/// [`Config`] — the hot operation of the exploration's visited set —
-/// hashes small integers instead of re-hashing label strings for every
-/// queued message (the clone-heavy cost that dominated larger `k`).
+/// Configurations store label ids instead of [`Name`]s: a queued message
+/// is one word of the exploration's packed record, and a [`Config`]
+/// compares and hashes small integers instead of label strings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LabelId(pub u32);
 
@@ -125,19 +161,6 @@ impl System {
             .position(|r| r == role)
             .expect("validated at construction")
     }
-
-    fn label_id(&self, label: &Name) -> LabelId {
-        LabelId(
-            self.labels
-                .iter()
-                .position(|l| l == label)
-                .expect("interned at construction") as u32,
-        )
-    }
-
-    fn channel_index(&self, from: usize, to: usize) -> usize {
-        from * self.machines.len() + to
-    }
 }
 
 /// A global configuration: one state per machine plus all channel contents.
@@ -167,7 +190,8 @@ pub enum Violation {
         /// The unexpected label at the head of the channel.
         found: Name,
     },
-    /// All machines terminated with messages still in flight.
+    /// A message is queued towards a machine that has terminated, so it
+    /// can never be received.
     OrphanMessages(Config),
 }
 
@@ -181,7 +205,9 @@ impl fmt::Display for Violation {
                 f,
                 "reception error: {role} cannot receive {found} from {peer}"
             ),
-            Violation::OrphanMessages(_) => f.write_str("orphan messages at termination"),
+            Violation::OrphanMessages(_) => {
+                f.write_str("orphan messages: queued towards a terminated machine")
+            }
         }
     }
 }
@@ -228,152 +254,323 @@ impl Report {
     }
 }
 
-/// One machine transition with peer and label pre-resolved to indices,
-/// so the exploration loop never hashes a name or searches the role
-/// list.
+/// Converts an index to a record word once, when the machines are
+/// compiled; the exploration then never narrows.
+fn word(index: usize, what: &str) -> u32 {
+    u32::try_from(index)
+        .unwrap_or_else(|_| panic!("k-MC: {what} {index} does not fit a 32-bit record word"))
+}
+
+/// One machine transition with peer, label, target and queue pre-resolved
+/// to indices and record words, so the exploration loop never hashes a
+/// name or searches the role list.
 #[derive(Clone, Copy)]
 struct CompiledAction {
     direction: Direction,
     /// Index of the peer machine.
     peer: usize,
-    label: LabelId,
-    target: StateIndex,
+    label: u32,
+    target: u32,
+    /// The queue of the record this action appends to (send) or takes the
+    /// head of (receive). `None` for a receive from a peer that never
+    /// sends to this machine: that channel has no queue.
+    queue: Option<usize>,
 }
 
-/// Runs the k-MC check with channel bound `k` (`k ≥ 1`).
-pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
-    let k = k.max(1);
-    let machine_count = system.machines.len();
+/// The machines of a [`System`], compiled for exploration.
+struct Compiled {
+    /// `actions[machine][state]`: the transitions of that state, in the
+    /// FSM's order.
+    actions: Vec<Vec<Vec<CompiledAction>>>,
+    /// The channel (`from * n + to`) behind each queue of a record: the
+    /// channels some machine sends on, ascending.
+    channels: Vec<usize>,
+}
 
-    // Compile every transition once: peer names become machine indices,
-    // labels become interned ids (the exploration then touches only
-    // integers — configurations hash and compare without string work).
-    let compiled: Vec<Vec<Vec<CompiledAction>>> = system
+fn compile(system: &System) -> Compiled {
+    let n = system.machines.len();
+    let mut sent_on = vec![false; n * n];
+    let mut actions: Vec<Vec<Vec<CompiledAction>>> = system
         .machines
         .iter()
-        .map(|machine| {
+        .enumerate()
+        .map(|(index, machine)| {
             machine
                 .states()
                 .map(|state| {
                     machine
                         .transitions(state)
                         .iter()
-                        .map(|(action, target)| CompiledAction {
-                            direction: action.direction,
-                            peer: system.role_index(&action.peer),
-                            label: system.label_id(&action.label),
-                            target: *target,
+                        .map(|(action, target)| {
+                            let peer = system.role_index(&action.peer);
+                            if action.direction == Direction::Send {
+                                sent_on[index * n + peer] = true;
+                            }
+                            let label = system
+                                .labels
+                                .iter()
+                                .position(|l| *l == action.label)
+                                .expect("interned at construction");
+                            CompiledAction {
+                                direction: action.direction,
+                                peer,
+                                label: word(label, "label id"),
+                                target: word(target.0, "state index"),
+                                queue: None,
+                            }
                         })
                         .collect()
                 })
                 .collect()
         })
         .collect();
+    let channels: Vec<usize> = (0..n * n).filter(|&channel| sent_on[channel]).collect();
+    for (index, states) in actions.iter_mut().enumerate() {
+        for action in states.iter_mut().flatten() {
+            let channel = match action.direction {
+                Direction::Send => index * n + action.peer,
+                Direction::Receive => action.peer * n + index,
+            };
+            action.queue = channels.binary_search(&channel).ok();
+        }
+    }
+    Compiled { actions, channels }
+}
 
-    let initial = Config {
-        states: system.machines.iter().map(|m| m.initial()).collect(),
-        channels: vec![VecDeque::new(); machine_count * machine_count],
-    };
+/// Marks a free slot of [`Explored::ids`]; never a record id.
+const EMPTY: u32 = u32::MAX;
 
-    let mut seen: HashSet<Config> = HashSet::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(initial.clone());
-    seen.insert(initial);
+/// Every configuration discovered so far: the arena of packed records,
+/// which is also the breadth-first queue, and the visited table over it
+/// (layout and invariants in the module docs).
+struct Explored {
+    /// The records, back to back in discovery order.
+    words: Vec<u32>,
+    /// Record `id` is `words[starts[id]..starts[id + 1]]`.
+    starts: Vec<usize>,
+    /// Open-addressing table: a record id per slot, or [`EMPTY`].
+    ids: Vec<u32>,
+    /// Hash of the record named by the same slot of `ids`.
+    hashes: Vec<u64>,
+}
+
+impl Explored {
+    fn new() -> Self {
+        const SLOTS: usize = 64;
+        Self {
+            words: Vec::new(),
+            starts: vec![0],
+            ids: vec![EMPTY; SLOTS],
+            hashes: vec![0; SLOTS],
+        }
+    }
+
+    /// Number of records.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn record(&self, id: usize) -> &[u32] {
+        &self.words[self.starts[id]..self.starts[id + 1]]
+    }
+
+    /// Word-wise multiplicative hash. The multiplier pushes every input
+    /// bit towards the top, which is where [`Self::home`] reads.
+    fn hash(record: &[u32]) -> u64 {
+        record.iter().fold(0u64, |hash, &word| {
+            (hash.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        })
+    }
+
+    /// First slot probed for `hash`: its top `log2(slots)` bits.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.ids.len().trailing_zeros())) as usize
+    }
+
+    /// Appends `record` unless an equal one is already there.
+    fn insert(&mut self, record: &[u32]) {
+        if (self.len() + 1) * 2 > self.ids.len() {
+            self.grow();
+        }
+        let hash = Self::hash(record);
+        let mask = self.ids.len() - 1;
+        let mut slot = self.home(hash);
+        while self.ids[slot] != EMPTY {
+            if self.hashes[slot] == hash && self.record(self.ids[slot] as usize) == record {
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        // A wrapped id would alias an earlier record and read as "already
+        // seen": stop instead.
+        self.ids[slot] = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("k-MC: exploration exceeds 2^32 - 1 configurations");
+        self.hashes[slot] = hash;
+        self.words.extend_from_slice(record);
+        self.starts.push(self.words.len());
+    }
+
+    /// Doubles the table, re-placing every entry from its stored hash.
+    fn grow(&mut self) {
+        let slots = self.ids.len() * 2;
+        let ids = std::mem::replace(&mut self.ids, vec![EMPTY; slots]);
+        let hashes = std::mem::replace(&mut self.hashes, vec![0; slots]);
+        for (id, hash) in ids.into_iter().zip(hashes) {
+            if id == EMPTY {
+                continue;
+            }
+            let mut slot = self.home(hash);
+            while self.ids[slot] != EMPTY {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.ids[slot] = id;
+            self.hashes[slot] = hash;
+        }
+    }
+}
+
+/// Unpacks a record into the [`Config`] a [`Violation`] carries.
+fn materialise(record: &[u32], machine_count: usize, channels: &[usize]) -> Config {
+    let (states, rest) = record.split_at(machine_count);
+    let (lens, mut labels) = rest.split_at(channels.len());
+    let mut queues = vec![VecDeque::new(); machine_count * machine_count];
+    for (&channel, &len) in channels.iter().zip(lens) {
+        let (queue, later) = labels.split_at(len as usize);
+        queues[channel] = queue.iter().map(|&label| LabelId(label)).collect();
+        labels = later;
+    }
+    Config {
+        states: states.iter().map(|&s| StateIndex(s as usize)).collect(),
+        channels: queues,
+    }
+}
+
+/// Runs the k-MC check with channel bound `k` (`k ≥ 1`).
+pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
+    // Queue lengths are record words. No queue can hold 2^32 messages, so
+    // clamping a larger bound changes no verdict.
+    let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
+    let machine_count = system.machines.len();
+    let Compiled { actions, channels } = compile(system);
+    // Words before the first queued label: the states, then the lengths.
+    let fixed = machine_count + channels.len();
+
+    let mut scratch: Vec<u32> = system
+        .machines
+        .iter()
+        .map(|machine| word(machine.initial().0, "state index"))
+        .collect();
+    scratch.resize(fixed, 0);
+    let mut explored = Explored::new();
+    explored.insert(&scratch);
 
     let mut transitions = 0usize;
     let mut exhaustive = true;
     let mut max_depths = vec![0usize; machine_count * machine_count];
 
-    while let Some(config) = queue.pop_front() {
-        let mut enabled_any = false;
+    // The configuration being expanded, copied out of the arena so that
+    // successors can be appended to it meanwhile, and where in that copy
+    // each queue's oldest label sits.
+    let mut current: Vec<u32> = Vec::new();
+    let mut heads = vec![0usize; channels.len()];
 
-        for (index, states) in compiled.iter().enumerate() {
-            let state = config.states[index];
-            for action in &states[state.0] {
+    let mut cursor = 0;
+    while cursor < explored.len() {
+        current.clear();
+        current.extend_from_slice(explored.record(cursor));
+        cursor += 1;
+        let (states, lens) = current[..fixed].split_at(machine_count);
+        let mut next_head = fixed;
+        for (head, &len) in heads.iter_mut().zip(lens) {
+            *head = next_head;
+            next_head += len as usize;
+        }
+        let terminal = |index: usize| actions[index][states[index] as usize].is_empty();
+        let config = || materialise(&current, machine_count, &channels);
+
+        let mut enabled_any = false;
+        for (index, machine) in actions.iter().enumerate() {
+            for action in &machine[states[index] as usize] {
+                // A channel without a queue is empty forever.
+                let Some(queue) = action.queue else { continue };
+                let len = lens[queue];
+                scratch.clear();
                 match action.direction {
                     Direction::Send => {
-                        let channel = system.channel_index(index, action.peer);
-                        if config.channels[channel].len() >= k {
+                        if len >= k {
                             exhaustive = false;
                             continue;
                         }
-                        let mut next = config.clone();
-                        next.states[index] = action.target;
-                        next.channels[channel].push_back(action.label);
-                        let depth = next.channels[channel].len();
-                        if depth > max_depths[channel] {
-                            max_depths[channel] = depth;
-                        }
-                        enabled_any = true;
-                        transitions += 1;
-                        if !seen.contains(&next) {
-                            queue.push_back(next.clone());
-                            seen.insert(next);
-                        }
+                        let end = heads[queue] + len as usize;
+                        scratch.extend_from_slice(&current[..end]);
+                        scratch.push(action.label);
+                        scratch.extend_from_slice(&current[end..]);
+                        scratch[machine_count + queue] = len + 1;
+                        let depth = &mut max_depths[channels[queue]];
+                        *depth = (*depth).max(len as usize + 1);
                     }
                     Direction::Receive => {
-                        let channel = system.channel_index(action.peer, index);
-                        if config.channels[channel].front() != Some(&action.label) {
+                        let head = heads[queue];
+                        if len == 0 || current[head] != action.label {
                             continue;
                         }
-                        let mut next = config.clone();
-                        next.states[index] = action.target;
-                        next.channels[channel].pop_front();
-                        enabled_any = true;
-                        transitions += 1;
-                        if !seen.contains(&next) {
-                            queue.push_back(next.clone());
-                            seen.insert(next);
-                        }
+                        scratch.extend_from_slice(&current[..head]);
+                        scratch.extend_from_slice(&current[head + 1..]);
+                        scratch[machine_count + queue] = len - 1;
                     }
                 }
+                scratch[index] = action.target;
+                enabled_any = true;
+                transitions += 1;
+                explored.insert(&scratch);
             }
         }
 
         // Reception errors: a machine committed to receiving whose
         // matching channel head is unexpected.
-        for (index, states) in compiled.iter().enumerate() {
-            let state = config.states[index];
-            let all = &states[state.0];
+        for (index, machine) in actions.iter().enumerate() {
+            let all = &machine[states[index] as usize];
             if all.is_empty() || all.iter().any(|a| a.direction != Direction::Receive) {
                 // Not a receive-committed state (sends can still progress).
                 continue;
             }
             for action in all {
-                let channel = system.channel_index(action.peer, index);
-                if let Some(&found) = config.channels[channel].front() {
-                    let expected = all
-                        .iter()
-                        .any(|a| a.peer == action.peer && a.label == found);
-                    if !expected {
-                        return Err(Violation::ReceptionError {
-                            role: system.roles[index].clone(),
-                            peer: system.roles[action.peer].clone(),
-                            found: system.labels[found.0 as usize].clone(),
-                            config,
-                        });
-                    }
+                let Some(queue) = action.queue.filter(|&queue| lens[queue] > 0) else {
+                    continue;
+                };
+                let found = current[heads[queue]];
+                let expected = all
+                    .iter()
+                    .any(|a| a.peer == action.peer && a.label == found);
+                if !expected {
+                    return Err(Violation::ReceptionError {
+                        role: system.roles[index].clone(),
+                        peer: system.roles[action.peer].clone(),
+                        found: system.labels[found as usize].clone(),
+                        config: config(),
+                    });
                 }
             }
         }
 
-        let final_config = config
-            .states
+        // Orphans: a terminated machine receives nothing, so whatever is
+        // queued towards it stays queued in every successor.
+        let orphaned = channels
             .iter()
-            .enumerate()
-            .all(|(index, state)| system.machines[index].is_terminal(*state));
-        let channels_empty = config.channels.iter().all(|c| c.is_empty());
-
-        if final_config && !channels_empty {
-            return Err(Violation::OrphanMessages(config));
+            .zip(lens)
+            .any(|(&channel, &len)| len > 0 && terminal(channel % machine_count));
+        if orphaned {
+            return Err(Violation::OrphanMessages(config()));
         }
-        if !enabled_any && !final_config {
-            return Err(Violation::Deadlock(config));
+        if !enabled_any && !(0..machine_count).all(terminal) {
+            return Err(Violation::Deadlock(config()));
         }
     }
 
     Ok(Report {
-        configurations: seen.len(),
+        configurations: explored.len(),
         transitions,
         exhaustive,
         max_depths,
@@ -434,6 +631,24 @@ mod tests {
             check(&system, 1),
             Err(Violation::OrphanMessages(_))
         ));
+    }
+
+    #[test]
+    fn message_towards_a_terminated_machine_is_an_orphan() {
+        // `x` is stranded the moment it is sent — `b` has nothing left to
+        // do — yet `a` and `c` loop forever, so no configuration is final.
+        let system = system_from_locals(&[
+            ("a", "b!x . rec t . c!y . c?z . t"),
+            ("b", "end"),
+            ("c", "rec t . a?y . a!z . t"),
+        ])
+        .unwrap();
+        let Err(Violation::OrphanMessages(config)) = check(&system, 1) else {
+            panic!("stranded message not reported");
+        };
+        let a_to_b = &config.channels[1];
+        assert_eq!(a_to_b.len(), 1);
+        assert_eq!(system.labels()[a_to_b[0].0 as usize].as_str(), "x");
     }
 
     #[test]

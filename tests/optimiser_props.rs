@@ -15,9 +15,12 @@
 //! the source's choice-hoist fires and the kernels' anticipations must
 //! all be *rejected* (their exit branches would unbalance the loop).
 
-use bench::verification::{ring, to_fsm};
+use bench::verification::ring;
 use proptest::prelude::*;
 use theory::Name;
+
+mod generators;
+use generators::{optimised_pipeline, optimised_ring};
 
 const KBUFFERING: &str = include_str!("../crates/codegen/tests/protocols/kbuffering.scr");
 
@@ -39,16 +42,7 @@ fn assert_candidates_verified(role: &str, projection: &theory::LocalType, depth:
 /// (b) for the bench ring: all `n` roles replaced by their best verified
 /// reordering at once.
 fn assert_optimised_ring_safe(n: usize, depth: usize) {
-    let config = optimiser::Config::with_depth(depth);
-    let mut machines = Vec::with_capacity(n);
-    for i in 0..n {
-        let role = format!("p{i}");
-        let projection = ring::projected(i, n);
-        let outcome =
-            optimiser::optimise(&Name::from(role.as_str()), &projection, &config).unwrap();
-        machines.push(to_fsm(&role, outcome.best_local()));
-    }
-    let system = kmc::System::new(machines).expect("distinct roles");
+    let system = kmc::System::new(optimised_ring(n, depth)).expect("distinct roles");
     // Anticipated sends need channel room: one slot per unfold plus the
     // base token in flight.
     kmc::check(&system, depth + 1).unwrap_or_else(|violation| {
@@ -59,11 +53,7 @@ fn assert_optimised_ring_safe(n: usize, depth: usize) {
 /// (b) for the generated pipeline: the codegen optimise pass swaps every
 /// role at once, then whole-system k-MC must still hold.
 fn assert_optimised_pipeline_safe(n: usize, depth: usize) {
-    let config = optimiser::Config::with_depth(depth);
-    let mut analysis = codegen::analyse_with(KBUFFERING, &[(Name::from("n"), n as i64)])
-        .unwrap_or_else(|e| panic!("kbuffering.scr fails to analyse at n={n}: {e}"));
-    codegen::optimise(&mut analysis, &config).expect("optimise pass succeeds");
-    let system = kmc::System::new(analysis.fsms).expect("distinct roles");
+    let system = kmc::System::new(optimised_pipeline(n, depth)).expect("distinct roles");
     // The kernels' anticipations are all rejected (exit branches), so the
     // only accepted reordering is the source's choice-hoist: one message
     // of lookahead, k = 2 regardless of depth (the k-MC space at n = 6

@@ -8,46 +8,10 @@
 
 use proptest::prelude::*;
 
-use theory::local::{LocalBranch, LocalType};
-use theory::sort::Sort;
+use theory::local::LocalType;
 
-// ---------------------------------------------------------------------
-// Generators
-// ---------------------------------------------------------------------
-
-/// Arbitrary binary local type talking to peer `p`, with guarded
-/// recursion and bounded depth.
-fn binary_local_type() -> impl Strategy<Value = LocalType> {
-    let leaf = Just(LocalType::End);
-    leaf.prop_recursive(4, 24, 3, |inner| {
-        let branch = (proptest::sample::select(vec!["a", "b", "c"]), inner.clone()).prop_map(
-            |(label, continuation)| LocalBranch {
-                label: label.into(),
-                sort: Sort::Unit,
-                continuation,
-            },
-        );
-        let dedup = |mut branches: Vec<LocalBranch>| {
-            branches.sort_by(|x, y| x.label.cmp(&y.label));
-            branches.dedup_by(|x, y| x.label == y.label);
-            branches
-        };
-        prop_oneof![
-            proptest::collection::vec(branch.clone(), 1..3).prop_map(move |branches| {
-                LocalType::Select {
-                    peer: "p".into(),
-                    branches: dedup(branches),
-                }
-            }),
-            proptest::collection::vec(branch, 1..3).prop_map(move |branches| {
-                LocalType::Branch {
-                    peer: "p".into(),
-                    branches: dedup(branches),
-                }
-            }),
-        ]
-    })
-}
+mod generators;
+use generators::{binary_local_type, dual, retarget, sequence_global};
 
 /// Wraps a type in a guarded recursion loop when it contains an action.
 fn looped(t: LocalType) -> LocalType {
@@ -55,26 +19,6 @@ fn looped(t: LocalType) -> LocalType {
         LocalType::End => t,
         _ => t, // bodies are closed; looping handled by dedicated cases
     }
-}
-
-/// A choice-free global type over three roles: a random sequence of
-/// messages.
-fn sequence_global() -> impl Strategy<Value = theory::GlobalType> {
-    let step = (
-        0usize..3,
-        0usize..3,
-        proptest::sample::select(vec!["l", "m", "n"]),
-    )
-        .prop_filter("no self messages", |(from, to, _)| from != to);
-    proptest::collection::vec(step, 1..8).prop_map(|steps| {
-        let roles = ["a", "b", "c"];
-        steps
-            .into_iter()
-            .rev()
-            .fold(theory::GlobalType::End, |acc, (from, to, label)| {
-                theory::GlobalType::message(roles[from], roles[to], label, Sort::Unit, acc)
-            })
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -186,64 +130,5 @@ proptest! {
         });
         let expected: Vec<_> = batches.iter().copied().enumerate().collect();
         prop_assert_eq!(received, expected);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Helpers (duplicated from bench::verification to keep the integration
-// tests free of the bench crate)
-// ---------------------------------------------------------------------
-
-fn dual(t: &LocalType) -> LocalType {
-    match t {
-        LocalType::End => LocalType::End,
-        LocalType::Var(v) => LocalType::Var(v.clone()),
-        LocalType::Rec { var, body } => LocalType::Rec {
-            var: var.clone(),
-            body: Box::new(dual(body)),
-        },
-        LocalType::Select { peer, branches } => LocalType::Branch {
-            peer: peer.clone(),
-            branches: branches.iter().map(dual_branch).collect(),
-        },
-        LocalType::Branch { peer, branches } => LocalType::Select {
-            peer: peer.clone(),
-            branches: branches.iter().map(dual_branch).collect(),
-        },
-    }
-}
-
-fn dual_branch(b: &LocalBranch) -> LocalBranch {
-    LocalBranch {
-        label: b.label.clone(),
-        sort: b.sort.clone(),
-        continuation: dual(&b.continuation),
-    }
-}
-
-fn retarget(t: &LocalType, peer: &str) -> LocalType {
-    match t {
-        LocalType::End => LocalType::End,
-        LocalType::Var(v) => LocalType::Var(v.clone()),
-        LocalType::Rec { var, body } => LocalType::Rec {
-            var: var.clone(),
-            body: Box::new(retarget(body, peer)),
-        },
-        LocalType::Select { branches, .. } => LocalType::Select {
-            peer: peer.into(),
-            branches: branches.iter().map(|b| retarget_branch(b, peer)).collect(),
-        },
-        LocalType::Branch { branches, .. } => LocalType::Branch {
-            peer: peer.into(),
-            branches: branches.iter().map(|b| retarget_branch(b, peer)).collect(),
-        },
-    }
-}
-
-fn retarget_branch(b: &LocalBranch, peer: &str) -> LocalBranch {
-    LocalBranch {
-        label: b.label.clone(),
-        sort: b.sort.clone(),
-        continuation: retarget(&b.continuation, peer),
     }
 }
