@@ -11,15 +11,14 @@
 //! throughput (items/µs) of every framework, in the same format as the
 //! paper's raw data tables.
 //!
-//! `--json` instead sweeps the Rumpsteak implementations (plus the ring
-//! and mesh scheduler-scaling workloads, hand-wired and
-//! template-generated, and the socket transport) across worker-thread
-//! counts and writes the artifact (protocol × threads × ns/op) to
-//! `--out PATH`, by default `fig6.json` in the system temp directory so
-//! a run never dirties the working tree. The rows are mean-only smoke
-//! numbers: the sweep exists to run the whole stack (under telemetry, to
-//! fill its tables) and to host the edge-cost profile. Performance
-//! claims belong to `BENCHMARK.json` and the `benchmark/` package.
+//! `--json` instead sweeps the Rumpsteak implementations (plus the
+//! socket transport) across worker-thread counts and writes the
+//! artifact (protocol × threads × ns/op) to `--out PATH`, by default
+//! `fig6.json` in the system temp directory so a run never dirties the
+//! working tree. The rows are mean-only smoke numbers: the sweep exists
+//! to run the whole stack (under telemetry, to fill its tables) and to
+//! host the edge-cost profile. Performance claims belong to
+//! `BENCHMARK.json` and the `benchmark/` package.
 //!
 //! `--edge-costs` appends an `"edge_costs"` section: the per-link-class
 //! cost micro-profile (send/recv base ns and ns-per-byte slope for the
@@ -47,7 +46,7 @@ use std::time::Duration;
 use bench::artifact::{Artifact, Row, Telemetry};
 use bench::protocols::{double_buffering, fft8, streaming};
 use bench::timing::{measure, throughput};
-use bench::{check, scaling, transport};
+use bench::{check, transport};
 use dep_telemetry as telemetry;
 use optimiser::cost::EdgeCosts;
 use theory::json::{self, Json};
@@ -130,19 +129,13 @@ fn main() {
 }
 
 fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<String>) {
-    // Workload sizes: (ring tasks, ring laps, mesh peers, mesh rounds,
-    // streaming n, double-buffering n, fft columns).
-    let (ring_tasks, ring_laps, mesh_peers, mesh_rounds, stream_n, buffer_n, fft_n) =
-        (64, 100, 12, 50, 50, 10000, 1000);
+    // Workload sizes: (streaming n, double-buffering n, fft columns).
+    let (stream_n, buffer_n, fft_n) = (50, 10000, 1000);
     // Networked-transport microbenches: rounds per framed ping-pong run
     // and messages per k-bounded burst run (see `bench::transport`),
     // sized so that one run — which also connects and tears down its
     // socket pair — takes some tens of milliseconds.
     let (net_rounds, net_burst) = (2000u32, 20000u32);
-    // Template-generated topologies (pring.scr / pmesh.scr), instantiated
-    // once per sweep: the projection cost is setup, not measured time.
-    let gen_ring = scaling::generated::GeneratedRing::new(ring_tasks);
-    let gen_mesh = scaling::generated::GeneratedMesh::new(mesh_peers);
 
     let mut results = Vec::new();
     let mut scheduler: Vec<(usize, telemetry::scheduler::RuntimeSnapshot)> = Vec::new();
@@ -159,38 +152,6 @@ fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<Strin
             });
         };
 
-        bench(
-            "ring",
-            &[("tasks", ring_tasks as u64), ("laps", ring_laps as u64)],
-            (ring_tasks * ring_laps) as u64,
-            &mut || {
-                scaling::run_ring(&rt, ring_tasks, ring_laps);
-            },
-        );
-        bench(
-            "mesh",
-            &[("peers", mesh_peers as u64), ("rounds", mesh_rounds as u64)],
-            (mesh_peers * (mesh_peers - 1) * mesh_rounds) as u64,
-            &mut || {
-                scaling::run_mesh(&rt, mesh_peers, mesh_rounds);
-            },
-        );
-        bench(
-            "gen_ring",
-            &[("tasks", ring_tasks as u64), ("laps", ring_laps as u64)],
-            (ring_tasks * ring_laps) as u64,
-            &mut || {
-                gen_ring.run(&rt, ring_laps);
-            },
-        );
-        bench(
-            "gen_mesh",
-            &[("peers", mesh_peers as u64), ("rounds", mesh_rounds as u64)],
-            gen_mesh.messages_per_round() * mesh_rounds as u64,
-            &mut || {
-                gen_mesh.run(&rt, mesh_rounds);
-            },
-        );
         // Networked transport: ping-pong and burst over the framed
         // socket path, windows capped at the k-MC bound (1 for
         // the alternating ping-pong, 64 for the burst). One op = one
@@ -203,7 +164,6 @@ fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<Strin
                 transport::tcp_ping_pong(&rt, net_rounds);
             },
         );
-        #[cfg(unix)]
         bench(
             "transport_uds_pingpong",
             &[("rounds", net_rounds as u64)],

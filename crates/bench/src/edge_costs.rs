@@ -31,9 +31,7 @@ use std::time::Instant;
 use executor::channel::Bidirectional;
 use executor::Runtime;
 use optimiser::cost::ClassCost;
-#[cfg(unix)]
-use rumpsteak::net::loopback_pair_uds;
-use rumpsteak::net::{loopback_pair_tcp, NetLink};
+use rumpsteak::net::{loopback_pair_tcp, loopback_pair_uds, NetLink};
 
 use theory::json;
 
@@ -234,33 +232,29 @@ pub fn measure(rt: &Runtime) -> Vec<ClassCost> {
     ));
 
     // uds: same split over a Unix-domain socket pair.
-    #[cfg(unix)]
-    {
-        let uds_hop = best_of(reps, || {
-            timed(|| {
-                transport::uds_ping_pong(rt, net_rounds);
-            }) / f64::from(net_rounds)
-        }) / 2.0;
-        let uds_payload = |payload: usize| {
-            best_of(reps, || {
-                let links = loopback_pair_uds::<Vec<u8>>(
-                    EDGE_COST_FROM,
-                    EDGE_COST_TO,
-                    Some(NET_WINDOW),
-                    Some(1),
-                )
-                .expect("loopback UDS pair");
-                net_payload_burst(rt, links, payload_messages, payload)
-                    / f64::from(payload_messages)
-            })
-        };
-        classes.push(class_cost(
-            "uds",
-            uds_hop / 2.0,
-            uds_hop / 2.0,
-            slope(uds_payload(small), uds_payload(large)),
-        ));
-    }
+    let uds_hop = best_of(reps, || {
+        timed(|| {
+            transport::uds_ping_pong(rt, net_rounds);
+        }) / f64::from(net_rounds)
+    }) / 2.0;
+    let uds_payload = |payload: usize| {
+        best_of(reps, || {
+            let links = loopback_pair_uds::<Vec<u8>>(
+                EDGE_COST_FROM,
+                EDGE_COST_TO,
+                Some(NET_WINDOW),
+                Some(1),
+            )
+            .expect("loopback UDS pair");
+            net_payload_burst(rt, links, payload_messages, payload) / f64::from(payload_messages)
+        })
+    };
+    classes.push(class_cost(
+        "uds",
+        uds_hop / 2.0,
+        uds_hop / 2.0,
+        slope(uds_payload(small), uds_payload(large)),
+    ));
 
     classes
 }
@@ -276,7 +270,6 @@ mod tests {
         let names: Vec<&str> = classes.iter().map(|c| c.class.as_str()).collect();
         assert!(names.contains(&"spsc"));
         assert!(names.contains(&"tcp"));
-        #[cfg(unix)]
         assert!(names.contains(&"uds"));
         for class in &classes {
             for (field, value) in [

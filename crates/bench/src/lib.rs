@@ -7,8 +7,6 @@
 //! * [`verification`] — generators for the Fig 7 workloads (streaming
 //!   unrolls, nested choice, ring, k-buffering) targeting the subtyping
 //!   algorithm, k-MC and SoundBinary,
-//! * [`scaling`] — executor-scaling workloads (token ring, all-to-all
-//!   mesh) swept per thread count by `fig6 --json`,
 //! * [`transport`] — networked-transport microbenchmarks (framed
 //!   loopback TCP/UDS ping-pong and k-bounded burst) measuring the
 //!   distributed backend's wire path, also swept by `fig6 --json`,
@@ -27,12 +25,14 @@
 //! tables; `bench-check` validates their machine-readable output in CI.
 //! None of this carries a performance claim: those belong to
 //! `BENCHMARK.json` and the standalone `benchmark/` package.
+//!
+//! The harness needs Linux: [`transport`] and [`edge_costs`] drive the
+//! socket half of `rumpsteak::net`, which sits on `epoll`.
 
 pub mod artifact;
 pub mod check;
 pub mod edge_costs;
 pub mod protocols;
-pub mod scaling;
 pub mod table1;
 pub mod timing;
 pub mod trace;

@@ -301,7 +301,7 @@ pub fn run_ferrite(rt: &executor::Runtime, count: u32) -> u64 {
     // Recursion through boxed futures, as Ferrite requires: each
     // iteration creates a fresh binary session for the request/response.
     fn sink_loop(
-        source: executor::channel::Sender<<FerriteSink as AsyncSession>::Dual>,
+        mut source: executor::channel::SpscSender<<FerriteSink as AsyncSession>::Dual>,
         sum: u64,
     ) -> Pin<Box<dyn Future<Output = u64> + core::marker::Send>> {
         Box::pin(async move {
@@ -324,7 +324,7 @@ pub fn run_ferrite(rt: &executor::Runtime, count: u32) -> u64 {
         })
     }
 
-    let (tx, mut rx) = executor::channel::unbounded::<<FerriteSink as AsyncSession>::Dual>();
+    let (tx, mut rx) = executor::channel::spsc::<<FerriteSink as AsyncSession>::Dual>();
     let source_task = rt.spawn(async move {
         let mut sent = 0u32;
         while let Some(session) = rx.recv().await {

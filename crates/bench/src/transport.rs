@@ -22,9 +22,7 @@
 //! the in-process channel rows.
 
 use executor::Runtime;
-#[cfg(unix)]
-use rumpsteak::net::loopback_pair_uds;
-use rumpsteak::net::{loopback_pair_tcp, NetLink};
+use rumpsteak::net::{loopback_pair_tcp, loopback_pair_uds, NetLink};
 
 /// Telemetry label of the ping-pong link (pinging side).
 pub const NET_PING: &str = "NetPing";
@@ -80,7 +78,6 @@ pub fn tcp_ping_pong(rt: &Runtime, rounds: u32) -> u64 {
 
 /// Framed ping-pong over a Unix-domain socket pair with k-MC window 1
 /// each way.
-#[cfg(unix)]
 pub fn uds_ping_pong(rt: &Runtime, rounds: u32) -> u64 {
     let (ping, pong) = loopback_pair_uds::<u32>(
         NET_PING,
@@ -135,7 +132,6 @@ mod tests {
         assert_eq!(tcp_ping_pong(&rt, 64), 64);
     }
 
-    #[cfg(unix)]
     #[test]
     fn uds_ping_pong_completes_every_round() {
         let rt = runtime();

@@ -205,11 +205,7 @@ fn fresh_fig6_output_decodes_and_passes() {
     let artifact: Artifact = json::decode(&text).expect("fresh artifact decodes");
     // The surviving row set by name: a vanished paper or `transport_*`
     // row fails here.
-    const FAMILIES: [&str; 12] = [
-        "ring",
-        "mesh",
-        "gen_ring",
-        "gen_mesh",
+    const FAMILIES: [&str; 8] = [
         "transport_tcp_pingpong",
         "transport_uds_pingpong",
         "transport_tcp_burst",

@@ -11,14 +11,29 @@
 //! respectively, with the endpoints pinned exhaustively below.
 
 use proptest::prelude::*;
+use theory::local::LocalType;
 use theory::Name;
 
 const KBUFFERING: &str = include_str!("protocols/kbuffering.scr");
 const PRING: &str = include_str!("protocols/pring.scr");
 const PMESH: &str = include_str!("protocols/pmesh.scr");
 
+/// First `Select` peer in pre-order: the role this participant first
+/// sends to.
+fn first_send_peer(local: &LocalType) -> Option<&Name> {
+    match local {
+        LocalType::End | LocalType::Var(_) => None,
+        LocalType::Rec { body, .. } => first_send_peer(body),
+        LocalType::Select { peer, .. } => Some(peer),
+        LocalType::Branch { branches, .. } => branches
+            .iter()
+            .find_map(|branch| first_send_peer(&branch.continuation)),
+    }
+}
+
 /// Analyses `template` at parameter `n` and runs the `--check` gate,
-/// asserting every family member projected.
+/// asserting every family member projected and, for the two topology
+/// templates, that the projections wire the shape the template names.
 fn check_instantiation(template: &str, what: &str, n: usize, k: usize) {
     let analysis = codegen::analyse_with(template, &[(Name::from("n"), n as i64)])
         .unwrap_or_else(|e| panic!("{what}: analyse failed at n={n}: {e}"));
@@ -31,6 +46,22 @@ fn check_instantiation(template: &str, what: &str, n: usize, k: usize) {
         })
         .count();
     prop_assert_eq!(members, n, "{}: expected {} family members", what, n);
+    match what {
+        // A ring: every participant's first send goes to its successor.
+        "pring" => {
+            for (index, (role, local)) in analysis.locals.iter().enumerate() {
+                let successor = &analysis.protocol.roles[(index + 1) % n];
+                prop_assert_eq!(first_send_peer(local), Some(successor), "{}", role);
+            }
+        }
+        // All-to-all: n - 1 peers each, so n(n - 1) messages a round.
+        "pmesh" => {
+            for (role, local) in &analysis.locals {
+                prop_assert_eq!(local.peers().len(), n - 1, "{}", role);
+            }
+        }
+        _ => {}
+    }
     let report = codegen::check(&analysis, k)
         .unwrap_or_else(|e| panic!("{what}: --check gate failed at n={n}: {e}"));
     prop_assert!(

@@ -1,6 +1,6 @@
 //! Asynchronous channels used as the session transport.
 //!
-//! Three families, mirroring what Rumpsteak needs from Tokio/futures:
+//! Two families, mirroring what Rumpsteak needs from Tokio/futures:
 //!
 //! * [`spsc`] — lock-free single-producer/single-consumer queue: a
 //!   growable power-of-two ring with an atomic waker handoff, a
@@ -10,15 +10,11 @@
 //!   ([`LinkConfig::bounded`]) that exerts back-pressure instead of
 //!   growing. This is the data plane of session links: every
 //!   [`Bidirectional`] direction has exactly one producer and one
-//!   consumer by construction, so no send or receive on a session
-//!   channel ever takes a lock.
-//! * [`unbounded`] — the one **multi**-producer single-consumer FIFO,
-//!   kept for the places senders are genuinely cloned (ring/mesh scaling
-//!   rows, the Ferrite baseline, stress tests). Sends enqueue into the
-//!   peer's queue (the "asynchronous queue" of the paper) and never
-//!   block, which is what makes asynchronous message reordering
-//!   profitable. Back-pressure is the SPSC ring's capacity cap; there
-//!   is no bounded MPSC.
+//!   consumer by construction, as every queue of the paper's model
+//!   does. Sends enqueue into the peer's queue (the "asynchronous
+//!   queue" of the paper) and never block, which is what makes
+//!   asynchronous message reordering profitable; back-pressure is the
+//!   ring's capacity cap. Fan-in is one ring per producer.
 //! * [`oneshot`] — the one single-value rendezvous, behind every
 //!   [`JoinHandle`](crate::JoinHandle) and request/response pattern,
 //!   implemented as a small atomic state machine.
@@ -33,16 +29,16 @@ use std::fmt;
 mod bidirectional;
 mod oneshot;
 mod spsc;
-mod unbounded;
 
 pub use bidirectional::{Bidirectional, LinkConfig};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender};
 pub use spsc::{spsc, SendSlot, SpscReceiver, SpscRecv, SpscSender};
-pub use unbounded::{unbounded, Receiver, Sender};
 
-/// Error returned by the non-blocking `send` operations when the receiver
-/// has been dropped. Carries the rejected message so the caller can
-/// recover it.
+/// Error returned by the ring's send operations ([`SpscSender::send`],
+/// [`SpscSender::poll_reserve`] and their [`Bidirectional`] wrappers)
+/// when the receiver has been dropped, and by `send` when a
+/// capacity-capped ring is full. Carries the rejected message so the
+/// caller can recover it.
 pub struct SendError<T>(pub T);
 
 impl<T> SendError<T> {

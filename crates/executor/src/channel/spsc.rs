@@ -2,8 +2,8 @@
 //!
 //! This is the data plane behind [`Bidirectional`](super::Bidirectional)
 //! session links: a link connects exactly two fixed peers, so each
-//! direction has one producer and one consumer by construction and never
-//! needs the mutex-protected MPSC machinery of [`unbounded`](super::unbounded).
+//! direction has one producer and one consumer by construction, and no
+//! state of the queue takes a lock.
 //!
 //! # Design
 //!
@@ -329,8 +329,8 @@ pub(super) struct SpscConfig {
     pub bound_hint: Option<usize>,
 }
 
-/// Creates a lock-free SPSC channel. Neither endpoint is cloneable; use
-/// [`unbounded`](super::unbounded) where multiple producers are needed.
+/// Creates a lock-free SPSC channel. Neither endpoint is cloneable:
+/// where several producers feed one consumer, give each its own ring.
 pub fn spsc<T>() -> (SpscSender<T>, SpscReceiver<T>) {
     spsc_with(SpscConfig::default())
 }

@@ -10,8 +10,8 @@
 //!   injector, in the style of Tokio/Rayon),
 //! * waker-based **asynchronous channels** ([`channel`]) used as the session
 //!   transport: lock-free SPSC rings behind the bidirectional role-to-role
-//!   links, one unbounded MPSC queue for genuinely multi-producer uses,
-//!   and an atomic oneshot rendezvous (also behind every [`JoinHandle`]),
+//!   links and an atomic oneshot rendezvous (also behind every
+//!   [`JoinHandle`]); no channel takes a lock,
 //! * [`block_on`] to drive a root future from a synchronous context — a
 //!   plain park loop that starts no threads — and [`yield_now`] for
 //!   cooperative rescheduling,
@@ -28,10 +28,10 @@
 //! # Example
 //!
 //! ```
-//! use executor::{Runtime, channel::unbounded};
+//! use executor::{Runtime, channel::spsc};
 //!
 //! let rt = Runtime::new(2);
-//! let (tx, mut rx) = unbounded::<u32>();
+//! let (mut tx, mut rx) = spsc::<u32>();
 //! let handle = rt.spawn(async move {
 //!     let mut sum = 0;
 //!     while let Some(v) = rx.recv().await {

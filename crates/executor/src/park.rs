@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn block_on_crossthread_wake() {
-        let (tx, mut rx) = crate::channel::unbounded::<u32>();
+        let (mut tx, mut rx) = crate::channel::spsc::<u32>();
         let sender = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(10));
             tx.send(99).unwrap();

@@ -699,7 +699,7 @@ mod tests {
         // wake through B's injector, not A's worker-local queues.
         let rt_a = Runtime::new(1);
         let rt_b = Runtime::new(1);
-        let (tx, mut rx) = crate::channel::unbounded::<u32>();
+        let (mut tx, mut rx) = crate::channel::spsc::<u32>();
         let consumer = rt_b.spawn(async move { rx.recv().await });
         let producer = rt_a.spawn(async move {
             tx.send(5).unwrap();

@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use executor::channel::unbounded;
+use executor::channel::spsc;
 use executor::Runtime;
 
 /// Iterations for the randomized steal-correctness loop.
@@ -60,8 +60,8 @@ fn ping_pong_pairs() {
         let rt = Runtime::new(workers);
         let handles: Vec<_> = (0..PAIRS)
             .flat_map(|_| {
-                let (ping_tx, mut ping_rx) = unbounded::<u32>();
-                let (pong_tx, mut pong_rx) = unbounded::<u32>();
+                let (mut ping_tx, mut ping_rx) = spsc::<u32>();
+                let (mut pong_tx, mut pong_rx) = spsc::<u32>();
                 let ponger = rt.spawn(async move {
                     let mut last = 0u64;
                     while let Some(v) = ping_rx.recv().await {
@@ -128,7 +128,7 @@ fn randomized_steal_exactly_once() {
         // on which thread the send happens on.
         let handles: Vec<_> = (0..TASKS / 2)
             .flat_map(|pair| {
-                let (tx, mut rx) = unbounded::<u64>();
+                let (mut tx, mut rx) = spsc::<u64>();
                 let mut seed = iteration.wrapping_mul(0x1009) ^ pair as u64;
                 let messages = next_rand(&mut seed) % 8;
                 let yields = next_rand(&mut seed) % 4;

@@ -50,25 +50,14 @@ fn counters_balance_after_stress() {
             let completed = completed.clone();
             let rt_inner = rt.clone();
             rt.spawn(async move {
-                // Children force worker-side spawns; the channel round
-                // trip forces waker-driven reschedules (extra polls).
-                let (tx, mut rx) = executor::channel::unbounded::<u64>();
+                // Children force worker-side spawns; awaiting their
+                // handles forces waker-driven reschedules (extra polls).
                 let children: Vec<_> = (0..CHILDREN)
-                    .map(|j| {
-                        let tx = tx.clone();
-                        rt_inner.spawn(async move {
-                            tx.send(i + j).unwrap();
-                            j
-                        })
-                    })
+                    .map(|j| rt_inner.spawn(async move { i + j }))
                     .collect();
-                drop(tx);
                 let mut sum = 0;
-                while let Some(v) = rx.recv().await {
-                    sum += v;
-                }
                 for child in children {
-                    child.await.unwrap();
+                    sum += child.await.unwrap();
                 }
                 completed.fetch_add(1, Ordering::SeqCst);
                 sum

@@ -114,21 +114,30 @@ proptest! {
         }
     }
 
-    /// Unbounded channels preserve FIFO order under arbitrary batches.
+    /// The SPSC ring preserves FIFO order under arbitrary batches with a
+    /// partial drain after each: the backlog outgrows the 16-slot
+    /// initial ring at arbitrary head offsets, so order must survive
+    /// growth (the consumer may still be reading a retired buffer).
     #[test]
     fn channels_are_fifo(batches in proptest::collection::vec(0u32..64, 1..32)) {
-        let (tx, mut rx) = executor::channel::unbounded();
-        for (index, &value) in batches.iter().enumerate() {
-            tx.send((index, value)).unwrap();
+        let (mut tx, mut rx) = executor::channel::spsc();
+        let mut sent = 0u32;
+        let mut received = Vec::new();
+        for &batch in &batches {
+            for _ in 0..batch {
+                tx.send(sent).unwrap();
+                sent += 1;
+            }
+            for _ in 0..batch / 2 {
+                received.extend(rx.try_recv());
+            }
         }
         drop(tx);
-        let mut received = Vec::new();
         executor::block_on(async {
-            while let Some(pair) = rx.recv().await {
-                received.push(pair);
+            while let Some(value) = rx.recv().await {
+                received.push(value);
             }
         });
-        let expected: Vec<_> = batches.iter().copied().enumerate().collect();
-        prop_assert_eq!(received, expected);
+        prop_assert_eq!(received, (0..sent).collect::<Vec<_>>());
     }
 }
