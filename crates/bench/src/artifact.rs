@@ -89,7 +89,6 @@ json_record! {
         pub local_pops: u64,
         pub injector_pops: u64,
         pub sibling_steals: u64,
-        pub spills: u64,
         pub parks: u64,
         pub unparks: u64,
     }
@@ -190,8 +189,8 @@ macro_rules! mirror {
 }
 
 mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
-    spawns, completions, polls, lifo_hits, local_pops, injector_pops, sibling_steals, spills,
-    parks, unparks;
+    spawns, completions, polls, lifo_hits, local_pops, injector_pops, sibling_steals, parks,
+    unparks;
 });
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {

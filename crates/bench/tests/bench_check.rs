@@ -53,9 +53,9 @@ const PROFILE: &str = r#"{"edge_costs": {"unit": "ns", "classes": [
 const TELEMETRY: &str = r#"{
   "scheduler": [{"threads": 1, "workers": [
     {"spawns": 1, "completions": 1, "polls": 7, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 1, "sibling_steals": 0, "spills": 0, "parks": 1, "unparks": 1}],
+     "injector_pops": 1, "sibling_steals": 0, "parks": 1, "unparks": 1}],
     "external": {"spawns": 1, "completions": 0, "polls": 0, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 0, "sibling_steals": 0, "spills": 0, "parks": 0, "unparks": 1}}],
+     "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1}}],
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
     "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
     "batched_messages": 40, "backpressure_parks": 0, "instances": 2, "stamp_misses": 0,

@@ -9,11 +9,11 @@
 //! * the LIFO slot is reserved for *wakes* — the channel layer's waker
 //!   handoff lands the woken receiver exactly there, which is the
 //!   direct-handoff path for session ping-pong. Fresh spawns from a
-//!   worker go to the back of its FIFO deque instead, and a deque grown
-//!   past a threshold spills its oldest half into the injector so spawn
-//!   storms cannot grow a local queue without bound,
+//!   worker go to the back of its FIFO deque instead; the deque's one
+//!   overflow policy is to double its buffer, and a backlog reaches
+//!   siblings through their batch steals,
 //! * a global lock-free `Injector` receives tasks scheduled from outside
-//!   the pool (spawns, cross-thread wakes) plus spilled local backlogs,
+//!   the pool (spawns, cross-thread wakes),
 //! * idle workers first drain the LIFO slot and local deque, then
 //!   dispatch pending socket readiness ([`io::turn_now`](crate::io::turn_now)),
 //!   then batch-steal from the injector, then batch-steal from a sibling
@@ -53,13 +53,6 @@ const MAX_WORKERS: usize = 64;
 /// Consecutive polls a worker may take from its LIFO slot before deferring
 /// to the FIFO deque, so a hot ping-pong pair cannot starve queued tasks.
 const LIFO_STREAK_LIMIT: u32 = 32;
-
-/// Local-deque length past which the owner spills the oldest half into the
-/// global injector. Bounds local queue growth under spawn storms (a task
-/// spawning thousands of children would otherwise grow its worker's deque
-/// without limit, since sibling steals move at most a small batch each)
-/// and shares the backlog with the whole pool in one go.
-const LOCAL_SPILL_LIMIT: usize = 256;
 
 /// Belt-and-braces park timeout: with a correct handshake no wake is ever
 /// lost, but a bounded sleep keeps the pool live under any missed-wake bug
@@ -156,33 +149,16 @@ impl Shared {
     /// worker places the woken receiver where that same worker polls next,
     /// so ping-pong message passing never touches a shared queue.
     /// Everywhere else the task goes through the injector.
-    pub(crate) fn schedule(self: &Arc<Self>, task: Arc<Task>) {
-        let task = CONTEXT.with(|context| {
-            let context = context.get();
-            if context.is_null() {
-                return Some(task);
-            }
-            // Safety: the pointer is registered by `worker_loop` on this
-            // thread and cleared (via `ContextGuard`) before the context is
-            // dropped, so a non-null value is always live.
-            let context = unsafe { &*context };
-            if !ptr::eq(Arc::as_ptr(self), context.shared) {
-                // A worker of some *other* runtime: fall through.
-                return Some(task);
-            }
-            if let Some(displaced) = context.lifo.replace(Some(task)) {
-                context.deque.push(displaced);
-                if context.deque.len() >= LOCAL_SPILL_LIMIT {
-                    self.counters[context.index].spills.incr();
-                    self.spill_local(&context.deque);
+    pub(crate) fn schedule(&self, task: Arc<Task>) {
+        match self.worker_here() {
+            Some(context) => {
+                if let Some(displaced) = context.lifo.replace(Some(task)) {
+                    context.deque.push(displaced);
+                    // Surplus local work that siblings could pick up.
+                    self.notify();
                 }
-                // Surplus local work that siblings could pick up.
-                self.notify();
             }
-            None
-        });
-        if let Some(task) = task {
-            self.push(task);
+            None => self.push(task),
         }
     }
 
@@ -191,42 +167,16 @@ impl Shared {
     /// message-passing task): on a worker thread of this runtime it goes
     /// to the back of the local FIFO deque, elsewhere through the
     /// injector.
-    pub(crate) fn schedule_new(self: &Arc<Self>, task: Arc<Task>) {
-        let task = CONTEXT.with(|context| {
-            let context = context.get();
-            if context.is_null() {
-                return Some(task);
+    pub(crate) fn schedule_new(&self, task: Arc<Task>) {
+        match self.worker_here() {
+            Some(context) => {
+                self.counters[context.index].spawns.incr();
+                context.deque.push(task);
+                self.notify();
             }
-            // Safety: as in `schedule`.
-            let context = unsafe { &*context };
-            if !ptr::eq(Arc::as_ptr(self), context.shared) {
-                return Some(task);
-            }
-            self.counters[context.index].spawns.incr();
-            context.deque.push(task);
-            if context.deque.len() >= LOCAL_SPILL_LIMIT {
-                self.counters[context.index].spills.incr();
-                self.spill_local(&context.deque);
-            }
-            self.notify();
-            None
-        });
-        if let Some(task) = task {
-            self.counters[self.counters.len() - 1].spawns.incr();
-            self.push(task);
-        }
-    }
-
-    /// Moves the oldest half of an overlong local deque into the global
-    /// injector, where any worker can batch-claim it. Called by the owner
-    /// from its own push paths only — never after injector takeover, which
-    /// would bounce the same tasks back and forth.
-    #[cold]
-    fn spill_local(&self, deque: &Deque<Arc<Task>>) {
-        while deque.len() > LOCAL_SPILL_LIMIT / 2 {
-            match deque.pop() {
-                Some(task) => self.injector.push(task),
-                None => break,
+            None => {
+                self.counters[self.counters.len() - 1].spawns.incr();
+                self.push(task);
             }
         }
     }
@@ -273,20 +223,29 @@ impl Shared {
         !self.injector.is_empty() || self.stealers.iter().any(|stealer| !stealer.is_empty())
     }
 
+    /// The calling thread's worker context, if it is a worker of *this*
+    /// runtime; `None` off the pool and on a worker of any other runtime.
+    fn worker_here(&self) -> Option<&WorkerContext> {
+        let context = CONTEXT.with(Cell::get);
+        if context.is_null() {
+            return None;
+        }
+        // SAFETY: the pointer is registered by `worker_loop` on this
+        // thread and cleared (via `ContextGuard`) before the context is
+        // dropped, so a non-null value is always live. The reference
+        // cannot outlive it: `WorkerContext` is `!Sync`, so the borrow
+        // stays on this thread, where everything that runs while the
+        // pointer is set is nested inside `worker_loop`'s frame.
+        let context = unsafe { &*context };
+        ptr::eq(self, context.shared).then_some(context)
+    }
+
     /// The counter block of the calling thread: the worker's own block on
     /// a worker of *this* runtime, the external block anywhere else.
     /// Callers guard with `telemetry::ENABLED` so disabled builds skip
     /// the thread-local lookup entirely.
     fn counters_here(&self) -> &Counters {
-        let index = CONTEXT.with(|context| {
-            let context = context.get();
-            if context.is_null() {
-                return None;
-            }
-            // Safety: as in `schedule`.
-            let context = unsafe { &*context };
-            ptr::eq(self, context.shared).then_some(context.index)
-        });
+        let index = self.worker_here().map(|context| context.index);
         &self.counters[index.unwrap_or(self.counters.len() - 1)]
     }
 
@@ -414,6 +373,12 @@ impl Runtime {
     }
 
     /// Spawns a future onto the pool, returning a handle to await its output.
+    ///
+    /// Admission is unbounded: `spawn` never blocks and never refuses. A
+    /// queued task costs one queue slot plus whatever its future already
+    /// owns (10⁵ queued three-role sessions peak near 500 MiB, because
+    /// each holds its four rings from the moment it is built), so a caller
+    /// that generates load bounds its own in-flight count.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
         F: Future + Send + 'static,

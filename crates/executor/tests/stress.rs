@@ -1,14 +1,16 @@
-//! Executor stress suite: spawn storms, ping-pong latency pairs, and a
-//! randomized steal-correctness test asserting exactly-once execution.
+//! Executor stress suite: spawn storms, ping-pong latency pairs, a
+//! session backlog that must drain in linear time, and a randomized
+//! steal-correctness test asserting exactly-once execution.
 //!
 //! CI runs this file under `--release` (see `.github/workflows/ci.yml`);
 //! the iteration counts scale down in debug builds so plain `cargo test`
 //! stays fast.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-use executor::channel::spsc;
+use executor::channel::{spsc, Bidirectional};
 use executor::Runtime;
 
 /// Iterations for the randomized steal-correctness loop.
@@ -21,6 +23,13 @@ const STEAL_ITERATIONS: u64 = 100;
 const STORM_TASKS: u32 = 1_000;
 #[cfg(not(debug_assertions))]
 const STORM_TASKS: u32 = 10_000;
+
+/// Sessions in the smaller of the two backlogs `backlog_drains_in_linear_time`
+/// compares; the larger is four times this.
+#[cfg(debug_assertions)]
+const BACKLOG_SESSIONS: u64 = 4_000;
+#[cfg(not(debug_assertions))]
+const BACKLOG_SESSIONS: u64 = 12_500;
 
 /// A task flood from outside the pool: every task must run exactly once
 /// and every handle must resolve, at 1, 2 and 8 workers.
@@ -97,6 +106,94 @@ fn ping_pong_pairs() {
                 );
             }
         }
+    }
+}
+
+/// Queues `sessions` three-task sessions while every worker is held at a
+/// barrier, releases the workers, awaits every handle, checks every
+/// result, and returns the wall time from the release to the last join.
+///
+/// A session is two spokes that receive one value and reply twice, and a
+/// hub that sends to *both* spokes before awaiting either.
+fn drain_backlog(workers: usize, sessions: u64) -> Duration {
+    let rt = Runtime::new(workers);
+    let gate = Arc::new(Barrier::new(workers + 1));
+    for _ in 0..workers {
+        let gate = gate.clone();
+        // Blocks its worker thread: first until every worker is held,
+        // then until the whole backlog is queued.
+        drop(rt.spawn(async move {
+            gate.wait();
+            gate.wait();
+        }));
+    }
+    gate.wait();
+    let handles: Vec<_> = (0..sessions)
+        .flat_map(|session| {
+            let (mut to_left, left) = Bidirectional::<u64>::pair();
+            let (mut to_right, right) = Bidirectional::<u64>::pair();
+            let spoke = |mut link: Bidirectional<u64>| async move {
+                let value = link.recv().await.unwrap();
+                link.send(value).unwrap();
+                link.send(value + 1).unwrap();
+                value
+            };
+            let left = rt.spawn(spoke(left));
+            let right = rt.spawn(spoke(right));
+            let hub = rt.spawn(async move {
+                to_left.send(session).unwrap();
+                to_right.send(session + 2).unwrap();
+                let mut sum = 0;
+                for link in [&mut to_left, &mut to_right] {
+                    sum += link.recv().await.unwrap();
+                    sum += link.recv().await.unwrap();
+                }
+                sum
+            });
+            [left, right, hub]
+        })
+        .collect();
+    // Stamped before the release: a released worker may run before this
+    // thread does.
+    let start = Instant::now();
+    gate.wait();
+    for (index, handle) in handles.into_iter().enumerate() {
+        let session = index as u64 / 3;
+        let expected = [session, session + 2, 4 * session + 6][index % 3];
+        assert_eq!(rt.block_on(handle).unwrap(), expected, "handle {index}");
+    }
+    start.elapsed()
+}
+
+/// A backlog of runnable sessions costs time linear in its length: with
+/// every session queued from outside the pool before the first one runs,
+/// four times the sessions may take at most eight times as long, on one
+/// worker and on two. Other load on the machine only ever adds wall time
+/// to one of the two runs, so the bound has to hold on one of a few
+/// attempts rather than on each; a scheduler that is quadratic in the
+/// backlog misses it by a factor on every attempt.
+///
+/// The hub wakes two peers back to back on purpose. The second wake
+/// displaces the first from the worker's LIFO slot into its deque, which
+/// is the one push a worker makes onto a deque that already holds a whole
+/// injector takeover. A strict ping-pong never displaces the slot — each
+/// wake is polled before the next is made — so it never exercises what a
+/// worker does with a long deque.
+#[test]
+fn backlog_drains_in_linear_time() {
+    for workers in [1, 2] {
+        let mut attempts = Vec::new();
+        let linear = (0..5).any(|_| {
+            let small = drain_backlog(workers, BACKLOG_SESSIONS);
+            let large = drain_backlog(workers, 4 * BACKLOG_SESSIONS);
+            attempts.push((small, large));
+            large <= 8 * small
+        });
+        assert!(
+            linear,
+            "{workers} workers: {BACKLOG_SESSIONS} and {} sessions took {attempts:?}",
+            4 * BACKLOG_SESSIONS,
+        );
     }
 }
 

@@ -4,9 +4,9 @@
 //! * [`Worker`]/[`Stealer`] follow Chase & Lev's growable circular-buffer
 //!   deque with the acquire/release orderings of Lê et al., "Correct and
 //!   Efficient Work-Stealing for Weak Memory Models" (PPoPP'13): the owner
-//!   pushes and pops at the *bottom* without synchronisation in the common
-//!   case, stealers CAS the *top* index, and the owner CASes top only when
-//!   taking the last element.
+//!   pushes at the *bottom* without synchronisation, and every taker — the
+//!   owner's FIFO pop and each stealer alike — claims the oldest element
+//!   with a CAS on the *top* index. Nothing ever decrements `bottom`.
 //! * Buffer growth is epoch-free: the owner publishes the doubled buffer
 //!   with a release store and *retires* the old one into a list inside the
 //!   shared (`Arc`ed) state instead of freeing it, so a stealer that raced
@@ -49,26 +49,6 @@ pub enum Steal<T> {
     Empty,
     /// Lost a race with a concurrent steal; the caller should retry.
     Retry,
-}
-
-impl<T> Steal<T> {
-    /// True if the steal produced a task.
-    pub fn is_success(&self) -> bool {
-        matches!(self, Steal::Success(_))
-    }
-
-    /// True if the queue was observed empty.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Steal::Empty)
-    }
-
-    /// Extracts the stolen task, if any.
-    pub fn success(self) -> Option<T> {
-        match self {
-            Steal::Success(task) => Some(task),
-            _ => None,
-        }
-    }
 }
 
 impl<T> fmt::Debug for Steal<T> {
@@ -161,20 +141,10 @@ impl<T> Drop for Inner<T> {
     }
 }
 
-/// Which end the owner pops from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Flavor {
-    /// Owner pops the most recently pushed element (bottom).
-    Lifo,
-    /// Owner pops the oldest element (top), like the stealers.
-    Fifo,
-}
-
 /// The worker-local end of a deque. Single-owner: push and pop must stay
 /// on one thread (the type is `Send` but not `Sync`, and not `Clone`).
 pub struct Worker<T> {
     inner: Arc<Inner<T>>,
-    flavor: Flavor,
     /// !Sync marker: owner operations are single-threaded by contract.
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
@@ -182,7 +152,8 @@ pub struct Worker<T> {
 unsafe impl<T: Send> Send for Worker<T> {}
 
 impl<T> Worker<T> {
-    fn with_flavor(flavor: Flavor) -> Self {
+    /// Creates a FIFO worker queue: `pop` takes the oldest element.
+    pub fn new_fifo() -> Self {
         let buffer = Box::into_raw(Buffer::alloc(MIN_CAP));
         Self {
             inner: Arc::new(Inner {
@@ -191,19 +162,8 @@ impl<T> Worker<T> {
                 buffer: AtomicPtr::new(buffer),
                 retired: UnsafeCell::new(Vec::new()),
             }),
-            flavor,
             _not_sync: PhantomData,
         }
-    }
-
-    /// Creates a FIFO worker queue: `pop` takes the oldest element.
-    pub fn new_fifo() -> Self {
-        Self::with_flavor(Flavor::Fifo)
-    }
-
-    /// Creates a LIFO worker queue: `pop` takes the newest element.
-    pub fn new_lifo() -> Self {
-        Self::with_flavor(Flavor::Lifo)
     }
 
     /// Creates a stealer handle sharing this queue.
@@ -259,55 +219,10 @@ impl<T> Worker<T> {
         unsafe { (*self.inner.retired.get()).push(Box::from_raw(old)) };
     }
 
-    /// Pops the next local task (bottom for LIFO, top for FIFO).
+    /// Pops the oldest local task, from the same end the stealers take.
     pub fn pop(&self) -> Option<T> {
-        match self.flavor {
-            Flavor::Lifo => self.pop_lifo(),
-            Flavor::Fifo => self.pop_fifo(),
-        }
-    }
-
-    fn pop_lifo(&self) -> Option<T> {
-        let bottom = self.inner.bottom.load(Relaxed) - 1;
-        self.inner.bottom.store(bottom, Relaxed);
-        // The bottom store must be visible before top is read, or two
-        // threads could both claim a single remaining element.
-        fence(SeqCst);
-        let top = self.inner.top.load(Relaxed);
-
-        if bottom < top {
-            // Empty: undo the reservation.
-            self.inner.bottom.store(bottom + 1, Relaxed);
-            return None;
-        }
-
-        let buffer = self.inner.buffer.load(Relaxed);
-        let slot = unsafe { (*buffer).read(bottom) };
-        if bottom > top {
-            // More than one element: the owner wins uncontended.
-            return Some(unsafe { slot.assume_init() });
-        }
-
-        // Exactly one element: race the stealers with a CAS on top.
-        let won = self
-            .inner
-            .top
-            .compare_exchange(top, top + 1, SeqCst, Relaxed)
-            .is_ok();
-        self.inner.bottom.store(bottom + 1, Relaxed);
-        if won {
-            Some(unsafe { slot.assume_init() })
-        } else {
-            // A stealer claimed it; the `MaybeUninit` bit-copy is simply
-            // discarded (it never drops).
-            None
-        }
-    }
-
-    fn pop_fifo(&self) -> Option<T> {
-        // FIFO owner pop takes from the steal end. The CAS can only lose
-        // to a concurrent stealer, which strictly shrinks the queue, so
-        // retrying terminates.
+        // The CAS can only lose to a concurrent stealer, which strictly
+        // shrinks the queue, so retrying terminates.
         loop {
             match steal_one(&self.inner) {
                 Steal::Success(task) => return Some(task),
@@ -331,7 +246,7 @@ impl<T> fmt::Debug for Worker<T> {
 }
 
 /// Steals one element from the top. Shared by `Stealer::steal` and the
-/// FIFO owner pop.
+/// owner's pop.
 fn steal_one<T>(inner: &Inner<T>) -> Steal<T> {
     let top = inner.top.load(Acquire);
     // Order the top load before the bottom load: observing a stale bottom
@@ -381,10 +296,11 @@ impl<T> Stealer<T> {
     /// tasks) into `dest`, returning the first stolen task.
     ///
     /// Every element is claimed with its own fenced single-steal CAS —
-    /// never one CAS over a multi-element range. A range claim would race
-    /// the LIFO owner's uncontended pop: the owner takes index `bottom-1`
-    /// without touching `top` whenever `bottom-1 > top`, so a stealer may
-    /// only ever claim the element `top` itself points at.
+    /// never one CAS over a multi-element range — so the deque has one
+    /// claim protocol (`steal_one`: copy the slot `top` points at, let the
+    /// CAS on `top` validate the copy) shared by the owner's pop, `steal`
+    /// and this batch. Each claim re-reads `bottom`, so the batch ends at
+    /// whatever the owner and other stealers have left by then.
     ///
     /// `dest` must be a different queue: the caller is its owner thread.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
@@ -556,16 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_lifo_order() {
-        let w = Worker::new_lifo();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
     fn stealer_drains_worker() {
         let w = Worker::new_fifo();
         let s = w.stealer();
@@ -591,12 +497,12 @@ mod tests {
 
     #[test]
     fn grow_preserves_elements() {
-        let w = Worker::new_lifo();
+        let w = Worker::new_fifo();
         for i in 0..(MIN_CAP * 4) {
             w.push(i);
         }
         assert_eq!(w.len(), MIN_CAP * 4);
-        for i in (0..(MIN_CAP * 4)).rev() {
+        for i in 0..(MIN_CAP * 4) {
             assert_eq!(w.pop(), Some(i));
         }
         assert_eq!(w.pop(), None);

