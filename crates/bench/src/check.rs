@@ -37,6 +37,10 @@ fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>)
 ///   least one channel carries a bound;
 /// * every socket link has `send_window <= kmc_bound` when both are
 ///   registered, at least one has a window and one moved frames;
+/// * every socket link's three ledgers agree — `frames_received ==
+///   frames_sent`, `bytes_received == bytes_sent`, and the channel row
+///   of the same `(from, to)` has `sends == frames_sent` (a sweep is
+///   one process, quiescent when snapshotted, so no frame is in flight);
 /// * every histogram present has samples and a monotone quantile
 ///   ladder, and at least one channel, one socket link and one session
 ///   role carry one (the stamp paths cannot all be dead).
@@ -113,6 +117,28 @@ pub fn telemetry(artifact: &Artifact) -> Vec<String> {
                     "{at}: send_window {window} exceeds verified k-MC bound {bound}"
                 ));
             }
+        }
+        if link.frames_received != link.frames_sent {
+            errors.push(format!(
+                "{at}: frames_received {} != frames_sent {}",
+                link.frames_received, link.frames_sent
+            ));
+        }
+        if link.bytes_received != link.bytes_sent {
+            errors.push(format!(
+                "{at}: bytes_received {} != bytes_sent {}",
+                link.bytes_received, link.bytes_sent
+            ));
+        }
+        let mut channels = telemetry.channels.iter();
+        let sends = channels
+            .find(|c| c.from == link.from && c.to == link.to)
+            .map(|c| c.sends);
+        if sends != Some(link.frames_sent) {
+            errors.push(format!(
+                "{at}: channel sends {sends:?} != frames_sent {}",
+                link.frames_sent
+            ));
         }
     }
     if windowed == 0 {

@@ -59,7 +59,11 @@ const TELEMETRY: &str = r#"{
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
     "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
     "batched_messages": 40, "backpressure_parks": 0, "instances": 2, "stamp_misses": 0,
-    "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
+    "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}},
+   {"from": "Ping", "to": "Pong", "high_watermark": 1, "kmc_bound": 1, "batch_window": 1,
+    "grows": 0, "waker_retries": 0, "sends": 500, "wakes": 0, "batches": 0,
+    "batched_messages": 0, "backpressure_parks": 0, "instances": 1, "stamp_misses": 0,
+    "latency": null}],
   "transport": [{"from": "Ping", "to": "Pong", "frames_sent": 500, "frames_received": 500,
     "bytes_sent": 8000, "bytes_received": 8000, "window_stalls": 3, "reconnects": 0,
     "instances": 1, "send_window": 1, "kmc_bound": 1,
@@ -123,6 +127,35 @@ fn telemetry_accepts_a_valid_artifact_and_rejects_each_violation() {
         "send-window",
         &doctored,
         "send_window 2 exceeds",
+    );
+
+    // The three ledgers of a socket link: frames and bytes in against
+    // out, and the channel row's sends against the frames.
+    let mut doctored = instrumented();
+    doctored.telemetry.as_mut().unwrap().transport[0].frames_received = 499;
+    assert_rejected(
+        "telemetry",
+        "ledger-frames",
+        &doctored,
+        "(Ping -> Pong): frames_received 499 != frames_sent 500",
+    );
+
+    let mut doctored = instrumented();
+    doctored.telemetry.as_mut().unwrap().transport[0].bytes_received = 7999;
+    assert_rejected(
+        "telemetry",
+        "ledger-bytes",
+        &doctored,
+        "(Ping -> Pong): bytes_received 7999 != bytes_sent 8000",
+    );
+
+    let mut doctored = instrumented();
+    doctored.telemetry.as_mut().unwrap().channels[1].sends = 499;
+    assert_rejected(
+        "telemetry",
+        "ledger-sends",
+        &doctored,
+        "(Ping -> Pong): channel sends Some(499) != frames_sent 500",
     );
 
     let mut doctored = instrumented();

@@ -167,13 +167,6 @@ fn emit_distributed_main(analysis: &Analysis, parts: &ModuleParts) -> String {
          \x20       eprintln!(\"error: cannot load topology: {error}\");\n\
          \x20       std::process::exit(2);\n\
          \x20   });\n\
-         \x20   // Observability hooks, both inert unless the environment opts in:\n\
-         \x20   // `RUMPSTEAK_METRICS=<addr>` serves GET /metrics for the whole run,\n\
-         \x20   // `RUMPSTEAK_TRACE_OUT=<path>` writes this process's trace dump for\n\
-         \x20   // `rumpsteak-trace --merge` after the session completes.\n\
-         \x20   let metrics = std::env::var(\"RUMPSTEAK_METRICS\")\n\
-         \x20       .ok()\n\
-         \x20       .map(|addr| rumpsteak::telemetry::serve::start(&addr).expect(\"start metrics endpoint\"));\n\
          \x20   let rt = executor::Runtime::with_default_threads();\n\
          \x20   match role.as_str() {\n",
     );
@@ -196,11 +189,12 @@ fn emit_distributed_main(analysis: &Analysis, parts: &ModuleParts) -> String {
          \x20   }}\n"
     ));
     out.push_str(
-        "    if let Ok(path) = std::env::var(\"RUMPSTEAK_TRACE_OUT\") {\n\
+        "    // Inert unless the environment opts in: `RUMPSTEAK_TRACE_OUT=<path>`\n\
+         \x20   // writes this process's trace dump for `rumpsteak-trace --merge`.\n\
+         \x20   if let Ok(path) = std::env::var(\"RUMPSTEAK_TRACE_OUT\") {\n\
          \x20       std::fs::write(&path, rumpsteak::telemetry::trace::dump_text(&role))\n\
          \x20           .expect(\"write trace dump\");\n\
-         \x20   }\n\
-         \x20   drop(metrics);\n",
+         \x20   }\n",
     );
     out.push_str(&format!(
         "    println!(\"role `{{role}}` of protocol `{}` ran to completion\");\n}}\n",

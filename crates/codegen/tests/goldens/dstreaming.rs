@@ -173,13 +173,6 @@ fn main() {
         eprintln!("error: cannot load topology: {error}");
         std::process::exit(2);
     });
-    // Observability hooks, both inert unless the environment opts in:
-    // `RUMPSTEAK_METRICS=<addr>` serves GET /metrics for the whole run,
-    // `RUMPSTEAK_TRACE_OUT=<path>` writes this process's trace dump for
-    // `rumpsteak-trace --merge` after the session completes.
-    let metrics = std::env::var("RUMPSTEAK_METRICS")
-        .ok()
-        .map(|addr| rumpsteak::telemetry::serve::start(&addr).expect("start metrics endpoint"));
     let rt = executor::Runtime::with_default_threads();
     match role.as_str() {
         "S" => {
@@ -201,10 +194,11 @@ fn main() {
             std::process::exit(2);
         }
     }
+    // Inert unless the environment opts in: `RUMPSTEAK_TRACE_OUT=<path>`
+    // writes this process's trace dump for `rumpsteak-trace --merge`.
     if let Ok(path) = std::env::var("RUMPSTEAK_TRACE_OUT") {
         std::fs::write(&path, rumpsteak::telemetry::trace::dump_text(&role))
             .expect("write trace dump");
     }
-    drop(metrics);
     println!("role `{role}` of protocol `DStreaming` ran to completion");
 }

@@ -349,18 +349,6 @@ impl Runtime {
             })
             .collect();
 
-        if telemetry::ENABLED {
-            // Register as a global scheduler-telemetry source for
-            // pull-based consumers (the metrics endpoint). The weak
-            // handle keeps a dropped runtime from being pinned alive by
-            // the registry; its source then reports zeros.
-            let weak = Arc::downgrade(&shared);
-            telemetry::scheduler::register_source(move || match weak.upgrade() {
-                Some(shared) => snapshot_shared(&shared),
-                None => telemetry::scheduler::RuntimeSnapshot::default(),
-            });
-        }
-
         Self { shared, workers }
     }
 
@@ -406,19 +394,14 @@ impl Runtime {
     /// zeros unless built with the `telemetry` feature. Counts are exact
     /// once the pool is quiescent (no task running or queued).
     pub fn telemetry(&self) -> telemetry::scheduler::RuntimeSnapshot {
-        snapshot_shared(&self.shared)
-    }
-}
-
-/// Reads every counter block of one pool into a snapshot.
-fn snapshot_shared(shared: &Shared) -> telemetry::scheduler::RuntimeSnapshot {
-    let workers = shared.parkers.len();
-    telemetry::scheduler::RuntimeSnapshot {
-        workers: shared.counters[..workers]
-            .iter()
-            .map(|block| block.snapshot())
-            .collect(),
-        external: shared.counters[workers].snapshot(),
+        let workers = self.shared.parkers.len();
+        telemetry::scheduler::RuntimeSnapshot {
+            workers: self.shared.counters[..workers]
+                .iter()
+                .map(|block| block.snapshot())
+                .collect(),
+            external: self.shared.counters[workers].snapshot(),
+        }
     }
 }
 

@@ -9,7 +9,6 @@
 //! so the depth-first visitor can revert cheaply without copying.
 
 use theory::fsm::{Action, Direction};
-use theory::sort::Sort;
 
 /// A recorded point in a prefix's history; see [`Prefix::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,11 +219,6 @@ pub fn prefix_of(actions: impl IntoIterator<Item = Action>) -> Prefix {
         prefix.push(action);
     }
     prefix
-}
-
-#[allow(unused)]
-fn sort_unit() -> Sort {
-    Sort::Unit
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@
 //!
 //! The module also owns the **session lifetime registry**: one
 //! histogram per role name recording `try_session` spawn→teardown
-//! wall time, snapshotted by `fig6 --telemetry` and the metrics
-//! endpoint. Without the `telemetry` feature everything compiles to
-//! no-ops and empty snapshots.
+//! wall time, snapshotted by `fig6 --telemetry`. Without the
+//! `telemetry` feature everything compiles to no-ops and empty
+//! snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -3,7 +3,7 @@
 //! The paper's pitch is that statically verified asynchronous message
 //! reordering makes session-typed Rust *fast*; this crate makes the
 //! runtime explain *why* a number moved instead of reporting only
-//! end-to-end means. Three instruments, all lock-free on their hot
+//! end-to-end means. Five instruments, all lock-free on their hot
 //! paths:
 //!
 //! * [`scheduler`] — per-worker cache-padded relaxed [`Counter`]s for the
@@ -31,9 +31,6 @@
 //!   with exact-reference-tested quantiles, recording per-link
 //!   send→recv latency (via [`channel`]/[`transport`]) and session
 //!   spawn→teardown lifetimes.
-//! * [`serve`] — a dependency-free HTTP/1.0 metrics endpoint exposing
-//!   every registry above in Prometheus-style text exposition,
-//!   scrapeable mid-run.
 //!
 //! # Feature gating
 //!
@@ -49,7 +46,6 @@
 pub mod channel;
 pub mod hist;
 pub mod scheduler;
-pub mod serve;
 pub mod trace;
 pub mod transport;
 

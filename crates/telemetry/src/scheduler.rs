@@ -7,8 +7,6 @@
 //! path — and `Runtime::telemetry()` folds the blocks into a
 //! [`RuntimeSnapshot`] on demand.
 
-use std::sync::{Mutex, OnceLock};
-
 use crate::Counter;
 
 /// One worker's counter block. Field meanings:
@@ -110,21 +108,6 @@ impl CountersSnapshot {
             unparks: self.unparks + other.unparks,
         }
     }
-
-    /// `(name, value)` pairs in declaration order, for metric rendering.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
-        [
-            ("spawns", self.spawns),
-            ("completions", self.completions),
-            ("polls", self.polls),
-            ("lifo_hits", self.lifo_hits),
-            ("local_pops", self.local_pops),
-            ("injector_pops", self.injector_pops),
-            ("sibling_steals", self.sibling_steals),
-            ("parks", self.parks),
-            ("unparks", self.unparks),
-        ]
-    }
 }
 
 /// Aggregated scheduler telemetry for one runtime: one snapshot per
@@ -147,56 +130,9 @@ impl RuntimeSnapshot {
     }
 }
 
-/// A live scheduler-telemetry source: a closure yielding the current
-/// [`RuntimeSnapshot`] of one runtime (typically capturing a `Weak`
-/// handle and returning `Default` once the runtime is gone).
-pub type SnapshotSource = Box<dyn Fn() -> RuntimeSnapshot + Send + Sync>;
-
-fn sources() -> &'static Mutex<Vec<SnapshotSource>> {
-    static SOURCES: OnceLock<Mutex<Vec<SnapshotSource>>> = OnceLock::new();
-    SOURCES.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Registers a runtime as a global scheduler-telemetry source so
-/// pull-based consumers (the metrics endpoint) can snapshot every live
-/// runtime without holding a handle to any of them.
-pub fn register_source(source: impl Fn() -> RuntimeSnapshot + Send + Sync + 'static) {
-    sources().lock().unwrap().push(Box::new(source));
-}
-
-/// Folds every registered source into one [`RuntimeSnapshot`]: worker
-/// blocks are concatenated, external blocks merged.
-pub fn sources_snapshot() -> RuntimeSnapshot {
-    let sources = sources().lock().unwrap();
-    let mut merged = RuntimeSnapshot::default();
-    for source in sources.iter() {
-        let snapshot = source();
-        merged.workers.extend(snapshot.workers);
-        merged.external = merged.external.merge(&snapshot.external);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registered_sources_fold_into_one_snapshot() {
-        register_source(|| RuntimeSnapshot {
-            workers: vec![CountersSnapshot {
-                polls: 7,
-                ..Default::default()
-            }],
-            external: CountersSnapshot {
-                spawns: 2,
-                ..Default::default()
-            },
-        });
-        let merged = sources_snapshot();
-        assert!(merged.total().polls >= 7);
-        assert!(merged.total().spawns >= 2);
-    }
 
     #[test]
     fn snapshot_reads_counters() {
