@@ -2,16 +2,13 @@
 //!
 //! `fig6` builds an [`Artifact`] and writes its one JSON form;
 //! `bench-check` and the tests decode the same type, so the producer and
-//! every consumer agree on the schema by construction. The
-//! `edge_costs` section is [`optimiser::cost::EdgeCosts`] — the type
-//! `rumpsteak-gen --costs` loads — and the `telemetry` section mirrors
-//! the `telemetry` crate's snapshots (which stays dependency-free and
-//! so cannot carry the encoding itself).
+//! every consumer agree on the schema by construction. The `telemetry`
+//! section mirrors the `telemetry` crate's snapshots (which stays
+//! dependency-free and so cannot carry the encoding itself).
 
 use std::collections::BTreeMap;
 
 use dep_telemetry as telemetry;
-use optimiser::cost::EdgeCosts;
 use theory::json_record;
 
 json_record! {
@@ -26,9 +23,8 @@ json_record! {
         pub unit: String,
         /// One row per protocol × worker-thread count.
         pub results: Vec<Row>,
-        /// Per-link-class cost profile (`--edge-costs`).
-        pub edge_costs: Option<EdgeCosts>,
-        /// Runtime counters of the sweep (`--telemetry`).
+        /// Runtime counters of the sweep; present exactly when the
+        /// build is instrumented (`--features telemetry`).
         pub telemetry: Option<Telemetry>,
     }
 }

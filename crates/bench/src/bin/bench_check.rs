@@ -2,7 +2,7 @@
 //! cross-field invariants, no timing comparison.
 //!
 //! ```text
-//! bench-check telemetry ARTIFACT.json           # fig6 --json --telemetry output
+//! bench-check telemetry ARTIFACT.json           # instrumented fig6 --json output
 //! bench-check report REPORT.json                # rumpsteak-gen --optimise --report output
 //! bench-check trace TRACE.json                  # rumpsteak-trace output
 //! ```

@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin fig6 [streaming|double-buffering|fft]
-//! cargo run --release -p bench --bin fig6 -- --json [--edge-costs] [--out PATH]
-//! cargo run --release -p bench --features telemetry --bin fig6 -- \
-//!     --json --telemetry [--out PATH]
+//! cargo run --release -p bench [--features telemetry] --bin fig6 -- --json [--out PATH]
 //! ```
 //!
 //! The default mode prints one row per parameter value with the
@@ -16,18 +14,12 @@
 //! artifact (protocol × threads × ns/op) to `--out PATH`, by default
 //! `fig6.json` in the system temp directory so a run never dirties the
 //! working tree. The rows are mean-only smoke numbers: the sweep exists
-//! to run the whole stack (under telemetry, to fill its tables) and to
-//! host the edge-cost profile. Performance claims belong to
-//! `BENCHMARK.json` and the `benchmark/` package.
+//! to run the whole stack (under telemetry, to fill its tables).
+//! Performance claims belong to `BENCHMARK.json` and the `benchmark/`
+//! package.
 //!
-//! `--edge-costs` appends an `"edge_costs"` section: the per-link-class
-//! cost micro-profile (send/recv base ns and ns-per-byte slope for the
-//! SPSC, TCP and UDS classes — see `bench::edge_costs`)
-//! that `rumpsteak-gen --optimise --costs PATH` loads to rank
-//! AMR candidates by estimated nanoseconds saved.
-//!
-//! `--telemetry` (instrumented builds only) appends a `"telemetry"`
-//! section to the JSON: per-worker scheduler counters for every swept
+//! An instrumented build (`--features telemetry`) fills the artifact's
+//! `"telemetry"` section: per-worker scheduler counters for every swept
 //! thread count, the per-channel occupancy table — each session link's
 //! high-watermark next to its statically verified k-MC bound — and the
 //! per-remote-link transport table (frames, bytes, window stalls,
@@ -38,7 +30,7 @@
 //! reports spawn-to-teardown lifetime quantiles per role. The run
 //! aborts if any watermark exceeds its bound, any send window is
 //! registered above its bound, or any quantile ladder is non-monotone,
-//! so a telemetry sweep doubles as an end-to-end check of the
+//! so an instrumented sweep doubles as an end-to-end check of the
 //! verifier's guarantee.
 
 use std::time::Duration;
@@ -48,7 +40,6 @@ use bench::protocols::{double_buffering, fft8, streaming};
 use bench::timing::{measure, throughput};
 use bench::{check, transport};
 use dep_telemetry as telemetry;
-use optimiser::cost::EdgeCosts;
 use theory::json::{self, Json};
 
 /// Measurement budget and run cap of one table cell.
@@ -65,16 +56,12 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let mut json = false;
-    let mut with_telemetry = false;
-    let mut with_edge_costs = false;
     let mut out: Option<String> = None;
     let mut which: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--telemetry" => with_telemetry = true,
-            "--edge-costs" => with_edge_costs = true,
             "--out" => match args.next() {
                 Some(path) => out = Some(path),
                 None => {
@@ -86,8 +73,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument `{other}`; expected \
-                     streaming|double-buffering|fft|all, --json, \
-                     --edge-costs, --telemetry, --out PATH"
+                     streaming|double-buffering|fft|all, --json, --out PATH"
                 );
                 std::process::exit(2);
             }
@@ -97,20 +83,13 @@ fn main() {
         eprintln!("--json always sweeps every protocol; drop the table name");
         std::process::exit(2);
     }
-    if (out.is_some() || with_telemetry || with_edge_costs) && !json {
-        eprintln!("--out, --telemetry and --edge-costs only apply to --json mode");
-        std::process::exit(2);
-    }
-    if with_telemetry && !telemetry::ENABLED {
-        eprintln!(
-            "--telemetry needs the instrumented build: \
-             cargo run --release -p bench --features telemetry --bin fig6 -- ..."
-        );
+    if out.is_some() && !json {
+        eprintln!("--out only applies to --json mode");
         std::process::exit(2);
     }
 
     if json {
-        emit_json(with_telemetry, with_edge_costs, out);
+        emit_json(out);
         return;
     }
     let which = which.unwrap_or_else(|| "all".into());
@@ -128,7 +107,7 @@ fn main() {
     }
 }
 
-fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<String>) {
+fn emit_json(out_path: Option<String>) {
     // Workload sizes: (streaming n, double-buffering n, fft columns).
     let (stream_n, buffer_n, fft_n) = (50, 10000, 1000);
     // Networked-transport microbenches: rounds per framed ping-pong run
@@ -221,7 +200,7 @@ fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<Strin
         bench("fft", &[("n", fft_n as u64)], fft_n as u64, &mut || {
             fft8::run_rumpsteak(&rt, fft_n);
         });
-        if with_telemetry {
+        if telemetry::ENABLED {
             scheduler.push((threads, rt.telemetry()));
         }
     }
@@ -235,33 +214,18 @@ fn emit_json(with_telemetry: bool, with_edge_costs: bool, out_path: Option<Strin
         );
     }
 
-    // The per-edge cost micro-profile runs once, after the sweep, on a
-    // two-worker runtime (one producer, one consumer — the shape every
-    // class's harness needs).
-    let edge_costs = with_edge_costs.then(|| {
-        let classes = bench::edge_costs::measure(&executor::Runtime::new(2));
-        assert!(
-            !classes.is_empty(),
-            "fig6 --edge-costs measured no link classes"
-        );
-        EdgeCosts {
-            unit: "ns".to_owned(),
-            classes,
-        }
-    });
     let artifact = Artifact {
         bench: "fig6".to_owned(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
         unit: "ns/op".to_owned(),
         results,
-        edge_costs,
-        telemetry: with_telemetry.then(|| telemetry_section(&scheduler)),
+        telemetry: telemetry::ENABLED.then(|| telemetry_section(&scheduler)),
     };
-    if with_telemetry {
+    if telemetry::ENABLED {
         let violations = check::telemetry(&artifact);
         assert!(
             violations.is_empty(),
-            "--telemetry sweep violates its invariants:\n  {}",
+            "instrumented sweep violates its invariants:\n  {}",
             violations.join("\n  ")
         );
     }

@@ -4,9 +4,9 @@
 //! Shape (which members exist, of which type) is settled by decoding
 //! into [`Artifact`] / [`Report`]; each function here takes the decoded
 //! value and returns one line per violated invariant, empty when it
-//! holds. `fig6 --telemetry` runs [`telemetry`] on its own output
-//! before writing it, so an instrumented sweep doubles as an end-to-end
-//! check of the verifier's guarantee.
+//! holds. An instrumented `fig6 --json` runs [`telemetry`] on its own
+//! output before writing it, so the sweep doubles as an end-to-end check
+//! of the verifier's guarantee.
 
 use optimiser::Report;
 
@@ -26,7 +26,8 @@ fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>)
     true
 }
 
-/// Invariants of an instrumented `fig6 --json --telemetry` artifact:
+/// Invariants of an instrumented (`--features telemetry`) `fig6 --json`
+/// artifact:
 ///
 /// * the `telemetry` section is present;
 /// * every scheduler entry has `threads` worker blocks and some worker
@@ -47,7 +48,7 @@ fn check_quantiles(hist: &Option<Quantiles>, at: &str, errors: &mut Vec<String>)
 pub fn telemetry(artifact: &Artifact) -> Vec<String> {
     let mut errors = Vec::new();
     let Some(telemetry) = &artifact.telemetry else {
-        errors.push("no `telemetry` section (run fig6 with --telemetry)".to_owned());
+        errors.push("no `telemetry` section (build fig6 with --features telemetry)".to_owned());
         return errors;
     };
 
@@ -168,9 +169,10 @@ pub fn telemetry(artifact: &Artifact) -> Vec<String> {
 /// Invariants of a `rumpsteak-gen --optimise --report` array:
 ///
 /// * `improved` is true exactly when `best` is present,
-/// * `best`, when present, has a derivation and is the first entry of
-///   `candidates`,
-/// * `candidates` lists exactly the `verified` candidates, and
+/// * `candidates` lists exactly the `verified` candidates, in
+///   non-increasing `estimated_saving_ns` order,
+/// * `best` is present exactly when the first candidate's saving is
+///   positive, has a derivation and is that candidate, and
 /// * `verified` never exceeds `generated`.
 pub fn report(roles: &[Report]) -> Vec<String> {
     let mut errors = Vec::new();
@@ -181,15 +183,6 @@ pub fn report(roles: &[Report]) -> Vec<String> {
         let at = format!("report[{i}] ({})", role.role);
         if role.role.is_empty() || role.projection.is_empty() {
             errors.push(format!("{at}: empty `role` or `projection`"));
-        }
-        if !matches!(
-            role.cost_source.as_deref(),
-            None | Some("default-table" | "measured")
-        ) {
-            errors.push(format!(
-                "{at}: unknown `cost_source` {:?}",
-                role.cost_source
-            ));
         }
         if role.candidates.len() != role.verified {
             errors.push(format!(
@@ -210,6 +203,24 @@ pub fn report(roles: &[Report]) -> Vec<String> {
             .any(|c| c.local.is_empty() || c.states == 0)
         {
             errors.push(format!("{at}: a candidate has no `local` or no states"));
+        }
+        if !role
+            .candidates
+            .is_sorted_by(|a, b| a.estimated_saving_ns >= b.estimated_saving_ns)
+        {
+            errors.push(format!(
+                "{at}: `candidates` are not in non-increasing `estimated_saving_ns` order"
+            ));
+        }
+        let first_saves = role
+            .candidates
+            .first()
+            .is_some_and(|c| c.estimated_saving_ns > 0.0);
+        if role.best.is_some() != first_saves {
+            errors.push(format!(
+                "{at}: `best` must be present exactly when the first candidate's \
+                 `estimated_saving_ns` is positive"
+            ));
         }
         if role.improved != role.best.is_some() {
             errors.push(format!(

@@ -10,10 +10,6 @@
 //! * [`transport`] — networked-transport microbenchmarks (framed
 //!   loopback TCP/UDS ping-pong and k-bounded burst) measuring the
 //!   distributed backend's wire path, also swept by `fig6 --json`,
-//! * [`edge_costs`] — the per-link-class cost micro-profile behind
-//!   `fig6 --json --edge-costs`: per-message send/recv base cost and
-//!   per-byte slope for each class, the measured table
-//!   `rumpsteak-gen --optimise --costs` ranks AMR candidates with,
 //! * [`artifact`] — the `fig6 --json` artifact as Rust types, with its
 //!   one JSON encoding, and [`check`] — the invariants `bench-check`
 //!   (and `fig6` itself) hold it and the optimiser's report to,
@@ -26,12 +22,11 @@
 //! None of this carries a performance claim: those belong to
 //! `BENCHMARK.json` and the standalone `benchmark/` package.
 //!
-//! The harness needs Linux: [`transport`] and [`edge_costs`] drive the
-//! socket half of `rumpsteak::net`, which sits on `epoll`.
+//! The harness needs Linux: [`transport`] drives the socket half of
+//! `rumpsteak::net`, which sits on `epoll`.
 
 pub mod artifact;
 pub mod check;
-pub mod edge_costs;
 pub mod protocols;
 pub mod table1;
 pub mod timing;

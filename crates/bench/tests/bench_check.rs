@@ -41,14 +41,6 @@ fn assert_rejected(subcommand: &str, name: &str, doctored: &impl Json, complaint
     assert!(stderr.contains(complaint), "{name}: {stderr}");
 }
 
-/// A measured edge-cost profile, as `fig6 --json --edge-costs` writes
-/// it (the rest of the artifact is not the optimiser's business).
-const PROFILE: &str = r#"{"edge_costs": {"unit": "ns", "classes": [
-  {"class": "spsc", "send_base_ns": 10.16, "recv_base_ns": 27.88, "ns_per_byte": 0.2898},
-  {"class": "tcp", "send_base_ns": 3541.2, "recv_base_ns": 3541.2, "ns_per_byte": 0.536},
-  {"class": "uds", "send_base_ns": 1099.48, "recv_base_ns": 1099.48, "ns_per_byte": 1.3709}
-]}}"#;
-
 /// A minimal `telemetry` section satisfying every invariant.
 const TELEMETRY: &str = r#"{
   "scheduler": [{"threads": 1, "workers": [
@@ -72,10 +64,9 @@ const TELEMETRY: &str = r#"{
     "lifetime_ns": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}]
 }"#;
 
-/// A minimal artifact with every section present: one row, [`PROFILE`]
-/// and [`TELEMETRY`].
+/// A minimal artifact with every section present: one row and
+/// [`TELEMETRY`].
 fn instrumented() -> Artifact {
-    let profile = json::parse(PROFILE).expect("fixture parses");
     Artifact {
         bench: "fig6".to_owned(),
         host_parallelism: 2,
@@ -87,7 +78,6 @@ fn instrumented() -> Artifact {
             ops: 50,
             ns_per_op: 133.6,
         }],
-        edge_costs: profile.field("edge_costs").expect("fixture decodes"),
         telemetry: Some(json::decode(TELEMETRY).expect("fixture decodes")),
     }
 }
@@ -179,27 +169,20 @@ fn telemetry_accepts_a_valid_artifact_and_rejects_each_violation() {
 #[test]
 fn report_accepts_fresh_output_and_rejects_each_violation() {
     // What `rumpsteak-gen kbuffering_opt.scr --param n=4 --optimise
-    // --report` writes, under both cost sources.
-    let fresh = |costs: optimiser::CostModel| -> Vec<Report> {
-        let mut analysis =
-            codegen::analyse_with(KBUFFERING_OPT, &[("n".into(), 4)]).expect("protocol analyses");
-        let config = optimiser::Config::with_depth(1).with_cost(costs);
-        codegen::optimise(&mut analysis, &config).expect("optimises")
-    };
-    let default_table = fresh(optimiser::CostModel::default_table());
-    let measured = fresh(optimiser::CostModel::from_profile(PROFILE).expect("profile loads"));
-    for (name, reports) in [("default", &default_table), ("measured", &measured)] {
-        assert!(
-            reports.iter().any(|r| r.improved),
-            "{name}: nothing improved"
-        );
-        let path = temp_json(&format!("report-{name}"), reports);
-        let (code, stderr) = bench_check(&["report", path.to_str().unwrap()]);
-        assert_eq!(code, Some(0), "{name}: {stderr}");
-    }
+    // --report` writes.
+    let mut analysis =
+        codegen::analyse_with(KBUFFERING_OPT, &[("n".into(), 4)]).expect("protocol analyses");
+    let fresh: Vec<Report> =
+        codegen::optimise(&mut analysis, &optimiser::Config::with_depth(1)).expect("optimises");
+    let improved = fresh
+        .iter()
+        .position(|r| r.improved)
+        .expect("something improved");
+    let path = temp_json("report-fresh", &fresh);
+    let (code, stderr) = bench_check(&["report", path.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
 
-    let improved = default_table.iter().position(|r| r.improved).unwrap();
-    let mut doctored = default_table.clone();
+    let mut doctored = fresh.clone();
     doctored[improved].best.as_mut().unwrap().local = "end".into();
     assert_rejected(
         "report",
@@ -208,11 +191,34 @@ fn report_accepts_fresh_output_and_rejects_each_violation() {
         "not the first ranked candidate",
     );
 
-    let mut doctored = default_table.clone();
+    let mut doctored = fresh.clone();
     doctored[improved].generated = 0;
     assert_rejected("report", "verified", &doctored, "exceeds `generated`");
 
-    let mut doctored = default_table;
+    // A runner-up that would have saved more than the winner.
+    let mut doctored = fresh.clone();
+    let mut runner_up = doctored[improved].candidates[0].clone();
+    runner_up.estimated_saving_ns += 1.0;
+    doctored[improved].candidates.push(runner_up);
+    doctored[improved].verified += 1;
+    assert_rejected(
+        "report",
+        "rank-order",
+        &doctored,
+        "not in non-increasing `estimated_saving_ns` order",
+    );
+
+    // A winner that saves nothing.
+    let mut doctored = fresh.clone();
+    doctored[improved].candidates[0].estimated_saving_ns = 0.0;
+    assert_rejected(
+        "report",
+        "best-saving",
+        &doctored,
+        "`best` must be present exactly when",
+    );
+
+    let mut doctored = fresh;
     doctored[improved].improved = false;
     assert_rejected("report", "improved", &doctored, "`improved` disagrees");
 }
@@ -221,12 +227,8 @@ fn report_accepts_fresh_output_and_rejects_each_violation() {
 fn fresh_fig6_output_decodes_and_passes() {
     let out = std::env::temp_dir().join(format!("bench-check-fig6-{}.json", std::process::id()));
     let out = out.to_str().unwrap();
-    let mut args = vec!["--json", "--edge-costs", "--out", out];
-    if rumpsteak::telemetry::ENABLED {
-        args.push("--telemetry");
-    }
     let output = Command::new(env!("CARGO_BIN_EXE_fig6"))
-        .args(&args)
+        .args(["--json", "--out", out])
         .output()
         .expect("fig6 runs");
     assert!(
@@ -258,7 +260,6 @@ fn fresh_fig6_output_decodes_and_passes() {
         .flat_map(|&threads| FAMILIES.map(|family| (family, threads)))
         .collect();
     assert_eq!(rows, expected);
-    optimiser::CostModel::from_profile(&text).expect("fresh profile loads into the optimiser");
     if rumpsteak::telemetry::ENABLED {
         let (code, stderr) = bench_check(&["telemetry", out]);
         assert_eq!(code, Some(0), "{stderr}");
@@ -270,8 +271,7 @@ fn fresh_fig6_output_decodes_and_passes() {
 // ---- from_json(to_json(x)) == x ------------------------------------
 
 /// Members the schema allows to be `null`.
-const NULLABLE: [&str; 8] = [
-    "edge_costs",
+const NULLABLE: [&str; 7] = [
     "telemetry",
     "kmc_bound",
     "batch_window",

@@ -7,7 +7,6 @@
 //! rumpsteak-gen protocol.scr --check --k 2        # verify before emitting
 //! rumpsteak-gen protocol.scr --param n=4          # instantiate `role w[1..n]`
 //! rumpsteak-gen protocol.scr --optimise --bound 2 # AMR-optimise projections
-//! rumpsteak-gen protocol.scr --optimise --costs fig6.json  # measured costs
 //! rumpsteak-gen protocol.scr --skeleton           # runnable program skeleton
 //! rumpsteak-gen protocol.scr --skeleton --distributed  # per-process program
 //! rumpsteak-gen protocol.scr --format dot         # Graphviz FSMs
@@ -63,12 +62,6 @@ options:
     --report FILE           with --optimise, write the machine-readable
                             optimisation report (one JSON object per
                             role) to FILE
-    --costs FILE            with --optimise, rank candidates by measured
-                            per-edge costs loaded from a bench artifact
-                            (the `edge_costs` section of what
-                            `fig6 --json --edge-costs --out FILE` writes);
-                            without --costs a documented static default
-                            table is used
     --check                 verify the system about to be emitted (the
                             optimised one under --optimise): k-MC
                             (deadlocks, reception errors, orphans) plus a
@@ -92,7 +85,6 @@ struct Options {
     optimise: bool,
     bound: Option<usize>,
     report: Option<String>,
-    costs: Option<String>,
     params: Vec<(theory::Name, i64)>,
     k: usize,
     output: Option<String>,
@@ -108,7 +100,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         optimise: false,
         bound: None,
         report: None,
-        costs: None,
         params: Vec::new(),
         k: 2,
         output: None,
@@ -136,10 +127,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--report" => match iter.next() {
                 Some(path) => options.report = Some(path.clone()),
                 None => return Err("--report requires a path".into()),
-            },
-            "--costs" => match iter.next() {
-                Some(path) => options.costs = Some(path.clone()),
-                None => return Err("--costs requires a path".into()),
             },
             "--param" => match iter.next().and_then(|v| v.split_once('=')) {
                 Some((name, value)) if !name.is_empty() => match value.parse() {
@@ -177,9 +164,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if options.bound.is_some() && !options.optimise {
         return Err("--bound requires --optimise (--k sets the check's channel bound)".into());
-    }
-    if options.costs.is_some() && !options.optimise {
-        return Err("--costs requires --optimise".into());
     }
     Ok(options)
 }
@@ -225,31 +209,7 @@ fn main() -> ExitCode {
     };
 
     if options.optimise {
-        // The CLI always ranks by an explicit cost model: the measured
-        // profile when `--costs` names a bench artifact, the documented
-        // static default table otherwise. (Library callers that want the
-        // legacy receives-crossed proxy leave `Config.cost` unset.)
-        let model = match options.costs.as_deref() {
-            Some(path) => {
-                let profile = match std::fs::read_to_string(path) {
-                    Ok(profile) => profile,
-                    Err(e) => {
-                        eprintln!("error: cannot read {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                match optimiser::CostModel::from_profile(&profile) {
-                    Ok(model) => model,
-                    Err(e) => {
-                        eprintln!("error: --costs {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            None => optimiser::CostModel::default_table(),
-        };
-        let source_label = model.source();
-        let config = optimiser::Config::with_depth(options.bound.unwrap_or(1)).with_cost(model);
+        let config = optimiser::Config::with_depth(options.bound.unwrap_or(1));
         let reports = match codegen::optimise(&mut analysis, &config) {
             Ok(reports) => reports,
             Err(e) => {
@@ -260,13 +220,10 @@ fn main() -> ExitCode {
         for report in &reports {
             match &report.best {
                 Some(best) => eprintln!(
-                    "optimised: {}: score {}{} ({}/{} candidates verified): {}",
+                    "optimised: {}: score {}, est. {:.1} ns saved ({}/{} candidates verified): {}",
                     report.role,
                     best.score,
-                    match best.estimated_saving_ns {
-                        Some(saving) => format!(", est. {saving:.1} ns saved ({source_label})"),
-                        None => String::new(),
-                    },
+                    best.estimated_saving_ns,
                     report.verified,
                     report.generated,
                     best.derivation.join(", "),

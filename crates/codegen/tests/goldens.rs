@@ -1,6 +1,7 @@
 //! Golden-file tests: the generated Rust for **every** protocol under
 //! `tests/protocols/` is pinned byte-for-byte — the corpus is discovered
-//! by globbing, so adding a protocol without a golden fails the suite.
+//! by globbing, so adding a protocol without a golden fails the suite —
+//! and so is what the optimise pass picks for each of them.
 //!
 //! A protocol may carry a directive comment naming its generation flags
 //! (parameter bindings, skeleton emission):
@@ -76,11 +77,7 @@ fn generate(source: &str) -> String {
     let directive = directive(source);
     let mut analysis = codegen::analyse_with(source, &directive.params).expect("protocol analyses");
     if directive.optimise {
-        // Mirror the CLI: `rumpsteak-gen --optimise` always ranks by a cost
-        // model — the static default table when no `--costs` artifact is
-        // given — so goldens pin exactly what the tool emits.
-        let config = optimiser::Config::with_depth(directive.bound.unwrap_or(1))
-            .with_cost(optimiser::CostModel::default_table());
+        let config = optimiser::Config::with_depth(directive.bound.unwrap_or(1));
         codegen::optimise(&mut analysis, &config).expect("optimise pass succeeds");
     }
     if directive.distributed {
@@ -92,11 +89,10 @@ fn generate(source: &str) -> String {
     }
 }
 
-#[test]
-fn every_protocol_matches_its_golden() {
-    let protocols = fixture("protocols", "");
-    let mut checked = Vec::new();
-    for entry in std::fs::read_dir(&protocols).expect("protocols directory exists") {
+/// Every `(stem, source)` under `tests/protocols/`, sorted by stem.
+fn corpus() -> Vec<(String, String)> {
+    let mut corpus = Vec::new();
+    for entry in std::fs::read_dir(fixture("protocols", "")).expect("protocols directory exists") {
         let path = entry.expect("directory entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("scr") {
             continue;
@@ -107,6 +103,16 @@ fn every_protocol_matches_its_golden() {
             .expect("utf-8 protocol name")
             .to_owned();
         let source = std::fs::read_to_string(&path).expect("protocol fixture readable");
+        corpus.push((stem, source));
+    }
+    corpus.sort();
+    corpus
+}
+
+#[test]
+fn every_protocol_matches_its_golden() {
+    // (`PICKS` below names the corpus, so it never shrinks silently.)
+    for (stem, source) in corpus() {
         let expected = std::fs::read_to_string(fixture("goldens", &format!("{stem}.rs")))
             .unwrap_or_else(|_| panic!("protocol `{stem}` has no golden file"));
         assert_eq!(
@@ -115,25 +121,57 @@ fn every_protocol_matches_its_golden() {
             "generated output for `{stem}` diverged from the golden file; \
              regenerate it if the change is intentional"
         );
-        checked.push(stem);
     }
-    checked.sort();
-    // The corpus never shrinks silently.
-    for required in [
+}
+
+/// The roles one optimise pass improves, each with its winner's `score`.
+type Picks = &'static [(&'static str, usize)];
+
+/// What `--optimise --bound 1..=3` picks for every corpus protocol at
+/// its directive's parameters. A change to the price list that moves a
+/// pick fails here.
+const PICKS: [(&str, [Picks; 3]); 9] = [
+    (
         "double_buffering",
-        "dstreaming",
-        "gather",
-        "kbuffering",
-        "kbuffering_opt",
-        "pmesh",
-        "pring",
-        "ring",
-        "streaming",
-    ] {
-        assert!(
-            checked.iter().any(|c| c == required),
-            "protocol corpus lost `{required}` (found {checked:?})"
-        );
+        [
+            &[("k", 3), ("s", 2), ("t", 1)],
+            &[("k", 4), ("s", 3), ("t", 2)],
+            &[("k", 4), ("s", 4), ("t", 3)],
+        ],
+    ),
+    ("dstreaming", [&[("s", 1)]; 3]),
+    ("gather", [&[("c", 4)]; 3]),
+    ("kbuffering", [&[("s", 1)]; 3]),
+    ("kbuffering_opt", [&[("s", 1)]; 3]),
+    ("pmesh", [&[]; 3]),
+    ("pring", [&[]; 3]),
+    ("ring", [&[]; 3]),
+    ("streaming", [&[("s", 1)]; 3]),
+];
+
+#[test]
+fn optimiser_picks_are_pinned_across_the_corpus() {
+    let corpus = corpus();
+    let stems: Vec<&str> = corpus.iter().map(|(stem, _)| stem.as_str()).collect();
+    assert_eq!(
+        stems,
+        PICKS.map(|(stem, _)| stem),
+        "corpus and pin table differ"
+    );
+    for ((stem, source), (_, picks)) in corpus.iter().zip(PICKS) {
+        for (bound, expected) in (1..).zip(picks) {
+            let mut analysis =
+                codegen::analyse_with(source, &directive(source).params).expect("analyses");
+            let reports = codegen::optimise(&mut analysis, &optimiser::Config::with_depth(bound))
+                .expect("optimise pass succeeds");
+            let mut improved: Vec<(&str, usize)> = reports
+                .iter()
+                .filter(|r| r.improved)
+                .map(|r| (r.role.as_str(), r.best.as_ref().expect("improved").score))
+                .collect();
+            improved.sort();
+            assert_eq!(improved, expected, "`{stem}` at --bound {bound}");
+        }
     }
 }
 

@@ -14,12 +14,11 @@
 //!    the sound asynchronous subtyping algorithm
 //!    (`subtyping::check_candidates`), so only provably safe
 //!    reorderings survive;
-//! 3. **score** — rank the verified candidates: with a [`cost`] model in
-//!    the [`Config`], by *estimated nanoseconds saved* (each crossed
-//!    receive weighted by measured edge cost and payload wire size,
-//!    minus the occupancy of hoisting the payload earlier); without one,
-//!    by the receives-crossed proxy (sends made non-blocking / pipeline
-//!    depth unlocked) — both tie-breaking towards smaller machines;
+//! 3. **score** — rank the verified candidates by *estimated nanoseconds
+//!    saved* under the [`cost`] price list (each crossed receive weighted
+//!    by its payload's wire size, minus the occupancy of hoisting the
+//!    payload earlier), then by receives crossed, then towards smaller
+//!    machines;
 //! 4. **report** — return the best verified subtype plus a
 //!    machine-readable [`Report`] of the whole search.
 //!
@@ -53,7 +52,6 @@ use theory::json_record;
 use theory::local::LocalType;
 use theory::name::Name;
 
-pub use cost::CostModel;
 pub use rewrite::Step;
 
 /// Search budgets for the candidate generation and verification.
@@ -71,11 +69,6 @@ pub struct Config {
     /// Recursion-unrolling bound handed to the subtype checker; deeper
     /// anticipation needs a larger bound.
     pub bound: usize,
-    /// Cost model for estimated-ns-saved ranking. `None` keeps the
-    /// receives-crossed proxy (and its exact legacy tie-breaking); the
-    /// CLI always supplies a model — measured with `--costs`, the
-    /// documented [`cost::CostModel::default_table`] otherwise.
-    pub cost: Option<CostModel>,
 }
 
 impl Config {
@@ -89,14 +82,7 @@ impl Config {
             max_steps: depth.max(4),
             max_candidates: 512,
             bound: depth + 4,
-            cost: None,
         }
-    }
-
-    /// Ranks candidates with `model` instead of the crossing proxy.
-    pub fn with_cost(mut self, model: CostModel) -> Self {
-        self.cost = Some(model);
-        self
     }
 }
 
@@ -118,10 +104,10 @@ pub struct Candidate {
     pub derivation: Vec<Step>,
     /// Σ of step scores: receives that sends were moved ahead of.
     pub score: usize,
-    /// Estimated nanoseconds the reordering saves under the configured
-    /// cost model; `None` when the search ran without one. Can be
-    /// negative — an occupancy penalty outweighing the crossing benefit.
-    pub estimated_saving_ns: Option<f64>,
+    /// Estimated nanoseconds the reordering saves ([`cost::saving_ns`]
+    /// of the derivation). Can be negative — an occupancy penalty
+    /// outweighing the crossing benefit.
+    pub estimated_saving_ns: f64,
     /// Statistics of the subtype check that verified it.
     pub stats: subtyping::CheckStats,
 }
@@ -140,30 +126,23 @@ pub struct Optimised {
     pub generated: usize,
     /// Rewrite applications dropped by data-dependence pruning.
     pub pruned: usize,
-    /// Verified candidates, best first (estimated saving desc under a
-    /// cost model, else score desc; then score desc, fewer states,
-    /// generation order).
+    /// Verified candidates, best first (estimated saving desc, then
+    /// score desc, fewer states, generation order).
     pub candidates: Vec<Candidate>,
     /// True when generation stopped at [`Config::max_candidates`].
     pub truncated: bool,
     /// The subtype bound the candidates were verified with.
     pub bound: usize,
-    /// Where the ranking's cost numbers came from (`None` without a
-    /// cost model).
-    pub cost_source: Option<cost::CostSource>,
 }
 
 impl Optimised {
     /// The best verified candidate that strictly improves on the
-    /// projection, if any: positive estimated saving under a cost
-    /// model, positive crossing score otherwise.
+    /// projection, if any: the first ranked one, when its estimated
+    /// saving is positive.
     pub fn best(&self) -> Option<&Candidate> {
         self.candidates
             .first()
-            .filter(|c| match c.estimated_saving_ns {
-                Some(saving) => saving > 0.0,
-                None => c.score > 0,
-            })
+            .filter(|c| c.estimated_saving_ns > 0.0)
     }
 
     /// The local type to emit: the best improving candidate, or the
@@ -179,7 +158,7 @@ impl Optimised {
 
     /// Condenses the run into the machine-readable [`Report`].
     pub fn report(&self) -> Report {
-        let saving = |c: &Candidate| c.estimated_saving_ns.map(|ns| json::rounded(ns, 1));
+        let saving = |c: &Candidate| json::rounded(c.estimated_saving_ns, 1);
         let best = self.best().map(|c| BestCandidate {
             local: c.local.to_string(),
             score: c.score,
@@ -196,7 +175,6 @@ impl Optimised {
             verified: self.candidates.len(),
             truncated: self.truncated,
             bound: self.bound,
-            cost_source: self.cost_source.map(|s| s.to_string()),
             improved: best.is_some(),
             best,
             candidates: self
@@ -233,9 +211,6 @@ json_record! {
         pub truncated: bool,
         /// Subtype bound used for verification.
         pub bound: usize,
-        /// `"measured"` or `"default-table"` when a cost model ranked the
-        /// candidates; `None` under the receives-crossed proxy.
-        pub cost_source: Option<String>,
         /// Whether the role's type changed, i.e. `best` is present.
         pub improved: bool,
         /// The winning candidate; `None` when no verified candidate
@@ -259,9 +234,8 @@ json_record! {
         pub states: usize,
         /// State-pair visits of the verifying subtype check.
         pub visited_pairs: usize,
-        /// Estimated nanoseconds saved under the configured cost model,
-        /// to one decimal.
-        pub estimated_saving_ns: Option<f64>,
+        /// Estimated nanoseconds saved, to one decimal.
+        pub estimated_saving_ns: f64,
         /// Human-readable rewrite steps, in application order.
         pub derivation: Vec<String>,
     }
@@ -279,9 +253,8 @@ json_record! {
         pub states: usize,
         /// State-pair visits of the verifying subtype check.
         pub visited_pairs: usize,
-        /// Estimated nanoseconds saved under the configured cost model,
-        /// to one decimal.
-        pub estimated_saving_ns: Option<f64>,
+        /// Estimated nanoseconds saved, to one decimal.
+        pub estimated_saving_ns: f64,
     }
 }
 
@@ -356,34 +329,23 @@ pub fn optimise(
             local: local.clone(),
             fsm: machine,
             score: derivation.iter().map(Step::score).sum(),
-            estimated_saving_ns: config
-                .cost
-                .as_ref()
-                .map(|model| model.saving_ns(derivation)),
+            estimated_saving_ns: cost::saving_ns(derivation),
             derivation: derivation.clone(),
             stats,
         })
         .collect();
 
     // ---- score: best first, stably --------------------------------
-    // (both sorts are stable, so equal keys keep generation order:
-    // earlier-generated candidates win ties.)
-    match &config.cost {
-        // Receives-crossed proxy: the legacy ranking, bit-for-bit.
-        None => candidates.sort_by_key(|c| (std::cmp::Reverse(c.score), c.fsm.len())),
-        // Estimated ns saved, tie-broken by the proxy then by machine
-        // size — a cheap reordering outranks a bulky one even when they
-        // cross the same number of receives.
-        Some(_) => candidates.sort_by(|a, b| {
-            let (a_ns, b_ns) = (
-                a.estimated_saving_ns.unwrap_or(0.0),
-                b.estimated_saving_ns.unwrap_or(0.0),
-            );
-            b_ns.total_cmp(&a_ns)
-                .then(b.score.cmp(&a.score))
-                .then(a.fsm.len().cmp(&b.fsm.len()))
-        }),
-    }
+    // Estimated ns saved, tie-broken by receives crossed then by machine
+    // size — a cheap reordering outranks a bulky one even when they
+    // cross the same number of receives. The sort is stable, so equal
+    // keys keep generation order: earlier-generated candidates win ties.
+    candidates.sort_by(|a, b| {
+        b.estimated_saving_ns
+            .total_cmp(&a.estimated_saving_ns)
+            .then(b.score.cmp(&a.score))
+            .then(a.fsm.len().cmp(&b.fsm.len()))
+    });
 
     Ok(Optimised {
         role: role.clone(),
@@ -394,7 +356,6 @@ pub fn optimise(
         candidates,
         truncated,
         bound: config.bound,
-        cost_source: config.cost.as_ref().map(CostModel::source),
     })
 }
 
@@ -550,37 +511,33 @@ mod tests {
 
     #[test]
     fn cost_model_ranks_cheap_payload_hoists_above_bulky_ones() {
-        // Two hoists, each crossing exactly one receive: the proxy ranks
-        // them equal (generation order decides — the bulky one is at the
-        // root, so it is generated first), the cost model penalises the
-        // 1 KiB payload's occupancy and flips them.
-        let projection = parse("p?a.q!big(str).p?b.q!tiny(i32).end").unwrap();
-        let bulky = "q!big(str).p?a.p?b.q!tiny(i32).end";
-        let cheap = "p?a.q!big(str).q!tiny(i32).p?b.end";
-
-        let proxy = optimise(&"self".into(), &projection, &Config::with_depth(0)).unwrap();
-        assert!(position(&proxy, bulky) < position(&proxy, cheap));
-
-        let config = Config::with_depth(0).with_cost(CostModel::default_table());
-        let priced = optimise(&"self".into(), &projection, &config).unwrap();
-        assert!(position(&priced, cheap) < position(&priced, bulky));
-        let best = priced.best().expect("the cheap hoist is a net win");
-        assert!(best.estimated_saving_ns.unwrap() > 0.0);
+        // Two hoists, each crossing exactly one receive, the bulky one
+        // generated first (it is at the root): score and generation
+        // order would rank it first, the 1 KiB payload's occupancy
+        // ranks it below the 4-byte one.
+        let outcome = run("p?a.q!big(str).p?b.q!tiny(i32).end", 0);
+        let bulky = position(&outcome, "q!big(str).p?a.p?b.q!tiny(i32).end");
+        let cheap = position(&outcome, "p?a.q!big(str).q!tiny(i32).p?b.end");
+        assert_eq!(
+            outcome.candidates[bulky].score,
+            outcome.candidates[cheap].score
+        );
+        assert!(cheap < bulky);
+        let best = outcome.best().expect("the cheap hoist is a net win");
+        assert!(best.estimated_saving_ns > 0.0);
     }
 
     #[test]
     fn negative_saving_keeps_the_projection() {
         // Crossing one bare token cannot pay for hoisting a 1 KiB
         // payload: every candidate's saving is negative, so the
-        // projection is kept even though the proxy finds a "win".
-        let projection = parse("p?a.q!big(str).end").unwrap();
-        let config = Config::with_depth(0).with_cost(CostModel::default_table());
-        let outcome = optimise(&"self".into(), &projection, &config).unwrap();
-        assert!(outcome.candidates[0].estimated_saving_ns.unwrap() < 0.0);
+        // projection is kept even though the hoist crosses a receive.
+        let outcome = run("p?a.q!big(str).end", 0);
+        assert!(outcome.candidates[0].score > 0);
+        assert!(outcome.candidates[0].estimated_saving_ns < 0.0);
         assert!(outcome.best().is_none());
-        assert_eq!(outcome.best_local(), &projection);
-        let proxy = optimise(&"self".into(), &projection, &Config::with_depth(0)).unwrap();
-        assert!(proxy.best().is_some(), "the proxy would have taken it");
+        assert_eq!(outcome.best_local(), &outcome.projection);
+        assert!(!outcome.report().improved);
     }
 
     #[test]
@@ -596,26 +553,17 @@ mod tests {
 
     #[test]
     fn report_json_carries_cost_fields() {
-        let projection = parse("rec x . p?v . q!v . x").unwrap();
-        let config = Config::with_depth(0).with_cost(CostModel::default_table());
-        let outcome = optimise(&"self".into(), &projection, &config).unwrap();
-        let json = outcome.report().to_json();
-        assert_eq!(
-            json.get("cost_source"),
-            Some(&Value::String("default-table".into()))
-        );
+        let json = run("rec x . p?v . q!v . x", 0).report().to_json();
         let Some(Value::Array(candidates)) = json.get("candidates") else {
             panic!("no `candidates` array in {json}");
         };
-        assert!(matches!(
-            candidates[0].get("estimated_saving_ns"),
-            Some(Value::F64(_))
-        ));
-        // Without a model the fields degrade to null, not vanish.
-        let legacy = run("rec x . p?v . q!v . x", 0).report().to_json();
-        assert_eq!(legacy.get("cost_source"), Some(&Value::Null));
-        let best = legacy.get("best").expect("best is present");
-        assert_eq!(best.get("estimated_saving_ns"), Some(&Value::Null));
+        let best = json.get("best").expect("best is present");
+        for entry in [&candidates[0], best] {
+            assert_eq!(
+                entry.get("estimated_saving_ns"),
+                Some(&Value::F64(cost::RECV_BASE_NS))
+            );
+        }
     }
 
     #[test]
@@ -641,11 +589,13 @@ mod tests {
     fn non_finite_savings_serialise_to_json_the_reader_accepts() {
         let mut report = run("rec x . p?v . q!v . x", 0).report();
         for saving in [f64::NAN, f64::INFINITY] {
-            report.best.as_mut().expect("improved").estimated_saving_ns = Some(saving);
-            report.candidates[0].estimated_saving_ns = Some(saving);
-            let decoded: Report = json::decode(&report.to_json().to_string())
+            report.candidates[0].estimated_saving_ns = saving;
+            let parsed = json::parse(&report.to_json().to_string())
                 .expect("the writer's output always parses");
-            assert_eq!(decoded.candidates[0].estimated_saving_ns, None);
+            let Some(Value::Array(candidates)) = parsed.get("candidates") else {
+                panic!("no `candidates` array in {parsed}");
+            };
+            assert_eq!(candidates[0].get("estimated_saving_ns"), Some(&Value::Null));
         }
     }
 }

@@ -48,8 +48,8 @@
 //! force an invented default onto the wire. Unit-sort labels carry no
 //! data and are always hoistable; the pruned count is reported so a
 //! search that discards candidates says so. Each [`Step`] records the
-//! payload sorts involved, which is also what the profile-guided
-//! [`cost`](crate::cost) model prices.
+//! payload sorts involved, which is what the [`cost`](crate::cost) price
+//! list is applied to.
 
 use std::fmt;
 
@@ -68,7 +68,7 @@ pub enum Step {
         /// Peer of the receive that was crossed.
         receive_peer: Name,
         /// Payload sorts of the hoisted choice's branches (what the
-        /// cost model prices as occupancy).
+        /// price list charges as occupancy).
         send_sorts: Vec<Sort>,
         /// Payload sort of the crossed receive (the latency the hoist
         /// stops paying).
@@ -114,9 +114,9 @@ pub enum Step {
         label: Name,
         /// Payload sort of the anticipated send.
         sort: Sort,
-        /// The receives of the crossed loop iteration, as (peer, payload
-        /// sort) pairs — the latency one anticipation pipelines away.
-        crossed_receives: Vec<(Name, Sort)>,
+        /// Payload sorts of the receives of the crossed loop iteration —
+        /// the latency one anticipation pipelines away.
+        crossed_receives: Vec<Sort>,
     },
 }
 
@@ -362,10 +362,7 @@ fn collect(
                         peer,
                         label,
                         sort,
-                        crossed_receives: receives
-                            .iter()
-                            .map(|(from, _, s)| (from.clone(), s.clone()))
-                            .collect(),
+                        crossed_receives: receives.iter().map(|(_, _, s)| s.clone()).collect(),
                     },
                 );
             }

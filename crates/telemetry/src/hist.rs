@@ -21,7 +21,7 @@
 //!
 //! The module also owns the **session lifetime registry**: one
 //! histogram per role name recording `try_session` spawn→teardown
-//! wall time, snapshotted by `fig6 --telemetry`. Without the
+//! wall time, snapshotted by an instrumented `fig6 --json`. Without the
 //! `telemetry` feature everything compiles to no-ops and empty
 //! snapshots.
 

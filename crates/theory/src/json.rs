@@ -1,16 +1,16 @@
 //! The workspace's one JSON reader and writer.
 //!
 //! Every machine-readable artifact — the `fig6` benchmark file with its
-//! `edge_costs` and `telemetry` sections, the optimiser's `--report`,
-//! `subtype --json`, the Chrome traces — is built as a [`Value`] and
-//! rendered here, and everything that reads one back (`--costs FILE`,
-//! `bench-check`) parses here. It lives in `theory` because that is the
-//! one crate every producer and consumer already depends on.
+//! `telemetry` section, the optimiser's `--report`, `subtype --json`,
+//! the Chrome traces — is built as a [`Value`] and rendered here, and
+//! everything that reads one back (`bench-check`) parses here. It lives
+//! in `theory` because that is the one crate every producer and consumer
+//! already depends on.
 //!
 //! * [`Value`] keeps `u64`, `i64` and `f64` apart, so a counter at
 //!   `u64::MAX` survives a round trip instead of being squeezed through
 //!   a double.
-//! * [`parse`] reads outside input (`--costs FILE`), so nesting is
+//! * [`parse`] reads files from outside the process, so nesting is
 //!   capped at [`MAX_DEPTH`]: a hostile file is an [`Error`], not a
 //!   stack overflow.
 //! * The writer ([`Value`]'s `Display`; `{:#}` breaks long containers

@@ -1,23 +1,21 @@
-//! Property tests for the profile-guided cost model (ISSUE 10):
+//! Tests for the cost-aware AMR ranking:
 //!
-//! (a) every candidate accepted under the new rewrite gaps — hoisting a
-//!     common send out of external-choice branches, and receive-receive
-//!     reordering — re-verifies as an asynchronous subtype, and the
-//!     whole system stays k-MC clean with the rewritten role swapped in;
-//! (b) cost-model ranking is monotone: inflating one edge's measured
-//!     per-byte cost never *raises* the estimated saving of a candidate
-//!     that sends on that edge, leaves candidates avoiding the edge
-//!     untouched, and therefore never lifts an on-edge candidate above
-//!     an off-edge candidate that already out-ranked it;
-//! (c) the acceptance pin: with a measured `fig6 --edge-costs` profile
-//!     loaded through `CostModel::from_profile`, the optimiser ranks the
-//!     small-payload hoist above the large-payload hoist on a protocol
-//!     where the receives-crossed proxy scores them equal.
+//! (a) every candidate accepted under the rewrite gaps the price list
+//!     came with — hoisting a common send out of external-choice
+//!     branches, and receive-receive reordering — re-verifies as an
+//!     asynchronous subtype, and the whole system stays k-MC clean with
+//!     the rewritten role swapped in;
+//! (b) pricing is monotone over the finite set of payload sorts: a
+//!     bulkier hoisted payload never raises a step's estimated saving, a
+//!     bulkier crossed receive never lowers it;
+//! (c) the acceptance pin: the optimiser ranks the small-payload hoist
+//!     above the large-payload hoist on a protocol where both cross one
+//!     receive and generation order favours the bulky one.
 
-use optimiser::cost::{CostModel, CostSource, EdgeCost};
+use optimiser::cost::{step_saving_ns, wire_size};
 use optimiser::rewrite::Step;
 use optimiser::Config;
-use proptest::prelude::*;
+use theory::sort::Sort;
 use theory::Name;
 
 fn parse(text: &str) -> theory::LocalType {
@@ -133,157 +131,120 @@ fn swapped_receives_reverify_and_system_stays_safe() {
     );
 }
 
-/// The monotonicity workload: two independent hoists, one sending a
-/// bulky payload on edge `q`, one sending a tiny payload on edge `s`.
-const TWO_EDGE_PROJECTION: &str = "p?a . q!big(str) . p?b . s!tiny(i32) . end";
-
-/// True when any derivation step moves a send on the given edge.
-fn sends_on_edge(candidate: &optimiser::Candidate, edge: &str) -> bool {
-    let edge = Name::from(edge);
-    candidate.derivation.iter().any(|step| match step {
-        Step::HoistPastReceive { send_peer, .. } => *send_peer == edge,
-        Step::HoistFromBranches { send_peer, .. } => *send_peer == edge,
-        Step::Anticipate { peer, .. } => *peer == edge,
-        Step::HoistPastSend { .. } | Step::SwapReceives { .. } => false,
-    })
+/// Every payload sort, cheapest wire size first.
+fn sorts_by_wire_size() -> Vec<Sort> {
+    let sorts = vec![
+        Sort::Unit,
+        Sort::Bool,
+        Sort::I32,
+        Sort::U32,
+        Sort::I64,
+        Sort::U64,
+        Sort::F64,
+        Sort::Str,
+        Sort::Custom("buffer".into()),
+    ];
+    assert!(sorts.is_sorted_by_key(wire_size));
+    sorts
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// (b) inflating edge `q`'s per-byte cost: on-edge savings never
-    /// increase, off-edge savings are untouched, and no on-edge
-    /// candidate overtakes an off-edge candidate that out-ranked it.
-    #[test]
-    fn inflating_an_edge_never_ranks_its_candidates_higher(factor in 1.0f64..64.0) {
-        let base_config =
-            Config::with_depth(1).with_cost(CostModel::default_table());
-        let mut inflated_model = CostModel::default_table();
-        let spsc = *inflated_model.class("spsc").expect("spsc class present");
-        inflated_model.set_edge(
-            "q",
-            EdgeCost { ns_per_byte: spsc.ns_per_byte * factor, ..spsc },
-        );
-        let inflated_config = Config::with_depth(1).with_cost(inflated_model);
-
-        let base = optimise("r", TWO_EDGE_PROJECTION, &base_config);
-        let inflated = optimise("r", TWO_EDGE_PROJECTION, &inflated_config);
-        prop_assert!(base.candidates.iter().any(|c| sends_on_edge(c, "q")));
-        prop_assert!(base.candidates.iter().any(|c| !sends_on_edge(c, "q")));
-
-        let saving = |outcome: &optimiser::Optimised, local: &theory::LocalType| {
-            outcome
-                .candidates
-                .iter()
-                .find(|c| c.local == *local)
-                .map(|c| c.estimated_saving_ns.expect("cost model configured"))
-        };
-        for candidate in &base.candidates {
-            let before = candidate.estimated_saving_ns.expect("cost model configured");
-            let after = saving(&inflated, &candidate.local)
-                .expect("same candidate set under both models");
-            if sends_on_edge(candidate, "q") {
-                prop_assert!(
-                    after <= before,
-                    "inflating edge q raised {}: {before} -> {after}",
-                    candidate.local
-                );
-            } else {
-                prop_assert!(
-                    after == before,
-                    "edge-q inflation moved off-edge candidate {}: {before} -> {after}",
-                    candidate.local
-                );
-            }
-        }
-
-        // Rank statement: an on-edge candidate never rises above an
-        // off-edge candidate that out-ranked it under the base model.
-        let rank = |outcome: &optimiser::Optimised, local: &theory::LocalType| {
-            outcome
-                .candidates
-                .iter()
-                .position(|c| c.local == *local)
-                .expect("candidate present in both runs")
-        };
-        for on in base.candidates.iter().filter(|c| sends_on_edge(c, "q")) {
-            for off in base.candidates.iter().filter(|c| !sends_on_edge(c, "q")) {
-                if rank(&base, &off.local) < rank(&base, &on.local) {
-                    prop_assert!(
-                        rank(&inflated, &off.local) < rank(&inflated, &on.local),
-                        "inflating edge q lifted {} above {}",
-                        on.local,
-                        off.local
-                    );
-                }
-            }
-        }
-    }
+/// Savings of the three priced rewrite rules — hoist past a receive,
+/// hoist out of branches, anticipate — each hoisting a `hoisted` payload
+/// past receives of which one carries `crossed`.
+fn savings(hoisted: &Sort, crossed: &Sort) -> [f64; 3] {
+    [
+        Step::HoistPastReceive {
+            send_peer: "q".into(),
+            receive_peer: "p".into(),
+            send_sorts: vec![Sort::Unit, hoisted.clone()],
+            receive_sort: crossed.clone(),
+        },
+        Step::HoistFromBranches {
+            send_peer: "q".into(),
+            receive_peer: "p".into(),
+            label: "ack".into(),
+            sort: hoisted.clone(),
+            receive_sorts: vec![crossed.clone(), Sort::I64],
+        },
+        Step::Anticipate {
+            peer: "q".into(),
+            label: "ready".into(),
+            sort: hoisted.clone(),
+            crossed_receives: vec![crossed.clone(), Sort::Unit],
+        },
+    ]
+    .map(|step| step_saving_ns(&step))
 }
 
-/// (c) the acceptance pin. Receives-crossed scores the bulky hoist
-/// (`q!big(str)` past `p?a`) and the cheap hoist (`s!tiny(i32)` past
-/// `p?b`) identically — and generation order ranks the bulky one first.
-/// The measured profile must flip that:
-/// the per-byte cost makes parking 1 KiB in the channel more expensive
-/// than parking 4 bytes, so the cheap hoist wins.
+/// (b) over every sort against every adjacent pair of sorts:
+/// `step_saving_ns` is non-increasing in the hoisted payload's wire size
+/// and non-decreasing in each crossed receive's.
 #[test]
-fn committed_profile_ranks_cheap_payload_hoist_above_bulky_one() {
-    // One `fig6 --json --edge-costs` measurement, trimmed to the section
-    // the optimiser reads.
-    let profile = r#"{"edge_costs": {"unit": "ns", "classes": [
-      {"class": "spsc", "send_base_ns": 10.16, "recv_base_ns": 27.88, "ns_per_byte": 0.2898},
-      {"class": "tcp", "send_base_ns": 3541.2, "recv_base_ns": 3541.2, "ns_per_byte": 0.536},
-      {"class": "uds", "send_base_ns": 1099.48, "recv_base_ns": 1099.48, "ns_per_byte": 1.3709}
-    ]}}"#;
-    let model = CostModel::from_profile(profile).expect("profile carries edge_costs");
-    assert_eq!(model.source(), CostSource::Measured);
-
-    fn single(candidate: &optimiser::Candidate) -> Option<&Step> {
-        match candidate.derivation.as_slice() {
-            [step] => Some(step),
-            _ => None,
+fn step_saving_is_monotone_in_both_payloads() {
+    let sorts = sorts_by_wire_size();
+    for fixed in &sorts {
+        for pair in sorts.windows(2) {
+            let (small, large) = (&pair[0], &pair[1]);
+            for rule in 0..3 {
+                assert!(
+                    savings(large, fixed)[rule] <= savings(small, fixed)[rule],
+                    "rule {rule}: hoisting {large} instead of {small} past {fixed} saves more"
+                );
+                assert!(
+                    savings(fixed, large)[rule] >= savings(fixed, small)[rule],
+                    "rule {rule}: crossing {large} instead of {small} with {fixed} saves less"
+                );
+            }
         }
     }
-    let is_bulky = |candidate: &optimiser::Candidate| {
-        matches!(
-            single(candidate),
-            Some(Step::HoistPastReceive { send_peer, .. }) if *send_peer == Name::from("q")
-        )
+    // Not vacuous: the extremes differ, in the directions claimed.
+    let (unit, bulky) = (&sorts[0], &sorts[sorts.len() - 1]);
+    for rule in 0..3 {
+        assert!(savings(bulky, unit)[rule] < savings(unit, unit)[rule]);
+        assert!(savings(unit, bulky)[rule] > savings(unit, unit)[rule]);
+    }
+}
+
+/// (c) the acceptance pin. Two independent single-step hoists — a bulky
+/// payload on edge `q` (`q!big(str)` past `p?a`) and a tiny one on edge
+/// `s` (`s!tiny(i32)` past `p?b`) — cross one receive each, and the
+/// bulky one is generated first. Parking 1 KiB in the channel costs more
+/// than parking 4 bytes, so the cheap hoist ranks above it.
+#[test]
+fn price_list_ranks_cheap_payload_hoist_above_bulky_one() {
+    let single_hoist_on = |edge: &'static str| {
+        move |candidate: &optimiser::Candidate| {
+            matches!(
+                candidate.derivation.as_slice(),
+                [Step::HoistPastReceive { send_peer, .. }] if *send_peer == Name::from(edge)
+            )
+        }
     };
-    let is_cheap = |candidate: &optimiser::Candidate| {
-        matches!(
-            single(candidate),
-            Some(Step::HoistPastReceive { send_peer, .. }) if *send_peer == Name::from("s")
-        )
-    };
-    let rank_of = |outcome: &optimiser::Optimised, pred: &dyn Fn(&optimiser::Candidate) -> bool| {
+    let outcome = optimise(
+        "r",
+        "p?a . q!big(str) . p?b . s!tiny(i32) . end",
+        &Config::with_depth(1),
+    );
+    let rank_of = |pred: &dyn Fn(&optimiser::Candidate) -> bool| {
         outcome
             .candidates
             .iter()
             .position(pred)
             .expect("single-step hoist candidate present")
     };
-
-    // The proxy ties the two single-step hoists on score (1 crossed
-    // receive each) and ranks the bulky one first.
-    let proxy = optimise("r", TWO_EDGE_PROJECTION, &Config::with_depth(1));
-    let (bulky_rank, cheap_rank) = (rank_of(&proxy, &is_bulky), rank_of(&proxy, &is_cheap));
+    let (bulky, cheap) = (
+        rank_of(&single_hoist_on("q")),
+        rank_of(&single_hoist_on("s")),
+    );
     assert_eq!(
-        proxy.candidates[bulky_rank].score,
-        proxy.candidates[cheap_rank].score
+        outcome.candidates[bulky].score,
+        outcome.candidates[cheap].score
     );
-    assert!(bulky_rank < cheap_rank, "proxy baseline lost its tie-break");
-
-    // The measured profile flips the pair, with a positive best saving.
-    let config = Config::with_depth(1).with_cost(model);
-    let measured = optimise("r", TWO_EDGE_PROJECTION, &config);
-    assert_eq!(measured.cost_source, Some(CostSource::Measured));
     assert!(
-        rank_of(&measured, &is_cheap) < rank_of(&measured, &is_bulky),
-        "measured profile does not rank the small-payload hoist above the bulky one"
+        cheap < bulky,
+        "the small-payload hoist does not rank above the bulky one"
     );
-    let best = measured.best().expect("profile finds an improvement");
-    assert!(best.estimated_saving_ns.expect("model configured") > 0.0);
-    assert!(is_cheap(best) || !is_bulky(best));
+    let best = outcome.best().expect("the cheap hoist is an improvement");
+    assert!(best.estimated_saving_ns > 0.0);
+    assert!(!single_hoist_on("q")(best));
 }
