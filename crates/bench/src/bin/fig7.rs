@@ -116,7 +116,7 @@ fn table_nested_choice() {
     println!("# Fig 7 / C.2 — Nested choice: seconds vs levels");
     println!("n\tSoundBinary\tk-MC\tRumpsteak");
     let mut kmc_enabled = true;
-    for n in 1..=5 {
+    for n in 1..=6 {
         let soundbinary = Some(time_check(|| nested_choice::check_soundbinary(n)));
         let kmc = time_capped(&mut kmc_enabled, || nested_choice::check_kmc(n));
         let rumpsteak = Some(time_check(|| nested_choice::check_rumpsteak(n)));

@@ -502,6 +502,14 @@ mod tests {
         }
     }
 
+    /// 27 343 states a side: a check pays for the pairs it visits, where a
+    /// `states × states` history would need about 48 GB.
+    #[test]
+    fn nested_choice_six_levels_checks() {
+        assert_eq!(to_fsm("a", &nested_choice::subtype(6)).len(), 27_343);
+        assert!(nested_choice::check_rumpsteak(6));
+    }
+
     #[test]
     fn ring_checks_agree() {
         for n in [2, 3, 6] {

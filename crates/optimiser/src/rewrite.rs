@@ -391,8 +391,19 @@ fn collect(
                     allow_anticipate,
                     pruned,
                     &mut |cont, step| {
-                        let mut branches = branches.clone();
-                        branches[index].continuation = cont;
+                        // Clone the siblings only: the continuation being
+                        // replaced is never copied.
+                        let replaced = LocalBranch {
+                            label: branch.label.clone(),
+                            sort: branch.sort.clone(),
+                            continuation: cont,
+                        };
+                        let branches = branches[..index]
+                            .iter()
+                            .cloned()
+                            .chain(std::iter::once(replaced))
+                            .chain(branches[index + 1..].iter().cloned())
+                            .collect();
                         let peer = peer.clone();
                         emit(
                             if is_select {

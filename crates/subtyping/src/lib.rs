@@ -6,8 +6,10 @@
 //!   `[)i] [)o] [)A] [)B]` of Definition 3 (including the fail-early
 //!   optimisation),
 //! * [`visitor`] — the depth-first `SubtypeVisitor` over a pair of FSMs
-//!   with a history matrix standing for the assumption map `Σ` and a
-//!   per-state-pair visit bound standing for the recursion bounds `n`.
+//!   with a map of the state pairs on the current derivation path
+//!   standing for the assumption map `Σ` and a per-state-pair visit bound
+//!   standing for the recursion bounds `n`; a check's memory follows its
+//!   path depth, not the product of the machines.
 //!
 //! The algorithm is **sound** (a `true` answer implies the precise
 //! asynchronous subtyping `T ≤ T′` of Ghilezan et al.) and **terminating**,

@@ -6,7 +6,10 @@
 //! either by advancing `start` (when the head is consumed) or by flagging
 //! them removed (when a reduction consumes an element in the middle — the
 //! `[)A]`/`[)B]` cases). [`Snapshot`]s record `(len, start, removed.len())`
-//! so the depth-first visitor can revert cheaply without copying.
+//! so the depth-first visitor can revert cheaply without copying. The
+//! actions themselves are borrowed from the machines being compared, so
+//! pushing and reverting never touch their reference counts; comparisons
+//! are by value.
 
 use theory::fsm::{Action, Direction};
 
@@ -24,23 +27,23 @@ pub struct Snapshot {
 /// A prefix `π`: the sequence of actions the algorithm has traversed but
 /// not yet matched between subtype and supertype.
 #[derive(Clone, Debug, Default)]
-pub struct Prefix {
+pub struct Prefix<'a> {
     /// `(removed, transition)` pairs; `removed` marks lazy deletion.
-    transitions: Vec<(bool, Action)>,
+    transitions: Vec<(bool, &'a Action)>,
     /// Elements before `start` are consumed (a cheap bulk form of removal).
     start: usize,
     /// Log of indices removed by flagging, in removal order, for revert.
     removed: Vec<usize>,
 }
 
-impl Prefix {
+impl<'a> Prefix<'a> {
     /// Creates an empty prefix.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Appends an action to the prefix.
-    pub fn push(&mut self, action: Action) {
+    pub fn push(&mut self, action: &'a Action) {
         self.transitions.push((false, action));
     }
 
@@ -55,18 +58,13 @@ impl Prefix {
     }
 
     /// Iterates over `(index, action)` for live elements, in order.
-    pub fn live(&self) -> impl Iterator<Item = (usize, &Action)> {
+    pub fn live(&self) -> impl Iterator<Item = (usize, &'a Action)> + '_ {
         self.transitions
             .iter()
             .enumerate()
             .skip(self.start)
             .filter(|(_, (removed, _))| !removed)
-            .map(|(index, (_, action))| (index, action))
-    }
-
-    /// The first live action, if any.
-    pub fn head(&self) -> Option<&Action> {
-        self.live().next().map(|(_, action)| action)
+            .map(|(index, &(_, action))| (index, action))
     }
 
     /// Removes the element at `index` (which must be live).
@@ -151,7 +149,7 @@ pub enum Reduction {
 /// * `[)B]`: a head output `p!ℓ` matches across a context `B(p)` of inputs
 ///   (any) and outputs to participants other than `p`.
 pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
-    let Some(head) = sub.head().cloned() else {
+    let Some((head_index, head)) = sub.live().next() else {
         return Reduction::Blocked;
     };
     let mut matched: Option<usize> = None;
@@ -160,7 +158,7 @@ pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
             && action.peer == head.peer
             && action.label == head.label
         {
-            if sorts_compatible(&head, action) {
+            if sorts_compatible(head, action) {
                 matched = Some(index);
                 break;
             }
@@ -182,7 +180,6 @@ pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
     }
     match matched {
         Some(index) => {
-            let head_index = sub.live().next().map(|(i, _)| i).expect("head exists");
             sub.remove(head_index);
             sup.remove(index);
             Reduction::Progress
@@ -213,7 +210,7 @@ fn sorts_compatible(sub: &Action, sup: &Action) -> bool {
 }
 
 /// Convenience constructor used by tests: builds a prefix from actions.
-pub fn prefix_of(actions: impl IntoIterator<Item = Action>) -> Prefix {
+pub fn prefix_of<'a>(actions: impl IntoIterator<Item = &'a Action>) -> Prefix<'a> {
     let mut prefix = Prefix::new();
     for action in actions {
         prefix.push(action);
@@ -239,8 +236,11 @@ mod tests {
     /// `[)B]` with `B(p) = p?ℓ1`, then `[)i]`.
     #[test]
     fn example4_safe_reordering_reduces() {
-        let mut sub = prefix_of([send("p", "l2"), recv("p", "l1")]);
-        let mut sup = prefix_of([recv("p", "l1"), send("p", "l2")]);
+        let (sub, sup) = (
+            [send("p", "l2"), recv("p", "l1")],
+            [recv("p", "l1"), send("p", "l2")],
+        );
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert!(reduce(&mut sub, &mut sup));
         assert!(sub.is_empty());
         assert!(sup.is_empty());
@@ -250,30 +250,37 @@ mod tests {
     /// the head input cannot cross it — fail-early fires.
     #[test]
     fn example4_unsafe_reordering_dead_ends() {
-        let mut sub = prefix_of([recv("q", "l2"), send("q", "l1")]);
-        let mut sup = prefix_of([send("q", "l1"), recv("q", "l2")]);
+        let (sub, sup) = (
+            [recv("q", "l2"), send("q", "l1")],
+            [send("q", "l1"), recv("q", "l2")],
+        );
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 
     #[test]
     fn identical_heads_erase() {
-        let mut sub = prefix_of([recv("p", "a"), send("q", "b")]);
-        let mut sup = prefix_of([recv("p", "a"), send("q", "b")]);
+        let sub = [recv("p", "a"), send("q", "b")];
+        let sup = sub.clone();
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert!(reduce(&mut sub, &mut sup));
         assert!(sub.is_empty() && sup.is_empty());
     }
 
     #[test]
     fn input_cannot_cross_same_peer_input() {
-        let mut sub = prefix_of([recv("p", "a")]);
-        let mut sup = prefix_of([recv("p", "b"), recv("p", "a")]);
+        let (sub, sup) = ([recv("p", "a")], [recv("p", "b"), recv("p", "a")]);
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 
     #[test]
     fn output_can_cross_inputs_and_foreign_outputs() {
-        let mut sub = prefix_of([send("p", "a")]);
-        let mut sup = prefix_of([recv("p", "x"), send("q", "y"), send("p", "a")]);
+        let (sub, sup) = (
+            [send("p", "a")],
+            [recv("p", "x"), send("q", "y"), send("p", "a")],
+        );
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Progress);
         // The B(p) context stays behind.
         assert_eq!(sup.len(), 2);
@@ -282,19 +289,21 @@ mod tests {
 
     #[test]
     fn blocked_when_no_match_yet() {
-        let mut sub = prefix_of([send("p", "a")]);
-        let mut sup = prefix_of([recv("q", "x")]);
+        let (sub, sup) = ([send("p", "a")], [recv("q", "x")]);
+        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Blocked);
     }
 
     #[test]
     fn snapshot_revert_restores_midlist_removals() {
-        let mut prefix = prefix_of([recv("a", "1"), recv("b", "2"), recv("c", "3")]);
+        let actions = [recv("a", "1"), recv("b", "2"), recv("c", "3")];
+        let pushed = recv("d", "4");
+        let mut prefix = prefix_of(&actions);
         let snapshot = prefix.snapshot();
         prefix.remove(1); // mid-list: flagged
         prefix.remove(0); // head: start advances past flagged idx 1
         assert_eq!(prefix.len(), 1);
-        prefix.push(recv("d", "4"));
+        prefix.push(&pushed);
         prefix.revert(snapshot);
         assert_eq!(prefix.len(), 3);
         assert_eq!(
@@ -309,10 +318,12 @@ mod tests {
     #[test]
     fn matches_snapshot_on_periodic_consumption() {
         // Simulate one loop iteration that consumes exactly what it adds.
+        // Two equal actions at different addresses: comparison is by value.
+        let (first, second) = (recv("p", "l"), recv("p", "l"));
         let mut prefix = Prefix::new();
-        prefix.push(recv("p", "l"));
+        prefix.push(&first);
         let before = prefix.snapshot();
-        prefix.push(recv("p", "l"));
+        prefix.push(&second);
         prefix.remove(0);
         assert!(prefix.matches_snapshot(before));
     }
@@ -321,21 +332,22 @@ mod tests {
     fn hanging_action_fails_snapshot_match() {
         // A q?l' that is never consumed makes the live range longer than
         // the recorded one.
+        let (hanging, looped) = (recv("q", "lp"), recv("p", "l"));
         let mut prefix = Prefix::new();
-        prefix.push(recv("q", "lp"));
+        prefix.push(&hanging);
         let before = prefix.snapshot();
-        prefix.push(recv("p", "l"));
+        prefix.push(&looped);
         assert!(!prefix.matches_snapshot(before));
     }
 
     #[test]
     fn sort_contravariance_in_reduction() {
-        let mut sub = prefix_of([Action::receive("p", "l", Sort::I64)]);
-        let mut sup = prefix_of([Action::receive("p", "l", Sort::U32)]);
+        let wide = [Action::receive("p", "l", Sort::I64)];
+        let narrow = [Action::receive("p", "l", Sort::U32)];
+        let (mut sub, mut sup) = (prefix_of(&wide), prefix_of(&narrow));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Progress);
 
-        let mut sub = prefix_of([Action::receive("p", "l", Sort::U32)]);
-        let mut sup = prefix_of([Action::receive("p", "l", Sort::I64)]);
+        let (mut sub, mut sup) = (prefix_of(&narrow), prefix_of(&wide));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 }

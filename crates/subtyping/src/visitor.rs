@@ -1,30 +1,64 @@
 //! The depth-first subtyping visitor (Appendix B.5).
 //!
 //! The visitor walks the product of the candidate-subtype FSM and the
-//! supertype FSM. The `history` matrix plays the role of the assumption map
-//! `Σ` of Fig 5: an entry stores how many visits remain for that state pair
-//! (the recursion bound `n`) and, if the pair lies on the current
-//! derivation path, snapshots of both prefixes taken at the previous visit
-//! (the `ρ` recorded with each assumption).
+//! supertype FSM. The `path` map plays the role of the assumption map `Σ`
+//! of Fig 5: it holds an entry for each state pair on the current
+//! derivation path, storing how many visits remain for that pair (the
+//! recursion bound `n`) and snapshots of both prefixes taken at its most
+//! recent visit (the `ρ` recorded with each assumption). A pair off the
+//! path has all `bound` visits left and no snapshots, and that is what an
+//! absent entry means: `visit` restores every entry it changes before it
+//! returns, so the map never holds more than the path. Memory is
+//! O(path depth), not O(states²).
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use theory::fsm::{Direction, Fsm, StateIndex};
 
 use crate::prefix::{reduce, Prefix, Snapshot};
 
-/// Per-state-pair record: remaining visits and the prefix snapshots from
-/// the most recent visit on the current path.
-#[derive(Clone, Debug)]
+/// Record of a state pair on the current path: remaining visits and the
+/// prefix snapshots from its most recent visit.
+#[derive(Clone, Copy, Debug)]
 struct Previous {
     visits: usize,
-    snapshots: Option<[Snapshot; 2]>,
+    snapshots: [Snapshot; 2],
+}
+
+/// `Σ` keyed by `(sub_state, sup_state)`.
+type PathMap = HashMap<(StateIndex, StateIndex), Previous, BuildHasherDefault<PairHasher>>;
+
+/// One rotate-xor-multiply per word (the FxHash step): the keys are two
+/// state indices, not attacker-chosen, and SipHash cost `verify_amr` 8 %
+/// of its passes per second.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_usize(usize::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 /// Checks `sub ≤ sup` by depth-first search; see [`crate::is_subtype`].
 pub struct SubtypeVisitor<'a> {
     sub: &'a Fsm,
     sup: &'a Fsm,
-    history: Vec<Previous>,
-    prefixes: [Prefix; 2],
+    bound: usize,
+    /// `Σ`: one entry per state pair on the current derivation path.
+    path: PathMap,
+    prefixes: [Prefix<'a>; 2],
     fail_early: bool,
     visited: usize,
 }
@@ -32,17 +66,11 @@ pub struct SubtypeVisitor<'a> {
 impl<'a> SubtypeVisitor<'a> {
     /// Prepares a visitor with `bound` visits allowed per state pair.
     pub fn new(sub: &'a Fsm, sup: &'a Fsm, bound: usize) -> Self {
-        let entries = sub.len() * sup.len();
         Self {
             sub,
             sup,
-            history: vec![
-                Previous {
-                    visits: bound,
-                    snapshots: None,
-                };
-                entries
-            ],
+            bound,
+            path: PathMap::default(),
             prefixes: [Prefix::new(), Prefix::new()],
             fail_early: true,
             visited: 0,
@@ -72,31 +100,32 @@ impl<'a> SubtypeVisitor<'a> {
         (verdict, self.visited)
     }
 
-    fn entry(&self, sub_state: StateIndex, sup_state: StateIndex) -> usize {
-        sub_state.0 * self.sup.len() + sup_state.0
-    }
-
     fn visit(&mut self, sub_state: StateIndex, sup_state: StateIndex) -> bool {
         self.visited += 1;
         // (1) Bound check ([μl]/[μr] with n = 0): each state pair may be
         // visited at most `bound` times along one derivation path.
-        let entry = self.entry(sub_state, sup_state);
-        if self.history[entry].visits == 0 {
+        let pair = (sub_state, sup_state);
+        let previous = self.path.get(&pair).copied();
+        let visits = previous.map_or(self.bound, |previous| previous.visits);
+        if visits == 0 {
             return false;
         }
 
         // (2) Reduce the prefix pair as far as possible ([sub] applied
         // eagerly); a dead end means no completion of this path can ever
         // reduce it (fail-early).
-        let fail_early = self.fail_early;
         let [sub_prefix, sup_prefix] = &mut self.prefixes;
-        if !reduce(sub_prefix, sup_prefix) && fail_early {
+        if !reduce(sub_prefix, sup_prefix) && self.fail_early {
             return false;
         }
 
         // (3) [asm]: the pair was visited before on this path and both
         // prefixes match their recorded snapshots (Eq. (2)).
-        if let Some([sub_snapshot, sup_snapshot]) = self.history[entry].snapshots {
+        if let Some(Previous {
+            snapshots: [sub_snapshot, sup_snapshot],
+            ..
+        }) = previous
+        {
             if self.prefixes[0].matches_snapshot(sub_snapshot)
                 && self.prefixes[1].matches_snapshot(sup_snapshot)
             {
@@ -116,12 +145,14 @@ impl<'a> SubtypeVisitor<'a> {
         }
 
         // (5) Explore transitions according to the quantifier rules
-        // [oo]/[oi]/[ii]/[io] of Fig 5.
-        let saved = self.history[entry].clone();
-        self.history[entry] = Previous {
-            visits: saved.visits - 1,
-            snapshots: Some([self.prefixes[0].snapshot(), self.prefixes[1].snapshot()]),
-        };
+        // [oo]/[oi]/[ii]/[io] of Fig 5, with the pair on the path.
+        self.path.insert(
+            pair,
+            Previous {
+                visits: visits - 1,
+                snapshots: [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()],
+            },
+        );
 
         let sub_direction = direction_of(self.sub, sub_state);
         let sup_direction = direction_of(self.sup, sup_state);
@@ -144,8 +175,12 @@ impl<'a> SubtypeVisitor<'a> {
                 .any(|i| (0..sup_count).any(|j| self.try_pair(sub_state, i, sup_state, j))),
         };
 
-        // Restore the entry for sibling branches of the search.
-        self.history[entry] = saved;
+        // Restore the entry for sibling branches of the search: the
+        // earlier visit's record, or off the path again.
+        match previous {
+            Some(previous) => self.path.insert(pair, previous),
+            None => self.path.remove(&pair),
+        };
         result
     }
 
@@ -158,12 +193,13 @@ impl<'a> SubtypeVisitor<'a> {
         sup_state: StateIndex,
         sup_index: usize,
     ) -> bool {
-        let (sub_action, sub_target) = self.sub.transitions(sub_state)[sub_index].clone();
-        let (sup_action, sup_target) = self.sup.transitions(sup_state)[sup_index].clone();
+        let (sub, sup) = (self.sub, self.sup);
+        let (sub_action, sub_target) = &sub.transitions(sub_state)[sub_index];
+        let (sup_action, sup_target) = &sup.transitions(sup_state)[sup_index];
         let snapshots = [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()];
         self.prefixes[0].push(sub_action);
         self.prefixes[1].push(sup_action);
-        let result = self.visit(sub_target, sup_target);
+        let result = self.visit(*sub_target, *sup_target);
         self.prefixes[0].revert(snapshots[0]);
         self.prefixes[1].revert(snapshots[1]);
         result
@@ -181,8 +217,9 @@ fn direction_of(fsm: &Fsm, state: StateIndex) -> Direction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::from_local;
+    use theory::fsm::{from_local, Action, FsmBuilder};
     use theory::local;
+    use theory::sort::Sort;
 
     fn fsm(text: &str) -> theory::fsm::Fsm {
         from_local(&"r".into(), &local::parse(text).unwrap()).unwrap()
@@ -213,5 +250,29 @@ mod tests {
         assert!(SubtypeVisitor::new(&optimised, &projected, 8).run());
         // The reverse direction owes two `ready`s and must fail.
         assert!(!SubtypeVisitor::new(&projected, &optimised, 8).run());
+    }
+
+    /// A chain of `states` states whose first transition is `p!first` and
+    /// every later one `p!next`.
+    fn chain(states: usize, first: &str) -> Fsm {
+        let mut builder = FsmBuilder::new("r");
+        let nodes: Vec<StateIndex> = (0..states).map(|_| builder.add_state()).collect();
+        for (i, pair) in nodes.windows(2).enumerate() {
+            let label = if i == 0 { first } else { "next" };
+            builder.add_transition(pair[0], Action::send("p", label, Sort::Unit), pair[1]);
+        }
+        builder.build(nodes[0]).unwrap()
+    }
+
+    /// The cost of a check follows the pairs it visits, not the product of
+    /// the machines: two 2¹⁶-state chains that disagree on their first
+    /// action are rejected after two visits. A `states × states` history
+    /// would need 2³² entries here before the first visit.
+    #[test]
+    fn cost_follows_visited_pairs_not_machine_size() {
+        let (sub, sup) = (chain(1 << 16, "a"), chain(1 << 16, "b"));
+        let (verdict, visited) = SubtypeVisitor::new(&sub, &sup, 4).run_counting();
+        assert!(!verdict);
+        assert!(visited <= 2, "{visited} visits");
     }
 }

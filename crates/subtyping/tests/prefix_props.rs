@@ -78,8 +78,8 @@ proptest! {
         sub_actions in arbitrary_prefix(),
         sup_actions in arbitrary_prefix(),
     ) {
-        let mut sub = prefix_of(sub_actions.clone());
-        let mut sup = prefix_of(sup_actions.clone());
+        let mut sub = prefix_of(&sub_actions);
+        let mut sup = prefix_of(&sup_actions);
         let budget = sub_actions.len().min(sup_actions.len());
         let mut steps = 0;
         loop {
@@ -104,11 +104,11 @@ proptest! {
         pushed in arbitrary_prefix(),
         partner in arbitrary_prefix(),
     ) {
-        let mut prefix = prefix_of(initial);
-        let mut other = prefix_of(partner);
+        let mut prefix = prefix_of(&initial);
+        let mut other = prefix_of(&partner);
         let before = live_labels(&prefix);
         let snapshot = prefix.snapshot();
-        for action in pushed {
+        for action in &pushed {
             prefix.push(action);
         }
         let _ = reduce(&mut prefix, &mut other);
