@@ -9,7 +9,12 @@
 //!    rewrites of [`rewrite`] (commute a send past preceding receives
 //!    from other roles, and anticipate loop sends across `rec`
 //!    unfoldings up to a configurable depth), breadth-first with
-//!    deduplication and budget caps;
+//!    deduplication and budget caps. The search runs on a hash-consed
+//!    [`term`] arena that lives for one call: a rewrite interns only the
+//!    nodes on its path, equal terms get equal ids, so deduplication is
+//!    one id lookup (structural identity — the printed form's, except
+//!    that a custom sort spelled like a built-in one stays apart), and a
+//!    candidate becomes a [`LocalType`] and an FSM only to be verified;
 //! 2. **verify** — validate every candidate against the projection with
 //!    the sound asynchronous subtyping algorithm
 //!    (`subtyping::check_candidates`), so only provably safe
@@ -43,16 +48,19 @@
 
 pub mod cost;
 pub mod rewrite;
+pub mod term;
 
 use std::collections::HashSet;
 
 use theory::fsm::{self, Fsm, FsmError};
+use theory::hash::BuildWordHasher;
 use theory::json;
 use theory::json_record;
 use theory::local::LocalType;
 use theory::name::Name;
 
 pub use rewrite::Step;
+use term::{TermId, Terms};
 
 /// Search budgets for the candidate generation and verification.
 #[derive(Clone, Debug)]
@@ -272,36 +280,45 @@ pub fn optimise(
     let projection_fsm = fsm::from_local(role, projection)?;
 
     // ---- generate: breadth-first closure under the rewrites ----------
-    let mut seen: HashSet<String> = HashSet::new();
-    seen.insert(projection.to_string());
-    let mut generated: Vec<(LocalType, Vec<Step>)> = Vec::new();
-    let mut frontier: Vec<(LocalType, Vec<Step>)> = vec![(projection.clone(), Vec::new())];
+    let mut terms = Terms::default();
+    let root = terms.intern_local(projection);
+    let mut seen: HashSet<TermId, BuildWordHasher> = HashSet::default();
+    seen.insert(root);
+    let mut generated: Vec<Generated> = Vec::new();
+    // Entries of `generated` to expand next; `None` is the projection.
+    let mut frontier: Vec<Option<usize>> = vec![None];
     let mut truncated = false;
     let mut pruned = 0usize;
     'search: while !frontier.is_empty() {
         let mut next = Vec::new();
-        for (term, derivation) in &frontier {
-            if derivation.len() >= config.max_steps {
+        for &parent in &frontier {
+            let (term, depth, anticipations) = parent.map_or((root, 0, 0), |index| {
+                let entry = &generated[index];
+                (entry.term, entry.depth, entry.anticipations)
+            });
+            if depth >= config.max_steps {
                 continue;
             }
-            let anticipations = derivation
-                .iter()
-                .filter(|s| matches!(s, Step::Anticipate { .. }))
-                .count();
-            let rewrites = rewrite::rewrites(term, anticipations < config.unfold_depth);
+            let rewrites =
+                rewrite::rewrites_in(&mut terms, term, anticipations < config.unfold_depth);
             pruned += rewrites.pruned;
             for (candidate, step) in rewrites.candidates {
-                if !seen.insert(candidate.to_string()) {
+                if !seen.insert(candidate) {
                     continue;
                 }
-                let mut derivation = derivation.clone();
-                derivation.push(step);
-                generated.push((candidate.clone(), derivation.clone()));
+                let anticipated = matches!(step, Step::Anticipate { .. });
+                generated.push(Generated {
+                    term: candidate,
+                    parent,
+                    step,
+                    depth: depth + 1,
+                    anticipations: anticipations + usize::from(anticipated),
+                });
                 if generated.len() >= config.max_candidates {
                     truncated = true;
                     break 'search;
                 }
-                next.push((candidate, derivation));
+                next.push(Some(generated.len() - 1));
             }
         }
         frontier = next;
@@ -309,11 +326,12 @@ pub fn optimise(
 
     // ---- verify: every candidate against the projection --------------
     let mut convertible = Vec::with_capacity(generated.len());
-    for (local, derivation) in generated.iter() {
+    for (index, entry) in generated.iter().enumerate() {
         // A rewrite cannot unguard recursion (no action is ever
         // removed), but stay defensive: drop inconvertible candidates.
-        if let Ok(machine) = fsm::from_local(role, local) {
-            convertible.push((local, derivation, machine));
+        let local = terms.to_local(entry.term);
+        if let Ok(machine) = fsm::from_local(role, &local) {
+            convertible.push((local, index, machine));
         }
     }
     let stats = subtyping::check_candidates(
@@ -325,13 +343,16 @@ pub fn optimise(
         .into_iter()
         .zip(stats)
         .filter(|(_, stats)| stats.verdict)
-        .map(|((local, derivation, machine), stats)| Candidate {
-            local: local.clone(),
-            fsm: machine,
-            score: derivation.iter().map(Step::score).sum(),
-            estimated_saving_ns: cost::saving_ns(derivation),
-            derivation: derivation.clone(),
-            stats,
+        .map(|((local, index, machine), stats)| {
+            let derivation = derivation(&generated, index);
+            Candidate {
+                local,
+                fsm: machine,
+                score: derivation.iter().map(Step::score).sum(),
+                estimated_saving_ns: cost::saving_ns(&derivation),
+                derivation,
+                stats,
+            }
         })
         .collect();
 
@@ -357,6 +378,26 @@ pub fn optimise(
         truncated,
         bound: config.bound,
     })
+}
+
+/// One generated candidate: its term, the entry it was rewritten from
+/// (`None` for the projection), the step that did it, and its
+/// derivation's length and anticipations.
+struct Generated {
+    term: TermId,
+    parent: Option<usize>,
+    step: Step,
+    depth: usize,
+    anticipations: usize,
+}
+
+/// The steps leading to `generated[index]`, in application order.
+fn derivation(generated: &[Generated], index: usize) -> Vec<Step> {
+    let mut steps: Vec<Step> = std::iter::successors(Some(index), |&at| generated[at].parent)
+        .map(|at| generated[at].step.clone())
+        .collect();
+    steps.reverse();
+    steps
 }
 
 /// [`optimise`] for a projection already in FSM form (e.g. a type

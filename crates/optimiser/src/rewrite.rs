@@ -36,6 +36,17 @@
 //! combination (e.g. anticipating past an exit branch that unbalances
 //! the loop, or crossing a same-peer send) is simply rejected.
 //!
+//! # Terms are arena ids
+//!
+//! The rules run on the hash-consed [`Terms`] arena of [`crate::term`],
+//! not on [`LocalType`] trees. A rule rooted at depth *d* builds its
+//! replacement from the ids it matched, then rebuilds the *d* ancestors
+//! on its path, each with one child id replaced: O(*d*) nodes interned,
+//! every other subterm shared. A candidate that another rewrite already
+//! produced comes back as the same id, so the search deduplicates by id.
+//! [`rewrites`] keeps the tree-in, trees-out interface by interning its
+//! argument into a fresh arena and materialising the candidates.
+//!
 //! # Data-dependence pruning
 //!
 //! One class of candidate is dropped *before* verification: a hoist
@@ -53,9 +64,11 @@
 
 use std::fmt;
 
-use theory::local::{LocalBranch, LocalType};
+use theory::local::LocalType;
 use theory::name::Name;
 use theory::sort::Sort;
+
+use crate::term::{Branch, Node, SortId, Sym, TermId, Terms};
 
 /// One rewrite application, recorded in a candidate's derivation.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,10 +175,12 @@ impl fmt::Display for Step {
 }
 
 /// The single-step rewrites of one term, plus how many applications the
-/// data-dependence filter pruned (see the module docs).
-pub struct Rewrites {
+/// data-dependence filter pruned (see the module docs). The search keeps
+/// its candidates as arena ids (`Rewrites<TermId>`); [`rewrites`] hands
+/// them out as trees.
+pub struct Rewrites<T = LocalType> {
     /// Every surviving candidate with the step that produced it.
-    pub candidates: Vec<(LocalType, Step)>,
+    pub candidates: Vec<(T, Step)>,
     /// Rewrite applications dropped because the hoisted payload
     /// data-depends on a crossed receive.
     pub pruned: usize,
@@ -174,351 +189,350 @@ pub struct Rewrites {
 /// All single-step rewrites of `term`, at every position.
 ///
 /// `allow_anticipate` gates the loop-anticipation rule (the search turns
-/// it off once a candidate has used its unfold budget).
+/// it off once a candidate has used its unfold budget). The term is
+/// interned into a fresh arena, rewritten there and the candidates are
+/// materialised.
 pub fn rewrites(term: &LocalType, allow_anticipate: bool) -> Rewrites {
-    let mut out = Rewrites {
-        candidates: Vec::new(),
-        pruned: 0,
-    };
-    let mut pruned = 0usize;
-    collect(
-        term,
+    let mut terms = Terms::default();
+    let root = terms.intern_local(term);
+    let found = rewrites_in(&mut terms, root, allow_anticipate);
+    Rewrites {
+        candidates: found
+            .candidates
+            .into_iter()
+            .map(|(id, step)| (terms.to_local(id), step))
+            .collect(),
+        pruned: found.pruned,
+    }
+}
+
+/// [`rewrites`] of an arena term, in the same order: each candidate
+/// interns only the nodes on the path from the root to the rewritten
+/// position.
+pub(crate) fn rewrites_in(
+    terms: &mut Terms,
+    term: TermId,
+    allow_anticipate: bool,
+) -> Rewrites<TermId> {
+    let mut walk = Walk {
+        terms,
         allow_anticipate,
-        &mut pruned,
-        &mut |candidate, step| out.candidates.push((candidate, step)),
-    );
-    out.pruned = pruned;
-    out
+        path: Vec::new(),
+        found: Rewrites {
+            candidates: Vec::new(),
+            pruned: 0,
+        },
+    };
+    walk.visit(term);
+    walk.found
 }
 
 /// Whether a send of `send_label(send_sort)` plausibly forwards the
 /// value produced by a receive of `recv_label(recv_sort)`: same label,
 /// and a data-carrying sort on both ends that the subsort relation
 /// connects. Unit payloads carry nothing, so they never depend.
-fn data_depends(send_label: &Name, send_sort: &Sort, recv_label: &Name, recv_sort: &Sort) -> bool {
+fn data_depends(
+    terms: &Terms,
+    (send_label, send_sort): (Sym, SortId),
+    (recv_label, recv_sort): (Sym, SortId),
+) -> bool {
+    let (send_sort, recv_sort) = (terms.sort(send_sort), terms.sort(recv_sort));
     send_label == recv_label
         && *send_sort != Sort::Unit
         && *recv_sort != Sort::Unit
         && (recv_sort.is_subsort_of(send_sort) || send_sort.is_subsort_of(recv_sort))
 }
 
-fn collect(
-    term: &LocalType,
+/// One pass of the rules over a term: every position depth-first, the
+/// rules rooted there first, then the subterms in order.
+struct Walk<'a> {
+    terms: &'a mut Terms,
     allow_anticipate: bool,
-    pruned: &mut usize,
-    emit: &mut dyn FnMut(LocalType, Step),
-) {
-    // Rewrites rooted at this node.
-    match term {
-        LocalType::End | LocalType::Var(_) => {}
-        LocalType::Branch { peer, branches } if branches.len() == 1 => {
-            let guard = &branches[0];
-            if let LocalType::Select {
-                peer: send_peer,
-                branches: inner,
-            } = &guard.continuation
-            {
-                if inner
-                    .iter()
-                    .any(|b| data_depends(&b.label, &b.sort, &guard.label, &guard.sort))
-                {
-                    *pruned += 1;
-                } else {
-                    emit(
-                        hoisted(send_peer, inner, |continuation| LocalType::Branch {
-                            peer: peer.clone(),
-                            branches: vec![LocalBranch {
-                                label: guard.label.clone(),
-                                sort: guard.sort.clone(),
-                                continuation,
-                            }],
-                        }),
-                        Step::HoistPastReceive {
-                            send_peer: send_peer.clone(),
-                            receive_peer: peer.clone(),
-                            send_sorts: inner.iter().map(|b| b.sort.clone()).collect(),
-                            receive_sort: guard.sort.clone(),
-                        },
-                    );
-                }
+    /// `(ancestor, child index)` from the root down to the position being
+    /// visited.
+    path: Vec<(TermId, usize)>,
+    found: Rewrites<TermId>,
+}
+
+impl Walk<'_> {
+    fn visit(&mut self, term: TermId) {
+        // Rewrites rooted at this node.
+        match self.terms.node(term) {
+            Node::Choice {
+                send: false,
+                peer,
+                branches,
+            } if branches.len() == 1 => {
+                let (peer, guard) = (*peer, branches[0]);
+                self.hoist_past_receive(peer, guard);
+                self.swap_receives(peer, guard);
             }
-            // Receive-receive reordering: the guarded continuation is
-            // itself a single receive from a *different* peer.
-            if let LocalType::Branch {
-                peer: inner_peer,
-                branches: inner,
-            } = &guard.continuation
-            {
-                if inner.len() == 1 && inner_peer != peer {
-                    let moved = &inner[0];
-                    emit(
-                        LocalType::receive(
-                            inner_peer.clone(),
-                            moved.label.clone(),
-                            moved.sort.clone(),
-                            LocalType::receive(
-                                peer.clone(),
-                                guard.label.clone(),
-                                guard.sort.clone(),
-                                moved.continuation.clone(),
-                            ),
-                        ),
-                        Step::SwapReceives {
-                            moved: inner_peer.clone(),
-                            crossed: peer.clone(),
-                        },
-                    );
-                }
+            Node::Choice {
+                send: false,
+                branches,
+                ..
+            } if branches.len() > 1 => self.hoist_from_branches(term),
+            Node::Choice {
+                send: true,
+                peer,
+                branches,
+            } if branches.len() == 1 => {
+                let (peer, outer) = (*peer, branches[0]);
+                self.hoist_past_send(peer, outer);
+            }
+            _ => {}
+        }
+        if self.allow_anticipate {
+            if let Node::Rec(_, body) = *self.terms.node(term) {
+                self.anticipate(term, body);
             }
         }
-        LocalType::Branch { peer, branches } if branches.len() > 1 => {
-            // Hoist out of branches: every branch starts with the same
-            // single send.
-            if let Some(common) = common_leading_send(branches) {
-                let (send_peer, label, sort) = common;
-                if branches
-                    .iter()
-                    .any(|b| data_depends(&label, &sort, &b.label, &b.sort))
-                {
-                    *pruned += 1;
-                } else {
-                    let stripped: Vec<LocalBranch> = branches
-                        .iter()
-                        .map(|b| LocalBranch {
-                            label: b.label.clone(),
-                            sort: b.sort.clone(),
-                            continuation: match &b.continuation {
-                                LocalType::Select { branches, .. } => {
-                                    branches[0].continuation.clone()
-                                }
-                                _ => unreachable!("common_leading_send checked the shape"),
-                            },
-                        })
-                        .collect();
-                    emit(
-                        LocalType::send(
-                            send_peer.clone(),
-                            label.clone(),
-                            sort.clone(),
-                            LocalType::Branch {
-                                peer: peer.clone(),
-                                branches: stripped,
-                            },
-                        ),
-                        Step::HoistFromBranches {
-                            send_peer,
-                            receive_peer: peer.clone(),
-                            label,
-                            sort,
-                            receive_sorts: branches.iter().map(|b| b.sort.clone()).collect(),
-                        },
-                    );
-                }
-            }
-        }
-        LocalType::Select { peer, branches } if branches.len() == 1 => {
-            let outer = &branches[0];
-            if let LocalType::Select {
-                peer: inner_peer,
-                branches: inner,
-            } = &outer.continuation
-            {
-                // Same-peer crossings violate the subtyping relation's
-                // FIFO-per-peer discipline; don't bother generating them.
-                if inner_peer != peer {
-                    emit(
-                        hoisted(inner_peer, inner, |continuation| LocalType::Select {
-                            peer: peer.clone(),
-                            branches: vec![LocalBranch {
-                                label: outer.label.clone(),
-                                sort: outer.sort.clone(),
-                                continuation,
-                            }],
-                        }),
-                        Step::HoistPastSend {
-                            inner: inner_peer.clone(),
-                            outer: peer.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        _ => {}
-    }
-    if allow_anticipate {
-        if let LocalType::Rec { body, .. } = term {
-            let receives = body_receives(body);
-            for (peer, label, sort) in body_sends(body) {
-                if receives
-                    .iter()
-                    .any(|(_, rl, rs)| data_depends(&label, &sort, rl, rs))
-                {
-                    *pruned += 1;
-                    continue;
-                }
-                emit(
-                    LocalType::send(peer.clone(), label.clone(), sort.clone(), term.clone()),
-                    Step::Anticipate {
-                        peer,
-                        label,
-                        sort,
-                        crossed_receives: receives.iter().map(|(_, _, s)| s.clone()).collect(),
-                    },
-                );
-            }
+
+        // Rewrites in subterms, spliced back into place.
+        let mut index = 0;
+        while let Some(child) = self.terms.child(term, index) {
+            self.path.push((term, index));
+            self.visit(child);
+            self.path.pop();
+            index += 1;
         }
     }
 
-    // Rewrites in subterms, spliced back into place.
-    match term {
-        LocalType::End | LocalType::Var(_) => {}
-        LocalType::Rec { var, body } => {
-            collect(body, allow_anticipate, pruned, &mut |new_body, step| {
-                emit(
-                    LocalType::Rec {
-                        var: var.clone(),
-                        body: Box::new(new_body),
-                    },
-                    step,
-                )
+    /// Records the rewrite of the visited position into `replacement`:
+    /// each ancestor on the path is rebuilt around its new child, bottom
+    /// up, and every other subterm is shared.
+    fn emit(&mut self, replacement: TermId, step: Step) {
+        let term = self
+            .path
+            .iter()
+            .rev()
+            .fold(replacement, |child, &(parent, index)| {
+                self.terms.with_child(parent, index, child)
             });
+        self.found.candidates.push((term, step));
+    }
+
+    fn name(&self, sym: Sym) -> Name {
+        self.terms.name(sym).clone()
+    }
+
+    fn sort(&self, sort: SortId) -> Sort {
+        self.terms.sort(sort).clone()
+    }
+
+    /// The hoisted form: the inner select's `branches` towards
+    /// `send_peer`, each continuation wrapped in the crossed single action
+    /// (`crossed_send` towards `crossed_peer`).
+    fn hoisted(
+        &mut self,
+        send_peer: Sym,
+        mut branches: Box<[Branch]>,
+        crossed_send: bool,
+        crossed_peer: Sym,
+        (label, sort): (Sym, SortId),
+    ) -> TermId {
+        for branch in branches.iter_mut() {
+            branch.2 = self
+                .terms
+                .single(crossed_send, crossed_peer, (label, sort, branch.2));
         }
-        LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
-            let is_select = matches!(term, LocalType::Select { .. });
-            for (index, branch) in branches.iter().enumerate() {
-                collect(
-                    &branch.continuation,
-                    allow_anticipate,
-                    pruned,
-                    &mut |cont, step| {
-                        // Clone the siblings only: the continuation being
-                        // replaced is never copied.
-                        let replaced = LocalBranch {
-                            label: branch.label.clone(),
-                            sort: branch.sort.clone(),
-                            continuation: cont,
-                        };
-                        let branches = branches[..index]
-                            .iter()
-                            .cloned()
-                            .chain(std::iter::once(replaced))
-                            .chain(branches[index + 1..].iter().cloned())
-                            .collect();
-                        let peer = peer.clone();
-                        emit(
-                            if is_select {
-                                LocalType::Select { peer, branches }
-                            } else {
-                                LocalType::Branch { peer, branches }
-                            },
-                            step,
-                        )
-                    },
-                );
+        self.terms.intern(Node::Choice {
+            send: true,
+            peer: send_peer,
+            branches,
+        })
+    }
+
+    /// Hoist past receive: `p?a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p?a.Tᵢ`.
+    fn hoist_past_receive(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+        let Node::Choice {
+            send: true,
+            peer: send_peer,
+            branches: inner,
+        } = self.terms.node(continuation)
+        else {
+            return;
+        };
+        if inner
+            .iter()
+            .any(|&(l, s, _)| data_depends(self.terms, (l, s), (label, sort)))
+        {
+            self.found.pruned += 1;
+            return;
+        }
+        let (send_peer, inner) = (*send_peer, inner.clone());
+        let step = Step::HoistPastReceive {
+            send_peer: self.name(send_peer),
+            receive_peer: self.name(peer),
+            send_sorts: inner.iter().map(|&(_, s, _)| self.sort(s)).collect(),
+            receive_sort: self.sort(sort),
+        };
+        let replacement = self.hoisted(send_peer, inner, false, peer, (label, sort));
+        self.emit(replacement, step);
+    }
+
+    /// Swap receives: `p?a.q?b.T ↦ q?b.p?a.T` for `p ≠ q`.
+    fn swap_receives(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+        let Node::Choice {
+            send: false,
+            peer: moved_peer,
+            branches: inner,
+        } = self.terms.node(continuation)
+        else {
+            return;
+        };
+        let &[(moved_label, moved_sort, rest)] = &inner[..] else {
+            return;
+        };
+        if *moved_peer == peer {
+            return;
+        }
+        let moved_peer = *moved_peer;
+        let crossed = self.terms.single(false, peer, (label, sort, rest));
+        let replacement = self
+            .terms
+            .single(false, moved_peer, (moved_label, moved_sort, crossed));
+        let step = Step::SwapReceives {
+            moved: self.name(moved_peer),
+            crossed: self.name(peer),
+        };
+        self.emit(replacement, step);
+    }
+
+    /// Hoist out of branches: `&ᵢ p?ℓᵢ.q!m.Tᵢ ↦ q!m.&ᵢ p?ℓᵢ.Tᵢ`.
+    fn hoist_from_branches(&mut self, term: TermId) {
+        let Node::Choice { peer, branches, .. } = self.terms.node(term) else {
+            return;
+        };
+        let Some((send_peer, label, sort)) = common_leading_send(self.terms, branches) else {
+            return;
+        };
+        if branches
+            .iter()
+            .any(|&(l, s, _)| data_depends(self.terms, (label, sort), (l, s)))
+        {
+            self.found.pruned += 1;
+            return;
+        }
+        let (peer, mut stripped) = (*peer, branches.clone());
+        let step = Step::HoistFromBranches {
+            send_peer: self.name(send_peer),
+            receive_peer: self.name(peer),
+            label: self.name(label),
+            sort: self.sort(sort),
+            receive_sorts: stripped.iter().map(|&(_, s, _)| self.sort(s)).collect(),
+        };
+        for branch in stripped.iter_mut() {
+            branch.2 = self
+                .terms
+                .child(branch.2, 0)
+                .expect("common_leading_send checked the shape");
+        }
+        let crossed = self.terms.intern(Node::Choice {
+            send: false,
+            peer,
+            branches: stripped,
+        });
+        let replacement = self.terms.single(true, send_peer, (label, sort, crossed));
+        self.emit(replacement, step);
+    }
+
+    /// Hoist past send: `p!a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p!a.Tᵢ` for `p ≠ q`.
+    fn hoist_past_send(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+        let Node::Choice {
+            send: true,
+            peer: inner_peer,
+            branches: inner,
+        } = self.terms.node(continuation)
+        else {
+            return;
+        };
+        // Same-peer crossings violate the subtyping relation's
+        // FIFO-per-peer discipline; don't bother generating them.
+        if *inner_peer == peer {
+            return;
+        }
+        let (inner_peer, inner) = (*inner_peer, inner.clone());
+        let replacement = self.hoisted(inner_peer, inner, true, peer, (label, sort));
+        let step = Step::HoistPastSend {
+            inner: self.name(inner_peer),
+            outer: self.name(peer),
+        };
+        self.emit(replacement, step);
+    }
+
+    /// Anticipate: `μt.T ↦ q!ℓ.μt.T`, once per distinct send of the body.
+    fn anticipate(&mut self, term: TermId, body: TermId) {
+        let receives = body_actions(self.terms, body, false);
+        for (peer, label, sort) in body_actions(self.terms, body, true) {
+            if receives
+                .iter()
+                .any(|&(_, l, s)| data_depends(self.terms, (label, sort), (l, s)))
+            {
+                self.found.pruned += 1;
+                continue;
             }
+            let replacement = self.terms.single(true, peer, (label, sort, term));
+            let step = Step::Anticipate {
+                peer: self.name(peer),
+                label: self.name(label),
+                sort: self.sort(sort),
+                crossed_receives: receives.iter().map(|&(_, _, s)| self.sort(s)).collect(),
+            };
+            self.emit(replacement, step);
         }
     }
 }
 
 /// When every branch of a multi-label external choice starts with the
 /// same single send, that common `(peer, label, sort)`.
-fn common_leading_send(branches: &[LocalBranch]) -> Option<(Name, Name, Sort)> {
-    let mut common: Option<(Name, Name, Sort)> = None;
-    for branch in branches {
-        let LocalType::Select { peer, branches } = &branch.continuation else {
+fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Sym, Sym, SortId)> {
+    let mut common = None;
+    for &(_, _, continuation) in branches {
+        let Node::Choice {
+            send: true,
+            peer,
+            branches,
+        } = terms.node(continuation)
+        else {
             return None;
         };
-        if branches.len() != 1 {
+        let &[(label, sort, _)] = &branches[..] else {
             return None;
-        }
-        let lead = (
-            peer.clone(),
-            branches[0].label.clone(),
-            branches[0].sort.clone(),
-        );
-        match &common {
-            None => common = Some(lead),
-            Some(seen) if *seen == lead => {}
-            Some(_) => return None,
+        };
+        let lead = (*peer, label, sort);
+        if *common.get_or_insert(lead) != lead {
+            return None;
         }
     }
     common
 }
 
-/// Builds the hoisted form: the inner select's branches, each wrapped by
-/// `rebuild` (which reinstates the crossed outer action inside the
-/// branch).
-fn hoisted(
-    send_peer: &Name,
-    inner: &[LocalBranch],
-    rebuild: impl Fn(LocalType) -> LocalType,
-) -> LocalType {
-    LocalType::Select {
-        peer: send_peer.clone(),
-        branches: inner
-            .iter()
-            .map(|branch| LocalBranch {
-                label: branch.label.clone(),
-                sort: branch.sort.clone(),
-                continuation: rebuild(branch.continuation.clone()),
-            })
-            .collect(),
-    }
-}
-
-/// Distinct send actions occurring anywhere in `body`, in term order.
-fn body_sends(body: &LocalType) -> Vec<(Name, Name, Sort)> {
-    fn go(term: &LocalType, out: &mut Vec<(Name, Name, Sort)>) {
-        match term {
-            LocalType::End | LocalType::Var(_) => {}
-            LocalType::Rec { body, .. } => go(body, out),
-            LocalType::Select { peer, branches } => {
-                for branch in branches {
-                    let action = (peer.clone(), branch.label.clone(), branch.sort.clone());
-                    if !out.contains(&action) {
+/// Distinct send (`send`) or receive actions occurring anywhere in
+/// `body`, in term order. The receives are what one loop anticipation
+/// pipelines across (and what a forwarded payload may data-depend on).
+fn body_actions(terms: &Terms, body: TermId, send: bool) -> Vec<(Sym, Sym, SortId)> {
+    fn go(terms: &Terms, term: TermId, send: bool, out: &mut Vec<(Sym, Sym, SortId)>) {
+        match terms.node(term) {
+            Node::End | Node::Var(_) => {}
+            Node::Rec(_, body) => go(terms, *body, send, out),
+            Node::Choice {
+                send: sends,
+                peer,
+                branches,
+            } => {
+                for &(label, sort, continuation) in branches.iter() {
+                    let action = (*peer, label, sort);
+                    if *sends == send && !out.contains(&action) {
                         out.push(action);
                     }
-                    go(&branch.continuation, out);
-                }
-            }
-            LocalType::Branch { branches, .. } => {
-                for branch in branches {
-                    go(&branch.continuation, out);
+                    go(terms, continuation, send, out);
                 }
             }
         }
     }
     let mut out = Vec::new();
-    go(body, &mut out);
-    out
-}
-
-/// Distinct receive actions occurring anywhere in `body`, in term order:
-/// what one loop anticipation pipelines across (and what a forwarded
-/// payload may data-depend on).
-fn body_receives(body: &LocalType) -> Vec<(Name, Name, Sort)> {
-    fn go(term: &LocalType, out: &mut Vec<(Name, Name, Sort)>) {
-        match term {
-            LocalType::End | LocalType::Var(_) => {}
-            LocalType::Rec { body, .. } => go(body, out),
-            LocalType::Branch { peer, branches } => {
-                for branch in branches {
-                    let action = (peer.clone(), branch.label.clone(), branch.sort.clone());
-                    if !out.contains(&action) {
-                        out.push(action);
-                    }
-                    go(&branch.continuation, out);
-                }
-            }
-            LocalType::Select { branches, .. } => {
-                for branch in branches {
-                    go(&branch.continuation, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    go(body, &mut out);
+    go(terms, body, send, &mut out);
     out
 }
 
@@ -660,6 +674,35 @@ mod tests {
                 assert_eq!(receive_sort, &Sort::Unit);
             }
             other => panic!("expected a receive hoist, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_deep_rewrite_interns_only_its_path() {
+        // `depth` nested choices, each with a `size`-long sibling that
+        // admits no rewrite, over the one hoist `q?x.r!y ↦ r!y.q?x`.
+        let chain = |depth: usize, size: usize| {
+            let mut term = "q?x . r!y . end".to_owned();
+            for level in 0..depth {
+                let sibling = format!("s!z{level} . ").repeat(size);
+                term = format!("+{{ p!a . {term}, p!b . {sibling}end }}");
+            }
+            parse(&term).unwrap()
+        };
+        for depth in [1, 4, 16] {
+            let mut added = Vec::new();
+            for size in [1, 64] {
+                let mut terms = Terms::default();
+                let root = terms.intern_local(&chain(depth, size));
+                let before = terms.node_count();
+                assert_eq!(rewrites_in(&mut terms, root, true).candidates.len(), 1);
+                added.push(terms.node_count() - before);
+                // The same rewrite again finds every node interned.
+                rewrites_in(&mut terms, root, true);
+                assert_eq!(terms.node_count(), before + added[added.len() - 1]);
+            }
+            // Two nodes at the bottom, one per ancestor, whatever the size.
+            assert_eq!(added, [depth + 2, depth + 2], "depth {depth}");
         }
     }
 }

@@ -12,9 +12,9 @@
 //! O(path depth), not O(states²).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use theory::fsm::{Direction, Fsm, StateIndex};
+use theory::hash::BuildWordHasher;
 
 use crate::prefix::{reduce, Prefix, Snapshot};
 
@@ -26,30 +26,8 @@ struct Previous {
     snapshots: [Snapshot; 2],
 }
 
-/// `Σ` keyed by `(sub_state, sup_state)`.
-type PathMap = HashMap<(StateIndex, StateIndex), Previous, BuildHasherDefault<PairHasher>>;
-
-/// One rotate-xor-multiply per word (the FxHash step): the keys are two
-/// state indices, not attacker-chosen, and SipHash cost `verify_amr` 8 %
-/// of its passes per second.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_usize(usize::from(byte));
-        }
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.0 = (self.0.rotate_left(5) ^ word as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
+/// `Σ` keyed by `(sub_state, sup_state)`, hashed a word at a time.
+type PathMap = HashMap<(StateIndex, StateIndex), Previous, BuildWordHasher>;
 
 /// Checks `sub ≤ sup` by depth-first search; see [`crate::is_subtype`].
 pub struct SubtypeVisitor<'a> {

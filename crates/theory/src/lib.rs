@@ -13,6 +13,8 @@
 //!   local type ⇄ FSM (the representation the subtyping algorithm and the
 //!   k-MC checker operate on),
 //! * [`dot`] — Graphviz output for debugging protocols,
+//! * [`hash`] — the word hasher behind the workspace's integer-keyed
+//!   maps,
 //! * [`json`] — the workspace's one JSON reader and writer, behind every
 //!   machine-readable artifact the tools above emit or load.
 //!
@@ -44,6 +46,7 @@
 pub mod dot;
 pub mod fsm;
 pub mod global;
+pub mod hash;
 pub mod json;
 pub mod local;
 pub mod name;
