@@ -106,7 +106,6 @@ json_record! {
         pub wakes: u64,
         pub batches: u64,
         pub batched_messages: u64,
-        pub backpressure_parks: u64,
         pub instances: u64,
         pub stamp_misses: u64,
         /// Send→recv latency; `None` when the link recorded no samples.
@@ -191,7 +190,7 @@ mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {
     high_watermark, kmc_bound, batch_window, grows, waker_retries, sends, wakes, batches,
-    batched_messages, backpressure_parks, instances, stamp_misses;
+    batched_messages, instances, stamp_misses;
     from: link.from.to_owned(),
     to: link.to.to_owned(),
     latency: Quantiles::of(&link.latency),

@@ -50,11 +50,11 @@ const TELEMETRY: &str = r#"{
      "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1}}],
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
     "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
-    "batched_messages": 40, "backpressure_parks": 0, "instances": 2, "stamp_misses": 0,
+    "batched_messages": 40, "instances": 2, "stamp_misses": 0,
     "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}},
    {"from": "Ping", "to": "Pong", "high_watermark": 1, "kmc_bound": 1, "batch_window": 1,
     "grows": 0, "waker_retries": 0, "sends": 500, "wakes": 0, "batches": 0,
-    "batched_messages": 0, "backpressure_parks": 0, "instances": 1, "stamp_misses": 0,
+    "batched_messages": 0, "instances": 1, "stamp_misses": 0,
     "latency": null}],
   "transport": [{"from": "Ping", "to": "Pong", "frames_sent": 500, "frames_received": 500,
     "bytes_sent": 8000, "bytes_received": 8000, "window_stalls": 3, "reconnects": 0,

@@ -14,12 +14,11 @@
 //!
 //! A link built from a [`LinkConfig`] additionally cashes in the
 //! protocol's statically verified k-MC bounds as performance parameters:
-//! each direction's bound becomes the endpoint's **batch-receive
-//! window** (the receiver drains up to k queued messages per waker
-//! round-trip into a local stash — k is precisely the number of
-//! in-flight messages the verification proves safe) and — in bounded
-//! mode — caps the ring so an unverified producer parks instead of
-//! growing the queue past the verified depth.
+//! each direction's bound sizes its ring, so a verified session never
+//! grows one, and becomes the endpoint's **batch-receive window** (the
+//! receiver drains up to k queued messages per waker round-trip into a
+//! local stash — k is precisely the number of in-flight messages the
+//! verification proves safe). Sends never wait.
 
 use std::collections::VecDeque;
 use std::task::{Context, Poll};
@@ -37,8 +36,8 @@ pub struct LinkConfig {
     pub bound_ab: Option<usize>,
     /// Statically verified k-MC bound for the `b → a` direction.
     pub bound_ba: Option<usize>,
-    /// Cap each direction's ring at its bound (back-pressure) instead of
-    /// letting it grow. Directions without a bound stay growable.
+    /// Ignored: every ring grows when full. Kept only because
+    /// `benchmark/src/ladder.rs` names it.
     pub bounded: bool,
 }
 
@@ -65,9 +64,8 @@ impl<T> Bidirectional<T> {
     /// per-channel occupancy watermark can be checked against the
     /// statically verified k-MC bound; the names are discarded when
     /// telemetry is disabled) and shaped by the directions' verified
-    /// k-MC bounds (see the module docs): bounds become batch-receive
-    /// windows, and `config.bounded` additionally caps each bounded
-    /// direction's ring for back-pressure.
+    /// k-MC bounds (see the module docs): bounds size the rings and
+    /// become batch-receive windows.
     pub fn pair_configured(a: &'static str, b: &'static str, config: LinkConfig) -> (Self, Self) {
         Self::build(Some((a, b)), config)
     }
@@ -75,7 +73,6 @@ impl<T> Bidirectional<T> {
     fn build(label: Option<(&'static str, &'static str)>, config: LinkConfig) -> (Self, Self) {
         let direction = |bound: Option<usize>, from_to| SpscConfig {
             label: from_to,
-            capacity: if config.bounded { bound } else { None },
             bound_hint: bound,
         };
         let (ab_tx, ab_rx) = spsc_with(direction(config.bound_ab, label));
@@ -105,17 +102,15 @@ impl<T> Bidirectional<T> {
         )
     }
 
-    /// Enqueues a message for the peer. Non-blocking and lock-free. On a
-    /// back-pressured (bounded) link a full ring is reported as an error
-    /// like a closed one; use [`poll_send`](Self::poll_send) to park
-    /// instead.
+    /// Enqueues a message for the peer. Non-blocking and lock-free; fails
+    /// only when the peer is gone.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         self.tx.send(value)
     }
 
-    /// Poll-based send: reserves a slot (parking on a full bounded ring)
-    /// and commits `*value` into it. `value` is left `None` on success
-    /// and on the terminal closed-channel error, untouched while pending.
+    /// Poll-based send: reserves a slot and commits `*value` into it.
+    /// Always `Ready`: `Ok` with `value` taken, or the closed-channel
+    /// error carrying it.
     ///
     /// # Panics
     /// Panics if called with `value` already taken (`None`).
@@ -235,7 +230,7 @@ mod tests {
             LinkConfig {
                 bound_ab: Some(8),
                 bound_ba: Some(2),
-                bounded: false,
+                ..LinkConfig::default()
             },
         );
         assert_eq!(b.batch_window(), 8);
@@ -254,25 +249,30 @@ mod tests {
     }
 
     #[test]
-    fn bounded_link_exerts_backpressure() {
+    fn bounded_link_never_parks_its_sender() {
+        // `bounded` is ignored: a sender that runs far past the bound
+        // grows the ring instead of waiting for the receiver.
         let (mut a, mut b) = Bidirectional::pair_configured(
             "BidiBoundA",
             "BidiBoundB",
             LinkConfig {
-                bound_ab: Some(2),
-                bound_ba: Some(1),
+                bound_ab: Some(1),
                 bounded: true,
+                ..LinkConfig::default()
             },
         );
-        a.send(1u32).unwrap();
-        a.send(2).unwrap();
-        assert!(matches!(a.send(3), Err(SendError(3))));
-        assert_eq!(b.try_recv(), Some(1));
-        a.send(3).unwrap();
-        crate::block_on(async {
-            assert_eq!(b.recv().await, Some(2));
-            assert_eq!(b.recv().await, Some(3));
-        });
+        let mut cx = Context::from_waker(std::task::Waker::noop());
+        for i in 0..1000u32 {
+            let mut value = Some(i);
+            assert!(
+                matches!(a.poll_send(&mut cx, &mut value), Poll::Ready(Ok(()))),
+                "send {i} did not complete"
+            );
+        }
+        for i in 0..1000 {
+            assert_eq!(b.try_recv(), Some(i));
+        }
+        assert_eq!(b.try_recv(), None);
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! * [`spsc`] — lock-free single-producer/single-consumer queue: a
 //!   growable power-of-two ring with an atomic waker handoff, a
 //!   reserve/commit send path ([`SpscSender::poll_reserve`]) that
-//!   constructs messages in place, a batched receive that pays one
-//!   index publication per window, and a capacity-capped mode
-//!   ([`LinkConfig::bounded`]) that exerts back-pressure instead of
-//!   growing. This is the data plane of session links: every
-//!   [`Bidirectional`] direction has exactly one producer and one
-//!   consumer by construction, as every queue of the paper's model
-//!   does. Sends enqueue into the peer's queue (the "asynchronous
-//!   queue" of the paper) and never block, which is what makes
-//!   asynchronous message reordering profitable; back-pressure is the
-//!   ring's capacity cap. Fan-in is one ring per producer.
+//!   constructs messages in place, and a batched receive that pays one
+//!   index publication per window. This is the data plane of session
+//!   links: every [`Bidirectional`] direction has exactly one producer
+//!   and one consumer by construction, as every queue of the paper's
+//!   model does. Sends enqueue into the peer's queue (the "asynchronous
+//!   queue" of the paper) and never block — a full ring grows — which is
+//!   what makes asynchronous message reordering profitable. Fan-in is
+//!   one ring per producer.
 //! * [`oneshot`] — the one single-value rendezvous, behind every
 //!   [`JoinHandle`](crate::JoinHandle) and request/response pattern,
 //!   implemented as a small atomic state machine.
@@ -36,9 +34,8 @@ pub use spsc::{spsc, SendSlot, SpscReceiver, SpscRecv, SpscSender};
 
 /// Error returned by the ring's send operations ([`SpscSender::send`],
 /// [`SpscSender::poll_reserve`] and their [`Bidirectional`] wrappers)
-/// when the receiver has been dropped, and by `send` when a
-/// capacity-capped ring is full. Carries the rejected message so the
-/// caller can recover it.
+/// when the receiver has been dropped — the only way a send fails.
+/// Carries the rejected message so the caller can recover it.
 pub struct SendError<T>(pub T);
 
 impl<T> SendError<T> {

@@ -20,25 +20,17 @@
 //!   publishes it. `send` is a thin wrapper, so a producer constructs
 //!   each message once, at its final address, instead of building it on
 //!   the stack and moving it into the queue.
-//! * **Epoch-free growth.** When an *unbounded* ring fills, the producer
-//!   allocates a doubled buffer, copies the live range (logical indices
-//!   keep their values, only the mask changes), publishes it with a
-//!   release store and *retires* the old buffer onto an intrusive chain
-//!   instead of freeing it. A consumer that raced the growth keeps
-//!   reading the old buffer — frozen by the producer from that point on —
-//!   and picks up the new one the next time it refreshes its cached
-//!   `tail`. The chain is freed when the channel drops. A ring sized from
-//!   its protocol's k-MC bound never grows; un-hinted rings (the paper's
-//!   queues are unbounded) double until they fit their peak.
-//! * **Bounded mode (verified back-pressure).** A ring created with a
-//!   capacity never grows: once `tail - head` reaches the capacity,
-//!   `send` fails (handing the message back) and
-//!   [`SpscSender::poll_reserve`] *parks* the producer task until the
-//!   consumer frees a slot. Sized from a protocol's statically verified
-//!   k-MC bound, the capacity is one a verified execution can never
-//!   exceed — the park path is back-pressure insurance for unverified
-//!   callers, and telemetry counts every park so a verified protocol can
-//!   prove it paid nothing.
+//! * **Epoch-free growth; the producer never parks.** When the ring
+//!   fills, the producer allocates a doubled buffer, copies the live
+//!   range (logical indices keep their values, only the mask changes),
+//!   publishes it with a release store and *retires* the old buffer onto
+//!   an intrusive chain instead of freeing it. A consumer that raced the
+//!   growth keeps reading the old buffer — frozen by the producer from
+//!   that point on — and picks up the new one the next time it refreshes
+//!   its cached `tail`. The chain is freed when the channel drops. A ring
+//!   sized from its protocol's k-MC bound never grows; un-hinted rings
+//!   (the paper's queues are unbounded) double until they fit their
+//!   peak. A send fails only once the receiver is gone.
 //! * **Batched receive.** `SpscReceiver::try_recv_batch` pops up to a
 //!   window of messages while publishing the consumer index *once*, so a
 //!   streaming consumer pays one release store (one cache-line handoff to
@@ -58,9 +50,8 @@
 //!   (possible) waiter does it pay for the CAS that claims the cell. The
 //!   parked side mirrors the fence between publishing `WAITING` and
 //!   re-checking the queue, the same Dekker-style store/load handshake as
-//!   the scheduler's sleep protocol, so a wake can never be lost. Bounded
-//!   rings run a second, symmetric cell in the other direction for the
-//!   parked producer; unbounded rings never touch it.
+//!   the scheduler's sleep protocol, so a wake can never be lost. The
+//!   receiver is the only side that ever parks, so a ring has one cell.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -92,10 +83,8 @@ const WAKER_WAITING: u8 = 2;
 /// side must not mutate the cell until the waking side stores `EMPTY`.
 const WAKER_WAKING: u8 = 3;
 
-/// One direction of the Dekker-style waker handoff: the four-state
-/// machine plus the waker cell it guards. The receiver parks on the
-/// `rx_waiter` cell (empty queue); a bounded ring's producer parks on the
-/// symmetric `tx_waiter` cell (full queue).
+/// The Dekker-style waker handoff: the four-state machine plus the waker
+/// cell it guards. The receiver parks on it while the queue is empty.
 struct WakerCell {
     state: AtomicU8,
     /// Guarded by `state`: mutated by the parked side under `LOCKED`,
@@ -281,9 +270,6 @@ struct Inner<T> {
     buffer: AtomicPtr<Buffer<T>>,
     /// Waker handoff for a consumer parked on an empty queue.
     rx_waiter: WakerCell,
-    /// Waker handoff for a producer parked on a full bounded queue;
-    /// untouched on unbounded rings.
-    tx_waiter: WakerCell,
     /// Cleared by `Sender::drop`; pushes happen-before via release/acquire.
     tx_alive: AtomicBool,
     /// Cleared by `Receiver::drop`; later sends fail fast.
@@ -319,13 +305,9 @@ pub(super) struct SpscConfig {
     /// Role names registering the link with the telemetry layer (ignored
     /// in uninstrumented builds).
     pub label: Option<(&'static str, &'static str)>,
-    /// `Some(k)`: a capacity-capped ring that never grows and exerts
-    /// back-pressure (park, or a failed `send`) at `k` in-flight
-    /// messages. `None`: the classic growable unbounded ring.
-    pub capacity: Option<usize>,
-    /// For unbounded rings, the verified k-MC bound (messages in flight a
-    /// correct execution can reach): the initial ring is sized to hold it,
-    /// so a verified session never grows. Ignored in bounded mode.
+    /// The verified k-MC bound (messages in flight a correct execution
+    /// can reach): the initial ring is sized to hold it, so a verified
+    /// session never grows.
     pub bound_hint: Option<usize>,
 }
 
@@ -341,41 +323,30 @@ pub(super) fn spsc_with<T>(config: SpscConfig) -> (SpscSender<T>, SpscReceiver<T
         Some((from, to)) => telemetry::channel::register(from, to),
         None => telemetry::channel::LinkStats::default(),
     };
-    let capacity = config.capacity.map(|c| c.max(1));
-    let cap = match capacity {
-        // A bounded ring is allocated at its final size once.
-        Some(limit) => limit.next_power_of_two(),
-        None => config
-            .bound_hint
-            .map_or(MIN_CAP, |k| k.next_power_of_two().max(MIN_CAP)),
-    };
+    let cap = config
+        .bound_hint
+        .map_or(MIN_CAP, |k| k.next_power_of_two().max(MIN_CAP));
     let buffer = Box::into_raw(Buffer::alloc(cap, ptr::null_mut()));
     let inner = Arc::new(Inner {
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
         buffer: AtomicPtr::new(buffer),
         rx_waiter: WakerCell::new(),
-        tx_waiter: WakerCell::new(),
         tx_alive: AtomicBool::new(true),
         rx_alive: AtomicBool::new(true),
         stats,
     });
-    let limit = capacity.unwrap_or(cap);
     (
         SpscSender {
             inner: inner.clone(),
             buffer,
             cap,
-            limit,
-            bounded: capacity.is_some(),
             tail: 0,
             cached_head: 0,
-            armed_waker: None,
         },
         SpscReceiver {
             inner,
             buffer,
-            bounded: capacity.is_some(),
             head: 0,
             cached_tail: 0,
             armed_waker: None,
@@ -388,30 +359,22 @@ pub struct SpscSender<T> {
     inner: Arc<Inner<T>>,
     /// Producer's view of the live buffer; only the producer replaces it.
     buffer: *mut Buffer<T>,
+    /// Slots in the live buffer: the in-flight count at which the ring
+    /// grows.
     cap: usize,
-    /// Maximum in-flight messages before the ring is considered full: the
-    /// configured capacity in bounded mode, the current `cap` (grow on
-    /// full) otherwise.
-    limit: usize,
-    /// Bounded mode: full means back-pressure, never growth.
-    bounded: bool,
     /// Mirror of `inner.tail` (only the producer advances it).
     tail: usize,
     /// Last observed `inner.head`; always <= the true head, so staleness
     /// only ever makes the full check conservative.
     cached_head: usize,
-    /// Private mirror of `tx_waiter`'s cell (see [`WakerCell::register`]).
-    armed_waker: Option<Waker>,
 }
 
 unsafe impl<T: Send> Send for SpscSender<T> {}
 
 impl<T> SpscSender<T> {
     /// Publishes a message and hands the peer's waker to the scheduler if
-    /// the peer is waiting. Never blocks. Fails when the receiver is
-    /// gone — and, on a capacity-bounded ring, when the queue is full
-    /// (use [`poll_reserve`](Self::poll_reserve) to park until space
-    /// frees instead).
+    /// the peer is waiting. Never blocks: a full ring grows. Fails only
+    /// when the receiver is gone.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         match self.try_reserve() {
             Some(slot) => {
@@ -422,65 +385,34 @@ impl<T> SpscSender<T> {
         }
     }
 
-    /// Reserves the next ring slot without blocking; `None` when the
-    /// receiver is gone or a capacity-bounded ring is full.
+    /// Reserves the next ring slot, growing a full ring; `None` when the
+    /// receiver is gone.
     fn try_reserve(&mut self) -> Option<SendSlot<'_, T>> {
         if !self.inner.rx_alive.load(Acquire) {
             return None;
         }
-        if self.tail - self.cached_head >= self.limit {
+        if self.tail - self.cached_head >= self.cap {
             self.cached_head = self.inner.head.load(Acquire);
-            if self.tail - self.cached_head >= self.limit {
-                if self.bounded {
-                    return None;
-                }
+            if self.tail - self.cached_head >= self.cap {
                 self.grow();
             }
         }
         Some(SendSlot { sender: self })
     }
 
-    /// Reserves the next ring slot, parking the task while a bounded ring
-    /// is full; the consumer's next pop wakes it. On unbounded rings this
-    /// never returns `Pending`. The returned [`SendSlot`] publishes the
-    /// message on [`write`](SendSlot::write); dropping it instead
-    /// abandons the reservation (nothing is published). Fails only when
-    /// the receiver is gone.
+    /// Reserves the next ring slot. Never returns `Pending` — a full
+    /// ring grows — so `cx` is unused; the poll shape lets the session
+    /// layer drive in-process and socket links alike. The returned
+    /// [`SendSlot`] publishes the message on [`write`](SendSlot::write);
+    /// dropping it instead abandons the reservation (nothing is
+    /// published). Fails only when the receiver is gone.
+    // Inlined into the session futures this cost `stream_amr` ≈ 10 %; see CHANGES.md.
+    #[inline(never)]
     pub fn poll_reserve(
         &mut self,
-        cx: &mut Context<'_>,
+        _cx: &mut Context<'_>,
     ) -> Poll<Result<SendSlot<'_, T>, SendError<()>>> {
-        if !self.inner.rx_alive.load(Acquire) {
-            return Poll::Ready(Err(SendError(())));
-        }
-        if self.tail - self.cached_head >= self.limit {
-            self.cached_head = self.inner.head.load(Acquire);
-            if self.tail - self.cached_head >= self.limit {
-                if !self.bounded {
-                    self.grow();
-                } else {
-                    // Same Dekker handshake as the receive side, in the
-                    // other direction: publish WAITING, fence (inside
-                    // `register`), then re-check `head` so a pop cannot
-                    // slip between the full check and the registration.
-                    let inner = &*self.inner;
-                    inner
-                        .tx_waiter
-                        .register(cx.waker(), &mut self.armed_waker, &inner.stats);
-                    self.cached_head = inner.head.load(Acquire);
-                    if self.tail - self.cached_head >= self.limit {
-                        if !inner.rx_alive.load(Acquire) {
-                            inner.tx_waiter.unregister();
-                            return Poll::Ready(Err(SendError(())));
-                        }
-                        inner.stats.record_backpressure_park();
-                        return Poll::Pending;
-                    }
-                    inner.tx_waiter.unregister();
-                }
-            }
-        }
-        Poll::Ready(Ok(SendSlot { sender: self }))
+        Poll::Ready(self.try_reserve().ok_or(SendError(())))
     }
 
     /// Publishes the value just written to slot `tail` (the commit half
@@ -508,15 +440,6 @@ impl<T> SpscSender<T> {
             self.inner.stats.record_depth(depth as u64);
             self.inner.stats.record_send();
         }
-        if self.bounded {
-            debug_assert!(
-                self.tail - self.cached_head <= self.limit,
-                "bounded SPSC ring exceeded its capacity: \
-                 {} in flight > limit {}",
-                self.tail - self.cached_head,
-                self.limit,
-            );
-        }
 
         // Dekker handshake with `WakerCell::register`: order the tail
         // publication before the waker-state read, so either we observe
@@ -529,7 +452,7 @@ impl<T> SpscSender<T> {
 
     /// Doubles the ring, copying the live range into the new buffer at
     /// unchanged logical indices, and retires the old buffer (the consumer
-    /// may still be reading it). Producer only; unbounded rings only.
+    /// may still be reading it). Producer only.
     #[cold]
     fn grow(&mut self) {
         self.inner.stats.record_grow();
@@ -546,7 +469,6 @@ impl<T> SpscSender<T> {
         self.inner.buffer.store(new, Release);
         self.buffer = new;
         self.cap *= 2;
-        self.limit = self.cap;
     }
 }
 
@@ -594,9 +516,6 @@ pub struct SpscReceiver<T> {
     /// (refreshed together with `cached_tail`, *after* it, so the buffer
     /// is at least as fresh as any growth covering those indices).
     buffer: *mut Buffer<T>,
-    /// Mirror of the ring's bounded-ness: only bounded rings ever have a
-    /// parked producer to wake, so unbounded pops skip the check.
-    bounded: bool,
     /// Mirror of `inner.head` (only the consumer advances it).
     head: usize,
     /// Last observed `inner.tail`.
@@ -624,14 +543,12 @@ impl<T> SpscReceiver<T> {
         if telemetry::ENABLED {
             self.inner.stats.stamp_recv();
         }
-        self.wake_producer();
         Some(value)
     }
 
     /// Pops up to `window` published messages into `out`, publishing the
     /// consumer index — the cache-line handoff that lets the producer
-    /// reuse slots (and unparks it on a bounded ring) — exactly **once**
-    /// for the whole batch. Returns the number popped (0 when the queue
+    /// reuse slots — exactly **once** for the whole batch. Returns the number popped (0 when the queue
     /// is empty). A `window` of 0 is treated as 1.
     pub(super) fn try_recv_batch(&mut self, window: usize, out: &mut VecDeque<T>) -> usize {
         if self.head == self.cached_tail && !self.refresh() {
@@ -657,7 +574,6 @@ impl<T> SpscReceiver<T> {
         if telemetry::ENABLED {
             self.inner.stats.stamp_recv_batch(n as u64);
         }
-        self.wake_producer();
         n
     }
 
@@ -747,19 +663,6 @@ impl<T> SpscReceiver<T> {
         true
     }
 
-    /// The bounded-ring half of the Dekker handshake, run after every
-    /// head publication: wake a producer parked on the full queue.
-    /// Unbounded rings never park producers, so the fence is skipped.
-    #[inline]
-    fn wake_producer(&self) {
-        if self.bounded {
-            fence(SeqCst);
-            if self.inner.tx_waiter.is_armed() {
-                self.inner.tx_waiter.wake();
-            }
-        }
-    }
-
     /// Arms the receive-side handoff with `waker` (see
     /// [`WakerCell::register`]).
     fn register(&mut self, waker: &Waker) {
@@ -780,12 +683,6 @@ impl<T> Drop for SpscReceiver<T> {
         // Later sends fail fast; a send racing this store may still land
         // in the queue, where `Inner::drop` reclaims it.
         self.inner.rx_alive.store(false, Release);
-        // A producer parked on a full bounded ring must observe the
-        // closure: same handshake as the sender's drop, other direction.
-        fence(SeqCst);
-        if self.inner.tx_waiter.is_armed() {
-            self.inner.tx_waiter.wake();
-        }
     }
 }
 
@@ -934,49 +831,6 @@ mod tests {
         assert_eq!(rx.try_recv(), None);
         tx.try_reserve().unwrap().write(7);
         assert_eq!(rx.try_recv(), Some(7));
-    }
-
-    fn bounded<T>(capacity: usize) -> (SpscSender<T>, SpscReceiver<T>) {
-        spsc_with(SpscConfig {
-            capacity: Some(capacity),
-            ..SpscConfig::default()
-        })
-    }
-
-    #[test]
-    fn bounded_reports_full_and_recovers() {
-        let (mut tx, mut rx) = bounded::<u32>(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert!(matches!(tx.send(3), Err(SendError(3))));
-        assert_eq!(rx.try_recv(), Some(1));
-        tx.send(3).unwrap();
-        assert!(matches!(tx.send(4), Err(SendError(4))));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.try_recv(), Some(3));
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn bounded_reserve_parks_until_space() {
-        let rt = crate::Runtime::new(2);
-        let (mut tx, mut rx) = bounded::<u32>(1);
-        let producer = rt.spawn(async move {
-            for i in 0..100 {
-                std::future::poll_fn(|cx| tx.poll_reserve(cx).map(|slot| slot.unwrap().write(i)))
-                    .await;
-            }
-        });
-        let consumer = rt.spawn(async move {
-            let mut expected = 0;
-            while let Some(v) = rx.recv().await {
-                assert_eq!(v, expected);
-                expected += 1;
-            }
-            expected
-        });
-        rt.block_on(producer).unwrap();
-        assert_eq!(rt.block_on(consumer).unwrap(), 100);
     }
 
     #[test]

@@ -6,13 +6,10 @@
 //! the iteration counts scale down in debug builds so plain `cargo test`
 //! stays fast.
 
-use std::future::poll_fn;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::task::{Context, Poll, Waker};
 
-use executor::channel::{
-    oneshot, spsc, Bidirectional, LinkConfig, SendError, SendSlot, SpscSender,
-};
+use executor::channel::{spsc, Bidirectional, LinkConfig, SendSlot, SpscSender};
 use executor::Runtime;
 
 #[cfg(debug_assertions)]
@@ -26,13 +23,11 @@ const RACE_ITERATIONS: u64 = 50;
 const RACE_ITERATIONS: u64 = 500;
 
 /// A link whose `a → b` direction carries the k-MC bound `bound` (so `b`
-/// batch-receives with that window); `bounded` additionally caps that
-/// ring at the bound — the one door to the back-pressured ring.
-fn link<T>(bound: usize, bounded: bool) -> (Bidirectional<T>, Bidirectional<T>) {
+/// batch-receives with that window).
+fn link<T>(bound: usize) -> (Bidirectional<T>, Bidirectional<T>) {
     let config = LinkConfig {
         bound_ab: Some(bound),
-        bound_ba: None,
-        bounded,
+        ..LinkConfig::default()
     };
     Bidirectional::pair_configured("StressA", "StressB", config)
 }
@@ -271,10 +266,10 @@ fn waker_handoff_interleavings() {
 fn two_thread_in_place_send_exactly_once_in_order() {
     let (mut tx, mut rx) = spsc::<u64>();
     fn reserve(tx: &mut SpscSender<u64>) -> SendSlot<'_, u64> {
-        // An unbounded ring never parks, so no waker is ever stored.
+        // The producer never parks, so no waker is ever stored.
         match tx.poll_reserve(&mut Context::from_waker(Waker::noop())) {
             Poll::Ready(Ok(slot)) => slot,
-            _ => unreachable!("receiver alive, ring growable"),
+            _ => unreachable!("receiver alive"),
         }
     }
     let producer = std::thread::spawn(move || {
@@ -317,7 +312,7 @@ fn recv_batch_waker_handoff_across_workers() {
     for workers in [1usize, 2, 8] {
         for window in [1usize, 3, 16] {
             let rt = Runtime::new(workers);
-            let (mut tx, mut rx) = link::<u64>(window, false);
+            let (mut tx, mut rx) = link::<u64>(window);
             assert_eq!(rx.batch_window(), window);
             let producer = rt.spawn(async move {
                 for i in 0..STREAM {
@@ -342,92 +337,6 @@ fn recv_batch_waker_handoff_across_workers() {
                 "{workers} workers, window {window}"
             );
         }
-    }
-}
-
-/// Bounded-mode park/unpark under a deliberately full ring: a tiny
-/// capacity forces the producer through the back-pressure park on nearly
-/// every send while consumers of varying speed drain it. The capacity
-/// invariant is asserted on every observation: at most `k` in the ring
-/// plus the `k - 1` a batch receive left in the consumer's stash.
-#[test]
-fn bounded_park_unpark_under_full_ring() {
-    #[cfg(debug_assertions)]
-    const STREAM: u64 = 5_000;
-    #[cfg(not(debug_assertions))]
-    const STREAM: u64 = 100_000;
-
-    for capacity in [1usize, 2, 7] {
-        for workers in [1usize, 2, 8] {
-            let rt = Runtime::new(workers);
-            let (mut tx, mut rx) = link::<u64>(capacity, true);
-            let producer = rt.spawn(async move {
-                for i in 0..STREAM {
-                    let mut slot = Some(i);
-                    poll_fn(|cx| tx.poll_send(cx, &mut slot)).await.unwrap();
-                }
-            });
-            let consumer = rt.spawn(async move {
-                let mut expected = 0u64;
-                loop {
-                    let pending = rx.pending();
-                    assert!(
-                        pending < 2 * capacity,
-                        "capacity {capacity} exceeded: {pending} in flight"
-                    );
-                    match rx.recv().await {
-                        Some(value) => {
-                            assert_eq!(value, expected, "capacity {capacity}");
-                            expected += 1;
-                            if value % 97 == 0 {
-                                executor::yield_now().await;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                expected
-            });
-            rt.block_on(producer).unwrap();
-            assert_eq!(
-                rt.block_on(consumer).unwrap(),
-                STREAM,
-                "capacity {capacity}"
-            );
-        }
-    }
-}
-
-/// A producer parked on a full capped ring must observe the receiver
-/// going away: the drop wakes it and the send resolves to an error that
-/// hands the message back, never a hang.
-#[test]
-fn bounded_send_fails_when_receiver_dropped_mid_park() {
-    for workers in [1usize, 2] {
-        let rt = Runtime::new(workers);
-        let (mut tx, rx) = link::<u32>(1, true);
-        tx.send(0).unwrap();
-        let (parked_tx, parked_rx) = oneshot();
-        let producer = rt.spawn(async move {
-            let mut parked_tx = Some(parked_tx);
-            let mut slot = Some(1);
-            poll_fn(|cx| {
-                let poll = tx.poll_send(cx, &mut slot);
-                if let (Poll::Pending, Some(parked)) = (&poll, parked_tx.take()) {
-                    parked.send(());
-                }
-                poll
-            })
-            .await
-        });
-        let dropper = rt.spawn(async move {
-            // The ring is full and the producer's waker is armed.
-            parked_rx.await.unwrap();
-            drop(rx);
-        });
-        rt.block_on(dropper).unwrap();
-        let sent = rt.block_on(producer).unwrap();
-        assert!(matches!(sent, Err(SendError(1))), "{workers} workers");
     }
 }
 
@@ -456,7 +365,7 @@ fn drop_mid_batch_is_leak_free() {
 
     const SENT: usize = 500;
     {
-        let (mut tx, mut rx) = link::<Counted>(64, false);
+        let (mut tx, mut rx) = link::<Counted>(64);
         for i in 0..SENT {
             tx.send(Counted(i as u64)).unwrap();
         }
@@ -474,7 +383,7 @@ fn drop_mid_batch_is_leak_free() {
     assert_eq!(DROPS.load(Ordering::Relaxed), SENT);
 
     {
-        let (mut tx, mut rx) = link::<ZstToken>(100, false);
+        let (mut tx, mut rx) = link::<ZstToken>(100);
         for _ in 0..SENT {
             tx.send(ZstToken).unwrap();
         }

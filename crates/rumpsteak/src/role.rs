@@ -104,8 +104,8 @@ impl<M> Mesh<M> {
     /// telemetry builds every session channel's occupancy watermark is
     /// tracked per role pair (and checked against a registered k-MC
     /// bound); in default builds the labels are discarded. Registered
-    /// bounds set the link's batch window in every build; the rings stay
-    /// growable.
+    /// bounds size the link's rings and set its batch window in every
+    /// build; a send never waits, as a full ring grows.
     pub fn take(&mut self, from: &'static str, to: &'static str) -> Bidirectional<M> {
         if let Some(endpoint) = self.pending.remove(&(to, from)) {
             return endpoint;
@@ -113,7 +113,7 @@ impl<M> Mesh<M> {
         let config = LinkConfig {
             bound_ab: self.bounds.get(&(from, to)).copied(),
             bound_ba: self.bounds.get(&(to, from)).copied(),
-            bounded: false,
+            ..LinkConfig::default()
         };
         let (mine, theirs) = Bidirectional::pair_configured(from, to, config);
         self.pending.insert((from, to), theirs);

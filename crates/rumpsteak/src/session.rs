@@ -89,10 +89,10 @@ where
     ///
     /// The send commits through the transport's reserve/commit path: a
     /// ring slot is reserved and the wire message is written directly
-    /// into it. On the default growable links this resolves on the first
-    /// poll (sends never block — channels are the paper's unbounded
-    /// asynchronous queues); on a capacity-bounded link the future parks
-    /// under back-pressure until the peer frees a slot. The future is a
+    /// into it. In process this resolves on the first poll (sends never
+    /// block — channels are the paper's unbounded asynchronous queues);
+    /// only a [`NetLink`](crate::net::NetLink) with a full send window
+    /// makes it wait. The future is a
     /// plain ADT rather than an `async fn` so that auto-trait (`Send`)
     /// inference never hits higher-ranked lifetime obligations when
     /// sessions are spawned.
@@ -248,8 +248,8 @@ where
 {
     /// Sends the chosen `label`; the continuation depends on the label's
     /// variant in `C`. Like [`Send::send`], the send goes through the
-    /// transport's reserve/commit path: immediate on growable links,
-    /// parking under back-pressure on capacity-bounded ones.
+    /// transport's reserve/commit path: immediate in process, waiting
+    /// only on a full `NetLink` send window.
     pub fn select<L>(self, label: L) -> SelectFuture<'q, Q, R, C, L>
     where
         Q: Role,

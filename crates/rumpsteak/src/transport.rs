@@ -2,17 +2,17 @@
 //!
 //! The session primitives ([`Send`](crate::Send), [`Receive`](crate::Receive),
 //! [`Select`](crate::Select), [`Branch`](crate::Branch)) drive a role's
-//! link to one peer through exactly three operations: a poll-based send
-//! that parks under back-pressure, a non-blocking receive fast path, and
-//! a poll-based receive that registers the waker. [`Transport`] names
-//! those three operations, so the *same* typestate layer runs over
+//! link to one peer through exactly three operations: a poll-based send,
+//! a non-blocking receive fast path, and a poll-based receive that
+//! registers the waker. [`Transport`] names those three operations, so
+//! the *same* typestate layer runs over
 //!
 //! * the in-process lock-free SPSC link
 //!   ([`Bidirectional`]) — the paper's
-//!   shared-memory configuration, and
+//!   shared-memory configuration, whose sends never wait, and
 //! * a framed socket link ([`NetLink`](crate::net::NetLink)) — roles in
 //!   different OS processes, where the statically verified k-MC bound
-//!   becomes the socket send window.
+//!   becomes the socket send window, the one place a send waits.
 //!
 //! Which carrier a role uses is fixed per peer by
 //! [`Route::Link`](crate::Route::Link); protocol code is identical in
@@ -35,9 +35,9 @@ pub struct Disconnected;
 ///
 /// * [`poll_send`](Self::poll_send) takes the message out of `*message`
 ///   exactly when it resolves (`Ready(Ok)` on delivery into the link,
-///   `Ready(Err)` when the peer is gone); while `Pending` — the link's
-///   window is full, back-pressure — the message stays put and the waker
-///   is registered.
+///   `Ready(Err)` when the peer is gone); while `Pending` — only a
+///   `NetLink` whose send window is full — the message stays put and the
+///   waker is registered.
 /// * [`try_recv`](Self::try_recv) is the lock-free fast path: pop an
 ///   already delivered message without touching any waker.
 /// * [`poll_recv`](Self::poll_recv) registers the waker and re-checks,
@@ -48,8 +48,9 @@ pub trait Transport {
 
     /// Poll-based send: delivers `*message` into the link, leaving the
     /// option empty on `Ready(Ok)` and on the terminal `Ready(Err)`,
-    /// untouched while `Pending` (window full — the waker is registered
-    /// and the send retries when capacity frees up).
+    /// untouched while `Pending` (a `NetLink` window full — the waker is
+    /// registered and the send retries when a frame leaves). The
+    /// in-process link is never `Pending`: a full ring grows.
     fn poll_send(
         &mut self,
         cx: &mut Context<'_>,

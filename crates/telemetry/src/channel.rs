@@ -10,10 +10,9 @@
 //!
 //! Beyond the watermark-vs-bound check, the cell carries the data-plane
 //! efficiency counters the batch path is judged by: `sends` against
-//! `wakes` (how many messages travelled per waker handoff), `batches`
-//! against `batched_messages` (the realised batch factor) and
-//! `backpressure_parks` (a *verified* protocol on a bounded ring must
-//! report zero). The registered `batch_window` mirrors the k-MC bound
+//! `wakes` (how many messages travelled per waker handoff) and `batches`
+//! against `batched_messages` (the realised batch factor). The
+//! registered `batch_window` mirrors the k-MC bound
 //! the receive window was sized from, so tooling can assert
 //! `batch_window <= kmc_bound` per link.
 //!
@@ -63,9 +62,6 @@ struct LinkCell {
     /// Messages moved by those drains (`batched_messages / batches` is
     /// the realised window).
     batched_messages: Counter,
-    /// Producer parks on a full bounded ring (back-pressure engaged;
-    /// zero for a verified protocol running at its k-MC capacity).
-    backpressure_parks: Counter,
     /// Link instances created under this name pair.
     instances: Counter,
     /// Statically verified k-MC bound; 0 = not registered.
@@ -146,11 +142,6 @@ impl LinkStats {
     recorder! {
         /// Records one delivered consumer wakeup.
         record_wake => |cell| cell.wakes.incr()
-    }
-
-    recorder! {
-        /// Records one producer park under back-pressure.
-        record_backpressure_park => |cell| cell.backpressure_parks.incr()
     }
 
     /// Records one batch-receive drain of `n` messages.
@@ -257,8 +248,6 @@ pub struct LinkSnapshot {
     pub batches: u64,
     /// Messages moved by batch drains.
     pub batched_messages: u64,
-    /// Producer parks under back-pressure.
-    pub backpressure_parks: u64,
     /// Link instances created under this name pair.
     pub instances: u64,
     /// Registered k-MC bound, if any.
@@ -312,7 +301,6 @@ pub fn snapshot() -> Vec<LinkSnapshot> {
             wakes: cell.wakes.get(),
             batches: cell.batches.get(),
             batched_messages: cell.batched_messages.get(),
-            backpressure_parks: cell.backpressure_parks.get(),
             instances: cell.instances.get(),
             kmc_bound: (bound > 0).then_some(bound),
             batch_window: (batch_window > 0).then_some(batch_window),
@@ -380,7 +368,6 @@ mod tests {
         stats.record_wake();
         stats.record_batch(6);
         stats.record_batch(4);
-        stats.record_backpressure_park();
         let links = snapshot();
         if crate::ENABLED {
             let link = links.iter().find(|l| l.from == "PlaneA").unwrap();
@@ -388,7 +375,6 @@ mod tests {
             assert_eq!(link.wakes, 1);
             assert_eq!(link.batches, 2);
             assert_eq!(link.batched_messages, 10);
-            assert_eq!(link.backpressure_parks, 1);
             assert_eq!(link.batch_window, Some(8));
             assert!(!link.violates_batch_window());
             // The messages-per-wake economy the batch path is judged by.
@@ -470,7 +456,6 @@ mod tests {
         stats.record_send();
         stats.record_wake();
         stats.record_batch(10);
-        stats.record_backpressure_park();
         stats.stamp_send();
         stats.stamp_recv();
         stats.stamp_recv_batch(3);
