@@ -52,10 +52,9 @@ json_record! {
     pub struct Telemetry {
         /// Scheduler counters, one entry per swept thread count.
         pub scheduler: Vec<SchedulerSweep>,
-        /// Per in-process link: occupancy next to its k-MC bound.
+        /// Per directed link, in-process ring or socket: occupancy and
+        /// window next to its k-MC bound, traffic and latency.
         pub channels: Vec<ChannelRow>,
-        /// Per socket link: traffic next to its send window and bound.
-        pub transport: Vec<TransportRow>,
         /// Spawn-to-teardown lifetimes per role.
         pub sessions: Vec<SessionRow>,
     }
@@ -99,38 +98,22 @@ json_record! {
         pub to: String,
         pub high_watermark: u64,
         pub kmc_bound: Option<u64>,
-        pub batch_window: Option<u64>,
+        pub window: Option<u64>,
         pub grows: u64,
         pub waker_retries: u64,
         pub sends: u64,
         pub wakes: u64,
         pub batches: u64,
         pub batched_messages: u64,
-        pub instances: u64,
-        pub stamp_misses: u64,
-        /// Send→recv latency; `None` when the link recorded no samples.
-        pub latency: Option<Quantiles>,
-    }
-}
-
-json_record! {
-    /// `telemetry::transport::TransportSnapshot` with its wire-latency
-    /// histogram condensed to quantiles.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct TransportRow {
-        pub from: String,
-        pub to: String,
-        pub frames_sent: u64,
-        pub frames_received: u64,
+        pub received: u64,
         pub bytes_sent: u64,
         pub bytes_received: u64,
         pub window_stalls: u64,
         pub reconnects: u64,
         pub instances: u64,
-        pub send_window: Option<u64>,
-        pub kmc_bound: Option<u64>,
-        /// Frame encode→decode latency; `None` without samples.
-        pub wire_latency: Option<Quantiles>,
+        pub stamp_misses: u64,
+        /// Send→recv latency; `None` when the link recorded no samples.
+        pub latency: Option<Quantiles>,
     }
 }
 
@@ -189,24 +172,17 @@ mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
 });
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {
-    high_watermark, kmc_bound, batch_window, grows, waker_retries, sends, wakes, batches,
-    batched_messages, instances, stamp_misses;
+    high_watermark, kmc_bound, window, grows, waker_retries, sends, wakes, batches,
+    batched_messages, received, bytes_sent, bytes_received, window_stalls, reconnects,
+    instances, stamp_misses;
     from: link.from.to_owned(),
     to: link.to.to_owned(),
     latency: Quantiles::of(&link.latency),
 });
 
-mirror!(TransportRow from telemetry::transport::TransportSnapshot: |link| {
-    frames_sent, frames_received, bytes_sent, bytes_received, window_stalls, reconnects,
-    instances, send_window, kmc_bound;
-    from: link.from.to_owned(),
-    to: link.to.to_owned(),
-    wire_latency: Quantiles::of(&link.wire_latency),
-});
-
 impl Telemetry {
-    /// Snapshots the global channel, transport and session registries
-    /// next to the per-runtime scheduler counters the sweep collected.
+    /// Snapshots the global link and session registries next to the
+    /// per-runtime scheduler counters the sweep collected.
     pub fn snapshot(scheduler: &[(usize, telemetry::scheduler::RuntimeSnapshot)]) -> Telemetry {
         Telemetry {
             scheduler: scheduler
@@ -220,10 +196,6 @@ impl Telemetry {
             channels: telemetry::channel::snapshot()
                 .iter()
                 .map(ChannelRow::from)
-                .collect(),
-            transport: telemetry::transport::snapshot()
-                .iter()
-                .map(TransportRow::from)
                 .collect(),
             sessions: telemetry::hist::sessions_snapshot()
                 .iter()

@@ -48,18 +48,16 @@ const TELEMETRY: &str = r#"{
      "injector_pops": 1, "sibling_steals": 0, "parks": 1, "unparks": 1}],
     "external": {"spawns": 1, "completions": 0, "polls": 0, "lifo_hits": 0, "local_pops": 0,
      "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1}}],
-  "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "batch_window": 6,
+  "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "window": 6,
     "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
-    "batched_messages": 40, "instances": 2, "stamp_misses": 0,
+    "batched_messages": 40, "received": 0, "bytes_sent": 0, "bytes_received": 0,
+    "window_stalls": 0, "reconnects": 0, "instances": 2, "stamp_misses": 0,
     "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}},
-   {"from": "Ping", "to": "Pong", "high_watermark": 1, "kmc_bound": 1, "batch_window": 1,
+   {"from": "Ping", "to": "Pong", "high_watermark": 1, "kmc_bound": 1, "window": 1,
     "grows": 0, "waker_retries": 0, "sends": 500, "wakes": 0, "batches": 0,
-    "batched_messages": 0, "instances": 1, "stamp_misses": 0,
-    "latency": null}],
-  "transport": [{"from": "Ping", "to": "Pong", "frames_sent": 500, "frames_received": 500,
-    "bytes_sent": 8000, "bytes_received": 8000, "window_stalls": 3, "reconnects": 0,
-    "instances": 1, "send_window": 1, "kmc_bound": 1,
-    "wire_latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
+    "batched_messages": 0, "received": 500, "bytes_sent": 8000, "bytes_received": 8000,
+    "window_stalls": 3, "reconnects": 0, "instances": 2, "stamp_misses": 0,
+    "latency": {"count": 500, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
   "sessions": [{"role": "S",
     "lifetime_ns": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}]
 }"#;
@@ -82,8 +80,14 @@ fn instrumented() -> Artifact {
     }
 }
 
+/// The fixture's in-process ring row.
 fn channel(artifact: &mut Artifact) -> &mut ChannelRow {
     &mut artifact.telemetry.as_mut().unwrap().channels[0]
+}
+
+/// The fixture's socket row.
+fn socket(artifact: &mut Artifact) -> &mut ChannelRow {
+    &mut artifact.telemetry.as_mut().unwrap().channels[1]
 }
 
 #[test]
@@ -101,37 +105,38 @@ fn telemetry_accepts_a_valid_artifact_and_rejects_each_violation() {
         "high_watermark 7 exceeds",
     );
 
+    // One window per link, ring or socket, checked as 1..=kmc_bound.
     let mut doctored = instrumented();
-    channel(&mut doctored).batch_window = Some(7);
+    channel(&mut doctored).window = Some(7);
     assert_rejected(
         "telemetry",
-        "batch-window",
+        "window",
         &doctored,
-        "batch_window Some(7)",
+        "(S -> T): window 7 is outside 1..=6",
     );
 
     let mut doctored = instrumented();
-    doctored.telemetry.as_mut().unwrap().transport[0].send_window = Some(2);
+    socket(&mut doctored).window = Some(0);
     assert_rejected(
         "telemetry",
-        "send-window",
+        "window-zero",
         &doctored,
-        "send_window 2 exceeds",
+        "(Ping -> Pong): window 0 is outside 1..=1",
     );
 
-    // The three ledgers of a socket link: frames and bytes in against
-    // out, and the channel row's sends against the frames.
+    // The ledgers of a socket link: frames, bytes and latency samples
+    // in against out.
     let mut doctored = instrumented();
-    doctored.telemetry.as_mut().unwrap().transport[0].frames_received = 499;
+    socket(&mut doctored).received = 499;
     assert_rejected(
         "telemetry",
         "ledger-frames",
         &doctored,
-        "(Ping -> Pong): frames_received 499 != frames_sent 500",
+        "(Ping -> Pong): received 499 != sends 500",
     );
 
     let mut doctored = instrumented();
-    doctored.telemetry.as_mut().unwrap().transport[0].bytes_received = 7999;
+    socket(&mut doctored).bytes_received = 7999;
     assert_rejected(
         "telemetry",
         "ledger-bytes",
@@ -140,12 +145,12 @@ fn telemetry_accepts_a_valid_artifact_and_rejects_each_violation() {
     );
 
     let mut doctored = instrumented();
-    doctored.telemetry.as_mut().unwrap().channels[1].sends = 499;
+    socket(&mut doctored).latency.as_mut().unwrap().count = 58;
     assert_rejected(
         "telemetry",
-        "ledger-sends",
+        "ledger-latency",
         &doctored,
-        "(Ping -> Pong): channel sends Some(499) != frames_sent 500",
+        "(Ping -> Pong): latency count 58 != received 500",
     );
 
     let mut doctored = instrumented();
@@ -271,15 +276,7 @@ fn fresh_fig6_output_decodes_and_passes() {
 // ---- from_json(to_json(x)) == x ------------------------------------
 
 /// Members the schema allows to be `null`.
-const NULLABLE: [&str; 7] = [
-    "telemetry",
-    "kmc_bound",
-    "batch_window",
-    "send_window",
-    "latency",
-    "wire_latency",
-    "lifetime_ns",
-];
+const NULLABLE: [&str; 5] = ["telemetry", "kmc_bound", "window", "latency", "lifetime_ns"];
 
 /// Turns a well-shaped document into an arbitrary one of the same
 /// shape: every leaf becomes random data of its JSON type (strings over

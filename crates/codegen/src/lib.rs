@@ -213,10 +213,13 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 ///
 /// Tries k-MC with increasing `k` until the exploration is exhaustive
 /// (every send was enabled within the bound), at which point the observed
-/// maxima are tight static bounds. Returns an empty vector if the system
-/// is invalid, unsafe, or not exhaustively checkable within `k <=`
-/// [`MAX_BOUND_SEARCH`] — emission then simply omits the clause rather
-/// than registering an unverified bound.
+/// maxima are tight static bounds. A deadlock below that `k` may be full
+/// queues disabling every send rather than the protocol, so it widens
+/// `k` too; a reception error or orphan message ends the search.
+/// Returns an empty vector if the system is invalid, unsafe, or not
+/// exhaustively checkable within `k <=` [`MAX_BOUND_SEARCH`] — emission
+/// then simply omits the clause rather than registering an unverified
+/// bound.
 pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> {
     let Ok(system) = kmc::System::new(analysis.fsms.clone()) else {
         return Vec::new();
@@ -230,7 +233,7 @@ pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> 
                     .map(|(from, to, depth)| (from.clone(), to.clone(), depth))
                     .collect();
             }
-            Ok(_) => continue,
+            Ok(_) | Err(kmc::Violation::Deadlock(_)) => continue,
             Err(_) => return Vec::new(),
         }
     }
@@ -310,6 +313,48 @@ mod tests {
             check(&analysis, 2),
             Err(Error::Violation(kmc::Violation::Deadlock(_)))
         ));
+    }
+
+    #[test]
+    fn bounds_widen_past_a_full_queue_deadlock() {
+        const SWAP: &str = "global protocol Swap(role a, role b) {
+            x() from a to b; u() from b to a; y() from a to b; v() from b to a;
+        }";
+        let mut analysis = analyse(SWAP).unwrap();
+        let pair = |depth| {
+            vec![
+                (Name::from("a"), Name::from("b"), depth),
+                (Name::from("b"), Name::from("a"), depth),
+            ]
+        };
+        assert_eq!(verified_channel_bounds(&analysis), pair(1));
+        optimise(&mut analysis, &optimiser::Config::with_depth(1)).unwrap();
+        assert_eq!(analysis.locals[0].1.to_string(), "b!x.b!y.b?u.b?v.end");
+        // Both sides send twice before receiving: at k = 1 every send
+        // waits on a full queue, which k-MC reports as a deadlock.
+        assert!(matches!(
+            check(&analysis, 1),
+            Err(Error::Violation(kmc::Violation::Deadlock(_)))
+        ));
+        assert_eq!(verified_channel_bounds(&analysis), pair(2));
+        assert!(rust_module(&analysis)
+            .unwrap()
+            .contains("bounds { A -> B: 2, B -> A: 2 };"));
+    }
+
+    #[test]
+    fn bounds_of_a_real_deadlock_stay_empty() {
+        // Both machines receive first: a deadlock at every k.
+        let protocol =
+            scribble::parse("global protocol P(role a, role b) { hi() from a to b; }").unwrap();
+        let a = fsm::from_local(&"a".into(), &theory::local::parse("b?x.end").unwrap()).unwrap();
+        let b = fsm::from_local(&"b".into(), &theory::local::parse("a?y.end").unwrap()).unwrap();
+        let analysis = Analysis {
+            protocol,
+            locals: Vec::new(),
+            fsms: vec![a, b],
+        };
+        assert!(verified_channel_bounds(&analysis).is_empty());
     }
 
     #[test]

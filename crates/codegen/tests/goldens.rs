@@ -130,7 +130,7 @@ type Picks = &'static [(&'static str, usize)];
 /// What `--optimise --bound 1..=3` picks for every corpus protocol at
 /// its directive's parameters. A change to the price list that moves a
 /// pick fails here.
-const PICKS: [(&str, [Picks; 3]); 9] = [
+const PICKS: [(&str, [Picks; 3]); 10] = [
     (
         "double_buffering",
         [
@@ -147,6 +147,7 @@ const PICKS: [(&str, [Picks; 3]); 9] = [
     ("pring", [&[]; 3]),
     ("ring", [&[]; 3]),
     ("streaming", [&[("s", 1)]; 3]),
+    ("swap", [&[("a", 1), ("b", 3)]; 3]),
 ];
 
 #[test]

@@ -80,10 +80,10 @@ impl<T> Bidirectional<T> {
         let window = |bound: Option<usize>| bound.unwrap_or(1).max(1);
         if telemetry::ENABLED {
             // Record each direction's batch window next to its k-MC
-            // bound, so tooling can assert `batch_window <= kmc_bound`.
+            // bound, so tooling can assert `window <= kmc_bound`.
             if let Some((a, b)) = label {
-                telemetry::channel::set_batch_window(a, b, window(config.bound_ab) as u64);
-                telemetry::channel::set_batch_window(b, a, window(config.bound_ba) as u64);
+                telemetry::channel::set_window(a, b, window(config.bound_ab) as u64);
+                telemetry::channel::set_window(b, a, window(config.bound_ba) as u64);
             }
         }
         (

@@ -2,7 +2,7 @@
 //! windows.
 //!
 //! In-process, the paper's statically verified k-MC bounds became ring
-//! capacities and batch windows (PR 7). This module carries the same
+//! capacities and batch windows. This module carries the same
 //! guarantee across OS processes: a [`NetLink`] is one role-to-role
 //! session link over a length-prefixed framed TCP or Unix-domain-socket
 //! stream, and its *send window* — the number of messages the sender
@@ -71,7 +71,7 @@
 //! Both sides record the offset
 //! ([`set_peer_offset`](crate::telemetry::trace::set_peer_offset)) so `rumpsteak-trace --merge` can shift per-process timelines onto
 //! one clock, and `poll_recv` uses it to turn each traced frame's
-//! sender timestamp into a wire-latency sample.
+//! sender timestamp into the link's send→recv latency sample.
 //!
 //! # Topology
 //!
@@ -79,7 +79,7 @@
 //! `uds:/path`). For each pair of connected roles the one listed
 //! *later* dials and the one listed *earlier* accepts, so a mesh needs
 //! no coordinator; dial retries while the peer is still binding are
-//! counted as `reconnects` in the transport telemetry.
+//! counted as `reconnects` on the link's telemetry row.
 
 use std::io::{self, Read};
 #[cfg(unix)]
@@ -695,13 +695,11 @@ mod link {
         seq: u64,
         /// Handshake-estimated `peer_clock - my_clock`, in nanoseconds.
         peer_offset: i64,
-        stats: telemetry::transport::TransportStats,
-        in_stats: telemetry::transport::TransportStats,
-        /// The channel-registry cells of the two directions: window
-        /// occupancy against the k-MC bound and the send stamp on the
-        /// outgoing one, the receive stamp on the incoming one.
-        depth: telemetry::channel::LinkStats,
-        in_depth: telemetry::channel::LinkStats,
+        /// The telemetry rows of the two directions: frames, bytes,
+        /// stalls and window occupancy against the k-MC bound on the
+        /// outgoing one; frames, bytes and latency on the incoming one.
+        stats: telemetry::channel::LinkStats,
+        in_stats: telemetry::channel::LinkStats,
         _message: PhantomData<M>,
     }
 
@@ -732,20 +730,13 @@ mod link {
                 send_bound,
                 peer_offset,
             } = setup;
-            let stats = telemetry::transport::register(from, to);
-            let in_stats = telemetry::transport::register(to, from);
+            // Under the labels the in-process rings use, so one
+            // watermark-vs-bound check covers both paths.
+            let stats = telemetry::channel::register(from, to);
+            let in_stats = telemetry::channel::register(to, from);
             if let Some(k) = send_bound {
-                telemetry::transport::set_window(from, to, k as u64);
+                telemetry::channel::set_window(from, to, k as u64);
             }
-            // Under the channel labels the in-process rings use, so the
-            // channel registry's watermark-vs-bound check covers the
-            // distributed path too. On a loopback pair one cell serves
-            // the sending link's stamp and the receiving link's, so the
-            // pair measures send→recv, socket included; across real
-            // processes the recv side misses safely and the frame trace
-            // context carries the wire latency.
-            let depth = telemetry::channel::register(from, to);
-            let in_depth = telemetry::channel::register(to, from);
 
             socket.set_nonblocking(true)?;
             let fd = socket.as_raw_fd();
@@ -768,8 +759,6 @@ mod link {
                 peer_offset,
                 stats,
                 in_stats,
-                depth,
-                in_depth,
                 _message: PhantomData,
             })
         }
@@ -864,9 +853,7 @@ mod link {
             }
             let end = out.buf.len();
             out.frame_ends.push_back(end);
-            self.depth.record_depth(out.frame_ends.len() as u64);
-            self.depth.record_send();
-            self.depth.stamp_send();
+            self.stats.record_depth(out.frame_ends.len() as u64);
             self.stats.record_frame_sent((end - start) as u64);
             out.flush(socket);
             Poll::Ready(Ok(()))
@@ -898,15 +885,12 @@ mod link {
                     // clamps to 0 rather than recording garbage.
                     let sent_here = ctx.t_ns as i128 - self.peer_offset as i128;
                     let latency = telemetry::trace::now_ns() as i128 - sent_here;
-                    self.in_stats.record_wire_latency(latency.max(0) as u64);
+                    self.in_stats.record_latency(latency.max(0) as u64);
                 }
                 from_bytes::<M>(payload)
             });
             match decoded {
-                Ok(Some(Ok(message))) => {
-                    self.in_depth.stamp_recv();
-                    Some(message)
-                }
+                Ok(Some(Ok(message))) => Some(message),
                 Ok(None) => None,
                 // An oversized header or a payload that is no `M`: a
                 // hostile or corrupt peer. Drop the link, never panic.
@@ -1025,7 +1009,6 @@ mod link {
             }
             let bound = self.bounds.entry((from, to)).or_insert(k);
             *bound = (*bound).max(k);
-            telemetry::transport::set_bound(from, to, k as u64);
             telemetry::channel::set_bound(from, to, k as u64);
         }
 
@@ -1077,7 +1060,7 @@ mod link {
                 .topology
                 .addr_of(peer)
                 .expect("link() checked the peer role");
-            let stats = telemetry::transport::attach(self.me, peer);
+            let stats = telemetry::channel::attach(self.me, peer);
             let deadline = std::time::Instant::now() + self.dial_timeout;
             let socket = loop {
                 match connect(addr) {
@@ -1208,11 +1191,9 @@ mod link {
         bound_ba: Option<usize>,
     ) -> io::Result<(NetLink<M>, NetLink<M>)> {
         if let Some(k) = bound_ab {
-            telemetry::transport::set_bound(a, b, k as u64);
             telemetry::channel::set_bound(a, b, k as u64);
         }
         if let Some(k) = bound_ba {
-            telemetry::transport::set_bound(b, a, k as u64);
             telemetry::channel::set_bound(b, a, k as u64);
         }
         let link_a = NetLink::start(

@@ -265,7 +265,7 @@ impl Wire for String {
 /// receiver uses `seq` to pair its `frame_recv` trace event with the
 /// sender's `frame_send` (the flow edges `rumpsteak-trace --merge`
 /// draws) and `t_ns` — shifted by the handshake-estimated clock offset
-/// — to record wire latency.
+/// — to record the link's send→recv latency.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceContext {
     /// Sender-process session identifier (one per `NetLink`).

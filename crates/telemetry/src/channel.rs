@@ -1,20 +1,26 @@
-//! Per-link channel statistics and the k-MC bound registry.
+//! Per-link statistics and the k-MC bound registry, for in-process
+//! rings and socket links alike.
 //!
-//! Session links are SPSC rings between two *named* roles; the executor
-//! registers each direction here as `from → to` when a labelled link is
-//! created, and the generated `connect()` (or a hand-written `roles!`
+//! A session link connects two *named* roles, over an SPSC ring or a
+//! framed socket; the executor and the socket transport register each
+//! direction here as `from → to` when a labelled link is created, and
+//! the generated `connect()`/`remote_mesh()` (or a hand-written `roles!`
 //! `bounds` clause) registers the statically verified k-MC bound for the
 //! same pair. All instances of a named link share one `LinkCell`, so
 //! the reported high-watermark is the maximum over every session ever
 //! run — which is exactly the quantity the static bound promises to cap.
+//! For a ring the depth is messages queued; for a socket it is frames
+//! accepted and not yet fully written.
 //!
 //! Beyond the watermark-vs-bound check, the cell carries the data-plane
-//! efficiency counters the batch path is judged by: `sends` against
-//! `wakes` (how many messages travelled per waker handoff) and `batches`
-//! against `batched_messages` (the realised batch factor). The
-//! registered `batch_window` mirrors the k-MC bound
-//! the receive window was sized from, so tooling can assert
-//! `batch_window <= kmc_bound` per link.
+//! efficiency counters: `sends` against `wakes` (how many messages
+//! travelled per waker handoff) and `batches` against `batched_messages`
+//! (the realised batch factor) on rings; `received`, `bytes_sent` and
+//! `bytes_received` (frames and bytes in against out), `window_stalls`
+//! (sends that found the window full) and `reconnects` (dial retries) on
+//! sockets. The registered `window` — a ring's batch-receive window or a
+//! socket's send window — mirrors the k-MC bound it was sized from, so
+//! tooling can assert `1 <= window <= kmc_bound` per link.
 //!
 //! Hot-path updates (`LinkStats::record_depth` and friends) are relaxed
 //! atomic RMWs on the shared cell; the global registry mutex is touched
@@ -62,20 +68,31 @@ struct LinkCell {
     /// Messages moved by those drains (`batched_messages / batches` is
     /// the realised window).
     batched_messages: Counter,
+    /// Frames decoded off the socket.
+    received: Counter,
+    /// Frame bytes written, header included.
+    bytes_sent: Counter,
+    /// Frame bytes read, header included.
+    bytes_received: Counter,
+    /// Sends that found the socket's window full and had to wait.
+    window_stalls: Counter,
+    /// Dial retries before the peer accepted.
+    reconnects: Counter,
     /// Link instances created under this name pair.
     instances: Counter,
     /// Statically verified k-MC bound; 0 = not registered.
     bound: AtomicU64,
-    /// Batch-receive window the link runs with; 0 = not registered.
-    batch_window: AtomicU64,
-    /// Send→recv latency histogram fed by the stamp ring.
+    /// Batch-receive (ring) or send (socket) window; 0 = not registered.
+    window: AtomicU64,
+    /// Send→recv latency: fed by the stamp ring on a ring, by each
+    /// frame's trace context on a socket.
     latency: Histogram,
     /// Monotone index of the next send stamp.
     stamp_send_seq: AtomicU64,
     /// Monotone index of the next recv stamp read.
     stamp_recv_seq: AtomicU64,
-    /// Recv stamps whose slot had been overwritten (or whose sender ran
-    /// in another process) — counted, never recorded as a latency.
+    /// Recv stamps whose slot had been overwritten — counted, never
+    /// recorded as a latency.
     stamp_misses: Counter,
     /// The stamp ring itself: [`STAMP_SLOTS`] slots.
     stamps: Box<[StampSlot]>,
@@ -89,7 +106,8 @@ static LINKS: Registry<(&'static str, &'static str), LinkCell> =
         ..LinkCell::default()
     });
 
-/// Hot-path statistics handle stored inside each instrumented SPSC ring.
+/// Hot-path statistics handle stored inside each instrumented SPSC ring
+/// and, one per direction, each socket link.
 ///
 /// A ZST in disabled builds; [`Default`] yields an *unlabelled* handle
 /// whose recorders are no-ops even with telemetry on (anonymous channels
@@ -153,6 +171,47 @@ impl LinkStats {
         }
     }
 
+    /// Records one frame written to the socket carrying `bytes` bytes
+    /// (header included); it counts as a send.
+    #[inline]
+    pub fn record_frame_sent(&self, bytes: u64) {
+        if let Some(cell) = self.cell.attached() {
+            cell.sends.incr();
+            cell.bytes_sent.add(bytes);
+        }
+    }
+
+    /// Records one frame decoded off the socket carrying `bytes` bytes
+    /// (header included).
+    #[inline]
+    pub fn record_frame_received(&self, bytes: u64) {
+        if let Some(cell) = self.cell.attached() {
+            cell.received.incr();
+            cell.bytes_received.add(bytes);
+        }
+    }
+
+    recorder! {
+        /// Records one send that found the socket's window full and had
+        /// to wait.
+        record_window_stall => |cell| cell.window_stalls.incr()
+    }
+
+    recorder! {
+        /// Records one dial retry before the peer accepted.
+        record_reconnect => |cell| cell.reconnects.incr()
+    }
+
+    /// Records one send→recv latency in nanoseconds measured by the
+    /// caller (a socket frame's sender timestamp, already shifted into
+    /// the receiver's clock).
+    #[inline]
+    pub fn record_latency(&self, ns: u64) {
+        if let Some(cell) = self.cell.attached() {
+            cell.latency.record(ns);
+        }
+    }
+
     /// Publishes a send timestamp into the link's stamp ring. Called at
     /// slot commit, *before* the tail release store, so the matching
     /// receive — which cannot observe the message earlier — finds the
@@ -170,8 +229,8 @@ impl LinkStats {
     /// Consumes the next recv stamp and records `now - send_time` into
     /// the link's latency histogram. Seqlock-validated: if the slot's
     /// tag does not match this receive's index (ring overwritten, or the
-    /// sender lives in another process and never stamped), the read is a
-    /// counted miss, never a bogus latency.
+    /// send never stamped), the read is a counted miss, never a bogus
+    /// latency.
     #[inline]
     pub fn stamp_recv(&self) {
         if let Some(cell) = self.cell.attached() {
@@ -203,13 +262,20 @@ impl LinkStats {
 /// Registers (or re-attaches to) the directed link `from → to` and
 /// returns its hot-path handle. No-op handle in disabled builds.
 pub fn register(from: &'static str, to: &'static str) -> LinkStats {
-    let stats = LinkStats {
-        cell: LINKS.attach((from, to)),
-    };
+    let stats = attach(from, to);
     if let Some(cell) = stats.cell.attached() {
         cell.instances.incr();
     }
     stats
+}
+
+/// Attaches to the directed link `from → to` *without* counting a new
+/// instance: connection setup (a dial retry loop) records onto the same
+/// cell without inflating `instances`. No-op handle in disabled builds.
+pub fn attach(from: &'static str, to: &'static str) -> LinkStats {
+    LinkStats {
+        cell: LINKS.attach((from, to)),
+    }
 }
 
 /// Registers the statically verified k-MC bound for the directed link
@@ -220,11 +286,12 @@ pub fn set_bound(from: &'static str, to: &'static str, k: u64) {
     LINKS.raise((from, to), |cell| &cell.bound, k);
 }
 
-/// Registers the batch-receive window the link `from → to` runs with,
-/// so snapshots can check it against the registered k-MC bound.
-/// Re-registration keeps the larger window (mirroring [`set_bound`]).
-pub fn set_batch_window(from: &'static str, to: &'static str, window: u64) {
-    LINKS.raise((from, to), |cell| &cell.batch_window, window);
+/// Registers the window the link `from → to` runs with — a ring's
+/// batch-receive window, a socket's send window — so snapshots can
+/// check it against the registered k-MC bound. Re-registration keeps
+/// the larger window (mirroring [`set_bound`]).
+pub fn set_window(from: &'static str, to: &'static str, window: u64) {
+    LINKS.raise((from, to), |cell| &cell.window, window);
 }
 
 /// Point-in-time statistics for one directed link.
@@ -248,40 +315,32 @@ pub struct LinkSnapshot {
     pub batches: u64,
     /// Messages moved by batch drains.
     pub batched_messages: u64,
+    /// Frames decoded off the socket.
+    pub received: u64,
+    /// Frame bytes written (header included).
+    pub bytes_sent: u64,
+    /// Frame bytes read (header included).
+    pub bytes_received: u64,
+    /// Sends that found the socket's window full and had to wait.
+    pub window_stalls: u64,
+    /// Dial retries before the peer accepted.
+    pub reconnects: u64,
     /// Link instances created under this name pair.
     pub instances: u64,
     /// Registered k-MC bound, if any.
     pub kmc_bound: Option<u64>,
-    /// Registered batch-receive window, if any.
-    pub batch_window: Option<u64>,
-    /// Send→recv latency distribution (empty when no stamp pair landed).
+    /// Registered batch-receive or send window, if any.
+    pub window: Option<u64>,
+    /// Send→recv latency distribution (empty until a sample lands).
     pub latency: HistogramSnapshot,
     /// Recv stamps that failed seqlock validation.
     pub stamp_misses: u64,
 }
 
 impl LinkSnapshot {
-    /// Headroom between the static bound and the observed watermark:
-    /// `Some(bound - high_watermark)` when a bound is registered and
-    /// holds, `None` when unregistered or violated.
-    pub fn slack(&self) -> Option<u64> {
-        self.kmc_bound
-            .and_then(|k| k.checked_sub(self.high_watermark))
-    }
-
     /// True when a bound is registered and the observation exceeds it.
     pub fn violates_bound(&self) -> bool {
         matches!(self.kmc_bound, Some(k) if self.high_watermark > k)
-    }
-
-    /// True when a batch window is registered *above* the registered
-    /// k-MC bound — draining more than k per round-trip would read past
-    /// what the verification covers.
-    pub fn violates_batch_window(&self) -> bool {
-        matches!(
-            (self.batch_window, self.kmc_bound),
-            (Some(window), Some(k)) if window > k
-        )
     }
 }
 
@@ -290,7 +349,7 @@ impl LinkSnapshot {
 pub fn snapshot() -> Vec<LinkSnapshot> {
     LINKS.snapshot(|(from, to), cell| {
         let bound = cell.bound.load(Ordering::Relaxed);
-        let batch_window = cell.batch_window.load(Ordering::Relaxed);
+        let window = cell.window.load(Ordering::Relaxed);
         LinkSnapshot {
             from,
             to,
@@ -301,9 +360,14 @@ pub fn snapshot() -> Vec<LinkSnapshot> {
             wakes: cell.wakes.get(),
             batches: cell.batches.get(),
             batched_messages: cell.batched_messages.get(),
+            received: cell.received.get(),
+            bytes_sent: cell.bytes_sent.get(),
+            bytes_received: cell.bytes_received.get(),
+            window_stalls: cell.window_stalls.get(),
+            reconnects: cell.reconnects.get(),
             instances: cell.instances.get(),
             kmc_bound: (bound > 0).then_some(bound),
-            batch_window: (batch_window > 0).then_some(batch_window),
+            window: (window > 0).then_some(window),
             latency: cell.latency.snapshot(),
             stamp_misses: cell.stamp_misses.get(),
         }
@@ -336,7 +400,6 @@ mod tests {
             assert_eq!(link.high_watermark, 3);
             assert_eq!(link.kmc_bound, Some(3));
             assert_eq!(link.grows, 1);
-            assert_eq!(link.slack(), Some(0));
             assert!(!link.violates_bound());
         } else {
             assert!(links.is_empty());
@@ -361,7 +424,7 @@ mod tests {
     fn data_plane_counters_round_trip() {
         let stats = register("PlaneA", "PlaneB");
         set_bound("PlaneA", "PlaneB", 8);
-        set_batch_window("PlaneA", "PlaneB", 8);
+        set_window("PlaneA", "PlaneB", 8);
         for _ in 0..10 {
             stats.record_send();
         }
@@ -375,8 +438,7 @@ mod tests {
             assert_eq!(link.wakes, 1);
             assert_eq!(link.batches, 2);
             assert_eq!(link.batched_messages, 10);
-            assert_eq!(link.batch_window, Some(8));
-            assert!(!link.violates_batch_window());
+            assert_eq!(link.window, Some(8));
             // The messages-per-wake economy the batch path is judged by.
             assert!(link.wakes < link.sends);
         } else {
@@ -385,14 +447,38 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batch_window_is_flagged() {
-        register("WideA", "WideB");
-        set_bound("WideA", "WideB", 2);
-        set_batch_window("WideA", "WideB", 5);
+    fn socket_counters_round_trip() {
+        let stats = register("NetA", "NetB");
+        set_window("NetA", "NetB", 4);
+        set_bound("NetA", "NetB", 4);
+        stats.record_frame_sent(12);
+        stats.record_frame_sent(20);
+        stats.record_frame_received(12);
+        stats.record_window_stall();
+        stats.record_latency(1_500);
+        stats.record_latency(2_500);
+        // A dial retry lands on the same cell without a new instance.
+        attach("NetA", "NetB").record_reconnect();
+        let links = snapshot();
         if crate::ENABLED {
-            let links = snapshot();
-            let link = links.iter().find(|l| l.from == "WideA").unwrap();
-            assert!(link.violates_batch_window());
+            let link = links
+                .iter()
+                .find(|l| l.from == "NetA" && l.to == "NetB")
+                .expect("registered link in snapshot");
+            assert_eq!(link.sends, 2);
+            assert_eq!(link.bytes_sent, 32);
+            assert_eq!(link.received, 1);
+            assert_eq!(link.bytes_received, 12);
+            assert_eq!(link.window_stalls, 1);
+            assert_eq!(link.reconnects, 1);
+            assert_eq!(link.instances, 1);
+            assert_eq!(link.window, Some(4));
+            assert_eq!(link.kmc_bound, Some(4));
+            assert_eq!(link.latency.count, 2);
+            assert!(link.latency.max >= 2_500);
+            assert_eq!(link.stamp_misses, 0);
+        } else {
+            assert!(links.is_empty());
         }
     }
 
@@ -416,8 +502,8 @@ mod tests {
 
     #[test]
     fn unmatched_recv_stamps_miss_safely() {
-        // Receiver side of a cross-process link: sends never stamped
-        // locally, so every recv stamp must miss, not fabricate data.
+        // Receives whose sends never stamped must miss, not fabricate
+        // data.
         let stats = register("MissA", "MissB");
         stats.stamp_recv_batch(5);
         let links = snapshot();
@@ -456,6 +542,11 @@ mod tests {
         stats.record_send();
         stats.record_wake();
         stats.record_batch(10);
+        stats.record_frame_sent(100);
+        stats.record_frame_received(100);
+        stats.record_window_stall();
+        stats.record_reconnect();
+        stats.record_latency(9);
         stats.stamp_send();
         stats.stamp_recv();
         stats.stamp_recv_batch(3);

@@ -151,6 +151,5 @@ mod tests {
         assert_eq!(size_of::<crate::Counter>(), 0);
         assert_eq!(size_of::<crate::hist::Histogram>(), 0);
         assert_eq!(size_of::<crate::channel::LinkStats>(), 0);
-        assert_eq!(size_of::<crate::transport::TransportStats>(), 0);
     }
 }

@@ -15,9 +15,7 @@
 //! Recording is one `fetch_add` on the value's bucket plus relaxed
 //! updates of count/sum/max: wait-free, no allocation, shareable across
 //! threads without synchronisation beyond the atomics themselves.
-//! Snapshots are plain-integer copies ([`HistogramSnapshot`]) that
-//! [`merge`](HistogramSnapshot::merge) bucket-wise, so per-thread or
-//! per-process histograms fold into one distribution exactly.
+//! Snapshots are plain-integer copies ([`HistogramSnapshot`]).
 //!
 //! The module also owns the **session lifetime registry**: one
 //! histogram per role name recording `try_session` spawn→teardown
@@ -132,8 +130,8 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of a [`Histogram`]; merges exactly and reports
-/// quantiles against the bucket upper bounds.
+/// Point-in-time copy of a [`Histogram`]; reports quantiles against the
+/// bucket upper bounds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Values recorded.
@@ -190,31 +188,6 @@ impl HistogramSnapshot {
     /// 99.9th percentile.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
-    }
-
-    /// Bucket-wise sum: the exact distribution of the union of the two
-    /// recorded populations (histograms from different threads or
-    /// processes fold losslessly).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = if self.buckets.len() >= other.buckets.len() {
-            self.buckets.clone()
-        } else {
-            other.buckets.clone()
-        };
-        let shorter = if self.buckets.len() >= other.buckets.len() {
-            &other.buckets
-        } else {
-            &self.buckets
-        };
-        for (slot, &n) in buckets.iter_mut().zip(shorter.iter()) {
-            *slot += n;
-        }
-        HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-            max: self.max.max(other.max),
-            buckets,
-        }
     }
 }
 
@@ -344,36 +317,6 @@ mod tests {
                 assert!(pair[0] <= pair[1], "quantiles not monotonic: {qs:?}");
             }
         }
-    }
-
-    #[test]
-    fn merge_is_exact_bucketwise_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for i in 0..300u64 {
-            a.record(i * 3);
-            both.record(i * 3);
-        }
-        for i in 0..200u64 {
-            b.record(100_000 + i * 11);
-            both.record(100_000 + i * 11);
-        }
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
-        if crate::ENABLED {
-            assert_eq!(merged.count, 500);
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let hist = Histogram::new();
-        hist.record(42);
-        hist.record(4200);
-        let snap = hist.snapshot();
-        assert_eq!(snap.merge(&HistogramSnapshot::default()), snap);
-        assert_eq!(HistogramSnapshot::default().merge(&snap), snap);
     }
 
     #[test]

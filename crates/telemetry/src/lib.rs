@@ -3,23 +3,20 @@
 //! The paper's pitch is that statically verified asynchronous message
 //! reordering makes session-typed Rust *fast*; this crate makes the
 //! runtime explain *why* a number moved instead of reporting only
-//! end-to-end means. Five instruments, all lock-free on their hot
+//! end-to-end means. Four instruments, all lock-free on their hot
 //! paths:
 //!
 //! * [`scheduler`] — per-worker cache-padded relaxed [`Counter`]s for the
 //!   executor (spawns, local pops, LIFO-wake hits, sibling steals,
 //!   injector batch takeovers, park/unpark cycles),
 //!   aggregated on demand into a [`scheduler::RuntimeSnapshot`].
-//! * [`channel`] — per-link statistics for the SPSC session rings
-//!   (occupancy high-watermark, grow events, waker-handoff CAS retries)
-//!   plus a registry of each link's statically verified k-MC bound, so a
-//!   snapshot can check `observed_depth <= k` per channel — the paper's
-//!   static guarantee turned into a runtime-checkable invariant.
-//! * [`transport`] — per-link statistics for the networked transport
-//!   backend (frames/bytes in each direction, window stalls under the
-//!   statically derived socket send window, dial reconnects), plus a
-//!   registry of each remote link's send window and the k-MC bound it
-//!   was sized from.
+//! * [`channel`] — one row per directed session link, SPSC ring or
+//!   socket: occupancy high-watermark, grow events, waker-handoff CAS
+//!   retries, frames and bytes in each direction, window stalls and
+//!   dial reconnects, plus a registry of each link's window and the
+//!   statically verified k-MC bound it was sized from, so a snapshot can
+//!   check `observed_depth <= k` per link — the paper's static guarantee
+//!   turned into a runtime-checkable invariant.
 //! * [`trace`] — per-thread bounded lock-free event rings recording
 //!   `(role, peer, label, t_ns, seq)` for every session Send/Receive/
 //!   Select/Branch and every wire frame, drop-oldest with a drop
@@ -29,8 +26,8 @@
 //!   flow events connecting each frame send to its receive.
 //! * [`hist`] — lock-free log-linear (HDR-style) latency histograms
 //!   with exact-reference-tested quantiles, recording per-link
-//!   send→recv latency (via [`channel`]/[`transport`]) and session
-//!   spawn→teardown lifetimes.
+//!   send→recv latency (via [`channel`]) and session spawn→teardown
+//!   lifetimes.
 //!
 //! # Feature gating
 //!
@@ -47,7 +44,6 @@ pub mod channel;
 pub mod hist;
 pub mod scheduler;
 pub mod trace;
-pub mod transport;
 
 mod counter;
 mod gate;
