@@ -240,20 +240,26 @@ fn table_ablation() {
             "s!ready . ".repeat(n)
         ));
         let bound = n + 6;
-        let with = time_check(|| !SubtypeVisitor::new(&projected, &optimised, bound).run());
+        let with = time_check(|| {
+            !SubtypeVisitor::new(bound)
+                .check(&projected, &optimised)
+                .verdict
+        });
         let without = time_check(|| {
-            !SubtypeVisitor::new(&projected, &optimised, bound)
+            !SubtypeVisitor::new(bound)
                 .without_fail_early()
-                .run()
+                .check(&projected, &optimised)
+                .verdict
         });
         println!("rejecting\t{n}\t{}\t{}", us(with), us(without));
     }
     let optimised = fsm("s!ready . rec x . s!ready . s?value . t?ready . t!value . x");
-    let with = time_check(|| SubtypeVisitor::new(&optimised, &projected, 8).run());
+    let with = time_check(|| SubtypeVisitor::new(8).check(&optimised, &projected).verdict);
     let without = time_check(|| {
-        SubtypeVisitor::new(&optimised, &projected, 8)
+        SubtypeVisitor::new(8)
             .without_fail_early()
-            .run()
+            .check(&optimised, &projected)
+            .verdict
     });
     println!("accepting\t1\t{}\t{}", us(with), us(without));
     println!();

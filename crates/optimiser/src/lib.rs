@@ -13,12 +13,14 @@
 //!    [`term`] arena that lives for one call: a rewrite interns only the
 //!    nodes on its path, equal terms get equal ids, so deduplication is
 //!    one id lookup (structural identity — the printed form's, except
-//!    that a custom sort spelled like a built-in one stays apart), and a
-//!    candidate becomes a [`LocalType`] and an FSM only to be verified;
+//!    that a custom sort spelled like a built-in one stays apart);
 //! 2. **verify** — validate every candidate against the projection with
-//!    the sound asynchronous subtyping algorithm
-//!    (`subtyping::check_candidates`), so only provably safe
-//!    reorderings survive;
+//!    the sound asynchronous subtyping algorithm, so only provably safe
+//!    reorderings survive. Each candidate is checked as the compact
+//!    machine [`Terms::machine`](term::Terms::machine) builds from its
+//!    arena id, against the projection's, through one reused
+//!    `subtyping::SubtypeVisitor`; only a verified candidate becomes a
+//!    [`LocalType`] and an [`Fsm`];
 //! 3. **score** — rank the verified candidates by *estimated nanoseconds
 //!    saved* under the [`cost`] price list (each crossed receive weighted
 //!    by its payload's wire size, minus the occupancy of hoisting the
@@ -52,7 +54,8 @@ pub mod term;
 
 use std::collections::HashSet;
 
-use theory::fsm::{self, Fsm, FsmError};
+use subtyping::SubtypeVisitor;
+use theory::fsm::{self, CompactFsm, Fsm, FsmError};
 use theory::hash::BuildWordHasher;
 use theory::json;
 use theory::json_record;
@@ -325,36 +328,34 @@ pub fn optimise(
     }
 
     // ---- verify: every candidate against the projection --------------
-    let mut convertible = Vec::with_capacity(generated.len());
+    // As compact machines of the arena, through one visitor; only a
+    // verified candidate becomes a `LocalType` and an `Fsm`.
+    let mut projection_machine = CompactFsm::default();
+    terms.machine(root, &mut projection_machine)?;
+    let mut machine = CompactFsm::default();
+    let mut visitor = SubtypeVisitor::new(config.bound);
+    let mut candidates = Vec::new();
     for (index, entry) in generated.iter().enumerate() {
         // A rewrite cannot unguard recursion (no action is ever
         // removed), but stay defensive: drop inconvertible candidates.
-        let local = terms.to_local(entry.term);
-        if let Ok(machine) = fsm::from_local(role, &local) {
-            convertible.push((local, index, machine));
+        if terms.machine(entry.term, &mut machine).is_err() {
+            continue;
         }
+        let stats = visitor.check(&machine, &projection_machine);
+        if !stats.verdict {
+            continue;
+        }
+        let local = terms.to_local(entry.term);
+        let derivation = derivation(&generated, index);
+        candidates.push(Candidate {
+            fsm: fsm::from_local(role, &local).expect("its compact machine was built"),
+            local,
+            score: derivation.iter().map(Step::score).sum(),
+            estimated_saving_ns: cost::saving_ns(&derivation),
+            derivation,
+            stats,
+        });
     }
-    let stats = subtyping::check_candidates(
-        convertible.iter().map(|(_, _, machine)| machine),
-        &projection_fsm,
-        config.bound,
-    );
-    let mut candidates: Vec<Candidate> = convertible
-        .into_iter()
-        .zip(stats)
-        .filter(|(_, stats)| stats.verdict)
-        .map(|((local, index, machine), stats)| {
-            let derivation = derivation(&generated, index);
-            Candidate {
-                local,
-                fsm: machine,
-                score: derivation.iter().map(Step::score).sum(),
-                estimated_saving_ns: cost::saving_ns(&derivation),
-                derivation,
-                stats,
-            }
-        })
-        .collect();
 
     // ---- score: best first, stably --------------------------------
     // Estimated ns saved, tie-broken by receives crossed then by machine

@@ -3,8 +3,15 @@
 //! [`Terms`] stores each distinct subterm once, as a `Node` whose
 //! children are [`TermId`]s, and interns every new node through one map
 //! from node to id. Peers, labels and recursion variables are interned as
-//! `Sym`s and payload sorts as `SortId`s, so a node is a few words and
-//! hashing one touches no string.
+//! `Sym`s and payload sorts as `SortId`s (the built-in sorts at the codes
+//! [`Sort::BUILTIN`] fixes), so a node is a few words and hashing one
+//! touches no string.
+//!
+//! **Machines.** [`Terms::machine`] builds a term's
+//! [`CompactFsm`] straight from the arena, with those symbols and sort
+//! codes as its action ids: the machine `fsm::from_local` would build from
+//! the term's tree, state for state, with no tree built and no name
+//! cloned. Two machines of one arena are comparable action for action.
 //!
 //! **Identity.** Equal subterms share one id, so two ids are equal
 //! exactly when their terms are structurally equal ([`LocalType`]'s
@@ -37,6 +44,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use theory::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex};
 use theory::hash::BuildWordHasher;
 use theory::local::{LocalBranch, LocalType};
 use theory::name::Name;
@@ -81,13 +89,25 @@ pub(crate) enum Node {
 }
 
 /// A hash-consed store of local-type terms; see the [module docs](self).
-#[derive(Default)]
 pub struct Terms {
     nodes: Vec<Node>,
     ids: HashMap<Node, TermId, BuildWordHasher>,
     names: Vec<Name>,
     syms: HashMap<Name, Sym>,
+    /// Indexed by `SortId`: the built-in sorts first, so ids are codes.
     sorts: Vec<Sort>,
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            ids: HashMap::default(),
+            names: Vec::new(),
+            syms: HashMap::new(),
+            sorts: Sort::BUILTIN.to_vec(),
+        }
+    }
 }
 
 impl Terms {
@@ -249,15 +269,257 @@ impl Terms {
             }
         }
     }
+
+    /// Rebuilds `machine` as the compact machine of `id`: state for state
+    /// and row for row the machine `fsm::from_local` builds from
+    /// [`to_local`](Self::to_local) of `id`, with this arena's symbols and
+    /// sort codes as action ids. Fails where that conversion fails, with
+    /// the same error: on an unbound variable or unguarded recursion.
+    pub fn machine(&self, id: TermId, machine: &mut CompactFsm) -> Result<(), FsmError> {
+        machine.clear();
+        let mut build = MachineBuild {
+            terms: self,
+            machine,
+            env: Vec::new(),
+        };
+        let initial = build.state(id, 0)?;
+        build.machine.set_initial(initial);
+        Ok(())
+    }
+}
+
+/// The walk behind [`Terms::machine`]: `fsm::from_local`'s, on ids, so
+/// states are numbered in the order that walk creates them. A state gets
+/// all its transitions from one choice, found before any later state is
+/// made: its transitions are added at once, each pointing back at it,
+/// and retargeted as their continuations are built.
+struct MachineBuild<'a> {
+    terms: &'a Terms,
+    machine: &'a mut CompactFsm,
+    /// Bound recursion variables and their states, innermost last.
+    env: Vec<(Sym, StateIndex)>,
+}
+
+impl MachineBuild<'_> {
+    /// The state `var` names. `guard` is the length of `env` at the last
+    /// action on the path: a binding at or above it was made with no
+    /// action in between, so reaching it is unguarded recursion.
+    fn var(&self, var: Sym, guard: usize) -> Result<StateIndex, FsmError> {
+        let name = || self.terms.name(var).clone();
+        match self.env.iter().rposition(|&(bound, _)| bound == var) {
+            Some(at) if at >= guard => Err(FsmError::UnguardedRecursion(name())),
+            Some(at) => Ok(self.env[at].1),
+            None => Err(FsmError::UnboundVariable(name())),
+        }
+    }
+
+    /// A fresh state for `id`, or the state a variable names.
+    fn state(&mut self, id: TermId, guard: usize) -> Result<StateIndex, FsmError> {
+        match self.terms.node(id) {
+            Node::End => Ok(self.machine.add_state()),
+            Node::Var(var) => self.var(*var, guard),
+            Node::Rec(..) | Node::Choice { .. } => {
+                let state = self.machine.add_state();
+                self.fill(state, id, guard)
+            }
+        }
+    }
+
+    /// Gives `state`, the newest state, the transitions of `id`; `μt.T`
+    /// shares the state of its body, and `μt.t'` leaves it terminal and
+    /// unreachable and names the state of `t'`.
+    fn fill(
+        &mut self,
+        state: StateIndex,
+        id: TermId,
+        guard: usize,
+    ) -> Result<StateIndex, FsmError> {
+        let terms = self.terms;
+        match terms.node(id) {
+            Node::End => Ok(state),
+            Node::Var(var) => self.var(*var, guard),
+            Node::Rec(var, body) => {
+                self.env.push((*var, state));
+                let result = self.fill(state, *body, guard);
+                self.env.pop();
+                result
+            }
+            Node::Choice {
+                send,
+                peer,
+                branches,
+            } => {
+                let direction = if *send {
+                    Direction::Send
+                } else {
+                    Direction::Receive
+                };
+                // Row of the first branch; branch `i` is `first + i`.
+                let mut first = 0;
+                for (index, &(label, sort, _)) in branches.iter().enumerate() {
+                    let action = CompactAction {
+                        direction,
+                        peer: peer.0,
+                        label: label.0,
+                        sort: sort.0,
+                    };
+                    first = self.machine.add_transition(action, state) - index;
+                }
+                for (index, &(_, _, continuation)) in branches.iter().enumerate() {
+                    // Recursion below an action is guarded again.
+                    let target = self.state(continuation, self.env.len())?;
+                    self.machine.set_target(first + index, target);
+                }
+                Ok(state)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use theory::fsm::{self, Action, StateIndex};
     use theory::local::parse;
 
     fn intern(terms: &mut Terms, text: &str) -> TermId {
         terms.intern_local(&parse(text).unwrap())
+    }
+
+    /// The action `action`'s ids stand for.
+    fn resolve(terms: &Terms, action: CompactAction) -> Action {
+        Action {
+            direction: action.direction,
+            peer: terms.name(Sym(action.peer)).clone(),
+            label: terms.name(Sym(action.label)).clone(),
+            sort: terms.sort(SortId(action.sort)).clone(),
+        }
+    }
+
+    /// `local`'s compact machine against `fsm::from_local` of the
+    /// materialised term: the same states in the same order with the same
+    /// rows once ids are resolved, or the same error.
+    fn converts_as_from_local(local: &LocalType) -> Result<(), FsmError> {
+        let mut terms = Terms::default();
+        let id = terms.intern_local(local);
+        let expected = fsm::from_local(&"r".into(), &terms.to_local(id));
+        let mut machine = CompactFsm::default();
+        match (terms.machine(id, &mut machine), expected) {
+            (Ok(()), Ok(fsm)) => {
+                assert_eq!(machine.len(), fsm.len(), "states of `{local}`");
+                assert_eq!(machine.initial(), fsm.initial(), "initial of `{local}`");
+                for state in fsm.states() {
+                    let rows: Vec<(Action, StateIndex)> = machine
+                        .transitions(state)
+                        .iter()
+                        .map(|&(action, target)| {
+                            (resolve(&terms, action), StateIndex(target as usize))
+                        })
+                        .collect();
+                    assert_eq!(rows, fsm.transitions(state), "{state} of `{local}`");
+                }
+                Ok(())
+            }
+            (Err(ours), Err(theirs)) => {
+                assert_eq!(ours, theirs, "`{local}`");
+                Err(ours)
+            }
+            (ours, theirs) => panic!("`{local}`: {ours:?} where from_local gives {theirs:?}"),
+        }
+    }
+
+    /// Terms with binders: `rec`, shadowed and unbound variables, `μt.t'`
+    /// aliases and unguarded recursion all occur.
+    fn binder_local_type() -> impl Strategy<Value = LocalType> {
+        let var = || proptest::sample::select(vec!["x", "y"]);
+        let leaf = prop_oneof![
+            Just(LocalType::End),
+            var().prop_map(|var| LocalType::Var(var.into())),
+        ];
+        leaf.prop_recursive(5, 32, 3, move |inner| {
+            let branch = (
+                proptest::sample::select(vec!["a", "b", "c"]),
+                proptest::sample::select(vec![Sort::Unit, Sort::I32]),
+                inner.clone(),
+            )
+                .prop_map(|(label, sort, continuation)| LocalBranch {
+                    label: label.into(),
+                    sort,
+                    continuation,
+                });
+            let choice = (
+                proptest::bool::ANY,
+                proptest::sample::select(vec!["p", "q"]),
+                proptest::collection::vec(branch, 1..3),
+            )
+                .prop_map(|(send, peer, mut branches)| {
+                    branches.sort_by(|x, y| x.label.cmp(&y.label));
+                    branches.dedup_by(|x, y| x.label == y.label);
+                    let peer = peer.into();
+                    if send {
+                        LocalType::Select { peer, branches }
+                    } else {
+                        LocalType::Branch { peer, branches }
+                    }
+                });
+            prop_oneof![
+                (var(), inner).prop_map(|(var, body)| LocalType::rec(var, body)),
+                choice,
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn random_terms_convert_as_from_local(local in binder_local_type()) {
+            let _ = converts_as_from_local(&local);
+        }
+    }
+
+    #[test]
+    fn binders_convert_as_from_local() {
+        for text in [
+            "rec x . p!a . rec y . x",
+            "rec x . rec y . +{ p!a . x, p!b . y, p!c . end }",
+            "+{ p!a(i32) . rec x . q?b . x, p!c . rec x . q?d . rec x . p!e . x }",
+            "rec x . p!a . rec y . &{ q?b . x, q?c . rec x . p!d . y }",
+        ] {
+            assert!(
+                converts_as_from_local(&parse(text).unwrap()).is_ok(),
+                "{text}"
+            );
+        }
+        // `μy.x` is an alias: `y`'s state is left terminal and unreachable.
+        let mut terms = Terms::default();
+        let id = intern(&mut terms, "rec x . p!a . rec y . x");
+        let mut alias = CompactFsm::default();
+        terms.machine(id, &mut alias).unwrap();
+        assert_eq!(alias.len(), 2);
+        assert_eq!(alias.transitions(alias.initial())[0].1, 0);
+        assert!(alias.transitions(StateIndex(1)).is_empty());
+    }
+
+    #[test]
+    fn unbound_and_unguarded_recursion_are_rejected() {
+        let unguarded = |var: &str| Err(FsmError::UnguardedRecursion(var.into()));
+        for (local, error) in [
+            (
+                LocalType::Var("x".into()),
+                Err(FsmError::UnboundVariable("x".into())),
+            ),
+            (
+                LocalType::send("p", "a", Sort::Unit, LocalType::Var("y".into())),
+                Err(FsmError::UnboundVariable("y".into())),
+            ),
+            (parse("rec x . x").unwrap(), unguarded("x")),
+            (parse("rec x . rec y . x").unwrap(), unguarded("x")),
+            (parse("rec x . p!a . rec x . x").unwrap(), unguarded("x")),
+        ] {
+            assert_eq!(converts_as_from_local(&local), error, "`{local}`");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! With more than two positionals, every argument but the last is a
 //! candidate checked against the final supertype in one
-//! `check_candidates` pass — the bulk shape the AMR optimiser uses —
-//! and `--json` reports the per-candidate `CheckStats` visit counts:
+//! `check_candidates` pass — one visitor for every candidate, the shape
+//! of the AMR optimiser's verification — and `--json` reports the
+//! per-candidate `CheckStats` visit counts:
 //!
 //! ```text
 //! {"bound": 16, "candidates": [
@@ -57,7 +58,7 @@ Checks whether <subtype> is a sound asynchronous subtype of <supertype>.
 Each positional argument is a local-type expression, or `@path` to read
 one from a file. With more than two positionals, every argument but the
 last is a candidate checked against the final supertype in one bulk
-pass (the shape the AMR optimiser validates its reorderings with).
+pass (the shape of the AMR optimiser's verification).
 
 options:
     --bound N   recursion-unrolling bound: how many times each pair of
@@ -153,8 +154,8 @@ fn main() -> ExitCode {
         };
     }
 
-    // Bulk form: every candidate against the one supertype, exactly the
-    // `check_candidates` pass the optimiser runs, stats in input order.
+    // Bulk form: every candidate against the one supertype through one
+    // visitor, stats in input order.
     let role = theory::Name::from("self");
     let sup_fsm = match theory::fsm::from_local(&role, &sup) {
         Ok(fsm) => fsm,

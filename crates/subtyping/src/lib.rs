@@ -9,7 +9,11 @@
 //!   with a map of the state pairs on the current derivation path
 //!   standing for the assumption map `Σ` and a per-state-pair visit bound
 //!   standing for the recursion bounds `n`; a check's memory follows its
-//!   path depth, not the product of the machines.
+//!   path depth, not the product of the machines,
+//! * [`machine`] — the two traits the visitor and the prefixes are
+//!   written against, implemented by [`Fsm`] (the entry points below)
+//!   and by [`CompactFsm`](theory::fsm::CompactFsm) (the AMR optimiser's
+//!   interned candidates).
 //!
 //! The algorithm is **sound** (a `true` answer implies the precise
 //! asynchronous subtyping `T ≤ T′` of Ghilezan et al.) and **terminating**,
@@ -32,6 +36,7 @@
 //! assert!(!is_subtype_local(&projected, &optimised, 4).unwrap());
 //! ```
 
+pub mod machine;
 pub mod prefix;
 pub mod visitor;
 
@@ -47,7 +52,7 @@ pub use visitor::SubtypeVisitor;
 /// single derivation path (the recursion-unrolling bound `n` of the paper);
 /// larger bounds verify deeper reorderings at higher cost.
 pub fn is_subtype(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
-    SubtypeVisitor::new(sub, sup, bound).run()
+    SubtypeVisitor::new(bound).check(sub, sup).verdict
 }
 
 /// Convenience wrapper converting local types to FSMs first.
@@ -76,12 +81,7 @@ theory::json_record! {
 /// Instrumented variant of [`is_subtype`]: same verdict, plus search
 /// statistics.
 pub fn check_with_stats(sub: &Fsm, sup: &Fsm, bound: usize) -> CheckStats {
-    let (verdict, visited_pairs) = SubtypeVisitor::new(sub, sup, bound).run_counting();
-    CheckStats {
-        verdict,
-        bound,
-        visited_pairs,
-    }
+    SubtypeVisitor::new(bound).check(sub, sup)
 }
 
 /// Instrumented variant of [`is_subtype_local`]: converts both types with
@@ -101,18 +101,20 @@ pub fn check_with_stats_local(
 /// Bulk candidate checking: verifies many candidate subtypes against one
 /// supertype, returning per-candidate statistics in input order.
 ///
-/// This is the entry point the AMR optimiser uses to validate its
-/// generated reorderings — one supertype (the projection), many
-/// candidates. Checks are independent; a candidate failing (or even
-/// being degenerate) never affects its siblings.
+/// This is the `subtype` CLI's bulk form — one supertype, many
+/// candidates, all through one visitor. Checks are independent; a
+/// candidate failing (or even being degenerate) never affects its
+/// siblings. (The AMR optimiser runs the same loop on the compact
+/// machines of its term arena instead.)
 pub fn check_candidates<'a>(
     candidates: impl IntoIterator<Item = &'a Fsm>,
     sup: &Fsm,
     bound: usize,
 ) -> Vec<CheckStats> {
+    let mut visitor = SubtypeVisitor::new(bound);
     candidates
         .into_iter()
-        .map(|sub| check_with_stats(sub, sup, bound))
+        .map(|sub| visitor.check(sub, sup))
         .collect()
 }
 

@@ -6,12 +6,15 @@
 //! either by advancing `start` (when the head is consumed) or by flagging
 //! them removed (when a reduction consumes an element in the middle — the
 //! `[)A]`/`[)B]` cases). [`Snapshot`]s record `(len, start, removed.len())`
-//! so the depth-first visitor can revert cheaply without copying. The
-//! actions themselves are borrowed from the machines being compared, so
-//! pushing and reverting never touch their reference counts; comparisons
-//! are by value.
+//! so the depth-first visitor can revert cheaply without copying. A
+//! prefix holds whatever [`Act`] the machines being compared carry — a
+//! borrowed [`Action`](theory::fsm::Action), or an interned
+//! [`CompactAction`](theory::fsm::CompactAction) — so pushing and
+//! reverting never touch a reference count; comparisons are by value.
 
-use theory::fsm::{Action, Direction};
+use theory::fsm::Direction;
+
+use crate::machine::Act;
 
 /// A recorded point in a prefix's history; see [`Prefix::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,24 +29,34 @@ pub struct Snapshot {
 
 /// A prefix `π`: the sequence of actions the algorithm has traversed but
 /// not yet matched between subtype and supertype.
-#[derive(Clone, Debug, Default)]
-pub struct Prefix<'a> {
+#[derive(Clone, Debug)]
+pub struct Prefix<A> {
     /// `(removed, transition)` pairs; `removed` marks lazy deletion.
-    transitions: Vec<(bool, &'a Action)>,
+    transitions: Vec<(bool, A)>,
     /// Elements before `start` are consumed (a cheap bulk form of removal).
     start: usize,
     /// Log of indices removed by flagging, in removal order, for revert.
     removed: Vec<usize>,
 }
 
-impl<'a> Prefix<'a> {
+impl<A> Default for Prefix<A> {
+    fn default() -> Self {
+        Self {
+            transitions: Vec::new(),
+            start: 0,
+            removed: Vec::new(),
+        }
+    }
+}
+
+impl<A: Act> Prefix<A> {
     /// Creates an empty prefix.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Appends an action to the prefix.
-    pub fn push(&mut self, action: &'a Action) {
+    pub fn push(&mut self, action: A) {
         self.transitions.push((false, action));
     }
 
@@ -58,7 +71,7 @@ impl<'a> Prefix<'a> {
     }
 
     /// Iterates over `(index, action)` for live elements, in order.
-    pub fn live(&self) -> impl Iterator<Item = (usize, &'a Action)> + '_ {
+    pub fn live(&self) -> impl Iterator<Item = (usize, A)> + '_ {
         self.transitions
             .iter()
             .enumerate()
@@ -148,16 +161,14 @@ pub enum Reduction {
 ///   from participants other than `p`,
 /// * `[)B]`: a head output `p!ℓ` matches across a context `B(p)` of inputs
 ///   (any) and outputs to participants other than `p`.
-pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
+pub fn reduce_step<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> Reduction {
     let Some((head_index, head)) = sub.live().next() else {
         return Reduction::Blocked;
     };
+    let direction = head.direction();
     let mut matched: Option<usize> = None;
     for (index, action) in sup.live() {
-        if action.direction == head.direction
-            && action.peer == head.peer
-            && action.label == head.label
-        {
+        if action.direction() == direction && action.same_peer(head) && action.same_label(head) {
             if sorts_compatible(head, action) {
                 matched = Some(index);
                 break;
@@ -166,13 +177,13 @@ pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
             // (it is in neither A(p) nor B(p), and precedes any later match).
             return Reduction::DeadEnd;
         }
-        let context_ok = match head.direction {
+        let context_ok = match direction {
             // A(p): inputs from participants other than p.
             Direction::Receive => {
-                action.direction == Direction::Receive && action.peer != head.peer
+                action.direction() == Direction::Receive && !action.same_peer(head)
             }
             // B(p): any inputs, and outputs to participants other than p.
-            Direction::Send => action.direction == Direction::Receive || action.peer != head.peer,
+            Direction::Send => action.direction() == Direction::Receive || !action.same_peer(head),
         };
         if !context_ok {
             return Reduction::DeadEnd;
@@ -189,7 +200,7 @@ pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
 }
 
 /// Exhaustively reduces the pair; returns `false` on a dead end.
-pub fn reduce(sub: &mut Prefix, sup: &mut Prefix) -> bool {
+pub fn reduce<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> bool {
     loop {
         match reduce_step(sub, sup) {
             Reduction::Progress => continue,
@@ -202,15 +213,15 @@ pub fn reduce(sub: &mut Prefix, sup: &mut Prefix) -> bool {
 /// Payload compatibility for matched actions: receives are contravariant
 /// (`[ref-in]`: the supertype's sort must be a subsort of the subtype's),
 /// sends covariant (`[ref-out]`).
-fn sorts_compatible(sub: &Action, sup: &Action) -> bool {
-    match sub.direction {
-        Direction::Receive => sup.sort.is_subsort_of(&sub.sort),
-        Direction::Send => sub.sort.is_subsort_of(&sup.sort),
+fn sorts_compatible<A: Act>(sub: A, sup: A) -> bool {
+    match sub.direction() {
+        Direction::Receive => sup.subsort_of(sub),
+        Direction::Send => sub.subsort_of(sup),
     }
 }
 
 /// Convenience constructor used by tests: builds a prefix from actions.
-pub fn prefix_of<'a>(actions: impl IntoIterator<Item = &'a Action>) -> Prefix<'a> {
+pub fn prefix_of<A: Act>(actions: impl IntoIterator<Item = A>) -> Prefix<A> {
     let mut prefix = Prefix::new();
     for action in actions {
         prefix.push(action);

@@ -1,8 +1,8 @@
 //! The depth-first subtyping visitor (Appendix B.5).
 //!
-//! The visitor walks the product of the candidate-subtype FSM and the
-//! supertype FSM. The `path` map plays the role of the assumption map `Σ`
-//! of Fig 5: it holds an entry for each state pair on the current
+//! The visitor walks the product of the candidate-subtype machine and the
+//! supertype machine. The `path` map plays the role of the assumption map
+//! `Σ` of Fig 5: it holds an entry for each state pair on the current
 //! derivation path, storing how many visits remain for that pair (the
 //! recursion bound `n`) and snapshots of both prefixes taken at its most
 //! recent visit (the `ρ` recorded with each assumption). A pair off the
@@ -10,13 +10,21 @@
 //! absent entry means: `visit` restores every entry it changes before it
 //! returns, so the map never holds more than the path. Memory is
 //! O(path depth), not O(states²).
+//!
+//! A check leaves the path map and both prefixes empty, so one visitor
+//! checks any number of pairs and keeps their buffers: the AMR optimiser
+//! runs every candidate through one. The visitor is generic over the
+//! [`Machine`] it walks — `&Fsm` or `&CompactFsm` — and the rules below
+//! are the only copy of Fig 5 for both.
 
 use std::collections::HashMap;
 
-use theory::fsm::{Direction, Fsm, StateIndex};
+use theory::fsm::Direction;
 use theory::hash::BuildWordHasher;
 
+use crate::machine::{Act, Machine};
 use crate::prefix::{reduce, Prefix, Snapshot};
+use crate::CheckStats;
 
 /// Record of a state pair on the current path: remaining visits and the
 /// prefix snapshots from its most recent visit.
@@ -27,26 +35,23 @@ struct Previous {
 }
 
 /// `Σ` keyed by `(sub_state, sup_state)`, hashed a word at a time.
-type PathMap = HashMap<(StateIndex, StateIndex), Previous, BuildWordHasher>;
+type PathMap = HashMap<(usize, usize), Previous, BuildWordHasher>;
 
-/// Checks `sub ≤ sup` by depth-first search; see [`crate::is_subtype`].
-pub struct SubtypeVisitor<'a> {
-    sub: &'a Fsm,
-    sup: &'a Fsm,
+/// Checks `sub ≤ sup` by depth-first search over machines whose actions
+/// are `A`; see [`crate::is_subtype`].
+pub struct SubtypeVisitor<A> {
     bound: usize,
     /// `Σ`: one entry per state pair on the current derivation path.
     path: PathMap,
-    prefixes: [Prefix<'a>; 2],
+    prefixes: [Prefix<A>; 2],
     fail_early: bool,
     visited: usize,
 }
 
-impl<'a> SubtypeVisitor<'a> {
+impl<A: Act> SubtypeVisitor<A> {
     /// Prepares a visitor with `bound` visits allowed per state pair.
-    pub fn new(sub: &'a Fsm, sup: &'a Fsm, bound: usize) -> Self {
+    pub fn new(bound: usize) -> Self {
         Self {
-            sub,
-            sup,
             bound,
             path: PathMap::default(),
             prefixes: [Prefix::new(), Prefix::new()],
@@ -64,21 +69,28 @@ impl<'a> SubtypeVisitor<'a> {
         self
     }
 
-    /// Runs the check from both initial states with empty prefixes
-    /// (`[init]`).
-    pub fn run(mut self) -> bool {
-        self.visit(self.sub.initial(), self.sup.initial())
-    }
-
-    /// Like [`run`](Self::run), but also reports how many state-pair
-    /// visits the search performed — the work metric surfaced by
+    /// Checks `sub ≤ sup` from both initial states with empty prefixes
+    /// (`[init]`) and reports the verdict and how many state-pair visits
+    /// the search performed — the work metric surfaced by
     /// `subtype --json` and the optimiser report.
-    pub fn run_counting(mut self) -> (bool, usize) {
-        let verdict = self.visit(self.sub.initial(), self.sup.initial());
-        (verdict, self.visited)
+    pub fn check<M: Machine<Action = A>>(&mut self, sub: M, sup: M) -> CheckStats {
+        self.visited = 0;
+        let verdict = self.visit((sub, sup), sub.initial(), sup.initial());
+        debug_assert!(self.path.is_empty(), "a check leaves its path behind");
+        CheckStats {
+            verdict,
+            bound: self.bound,
+            visited_pairs: self.visited,
+        }
     }
 
-    fn visit(&mut self, sub_state: StateIndex, sup_state: StateIndex) -> bool {
+    fn visit<M: Machine<Action = A>>(
+        &mut self,
+        machines: (M, M),
+        sub_state: usize,
+        sup_state: usize,
+    ) -> bool {
+        let (sub, sup) = machines;
         self.visited += 1;
         // (1) Bound check ([μl]/[μr] with n = 0): each state pair may be
         // visited at most `bound` times along one derivation path.
@@ -112,12 +124,12 @@ impl<'a> SubtypeVisitor<'a> {
         }
 
         // (4) [end]: both machines finished and nothing is left pending.
-        let sub_terminal = self.sub.is_terminal(sub_state);
-        let sup_terminal = self.sup.is_terminal(sup_state);
-        if sub_terminal && sup_terminal {
+        let sub_count = sub.degree(sub_state);
+        let sup_count = sup.degree(sup_state);
+        if sub_count == 0 && sup_count == 0 {
             return self.prefixes[0].is_empty() && self.prefixes[1].is_empty();
         }
-        if sub_terminal || sup_terminal {
+        if sub_count == 0 || sup_count == 0 {
             // One side finished while the other still owes actions.
             return false;
         }
@@ -132,25 +144,31 @@ impl<'a> SubtypeVisitor<'a> {
             },
         );
 
-        let sub_direction = direction_of(self.sub, sub_state);
-        let sup_direction = direction_of(self.sup, sup_state);
-        let sub_count = self.sub.transitions(sub_state).len();
-        let sup_count = self.sup.transitions(sup_state).len();
+        // A non-terminal state's direction is its first transition's: a
+        // machine built from a local type has uniform states, and a
+        // hand-built mixed state is read the way the runtime serialises it.
+        let sub_direction = sub.transition(sub_state, 0).0.direction();
+        let sup_direction = sup.transition(sup_state, 0).0.direction();
+        let mut try_pair = |i, j| self.try_pair(machines, (sub_state, i), (sup_state, j));
 
         let result = match (sub_direction, sup_direction) {
             // [oo]: ∀i ∈ I. ∃j ∈ J (the subtype may drop internal choices).
-            (Direction::Send, Direction::Send) => (0..sub_count)
-                .all(|i| (0..sup_count).any(|j| self.try_pair(sub_state, i, sup_state, j))),
+            (Direction::Send, Direction::Send) => {
+                (0..sub_count).all(|i| (0..sup_count).any(|j| try_pair(i, j)))
+            }
             // [oi]: ∀i. ∀j — the subtype's output must anticipate across
             // every input the supertype might perform.
-            (Direction::Send, Direction::Receive) => (0..sub_count)
-                .all(|i| (0..sup_count).all(|j| self.try_pair(sub_state, i, sup_state, j))),
+            (Direction::Send, Direction::Receive) => {
+                (0..sub_count).all(|i| (0..sup_count).all(|j| try_pair(i, j)))
+            }
             // [ii]: ∀j. ∃i (the subtype may accept extra external choices).
-            (Direction::Receive, Direction::Receive) => (0..sup_count)
-                .all(|j| (0..sub_count).any(|i| self.try_pair(sub_state, i, sup_state, j))),
+            (Direction::Receive, Direction::Receive) => {
+                (0..sup_count).all(|j| (0..sub_count).any(|i| try_pair(i, j)))
+            }
             // [io]: ∃i. ∃j.
-            (Direction::Receive, Direction::Send) => (0..sub_count)
-                .any(|i| (0..sup_count).any(|j| self.try_pair(sub_state, i, sup_state, j))),
+            (Direction::Receive, Direction::Send) => {
+                (0..sub_count).any(|i| (0..sup_count).any(|j| try_pair(i, j)))
+            }
         };
 
         // Restore the entry for sibling branches of the search: the
@@ -163,59 +181,54 @@ impl<'a> SubtypeVisitor<'a> {
     }
 
     /// Pushes one transition from each machine onto the prefixes, recurses
-    /// into the target pair, and reverts.
-    fn try_pair(
+    /// into the target pair, and reverts. A transition is given as its
+    /// state and its index among that state's transitions.
+    fn try_pair<M: Machine<Action = A>>(
         &mut self,
-        sub_state: StateIndex,
-        sub_index: usize,
-        sup_state: StateIndex,
-        sup_index: usize,
+        machines: (M, M),
+        (sub_state, sub_index): (usize, usize),
+        (sup_state, sup_index): (usize, usize),
     ) -> bool {
-        let (sub, sup) = (self.sub, self.sup);
-        let (sub_action, sub_target) = &sub.transitions(sub_state)[sub_index];
-        let (sup_action, sup_target) = &sup.transitions(sup_state)[sup_index];
+        let (sub_action, sub_target) = machines.0.transition(sub_state, sub_index);
+        let (sup_action, sup_target) = machines.1.transition(sup_state, sup_index);
         let snapshots = [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()];
         self.prefixes[0].push(sub_action);
         self.prefixes[1].push(sup_action);
-        let result = self.visit(*sub_target, *sup_target);
+        let result = self.visit(machines, sub_target, sup_target);
         self.prefixes[0].revert(snapshots[0]);
         self.prefixes[1].revert(snapshots[1]);
         result
     }
 }
 
-/// Direction of a non-terminal state (validated to be uniform by
-/// `Fsm::validate_directed` for machines built from local types; for
-/// hand-built machines a mixed state is treated as its first transition's
-/// direction, matching the serialisation the runtime produces).
-fn direction_of(fsm: &Fsm, state: StateIndex) -> Direction {
-    fsm.transitions(state)[0].0.direction
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::{from_local, Action, FsmBuilder};
+    use theory::fsm::{from_local, Action, Fsm, FsmBuilder, StateIndex};
     use theory::local;
     use theory::sort::Sort;
 
-    fn fsm(text: &str) -> theory::fsm::Fsm {
+    fn fsm(text: &str) -> Fsm {
         from_local(&"r".into(), &local::parse(text).unwrap()).unwrap()
+    }
+
+    fn check(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
+        SubtypeVisitor::new(bound).check(sub, sup).verdict
     }
 
     #[test]
     fn trivial_end() {
-        assert!(SubtypeVisitor::new(&fsm("end"), &fsm("end"), 1).run());
+        assert!(check(&fsm("end"), &fsm("end"), 1));
     }
 
     #[test]
     fn bound_exhaustion_rejects() {
         // Bound 0 forbids even entering the initial pair (paper step 1).
-        assert!(!SubtypeVisitor::new(&fsm("end"), &fsm("end"), 0).run());
+        assert!(!check(&fsm("end"), &fsm("end"), 0));
         // A loop needs at least two visits: enter + re-enter for [asm].
         let looped = fsm("rec x . p!a . x");
-        assert!(!SubtypeVisitor::new(&looped, &looped, 1).run());
-        assert!(SubtypeVisitor::new(&looped, &looped, 2).run());
+        assert!(!check(&looped, &looped, 1));
+        assert!(check(&looped, &looped, 2));
     }
 
     #[test]
@@ -225,9 +238,27 @@ mod tests {
         let projected = fsm("rec x . s!ready . s?value . t?ready . t!value . x");
         let optimised =
             fsm("s!ready . s!ready . rec x . s!ready . s?value . t?ready . t!value . x");
-        assert!(SubtypeVisitor::new(&optimised, &projected, 8).run());
+        assert!(check(&optimised, &projected, 8));
         // The reverse direction owes two `ready`s and must fail.
-        assert!(!SubtypeVisitor::new(&projected, &optimised, 8).run());
+        assert!(!check(&projected, &optimised, 8));
+    }
+
+    #[test]
+    fn one_visitor_checks_many_pairs_as_fresh_ones_do() {
+        let projected = fsm("rec x . s!ready . s?value . t?ready . t!value . x");
+        let candidates = [
+            fsm("s!ready . rec x . s!ready . s?value . t?ready . t!value . x"),
+            fsm("rec x . s?value . s!ready . t?ready . t!value . x"),
+            projected.clone(),
+            fsm("end"),
+        ];
+        let mut visitor = SubtypeVisitor::new(6);
+        for candidate in &candidates {
+            assert_eq!(
+                visitor.check(candidate, &projected),
+                crate::check_with_stats(candidate, &projected, 6)
+            );
+        }
     }
 
     /// A chain of `states` states whose first transition is `p!first` and
@@ -249,8 +280,8 @@ mod tests {
     #[test]
     fn cost_follows_visited_pairs_not_machine_size() {
         let (sub, sup) = (chain(1 << 16, "a"), chain(1 << 16, "b"));
-        let (verdict, visited) = SubtypeVisitor::new(&sub, &sup, 4).run_counting();
-        assert!(!verdict);
-        assert!(visited <= 2, "{visited} visits");
+        let stats = SubtypeVisitor::new(4).check(&sub, &sup);
+        assert!(!stats.verdict);
+        assert!(stats.visited_pairs <= 2, "{} visits", stats.visited_pairs);
     }
 }

@@ -1,7 +1,10 @@
 //! Differential test of [`SubtypeVisitor`] against a reference visitor
 //! that keeps a dense `sub.len() × sup.len()` history matrix and owned
 //! prefix actions — the visitor and prefix as they were before the path
-//! map and borrowed actions replaced them. The two must agree on the
+//! map and borrowed actions replaced them. The visitor runs twice per
+//! pair: on the `Fsm`s, as the public entry points run it, and on the
+//! compact machines `optimiser::term::Terms` builds from one arena, as
+//! the optimiser runs it. Both must agree with the reference on the
 //! verdict *and* on the number of visited state pairs, with fail-early
 //! both on and off, for
 //!
@@ -9,6 +12,8 @@
 //!   `tests/generators/`) against themselves, their dual, themselves
 //!   pointed at another peer, one single-step rewrite, and another random
 //!   type — and the same as loops, with fail-early on only,
+//! * random binary types under two assignments of payload sorts against
+//!   each other, as they come and as loops,
 //! * the shapes of the benchmark's `verify_amr` corpus: nested choice at
 //!   levels 1–4 in both directions, the streaming source unrolled 0–100
 //!   times and the k-buffering kernel with 0–8 `ready`s sent ahead,
@@ -20,7 +25,9 @@
 //! count and stale snapshots) passes every other test of this crate; here
 //! the looped random types and the pmesh-5 candidates fail on it. Trees
 //! and single loops never re-enter a pair from a sibling branch, so they
-//! cannot see it.
+//! cannot see it. Checking the compact machines' sort codes the wrong way
+//! round (`is_subsort_code(other.sort, self.sort)`) fails here on the
+//! re-sorted random pairs only: every other input carries one sort.
 //!
 //! CI runs this in release as well (`cargo test --release -p subtyping`).
 
@@ -28,10 +35,13 @@ use std::collections::HashSet;
 
 use bench::verification::{k_buffering, nested_choice, streaming, to_fsm};
 use optimiser::rewrite::rewrites;
+use optimiser::term::Terms;
 use optimiser::Step;
 use proptest::prelude::*;
-use subtyping::SubtypeVisitor;
-use theory::{Fsm, LocalType, Name};
+use subtyping::{CheckStats, SubtypeVisitor};
+use theory::fsm::CompactFsm;
+use theory::local::LocalBranch;
+use theory::{Fsm, LocalType, Name, Sort};
 
 #[path = "../../../tests/generators/mod.rs"]
 mod generators;
@@ -387,30 +397,53 @@ mod reference {
     }
 }
 
-/// Runs both visitors with fail-early on or off and insists on the same
+/// Runs the reference, and the visitor on `Fsm`s and on the compact
+/// machines of one arena, with fail-early on or off, and insists on one
 /// verdict and visit count; returns the verdict.
-fn agree_with(sub: &Fsm, sup: &Fsm, bound: usize, fail_early: bool, what: &str) -> bool {
-    let (ours, theirs) = (
-        SubtypeVisitor::new(sub, sup, bound),
-        reference::SubtypeVisitor::new(sub, sup, bound),
-    );
-    let (ours, theirs) = if fail_early {
-        (ours.run_counting(), theirs.run_counting())
-    } else {
-        (
-            ours.without_fail_early().run_counting(),
-            theirs.without_fail_early().run_counting(),
-        )
+fn agree_with(
+    sub: &LocalType,
+    sup: &LocalType,
+    bound: usize,
+    fail_early: bool,
+    what: &str,
+) -> bool {
+    let (sub_fsm, sup_fsm) = (machine(sub), machine(sup));
+    let mut terms = Terms::default();
+    let (sub_id, sup_id) = (terms.intern_local(sub), terms.intern_local(sup));
+    let compact = |id| {
+        let mut machine = CompactFsm::default();
+        terms
+            .machine(id, &mut machine)
+            .expect("converts as its Fsm did");
+        machine
     };
+    let (sub_compact, sup_compact) = (compact(sub_id), compact(sup_id));
+    let mut theirs = reference::SubtypeVisitor::new(&sub_fsm, &sup_fsm, bound);
+    let (mut on_fsm, mut on_compact) = (SubtypeVisitor::new(bound), SubtypeVisitor::new(bound));
+    if !fail_early {
+        theirs = theirs.without_fail_early();
+        on_fsm = on_fsm.without_fail_early();
+        on_compact = on_compact.without_fail_early();
+    }
+    let theirs = theirs.run_counting();
+    let what =
+        format!("{what} at bound {bound}, fail-early {fail_early}: (verdict, visited_pairs)");
+    let pair = |stats: CheckStats| (stats.verdict, stats.visited_pairs);
     assert_eq!(
-        ours, theirs,
-        "{what} at bound {bound}, fail-early {fail_early}: (verdict, visited_pairs)"
+        pair(on_fsm.check(&sub_fsm, &sup_fsm)),
+        theirs,
+        "{what} on Fsms"
     );
-    ours.0
+    assert_eq!(
+        pair(on_compact.check(&sub_compact, &sup_compact)),
+        theirs,
+        "{what} on compact machines"
+    );
+    theirs.0
 }
 
 /// [`agree_with`] fail-early on and off; the verdict must not move.
-fn agree(sub: &Fsm, sup: &Fsm, bound: usize, what: &str) -> bool {
+fn agree(sub: &LocalType, sup: &LocalType, bound: usize, what: &str) -> bool {
     let verdict = agree_with(sub, sup, bound, true, what);
     assert_eq!(
         agree_with(sub, sup, bound, false, what),
@@ -434,7 +467,7 @@ fn looped(t: &LocalType) -> LocalType {
             LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
                 let branches = branches
                     .iter()
-                    .map(|b| theory::local::LocalBranch {
+                    .map(|b| LocalBranch {
                         label: b.label.clone(),
                         sort: b.sort.clone(),
                         continuation: close(&b.continuation),
@@ -453,6 +486,38 @@ fn looped(t: &LocalType) -> LocalType {
     LocalType::rec("x", close(t))
 }
 
+/// `t` with the `i`-th branch in pre-order carrying the payload
+/// `sorts[i % sorts.len()]`.
+fn resorted(t: &LocalType, sorts: &[Sort]) -> LocalType {
+    fn go(t: &LocalType, sorts: &[Sort], next: &mut usize) -> LocalType {
+        match t {
+            LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
+                let branches = branches
+                    .iter()
+                    .map(|b| {
+                        let sort = sorts[*next % sorts.len()].clone();
+                        *next += 1;
+                        LocalBranch {
+                            label: b.label.clone(),
+                            sort,
+                            continuation: go(&b.continuation, sorts, next),
+                        }
+                    })
+                    .collect();
+                let peer = peer.clone();
+                if matches!(t, LocalType::Select { .. }) {
+                    LocalType::Select { peer, branches }
+                } else {
+                    LocalType::Branch { peer, branches }
+                }
+            }
+            LocalType::Rec { var, body } => LocalType::rec(var.clone(), go(body, sorts, next)),
+            other => other.clone(),
+        }
+    }
+    go(t, sorts, &mut 0)
+}
+
 /// `left` against itself, its dual, itself pointed at another peer, one
 /// of its single-step rewrites (often a verified subtype) and `right`,
 /// in both directions.
@@ -461,25 +526,36 @@ fn relatives_agree(
     right: &LocalType,
     pick: usize,
     bound: usize,
-    check: impl Fn(&Fsm, &Fsm, usize, &str) -> bool,
+    check: impl Fn(&LocalType, &LocalType, usize, &str) -> bool,
 ) -> bool {
-    let t = machine(left);
     let rewritten = rewrites(left, true).candidates;
     let mut others = vec![
-        ("dual", machine(&dual(left))),
-        ("retargeted", machine(&retarget(left, "q"))),
-        ("another", machine(right)),
+        ("dual", dual(left)),
+        ("retargeted", retarget(left, "q")),
+        ("another", right.clone()),
     ];
     if !rewritten.is_empty() {
         let (rewrite, _) = &rewritten[pick % rewritten.len()];
-        others.push(("rewrite", machine(rewrite)));
+        others.push(("rewrite", rewrite.clone()));
     }
     for (name, other) in &others {
-        check(other, &t, bound, &format!("{name} ≤ `{left}`"));
-        check(&t, other, bound, &format!("`{left}` ≤ {name}"));
+        check(other, left, bound, &format!("{name} ≤ `{left}`"));
+        check(left, other, bound, &format!("`{left}` ≤ {name}"));
     }
     // A loop needs a second visit to close by [asm].
-    check(&t, &t, bound.max(2), &format!("`{left}` against itself"))
+    check(
+        left,
+        left,
+        bound.max(2),
+        &format!("`{left}` against itself"),
+    )
+}
+
+/// Payload sorts for the re-sorted pairs: a chain under `≤:` and `unit`,
+/// which relates to none of them.
+fn sorts() -> impl Strategy<Value = Vec<Sort>> {
+    let sort = proptest::sample::select(vec![Sort::Unit, Sort::U32, Sort::I32, Sort::I64]);
+    proptest::collection::vec(sort, 1..6)
 }
 
 proptest! {
@@ -499,11 +575,32 @@ proptest! {
     ) {
         prop_assert!(relatives_agree(&left, &right, pick, bound, agree));
         if left != LocalType::End && right != LocalType::End {
-            let looped_agree = |sub: &Fsm, sup: &Fsm, bound, what: &str| {
+            let looped_agree = |sub: &LocalType, sup: &LocalType, bound, what: &str| {
                 agree_with(sub, sup, bound, true, what)
             };
             let (left, right) = (looped(&left), looped(&right));
             prop_assert!(relatives_agree(&left, &right, pick, bound, looped_agree));
+        }
+    }
+
+    /// A random binary type under two assignments of payload sorts, in
+    /// both directions, as it comes and as a loop: the only pairs whose
+    /// matched actions carry different sorts, so the only ones that reach
+    /// `≤:` on two sorts.
+    #[test]
+    fn resorted_pairs_agree(
+        t in binary_local_type(),
+        sub_sorts in sorts(),
+        sup_sorts in sorts(),
+        bound in 1..=4usize,
+    ) {
+        let (sub, sup) = (resorted(&t, &sub_sorts), resorted(&t, &sup_sorts));
+        agree(&sub, &sup, bound, &format!("`{sub}` ≤ `{sup}`"));
+        agree(&sup, &sub, bound, &format!("`{sup}` ≤ `{sub}`"));
+        if t != LocalType::End {
+            let (sub, sup) = (looped(&sub), looped(&sup));
+            agree_with(&sub, &sup, bound.max(2), true, &format!("`{sub}` ≤ `{sup}`"));
+            agree_with(&sup, &sub, bound.max(2), true, &format!("`{sup}` ≤ `{sub}`"));
         }
     }
 }
@@ -513,16 +610,16 @@ proptest! {
 fn verify_amr_shapes_agree() {
     for levels in 1..=4 {
         let (sub, sup) = (
-            to_fsm("a", &nested_choice::subtype(levels)),
-            to_fsm("a", &nested_choice::supertype(levels)),
+            nested_choice::subtype(levels),
+            nested_choice::supertype(levels),
         );
         let what = format!("nested choice {levels}");
         assert!(agree(&sub, &sup, levels + 2, &what));
         assert!(!agree(&sup, &sub, levels + 2, &format!("{what} reversed")));
     }
-    let stream = to_fsm("s", &streaming::projected());
+    let stream = streaming::projected();
     for unrolls in 0..=100 {
-        let ahead = to_fsm("s", &streaming::optimised(unrolls));
+        let ahead = streaming::optimised(unrolls);
         let what = format!("streaming unrolled {unrolls}");
         assert!(agree(&ahead, &stream, unrolls + 4, &what));
         assert_eq!(
@@ -530,9 +627,9 @@ fn verify_amr_shapes_agree() {
             unrolls == 0
         );
     }
-    let kernel = to_fsm("k", &k_buffering::projected());
+    let kernel = k_buffering::projected();
     for ahead in 0..=8 {
-        let sent = to_fsm("k", &k_buffering::optimised(ahead));
+        let sent = k_buffering::optimised(ahead);
         let what = format!("kernel sent ahead {ahead}");
         assert!(agree(&sent, &kernel, ahead + 4, &what));
         assert_eq!(
@@ -589,12 +686,7 @@ fn optimiser_candidates_agree(role: &str, projection: &LocalType, depth: usize) 
     let mut verified = 0;
     for (index, candidate) in candidates.iter().enumerate() {
         let what = format!("{role} at depth {depth}, candidate {index} `{candidate}`");
-        verified += usize::from(agree(
-            &to_fsm(role, candidate),
-            &outcome.projection_fsm,
-            config.bound,
-            &what,
-        ));
+        verified += usize::from(agree(candidate, projection, config.bound, &what));
     }
     assert_eq!(
         verified,

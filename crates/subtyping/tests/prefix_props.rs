@@ -31,7 +31,7 @@ fn arbitrary_prefix() -> impl Strategy<Value = Vec<Action>> {
     proptest::collection::vec(arbitrary_action(), 0..12)
 }
 
-fn live_labels(prefix: &Prefix) -> Vec<String> {
+fn live_labels(prefix: &Prefix<&Action>) -> Vec<String> {
     prefix.live().map(|(_, a)| format!("{a}")).collect()
 }
 
@@ -125,8 +125,8 @@ proptest! {
     ) {
         let sub = theory::fsm::from_local(&"r".into(), &sub).unwrap();
         let sup = theory::fsm::from_local(&"r".into(), &sup).unwrap();
-        let with = SubtypeVisitor::new(&sub, &sup, 4).run();
-        let without = SubtypeVisitor::new(&sub, &sup, 4).without_fail_early().run();
+        let with = SubtypeVisitor::new(4).check(&sub, &sup).verdict;
+        let without = SubtypeVisitor::new(4).without_fail_early().check(&sub, &sup).verdict;
         prop_assert_eq!(with, without);
     }
 }

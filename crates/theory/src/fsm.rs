@@ -3,8 +3,14 @@
 //! Local types are converted into FSMs before verification (paper §2,
 //! Appendix B.5): states are subterms, transitions are send/receive actions.
 //! The subtyping algorithm and the k-MC checker both act on this
-//! representation; `fsm_to_local`/`from_local` witness that the conversion
+//! representation; [`to_local`]/[`from_local`] witness that the conversion
 //! is faithful.
+//!
+//! [`CompactFsm`] is the same machine with its names interned: its
+//! transitions sit in one flat array of `(action, target)` rows, and an
+//! action is four integers. The AMR optimiser builds one per candidate
+//! straight from its term arena and the subtyping visitor checks it
+//! without touching a string; an [`Fsm`] is built only for what passes.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -260,6 +266,130 @@ impl FsmBuilder {
     }
 }
 
+/// An [`Action`] with its peer, label and sort replaced by ids. Two
+/// compact actions compare meaningfully only when one interner numbered
+/// both; the sort is a code as [`Sort::BUILTIN`] describes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CompactAction {
+    /// Send or receive.
+    pub direction: Direction,
+    /// The other participant's id.
+    pub peer: u32,
+    /// The message label's id.
+    pub label: u32,
+    /// The payload sort's code.
+    pub sort: u32,
+}
+
+/// An FSM in compressed sparse row form with interned actions: the
+/// transitions of state `s` are `rows[offsets[s]..offsets[s + 1]]`.
+///
+/// A machine is built a state at a time: the transitions added after
+/// [`add_state`](Self::add_state) are that state's, so every state's row
+/// is complete before the next state is added. Every target is a state
+/// that exists, and an empty machine has no initial state.
+/// [`clear`](Self::clear) keeps the buffers, so rebuilding one machine
+/// for many terms allocates nothing once they have grown.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CompactFsm {
+    /// Where each state's row starts in `rows`, then `rows.len()`.
+    offsets: Vec<u32>,
+    rows: Vec<(CompactAction, u32)>,
+    initial: u32,
+}
+
+impl Default for CompactFsm {
+    fn default() -> Self {
+        Self {
+            offsets: vec![0],
+            rows: Vec::new(),
+            initial: 0,
+        }
+    }
+}
+
+impl CompactFsm {
+    /// Removes every state, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.rows.clear();
+        self.initial = 0;
+    }
+
+    /// Adds a state and returns it; the transitions added from now until
+    /// the next state are its.
+    pub fn add_state(&mut self) -> StateIndex {
+        let state = self.len();
+        assert!(u32::try_from(state).is_ok(), "fewer than 2³² states");
+        self.offsets.push(self.row_count());
+        StateIndex(state)
+    }
+
+    /// Adds a transition out of the newest state and returns its index
+    /// among all transitions, for [`set_target`](Self::set_target).
+    ///
+    /// # Panics
+    ///
+    /// When `target` is not a state, which includes a machine without one.
+    pub fn add_transition(&mut self, action: CompactAction, target: StateIndex) -> usize {
+        let target = self.state_id(target);
+        self.rows.push((action, target));
+        let end = self.row_count();
+        *self
+            .offsets
+            .last_mut()
+            .expect("offsets end with the row count") = end;
+        self.rows.len() - 1
+    }
+
+    /// Points transition `row` at `target`.
+    ///
+    /// # Panics
+    ///
+    /// When `row` is not a transition or `target` not a state.
+    pub fn set_target(&mut self, row: usize, target: StateIndex) {
+        self.rows[row].1 = self.state_id(target);
+    }
+
+    /// Makes `initial` the initial state.
+    ///
+    /// # Panics
+    ///
+    /// When `initial` is not a state.
+    pub fn set_initial(&mut self, initial: StateIndex) {
+        self.initial = self.state_id(initial);
+    }
+
+    fn state_id(&self, state: StateIndex) -> u32 {
+        assert!(state.0 < self.len(), "{state} is not a state");
+        state.0 as u32
+    }
+
+    fn row_count(&self) -> u32 {
+        u32::try_from(self.rows.len()).expect("fewer than 2³² transitions")
+    }
+
+    /// The initial state.
+    pub fn initial(&self) -> StateIndex {
+        StateIndex(self.initial as usize)
+    }
+
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True for the machine with no states.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Outgoing transitions of `state`: actions and target states.
+    pub fn transitions(&self, state: StateIndex) -> &[(CompactAction, u32)] {
+        &self.rows[self.offsets[state.0] as usize..self.offsets[state.0 + 1] as usize]
+    }
+}
+
 /// Converts a local type into its FSM.
 ///
 /// Recursion variables become back edges; `μt.T` shares the state of its
@@ -495,10 +625,56 @@ mod tests {
             let fsm = from_local(&"r".into(), &t).unwrap();
             let back = to_local(&fsm).unwrap();
             let fsm2 = from_local(&"r".into(), &back).unwrap();
-            // FSMs are compared structurally; state numbering is canonical
-            // because construction order is deterministic.
-            assert_eq!(fsm.len(), fsm2.len(), "{text}");
+            // Construction numbers states depth first, and `to_local`
+            // rebuilds the same tree, so the machines are equal state for
+            // state, row for row; only the variable names may differ.
+            assert_eq!(fsm, fsm2, "{text}");
+            assert_eq!(to_local(&fsm2).unwrap(), back, "{text}");
         }
+    }
+
+    #[test]
+    fn compact_rows_follow_their_state() {
+        let action = |label| CompactAction {
+            direction: Direction::Send,
+            peer: 0,
+            label,
+            sort: 0,
+        };
+        let mut machine = CompactFsm::default();
+        assert!(machine.is_empty());
+        for _ in 0..2 {
+            let first = machine.add_state();
+            let row = machine.add_transition(action(1), first);
+            machine.add_transition(action(2), first);
+            let second = machine.add_state();
+            machine.set_target(row, second);
+            machine.set_initial(first);
+            assert_eq!((machine.len(), machine.initial()), (2, first));
+            assert_eq!(
+                machine.transitions(first),
+                &[(action(1), 1), (action(2), 0)]
+            );
+            assert!(machine.transitions(second).is_empty());
+            machine.clear();
+            assert!(machine.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a state")]
+    fn compact_targets_must_be_states() {
+        let mut machine = CompactFsm::default();
+        let state = machine.add_state();
+        machine.add_transition(
+            CompactAction {
+                direction: Direction::Receive,
+                peer: 0,
+                label: 0,
+                sort: 0,
+            },
+            StateIndex(state.0 + 1),
+        );
     }
 
     #[test]

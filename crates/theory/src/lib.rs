@@ -11,7 +11,8 @@
 //!   with full merging of external choices,
 //! * [`fsm`] — communicating finite state machines and conversions
 //!   local type ⇄ FSM (the representation the subtyping algorithm and the
-//!   k-MC checker operate on),
+//!   k-MC checker operate on), and their compact form with interned
+//!   actions,
 //! * [`dot`] — Graphviz output for debugging protocols,
 //! * [`hash`] — the word hasher behind the workspace's integer-keyed
 //!   maps,
