@@ -35,6 +35,14 @@
 //! equal word for word, so hashing and comparing a configuration is
 //! hashing and comparing a slice.
 //!
+//! **The machines are read as interned rows.** [`System::new`] interns
+//! every machine once into a [`CompactFsm`] through one
+//! [`Symbols`] that numbers the roles first, so a peer id *is* a machine
+//! index and a label id is the word a queue holds. The explorer reads a
+//! state's `(action, target)` row straight from the CSR arrays and finds
+//! the queue an action touches in one `from * n + to → queue` table; it
+//! never hashes a name or searches the role list.
+//!
 //! **The arena is the breadth-first queue.** Records are appended to one
 //! `Vec<u32>` in the order they are discovered and never move or change;
 //! record `id` is the `id`-th record appended. A cursor walks the record
@@ -59,7 +67,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use theory::fsm::{Direction, Fsm, StateIndex};
+use theory::fsm::{CompactFsm, Direction, Fsm, StateIndex, Symbols};
 use theory::name::Name;
 
 /// Interned message label: an index into [`System::labels`].
@@ -77,10 +85,11 @@ pub struct LabelId(pub u32);
 #[derive(Clone, Debug)]
 pub struct System {
     machines: Vec<Fsm>,
-    roles: Vec<Name>,
-    /// Label table: `LabelId(i)` names `labels[i]`; first-occurrence
-    /// order over machines/states/transitions, so deterministic.
-    labels: Vec<Name>,
+    /// `machines`, interned through `symbols` in the same order.
+    compact: Vec<CompactFsm>,
+    /// The roles first, in machine order, so a peer id is a machine
+    /// index; then the labels in first-seen order.
+    symbols: Symbols,
 }
 
 /// Errors constructing a [`System`].
@@ -108,32 +117,28 @@ impl std::error::Error for SystemError {}
 impl System {
     /// Builds a system from per-participant machines.
     pub fn new(machines: Vec<Fsm>) -> Result<Self, SystemError> {
-        let roles: Vec<Name> = machines.iter().map(|m| m.role.clone()).collect();
-        for (index, role) in roles.iter().enumerate() {
-            if roles[..index].contains(role) {
-                return Err(SystemError::DuplicateRole(role.clone()));
+        let mut symbols = Symbols::default();
+        for (index, machine) in machines.iter().enumerate() {
+            if symbols.name_id(&machine.role) as usize != index {
+                return Err(SystemError::DuplicateRole(machine.role.clone()));
             }
         }
-        let mut labels: Vec<Name> = Vec::new();
+        let n = machines.len();
+        let mut compact = Vec::with_capacity(n);
         for machine in &machines {
-            for state in machine.states() {
-                for (action, _) in machine.transitions(state) {
-                    if !roles.contains(&action.peer) {
-                        return Err(SystemError::UnknownPeer {
-                            role: machine.role.clone(),
-                            peer: action.peer.clone(),
-                        });
-                    }
-                    if !labels.contains(&action.label) {
-                        labels.push(action.label.clone());
-                    }
-                }
+            let interned = symbols.intern(machine);
+            if let Some((action, _)) = interned.rows().iter().find(|(a, _)| a.peer as usize >= n) {
+                return Err(SystemError::UnknownPeer {
+                    role: machine.role.clone(),
+                    peer: symbols.name(action.peer).clone(),
+                });
             }
+            compact.push(interned);
         }
         Ok(Self {
             machines,
-            roles,
-            labels,
+            compact,
+            symbols,
         })
     }
 
@@ -146,20 +151,13 @@ impl System {
     /// `roles()[i] → roles()[j]` lives at index `i * n + j` in a
     /// [`Config`]'s channel vector and in [`Report::max_depths`].
     pub fn roles(&self) -> &[Name] {
-        &self.roles
+        &self.symbols.names()[..self.machines.len()]
     }
 
-    /// The interned label table (resolve a [`LabelId`] from a
-    /// [`Config`]'s channel contents back to its name).
+    /// The system's name table, roles first: a [`LabelId`] from a
+    /// [`Config`]'s channel contents names `labels()[id]`.
     pub fn labels(&self) -> &[Name] {
-        &self.labels
-    }
-
-    fn role_index(&self, role: &Name) -> usize {
-        self.roles
-            .iter()
-            .position(|r| r == role)
-            .expect("validated at construction")
+        self.symbols.names()
     }
 }
 
@@ -252,89 +250,6 @@ impl Report {
         }
         bounds
     }
-}
-
-/// Converts an index to a record word once, when the machines are
-/// compiled; the exploration then never narrows.
-fn word(index: usize, what: &str) -> u32 {
-    u32::try_from(index)
-        .unwrap_or_else(|_| panic!("k-MC: {what} {index} does not fit a 32-bit record word"))
-}
-
-/// One machine transition with peer, label, target and queue pre-resolved
-/// to indices and record words, so the exploration loop never hashes a
-/// name or searches the role list.
-#[derive(Clone, Copy)]
-struct CompiledAction {
-    direction: Direction,
-    /// Index of the peer machine.
-    peer: usize,
-    label: u32,
-    target: u32,
-    /// The queue of the record this action appends to (send) or takes the
-    /// head of (receive). `None` for a receive from a peer that never
-    /// sends to this machine: that channel has no queue.
-    queue: Option<usize>,
-}
-
-/// The machines of a [`System`], compiled for exploration.
-struct Compiled {
-    /// `actions[machine][state]`: the transitions of that state, in the
-    /// FSM's order.
-    actions: Vec<Vec<Vec<CompiledAction>>>,
-    /// The channel (`from * n + to`) behind each queue of a record: the
-    /// channels some machine sends on, ascending.
-    channels: Vec<usize>,
-}
-
-fn compile(system: &System) -> Compiled {
-    let n = system.machines.len();
-    let mut sent_on = vec![false; n * n];
-    let mut actions: Vec<Vec<Vec<CompiledAction>>> = system
-        .machines
-        .iter()
-        .enumerate()
-        .map(|(index, machine)| {
-            machine
-                .states()
-                .map(|state| {
-                    machine
-                        .transitions(state)
-                        .iter()
-                        .map(|(action, target)| {
-                            let peer = system.role_index(&action.peer);
-                            if action.direction == Direction::Send {
-                                sent_on[index * n + peer] = true;
-                            }
-                            let label = system
-                                .labels
-                                .iter()
-                                .position(|l| *l == action.label)
-                                .expect("interned at construction");
-                            CompiledAction {
-                                direction: action.direction,
-                                peer,
-                                label: word(label, "label id"),
-                                target: word(target.0, "state index"),
-                                queue: None,
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let channels: Vec<usize> = (0..n * n).filter(|&channel| sent_on[channel]).collect();
-    for (index, states) in actions.iter_mut().enumerate() {
-        for action in states.iter_mut().flatten() {
-            let channel = match action.direction {
-                Direction::Send => index * n + action.peer,
-                Direction::Receive => action.peer * n + index,
-            };
-            action.queue = channels.binary_search(&channel).ok();
-        }
-    }
-    Compiled { actions, channels }
 }
 
 /// Marks a free slot of [`Explored::ids`]; never a record id.
@@ -447,20 +362,40 @@ fn materialise(record: &[u32], machine_count: usize, channels: &[usize]) -> Conf
     }
 }
 
+/// Marks a channel no machine sends on in the `from * n + to → queue`
+/// table of [`check`]: it has no queue and stays empty forever.
+const NO_QUEUE: u32 = u32::MAX;
+
 /// Runs the k-MC check with channel bound `k` (`k ≥ 1`).
 pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // Queue lengths are record words. No queue can hold 2^32 messages, so
     // clamping a larger bound changes no verdict.
     let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
-    let machine_count = system.machines.len();
-    let Compiled { actions, channels } = compile(system);
+    let machines = &system.compact;
+    let machine_count = machines.len();
+    // `queues` maps a channel (`from * n + to`) to its queue in a record
+    // and `channels` a queue back to its channel: only the channels some
+    // machine sends on get a queue, in ascending order.
+    let mut queues = vec![NO_QUEUE; machine_count * machine_count];
+    for (index, machine) in machines.iter().enumerate() {
+        for (action, _) in machine.rows() {
+            if action.direction == Direction::Send {
+                queues[index * machine_count + action.peer as usize] = 0;
+            }
+        }
+    }
+    let channels: Vec<usize> = (0..queues.len())
+        .filter(|&channel| queues[channel] != NO_QUEUE)
+        .collect();
+    for (queue, &channel) in channels.iter().enumerate() {
+        queues[channel] = queue as u32;
+    }
     // Words before the first queued label: the states, then the lengths.
     let fixed = machine_count + channels.len();
 
-    let mut scratch: Vec<u32> = system
-        .machines
+    let mut scratch: Vec<u32> = machines
         .iter()
-        .map(|machine| word(machine.initial().0, "state index"))
+        .map(|machine| machine.initial().0 as u32)
         .collect();
     scratch.resize(fixed, 0);
     let mut explored = Explored::new();
@@ -475,6 +410,8 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // each queue's oldest label sits.
     let mut current: Vec<u32> = Vec::new();
     let mut heads = vec![0usize; channels.len()];
+    // Each machine's row in the configuration being expanded.
+    let mut rows = Vec::with_capacity(machine_count);
 
     let mut cursor = 0;
     while cursor < explored.len() {
@@ -487,18 +424,28 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
             *head = next_head;
             next_head += len as usize;
         }
-        let terminal = |index: usize| actions[index][states[index] as usize].is_empty();
+        rows.clear();
+        rows.extend(
+            (machines.iter().zip(states))
+                .map(|(machine, &state)| machine.transitions(StateIndex(state as usize))),
+        );
+        // The queue a receive of machine `index` from `peer` takes the
+        // head of, if anybody sends on that channel.
+        let inbound = |index: usize, peer: u32| {
+            let queue = queues[peer as usize * machine_count + index];
+            (queue != NO_QUEUE).then_some(queue as usize)
+        };
         let config = || materialise(&current, machine_count, &channels);
 
         let mut enabled_any = false;
-        for (index, machine) in actions.iter().enumerate() {
-            for action in &machine[states[index] as usize] {
-                // A channel without a queue is empty forever.
-                let Some(queue) = action.queue else { continue };
-                let len = lens[queue];
+        for (index, row) in rows.iter().enumerate() {
+            for (action, target) in *row {
                 scratch.clear();
                 match action.direction {
                     Direction::Send => {
+                        // A machine's own sends always have a queue.
+                        let queue = queues[index * machine_count + action.peer as usize] as usize;
+                        let len = lens[queue];
                         if len >= k {
                             exhaustive = false;
                             continue;
@@ -512,7 +459,11 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
                         *depth = (*depth).max(len as usize + 1);
                     }
                     Direction::Receive => {
-                        let head = heads[queue];
+                        // A channel without a queue is empty forever.
+                        let Some(queue) = inbound(index, action.peer) else {
+                            continue;
+                        };
+                        let (head, len) = (heads[queue], lens[queue]);
                         if len == 0 || current[head] != action.label {
                             continue;
                         }
@@ -521,7 +472,7 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
                         scratch[machine_count + queue] = len - 1;
                     }
                 }
-                scratch[index] = action.target;
+                scratch[index] = *target;
                 enabled_any = true;
                 transitions += 1;
                 explored.insert(&scratch);
@@ -530,25 +481,25 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
 
         // Reception errors: a machine committed to receiving whose
         // matching channel head is unexpected.
-        for (index, machine) in actions.iter().enumerate() {
-            let all = &machine[states[index] as usize];
-            if all.is_empty() || all.iter().any(|a| a.direction != Direction::Receive) {
+        for (index, &all) in rows.iter().enumerate() {
+            if all.is_empty() || all.iter().any(|(a, _)| a.direction != Direction::Receive) {
                 // Not a receive-committed state (sends can still progress).
                 continue;
             }
-            for action in all {
-                let Some(queue) = action.queue.filter(|&queue| lens[queue] > 0) else {
+            for (action, _) in all {
+                let Some(queue) = inbound(index, action.peer).filter(|&queue| lens[queue] > 0)
+                else {
                     continue;
                 };
                 let found = current[heads[queue]];
                 let expected = all
                     .iter()
-                    .any(|a| a.peer == action.peer && a.label == found);
+                    .any(|(a, _)| a.peer == action.peer && a.label == found);
                 if !expected {
                     return Err(Violation::ReceptionError {
-                        role: system.roles[index].clone(),
-                        peer: system.roles[action.peer].clone(),
-                        found: system.labels[found as usize].clone(),
+                        role: system.roles()[index].clone(),
+                        peer: system.symbols.name(action.peer).clone(),
+                        found: system.symbols.name(found).clone(),
                         config: config(),
                     });
                 }
@@ -557,6 +508,7 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
 
         // Orphans: a terminated machine receives nothing, so whatever is
         // queued towards it stays queued in every successor.
+        let terminal = |index: usize| rows[index].is_empty();
         let orphaned = channels
             .iter()
             .zip(lens)
@@ -747,5 +699,46 @@ mod tests {
     fn unknown_peer_rejected() {
         let result = system_from_locals(&[("a", "z!x.end")]);
         assert!(result.is_err());
+    }
+
+    /// Roles and labels share one name table: a label spelled like a role
+    /// is that role's id, and still reads back as its name.
+    #[test]
+    fn roles_and_labels_share_one_name_table() {
+        let safe = system_from_locals(&[("a", "b!b.end"), ("b", "a?b.end")]).unwrap();
+        assert_eq!(safe.labels()[..2], safe.roles()[..]);
+        assert!(check(&safe, 1).unwrap().exhaustive);
+
+        let stranded = system_from_locals(&[("a", "b!b.end"), ("b", "end")]).unwrap();
+        let Err(Violation::OrphanMessages(config)) = check(&stranded, 1) else {
+            panic!("stranded message not reported");
+        };
+        let queued = config.channels[1][0];
+        assert_eq!(queued, LabelId(1));
+        assert_eq!(stranded.labels()[queued.0 as usize].as_str(), "b");
+
+        let unexpected = system_from_locals(&[("a", "b!a.end"), ("b", "a?b.end")]).unwrap();
+        let Err(Violation::ReceptionError {
+            role, peer, found, ..
+        }) = check(&unexpected, 1)
+        else {
+            panic!("reception error not reported");
+        };
+        assert_eq!(
+            [role.as_str(), peer.as_str(), found.as_str()],
+            ["b", "a", "a"]
+        );
+
+        let error = |specs| system_from_locals(specs).err().map(|e| e.to_string());
+        assert_eq!(
+            error(&[("a", "b!x.end"), ("b", "a?x.end"), ("a", "end")]).as_deref(),
+            Some("duplicate role a")
+        );
+        // `x` is a label before it is a peer: it has an id, but not a
+        // role's.
+        assert_eq!(
+            error(&[("a", "b!x.end"), ("b", "a?x.x!y.end")]).as_deref(),
+            Some("machine b references unknown peer x")
+        );
     }
 }

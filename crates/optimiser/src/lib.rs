@@ -20,7 +20,9 @@
 //!    machine [`Terms::machine`](term::Terms::machine) builds from its
 //!    arena id, against the projection's, through one reused
 //!    `subtyping::SubtypeVisitor`; only a verified candidate becomes a
-//!    [`LocalType`] and an [`Fsm`];
+//!    [`LocalType`], and its [`Fsm`] is the machine just checked,
+//!    resolved through the arena's one
+//!    [`Symbols`](theory::fsm::Symbols);
 //! 3. **score** — rank the verified candidates by *estimated nanoseconds
 //!    saved* under the [`cost`] price list (each crossed receive weighted
 //!    by its payload's wire size, minus the occupancy of hoisting the
@@ -280,11 +282,12 @@ pub fn optimise(
     projection: &LocalType,
     config: &Config,
 ) -> Result<Optimised, FsmError> {
-    let projection_fsm = fsm::from_local(role, projection)?;
-
-    // ---- generate: breadth-first closure under the rewrites ----------
     let mut terms = Terms::default();
     let root = terms.intern_local(projection);
+    let mut projection_machine = CompactFsm::default();
+    terms.machine(root, &mut projection_machine)?;
+
+    // ---- generate: breadth-first closure under the rewrites ----------
     let mut seen: HashSet<TermId, BuildWordHasher> = HashSet::default();
     seen.insert(root);
     let mut generated: Vec<Generated> = Vec::new();
@@ -330,8 +333,6 @@ pub fn optimise(
     // ---- verify: every candidate against the projection --------------
     // As compact machines of the arena, through one visitor; only a
     // verified candidate becomes a `LocalType` and an `Fsm`.
-    let mut projection_machine = CompactFsm::default();
-    terms.machine(root, &mut projection_machine)?;
     let mut machine = CompactFsm::default();
     let mut visitor = SubtypeVisitor::new(config.bound);
     let mut candidates = Vec::new();
@@ -348,7 +349,7 @@ pub fn optimise(
         let local = terms.to_local(entry.term);
         let derivation = derivation(&generated, index);
         candidates.push(Candidate {
-            fsm: fsm::from_local(role, &local).expect("its compact machine was built"),
+            fsm: terms.symbols().resolve(role, &machine),
             local,
             score: derivation.iter().map(Step::score).sum(),
             estimated_saving_ns: cost::saving_ns(&derivation),
@@ -372,7 +373,7 @@ pub fn optimise(
     Ok(Optimised {
         role: role.clone(),
         projection: projection.clone(),
-        projection_fsm,
+        projection_fsm: terms.symbols().resolve(role, &projection_machine),
         generated: generated.len(),
         pruned,
         candidates,

@@ -2,16 +2,17 @@
 //!
 //! [`Terms`] stores each distinct subterm once, as a `Node` whose
 //! children are [`TermId`]s, and interns every new node through one map
-//! from node to id. Peers, labels and recursion variables are interned as
-//! `Sym`s and payload sorts as `SortId`s (the built-in sorts at the codes
-//! [`Sort::BUILTIN`] fixes), so a node is a few words and hashing one
-//! touches no string.
+//! from node to id. Peers, labels and recursion variables are `Sym`s and
+//! payload sorts `SortId`s, ids of the arena's one [`Symbols`] (the
+//! built-in sorts at the codes [`Sort::BUILTIN`] fixes), so a node is a
+//! few words and hashing one touches no string.
 //!
 //! **Machines.** [`Terms::machine`] builds a term's
-//! [`CompactFsm`] straight from the arena, with those symbols and sort
-//! codes as its action ids: the machine `fsm::from_local` would build from
-//! the term's tree, state for state, with no tree built and no name
-//! cloned. Two machines of one arena are comparable action for action.
+//! [`CompactFsm`] straight from the arena, with those ids as its action
+//! ids: the machine `fsm::from_local` would build from the term's tree,
+//! state for state, with no tree built and no name cloned. Two machines of
+//! one arena are comparable action for action, and
+//! [`Terms::symbols`] resolves one back into that [`Fsm`](theory::Fsm).
 //!
 //! **Identity.** Equal subterms share one id, so two ids are equal
 //! exactly when their terms are structurally equal ([`LocalType`]'s
@@ -44,7 +45,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use theory::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex};
+use theory::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex, Symbols};
 use theory::hash::BuildWordHasher;
 use theory::local::{LocalBranch, LocalType};
 use theory::name::Name;
@@ -55,11 +56,12 @@ use theory::sort::Sort;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TermId(u32);
 
-/// An interned peer, label or recursion variable.
+/// An interned peer, label or recursion variable: a name id of the
+/// arena's [`Symbols`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Sym(u32);
 
-/// An interned payload sort.
+/// An interned payload sort: a sort id of the arena's [`Symbols`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct SortId(u32);
 
@@ -89,25 +91,11 @@ pub(crate) enum Node {
 }
 
 /// A hash-consed store of local-type terms; see the [module docs](self).
+#[derive(Default)]
 pub struct Terms {
     nodes: Vec<Node>,
     ids: HashMap<Node, TermId, BuildWordHasher>,
-    names: Vec<Name>,
-    syms: HashMap<Name, Sym>,
-    /// Indexed by `SortId`: the built-in sorts first, so ids are codes.
-    sorts: Vec<Sort>,
-}
-
-impl Default for Terms {
-    fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            ids: HashMap::default(),
-            names: Vec::new(),
-            syms: HashMap::new(),
-            sorts: Sort::BUILTIN.to_vec(),
-        }
-    }
+    symbols: Symbols,
 }
 
 impl Terms {
@@ -133,39 +121,30 @@ impl Terms {
         self.nodes.len()
     }
 
+    /// The interner behind every `Sym` and `SortId` of the arena, and so
+    /// behind the action ids of its machines.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
     /// The symbol of `name`, adding it if new.
     pub(crate) fn sym(&mut self, name: &Name) -> Sym {
-        if let Some(&sym) = self.syms.get(name) {
-            return sym;
-        }
-        let sym = Sym(self.names.len() as u32);
-        self.names.push(name.clone());
-        self.syms.insert(name.clone(), sym);
-        sym
+        Sym(self.symbols.name_id(name))
     }
 
     /// The name behind `sym`.
     pub(crate) fn name(&self, sym: Sym) -> &Name {
-        &self.names[sym.0 as usize]
+        self.symbols.name(sym.0)
     }
 
-    /// The id of `sort`, adding it if new. A protocol uses a handful of
-    /// sorts, so a scan beats a map.
+    /// The id of `sort`, adding it if new.
     pub(crate) fn sort_id(&mut self, sort: &Sort) -> SortId {
-        let index = self
-            .sorts
-            .iter()
-            .position(|s| s == sort)
-            .unwrap_or_else(|| {
-                self.sorts.push(sort.clone());
-                self.sorts.len() - 1
-            });
-        SortId(index as u32)
+        SortId(self.symbols.sort_id(sort))
     }
 
     /// The sort behind `id`.
     pub(crate) fn sort(&self, id: SortId) -> &Sort {
-        &self.sorts[id.0 as usize]
+        self.symbols.sort(id.0)
     }
 
     /// The single-branch choice `peer!label(sort).continuation` (`send`)
@@ -272,8 +251,8 @@ impl Terms {
 
     /// Rebuilds `machine` as the compact machine of `id`: state for state
     /// and row for row the machine `fsm::from_local` builds from
-    /// [`to_local`](Self::to_local) of `id`, with this arena's symbols and
-    /// sort codes as action ids. Fails where that conversion fails, with
+    /// [`to_local`](Self::to_local) of `id`, numbered by
+    /// [`symbols`](Self::symbols). Fails where that conversion fails, with
     /// the same error: on an unbound variable or unguarded recursion.
     pub fn machine(&self, id: TermId, machine: &mut CompactFsm) -> Result<(), FsmError> {
         machine.clear();
@@ -380,45 +359,25 @@ impl MachineBuild<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use theory::fsm::{self, Action, StateIndex};
+    use theory::fsm;
     use theory::local::parse;
 
     fn intern(terms: &mut Terms, text: &str) -> TermId {
         terms.intern_local(&parse(text).unwrap())
     }
 
-    /// The action `action`'s ids stand for.
-    fn resolve(terms: &Terms, action: CompactAction) -> Action {
-        Action {
-            direction: action.direction,
-            peer: terms.name(Sym(action.peer)).clone(),
-            label: terms.name(Sym(action.label)).clone(),
-            sort: terms.sort(SortId(action.sort)).clone(),
-        }
-    }
-
     /// `local`'s compact machine against `fsm::from_local` of the
-    /// materialised term: the same states in the same order with the same
-    /// rows once ids are resolved, or the same error.
+    /// materialised term: resolved, the same machine — the same states in
+    /// the same order with the same rows — or the same error.
     fn converts_as_from_local(local: &LocalType) -> Result<(), FsmError> {
         let mut terms = Terms::default();
         let id = terms.intern_local(local);
-        let expected = fsm::from_local(&"r".into(), &terms.to_local(id));
+        let role = "r".into();
+        let expected = fsm::from_local(&role, &terms.to_local(id));
         let mut machine = CompactFsm::default();
         match (terms.machine(id, &mut machine), expected) {
             (Ok(()), Ok(fsm)) => {
-                assert_eq!(machine.len(), fsm.len(), "states of `{local}`");
-                assert_eq!(machine.initial(), fsm.initial(), "initial of `{local}`");
-                for state in fsm.states() {
-                    let rows: Vec<(Action, StateIndex)> = machine
-                        .transitions(state)
-                        .iter()
-                        .map(|&(action, target)| {
-                            (resolve(&terms, action), StateIndex(target as usize))
-                        })
-                        .collect();
-                    assert_eq!(rows, fsm.transitions(state), "{state} of `{local}`");
-                }
+                assert_eq!(terms.symbols().resolve(&role, &machine), fsm, "`{local}`");
                 Ok(())
             }
             (Err(ours), Err(theirs)) => {

@@ -9,11 +9,14 @@
 //!   with a map of the state pairs on the current derivation path
 //!   standing for the assumption map `Σ` and a per-state-pair visit bound
 //!   standing for the recursion bounds `n`; a check's memory follows its
-//!   path depth, not the product of the machines,
-//! * [`machine`] — the two traits the visitor and the prefixes are
-//!   written against, implemented by [`Fsm`] (the entry points below)
-//!   and by [`CompactFsm`](theory::fsm::CompactFsm) (the AMR optimiser's
-//!   interned candidates).
+//!   path depth, not the product of the machines.
+//!
+//! Both walk the interned machine form,
+//! [`CompactFsm`](theory::fsm::CompactFsm): an action is four integers,
+//! so matching two never reads a string. The entry points below take
+//! [`Fsm`]s and intern both sides through one [`Symbols`] per call; the
+//! AMR optimiser hands the visitor the compact machines of its term
+//! arena directly.
 //!
 //! The algorithm is **sound** (a `true` answer implies the precise
 //! asynchronous subtyping `T ≤ T′` of Ghilezan et al.) and **terminating**,
@@ -36,11 +39,10 @@
 //! assert!(!is_subtype_local(&projected, &optimised, 4).unwrap());
 //! ```
 
-pub mod machine;
 pub mod prefix;
 pub mod visitor;
 
-use theory::fsm::{self, Fsm, FsmError};
+use theory::fsm::{self, Fsm, FsmError, Symbols};
 use theory::local::LocalType;
 use theory::name::Name;
 
@@ -52,7 +54,7 @@ pub use visitor::SubtypeVisitor;
 /// single derivation path (the recursion-unrolling bound `n` of the paper);
 /// larger bounds verify deeper reorderings at higher cost.
 pub fn is_subtype(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
-    SubtypeVisitor::new(bound).check(sub, sup).verdict
+    check_with_stats(sub, sup, bound).verdict
 }
 
 /// Convenience wrapper converting local types to FSMs first.
@@ -81,7 +83,9 @@ theory::json_record! {
 /// Instrumented variant of [`is_subtype`]: same verdict, plus search
 /// statistics.
 pub fn check_with_stats(sub: &Fsm, sup: &Fsm, bound: usize) -> CheckStats {
-    SubtypeVisitor::new(bound).check(sub, sup)
+    let mut symbols = Symbols::default();
+    let (sub, sup) = (symbols.intern(sub), symbols.intern(sup));
+    SubtypeVisitor::new(bound).check(&sub, &sup)
 }
 
 /// Instrumented variant of [`is_subtype_local`]: converts both types with
@@ -101,9 +105,9 @@ pub fn check_with_stats_local(
 /// Bulk candidate checking: verifies many candidate subtypes against one
 /// supertype, returning per-candidate statistics in input order.
 ///
-/// This is the `subtype` CLI's bulk form — one supertype, many
-/// candidates, all through one visitor. Checks are independent; a
-/// candidate failing (or even being degenerate) never affects its
+/// This is the `subtype` CLI's bulk form — one supertype, interned once,
+/// and many candidates, all through one visitor. Checks are independent;
+/// a candidate failing (or even being degenerate) never affects its
 /// siblings. (The AMR optimiser runs the same loop on the compact
 /// machines of its term arena instead.)
 pub fn check_candidates<'a>(
@@ -111,10 +115,12 @@ pub fn check_candidates<'a>(
     sup: &Fsm,
     bound: usize,
 ) -> Vec<CheckStats> {
+    let mut symbols = Symbols::default();
+    let sup = symbols.intern(sup);
     let mut visitor = SubtypeVisitor::new(bound);
     candidates
         .into_iter()
-        .map(|sub| visitor.check(sub, sup))
+        .map(|sub| visitor.check(&symbols.intern(sub), &sup))
         .collect()
 }
 

@@ -7,14 +7,13 @@
 //! them removed (when a reduction consumes an element in the middle — the
 //! `[)A]`/`[)B]` cases). [`Snapshot`]s record `(len, start, removed.len())`
 //! so the depth-first visitor can revert cheaply without copying. A
-//! prefix holds whatever [`Act`] the machines being compared carry — a
-//! borrowed [`Action`](theory::fsm::Action), or an interned
-//! [`CompactAction`](theory::fsm::CompactAction) — so pushing and
-//! reverting never touch a reference count; comparisons are by value.
+//! prefix holds [`CompactAction`]s, four integers each, so pushing and
+//! reverting never touch a reference count and comparing two actions
+//! never reads a string; both prefixes of a check must be numbered by one
+//! [`Symbols`](theory::fsm::Symbols).
 
-use theory::fsm::Direction;
-
-use crate::machine::Act;
+use theory::fsm::{CompactAction, Direction};
+use theory::sort::Sort;
 
 /// A recorded point in a prefix's history; see [`Prefix::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,34 +28,19 @@ pub struct Snapshot {
 
 /// A prefix `π`: the sequence of actions the algorithm has traversed but
 /// not yet matched between subtype and supertype.
-#[derive(Clone, Debug)]
-pub struct Prefix<A> {
+#[derive(Clone, Debug, Default)]
+pub struct Prefix {
     /// `(removed, transition)` pairs; `removed` marks lazy deletion.
-    transitions: Vec<(bool, A)>,
+    transitions: Vec<(bool, CompactAction)>,
     /// Elements before `start` are consumed (a cheap bulk form of removal).
     start: usize,
     /// Log of indices removed by flagging, in removal order, for revert.
     removed: Vec<usize>,
 }
 
-impl<A> Default for Prefix<A> {
-    fn default() -> Self {
-        Self {
-            transitions: Vec::new(),
-            start: 0,
-            removed: Vec::new(),
-        }
-    }
-}
-
-impl<A: Act> Prefix<A> {
-    /// Creates an empty prefix.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Prefix {
     /// Appends an action to the prefix.
-    pub fn push(&mut self, action: A) {
+    pub fn push(&mut self, action: CompactAction) {
         self.transitions.push((false, action));
     }
 
@@ -71,7 +55,7 @@ impl<A: Act> Prefix<A> {
     }
 
     /// Iterates over `(index, action)` for live elements, in order.
-    pub fn live(&self) -> impl Iterator<Item = (usize, A)> + '_ {
+    pub fn live(&self) -> impl Iterator<Item = (usize, CompactAction)> + '_ {
         self.transitions
             .iter()
             .enumerate()
@@ -161,14 +145,14 @@ pub enum Reduction {
 ///   from participants other than `p`,
 /// * `[)B]`: a head output `p!ℓ` matches across a context `B(p)` of inputs
 ///   (any) and outputs to participants other than `p`.
-pub fn reduce_step<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> Reduction {
+pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
     let Some((head_index, head)) = sub.live().next() else {
         return Reduction::Blocked;
     };
-    let direction = head.direction();
+    let direction = head.direction;
     let mut matched: Option<usize> = None;
     for (index, action) in sup.live() {
-        if action.direction() == direction && action.same_peer(head) && action.same_label(head) {
+        if action.direction == direction && action.peer == head.peer && action.label == head.label {
             if sorts_compatible(head, action) {
                 matched = Some(index);
                 break;
@@ -180,10 +164,10 @@ pub fn reduce_step<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> Reductio
         let context_ok = match direction {
             // A(p): inputs from participants other than p.
             Direction::Receive => {
-                action.direction() == Direction::Receive && !action.same_peer(head)
+                action.direction == Direction::Receive && action.peer != head.peer
             }
             // B(p): any inputs, and outputs to participants other than p.
-            Direction::Send => action.direction() == Direction::Receive || !action.same_peer(head),
+            Direction::Send => action.direction == Direction::Receive || action.peer != head.peer,
         };
         if !context_ok {
             return Reduction::DeadEnd;
@@ -200,7 +184,7 @@ pub fn reduce_step<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> Reductio
 }
 
 /// Exhaustively reduces the pair; returns `false` on a dead end.
-pub fn reduce<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> bool {
+pub fn reduce(sub: &mut Prefix, sup: &mut Prefix) -> bool {
     loop {
         match reduce_step(sub, sup) {
             Reduction::Progress => continue,
@@ -213,16 +197,16 @@ pub fn reduce<A: Act>(sub: &mut Prefix<A>, sup: &mut Prefix<A>) -> bool {
 /// Payload compatibility for matched actions: receives are contravariant
 /// (`[ref-in]`: the supertype's sort must be a subsort of the subtype's),
 /// sends covariant (`[ref-out]`).
-fn sorts_compatible<A: Act>(sub: A, sup: A) -> bool {
-    match sub.direction() {
-        Direction::Receive => sup.subsort_of(sub),
-        Direction::Send => sub.subsort_of(sup),
+fn sorts_compatible(sub: CompactAction, sup: CompactAction) -> bool {
+    match sub.direction {
+        Direction::Receive => Sort::is_subsort_code(sup.sort, sub.sort),
+        Direction::Send => Sort::is_subsort_code(sub.sort, sup.sort),
     }
 }
 
 /// Convenience constructor used by tests: builds a prefix from actions.
-pub fn prefix_of<A: Act>(actions: impl IntoIterator<Item = A>) -> Prefix<A> {
-    let mut prefix = Prefix::new();
+pub fn prefix_of(actions: impl IntoIterator<Item = CompactAction>) -> Prefix {
+    let mut prefix = Prefix::default();
     for action in actions {
         prefix.push(action);
     }
@@ -232,8 +216,7 @@ pub fn prefix_of<A: Act>(actions: impl IntoIterator<Item = A>) -> Prefix<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::Action;
-    use theory::sort::Sort;
+    use theory::fsm::{Action, Symbols};
 
     fn send(peer: &str, label: &str) -> Action {
         Action::send(peer, label, Sort::Unit)
@@ -243,15 +226,22 @@ mod tests {
         Action::receive(peer, label, Sort::Unit)
     }
 
+    /// The prefixes of `sub` and `sup`, interned through one `Symbols`.
+    fn prefixes(sub: &[Action], sup: &[Action]) -> (Prefix, Prefix) {
+        let mut symbols = Symbols::default();
+        let mut prefix =
+            |actions: &[Action]| prefix_of(actions.iter().map(|a| symbols.intern_action(a)));
+        (prefix(sub), prefix(sup))
+    }
+
     /// Example 4 of the paper: `⟨p!ℓ2.p?ℓ1 ⌈⌋ p?ℓ1.p!ℓ2⟩` reduces via
     /// `[)B]` with `B(p) = p?ℓ1`, then `[)i]`.
     #[test]
     fn example4_safe_reordering_reduces() {
-        let (sub, sup) = (
-            [send("p", "l2"), recv("p", "l1")],
-            [recv("p", "l1"), send("p", "l2")],
+        let (mut sub, mut sup) = prefixes(
+            &[send("p", "l2"), recv("p", "l1")],
+            &[recv("p", "l1"), send("p", "l2")],
         );
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert!(reduce(&mut sub, &mut sup));
         assert!(sub.is_empty());
         assert!(sup.is_empty());
@@ -261,37 +251,33 @@ mod tests {
     /// the head input cannot cross it — fail-early fires.
     #[test]
     fn example4_unsafe_reordering_dead_ends() {
-        let (sub, sup) = (
-            [recv("q", "l2"), send("q", "l1")],
-            [send("q", "l1"), recv("q", "l2")],
+        let (mut sub, mut sup) = prefixes(
+            &[recv("q", "l2"), send("q", "l1")],
+            &[send("q", "l1"), recv("q", "l2")],
         );
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 
     #[test]
     fn identical_heads_erase() {
-        let sub = [recv("p", "a"), send("q", "b")];
-        let sup = sub.clone();
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
+        let actions = [recv("p", "a"), send("q", "b")];
+        let (mut sub, mut sup) = prefixes(&actions, &actions);
         assert!(reduce(&mut sub, &mut sup));
         assert!(sub.is_empty() && sup.is_empty());
     }
 
     #[test]
     fn input_cannot_cross_same_peer_input() {
-        let (sub, sup) = ([recv("p", "a")], [recv("p", "b"), recv("p", "a")]);
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
+        let (mut sub, mut sup) = prefixes(&[recv("p", "a")], &[recv("p", "b"), recv("p", "a")]);
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 
     #[test]
     fn output_can_cross_inputs_and_foreign_outputs() {
-        let (sub, sup) = (
-            [send("p", "a")],
-            [recv("p", "x"), send("q", "y"), send("p", "a")],
+        let (mut sub, mut sup) = prefixes(
+            &[send("p", "a")],
+            &[recv("p", "x"), send("q", "y"), send("p", "a")],
         );
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Progress);
         // The B(p) context stays behind.
         assert_eq!(sup.len(), 2);
@@ -300,27 +286,34 @@ mod tests {
 
     #[test]
     fn blocked_when_no_match_yet() {
-        let (sub, sup) = ([send("p", "a")], [recv("q", "x")]);
-        let (mut sub, mut sup) = (prefix_of(&sub), prefix_of(&sup));
+        let (mut sub, mut sup) = prefixes(&[send("p", "a")], &[recv("q", "x")]);
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Blocked);
     }
 
     #[test]
     fn snapshot_revert_restores_midlist_removals() {
-        let actions = [recv("a", "1"), recv("b", "2"), recv("c", "3")];
-        let pushed = recv("d", "4");
-        let mut prefix = prefix_of(&actions);
+        let mut symbols = Symbols::default();
+        let actions: Vec<CompactAction> = [
+            recv("a", "1"),
+            recv("b", "2"),
+            recv("c", "3"),
+            recv("d", "4"),
+        ]
+        .iter()
+        .map(|action| symbols.intern_action(action))
+        .collect();
+        let mut prefix = prefix_of(actions[..3].iter().copied());
         let snapshot = prefix.snapshot();
         prefix.remove(1); // mid-list: flagged
         prefix.remove(0); // head: start advances past flagged idx 1
         assert_eq!(prefix.len(), 1);
-        prefix.push(&pushed);
+        prefix.push(actions[3]);
         prefix.revert(snapshot);
         assert_eq!(prefix.len(), 3);
         assert_eq!(
             prefix
                 .live()
-                .map(|(_, a)| a.label.as_str())
+                .map(|(_, a)| symbols.name(a.label).as_str())
                 .collect::<Vec<_>>(),
             vec!["1", "2", "3"]
         );
@@ -329,12 +322,14 @@ mod tests {
     #[test]
     fn matches_snapshot_on_periodic_consumption() {
         // Simulate one loop iteration that consumes exactly what it adds.
-        // Two equal actions at different addresses: comparison is by value.
-        let (first, second) = (recv("p", "l"), recv("p", "l"));
-        let mut prefix = Prefix::new();
-        prefix.push(&first);
+        // An action interned twice gets the same ids: comparison is by value.
+        let mut symbols = Symbols::default();
+        let first = symbols.intern_action(&recv("p", "l"));
+        let second = symbols.intern_action(&recv("p", "l"));
+        let mut prefix = Prefix::default();
+        prefix.push(first);
         let before = prefix.snapshot();
-        prefix.push(&second);
+        prefix.push(second);
         prefix.remove(0);
         assert!(prefix.matches_snapshot(before));
     }
@@ -343,11 +338,13 @@ mod tests {
     fn hanging_action_fails_snapshot_match() {
         // A q?l' that is never consumed makes the live range longer than
         // the recorded one.
-        let (hanging, looped) = (recv("q", "lp"), recv("p", "l"));
-        let mut prefix = Prefix::new();
-        prefix.push(&hanging);
+        let mut symbols = Symbols::default();
+        let hanging = symbols.intern_action(&recv("q", "lp"));
+        let looped = symbols.intern_action(&recv("p", "l"));
+        let mut prefix = Prefix::default();
+        prefix.push(hanging);
         let before = prefix.snapshot();
-        prefix.push(&looped);
+        prefix.push(looped);
         assert!(!prefix.matches_snapshot(before));
     }
 
@@ -355,10 +352,10 @@ mod tests {
     fn sort_contravariance_in_reduction() {
         let wide = [Action::receive("p", "l", Sort::I64)];
         let narrow = [Action::receive("p", "l", Sort::U32)];
-        let (mut sub, mut sup) = (prefix_of(&wide), prefix_of(&narrow));
+        let (mut sub, mut sup) = prefixes(&wide, &narrow);
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::Progress);
 
-        let (mut sub, mut sup) = (prefix_of(&narrow), prefix_of(&wide));
+        let (mut sub, mut sup) = prefixes(&narrow, &wide);
         assert_eq!(reduce_step(&mut sub, &mut sup), Reduction::DeadEnd);
     }
 }

@@ -13,16 +13,16 @@
 //!
 //! A check leaves the path map and both prefixes empty, so one visitor
 //! checks any number of pairs and keeps their buffers: the AMR optimiser
-//! runs every candidate through one. The visitor is generic over the
-//! [`Machine`] it walks — `&Fsm` or `&CompactFsm` — and the rules below
-//! are the only copy of Fig 5 for both.
+//! runs every candidate through one. The visitor walks [`CompactFsm`]s,
+//! whose actions are compared as integers; the entry points of the crate
+//! intern their [`Fsm`](theory::fsm::Fsm)s first, through one
+//! [`Symbols`](theory::fsm::Symbols) per call.
 
 use std::collections::HashMap;
 
-use theory::fsm::Direction;
+use theory::fsm::{CompactFsm, Direction, StateIndex};
 use theory::hash::BuildWordHasher;
 
-use crate::machine::{Act, Machine};
 use crate::prefix::{reduce, Prefix, Snapshot};
 use crate::CheckStats;
 
@@ -37,24 +37,24 @@ struct Previous {
 /// `Σ` keyed by `(sub_state, sup_state)`, hashed a word at a time.
 type PathMap = HashMap<(usize, usize), Previous, BuildWordHasher>;
 
-/// Checks `sub ≤ sup` by depth-first search over machines whose actions
-/// are `A`; see [`crate::is_subtype`].
-pub struct SubtypeVisitor<A> {
+/// Checks `sub ≤ sup` by depth-first search over two machines numbered by
+/// one [`Symbols`](theory::fsm::Symbols); see [`crate::is_subtype`].
+pub struct SubtypeVisitor {
     bound: usize,
     /// `Σ`: one entry per state pair on the current derivation path.
     path: PathMap,
-    prefixes: [Prefix<A>; 2],
+    prefixes: [Prefix; 2],
     fail_early: bool,
     visited: usize,
 }
 
-impl<A: Act> SubtypeVisitor<A> {
+impl SubtypeVisitor {
     /// Prepares a visitor with `bound` visits allowed per state pair.
     pub fn new(bound: usize) -> Self {
         Self {
             bound,
             path: PathMap::default(),
-            prefixes: [Prefix::new(), Prefix::new()],
+            prefixes: Default::default(),
             fail_early: true,
             visited: 0,
         }
@@ -73,9 +73,9 @@ impl<A: Act> SubtypeVisitor<A> {
     /// (`[init]`) and reports the verdict and how many state-pair visits
     /// the search performed — the work metric surfaced by
     /// `subtype --json` and the optimiser report.
-    pub fn check<M: Machine<Action = A>>(&mut self, sub: M, sup: M) -> CheckStats {
+    pub fn check(&mut self, sub: &CompactFsm, sup: &CompactFsm) -> CheckStats {
         self.visited = 0;
-        let verdict = self.visit((sub, sup), sub.initial(), sup.initial());
+        let verdict = self.visit((sub, sup), sub.initial().0, sup.initial().0);
         debug_assert!(self.path.is_empty(), "a check leaves its path behind");
         CheckStats {
             verdict,
@@ -84,9 +84,9 @@ impl<A: Act> SubtypeVisitor<A> {
         }
     }
 
-    fn visit<M: Machine<Action = A>>(
+    fn visit(
         &mut self,
-        machines: (M, M),
+        machines: (&CompactFsm, &CompactFsm),
         sub_state: usize,
         sup_state: usize,
     ) -> bool {
@@ -124,8 +124,9 @@ impl<A: Act> SubtypeVisitor<A> {
         }
 
         // (4) [end]: both machines finished and nothing is left pending.
-        let sub_count = sub.degree(sub_state);
-        let sup_count = sup.degree(sup_state);
+        let sub_transitions = sub.transitions(StateIndex(sub_state));
+        let sup_transitions = sup.transitions(StateIndex(sup_state));
+        let (sub_count, sup_count) = (sub_transitions.len(), sup_transitions.len());
         if sub_count == 0 && sup_count == 0 {
             return self.prefixes[0].is_empty() && self.prefixes[1].is_empty();
         }
@@ -147,8 +148,8 @@ impl<A: Act> SubtypeVisitor<A> {
         // A non-terminal state's direction is its first transition's: a
         // machine built from a local type has uniform states, and a
         // hand-built mixed state is read the way the runtime serialises it.
-        let sub_direction = sub.transition(sub_state, 0).0.direction();
-        let sup_direction = sup.transition(sup_state, 0).0.direction();
+        let sub_direction = sub_transitions[0].0.direction;
+        let sup_direction = sup_transitions[0].0.direction;
         let mut try_pair = |i, j| self.try_pair(machines, (sub_state, i), (sup_state, j));
 
         let result = match (sub_direction, sup_direction) {
@@ -183,18 +184,18 @@ impl<A: Act> SubtypeVisitor<A> {
     /// Pushes one transition from each machine onto the prefixes, recurses
     /// into the target pair, and reverts. A transition is given as its
     /// state and its index among that state's transitions.
-    fn try_pair<M: Machine<Action = A>>(
+    fn try_pair(
         &mut self,
-        machines: (M, M),
+        machines: (&CompactFsm, &CompactFsm),
         (sub_state, sub_index): (usize, usize),
         (sup_state, sup_index): (usize, usize),
     ) -> bool {
-        let (sub_action, sub_target) = machines.0.transition(sub_state, sub_index);
-        let (sup_action, sup_target) = machines.1.transition(sup_state, sup_index);
+        let (sub_action, sub_target) = machines.0.transitions(StateIndex(sub_state))[sub_index];
+        let (sup_action, sup_target) = machines.1.transitions(StateIndex(sup_state))[sup_index];
         let snapshots = [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()];
         self.prefixes[0].push(sub_action);
         self.prefixes[1].push(sup_action);
-        let result = self.visit(machines, sub_target, sup_target);
+        let result = self.visit(machines, sub_target as usize, sup_target as usize);
         self.prefixes[0].revert(snapshots[0]);
         self.prefixes[1].revert(snapshots[1]);
         result
@@ -204,7 +205,7 @@ impl<A: Act> SubtypeVisitor<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::{from_local, Action, Fsm, FsmBuilder, StateIndex};
+    use theory::fsm::{from_local, Action, Fsm, FsmBuilder, Symbols};
     use theory::local;
     use theory::sort::Sort;
 
@@ -212,8 +213,15 @@ mod tests {
         from_local(&"r".into(), &local::parse(text).unwrap()).unwrap()
     }
 
+    /// Both machines, interned through one `Symbols`.
+    fn interned(sub: &Fsm, sup: &Fsm) -> (CompactFsm, CompactFsm) {
+        let mut symbols = Symbols::default();
+        (symbols.intern(sub), symbols.intern(sup))
+    }
+
     fn check(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
-        SubtypeVisitor::new(bound).check(sub, sup).verdict
+        let (sub, sup) = interned(sub, sup);
+        SubtypeVisitor::new(bound).check(&sub, &sup).verdict
     }
 
     #[test]
@@ -252,10 +260,12 @@ mod tests {
             projected.clone(),
             fsm("end"),
         ];
+        let mut symbols = Symbols::default();
+        let supertype = symbols.intern(&projected);
         let mut visitor = SubtypeVisitor::new(6);
         for candidate in &candidates {
             assert_eq!(
-                visitor.check(candidate, &projected),
+                visitor.check(&symbols.intern(candidate), &supertype),
                 crate::check_with_stats(candidate, &projected, 6)
             );
         }
@@ -279,7 +289,7 @@ mod tests {
     /// would need 2³² entries here before the first visit.
     #[test]
     fn cost_follows_visited_pairs_not_machine_size() {
-        let (sub, sup) = (chain(1 << 16, "a"), chain(1 << 16, "b"));
+        let (sub, sup) = interned(&chain(1 << 16, "a"), &chain(1 << 16, "b"));
         let stats = SubtypeVisitor::new(4).check(&sub, &sup);
         assert!(!stats.verdict);
         assert!(stats.visited_pairs <= 2, "{} visits", stats.visited_pairs);

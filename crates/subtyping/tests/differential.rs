@@ -1,12 +1,13 @@
 //! Differential test of [`SubtypeVisitor`] against a reference visitor
 //! that keeps a dense `sub.len() × sup.len()` history matrix and owned
 //! prefix actions — the visitor and prefix as they were before the path
-//! map and borrowed actions replaced them. The visitor runs twice per
-//! pair: on the `Fsm`s, as the public entry points run it, and on the
-//! compact machines `optimiser::term::Terms` builds from one arena, as
-//! the optimiser runs it. Both must agree with the reference on the
-//! verdict *and* on the number of visited state pairs, with fail-early
-//! both on and off, for
+//! map and interned actions replaced them. The visitor runs twice per
+//! pair: on the `Fsm`s interned through one `Symbols`, as the public
+//! entry points run it, and on the compact machines
+//! `optimiser::term::Terms` builds from one arena, as the optimiser runs
+//! it. Both must agree with the reference — which still reads the `Fsm`s
+//! — on the verdict *and* on the number of visited state pairs, with
+//! fail-early both on and off, for
 //!
 //! * random binary types (their generator is included from
 //!   `tests/generators/`) against themselves, their dual, themselves
@@ -25,9 +26,10 @@
 //! count and stale snapshots) passes every other test of this crate; here
 //! the looped random types and the pmesh-5 candidates fail on it. Trees
 //! and single loops never re-enter a pair from a sibling branch, so they
-//! cannot see it. Checking the compact machines' sort codes the wrong way
-//! round (`is_subsort_code(other.sort, self.sort)`) fails here on the
-//! re-sorted random pairs only: every other input carries one sort.
+//! cannot see it. Checking sort codes the wrong way round in
+//! `prefix::sorts_compatible` (`Sort::is_subsort_code(sub.sort, sup.sort)`
+//! for a receive) fails here on the re-sorted random pairs only: every
+//! other input carries one sort.
 //!
 //! CI runs this in release as well (`cargo test --release -p subtyping`).
 
@@ -39,7 +41,7 @@ use optimiser::term::Terms;
 use optimiser::Step;
 use proptest::prelude::*;
 use subtyping::{CheckStats, SubtypeVisitor};
-use theory::fsm::CompactFsm;
+use theory::fsm::{CompactFsm, Symbols};
 use theory::local::LocalBranch;
 use theory::{Fsm, LocalType, Name, Sort};
 
@@ -397,9 +399,9 @@ mod reference {
     }
 }
 
-/// Runs the reference, and the visitor on `Fsm`s and on the compact
-/// machines of one arena, with fail-early on or off, and insists on one
-/// verdict and visit count; returns the verdict.
+/// Runs the reference, and the visitor on interned `Fsm`s and on the
+/// compact machines of one arena, with fail-early on or off, and insists
+/// on one verdict and visit count; returns the verdict.
 fn agree_with(
     sub: &LocalType,
     sup: &LocalType,
@@ -418,6 +420,8 @@ fn agree_with(
         machine
     };
     let (sub_compact, sup_compact) = (compact(sub_id), compact(sup_id));
+    let mut symbols = Symbols::default();
+    let (sub_interned, sup_interned) = (symbols.intern(&sub_fsm), symbols.intern(&sup_fsm));
     let mut theirs = reference::SubtypeVisitor::new(&sub_fsm, &sup_fsm, bound);
     let (mut on_fsm, mut on_compact) = (SubtypeVisitor::new(bound), SubtypeVisitor::new(bound));
     if !fail_early {
@@ -430,9 +434,9 @@ fn agree_with(
         format!("{what} at bound {bound}, fail-early {fail_early}: (verdict, visited_pairs)");
     let pair = |stats: CheckStats| (stats.verdict, stats.visited_pairs);
     assert_eq!(
-        pair(on_fsm.check(&sub_fsm, &sup_fsm)),
+        pair(on_fsm.check(&sub_interned, &sup_interned)),
         theirs,
-        "{what} on Fsms"
+        "{what} on interned Fsms"
     );
     assert_eq!(
         pair(on_compact.check(&sub_compact, &sup_compact)),

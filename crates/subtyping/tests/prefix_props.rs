@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use subtyping::prefix::{prefix_of, reduce, reduce_step, Prefix, Reduction};
 use subtyping::SubtypeVisitor;
-use theory::fsm::Action;
+use theory::fsm::{Action, CompactAction, Symbols};
 use theory::local::{LocalBranch, LocalType};
 use theory::sort::Sort;
 
@@ -31,8 +31,14 @@ fn arbitrary_prefix() -> impl Strategy<Value = Vec<Action>> {
     proptest::collection::vec(arbitrary_action(), 0..12)
 }
 
-fn live_labels(prefix: &Prefix<&Action>) -> Vec<String> {
-    prefix.live().map(|(_, a)| format!("{a}")).collect()
+fn live(prefix: &Prefix) -> Vec<CompactAction> {
+    prefix.live().map(|(_, action)| action).collect()
+}
+
+/// Prefixes of each action list, interned through one `Symbols`.
+fn prefixes<const N: usize>(lists: [&[Action]; N]) -> [Prefix; N] {
+    let mut symbols = Symbols::default();
+    lists.map(|actions| prefix_of(actions.iter().map(|a| symbols.intern_action(a))))
 }
 
 fn binary_local_type() -> impl Strategy<Value = LocalType> {
@@ -78,8 +84,7 @@ proptest! {
         sub_actions in arbitrary_prefix(),
         sup_actions in arbitrary_prefix(),
     ) {
-        let mut sub = prefix_of(&sub_actions);
-        let mut sup = prefix_of(&sup_actions);
+        let [mut sub, mut sup] = prefixes([&sub_actions, &sup_actions]);
         let budget = sub_actions.len().min(sup_actions.len());
         let mut steps = 0;
         loop {
@@ -104,16 +109,15 @@ proptest! {
         pushed in arbitrary_prefix(),
         partner in arbitrary_prefix(),
     ) {
-        let mut prefix = prefix_of(&initial);
-        let mut other = prefix_of(&partner);
-        let before = live_labels(&prefix);
+        let [mut prefix, mut other, pushed] = prefixes([&initial, &partner, &pushed]);
+        let before = live(&prefix);
         let snapshot = prefix.snapshot();
-        for action in &pushed {
+        for (_, action) in pushed.live() {
             prefix.push(action);
         }
         let _ = reduce(&mut prefix, &mut other);
         prefix.revert(snapshot);
-        prop_assert_eq!(live_labels(&prefix), before);
+        prop_assert_eq!(live(&prefix), before);
     }
 
     /// Fail-early is a pure optimisation: enabling or disabling it never
@@ -123,8 +127,9 @@ proptest! {
         sub in binary_local_type(),
         sup in binary_local_type(),
     ) {
-        let sub = theory::fsm::from_local(&"r".into(), &sub).unwrap();
-        let sup = theory::fsm::from_local(&"r".into(), &sup).unwrap();
+        let mut symbols = Symbols::default();
+        let mut intern = |local| symbols.intern(&theory::fsm::from_local(&"r".into(), local).unwrap());
+        let (sub, sup) = (intern(&sub), intern(&sup));
         let with = SubtypeVisitor::new(4).check(&sub, &sup).verdict;
         let without = SubtypeVisitor::new(4).without_fail_early().check(&sub, &sup).verdict;
         prop_assert_eq!(with, without);

@@ -2,15 +2,18 @@
 //!
 //! Local types are converted into FSMs before verification (paper §2,
 //! Appendix B.5): states are subterms, transitions are send/receive actions.
-//! The subtyping algorithm and the k-MC checker both act on this
-//! representation; [`to_local`]/[`from_local`] witness that the conversion
-//! is faithful.
+//! [`to_local`]/[`from_local`] witness that the conversion is faithful.
 //!
-//! [`CompactFsm`] is the same machine with its names interned: its
-//! transitions sit in one flat array of `(action, target)` rows, and an
-//! action is four integers. The AMR optimiser builds one per candidate
-//! straight from its term arena and the subtyping visitor checks it
-//! without touching a string; an [`Fsm`] is built only for what passes.
+//! A machine has two forms. [`Fsm`] names its peers, labels and sorts; it
+//! is what projection, emission and the public checker entry points
+//! speak. [`CompactFsm`] is the same machine with those names interned by
+//! a [`Symbols`]: its transitions sit in one flat array of
+//! `(action, target)` rows, and an action is four integers. Both
+//! verifiers — the subtyping visitor and the k-MC explorer — walk the
+//! compact form only, and the AMR optimiser builds its candidates in it
+//! straight from its term arena. [`Symbols::intern`] and
+//! [`Symbols::resolve`] convert between the two, state for state and row
+//! for row.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -177,22 +180,6 @@ impl Fsm {
         (0..self.transitions.len()).map(StateIndex)
     }
 
-    /// The direction of `state`'s transitions, or `None` for terminal
-    /// states. Errors if the state mixes directions (allowed by k-MC's wider
-    /// syntax but not by local types).
-    pub fn state_direction(&self, state: StateIndex) -> Result<Option<Direction>, FsmError> {
-        let transitions = &self.transitions[state.0];
-        let Some(((first, _), rest)) = transitions.split_first() else {
-            return Ok(None);
-        };
-        for (action, _) in rest {
-            if action.direction != first.direction {
-                return Err(FsmError::MixedState(state));
-            }
-        }
-        Ok(Some(first.direction))
-    }
-
     /// Validates the directed-choice discipline required by local types:
     /// each non-terminal state is all-send or all-receive towards a single
     /// peer, with pairwise distinct labels.
@@ -204,15 +191,12 @@ impl Fsm {
             };
             let mut labels = std::collections::BTreeSet::new();
             labels.insert(&first.label);
-            for (action, target) in rest {
+            for (action, _) in rest {
                 if action.direction != first.direction || action.peer != first.peer {
                     return Err(FsmError::MixedState(state));
                 }
                 if !labels.insert(&action.label) {
                     return Err(FsmError::DuplicateLabel(state, action.label.clone()));
-                }
-                if target.0 >= self.transitions.len() {
-                    return Err(FsmError::InvalidTarget(*target));
                 }
             }
         }
@@ -267,8 +251,8 @@ impl FsmBuilder {
 }
 
 /// An [`Action`] with its peer, label and sort replaced by ids. Two
-/// compact actions compare meaningfully only when one interner numbered
-/// both; the sort is a code as [`Sort::BUILTIN`] describes.
+/// compact actions compare meaningfully only when one [`Symbols`]
+/// numbered both; the sort is a code as [`Sort::BUILTIN`] describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CompactAction {
     /// Send or receive.
@@ -385,8 +369,149 @@ impl CompactFsm {
     }
 
     /// Outgoing transitions of `state`: actions and target states.
+    #[inline]
     pub fn transitions(&self, state: StateIndex) -> &[(CompactAction, u32)] {
         &self.rows[self.offsets[state.0] as usize..self.offsets[state.0 + 1] as usize]
+    }
+
+    /// Every transition of every state, state by state.
+    pub fn rows(&self) -> &[(CompactAction, u32)] {
+        &self.rows
+    }
+}
+
+/// The interner between [`Fsm`] and [`CompactFsm`]: one name table for
+/// peers, labels and recursion variables, and one sort table that starts
+/// with [`Sort::BUILTIN`], so a sort id is the code
+/// [`Sort::is_subsort_code`] reads. Ids are handed out in first-seen
+/// order and never change.
+///
+/// [`intern`](Self::intern) and [`resolve`](Self::resolve) are the
+/// conversions between the two machine forms; both keep every state and
+/// every row where it was.
+///
+/// ```
+/// use theory::fsm::{from_local, Symbols};
+/// use theory::local::parse;
+///
+/// let fsm = from_local(&"k".into(), &parse("rec x . s!ready . s?value . x").unwrap()).unwrap();
+/// let mut symbols = Symbols::default();
+/// let machine = symbols.intern(&fsm);
+/// assert_eq!(symbols.names(), ["s", "ready", "value"].map(Into::into));
+/// assert_eq!(symbols.resolve(&fsm.role, &machine), fsm);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Symbols {
+    names: Vec<Name>,
+    /// Keyed by names from protocol text, so with the default hasher.
+    ids: HashMap<Name, u32>,
+    /// Indexed by sort id: the built-in sorts first, so ids are codes.
+    sorts: Vec<Sort>,
+}
+
+impl Default for Symbols {
+    fn default() -> Self {
+        Self {
+            names: Vec::new(),
+            ids: HashMap::default(),
+            sorts: Sort::BUILTIN.to_vec(),
+        }
+    }
+}
+
+impl Symbols {
+    /// The id of `name`, adding it if new.
+    pub fn name_id(&mut self, name: &Name) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2³² names");
+        self.names.push(name.clone());
+        self.ids.insert(name.clone(), id);
+        id
+    }
+
+    /// The name behind `id`.
+    pub fn name(&self, id: u32) -> &Name {
+        &self.names[id as usize]
+    }
+
+    /// The name table: `names()[id]` is the name of `id`.
+    pub fn names(&self) -> &[Name] {
+        &self.names
+    }
+
+    /// The id of `sort`, adding it if new. A protocol uses a handful of
+    /// sorts, so a scan beats a map.
+    pub fn sort_id(&mut self, sort: &Sort) -> u32 {
+        if let Some(id) = self.sorts.iter().position(|s| s == sort) {
+            return id as u32;
+        }
+        self.sorts.push(sort.clone());
+        self.sorts.len() as u32 - 1
+    }
+
+    /// The sort behind `id`.
+    pub fn sort(&self, id: u32) -> &Sort {
+        &self.sorts[id as usize]
+    }
+
+    /// `action` with its peer, label and sort interned.
+    pub fn intern_action(&mut self, action: &Action) -> CompactAction {
+        CompactAction {
+            direction: action.direction,
+            peer: self.name_id(&action.peer),
+            label: self.name_id(&action.label),
+            sort: self.sort_id(&action.sort),
+        }
+    }
+
+    /// The action `action`'s ids stand for.
+    pub fn action(&self, action: CompactAction) -> Action {
+        Action {
+            direction: action.direction,
+            peer: self.name(action.peer).clone(),
+            label: self.name(action.label).clone(),
+            sort: self.sort(action.sort).clone(),
+        }
+    }
+
+    /// `fsm` with its actions interned: state `s` of the result is state
+    /// `s` of `fsm`, with the same rows in the same order.
+    pub fn intern(&mut self, fsm: &Fsm) -> CompactFsm {
+        let mut offsets = Vec::with_capacity(fsm.len() + 1);
+        offsets.push(0);
+        let mut rows = Vec::with_capacity(fsm.transitions.iter().map(Vec::len).sum());
+        for row in &fsm.transitions {
+            for (action, target) in row {
+                rows.push((self.intern_action(action), target.0 as u32));
+            }
+            offsets.push(u32::try_from(rows.len()).expect("fewer than 2³² transitions"));
+        }
+        CompactFsm {
+            offsets,
+            rows,
+            initial: u32::try_from(fsm.initial.0).expect("fewer than 2³² states"),
+        }
+    }
+
+    /// The [`Fsm`] of `role` that `machine` stands for, state for state
+    /// and row for row; `machine` must have been numbered by `self`.
+    pub fn resolve(&self, role: &Name, machine: &CompactFsm) -> Fsm {
+        let transitions = (0..machine.len())
+            .map(|state| {
+                machine
+                    .transitions(StateIndex(state))
+                    .iter()
+                    .map(|&(action, target)| (self.action(action), StateIndex(target as usize)))
+                    .collect()
+            })
+            .collect();
+        Fsm {
+            role: role.clone(),
+            transitions,
+            initial: machine.initial(),
+        }
     }
 }
 
@@ -630,6 +755,10 @@ mod tests {
             // state, row for row; only the variable names may differ.
             assert_eq!(fsm, fsm2, "{text}");
             assert_eq!(to_local(&fsm2).unwrap(), back, "{text}");
+            // Interning keeps every state and row where it was.
+            let mut symbols = Symbols::default();
+            let machine = symbols.intern(&fsm);
+            assert_eq!(symbols.resolve(&fsm.role, &machine), fsm, "{text}");
         }
     }
 

@@ -9,10 +9,10 @@
 //!   (`global protocol`, `rec`/`continue`, `choice at`),
 //! * [`projection`] — projection of a global type onto each participant,
 //!   with full merging of external choices,
-//! * [`fsm`] — communicating finite state machines and conversions
-//!   local type ⇄ FSM (the representation the subtyping algorithm and the
-//!   k-MC checker operate on), and their compact form with interned
-//!   actions,
+//! * [`fsm`] — communicating finite state machines, the conversions
+//!   local type ⇄ FSM, and the interned form both the subtyping algorithm
+//!   and the k-MC checker walk (`CompactFsm`, its names interned by a
+//!   `Symbols`),
 //! * [`dot`] — Graphviz output for debugging protocols,
 //! * [`hash`] — the word hasher behind the workspace's integer-keyed
 //!   maps,
