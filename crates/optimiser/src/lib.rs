@@ -9,16 +9,18 @@
 //!    rewrites of [`rewrite`] (commute a send past preceding receives
 //!    from other roles, and anticipate loop sends across `rec`
 //!    unfoldings up to a configurable depth), breadth-first with
-//!    deduplication and budget caps. The search runs on a hash-consed
-//!    [`term`] arena that lives for one call: a rewrite interns only the
-//!    nodes on its path, equal terms get equal ids, so deduplication is
-//!    one id lookup (structural identity — the printed form's, except
-//!    that a custom sort spelled like a built-in one stays apart);
+//!    deduplication and budget caps. The search runs on one
+//!    [`theory::term`] arena per call, which the projection is interned
+//!    into: a rewrite interns only the nodes on its path, equal terms get
+//!    equal ids, so deduplication is one id lookup (structural identity —
+//!    the printed form's, except that a custom sort spelled like a
+//!    built-in one stays apart);
 //! 2. **verify** — validate every candidate against the projection with
 //!    the sound asynchronous subtyping algorithm, so only provably safe
 //!    reorderings survive. Each candidate is checked as the compact
-//!    machine [`Terms::machine`](term::Terms::machine) builds from its
-//!    arena id, against the projection's, through one reused
+//!    machine [`Terms::machine`] builds from its arena id — the one
+//!    builder, which `fsm::from_local` runs too — against the
+//!    projection's, through one reused
 //!    `subtyping::SubtypeVisitor`; only a verified candidate becomes a
 //!    [`LocalType`], and its [`Fsm`] is the machine just checked,
 //!    resolved through the arena's one
@@ -52,7 +54,6 @@
 
 pub mod cost;
 pub mod rewrite;
-pub mod term;
 
 use std::collections::HashSet;
 
@@ -63,9 +64,9 @@ use theory::json;
 use theory::json_record;
 use theory::local::LocalType;
 use theory::name::Name;
+use theory::term::{TermId, Terms};
 
 pub use rewrite::Step;
-use term::{TermId, Terms};
 
 /// Search budgets for the candidate generation and verification.
 #[derive(Clone, Debug)]
@@ -305,8 +306,7 @@ pub fn optimise(
             if depth >= config.max_steps {
                 continue;
             }
-            let rewrites =
-                rewrite::rewrites_in(&mut terms, term, anticipations < config.unfold_depth);
+            let rewrites = rewrite::rewrites(&mut terms, term, anticipations < config.unfold_depth);
             pruned += rewrites.pruned;
             for (candidate, step) in rewrites.candidates {
                 if !seen.insert(candidate) {

@@ -38,14 +38,12 @@
 //!
 //! # Terms are arena ids
 //!
-//! The rules run on the hash-consed [`Terms`] arena of [`crate::term`],
-//! not on [`LocalType`] trees. A rule rooted at depth *d* builds its
+//! The rules run on the hash-consed [`Terms`] arena of [`theory::term`],
+//! not on `LocalType` trees. A rule rooted at depth *d* builds its
 //! replacement from the ids it matched, then rebuilds the *d* ancestors
 //! on its path, each with one child id replaced: O(*d*) nodes interned,
 //! every other subterm shared. A candidate that another rewrite already
 //! produced comes back as the same id, so the search deduplicates by id.
-//! [`rewrites`] keeps the tree-in, trees-out interface by interning its
-//! argument into a fresh arena and materialising the candidates.
 //!
 //! # Data-dependence pruning
 //!
@@ -64,11 +62,9 @@
 
 use std::fmt;
 
-use theory::local::LocalType;
 use theory::name::Name;
 use theory::sort::Sort;
-
-use crate::term::{Branch, Node, SortId, Sym, TermId, Terms};
+use theory::term::{Branch, Node, SortId, Sym, TermId, Terms};
 
 /// One rewrite application, recorded in a candidate's derivation.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,45 +171,24 @@ impl fmt::Display for Step {
 }
 
 /// The single-step rewrites of one term, plus how many applications the
-/// data-dependence filter pruned (see the module docs). The search keeps
-/// its candidates as arena ids (`Rewrites<TermId>`); [`rewrites`] hands
-/// them out as trees.
-pub struct Rewrites<T = LocalType> {
-    /// Every surviving candidate with the step that produced it.
-    pub candidates: Vec<(T, Step)>,
+/// data-dependence filter pruned (see the module docs).
+pub struct Rewrites {
+    /// Every surviving candidate, an id of the rewritten arena, with the
+    /// step that produced it.
+    pub candidates: Vec<(TermId, Step)>,
     /// Rewrite applications dropped because the hoisted payload
     /// data-depends on a crossed receive.
     pub pruned: usize,
 }
 
-/// All single-step rewrites of `term`, at every position.
+/// All single-step rewrites of `term`, at every position: the rules
+/// rooted at a position first, then the positions below it in term
+/// order. Each candidate interns only the nodes on the path from the
+/// root to the rewritten position.
 ///
 /// `allow_anticipate` gates the loop-anticipation rule (the search turns
-/// it off once a candidate has used its unfold budget). The term is
-/// interned into a fresh arena, rewritten there and the candidates are
-/// materialised.
-pub fn rewrites(term: &LocalType, allow_anticipate: bool) -> Rewrites {
-    let mut terms = Terms::default();
-    let root = terms.intern_local(term);
-    let found = rewrites_in(&mut terms, root, allow_anticipate);
-    Rewrites {
-        candidates: found
-            .candidates
-            .into_iter()
-            .map(|(id, step)| (terms.to_local(id), step))
-            .collect(),
-        pruned: found.pruned,
-    }
-}
-
-/// [`rewrites`] of an arena term, in the same order: each candidate
-/// interns only the nodes on the path from the root to the rewritten
-/// position.
-pub(crate) fn rewrites_in(
-    terms: &mut Terms,
-    term: TermId,
-    allow_anticipate: bool,
-) -> Rewrites<TermId> {
+/// it off once a candidate has used its unfold budget).
+pub fn rewrites(terms: &mut Terms, term: TermId, allow_anticipate: bool) -> Rewrites {
     let mut walk = Walk {
         terms,
         allow_anticipate,
@@ -251,7 +226,7 @@ struct Walk<'a> {
     /// `(ancestor, child index)` from the root down to the position being
     /// visited.
     path: Vec<(TermId, usize)>,
-    found: Rewrites<TermId>,
+    found: Rewrites,
 }
 
 impl Walk<'_> {
@@ -539,11 +514,25 @@ fn body_actions(terms: &Terms, body: TermId, send: bool) -> Vec<(Sym, Sym, SortI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::local::parse;
+    use theory::local::{parse, LocalType};
+
+    /// [`rewrites`] of `term`, interned into a fresh arena, with every
+    /// candidate materialised.
+    fn rewritten(term: &str, allow_anticipate: bool) -> (Vec<(LocalType, Step)>, usize) {
+        let mut terms = Terms::default();
+        let root = terms.intern_local(&parse(term).unwrap());
+        let found = rewrites(&mut terms, root, allow_anticipate);
+        let candidates = found
+            .candidates
+            .into_iter()
+            .map(|(id, step)| (terms.to_local(id), step))
+            .collect();
+        (candidates, found.pruned)
+    }
 
     fn displays(term: &str, allow_anticipate: bool) -> Vec<String> {
-        rewrites(&parse(term).unwrap(), allow_anticipate)
-            .candidates
+        rewritten(term, allow_anticipate)
+            .0
             .into_iter()
             .map(|(t, _)| t.to_string())
             .collect()
@@ -625,18 +614,16 @@ mod tests {
     fn forwarded_payloads_are_pruned() {
         // `p?v(i32).q!v(i32)` forwards the received value: hoisting the
         // send above the receive would invent its payload.
-        let result = rewrites(&parse("p?v(i32).q!v(i32).end").unwrap(), false);
-        assert!(result.candidates.is_empty());
-        assert_eq!(result.pruned, 1);
+        let (candidates, pruned) = rewritten("p?v(i32).q!v(i32).end", false);
+        assert!(candidates.is_empty());
+        assert_eq!(pruned, 1);
         // The unit-sort version carries no data and hoists freely —
         // exactly the ring's token forwarding.
-        let unit = rewrites(&parse("p?v.q!v.end").unwrap(), false);
-        assert_eq!(unit.candidates.len(), 1);
-        assert_eq!(unit.pruned, 0);
+        let (unit, pruned) = rewritten("p?v.q!v.end", false);
+        assert_eq!((unit.len(), pruned), (1, 0));
         // Different labels with the same sort are independent values.
-        let renamed = rewrites(&parse("p?a(i32).q!b(i32).end").unwrap(), false);
-        assert_eq!(renamed.candidates.len(), 1);
-        assert_eq!(renamed.pruned, 0);
+        let (renamed, pruned) = rewritten("p?a(i32).q!b(i32).end", false);
+        assert_eq!((renamed.len(), pruned), (1, 0));
     }
 
     #[test]
@@ -644,13 +631,9 @@ mod tests {
         // Anticipating `q!v(i32)` would send a value the loop has not
         // received yet; the unit-sort `q!ready` anticipation survives.
         // (The in-body hoist of the same forwarded send is pruned too.)
-        let result = rewrites(
-            &parse("rec x . p?v(i32) . q!v(i32) . q!ready . x").unwrap(),
-            true,
-        );
-        assert_eq!(result.pruned, 2);
-        let anticipated: Vec<&str> = result
-            .candidates
+        let (candidates, pruned) = rewritten("rec x . p?v(i32) . q!v(i32) . q!ready . x", true);
+        assert_eq!(pruned, 2);
+        let anticipated: Vec<&str> = candidates
             .iter()
             .filter_map(|(_, step)| match step {
                 Step::Anticipate { label, .. } => Some(label.as_str()),
@@ -662,8 +645,8 @@ mod tests {
 
     #[test]
     fn steps_record_payload_sorts_for_the_cost_model() {
-        let result = rewrites(&parse("p?a.q!big(str).end").unwrap(), false);
-        let (_, step) = &result.candidates[0];
+        let (candidates, _) = rewritten("p?a.q!big(str).end", false);
+        let (_, step) = &candidates[0];
         match step {
             Step::HoistPastReceive {
                 send_sorts,
@@ -695,10 +678,10 @@ mod tests {
                 let mut terms = Terms::default();
                 let root = terms.intern_local(&chain(depth, size));
                 let before = terms.node_count();
-                assert_eq!(rewrites_in(&mut terms, root, true).candidates.len(), 1);
+                assert_eq!(rewrites(&mut terms, root, true).candidates.len(), 1);
                 added.push(terms.node_count() - before);
                 // The same rewrite again finds every node interned.
-                rewrites_in(&mut terms, root, true);
+                rewrites(&mut terms, root, true);
                 assert_eq!(terms.node_count(), before + added[added.len() - 1]);
             }
             // Two nodes at the bottom, one per ancestor, whatever the size.

@@ -1,7 +1,8 @@
 //! Differential test of the AMR search against the search it replaced:
 //! the rules on `LocalType` trees and the breadth-first closure that
 //! deduplicated candidates by their printed form in a `HashSet<String>`,
-//! both kept below as they were but for imports and one module path. The
+//! both kept below as they were but for imports, one module path and the
+//! bulk check inlined where the search called it. The
 //! arena search must
 //! return the same [`Optimised`] — `generated`, `pruned`, `truncated`,
 //! and every verified candidate in rank order with its `local`, `fsm`,
@@ -18,15 +19,17 @@
 //!   64-candidate cap so the search is cut short.
 //!
 //! [`rewrites`] must also agree with the tree rules term by term: the same
-//! candidates and steps in the same order, and the same pruned count.
+//! candidates (interned into a fresh arena and materialised) and steps in
+//! the same order, and the same pruned count.
 //!
 //! CI runs this in release as well (`cargo test --release -p optimiser`).
 
 use bench::verification::{k_buffering, ring, streaming};
 use optimiser::rewrite::rewrites;
-use optimiser::{optimise, Config, Optimised};
+use optimiser::{optimise, Config, Optimised, Step};
 use proptest::prelude::*;
 use theory::local::{parse, LocalBranch, LocalType};
+use theory::term::Terms;
 use theory::{Name, Sort};
 
 #[path = "../../../tests/generators/mod.rs"]
@@ -34,12 +37,14 @@ mod generators;
 use generators::binary_local_type;
 
 /// The tree rules and the `HashSet<String>` search as they were, but
-/// for imports and the search calling `rewrites` without its module path.
+/// for imports, the search calling `rewrites` without its module path, and
+/// the one-supertype bulk check it called inlined.
 mod reference {
     use std::collections::HashSet;
 
     use optimiser::{cost, Candidate, Config, Optimised, Step};
-    use theory::fsm::{self, FsmError};
+    use subtyping::SubtypeVisitor;
+    use theory::fsm::{self, FsmError, Symbols};
     use theory::local::{LocalBranch, LocalType};
     use theory::name::Name;
     use theory::sort::Sort;
@@ -468,11 +473,15 @@ mod reference {
                 convertible.push((local, derivation, machine));
             }
         }
-        let stats = subtyping::check_candidates(
-            convertible.iter().map(|(_, _, machine)| machine),
-            &projection_fsm,
-            config.bound,
-        );
+        // One supertype, interned once, and every candidate through one
+        // visitor.
+        let mut symbols = Symbols::default();
+        let sup = symbols.intern(&projection_fsm);
+        let mut visitor = SubtypeVisitor::new(config.bound);
+        let stats: Vec<_> = convertible
+            .iter()
+            .map(|(_, _, machine)| visitor.check(&symbols.intern(machine), &sup))
+            .collect();
         let mut candidates: Vec<Candidate> = convertible
             .into_iter()
             .zip(stats)
@@ -556,10 +565,17 @@ fn agree(role: &str, projection: &LocalType, config: &Config, what: &str) -> Opt
 /// off.
 fn same_rewrites(term: &LocalType) {
     for allow_anticipate in [false, true] {
-        let ours = rewrites(term, allow_anticipate);
+        let mut terms = Terms::default();
+        let root = terms.intern_local(term);
+        let ours = rewrites(&mut terms, root, allow_anticipate);
+        let candidates: Vec<(LocalType, Step)> = ours
+            .candidates
+            .into_iter()
+            .map(|(id, step)| (terms.to_local(id), step))
+            .collect();
         let theirs = reference::rewrites(term, allow_anticipate);
         assert_eq!(
-            ours.candidates, theirs.candidates,
+            candidates, theirs.candidates,
             "rewrites of `{term}`, anticipation {allow_anticipate}"
         );
         assert_eq!(

@@ -18,9 +18,9 @@
 //! ```
 //!
 //! With more than two positionals, every argument but the last is a
-//! candidate checked against the final supertype in one
-//! `check_candidates` pass — one visitor for every candidate, the shape
-//! of the AMR optimiser's verification — and `--json` reports the
+//! candidate checked against the final supertype: all of them built as
+//! compact machines of one term arena and checked through one visitor,
+//! the shape of the AMR optimiser's verification. `--json` reports the
 //! per-candidate `CheckStats` visit counts:
 //!
 //! ```text
@@ -32,8 +32,11 @@
 
 use std::process::ExitCode;
 
+use subtyping::SubtypeVisitor;
+use theory::fsm::CompactFsm;
 use theory::json::Json;
 use theory::json_record;
+use theory::term::Terms;
 
 json_record! {
     /// The bulk form's `--json` output.
@@ -154,27 +157,27 @@ fn main() -> ExitCode {
         };
     }
 
-    // Bulk form: every candidate against the one supertype through one
-    // visitor, stats in input order.
-    let role = theory::Name::from("self");
-    let sup_fsm = match theory::fsm::from_local(&role, &sup) {
-        Ok(fsm) => fsm,
-        Err(e) => {
-            eprintln!("error: {e}");
+    // Bulk form: the supertype and every candidate built in one arena,
+    // each candidate checked against the supertype through one visitor,
+    // stats in input order.
+    let mut terms = Terms::default();
+    let mut sup_machine = CompactFsm::default();
+    let sup = terms.intern_local(&sup);
+    if let Err(e) = terms.machine(sup, &mut sup_machine) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
+    let mut machine = CompactFsm::default();
+    let mut visitor = SubtypeVisitor::new(bound);
+    let mut stats = Vec::with_capacity(types.len());
+    for (index, candidate) in types.iter().enumerate() {
+        let candidate = terms.intern_local(candidate);
+        if let Err(e) = terms.machine(candidate, &mut machine) {
+            eprintln!("error: candidate {}: {e}", index + 1);
             return ExitCode::from(2);
         }
-    };
-    let mut candidates = Vec::with_capacity(types.len());
-    for (index, candidate) in types.iter().enumerate() {
-        match theory::fsm::from_local(&role, candidate) {
-            Ok(fsm) => candidates.push(fsm),
-            Err(e) => {
-                eprintln!("error: candidate {}: {e}", index + 1);
-                return ExitCode::from(2);
-            }
-        }
+        stats.push(visitor.check(&machine, &sup_machine));
     }
-    let stats = subtyping::check_candidates(candidates.iter(), &sup_fsm, bound);
     let all_hold = stats.iter().all(|s| s.verdict);
     if json {
         let candidates = stats

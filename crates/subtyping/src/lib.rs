@@ -12,11 +12,11 @@
 //!   path depth, not the product of the machines.
 //!
 //! Both walk the interned machine form,
-//! [`CompactFsm`](theory::fsm::CompactFsm): an action is four integers,
-//! so matching two never reads a string. The entry points below take
-//! [`Fsm`]s and intern both sides through one [`Symbols`] per call; the
-//! AMR optimiser hands the visitor the compact machines of its term
-//! arena directly.
+//! [`CompactFsm`]: an action is four integers,
+//! so matching two never reads a string. The entry points on [`Fsm`]s
+//! intern both sides through one [`Symbols`] per call. The entry points
+//! on local types build both machines in one [`Terms`] arena, with no
+//! `Fsm` in between, as the AMR optimiser builds its candidates'.
 //!
 //! The algorithm is **sound** (a `true` answer implies the precise
 //! asynchronous subtyping `T ≤ T′` of Ghilezan et al.) and **terminating**,
@@ -42,9 +42,9 @@
 pub mod prefix;
 pub mod visitor;
 
-use theory::fsm::{self, Fsm, FsmError, Symbols};
+use theory::fsm::{CompactFsm, Fsm, FsmError, Symbols};
 use theory::local::LocalType;
-use theory::name::Name;
+use theory::term::Terms;
 
 pub use visitor::SubtypeVisitor;
 
@@ -57,12 +57,10 @@ pub fn is_subtype(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
     check_with_stats(sub, sup, bound).verdict
 }
 
-/// Convenience wrapper converting local types to FSMs first.
+/// [`is_subtype`] on local types: both are interned into one
+/// [`Terms`] arena and checked as its compact machines.
 pub fn is_subtype_local(sub: &LocalType, sup: &LocalType, bound: usize) -> Result<bool, FsmError> {
-    let role = Name::from("self");
-    let sub = fsm::from_local(&role, sub)?;
-    let sup = fsm::from_local(&role, sup)?;
-    Ok(is_subtype(&sub, &sup, bound))
+    Ok(check_with_stats_local(sub, sup, bound)?.verdict)
 }
 
 theory::json_record! {
@@ -88,40 +86,20 @@ pub fn check_with_stats(sub: &Fsm, sup: &Fsm, bound: usize) -> CheckStats {
     SubtypeVisitor::new(bound).check(&sub, &sup)
 }
 
-/// Instrumented variant of [`is_subtype_local`]: converts both types with
-/// the same role convention, then runs [`check_with_stats`]. The `subtype`
-/// CLI's `--json` output is this verbatim.
+/// Instrumented variant of [`is_subtype_local`]: the `subtype` CLI's
+/// `--json` output is this verbatim. Fails when either type does not
+/// convert, the subtype's error first.
 pub fn check_with_stats_local(
     sub: &LocalType,
     sup: &LocalType,
     bound: usize,
 ) -> Result<CheckStats, FsmError> {
-    let role = Name::from("self");
-    let sub = fsm::from_local(&role, sub)?;
-    let sup = fsm::from_local(&role, sup)?;
-    Ok(check_with_stats(&sub, &sup, bound))
-}
-
-/// Bulk candidate checking: verifies many candidate subtypes against one
-/// supertype, returning per-candidate statistics in input order.
-///
-/// This is the `subtype` CLI's bulk form — one supertype, interned once,
-/// and many candidates, all through one visitor. Checks are independent;
-/// a candidate failing (or even being degenerate) never affects its
-/// siblings. (The AMR optimiser runs the same loop on the compact
-/// machines of its term arena instead.)
-pub fn check_candidates<'a>(
-    candidates: impl IntoIterator<Item = &'a Fsm>,
-    sup: &Fsm,
-    bound: usize,
-) -> Vec<CheckStats> {
-    let mut symbols = Symbols::default();
-    let sup = symbols.intern(sup);
-    let mut visitor = SubtypeVisitor::new(bound);
-    candidates
-        .into_iter()
-        .map(|sub| visitor.check(&symbols.intern(sub), &sup))
-        .collect()
+    let mut terms = Terms::default();
+    let (sub, sup) = (terms.intern_local(sub), terms.intern_local(sup));
+    let (mut sub_machine, mut sup_machine) = (CompactFsm::default(), CompactFsm::default());
+    terms.machine(sub, &mut sub_machine)?;
+    terms.machine(sup, &mut sup_machine)?;
+    Ok(SubtypeVisitor::new(bound).check(&sub_machine, &sup_machine))
 }
 
 #[cfg(test)]

@@ -26,7 +26,11 @@ fn subtype(args: &[&str]) -> (i32, String, String) {
 }
 
 fn succeeds(args: &[&str], stdout: &str) {
-    assert_eq!(subtype(args), (0, format!("{stdout}\n"), String::new()), "{args:?}");
+    assert_eq!(
+        subtype(args),
+        (0, format!("{stdout}\n"), String::new()),
+        "{args:?}"
+    );
 }
 
 fn fails(args: &[&str], code: i32, stdout: &str, stderr: &str) {

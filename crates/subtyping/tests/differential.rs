@@ -2,10 +2,10 @@
 //! that keeps a dense `sub.len() × sup.len()` history matrix and owned
 //! prefix actions — the visitor and prefix as they were before the path
 //! map and interned actions replaced them. The visitor runs twice per
-//! pair: on the `Fsm`s interned through one `Symbols`, as the public
-//! entry points run it, and on the compact machines
-//! `optimiser::term::Terms` builds from one arena, as the optimiser runs
-//! it. Both must agree with the reference — which still reads the `Fsm`s
+//! pair: on the `Fsm`s interned through one `Symbols`, as the entry points
+//! on `Fsm`s run it, and on the compact machines `theory::term::Terms`
+//! builds from one arena, as the entry points on local types and the
+//! optimiser run it. Both must agree with the reference — which still reads the `Fsm`s
 //! — on the verdict *and* on the number of visited state pairs, with
 //! fail-early both on and off, for
 //!
@@ -37,12 +37,12 @@ use std::collections::HashSet;
 
 use bench::verification::{k_buffering, nested_choice, streaming, to_fsm};
 use optimiser::rewrite::rewrites;
-use optimiser::term::Terms;
 use optimiser::Step;
 use proptest::prelude::*;
 use subtyping::{CheckStats, SubtypeVisitor};
 use theory::fsm::{CompactFsm, Symbols};
 use theory::local::LocalBranch;
+use theory::term::Terms;
 use theory::{Fsm, LocalType, Name, Sort};
 
 #[path = "../../../tests/generators/mod.rs"]
@@ -532,15 +532,17 @@ fn relatives_agree(
     bound: usize,
     check: impl Fn(&LocalType, &LocalType, usize, &str) -> bool,
 ) -> bool {
-    let rewritten = rewrites(left, true).candidates;
+    let mut terms = Terms::default();
+    let root = terms.intern_local(left);
+    let rewritten = rewrites(&mut terms, root, true).candidates;
     let mut others = vec![
         ("dual", dual(left)),
         ("retargeted", retarget(left, "q")),
         ("another", right.clone()),
     ];
     if !rewritten.is_empty() {
-        let (rewrite, _) = &rewritten[pick % rewritten.len()];
-        others.push(("rewrite", rewrite.clone()));
+        let (rewrite, _) = rewritten[pick % rewritten.len()];
+        others.push(("rewrite", terms.to_local(rewrite)));
     }
     for (name, other) in &others {
         check(other, left, bound, &format!("{name} ≤ `{left}`"));
@@ -648,22 +650,24 @@ fn verify_amr_shapes_agree() {
 /// rewrites, repeated here because `Optimised` keeps only the verified
 /// ones.
 fn generated(projection: &LocalType, config: &optimiser::Config) -> Vec<LocalType> {
-    let mut seen = HashSet::from([projection.to_string()]);
+    let mut terms = Terms::default();
+    let root = terms.intern_local(projection);
+    let mut seen = HashSet::from([root]);
     let mut out = Vec::new();
     // (term, rewrite steps, anticipations) per frontier entry.
-    let mut frontier = vec![(projection.clone(), 0, 0)];
+    let mut frontier = vec![(root, 0, 0)];
     'search: while !frontier.is_empty() {
         let mut next = Vec::new();
-        for (term, steps, anticipations) in &frontier {
-            if *steps >= config.max_steps {
+        for &(term, steps, anticipations) in &frontier {
+            if steps >= config.max_steps {
                 continue;
             }
-            let allow_anticipate = *anticipations < config.unfold_depth;
-            for (candidate, step) in rewrites(term, allow_anticipate).candidates {
-                if !seen.insert(candidate.to_string()) {
+            let allow_anticipate = anticipations < config.unfold_depth;
+            for (candidate, step) in rewrites(&mut terms, term, allow_anticipate).candidates {
+                if !seen.insert(candidate) {
                     continue;
                 }
-                out.push(candidate.clone());
+                out.push(candidate);
                 if out.len() >= config.max_candidates {
                     break 'search;
                 }
@@ -673,7 +677,7 @@ fn generated(projection: &LocalType, config: &optimiser::Config) -> Vec<LocalTyp
         }
         frontier = next;
     }
-    out
+    out.into_iter().map(|id| terms.to_local(id)).collect()
 }
 
 /// Checks every generated candidate of `role`'s projection against it and

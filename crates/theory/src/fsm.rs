@@ -10,10 +10,13 @@
 //! a [`Symbols`]: its transitions sit in one flat array of
 //! `(action, target)` rows, and an action is four integers. Both
 //! verifiers — the subtyping visitor and the k-MC explorer — walk the
-//! compact form only, and the AMR optimiser builds its candidates in it
-//! straight from its term arena. [`Symbols::intern`] and
-//! [`Symbols::resolve`] convert between the two, state for state and row
-//! for row.
+//! compact form only. [`Symbols::intern`] and [`Symbols::resolve`]
+//! convert between the two, state for state and row for row.
+//!
+//! One builder makes machines from local types: [`Terms::machine`], on
+//! the hash-consed term arena. [`from_local`] is that builder plus [`Symbols::resolve`];
+//! the subtyping entry points on local types and the AMR optimiser check
+//! its compact machines directly, with no [`Fsm`] in between.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,6 +24,7 @@ use std::fmt;
 use crate::local::{LocalBranch, LocalType};
 use crate::name::Name;
 use crate::sort::Sort;
+use crate::term::Terms;
 
 /// Index of a state within one [`Fsm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -515,128 +519,18 @@ impl Symbols {
     }
 }
 
-/// Converts a local type into its FSM.
+/// Converts a local type into its FSM: interns it into a [`Terms`]
+/// arena, builds its machine there with [`Terms::machine`] and resolves
+/// that.
 ///
 /// Recursion variables become back edges; `μt.T` shares the state of its
 /// body. Unguarded recursion (`μt.t`) is rejected.
 pub fn from_local(role: &Name, local: &LocalType) -> Result<Fsm, FsmError> {
-    let mut builder = FsmBuilder::new(role.clone());
-    let mut env: HashMap<Name, StateIndex> = HashMap::new();
-    let initial = build_state(&mut builder, local, &mut env, &mut Vec::new())?;
-    builder.build(initial)
-}
-
-fn build_state(
-    builder: &mut FsmBuilder,
-    local: &LocalType,
-    env: &mut HashMap<Name, StateIndex>,
-    pending: &mut Vec<Name>,
-) -> Result<StateIndex, FsmError> {
-    match local {
-        LocalType::End => Ok(builder.add_state()),
-        LocalType::Var(var) => {
-            if pending.contains(var) {
-                return Err(FsmError::UnguardedRecursion(var.clone()));
-            }
-            env.get(var)
-                .copied()
-                .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
-        }
-        LocalType::Rec { var, body } => {
-            // Reserve the state up front so back edges can point at it.
-            let state = builder.add_state();
-            let shadowed = env.insert(var.clone(), state);
-            pending.push(var.clone());
-            let body_state = build_branches_into(builder, state, body, env, pending)?;
-            pending.pop();
-            match shadowed {
-                Some(previous) => {
-                    env.insert(var.clone(), previous);
-                }
-                None => {
-                    env.remove(var);
-                }
-            }
-            Ok(body_state)
-        }
-        LocalType::Select { .. } | LocalType::Branch { .. } => {
-            let state = builder.add_state();
-            build_branches_into(builder, state, local, env, pending)
-        }
-    }
-}
-
-/// Populates `state` with the transitions of `local`, which must be a
-/// choice, a nested `rec`, a variable, or `end` (merged into `state`).
-fn build_branches_into(
-    builder: &mut FsmBuilder,
-    state: StateIndex,
-    local: &LocalType,
-    env: &mut HashMap<Name, StateIndex>,
-    pending: &mut Vec<Name>,
-) -> Result<StateIndex, FsmError> {
-    match local {
-        // `μt.end` and immediate `end`: the reserved state is terminal.
-        LocalType::End => Ok(state),
-        LocalType::Var(var) => {
-            if pending.contains(var) {
-                return Err(FsmError::UnguardedRecursion(var.clone()));
-            }
-            // `μt.t'`: alias to the outer variable's state; the reserved
-            // state is left unreachable and `t` maps to the alias target.
-            env.get(var)
-                .copied()
-                .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
-        }
-        LocalType::Rec { var, body } => {
-            let shadowed = env.insert(var.clone(), state);
-            pending.push(var.clone());
-            let result = build_branches_into(builder, state, body, env, pending);
-            pending.pop();
-            match shadowed {
-                Some(previous) => {
-                    env.insert(var.clone(), previous);
-                }
-                None => {
-                    env.remove(var);
-                }
-            }
-            result
-        }
-        LocalType::Select { peer, branches } => {
-            add_choice(builder, state, peer, Direction::Send, branches, env)?;
-            Ok(state)
-        }
-        LocalType::Branch { peer, branches } => {
-            add_choice(builder, state, peer, Direction::Receive, branches, env)?;
-            Ok(state)
-        }
-    }
-}
-
-fn add_choice(
-    builder: &mut FsmBuilder,
-    state: StateIndex,
-    peer: &Name,
-    direction: Direction,
-    branches: &[LocalBranch],
-    env: &mut HashMap<Name, StateIndex>,
-) -> Result<(), FsmError> {
-    for branch in branches {
-        // Recursion below an action is guarded again: fresh pending set.
-        let target = build_state(builder, &branch.continuation, env, &mut Vec::new())?;
-        builder.add_transition(
-            state,
-            Action {
-                direction,
-                peer: peer.clone(),
-                label: branch.label.clone(),
-                sort: branch.sort.clone(),
-            },
-            target,
-        );
-    }
-    Ok(())
+    let mut terms = Terms::default();
+    let id = terms.intern_local(local);
+    let mut machine = CompactFsm::default();
+    terms.machine(id, &mut machine)?;
+    Ok(terms.symbols().resolve(role, &machine))
 }
 
 /// Converts an FSM back into a local type, introducing `rec` binders at

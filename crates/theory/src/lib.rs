@@ -13,6 +13,8 @@
 //!   local type ⇄ FSM, and the interned form both the subtyping algorithm
 //!   and the k-MC checker walk (`CompactFsm`, its names interned by a
 //!   `Symbols`),
+//! * [`term`] — the hash-consed arena of local-type terms, and the one
+//!   builder of their machines (`Terms::machine`),
 //! * [`dot`] — Graphviz output for debugging protocols,
 //! * [`hash`] — the word hasher behind the workspace's integer-keyed
 //!   maps,
@@ -54,6 +56,7 @@ pub mod name;
 pub mod projection;
 pub mod scribble;
 pub mod sort;
+pub mod term;
 
 pub use fsm::{Action, Direction, Fsm, StateIndex};
 pub use global::GlobalType;

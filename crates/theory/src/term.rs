@@ -1,18 +1,20 @@
-//! The hash-consed term arena the candidate search runs on.
+//! The hash-consed arena of local-type terms, and the one builder of
+//! their machines.
 //!
-//! [`Terms`] stores each distinct subterm once, as a `Node` whose
+//! [`Terms`] stores each distinct subterm once, as a [`Node`] whose
 //! children are [`TermId`]s, and interns every new node through one map
-//! from node to id. Peers, labels and recursion variables are `Sym`s and
-//! payload sorts `SortId`s, ids of the arena's one [`Symbols`] (the
+//! from node to id. Peers, labels and recursion variables are [`Sym`]s
+//! and payload sorts [`SortId`]s, ids of the arena's one [`Symbols`] (the
 //! built-in sorts at the codes [`Sort::BUILTIN`] fixes), so a node is a
 //! few words and hashing one touches no string.
 //!
-//! **Machines.** [`Terms::machine`] builds a term's
-//! [`CompactFsm`] straight from the arena, with those ids as its action
-//! ids: the machine `fsm::from_local` would build from the term's tree,
-//! state for state, with no tree built and no name cloned. Two machines of
-//! one arena are comparable action for action, and
-//! [`Terms::symbols`] resolves one back into that [`Fsm`](theory::Fsm).
+//! **Machines.** [`Terms::machine`] builds a term's [`CompactFsm`]
+//! straight from the arena, with those ids as its action ids, and no
+//! name cloned. It is the only conversion from a local type to a
+//! machine: [`fsm::from_local`](crate::fsm::from_local) interns the tree
+//! here and resolves the machine through [`Terms::symbols`]. Two machines
+//! of one arena are comparable action for action, so the subtyping
+//! visitor can check them against each other directly.
 //!
 //! **Identity.** Equal subterms share one id, so two ids are equal
 //! exactly when their terms are structurally equal ([`LocalType`]'s
@@ -21,16 +23,15 @@
 //! `Sort::I32`) prints alike but interns apart, so ids tell terms apart
 //! at least as finely as their text does, never more coarsely.
 //!
-//! **Cost.** A rewrite at depth *d* interns the O(*d*) nodes on its path —
-//! each ancestor rebuilt with one child id replaced — and shares every
-//! other subterm, and a rewrite that reproduces a term already seen adds
-//! no node at all: deduplicating candidates is one id comparison. An
-//! arena lives for one [`optimise`](crate::optimise) call; nothing is
-//! kept across calls.
+//! **Cost.** A rewrite at depth *d* (the AMR optimiser's rules) interns
+//! the O(*d*) nodes on its path — each ancestor rebuilt with one child id
+//! replaced by [`Terms::with_child`] — and shares every other subterm,
+//! and a rewrite that reproduces a term already seen adds no node at
+//! all: deduplicating candidates is one id comparison.
 //!
 //! ```
-//! use optimiser::term::Terms;
 //! use theory::local::parse;
+//! use theory::term::Terms;
 //!
 //! let mut terms = Terms::default();
 //! let kernel = parse("rec x . s!ready . s?value . x").unwrap();
@@ -45,11 +46,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use theory::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex, Symbols};
-use theory::hash::BuildWordHasher;
-use theory::local::{LocalBranch, LocalType};
-use theory::name::Name;
-use theory::sort::Sort;
+use crate::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex, Symbols};
+use crate::hash::BuildWordHasher;
+use crate::local::{LocalBranch, LocalType};
+use crate::name::Name;
+use crate::sort::Sort;
 
 /// A term in a [`Terms`] arena. Within one arena, equal ids are equal
 /// terms and vice versa.
@@ -59,20 +60,20 @@ pub struct TermId(u32);
 /// An interned peer, label or recursion variable: a name id of the
 /// arena's [`Symbols`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct Sym(u32);
+pub struct Sym(u32);
 
 /// An interned payload sort: a sort id of the arena's [`Symbols`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct SortId(u32);
+pub struct SortId(u32);
 
 /// One labelled continuation of a [`Node::Choice`]: label, payload sort,
 /// continuation.
-pub(crate) type Branch = (Sym, SortId, TermId);
+pub type Branch = (Sym, SortId, TermId);
 
 /// One node of the arena: a [`LocalType`] constructor whose subterms are
 /// ids.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Node {
+pub enum Node {
     /// `end`.
     End,
     /// A recursion variable.
@@ -100,7 +101,7 @@ pub struct Terms {
 
 impl Terms {
     /// The id of `node`, adding it if the arena has not seen it.
-    pub(crate) fn intern(&mut self, node: Node) -> TermId {
+    pub fn intern(&mut self, node: Node) -> TermId {
         match self.ids.entry(node) {
             Entry::Occupied(entry) => *entry.get(),
             Entry::Vacant(entry) => {
@@ -112,7 +113,7 @@ impl Terms {
     }
 
     /// The node behind `id`.
-    pub(crate) fn node(&self, id: TermId) -> &Node {
+    pub fn node(&self, id: TermId) -> &Node {
         &self.nodes[id.0 as usize]
     }
 
@@ -121,35 +122,35 @@ impl Terms {
         self.nodes.len()
     }
 
-    /// The interner behind every `Sym` and `SortId` of the arena, and so
-    /// behind the action ids of its machines.
+    /// The interner behind every [`Sym`] and [`SortId`] of the arena, and
+    /// so behind the action ids of its machines.
     pub fn symbols(&self) -> &Symbols {
         &self.symbols
     }
 
     /// The symbol of `name`, adding it if new.
-    pub(crate) fn sym(&mut self, name: &Name) -> Sym {
+    fn sym(&mut self, name: &Name) -> Sym {
         Sym(self.symbols.name_id(name))
     }
 
     /// The name behind `sym`.
-    pub(crate) fn name(&self, sym: Sym) -> &Name {
+    pub fn name(&self, sym: Sym) -> &Name {
         self.symbols.name(sym.0)
     }
 
     /// The id of `sort`, adding it if new.
-    pub(crate) fn sort_id(&mut self, sort: &Sort) -> SortId {
+    fn sort_id(&mut self, sort: &Sort) -> SortId {
         SortId(self.symbols.sort_id(sort))
     }
 
     /// The sort behind `id`.
-    pub(crate) fn sort(&self, id: SortId) -> &Sort {
+    pub fn sort(&self, id: SortId) -> &Sort {
         self.symbols.sort(id.0)
     }
 
     /// The single-branch choice `peer!label(sort).continuation` (`send`)
     /// or `peer?label(sort).continuation`.
-    pub(crate) fn single(&mut self, send: bool, peer: Sym, branch: Branch) -> TermId {
+    pub fn single(&mut self, send: bool, peer: Sym, branch: Branch) -> TermId {
         self.intern(Node::Choice {
             send,
             peer,
@@ -159,7 +160,12 @@ impl Terms {
 
     /// `parent` with its `index`-th child (a `rec` body, or a branch's
     /// continuation) replaced by `child`; every other child is shared.
-    pub(crate) fn with_child(&mut self, parent: TermId, index: usize, child: TermId) -> TermId {
+    ///
+    /// # Panics
+    ///
+    /// When `parent` is a leaf (`end` or a variable), or a choice with no
+    /// `index`-th branch.
+    pub fn with_child(&mut self, parent: TermId, index: usize, child: TermId) -> TermId {
         let node = match self.node(parent) {
             Node::Rec(var, _) => Node::Rec(*var, child),
             Node::Choice {
@@ -182,7 +188,7 @@ impl Terms {
 
     /// The `index`-th child of `id` — a `rec` body or a branch's
     /// continuation — if it has one.
-    pub(crate) fn child(&self, id: TermId, index: usize) -> Option<TermId> {
+    pub fn child(&self, id: TermId, index: usize) -> Option<TermId> {
         match self.node(id) {
             Node::End | Node::Var(_) => None,
             Node::Rec(_, body) => (index == 0).then_some(*body),
@@ -249,11 +255,13 @@ impl Terms {
         }
     }
 
-    /// Rebuilds `machine` as the compact machine of `id`: state for state
-    /// and row for row the machine `fsm::from_local` builds from
-    /// [`to_local`](Self::to_local) of `id`, numbered by
-    /// [`symbols`](Self::symbols). Fails where that conversion fails, with
-    /// the same error: on an unbound variable or unguarded recursion.
+    /// Rebuilds `machine` as the compact machine of `id`, numbered by
+    /// [`symbols`](Self::symbols).
+    ///
+    /// States are subterms, numbered in the order a depth-first walk
+    /// meets them; a recursion variable becomes a back edge, and `μt.T`
+    /// shares the state of its body. Fails on an unbound variable or
+    /// unguarded recursion (`μt.t`).
     pub fn machine(&self, id: TermId, machine: &mut CompactFsm) -> Result<(), FsmError> {
         machine.clear();
         let mut build = MachineBuild {
@@ -267,11 +275,10 @@ impl Terms {
     }
 }
 
-/// The walk behind [`Terms::machine`]: `fsm::from_local`'s, on ids, so
-/// states are numbered in the order that walk creates them. A state gets
-/// all its transitions from one choice, found before any later state is
-/// made: its transitions are added at once, each pointing back at it,
-/// and retargeted as their continuations are built.
+/// The walk behind [`Terms::machine`]. A state gets all its transitions
+/// from one choice, found before any later state is made: its
+/// transitions are added at once, each pointing back at it, and
+/// retargeted as their continuations are built.
 struct MachineBuild<'a> {
     terms: &'a Terms,
     machine: &'a mut CompactFsm,
@@ -358,22 +365,157 @@ impl MachineBuild<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsm::{self, Fsm};
+    use crate::local::parse;
     use proptest::prelude::*;
-    use theory::fsm;
-    use theory::local::parse;
+
+    /// The tree walk that built every machine before [`Terms::machine`]
+    /// did, kept as the oracle for it: `fsm::from_local` as it was, on
+    /// [`LocalType`] trees with a name-keyed environment.
+    mod reference {
+        use std::collections::HashMap;
+
+        use crate::fsm::{Action, Direction, Fsm, FsmBuilder, FsmError, StateIndex};
+        use crate::local::{LocalBranch, LocalType};
+        use crate::name::Name;
+
+        /// Converts a local type into its FSM.
+        ///
+        /// Recursion variables become back edges; `μt.T` shares the state of its
+        /// body. Unguarded recursion (`μt.t`) is rejected.
+        pub fn from_local(role: &Name, local: &LocalType) -> Result<Fsm, FsmError> {
+            let mut builder = FsmBuilder::new(role.clone());
+            let mut env: HashMap<Name, StateIndex> = HashMap::new();
+            let initial = build_state(&mut builder, local, &mut env, &mut Vec::new())?;
+            builder.build(initial)
+        }
+
+        fn build_state(
+            builder: &mut FsmBuilder,
+            local: &LocalType,
+            env: &mut HashMap<Name, StateIndex>,
+            pending: &mut Vec<Name>,
+        ) -> Result<StateIndex, FsmError> {
+            match local {
+                LocalType::End => Ok(builder.add_state()),
+                LocalType::Var(var) => {
+                    if pending.contains(var) {
+                        return Err(FsmError::UnguardedRecursion(var.clone()));
+                    }
+                    env.get(var)
+                        .copied()
+                        .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
+                }
+                LocalType::Rec { var, body } => {
+                    // Reserve the state up front so back edges can point at it.
+                    let state = builder.add_state();
+                    let shadowed = env.insert(var.clone(), state);
+                    pending.push(var.clone());
+                    let body_state = build_branches_into(builder, state, body, env, pending)?;
+                    pending.pop();
+                    match shadowed {
+                        Some(previous) => {
+                            env.insert(var.clone(), previous);
+                        }
+                        None => {
+                            env.remove(var);
+                        }
+                    }
+                    Ok(body_state)
+                }
+                LocalType::Select { .. } | LocalType::Branch { .. } => {
+                    let state = builder.add_state();
+                    build_branches_into(builder, state, local, env, pending)
+                }
+            }
+        }
+
+        /// Populates `state` with the transitions of `local`, which must be a
+        /// choice, a nested `rec`, a variable, or `end` (merged into `state`).
+        fn build_branches_into(
+            builder: &mut FsmBuilder,
+            state: StateIndex,
+            local: &LocalType,
+            env: &mut HashMap<Name, StateIndex>,
+            pending: &mut Vec<Name>,
+        ) -> Result<StateIndex, FsmError> {
+            match local {
+                // `μt.end` and immediate `end`: the reserved state is terminal.
+                LocalType::End => Ok(state),
+                LocalType::Var(var) => {
+                    if pending.contains(var) {
+                        return Err(FsmError::UnguardedRecursion(var.clone()));
+                    }
+                    // `μt.t'`: alias to the outer variable's state; the reserved
+                    // state is left unreachable and `t` maps to the alias target.
+                    env.get(var)
+                        .copied()
+                        .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
+                }
+                LocalType::Rec { var, body } => {
+                    let shadowed = env.insert(var.clone(), state);
+                    pending.push(var.clone());
+                    let result = build_branches_into(builder, state, body, env, pending);
+                    pending.pop();
+                    match shadowed {
+                        Some(previous) => {
+                            env.insert(var.clone(), previous);
+                        }
+                        None => {
+                            env.remove(var);
+                        }
+                    }
+                    result
+                }
+                LocalType::Select { peer, branches } => {
+                    add_choice(builder, state, peer, Direction::Send, branches, env)?;
+                    Ok(state)
+                }
+                LocalType::Branch { peer, branches } => {
+                    add_choice(builder, state, peer, Direction::Receive, branches, env)?;
+                    Ok(state)
+                }
+            }
+        }
+
+        fn add_choice(
+            builder: &mut FsmBuilder,
+            state: StateIndex,
+            peer: &Name,
+            direction: Direction,
+            branches: &[LocalBranch],
+            env: &mut HashMap<Name, StateIndex>,
+        ) -> Result<(), FsmError> {
+            for branch in branches {
+                // Recursion below an action is guarded again: fresh pending set.
+                let target = build_state(builder, &branch.continuation, env, &mut Vec::new())?;
+                builder.add_transition(
+                    state,
+                    Action {
+                        direction,
+                        peer: peer.clone(),
+                        label: branch.label.clone(),
+                        sort: branch.sort.clone(),
+                    },
+                    target,
+                );
+            }
+            Ok(())
+        }
+    }
 
     fn intern(terms: &mut Terms, text: &str) -> TermId {
         terms.intern_local(&parse(text).unwrap())
     }
 
-    /// `local`'s compact machine against `fsm::from_local` of the
+    /// `local`'s compact machine against the tree walk's machine of the
     /// materialised term: resolved, the same machine — the same states in
     /// the same order with the same rows — or the same error.
     fn converts_as_from_local(local: &LocalType) -> Result<(), FsmError> {
         let mut terms = Terms::default();
         let id = terms.intern_local(local);
         let role = "r".into();
-        let expected = fsm::from_local(&role, &terms.to_local(id));
+        let expected = reference::from_local(&role, &terms.to_local(id));
         let mut machine = CompactFsm::default();
         match (terms.machine(id, &mut machine), expected) {
             (Ok(()), Ok(fsm)) => {
@@ -384,7 +526,38 @@ mod tests {
                 assert_eq!(ours, theirs, "`{local}`");
                 Err(ours)
             }
-            (ours, theirs) => panic!("`{local}`: {ours:?} where from_local gives {theirs:?}"),
+            (ours, theirs) => panic!("`{local}`: {ours:?} where the tree walk gives {theirs:?}"),
+        }
+    }
+
+    /// States of `fsm` reachable from its initial state.
+    fn reachable(fsm: &Fsm) -> usize {
+        let mut seen = vec![false; fsm.len()];
+        let mut stack = vec![fsm.initial()];
+        while let Some(state) = stack.pop() {
+            if !std::mem::replace(&mut seen[state.0], true) {
+                stack.extend(fsm.transitions(state).iter().map(|&(_, target)| target));
+            }
+        }
+        seen.into_iter().filter(|&seen| seen).count()
+    }
+
+    /// `from_local(to_local(from_local(t)))` is `from_local(t)`, or the
+    /// same error. An alias `μt.t'` leaves a state no transition reaches,
+    /// which `to_local` cannot see: then the round trip is the machine
+    /// without it, and a second round trip changes nothing.
+    fn round_trips(local: &LocalType) {
+        let role = "r".into();
+        let round_trip =
+            |fsm: &Fsm| fsm::from_local(&role, &fsm::to_local(fsm).expect("directed choices"));
+        let once = fsm::from_local(&role, local);
+        let twice = once.clone().and_then(|fsm| round_trip(&fsm));
+        match (&once, &twice) {
+            (Ok(once), Ok(twice)) if reachable(once) < once.len() => {
+                assert_eq!(twice.len(), reachable(once), "`{local}`");
+                assert_eq!(&round_trip(twice).unwrap(), twice, "`{local}`");
+            }
+            _ => assert_eq!(twice, once, "`{local}`"),
         }
     }
 
@@ -435,6 +608,11 @@ mod tests {
         #[test]
         fn random_terms_convert_as_from_local(local in binder_local_type()) {
             let _ = converts_as_from_local(&local);
+        }
+
+        #[test]
+        fn random_terms_round_trip_through_to_local(local in binder_local_type()) {
+            round_trips(&local);
         }
     }
 
