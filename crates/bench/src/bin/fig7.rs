@@ -225,11 +225,10 @@ fn table_amr() {
 fn table_ablation() {
     use subtyping::SubtypeVisitor;
 
-    // Interned once, outside the timers: the rows time the search alone.
-    let mut symbols = theory::fsm::Symbols::default();
-    let mut fsm = |text: &str| {
+    // Built once, outside the timers: the rows time the search alone.
+    let fsm = |text: &str| {
         let local = theory::local::parse(text).expect("well-formed type");
-        symbols.intern(&bench::verification::to_fsm("r", &local))
+        bench::verification::to_fsm("r", &local)
     };
     let projected = fsm("rec x . s!ready . s?value . t?ready . t!value . x");
     // Microseconds: the pruned checks finish well under the figures'

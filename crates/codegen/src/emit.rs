@@ -98,7 +98,7 @@ pub(crate) fn module_parts_with(
                 name: ty,
             });
         }
-        role_types.insert(role.clone(), ty);
+        role_types.insert(*role, ty);
     }
 
     let labels = collect_labels(&protocol.body)?;
@@ -111,7 +111,7 @@ pub(crate) fn module_parts_with(
                 name: ty,
             });
         }
-        label_types.insert(label.clone(), ty);
+        label_types.insert(*label, ty);
     }
 
     // ---- per-role session types --------------------------------------
@@ -351,13 +351,13 @@ fn collect_labels(global: &GlobalType) -> Result<Vec<(Name, Sort)>, Error> {
             GlobalType::Comm { branches, .. } => {
                 for branch in branches {
                     match out.iter().find(|(label, _)| label == &branch.label) {
-                        None => out.push((branch.label.clone(), branch.sort.clone())),
+                        None => out.push((branch.label, branch.sort)),
                         Some((_, sort)) if sort == &branch.sort => {}
                         Some((_, sort)) => {
                             return Err(Error::LabelSortConflict {
-                                label: branch.label.clone(),
-                                first: sort.clone(),
-                                second: branch.sort.clone(),
+                                label: branch.label,
+                                first: *sort,
+                                second: branch.sort,
                             })
                         }
                     }
@@ -501,7 +501,7 @@ impl RoleGen<'_> {
                 // parent, then fill it once the body is rendered.
                 let slot = self.structs.len();
                 self.structs.push((name.clone(), String::new()));
-                rec_env.push((var.clone(), name.clone()));
+                rec_env.push((*var, name.clone()));
                 let inner = self.emit_type(body, rec_env);
                 rec_env.pop();
                 self.structs[slot].1 = inner;

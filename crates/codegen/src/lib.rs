@@ -138,10 +138,10 @@ pub fn analyse_with(source: &str, params: &[(Name, i64)]) -> Result<Analysis, Er
     let mut locals = Vec::with_capacity(protocol.roles.len());
     let mut fsms = Vec::with_capacity(protocol.roles.len());
     for role in &protocol.roles {
-        let local = projection::project(&protocol.body, role)
-            .map_err(|e| Error::Projection(role.clone(), e))?;
-        let machine = fsm::from_local(role, &local).map_err(|e| Error::Fsm(role.clone(), e))?;
-        locals.push((role.clone(), local));
+        let local =
+            projection::project(&protocol.body, role).map_err(|e| Error::Projection(*role, e))?;
+        let machine = fsm::from_local(role, &local).map_err(|e| Error::Fsm(*role, e))?;
+        locals.push((*role, local));
         fsms.push(machine);
     }
     Ok(Analysis {
@@ -165,8 +165,7 @@ pub fn optimise(
 ) -> Result<Vec<optimiser::Report>, Error> {
     let mut reports = Vec::with_capacity(analysis.locals.len());
     for ((role, local), machine) in analysis.locals.iter_mut().zip(&mut analysis.fsms) {
-        let outcome =
-            optimiser::optimise(role, local, config).map_err(|e| Error::Fsm(role.clone(), e))?;
+        let outcome = optimiser::optimise(role, local, config).map_err(|e| Error::Fsm(*role, e))?;
         *local = outcome.best_local().clone();
         *machine = outcome.best_fsm().clone();
         reports.push(outcome.report());
@@ -199,7 +198,7 @@ pub fn fsm_listing(analysis: &Analysis) -> String {
 pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
     for machine in &analysis.fsms {
         if !subtyping::is_subtype(machine, machine, 2) {
-            return Err(Error::SubtypeSanity(machine.role.clone()));
+            return Err(Error::SubtypeSanity(machine.role));
         }
     }
     let system = kmc::System::new(analysis.fsms.clone()).map_err(Error::System)?;
@@ -227,11 +226,7 @@ pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> 
     for k in 1..=MAX_BOUND_SEARCH {
         match kmc::check(&system, k) {
             Ok(report) if report.exhaustive => {
-                return report
-                    .channel_bounds(&system)
-                    .into_iter()
-                    .map(|(from, to, depth)| (from.clone(), to.clone(), depth))
-                    .collect();
+                return report.channel_bounds(&system);
             }
             Ok(_) | Err(kmc::Violation::Deadlock(_)) => continue,
             Err(_) => return Vec::new(),

@@ -329,7 +329,7 @@ impl SkelGen<'_> {
                 self.line(&format!("'l{id}: loop {{"));
                 self.indent += 1;
                 self.line(&format!("let s = s{id}.into_session();"));
-                self.rec_env.push((var.clone(), id));
+                self.rec_env.push((*var, id));
                 self.emit(body, "s", false);
                 self.rec_env.pop();
                 self.indent -= 1;

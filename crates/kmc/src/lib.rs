@@ -30,18 +30,19 @@
 //!
 //! Only the `c` channels some machine sends on get a queue, in
 //! `from * n + to` order; a channel nobody sends on stays empty forever
-//! and costs no word. Labels are [`LabelId`]s, oldest first. Empty queues
+//! and costs no word. A queued label is its [`Name::id`], oldest first. Empty queues
 //! cost one length word whatever `k` is, and equal configurations are
 //! equal word for word, so hashing and comparing a configuration is
 //! hashing and comparing a slice.
 //!
-//! **The machines are read as interned rows.** [`System::new`] interns
-//! every machine once into a [`CompactFsm`] through one
-//! [`Symbols`] that numbers the roles first, so a peer id *is* a machine
-//! index and a label id is the word a queue holds. The explorer reads a
-//! state's `(action, target)` row straight from the CSR arrays and finds
-//! the queue an action touches in one `from * n + to → queue` table; it
-//! never hashes a name or searches the role list.
+//! **The machines are read as they are.** An [`Fsm`]'s rows are flat
+//! arrays of actions whose names are interned, so a label's id is the
+//! word a queue holds. [`System::new`] maps each row's peer to its
+//! machine index once, in a table beside the rows. The explorer reads a
+//! state's `(action, target)` rows straight from the machine, their peers
+//! from that table, and finds the queue an action touches in one
+//! `from * n + to → queue` table; it never hashes a name or searches the
+//! role list.
 //!
 //! **The arena is the breadth-first queue.** Records are appended to one
 //! `Vec<u32>` in the order they are discovered and never move or change;
@@ -67,16 +68,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use theory::fsm::{CompactFsm, Direction, Fsm, StateIndex, Symbols};
+use theory::fsm::{Direction, Fsm, StateIndex};
 use theory::name::Name;
-
-/// Interned message label: an index into [`System::labels`].
-///
-/// Configurations store label ids instead of [`Name`]s: a queued message
-/// is one word of the exploration's packed record, and a [`Config`]
-/// compares and hashes small integers instead of label strings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LabelId(pub u32);
 
 /// A communicating system: one FSM per participant.
 ///
@@ -85,11 +78,11 @@ pub struct LabelId(pub u32);
 #[derive(Clone, Debug)]
 pub struct System {
     machines: Vec<Fsm>,
-    /// `machines`, interned through `symbols` in the same order.
-    compact: Vec<CompactFsm>,
-    /// The roles first, in machine order, so a peer id is a machine
-    /// index; then the labels in first-seen order.
-    symbols: Symbols,
+    /// The machines' roles, in machine order.
+    roles: Vec<Name>,
+    /// Per machine, the machine index of each row's peer, indexed like
+    /// [`Fsm::rows`].
+    peers: Vec<Vec<u32>>,
 }
 
 /// Errors constructing a [`System`].
@@ -117,28 +110,30 @@ impl std::error::Error for SystemError {}
 impl System {
     /// Builds a system from per-participant machines.
     pub fn new(machines: Vec<Fsm>) -> Result<Self, SystemError> {
-        let mut symbols = Symbols::default();
-        for (index, machine) in machines.iter().enumerate() {
-            if symbols.name_id(&machine.role) as usize != index {
-                return Err(SystemError::DuplicateRole(machine.role.clone()));
+        let roles: Vec<Name> = machines.iter().map(|machine| machine.role).collect();
+        for (index, role) in roles.iter().enumerate() {
+            if roles[..index].contains(role) {
+                return Err(SystemError::DuplicateRole(*role));
             }
         }
-        let n = machines.len();
-        let mut compact = Vec::with_capacity(n);
+        let mut peers = Vec::with_capacity(machines.len());
         for machine in &machines {
-            let interned = symbols.intern(machine);
-            if let Some((action, _)) = interned.rows().iter().find(|(a, _)| a.peer as usize >= n) {
-                return Err(SystemError::UnknownPeer {
-                    role: machine.role.clone(),
-                    peer: symbols.name(action.peer).clone(),
-                });
+            let mut indices = Vec::with_capacity(machine.rows().len());
+            for (action, _) in machine.rows() {
+                let Some(index) = roles.iter().position(|role| *role == action.peer) else {
+                    return Err(SystemError::UnknownPeer {
+                        role: machine.role,
+                        peer: action.peer,
+                    });
+                };
+                indices.push(index as u32);
             }
-            compact.push(interned);
+            peers.push(indices);
         }
         Ok(Self {
             machines,
-            compact,
-            symbols,
+            roles,
+            peers,
         })
     }
 
@@ -151,13 +146,17 @@ impl System {
     /// `roles()[i] → roles()[j]` lives at index `i * n + j` in a
     /// [`Config`]'s channel vector and in [`Report::max_depths`].
     pub fn roles(&self) -> &[Name] {
-        &self.symbols.names()[..self.machines.len()]
+        &self.roles
     }
 
-    /// The system's name table, roles first: a [`LabelId`] from a
-    /// [`Config`]'s channel contents names `labels()[id]`.
-    pub fn labels(&self) -> &[Name] {
-        self.symbols.names()
+    /// The label of some action of the system whose id is `id`.
+    fn label(&self, id: u32) -> Name {
+        self.machines
+            .iter()
+            .flat_map(Fsm::rows)
+            .map(|(action, _)| action.label)
+            .find(|label| label.id() == id)
+            .expect("queued labels are labels of the system's actions")
     }
 }
 
@@ -166,9 +165,9 @@ impl System {
 pub struct Config {
     /// Current state of each machine, indexed like `System::machines`.
     pub states: Vec<StateIndex>,
-    /// FIFO contents of channel `from → to` at `from * n + to`, as
-    /// interned [`LabelId`]s (see [`System::labels`]).
-    pub channels: Vec<VecDeque<LabelId>>,
+    /// FIFO contents of channel `from → to` at `from * n + to`, oldest
+    /// first.
+    pub channels: Vec<VecDeque<Name>>,
 }
 
 /// A violation of k-multiparty compatibility.
@@ -235,17 +234,13 @@ impl Report {
     /// The channels that ever carried a message, as
     /// `(from, to, max_depth)` triples resolved against `system` (which
     /// must be the system this report was produced from).
-    pub fn channel_bounds<'a>(&'a self, system: &'a System) -> Vec<(&'a Name, &'a Name, usize)> {
-        let n = system.roles().len();
+    pub fn channel_bounds(&self, system: &System) -> Vec<(Name, Name, usize)> {
+        let n = system.roles.len();
         assert_eq!(self.max_depths.len(), n * n, "report/system mismatch");
         let mut bounds = Vec::new();
         for (index, &depth) in self.max_depths.iter().enumerate() {
             if depth > 0 {
-                bounds.push((
-                    &system.roles()[index / n],
-                    &system.roles()[index % n],
-                    depth,
-                ));
+                bounds.push((system.roles[index / n], system.roles[index % n], depth));
             }
         }
         bounds
@@ -346,14 +341,16 @@ impl Explored {
     }
 }
 
-/// Unpacks a record into the [`Config`] a [`Violation`] carries.
-fn materialise(record: &[u32], machine_count: usize, channels: &[usize]) -> Config {
+/// Unpacks a record of `system` into the [`Config`] a [`Violation`]
+/// carries.
+fn materialise(system: &System, record: &[u32], channels: &[usize]) -> Config {
+    let machine_count = system.machines.len();
     let (states, rest) = record.split_at(machine_count);
     let (lens, mut labels) = rest.split_at(channels.len());
     let mut queues = vec![VecDeque::new(); machine_count * machine_count];
     for (&channel, &len) in channels.iter().zip(lens) {
         let (queue, later) = labels.split_at(len as usize);
-        queues[channel] = queue.iter().map(|&label| LabelId(label)).collect();
+        queues[channel] = queue.iter().map(|&label| system.label(label)).collect();
         labels = later;
     }
     Config {
@@ -371,16 +368,16 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // Queue lengths are record words. No queue can hold 2^32 messages, so
     // clamping a larger bound changes no verdict.
     let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
-    let machines = &system.compact;
+    let machines = &system.machines;
     let machine_count = machines.len();
     // `queues` maps a channel (`from * n + to`) to its queue in a record
     // and `channels` a queue back to its channel: only the channels some
     // machine sends on get a queue, in ascending order.
     let mut queues = vec![NO_QUEUE; machine_count * machine_count];
-    for (index, machine) in machines.iter().enumerate() {
-        for (action, _) in machine.rows() {
+    for (index, (machine, peers)) in machines.iter().zip(&system.peers).enumerate() {
+        for ((action, _), &peer) in machine.rows().iter().zip(peers) {
             if action.direction == Direction::Send {
-                queues[index * machine_count + action.peer as usize] = 0;
+                queues[index * machine_count + peer as usize] = 0;
             }
         }
     }
@@ -410,7 +407,8 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // each queue's oldest label sits.
     let mut current: Vec<u32> = Vec::new();
     let mut heads = vec![0usize; channels.len()];
-    // Each machine's row in the configuration being expanded.
+    // Each machine's transitions in the configuration being expanded,
+    // with their peers' machine indices.
     let mut rows = Vec::with_capacity(machine_count);
 
     let mut cursor = 0;
@@ -425,26 +423,28 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
             next_head += len as usize;
         }
         rows.clear();
-        rows.extend(
-            (machines.iter().zip(states))
-                .map(|(machine, &state)| machine.transitions(StateIndex(state as usize))),
-        );
+        rows.extend((machines.iter().zip(&system.peers).zip(states)).map(
+            |((machine, peers), &state)| {
+                let range = machine.row_range(StateIndex(state as usize));
+                (&machine.rows()[range.clone()], &peers[range])
+            },
+        ));
         // The queue a receive of machine `index` from `peer` takes the
         // head of, if anybody sends on that channel.
         let inbound = |index: usize, peer: u32| {
             let queue = queues[peer as usize * machine_count + index];
             (queue != NO_QUEUE).then_some(queue as usize)
         };
-        let config = || materialise(&current, machine_count, &channels);
+        let config = || materialise(system, &current, &channels);
 
         let mut enabled_any = false;
-        for (index, row) in rows.iter().enumerate() {
-            for (action, target) in *row {
+        for (index, &(row, peers)) in rows.iter().enumerate() {
+            for ((action, target), &peer) in row.iter().zip(peers) {
                 scratch.clear();
                 match action.direction {
                     Direction::Send => {
                         // A machine's own sends always have a queue.
-                        let queue = queues[index * machine_count + action.peer as usize] as usize;
+                        let queue = queues[index * machine_count + peer as usize] as usize;
                         let len = lens[queue];
                         if len >= k {
                             exhaustive = false;
@@ -452,7 +452,7 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
                         }
                         let end = heads[queue] + len as usize;
                         scratch.extend_from_slice(&current[..end]);
-                        scratch.push(action.label);
+                        scratch.push(action.label.id());
                         scratch.extend_from_slice(&current[end..]);
                         scratch[machine_count + queue] = len + 1;
                         let depth = &mut max_depths[channels[queue]];
@@ -460,11 +460,11 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
                     }
                     Direction::Receive => {
                         // A channel without a queue is empty forever.
-                        let Some(queue) = inbound(index, action.peer) else {
+                        let Some(queue) = inbound(index, peer) else {
                             continue;
                         };
                         let (head, len) = (heads[queue], lens[queue]);
-                        if len == 0 || current[head] != action.label {
+                        if len == 0 || current[head] != action.label.id() {
                             continue;
                         }
                         scratch.extend_from_slice(&current[..head]);
@@ -472,7 +472,7 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
                         scratch[machine_count + queue] = len - 1;
                     }
                 }
-                scratch[index] = *target;
+                scratch[index] = target.0 as u32;
                 enabled_any = true;
                 transitions += 1;
                 explored.insert(&scratch);
@@ -481,25 +481,24 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
 
         // Reception errors: a machine committed to receiving whose
         // matching channel head is unexpected.
-        for (index, &all) in rows.iter().enumerate() {
+        for (index, &(all, peers)) in rows.iter().enumerate() {
             if all.is_empty() || all.iter().any(|(a, _)| a.direction != Direction::Receive) {
                 // Not a receive-committed state (sends can still progress).
                 continue;
             }
-            for (action, _) in all {
-                let Some(queue) = inbound(index, action.peer).filter(|&queue| lens[queue] > 0)
-                else {
+            for ((action, _), &peer) in all.iter().zip(peers) {
+                let Some(queue) = inbound(index, peer).filter(|&queue| lens[queue] > 0) else {
                     continue;
                 };
                 let found = current[heads[queue]];
                 let expected = all
                     .iter()
-                    .any(|(a, _)| a.peer == action.peer && a.label == found);
+                    .any(|(a, _)| a.peer == action.peer && a.label.id() == found);
                 if !expected {
                     return Err(Violation::ReceptionError {
-                        role: system.roles()[index].clone(),
-                        peer: system.symbols.name(action.peer).clone(),
-                        found: system.symbols.name(found).clone(),
+                        role: system.roles[index],
+                        peer: action.peer,
+                        found: system.label(found),
                         config: config(),
                     });
                 }
@@ -508,7 +507,7 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
 
         // Orphans: a terminated machine receives nothing, so whatever is
         // queued towards it stays queued in every successor.
-        let terminal = |index: usize| rows[index].is_empty();
+        let terminal = |index: usize| rows[index].0.is_empty();
         let orphaned = channels
             .iter()
             .zip(lens)
@@ -600,7 +599,7 @@ mod tests {
         };
         let a_to_b = &config.channels[1];
         assert_eq!(a_to_b.len(), 1);
-        assert_eq!(system.labels()[a_to_b[0].0 as usize].as_str(), "x");
+        assert_eq!(a_to_b[0].as_str(), "x");
     }
 
     #[test]
@@ -701,12 +700,11 @@ mod tests {
         assert!(result.is_err());
     }
 
-    /// Roles and labels share one name table: a label spelled like a role
-    /// is that role's id, and still reads back as its name.
+    /// A label spelled like a role is that role's name, and still reads
+    /// back as the label it is.
     #[test]
     fn roles_and_labels_share_one_name_table() {
         let safe = system_from_locals(&[("a", "b!b.end"), ("b", "a?b.end")]).unwrap();
-        assert_eq!(safe.labels()[..2], safe.roles()[..]);
         assert!(check(&safe, 1).unwrap().exhaustive);
 
         let stranded = system_from_locals(&[("a", "b!b.end"), ("b", "end")]).unwrap();
@@ -714,8 +712,8 @@ mod tests {
             panic!("stranded message not reported");
         };
         let queued = config.channels[1][0];
-        assert_eq!(queued, LabelId(1));
-        assert_eq!(stranded.labels()[queued.0 as usize].as_str(), "b");
+        assert_eq!(queued, stranded.roles()[1]);
+        assert_eq!(queued.as_str(), "b");
 
         let unexpected = system_from_locals(&[("a", "b!a.end"), ("b", "a?b.end")]).unwrap();
         let Err(Violation::ReceptionError {
@@ -734,8 +732,7 @@ mod tests {
             error(&[("a", "b!x.end"), ("b", "a?x.end"), ("a", "end")]).as_deref(),
             Some("duplicate role a")
         );
-        // `x` is a label before it is a peer: it has an id, but not a
-        // role's.
+        // `x` is a label before it is a peer, but not a role.
         assert_eq!(
             error(&[("a", "b!x.end"), ("b", "a?x.x!y.end")]).as_deref(),
             Some("machine b references unknown peer x")

@@ -33,7 +33,7 @@ use generators::{
 mod reference {
     use std::collections::{HashSet, VecDeque};
 
-    use kmc::{Config, LabelId, Report, System, Violation};
+    use kmc::{Config, Report, System, Violation};
     use theory::fsm::{Direction, StateIndex};
     use theory::Name;
 
@@ -41,7 +41,7 @@ mod reference {
     struct CompiledAction {
         direction: Direction,
         peer: usize,
-        label: LabelId,
+        label: Name,
         target: StateIndex,
     }
 
@@ -50,10 +50,6 @@ mod reference {
         let machines = system.machines();
         let machine_count = machines.len();
         let role_index = |role: &Name| system.roles().iter().position(|r| r == role).unwrap();
-        let label_id = |label: &Name| {
-            let index = system.labels().iter().position(|l| l == label).unwrap();
-            LabelId(u32::try_from(index).unwrap())
-        };
         let channel_index = |from: usize, to: usize| from * machine_count + to;
 
         let compiled: Vec<Vec<Vec<CompiledAction>>> = machines
@@ -68,7 +64,7 @@ mod reference {
                             .map(|(action, target)| CompiledAction {
                                 direction: action.direction,
                                 peer: role_index(&action.peer),
-                                label: label_id(&action.label),
+                                label: action.label,
                                 target: *target,
                             })
                             .collect()
@@ -142,9 +138,9 @@ mod reference {
                             .any(|a| a.peer == action.peer && a.label == found);
                         if !expected {
                             return Err(Violation::ReceptionError {
-                                role: system.roles()[index].clone(),
-                                peer: system.roles()[action.peer].clone(),
-                                found: system.labels()[found.0 as usize].clone(),
+                                role: system.roles()[index],
+                                peer: system.roles()[action.peer],
+                                found,
                                 config,
                             });
                         }

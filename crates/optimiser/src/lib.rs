@@ -17,14 +17,12 @@
 //!    built-in one stays apart);
 //! 2. **verify** — validate every candidate against the projection with
 //!    the sound asynchronous subtyping algorithm, so only provably safe
-//!    reorderings survive. Each candidate is checked as the compact
-//!    machine [`Terms::machine`] builds from its arena id — the one
-//!    builder, which `fsm::from_local` runs too — against the
-//!    projection's, through one reused
-//!    `subtyping::SubtypeVisitor`; only a verified candidate becomes a
-//!    [`LocalType`], and its [`Fsm`] is the machine just checked,
-//!    resolved through the arena's one
-//!    [`Symbols`](theory::fsm::Symbols);
+//!    reorderings survive. Each candidate is checked as the machine
+//!    [`Terms::machine`] builds from its arena id — the one builder,
+//!    which `fsm::from_local` runs too — against the projection's,
+//!    through one reused `subtyping::SubtypeVisitor`; only a verified
+//!    candidate becomes a [`LocalType`], and its [`Fsm`] is the machine
+//!    just checked;
 //! 3. **score** — rank the verified candidates by *estimated nanoseconds
 //!    saved* under the [`cost`] price list (each crossed receive weighted
 //!    by its payload's wire size, minus the occupancy of hoisting the
@@ -58,7 +56,7 @@ pub mod rewrite;
 use std::collections::HashSet;
 
 use subtyping::SubtypeVisitor;
-use theory::fsm::{self, CompactFsm, Fsm, FsmError};
+use theory::fsm::{self, Fsm, FsmError};
 use theory::hash::BuildWordHasher;
 use theory::json;
 use theory::json_record;
@@ -285,7 +283,7 @@ pub fn optimise(
 ) -> Result<Optimised, FsmError> {
     let mut terms = Terms::default();
     let root = terms.intern_local(projection);
-    let mut projection_machine = CompactFsm::default();
+    let mut projection_machine = Fsm::new(*role);
     terms.machine(root, &mut projection_machine)?;
 
     // ---- generate: breadth-first closure under the rewrites ----------
@@ -331,9 +329,10 @@ pub fn optimise(
     }
 
     // ---- verify: every candidate against the projection --------------
-    // As compact machines of the arena, through one visitor; only a
-    // verified candidate becomes a `LocalType` and an `Fsm`.
-    let mut machine = CompactFsm::default();
+    // As machines of the arena, rebuilt in one buffer, through one
+    // visitor; only a verified candidate becomes a `LocalType` and keeps
+    // its machine.
+    let mut machine = Fsm::new(*role);
     let mut visitor = SubtypeVisitor::new(config.bound);
     let mut candidates = Vec::new();
     for (index, entry) in generated.iter().enumerate() {
@@ -349,7 +348,7 @@ pub fn optimise(
         let local = terms.to_local(entry.term);
         let derivation = derivation(&generated, index);
         candidates.push(Candidate {
-            fsm: terms.symbols().resolve(role, &machine),
+            fsm: machine.clone(),
             local,
             score: derivation.iter().map(Step::score).sum(),
             estimated_saving_ns: cost::saving_ns(&derivation),
@@ -371,9 +370,9 @@ pub fn optimise(
     });
 
     Ok(Optimised {
-        role: role.clone(),
+        role: *role,
         projection: projection.clone(),
-        projection_fsm: terms.symbols().resolve(role, &projection_machine),
+        projection_fsm: projection_machine,
         generated: generated.len(),
         pruned,
         candidates,

@@ -64,7 +64,7 @@ use std::fmt;
 
 use theory::name::Name;
 use theory::sort::Sort;
-use theory::term::{Branch, Node, SortId, Sym, TermId, Terms};
+use theory::term::{Branch, Node, TermId, Terms};
 
 /// One rewrite application, recorded in a candidate's derivation.
 #[derive(Clone, Debug, PartialEq)]
@@ -207,15 +207,13 @@ pub fn rewrites(terms: &mut Terms, term: TermId, allow_anticipate: bool) -> Rewr
 /// and a data-carrying sort on both ends that the subsort relation
 /// connects. Unit payloads carry nothing, so they never depend.
 fn data_depends(
-    terms: &Terms,
-    (send_label, send_sort): (Sym, SortId),
-    (recv_label, recv_sort): (Sym, SortId),
+    (send_label, send_sort): (Name, Sort),
+    (recv_label, recv_sort): (Name, Sort),
 ) -> bool {
-    let (send_sort, recv_sort) = (terms.sort(send_sort), terms.sort(recv_sort));
     send_label == recv_label
-        && *send_sort != Sort::Unit
-        && *recv_sort != Sort::Unit
-        && (recv_sort.is_subsort_of(send_sort) || send_sort.is_subsort_of(recv_sort))
+        && send_sort != Sort::Unit
+        && recv_sort != Sort::Unit
+        && (recv_sort.is_subsort_of(&send_sort) || send_sort.is_subsort_of(&recv_sort))
 }
 
 /// One pass of the rules over a term: every position depth-first, the
@@ -287,24 +285,16 @@ impl Walk<'_> {
         self.found.candidates.push((term, step));
     }
 
-    fn name(&self, sym: Sym) -> Name {
-        self.terms.name(sym).clone()
-    }
-
-    fn sort(&self, sort: SortId) -> Sort {
-        self.terms.sort(sort).clone()
-    }
-
     /// The hoisted form: the inner select's `branches` towards
     /// `send_peer`, each continuation wrapped in the crossed single action
     /// (`crossed_send` towards `crossed_peer`).
     fn hoisted(
         &mut self,
-        send_peer: Sym,
+        send_peer: Name,
         mut branches: Box<[Branch]>,
         crossed_send: bool,
-        crossed_peer: Sym,
-        (label, sort): (Sym, SortId),
+        crossed_peer: Name,
+        (label, sort): (Name, Sort),
     ) -> TermId {
         for branch in branches.iter_mut() {
             branch.2 = self
@@ -319,7 +309,7 @@ impl Walk<'_> {
     }
 
     /// Hoist past receive: `p?a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p?a.Tᵢ`.
-    fn hoist_past_receive(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+    fn hoist_past_receive(&mut self, peer: Name, (label, sort, continuation): Branch) {
         let Node::Choice {
             send: true,
             peer: send_peer,
@@ -330,24 +320,24 @@ impl Walk<'_> {
         };
         if inner
             .iter()
-            .any(|&(l, s, _)| data_depends(self.terms, (l, s), (label, sort)))
+            .any(|&(l, s, _)| data_depends((l, s), (label, sort)))
         {
             self.found.pruned += 1;
             return;
         }
         let (send_peer, inner) = (*send_peer, inner.clone());
         let step = Step::HoistPastReceive {
-            send_peer: self.name(send_peer),
-            receive_peer: self.name(peer),
-            send_sorts: inner.iter().map(|&(_, s, _)| self.sort(s)).collect(),
-            receive_sort: self.sort(sort),
+            send_peer,
+            receive_peer: peer,
+            send_sorts: inner.iter().map(|&(_, s, _)| s).collect(),
+            receive_sort: sort,
         };
         let replacement = self.hoisted(send_peer, inner, false, peer, (label, sort));
         self.emit(replacement, step);
     }
 
     /// Swap receives: `p?a.q?b.T ↦ q?b.p?a.T` for `p ≠ q`.
-    fn swap_receives(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+    fn swap_receives(&mut self, peer: Name, (label, sort, continuation): Branch) {
         let Node::Choice {
             send: false,
             peer: moved_peer,
@@ -368,8 +358,8 @@ impl Walk<'_> {
             .terms
             .single(false, moved_peer, (moved_label, moved_sort, crossed));
         let step = Step::SwapReceives {
-            moved: self.name(moved_peer),
-            crossed: self.name(peer),
+            moved: moved_peer,
+            crossed: peer,
         };
         self.emit(replacement, step);
     }
@@ -384,18 +374,18 @@ impl Walk<'_> {
         };
         if branches
             .iter()
-            .any(|&(l, s, _)| data_depends(self.terms, (label, sort), (l, s)))
+            .any(|&(l, s, _)| data_depends((label, sort), (l, s)))
         {
             self.found.pruned += 1;
             return;
         }
         let (peer, mut stripped) = (*peer, branches.clone());
         let step = Step::HoistFromBranches {
-            send_peer: self.name(send_peer),
-            receive_peer: self.name(peer),
-            label: self.name(label),
-            sort: self.sort(sort),
-            receive_sorts: stripped.iter().map(|&(_, s, _)| self.sort(s)).collect(),
+            send_peer,
+            receive_peer: peer,
+            label,
+            sort,
+            receive_sorts: stripped.iter().map(|&(_, s, _)| s).collect(),
         };
         for branch in stripped.iter_mut() {
             branch.2 = self
@@ -413,7 +403,7 @@ impl Walk<'_> {
     }
 
     /// Hoist past send: `p!a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p!a.Tᵢ` for `p ≠ q`.
-    fn hoist_past_send(&mut self, peer: Sym, (label, sort, continuation): Branch) {
+    fn hoist_past_send(&mut self, peer: Name, (label, sort, continuation): Branch) {
         let Node::Choice {
             send: true,
             peer: inner_peer,
@@ -430,8 +420,8 @@ impl Walk<'_> {
         let (inner_peer, inner) = (*inner_peer, inner.clone());
         let replacement = self.hoisted(inner_peer, inner, true, peer, (label, sort));
         let step = Step::HoistPastSend {
-            inner: self.name(inner_peer),
-            outer: self.name(peer),
+            inner: inner_peer,
+            outer: peer,
         };
         self.emit(replacement, step);
     }
@@ -442,17 +432,17 @@ impl Walk<'_> {
         for (peer, label, sort) in body_actions(self.terms, body, true) {
             if receives
                 .iter()
-                .any(|&(_, l, s)| data_depends(self.terms, (label, sort), (l, s)))
+                .any(|&(_, l, s)| data_depends((label, sort), (l, s)))
             {
                 self.found.pruned += 1;
                 continue;
             }
             let replacement = self.terms.single(true, peer, (label, sort, term));
             let step = Step::Anticipate {
-                peer: self.name(peer),
-                label: self.name(label),
-                sort: self.sort(sort),
-                crossed_receives: receives.iter().map(|&(_, _, s)| self.sort(s)).collect(),
+                peer,
+                label,
+                sort,
+                crossed_receives: receives.iter().map(|&(_, _, s)| s).collect(),
             };
             self.emit(replacement, step);
         }
@@ -461,7 +451,7 @@ impl Walk<'_> {
 
 /// When every branch of a multi-label external choice starts with the
 /// same single send, that common `(peer, label, sort)`.
-fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Sym, Sym, SortId)> {
+fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Name, Name, Sort)> {
     let mut common = None;
     for &(_, _, continuation) in branches {
         let Node::Choice {
@@ -486,8 +476,8 @@ fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Sym, Sym, 
 /// Distinct send (`send`) or receive actions occurring anywhere in
 /// `body`, in term order. The receives are what one loop anticipation
 /// pipelines across (and what a forwarded payload may data-depend on).
-fn body_actions(terms: &Terms, body: TermId, send: bool) -> Vec<(Sym, Sym, SortId)> {
-    fn go(terms: &Terms, term: TermId, send: bool, out: &mut Vec<(Sym, Sym, SortId)>) {
+fn body_actions(terms: &Terms, body: TermId, send: bool) -> Vec<(Name, Name, Sort)> {
+    fn go(terms: &Terms, term: TermId, send: bool, out: &mut Vec<(Name, Name, Sort)>) {
         match terms.node(term) {
             Node::End | Node::Var(_) => {}
             Node::Rec(_, body) => go(terms, *body, send, out),

@@ -44,7 +44,7 @@ mod reference {
 
     use optimiser::{cost, Candidate, Config, Optimised, Step};
     use subtyping::SubtypeVisitor;
-    use theory::fsm::{self, FsmError, Symbols};
+    use theory::fsm::{self, FsmError};
     use theory::local::{LocalBranch, LocalType};
     use theory::name::Name;
     use theory::sort::Sort;
@@ -119,18 +119,18 @@ mod reference {
                     } else {
                         emit(
                             hoisted(send_peer, inner, |continuation| LocalType::Branch {
-                                peer: peer.clone(),
+                                peer: *peer,
                                 branches: vec![LocalBranch {
-                                    label: guard.label.clone(),
-                                    sort: guard.sort.clone(),
+                                    label: guard.label,
+                                    sort: guard.sort,
                                     continuation,
                                 }],
                             }),
                             Step::HoistPastReceive {
-                                send_peer: send_peer.clone(),
-                                receive_peer: peer.clone(),
-                                send_sorts: inner.iter().map(|b| b.sort.clone()).collect(),
-                                receive_sort: guard.sort.clone(),
+                                send_peer: *send_peer,
+                                receive_peer: *peer,
+                                send_sorts: inner.iter().map(|b| b.sort).collect(),
+                                receive_sort: guard.sort,
                             },
                         );
                     }
@@ -146,19 +146,19 @@ mod reference {
                         let moved = &inner[0];
                         emit(
                             LocalType::receive(
-                                inner_peer.clone(),
-                                moved.label.clone(),
-                                moved.sort.clone(),
+                                *inner_peer,
+                                moved.label,
+                                moved.sort,
                                 LocalType::receive(
-                                    peer.clone(),
-                                    guard.label.clone(),
-                                    guard.sort.clone(),
+                                    *peer,
+                                    guard.label,
+                                    guard.sort,
                                     moved.continuation.clone(),
                                 ),
                             ),
                             Step::SwapReceives {
-                                moved: inner_peer.clone(),
-                                crossed: peer.clone(),
+                                moved: *inner_peer,
+                                crossed: *peer,
                             },
                         );
                     }
@@ -178,8 +178,8 @@ mod reference {
                         let stripped: Vec<LocalBranch> = branches
                             .iter()
                             .map(|b| LocalBranch {
-                                label: b.label.clone(),
-                                sort: b.sort.clone(),
+                                label: b.label,
+                                sort: b.sort,
                                 continuation: match &b.continuation {
                                     LocalType::Select { branches, .. } => {
                                         branches[0].continuation.clone()
@@ -190,20 +190,20 @@ mod reference {
                             .collect();
                         emit(
                             LocalType::send(
-                                send_peer.clone(),
-                                label.clone(),
-                                sort.clone(),
+                                send_peer,
+                                label,
+                                sort,
                                 LocalType::Branch {
-                                    peer: peer.clone(),
+                                    peer: *peer,
                                     branches: stripped,
                                 },
                             ),
                             Step::HoistFromBranches {
                                 send_peer,
-                                receive_peer: peer.clone(),
+                                receive_peer: *peer,
                                 label,
                                 sort,
-                                receive_sorts: branches.iter().map(|b| b.sort.clone()).collect(),
+                                receive_sorts: branches.iter().map(|b| b.sort).collect(),
                             },
                         );
                     }
@@ -221,16 +221,16 @@ mod reference {
                     if inner_peer != peer {
                         emit(
                             hoisted(inner_peer, inner, |continuation| LocalType::Select {
-                                peer: peer.clone(),
+                                peer: *peer,
                                 branches: vec![LocalBranch {
-                                    label: outer.label.clone(),
-                                    sort: outer.sort.clone(),
+                                    label: outer.label,
+                                    sort: outer.sort,
                                     continuation,
                                 }],
                             }),
                             Step::HoistPastSend {
-                                inner: inner_peer.clone(),
-                                outer: peer.clone(),
+                                inner: *inner_peer,
+                                outer: *peer,
                             },
                         );
                     }
@@ -250,12 +250,12 @@ mod reference {
                         continue;
                     }
                     emit(
-                        LocalType::send(peer.clone(), label.clone(), sort.clone(), term.clone()),
+                        LocalType::send(peer, label, sort, term.clone()),
                         Step::Anticipate {
                             peer,
                             label,
                             sort,
-                            crossed_receives: receives.iter().map(|(_, _, s)| s.clone()).collect(),
+                            crossed_receives: receives.iter().map(|(_, _, s)| *s).collect(),
                         },
                     );
                 }
@@ -269,7 +269,7 @@ mod reference {
                 collect(body, allow_anticipate, pruned, &mut |new_body, step| {
                     emit(
                         LocalType::Rec {
-                            var: var.clone(),
+                            var: *var,
                             body: Box::new(new_body),
                         },
                         step,
@@ -287,8 +287,8 @@ mod reference {
                             // Clone the siblings only: the continuation being
                             // replaced is never copied.
                             let replaced = LocalBranch {
-                                label: branch.label.clone(),
-                                sort: branch.sort.clone(),
+                                label: branch.label,
+                                sort: branch.sort,
                                 continuation: cont,
                             };
                             let branches = branches[..index]
@@ -297,7 +297,7 @@ mod reference {
                                 .chain(std::iter::once(replaced))
                                 .chain(branches[index + 1..].iter().cloned())
                                 .collect();
-                            let peer = peer.clone();
+                            let peer = *peer;
                             emit(
                                 if is_select {
                                     LocalType::Select { peer, branches }
@@ -324,11 +324,7 @@ mod reference {
             if branches.len() != 1 {
                 return None;
             }
-            let lead = (
-                peer.clone(),
-                branches[0].label.clone(),
-                branches[0].sort.clone(),
-            );
+            let lead = (*peer, branches[0].label, branches[0].sort);
             match &common {
                 None => common = Some(lead),
                 Some(seen) if *seen == lead => {}
@@ -347,12 +343,12 @@ mod reference {
         rebuild: impl Fn(LocalType) -> LocalType,
     ) -> LocalType {
         LocalType::Select {
-            peer: send_peer.clone(),
+            peer: *send_peer,
             branches: inner
                 .iter()
                 .map(|branch| LocalBranch {
-                    label: branch.label.clone(),
-                    sort: branch.sort.clone(),
+                    label: branch.label,
+                    sort: branch.sort,
                     continuation: rebuild(branch.continuation.clone()),
                 })
                 .collect(),
@@ -367,7 +363,7 @@ mod reference {
                 LocalType::Rec { body, .. } => go(body, out),
                 LocalType::Select { peer, branches } => {
                     for branch in branches {
-                        let action = (peer.clone(), branch.label.clone(), branch.sort.clone());
+                        let action = (*peer, branch.label, branch.sort);
                         if !out.contains(&action) {
                             out.push(action);
                         }
@@ -396,7 +392,7 @@ mod reference {
                 LocalType::Rec { body, .. } => go(body, out),
                 LocalType::Branch { peer, branches } => {
                     for branch in branches {
-                        let action = (peer.clone(), branch.label.clone(), branch.sort.clone());
+                        let action = (*peer, branch.label, branch.sort);
                         if !out.contains(&action) {
                             out.push(action);
                         }
@@ -473,14 +469,11 @@ mod reference {
                 convertible.push((local, derivation, machine));
             }
         }
-        // One supertype, interned once, and every candidate through one
-        // visitor.
-        let mut symbols = Symbols::default();
-        let sup = symbols.intern(&projection_fsm);
+        // One supertype, and every candidate through one visitor.
         let mut visitor = SubtypeVisitor::new(config.bound);
         let stats: Vec<_> = convertible
             .iter()
-            .map(|(_, _, machine)| visitor.check(&symbols.intern(machine), &sup))
+            .map(|(_, _, machine)| visitor.check(machine, &projection_fsm))
             .collect();
         let mut candidates: Vec<Candidate> = convertible
             .into_iter()
@@ -509,7 +502,7 @@ mod reference {
         });
 
         Ok(Optimised {
-            role: role.clone(),
+            role: *role,
             projection: projection.clone(),
             projection_fsm,
             generated: generated.len(),
@@ -682,12 +675,12 @@ fn looped(t: &LocalType) -> LocalType {
                 let branches = branches
                     .iter()
                     .map(|b| LocalBranch {
-                        label: b.label.clone(),
-                        sort: b.sort.clone(),
+                        label: b.label,
+                        sort: b.sort,
                         continuation: close(&b.continuation),
                     })
                     .collect();
-                let peer = peer.clone();
+                let peer = *peer;
                 if matches!(t, LocalType::Select { .. }) {
                     LocalType::Select { peer, branches }
                 } else {
@@ -712,20 +705,20 @@ fn resorted(t: &LocalType) -> LocalType {
                         let sort = if *typed { Sort::I32 } else { Sort::Unit };
                         *typed = !*typed;
                         LocalBranch {
-                            label: b.label.clone(),
+                            label: b.label,
                             sort,
                             continuation: go(&b.continuation, typed),
                         }
                     })
                     .collect();
-                let peer = peer.clone();
+                let peer = *peer;
                 if matches!(t, LocalType::Select { .. }) {
                     LocalType::Select { peer, branches }
                 } else {
                     LocalType::Branch { peer, branches }
                 }
             }
-            LocalType::Rec { var, body } => LocalType::rec(var.clone(), go(body, typed)),
+            LocalType::Rec { var, body } => LocalType::rec(*var, go(body, typed)),
             other => other.clone(),
         }
     }

@@ -123,8 +123,8 @@ fn check_binary(t: &LocalType) -> Result<(), BinaryError> {
     let peers: Vec<Name> = t.peers().into_iter().collect();
     if peers.len() > 1 {
         return Err(BinaryError::NotBinary {
-            first: peers[0].clone(),
-            second: peers[1].clone(),
+            first: peers[0],
+            second: peers[1],
         });
     }
     Ok(())
@@ -137,11 +137,11 @@ fn check_closed(t: &LocalType, bound: &mut Vec<Name>) -> Result<(), BinaryError>
             if bound.contains(v) {
                 Ok(())
             } else {
-                Err(BinaryError::UnboundVariable(v.clone()))
+                Err(BinaryError::UnboundVariable(*v))
             }
         }
         LocalType::Rec { var, body } => {
-            bound.push(var.clone());
+            bound.push(*var);
             let result = check_closed(body, bound);
             bound.pop();
             result
@@ -310,9 +310,7 @@ fn select_leaf(context: &Context, label: &Name, sort: &Sort) -> Option<Context> 
         Context::Node(children) => {
             let children = children
                 .iter()
-                .map(|(l, s, child)| {
-                    select_leaf(child, label, sort).map(|c| (l.clone(), s.clone(), c))
-                })
+                .map(|(l, s, child)| select_leaf(child, label, sort).map(|c| (*l, *s, c)))
                 .collect::<Option<Vec<_>>>()?;
             Some(Context::Node(children))
         }

@@ -19,7 +19,7 @@
 //!
 //! With more than two positionals, every argument but the last is a
 //! candidate checked against the final supertype: all of them built as
-//! compact machines of one term arena and checked through one visitor,
+//! machines of one term arena and checked through one visitor,
 //! the shape of the AMR optimiser's verification. `--json` reports the
 //! per-candidate `CheckStats` visit counts:
 //!
@@ -33,7 +33,7 @@
 use std::process::ExitCode;
 
 use subtyping::SubtypeVisitor;
-use theory::fsm::CompactFsm;
+use theory::fsm::Fsm;
 use theory::json::Json;
 use theory::json_record;
 use theory::term::Terms;
@@ -160,14 +160,15 @@ fn main() -> ExitCode {
     // Bulk form: the supertype and every candidate built in one arena,
     // each candidate checked against the supertype through one visitor,
     // stats in input order.
+    // The machines' role takes no part in the check.
     let mut terms = Terms::default();
-    let mut sup_machine = CompactFsm::default();
+    let mut sup_machine = Fsm::new("r");
     let sup = terms.intern_local(&sup);
     if let Err(e) = terms.machine(sup, &mut sup_machine) {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    let mut machine = CompactFsm::default();
+    let mut machine = Fsm::new("r");
     let mut visitor = SubtypeVisitor::new(bound);
     let mut stats = Vec::with_capacity(types.len());
     for (index, candidate) in types.iter().enumerate() {

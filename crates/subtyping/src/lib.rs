@@ -11,12 +11,10 @@
 //!   standing for the recursion bounds `n`; a check's memory follows its
 //!   path depth, not the product of the machines.
 //!
-//! Both walk the interned machine form,
-//! [`CompactFsm`]: an action is four integers,
-//! so matching two never reads a string. The entry points on [`Fsm`]s
-//! intern both sides through one [`Symbols`] per call. The entry points
-//! on local types build both machines in one [`Terms`] arena, with no
-//! `Fsm` in between, as the AMR optimiser builds its candidates'.
+//! Both read [`Fsm`]s as they are: an action's peer, label and sort are
+//! interned names, so matching two actions never reads a string, and no
+//! entry point converts a machine. The entry points on local types build
+//! both machines with [`fsm::from_local`] first.
 //!
 //! The algorithm is **sound** (a `true` answer implies the precise
 //! asynchronous subtyping `T ≤ T′` of Ghilezan et al.) and **terminating**,
@@ -42,9 +40,9 @@
 pub mod prefix;
 pub mod visitor;
 
-use theory::fsm::{CompactFsm, Fsm, FsmError, Symbols};
+use theory::fsm::{self, Fsm, FsmError};
 use theory::local::LocalType;
-use theory::term::Terms;
+use theory::Name;
 
 pub use visitor::SubtypeVisitor;
 
@@ -57,8 +55,7 @@ pub fn is_subtype(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
     check_with_stats(sub, sup, bound).verdict
 }
 
-/// [`is_subtype`] on local types: both are interned into one
-/// [`Terms`] arena and checked as its compact machines.
+/// [`is_subtype`] on local types, converted with [`fsm::from_local`].
 pub fn is_subtype_local(sub: &LocalType, sup: &LocalType, bound: usize) -> Result<bool, FsmError> {
     Ok(check_with_stats_local(sub, sup, bound)?.verdict)
 }
@@ -81,9 +78,7 @@ theory::json_record! {
 /// Instrumented variant of [`is_subtype`]: same verdict, plus search
 /// statistics.
 pub fn check_with_stats(sub: &Fsm, sup: &Fsm, bound: usize) -> CheckStats {
-    let mut symbols = Symbols::default();
-    let (sub, sup) = (symbols.intern(sub), symbols.intern(sup));
-    SubtypeVisitor::new(bound).check(&sub, &sup)
+    SubtypeVisitor::new(bound).check(sub, sup)
 }
 
 /// Instrumented variant of [`is_subtype_local`]: the `subtype` CLI's
@@ -94,12 +89,10 @@ pub fn check_with_stats_local(
     sup: &LocalType,
     bound: usize,
 ) -> Result<CheckStats, FsmError> {
-    let mut terms = Terms::default();
-    let (sub, sup) = (terms.intern_local(sub), terms.intern_local(sup));
-    let (mut sub_machine, mut sup_machine) = (CompactFsm::default(), CompactFsm::default());
-    terms.machine(sub, &mut sub_machine)?;
-    terms.machine(sup, &mut sup_machine)?;
-    Ok(SubtypeVisitor::new(bound).check(&sub_machine, &sup_machine))
+    // The role takes no part in the check.
+    let role = Name::new("r");
+    let (sub, sup) = (fsm::from_local(&role, sub)?, fsm::from_local(&role, sup)?);
+    Ok(check_with_stats(&sub, &sup, bound))
 }
 
 #[cfg(test)]

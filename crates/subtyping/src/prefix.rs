@@ -7,13 +7,11 @@
 //! them removed (when a reduction consumes an element in the middle — the
 //! `[)A]`/`[)B]` cases). [`Snapshot`]s record `(len, start, removed.len())`
 //! so the depth-first visitor can revert cheaply without copying. A
-//! prefix holds [`CompactAction`]s, four integers each, so pushing and
-//! reverting never touch a reference count and comparing two actions
-//! never reads a string; both prefixes of a check must be numbered by one
-//! [`Symbols`](theory::fsm::Symbols).
+//! prefix holds [`Action`]s by value: their names are interned, so pushing
+//! and reverting never touch a reference count and comparing two actions
+//! never reads a string.
 
-use theory::fsm::{CompactAction, Direction};
-use theory::sort::Sort;
+use theory::fsm::{Action, Direction};
 
 /// A recorded point in a prefix's history; see [`Prefix::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +29,7 @@ pub struct Snapshot {
 #[derive(Clone, Debug, Default)]
 pub struct Prefix {
     /// `(removed, transition)` pairs; `removed` marks lazy deletion.
-    transitions: Vec<(bool, CompactAction)>,
+    transitions: Vec<(bool, Action)>,
     /// Elements before `start` are consumed (a cheap bulk form of removal).
     start: usize,
     /// Log of indices removed by flagging, in removal order, for revert.
@@ -40,7 +38,7 @@ pub struct Prefix {
 
 impl Prefix {
     /// Appends an action to the prefix.
-    pub fn push(&mut self, action: CompactAction) {
+    pub fn push(&mut self, action: Action) {
         self.transitions.push((false, action));
     }
 
@@ -55,13 +53,13 @@ impl Prefix {
     }
 
     /// Iterates over `(index, action)` for live elements, in order.
-    pub fn live(&self) -> impl Iterator<Item = (usize, CompactAction)> + '_ {
+    pub fn live(&self) -> impl Iterator<Item = (usize, &Action)> {
         self.transitions
             .iter()
             .enumerate()
             .skip(self.start)
             .filter(|(_, (removed, _))| !removed)
-            .map(|(index, &(_, action))| (index, action))
+            .map(|(index, (_, action))| (index, action))
     }
 
     /// Removes the element at `index` (which must be live).
@@ -146,14 +144,14 @@ pub enum Reduction {
 /// * `[)B]`: a head output `p!ℓ` matches across a context `B(p)` of inputs
 ///   (any) and outputs to participants other than `p`.
 pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
-    let Some((head_index, head)) = sub.live().next() else {
+    let Some((head_index, &head)) = sub.live().next() else {
         return Reduction::Blocked;
     };
     let direction = head.direction;
     let mut matched: Option<usize> = None;
     for (index, action) in sup.live() {
         if action.direction == direction && action.peer == head.peer && action.label == head.label {
-            if sorts_compatible(head, action) {
+            if sorts_compatible(&head, action) {
                 matched = Some(index);
                 break;
             }
@@ -197,15 +195,15 @@ pub fn reduce(sub: &mut Prefix, sup: &mut Prefix) -> bool {
 /// Payload compatibility for matched actions: receives are contravariant
 /// (`[ref-in]`: the supertype's sort must be a subsort of the subtype's),
 /// sends covariant (`[ref-out]`).
-fn sorts_compatible(sub: CompactAction, sup: CompactAction) -> bool {
+fn sorts_compatible(sub: &Action, sup: &Action) -> bool {
     match sub.direction {
-        Direction::Receive => Sort::is_subsort_code(sup.sort, sub.sort),
-        Direction::Send => Sort::is_subsort_code(sub.sort, sup.sort),
+        Direction::Receive => sup.sort.is_subsort_of(&sub.sort),
+        Direction::Send => sub.sort.is_subsort_of(&sup.sort),
     }
 }
 
 /// Convenience constructor used by tests: builds a prefix from actions.
-pub fn prefix_of(actions: impl IntoIterator<Item = CompactAction>) -> Prefix {
+pub fn prefix_of(actions: impl IntoIterator<Item = Action>) -> Prefix {
     let mut prefix = Prefix::default();
     for action in actions {
         prefix.push(action);
@@ -216,7 +214,7 @@ pub fn prefix_of(actions: impl IntoIterator<Item = CompactAction>) -> Prefix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::{Action, Symbols};
+    use theory::sort::Sort;
 
     fn send(peer: &str, label: &str) -> Action {
         Action::send(peer, label, Sort::Unit)
@@ -226,12 +224,12 @@ mod tests {
         Action::receive(peer, label, Sort::Unit)
     }
 
-    /// The prefixes of `sub` and `sup`, interned through one `Symbols`.
+    /// The prefixes of `sub` and `sup`.
     fn prefixes(sub: &[Action], sup: &[Action]) -> (Prefix, Prefix) {
-        let mut symbols = Symbols::default();
-        let mut prefix =
-            |actions: &[Action]| prefix_of(actions.iter().map(|a| symbols.intern_action(a)));
-        (prefix(sub), prefix(sup))
+        (
+            prefix_of(sub.iter().copied()),
+            prefix_of(sup.iter().copied()),
+        )
     }
 
     /// Example 4 of the paper: `⟨p!ℓ2.p?ℓ1 ⌈⌋ p?ℓ1.p!ℓ2⟩` reduces via
@@ -292,16 +290,12 @@ mod tests {
 
     #[test]
     fn snapshot_revert_restores_midlist_removals() {
-        let mut symbols = Symbols::default();
-        let actions: Vec<CompactAction> = [
+        let actions = [
             recv("a", "1"),
             recv("b", "2"),
             recv("c", "3"),
             recv("d", "4"),
-        ]
-        .iter()
-        .map(|action| symbols.intern_action(action))
-        .collect();
+        ];
         let mut prefix = prefix_of(actions[..3].iter().copied());
         let snapshot = prefix.snapshot();
         prefix.remove(1); // mid-list: flagged
@@ -313,7 +307,7 @@ mod tests {
         assert_eq!(
             prefix
                 .live()
-                .map(|(_, a)| symbols.name(a.label).as_str())
+                .map(|(_, a)| a.label.as_str())
                 .collect::<Vec<_>>(),
             vec!["1", "2", "3"]
         );
@@ -322,10 +316,8 @@ mod tests {
     #[test]
     fn matches_snapshot_on_periodic_consumption() {
         // Simulate one loop iteration that consumes exactly what it adds.
-        // An action interned twice gets the same ids: comparison is by value.
-        let mut symbols = Symbols::default();
-        let first = symbols.intern_action(&recv("p", "l"));
-        let second = symbols.intern_action(&recv("p", "l"));
+        // An action made twice is the same action: comparison is by value.
+        let (first, second) = (recv("p", "l"), recv("p", "l"));
         let mut prefix = Prefix::default();
         prefix.push(first);
         let before = prefix.snapshot();
@@ -338,9 +330,8 @@ mod tests {
     fn hanging_action_fails_snapshot_match() {
         // A q?l' that is never consumed makes the live range longer than
         // the recorded one.
-        let mut symbols = Symbols::default();
-        let hanging = symbols.intern_action(&recv("q", "lp"));
-        let looped = symbols.intern_action(&recv("p", "l"));
+        let hanging = recv("q", "lp");
+        let looped = recv("p", "l");
         let mut prefix = Prefix::default();
         prefix.push(hanging);
         let before = prefix.snapshot();

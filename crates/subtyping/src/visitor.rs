@@ -13,14 +13,13 @@
 //!
 //! A check leaves the path map and both prefixes empty, so one visitor
 //! checks any number of pairs and keeps their buffers: the AMR optimiser
-//! runs every candidate through one. The visitor walks [`CompactFsm`]s,
-//! whose actions are compared as integers; the entry points of the crate
-//! intern their [`Fsm`](theory::fsm::Fsm)s first, through one
-//! [`Symbols`](theory::fsm::Symbols) per call.
+//! runs every candidate through one. The visitor reads the [`Fsm`]s it is
+//! given as they are: their actions' names are interned, so matching two
+//! actions compares pointers.
 
 use std::collections::HashMap;
 
-use theory::fsm::{CompactFsm, Direction, StateIndex};
+use theory::fsm::{Direction, Fsm, StateIndex};
 use theory::hash::BuildWordHasher;
 
 use crate::prefix::{reduce, Prefix, Snapshot};
@@ -37,8 +36,8 @@ struct Previous {
 /// `Σ` keyed by `(sub_state, sup_state)`, hashed a word at a time.
 type PathMap = HashMap<(usize, usize), Previous, BuildWordHasher>;
 
-/// Checks `sub ≤ sup` by depth-first search over two machines numbered by
-/// one [`Symbols`](theory::fsm::Symbols); see [`crate::is_subtype`].
+/// Checks `sub ≤ sup` by depth-first search over two machines; see
+/// [`crate::is_subtype`].
 pub struct SubtypeVisitor {
     bound: usize,
     /// `Σ`: one entry per state pair on the current derivation path.
@@ -73,7 +72,7 @@ impl SubtypeVisitor {
     /// (`[init]`) and reports the verdict and how many state-pair visits
     /// the search performed — the work metric surfaced by
     /// `subtype --json` and the optimiser report.
-    pub fn check(&mut self, sub: &CompactFsm, sup: &CompactFsm) -> CheckStats {
+    pub fn check(&mut self, sub: &Fsm, sup: &Fsm) -> CheckStats {
         self.visited = 0;
         let verdict = self.visit((sub, sup), sub.initial().0, sup.initial().0);
         debug_assert!(self.path.is_empty(), "a check leaves its path behind");
@@ -84,12 +83,7 @@ impl SubtypeVisitor {
         }
     }
 
-    fn visit(
-        &mut self,
-        machines: (&CompactFsm, &CompactFsm),
-        sub_state: usize,
-        sup_state: usize,
-    ) -> bool {
+    fn visit(&mut self, machines: (&Fsm, &Fsm), sub_state: usize, sup_state: usize) -> bool {
         let (sub, sup) = machines;
         self.visited += 1;
         // (1) Bound check ([μl]/[μr] with n = 0): each state pair may be
@@ -186,7 +180,7 @@ impl SubtypeVisitor {
     /// state and its index among that state's transitions.
     fn try_pair(
         &mut self,
-        machines: (&CompactFsm, &CompactFsm),
+        machines: (&Fsm, &Fsm),
         (sub_state, sub_index): (usize, usize),
         (sup_state, sup_index): (usize, usize),
     ) -> bool {
@@ -195,7 +189,7 @@ impl SubtypeVisitor {
         let snapshots = [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()];
         self.prefixes[0].push(sub_action);
         self.prefixes[1].push(sup_action);
-        let result = self.visit(machines, sub_target as usize, sup_target as usize);
+        let result = self.visit(machines, sub_target.0, sup_target.0);
         self.prefixes[0].revert(snapshots[0]);
         self.prefixes[1].revert(snapshots[1]);
         result
@@ -205,7 +199,7 @@ impl SubtypeVisitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use theory::fsm::{from_local, Action, Fsm, FsmBuilder, Symbols};
+    use theory::fsm::{from_local, Action, FsmBuilder};
     use theory::local;
     use theory::sort::Sort;
 
@@ -213,15 +207,8 @@ mod tests {
         from_local(&"r".into(), &local::parse(text).unwrap()).unwrap()
     }
 
-    /// Both machines, interned through one `Symbols`.
-    fn interned(sub: &Fsm, sup: &Fsm) -> (CompactFsm, CompactFsm) {
-        let mut symbols = Symbols::default();
-        (symbols.intern(sub), symbols.intern(sup))
-    }
-
     fn check(sub: &Fsm, sup: &Fsm, bound: usize) -> bool {
-        let (sub, sup) = interned(sub, sup);
-        SubtypeVisitor::new(bound).check(&sub, &sup).verdict
+        SubtypeVisitor::new(bound).check(sub, sup).verdict
     }
 
     #[test]
@@ -260,12 +247,10 @@ mod tests {
             projected.clone(),
             fsm("end"),
         ];
-        let mut symbols = Symbols::default();
-        let supertype = symbols.intern(&projected);
         let mut visitor = SubtypeVisitor::new(6);
         for candidate in &candidates {
             assert_eq!(
-                visitor.check(&symbols.intern(candidate), &supertype),
+                visitor.check(candidate, &projected),
                 crate::check_with_stats(candidate, &projected, 6)
             );
         }
@@ -289,7 +274,7 @@ mod tests {
     /// would need 2³² entries here before the first visit.
     #[test]
     fn cost_follows_visited_pairs_not_machine_size() {
-        let (sub, sup) = interned(&chain(1 << 16, "a"), &chain(1 << 16, "b"));
+        let (sub, sup) = (chain(1 << 16, "a"), chain(1 << 16, "b"));
         let stats = SubtypeVisitor::new(4).check(&sub, &sup);
         assert!(!stats.verdict);
         assert!(stats.visited_pairs <= 2, "{} visits", stats.visited_pairs);

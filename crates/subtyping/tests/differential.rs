@@ -1,12 +1,13 @@
 //! Differential test of [`SubtypeVisitor`] against a reference visitor
 //! that keeps a dense `sub.len() × sup.len()` history matrix and owned
 //! prefix actions — the visitor and prefix as they were before the path
-//! map and interned actions replaced them. The visitor runs twice per
-//! pair: on the `Fsm`s interned through one `Symbols`, as the entry points
-//! on `Fsm`s run it, and on the compact machines `theory::term::Terms`
-//! builds from one arena, as the entry points on local types and the
-//! optimiser run it. Both must agree with the reference — which still reads the `Fsm`s
-//! — on the verdict *and* on the number of visited state pairs, with
+//! map and prefixes of copied actions replaced them. The visitor runs
+//! twice per pair: on the `Fsm`s `fsm::from_local` builds, one arena per
+//! type, as the entry points run it, and on the machines
+//! `theory::term::Terms` builds from one arena for both types, as the
+//! optimiser runs it. Both must agree with the reference — which reads
+//! the first pair — on the verdict *and* on the number of visited state
+//! pairs, with
 //! fail-early both on and off, for
 //!
 //! * random binary types (their generator is included from
@@ -26,10 +27,10 @@
 //! count and stale snapshots) passes every other test of this crate; here
 //! the looped random types and the pmesh-5 candidates fail on it. Trees
 //! and single loops never re-enter a pair from a sibling branch, so they
-//! cannot see it. Checking sort codes the wrong way round in
-//! `prefix::sorts_compatible` (`Sort::is_subsort_code(sub.sort, sup.sort)`
-//! for a receive) fails here on the re-sorted random pairs only: every
-//! other input carries one sort.
+//! cannot see it. Checking sorts the wrong way round in
+//! `prefix::sorts_compatible` (`sub.sort.is_subsort_of(&sup.sort)` for a
+//! receive) fails here on the re-sorted random pairs only: every other
+//! input carries one sort.
 //!
 //! CI runs this in release as well (`cargo test --release -p subtyping`).
 
@@ -40,7 +41,6 @@ use optimiser::rewrite::rewrites;
 use optimiser::Step;
 use proptest::prelude::*;
 use subtyping::{CheckStats, SubtypeVisitor};
-use theory::fsm::{CompactFsm, Symbols};
 use theory::local::LocalBranch;
 use theory::term::Terms;
 use theory::{Fsm, LocalType, Name, Sort};
@@ -381,8 +381,8 @@ mod reference {
             sup_state: StateIndex,
             sup_index: usize,
         ) -> bool {
-            let (sub_action, sub_target) = self.sub.transitions(sub_state)[sub_index].clone();
-            let (sup_action, sup_target) = self.sup.transitions(sup_state)[sup_index].clone();
+            let (sub_action, sub_target) = self.sub.transitions(sub_state)[sub_index];
+            let (sup_action, sup_target) = self.sup.transitions(sup_state)[sup_index];
             let snapshots = [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()];
             self.prefixes[0].push(sub_action);
             self.prefixes[1].push(sup_action);
@@ -399,8 +399,8 @@ mod reference {
     }
 }
 
-/// Runs the reference, and the visitor on interned `Fsm`s and on the
-/// compact machines of one arena, with fail-early on or off, and insists
+/// Runs the reference, and the visitor on `from_local` machines and on the
+/// machines of one arena, with fail-early on or off, and insists
 /// on one verdict and visit count; returns the verdict.
 fn agree_with(
     sub: &LocalType,
@@ -412,36 +412,34 @@ fn agree_with(
     let (sub_fsm, sup_fsm) = (machine(sub), machine(sup));
     let mut terms = Terms::default();
     let (sub_id, sup_id) = (terms.intern_local(sub), terms.intern_local(sup));
-    let compact = |id| {
-        let mut machine = CompactFsm::default();
+    let in_arena = |id| {
+        let mut machine = Fsm::new("r");
         terms
             .machine(id, &mut machine)
             .expect("converts as its Fsm did");
         machine
     };
-    let (sub_compact, sup_compact) = (compact(sub_id), compact(sup_id));
-    let mut symbols = Symbols::default();
-    let (sub_interned, sup_interned) = (symbols.intern(&sub_fsm), symbols.intern(&sup_fsm));
+    let (sub_arena, sup_arena) = (in_arena(sub_id), in_arena(sup_id));
     let mut theirs = reference::SubtypeVisitor::new(&sub_fsm, &sup_fsm, bound);
-    let (mut on_fsm, mut on_compact) = (SubtypeVisitor::new(bound), SubtypeVisitor::new(bound));
+    let (mut on_fsm, mut on_arena) = (SubtypeVisitor::new(bound), SubtypeVisitor::new(bound));
     if !fail_early {
         theirs = theirs.without_fail_early();
         on_fsm = on_fsm.without_fail_early();
-        on_compact = on_compact.without_fail_early();
+        on_arena = on_arena.without_fail_early();
     }
     let theirs = theirs.run_counting();
     let what =
         format!("{what} at bound {bound}, fail-early {fail_early}: (verdict, visited_pairs)");
     let pair = |stats: CheckStats| (stats.verdict, stats.visited_pairs);
     assert_eq!(
-        pair(on_fsm.check(&sub_interned, &sup_interned)),
+        pair(on_fsm.check(&sub_fsm, &sup_fsm)),
         theirs,
-        "{what} on interned Fsms"
+        "{what} on from_local machines"
     );
     assert_eq!(
-        pair(on_compact.check(&sub_compact, &sup_compact)),
+        pair(on_arena.check(&sub_arena, &sup_arena)),
         theirs,
-        "{what} on compact machines"
+        "{what} on one arena's machines"
     );
     theirs.0
 }
@@ -472,12 +470,12 @@ fn looped(t: &LocalType) -> LocalType {
                 let branches = branches
                     .iter()
                     .map(|b| LocalBranch {
-                        label: b.label.clone(),
-                        sort: b.sort.clone(),
+                        label: b.label,
+                        sort: b.sort,
                         continuation: close(&b.continuation),
                     })
                     .collect();
-                let peer = peer.clone();
+                let peer = *peer;
                 if matches!(t, LocalType::Select { .. }) {
                     LocalType::Select { peer, branches }
                 } else {
@@ -499,23 +497,23 @@ fn resorted(t: &LocalType, sorts: &[Sort]) -> LocalType {
                 let branches = branches
                     .iter()
                     .map(|b| {
-                        let sort = sorts[*next % sorts.len()].clone();
+                        let sort = sorts[*next % sorts.len()];
                         *next += 1;
                         LocalBranch {
-                            label: b.label.clone(),
+                            label: b.label,
                             sort,
                             continuation: go(&b.continuation, sorts, next),
                         }
                     })
                     .collect();
-                let peer = peer.clone();
+                let peer = *peer;
                 if matches!(t, LocalType::Select { .. }) {
                     LocalType::Select { peer, branches }
                 } else {
                     LocalType::Branch { peer, branches }
                 }
             }
-            LocalType::Rec { var, body } => LocalType::rec(var.clone(), go(body, sorts, next)),
+            LocalType::Rec { var, body } => LocalType::rec(*var, go(body, sorts, next)),
             other => other.clone(),
         }
     }

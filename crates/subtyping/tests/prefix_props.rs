@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use subtyping::prefix::{prefix_of, reduce, reduce_step, Prefix, Reduction};
 use subtyping::SubtypeVisitor;
-use theory::fsm::{Action, CompactAction, Symbols};
+use theory::fsm::Action;
 use theory::local::{LocalBranch, LocalType};
 use theory::sort::Sort;
 
@@ -31,14 +31,13 @@ fn arbitrary_prefix() -> impl Strategy<Value = Vec<Action>> {
     proptest::collection::vec(arbitrary_action(), 0..12)
 }
 
-fn live(prefix: &Prefix) -> Vec<CompactAction> {
-    prefix.live().map(|(_, action)| action).collect()
+fn live(prefix: &Prefix) -> Vec<Action> {
+    prefix.live().map(|(_, &action)| action).collect()
 }
 
-/// Prefixes of each action list, interned through one `Symbols`.
+/// Prefixes of each action list.
 fn prefixes<const N: usize>(lists: [&[Action]; N]) -> [Prefix; N] {
-    let mut symbols = Symbols::default();
-    lists.map(|actions| prefix_of(actions.iter().map(|a| symbols.intern_action(a))))
+    lists.map(|actions| prefix_of(actions.iter().copied()))
 }
 
 fn binary_local_type() -> impl Strategy<Value = LocalType> {
@@ -53,7 +52,7 @@ fn binary_local_type() -> impl Strategy<Value = LocalType> {
                 }
             });
         let dedup = |mut branches: Vec<LocalBranch>| {
-            branches.sort_by(|x, y| x.label.cmp(&y.label));
+            branches.sort_by_key(|x| x.label);
             branches.dedup_by(|x, y| x.label == y.label);
             branches
         };
@@ -109,10 +108,10 @@ proptest! {
         pushed in arbitrary_prefix(),
         partner in arbitrary_prefix(),
     ) {
-        let [mut prefix, mut other, pushed] = prefixes([&initial, &partner, &pushed]);
+        let [mut prefix, mut other] = prefixes([&initial, &partner]);
         let before = live(&prefix);
         let snapshot = prefix.snapshot();
-        for (_, action) in pushed.live() {
+        for action in pushed {
             prefix.push(action);
         }
         let _ = reduce(&mut prefix, &mut other);
@@ -127,9 +126,8 @@ proptest! {
         sub in binary_local_type(),
         sup in binary_local_type(),
     ) {
-        let mut symbols = Symbols::default();
-        let mut intern = |local| symbols.intern(&theory::fsm::from_local(&"r".into(), local).unwrap());
-        let (sub, sup) = (intern(&sub), intern(&sup));
+        let machine = |local| theory::fsm::from_local(&"r".into(), local).unwrap();
+        let (sub, sup) = (machine(&sub), machine(&sup));
         let with = SubtypeVisitor::new(4).check(&sub, &sup).verdict;
         let without = SubtypeVisitor::new(4).without_fail_early().check(&sub, &sup).verdict;
         prop_assert_eq!(with, without);

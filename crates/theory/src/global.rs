@@ -139,8 +139,8 @@ impl GlobalType {
         match self {
             GlobalType::End | GlobalType::Var(_) => {}
             GlobalType::Comm { from, to, branches } => {
-                set.insert(from.clone());
-                set.insert(to.clone());
+                set.insert(*from);
+                set.insert(*to);
                 for branch in branches {
                     branch.continuation.collect_participants(set);
                 }
@@ -162,32 +162,32 @@ impl GlobalType {
                 if bound.contains(var) {
                     Ok(())
                 } else {
-                    Err(GlobalError::UnboundVariable(var.clone()))
+                    Err(GlobalError::UnboundVariable(*var))
                 }
             }
             GlobalType::Rec { var, body } => {
-                bound.push(var.clone());
+                bound.push(*var);
                 let result = body.validate_inner(bound);
                 bound.pop();
                 result
             }
             GlobalType::Comm { from, to, branches } => {
                 if from == to {
-                    return Err(GlobalError::SelfCommunication(from.clone()));
+                    return Err(GlobalError::SelfCommunication(*from));
                 }
                 if branches.is_empty() {
                     return Err(GlobalError::EmptyChoice {
-                        from: from.clone(),
-                        to: to.clone(),
+                        from: *from,
+                        to: *to,
                     });
                 }
                 let mut seen = BTreeSet::new();
                 for branch in branches {
                     if !seen.insert(&branch.label) {
                         return Err(GlobalError::DuplicateLabel {
-                            from: from.clone(),
-                            to: to.clone(),
-                            label: branch.label.clone(),
+                            from: *from,
+                            to: *to,
+                            label: branch.label,
                         });
                     }
                     branch.continuation.validate_inner(bound)?;

@@ -1,6 +1,6 @@
 //! The workspace's word hasher, for hash maps keyed by small integers
-//! the program made up itself (state indices, arena ids, interned
-//! symbols): one rotate-xor-multiply per word, the FxHash step.
+//! the program made up itself (state indices, arena ids, name ids): one
+//! rotate-xor-multiply per word, the FxHash step.
 //!
 //! None of those keys is attacker-chosen, so SipHash's flood resistance
 //! buys nothing, and it cost the subtyping visitor's path map 8 % of

@@ -9,12 +9,13 @@
 //!   (`global protocol`, `rec`/`continue`, `choice at`),
 //! * [`projection`] — projection of a global type onto each participant,
 //!   with full merging of external choices,
-//! * [`fsm`] — communicating finite state machines, the conversions
-//!   local type ⇄ FSM, and the interned form both the subtyping algorithm
-//!   and the k-MC checker walk (`CompactFsm`, its names interned by a
-//!   `Symbols`),
+//! * [`fsm`] — communicating finite state machines, in the one form
+//!   projection, emission, the subtyping algorithm and the k-MC checker
+//!   all read, and the conversions local type ⇄ FSM,
 //! * [`term`] — the hash-consed arena of local-type terms, and the one
 //!   builder of their machines (`Terms::machine`),
+//! * [`name`] — names interned once per process, so comparing and
+//!   hashing one never reads its text,
 //! * [`dot`] — Graphviz output for debugging protocols,
 //! * [`hash`] — the word hasher behind the workspace's integer-keyed
 //!   maps,

@@ -139,7 +139,7 @@ impl LocalType {
         match self {
             LocalType::End | LocalType::Var(_) => {}
             LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
-                set.insert(peer.clone());
+                set.insert(*peer);
                 for branch in branches {
                     branch.continuation.collect_peers(set);
                 }
@@ -177,7 +177,7 @@ impl LocalType {
                 if v == var {
                     replacement.clone()
                 } else {
-                    LocalType::Var(v.clone())
+                    LocalType::Var(*v)
                 }
             }
             LocalType::Rec { var: bound, body } => {
@@ -186,17 +186,17 @@ impl LocalType {
                     self.clone()
                 } else {
                     LocalType::Rec {
-                        var: bound.clone(),
+                        var: *bound,
                         body: Box::new(body.substitute(var, replacement)),
                     }
                 }
             }
             LocalType::Select { peer, branches } => LocalType::Select {
-                peer: peer.clone(),
+                peer: *peer,
                 branches: substitute_branches(branches, var, replacement),
             },
             LocalType::Branch { peer, branches } => LocalType::Branch {
-                peer: peer.clone(),
+                peer: *peer,
                 branches: substitute_branches(branches, var, replacement),
             },
         }
@@ -224,8 +224,8 @@ fn substitute_branches(
     branches
         .iter()
         .map(|b| LocalBranch {
-            label: b.label.clone(),
-            sort: b.sort.clone(),
+            label: b.label,
+            sort: b.sort,
             continuation: b.continuation.substitute(var, replacement),
         })
         .collect()

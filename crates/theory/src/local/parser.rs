@@ -187,7 +187,7 @@ impl Parser<'_> {
         loop {
             let role = Name::from(self.ident()?);
             match &peer {
-                None => peer = Some(role.clone()),
+                None => peer = Some(role),
                 Some(existing) if *existing == role => {}
                 Some(existing) => {
                     return Err(self.error(format!(

@@ -69,7 +69,7 @@ pub fn project(global: &GlobalType, role: &Name) -> Result<LocalType, Projection
 fn project_inner(global: &GlobalType, role: &Name) -> Result<LocalType, ProjectionError> {
     match global {
         GlobalType::End => Ok(LocalType::End),
-        GlobalType::Var(var) => Ok(LocalType::Var(var.clone())),
+        GlobalType::Var(var) => Ok(LocalType::Var(*var)),
         GlobalType::Rec { var, body } => {
             let projected = project_inner(body, role)?;
             // If the participant does not act in the loop body its
@@ -79,7 +79,7 @@ fn project_inner(global: &GlobalType, role: &Name) -> Result<LocalType, Projecti
                 LocalType::Var(_) | LocalType::End => Ok(LocalType::End),
                 _ if !projected.uses_var(var) => Ok(projected),
                 _ => Ok(LocalType::Rec {
-                    var: var.clone(),
+                    var: *var,
                     body: Box::new(projected),
                 }),
             }
@@ -89,8 +89,8 @@ fn project_inner(global: &GlobalType, role: &Name) -> Result<LocalType, Projecti
                 .iter()
                 .map(|branch| {
                     Ok(LocalBranch {
-                        label: branch.label.clone(),
-                        sort: branch.sort.clone(),
+                        label: branch.label,
+                        sort: branch.sort,
                         continuation: project_inner(&branch.continuation, role)?,
                     })
                 })
@@ -98,12 +98,12 @@ fn project_inner(global: &GlobalType, role: &Name) -> Result<LocalType, Projecti
             let projected = projected?;
             if role == from {
                 Ok(LocalType::Select {
-                    peer: to.clone(),
+                    peer: *to,
                     branches: projected,
                 })
             } else if role == to {
                 Ok(LocalType::Branch {
-                    peer: from.clone(),
+                    peer: *from,
                     branches: projected,
                 })
             } else {
@@ -142,7 +142,7 @@ pub fn merge(role: &Name, left: LocalType, right: LocalType) -> Result<LocalType
                     Some(branch_left) => {
                         if branch_left.sort != branch_right.sort {
                             return Err(ProjectionError::SortMismatch {
-                                role: role.clone(),
+                                role: *role,
                                 label: branch_right.label,
                             });
                         }
@@ -175,7 +175,7 @@ pub fn merge(role: &Name, left: LocalType, right: LocalType) -> Result<LocalType
             body: Box::new(merge(role, *body_left, *body_right)?),
         }),
         (left, right) => Err(ProjectionError::Unmergeable {
-            role: role.clone(),
+            role: *role,
             left: left.to_string(),
             right: right.to_string(),
         }),

@@ -116,7 +116,7 @@ impl IndexExpr {
         match self {
             IndexExpr::Lit(_) => {}
             IndexExpr::Var(var) => {
-                out.insert(var.clone());
+                out.insert(*var);
             }
             IndexExpr::Add(left, right)
             | IndexExpr::Sub(left, right)
@@ -307,7 +307,7 @@ impl Template {
         let mut families: BTreeMap<Name, (i64, i64)> = BTreeMap::new();
         for decl in &self.roles {
             match decl {
-                RoleDecl::Single(name) => roles.push(name.clone()),
+                RoleDecl::Single(name) => roles.push(*name),
                 RoleDecl::Family { name, lo, hi } => {
                     let lo = lo.eval(bindings)?;
                     let hi = hi.eval(bindings)?;
@@ -319,13 +319,13 @@ impl Template {
                     for i in lo..=hi {
                         roles.push(Name::from(format!("{name}{i}")));
                     }
-                    families.insert(name.clone(), (lo, hi));
+                    families.insert(*name, (lo, hi));
                 }
             }
         }
         let mut seen = BTreeSet::new();
         for role in &roles {
-            if !seen.insert(role.clone()) {
+            if !seen.insert(*role) {
                 return Err(ScribbleError::unpositioned(format!(
                     "role {role} declared twice after family expansion"
                 )));
@@ -337,7 +337,7 @@ impl Template {
         body.validate()
             .map_err(|e| ScribbleError::unpositioned(e.to_string()))?;
         Ok(Protocol {
-            name: self.name.clone(),
+            name: self.name,
             roles,
             body,
         })
@@ -351,7 +351,7 @@ fn resolve_ref(
     env: &Bindings,
 ) -> Result<Name, ScribbleError> {
     match role {
-        RoleRef::Plain(name) => Ok(name.clone()),
+        RoleRef::Plain(name) => Ok(*name),
         RoleRef::Indexed { family, index } => {
             let (lo, hi) = families.get(family).ok_or_else(|| {
                 ScribbleError::unpositioned(format!("`{family}` is not a role family"))
@@ -376,9 +376,9 @@ fn expand(
 ) -> Result<GlobalType, ScribbleError> {
     match template {
         TemplateType::End => Ok(GlobalType::End),
-        TemplateType::Var(var) => Ok(GlobalType::Var(var.clone())),
+        TemplateType::Var(var) => Ok(GlobalType::Var(*var)),
         TemplateType::Rec { var, body } => Ok(GlobalType::Rec {
-            var: var.clone(),
+            var: *var,
             body: Box::new(expand(body, families, env)?),
         }),
         TemplateType::Comm {
@@ -391,13 +391,7 @@ fn expand(
             let from = resolve_ref(from, families, env)?;
             let to = resolve_ref(to, families, env)?;
             let continuation = expand(continuation, families, env)?;
-            Ok(GlobalType::message(
-                from,
-                to,
-                label.clone(),
-                sort.clone(),
-                continuation,
-            ))
+            Ok(GlobalType::message(from, to, *label, *sort, continuation))
         }
         TemplateType::Choice { at, branches } => {
             let chooser = resolve_ref(at, families, env)?;
@@ -407,7 +401,7 @@ fn expand(
                 let expanded = expand(branch, families, env)?;
                 let (label, sort, to, continuation) = split_choice_branch(&chooser, expanded)?;
                 match &receiver {
-                    None => receiver = Some(to.clone()),
+                    None => receiver = Some(to),
                     Some(existing) if *existing == to => {}
                     Some(existing) => {
                         return Err(ScribbleError::unpositioned(format!(
@@ -440,11 +434,11 @@ fn expand(
             // Build back-to-front so each iteration's body is spliced in
             // front of everything after it.
             for i in (lo..=hi).rev() {
-                let shadowed = env.insert(var.clone(), i);
+                let shadowed = env.insert(*var, i);
                 let iteration = expand(body, families, env);
                 match shadowed {
                     Some(previous) => {
-                        env.insert(var.clone(), previous);
+                        env.insert(*var, previous);
                     }
                     None => {
                         env.remove(var);
@@ -736,10 +730,10 @@ impl Parser<'_> {
                 self.expect(&Token::DotDot, "`..` in role family range")?;
                 let hi = self.parse_index_expr()?;
                 self.expect(&Token::RBracket, "`]`")?;
-                self.families.insert(role.clone());
+                self.families.insert(role);
                 RoleDecl::Family { name: role, lo, hi }
             } else {
-                self.singles.insert(role.clone());
+                self.singles.insert(role);
                 RoleDecl::Single(role)
             };
             roles.push(decl);
@@ -939,7 +933,7 @@ impl Parser<'_> {
                     self.check_index_scope(&lo)?;
                     self.check_index_scope(&hi)?;
                     self.expect(&Token::LBrace, "`{`")?;
-                    self.index_vars.push(var.clone());
+                    self.index_vars.push(var);
                     let body = self.parse_block(true);
                     self.index_vars.pop();
                     let body = body?;

@@ -6,7 +6,7 @@ use std::str::FromStr;
 use crate::name::Name;
 
 /// The payload sort carried by a message label.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Sort {
     /// No payload (`label()` in Scribble).
     #[default]
@@ -30,21 +30,6 @@ pub enum Sort {
 }
 
 impl Sort {
-    /// The built-in sorts in code order. An interner that numbers sorts
-    /// gives `BUILTIN[i]` the code `i` and custom sorts the codes from
-    /// `BUILTIN.len()` up, so that [`Sort::is_subsort_code`] decides `≤:`
-    /// from two codes alone.
-    pub const BUILTIN: [Sort; 8] = [
-        Sort::Unit,
-        Sort::I32,
-        Sort::U32,
-        Sort::I64,
-        Sort::U64,
-        Sort::F64,
-        Sort::Bool,
-        Sort::Str,
-    ];
-
     /// The reflexive subsort relation `≤:` of the paper, extended to the
     /// full sort lattice: unsigned widths embed into wider signed/unsigned
     /// widths (`nat ≤: int` generalised).
@@ -57,15 +42,6 @@ impl Sort {
             (self, other),
             (U32, I64) | (U32, U64) | (U32, I32) | (I32, I64) | (U64, I64)
         )
-    }
-
-    /// [`is_subsort_of`](Self::is_subsort_of) on codes numbered as
-    /// [`BUILTIN`](Self::BUILTIN) describes: equal codes are equal sorts,
-    /// and a custom sort is a subsort of itself only.
-    pub fn is_subsort_code(sub: u32, sup: u32) -> bool {
-        let builtin = |code: u32| Sort::BUILTIN.get(code as usize).cloned();
-        sub == sup
-            || matches!((builtin(sub), builtin(sup)), (Some(sub), Some(sup)) if sub.is_subsort_of(&sup))
     }
 }
 
@@ -122,20 +98,16 @@ mod tests {
     }
 
     #[test]
-    fn codes_decide_the_same_relation() {
-        let custom = Sort::BUILTIN.len() as u32;
-        let mut sorts: Vec<(u32, Sort)> = (0..).zip(Sort::BUILTIN).collect();
-        sorts.push((custom, Sort::Custom("i32".into())));
-        sorts.push((custom + 1, Sort::Custom("matrix".into())));
-        for (a, sub) in &sorts {
-            for (b, sup) in &sorts {
-                assert_eq!(
-                    Sort::is_subsort_code(*a, *b),
-                    sub.is_subsort_of(sup),
-                    "{sub} ≤: {sup}"
-                );
+    fn custom_sorts_relate_to_themselves_only() {
+        let (spelled_i32, matrix) = (Sort::Custom("i32".into()), Sort::Custom("matrix".into()));
+        for builtin in [Sort::Unit, Sort::I32, Sort::U32, Sort::I64, Sort::Str] {
+            for custom in [spelled_i32, matrix] {
+                assert!(!custom.is_subsort_of(&builtin), "{custom} ≤: {builtin}");
+                assert!(!builtin.is_subsort_of(&custom), "{builtin} ≤: {custom}");
             }
         }
+        assert!(!spelled_i32.is_subsort_of(&matrix));
+        assert!(matrix.is_subsort_of(&Sort::Custom("matrix".into())));
     }
 
     #[test]

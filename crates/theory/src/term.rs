@@ -3,18 +3,15 @@
 //!
 //! [`Terms`] stores each distinct subterm once, as a [`Node`] whose
 //! children are [`TermId`]s, and interns every new node through one map
-//! from node to id. Peers, labels and recursion variables are [`Sym`]s
-//! and payload sorts [`SortId`]s, ids of the arena's one [`Symbols`] (the
-//! built-in sorts at the codes [`Sort::BUILTIN`] fixes), so a node is a
-//! few words and hashing one touches no string.
+//! from node to id. Peers, labels and recursion variables are interned
+//! [`Name`]s and payload sorts [`Sort`]s, so a node is a few words and
+//! hashing one touches no string.
 //!
-//! **Machines.** [`Terms::machine`] builds a term's [`CompactFsm`]
-//! straight from the arena, with those ids as its action ids, and no
-//! name cloned. It is the only conversion from a local type to a
-//! machine: [`fsm::from_local`](crate::fsm::from_local) interns the tree
-//! here and resolves the machine through [`Terms::symbols`]. Two machines
-//! of one arena are comparable action for action, so the subtyping
-//! visitor can check them against each other directly.
+//! **Machines.** [`Terms::machine`] builds a term's [`Fsm`] straight from
+//! the arena, its actions made of the node's names and sorts as they are.
+//! It is the only conversion from a local type to a machine:
+//! [`fsm::from_local`](crate::fsm::from_local) interns the tree here and
+//! runs it.
 //!
 //! **Identity.** Equal subterms share one id, so two ids are equal
 //! exactly when their terms are structurally equal ([`LocalType`]'s
@@ -46,7 +43,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::fsm::{CompactAction, CompactFsm, Direction, FsmError, StateIndex, Symbols};
+use crate::fsm::{Action, Direction, Fsm, FsmError, StateIndex};
 use crate::hash::BuildWordHasher;
 use crate::local::{LocalBranch, LocalType};
 use crate::name::Name;
@@ -57,18 +54,9 @@ use crate::sort::Sort;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TermId(u32);
 
-/// An interned peer, label or recursion variable: a name id of the
-/// arena's [`Symbols`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Sym(u32);
-
-/// An interned payload sort: a sort id of the arena's [`Symbols`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SortId(u32);
-
 /// One labelled continuation of a [`Node::Choice`]: label, payload sort,
 /// continuation.
-pub type Branch = (Sym, SortId, TermId);
+pub type Branch = (Name, Sort, TermId);
 
 /// One node of the arena: a [`LocalType`] constructor whose subterms are
 /// ids.
@@ -77,15 +65,15 @@ pub enum Node {
     /// `end`.
     End,
     /// A recursion variable.
-    Var(Sym),
+    Var(Name),
     /// `rec var . body`.
-    Rec(Sym, TermId),
+    Rec(Name, TermId),
     /// An internal (`send`) or external choice with `peer`.
     Choice {
         /// Internal choice (`peer!…`) when set, external (`peer?…`) when not.
         send: bool,
         /// The peer every branch talks to.
-        peer: Sym,
+        peer: Name,
         /// The branches, in term order.
         branches: Box<[Branch]>,
     },
@@ -96,7 +84,6 @@ pub enum Node {
 pub struct Terms {
     nodes: Vec<Node>,
     ids: HashMap<Node, TermId, BuildWordHasher>,
-    symbols: Symbols,
 }
 
 impl Terms {
@@ -122,35 +109,9 @@ impl Terms {
         self.nodes.len()
     }
 
-    /// The interner behind every [`Sym`] and [`SortId`] of the arena, and
-    /// so behind the action ids of its machines.
-    pub fn symbols(&self) -> &Symbols {
-        &self.symbols
-    }
-
-    /// The symbol of `name`, adding it if new.
-    fn sym(&mut self, name: &Name) -> Sym {
-        Sym(self.symbols.name_id(name))
-    }
-
-    /// The name behind `sym`.
-    pub fn name(&self, sym: Sym) -> &Name {
-        self.symbols.name(sym.0)
-    }
-
-    /// The id of `sort`, adding it if new.
-    fn sort_id(&mut self, sort: &Sort) -> SortId {
-        SortId(self.symbols.sort_id(sort))
-    }
-
-    /// The sort behind `id`.
-    pub fn sort(&self, id: SortId) -> &Sort {
-        self.symbols.sort(id.0)
-    }
-
     /// The single-branch choice `peer!label(sort).continuation` (`send`)
     /// or `peer?label(sort).continuation`.
-    pub fn single(&mut self, send: bool, peer: Sym, branch: Branch) -> TermId {
+    pub fn single(&mut self, send: bool, peer: Name, branch: Branch) -> TermId {
         self.intern(Node::Choice {
             send,
             peer,
@@ -200,22 +161,22 @@ impl Terms {
     pub fn intern_local(&mut self, local: &LocalType) -> TermId {
         let node = match local {
             LocalType::End => Node::End,
-            LocalType::Var(var) => Node::Var(self.sym(var)),
+            LocalType::Var(var) => Node::Var(*var),
             LocalType::Rec { var, body } => {
                 let body = self.intern_local(body);
-                Node::Rec(self.sym(var), body)
+                Node::Rec(*var, body)
             }
             LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
                 let branches = branches
                     .iter()
                     .map(|b| {
                         let continuation = self.intern_local(&b.continuation);
-                        (self.sym(&b.label), self.sort_id(&b.sort), continuation)
+                        (b.label, b.sort, continuation)
                     })
                     .collect();
                 Node::Choice {
                     send: matches!(local, LocalType::Select { .. }),
-                    peer: self.sym(peer),
+                    peer: *peer,
                     branches,
                 }
             }
@@ -227,9 +188,9 @@ impl Terms {
     pub fn to_local(&self, id: TermId) -> LocalType {
         match self.node(id) {
             Node::End => LocalType::End,
-            Node::Var(var) => LocalType::Var(self.name(*var).clone()),
+            Node::Var(var) => LocalType::Var(*var),
             Node::Rec(var, body) => LocalType::Rec {
-                var: self.name(*var).clone(),
+                var: *var,
                 body: Box::new(self.to_local(*body)),
             },
             Node::Choice {
@@ -237,12 +198,12 @@ impl Terms {
                 peer,
                 branches,
             } => {
-                let peer = self.name(*peer).clone();
+                let peer = *peer;
                 let branches = branches
                     .iter()
                     .map(|&(label, sort, continuation)| LocalBranch {
-                        label: self.name(label).clone(),
-                        sort: self.sort(sort).clone(),
+                        label,
+                        sort,
                         continuation: self.to_local(continuation),
                     })
                     .collect();
@@ -255,14 +216,13 @@ impl Terms {
         }
     }
 
-    /// Rebuilds `machine` as the compact machine of `id`, numbered by
-    /// [`symbols`](Self::symbols).
+    /// Rebuilds `machine` as the machine of `id`, keeping its role.
     ///
     /// States are subterms, numbered in the order a depth-first walk
     /// meets them; a recursion variable becomes a back edge, and `μt.T`
     /// shares the state of its body. Fails on an unbound variable or
     /// unguarded recursion (`μt.t`).
-    pub fn machine(&self, id: TermId, machine: &mut CompactFsm) -> Result<(), FsmError> {
+    pub fn machine(&self, id: TermId, machine: &mut Fsm) -> Result<(), FsmError> {
         machine.clear();
         let mut build = MachineBuild {
             terms: self,
@@ -281,21 +241,20 @@ impl Terms {
 /// retargeted as their continuations are built.
 struct MachineBuild<'a> {
     terms: &'a Terms,
-    machine: &'a mut CompactFsm,
+    machine: &'a mut Fsm,
     /// Bound recursion variables and their states, innermost last.
-    env: Vec<(Sym, StateIndex)>,
+    env: Vec<(Name, StateIndex)>,
 }
 
 impl MachineBuild<'_> {
     /// The state `var` names. `guard` is the length of `env` at the last
     /// action on the path: a binding at or above it was made with no
     /// action in between, so reaching it is unguarded recursion.
-    fn var(&self, var: Sym, guard: usize) -> Result<StateIndex, FsmError> {
-        let name = || self.terms.name(var).clone();
+    fn var(&self, var: Name, guard: usize) -> Result<StateIndex, FsmError> {
         match self.env.iter().rposition(|&(bound, _)| bound == var) {
-            Some(at) if at >= guard => Err(FsmError::UnguardedRecursion(name())),
+            Some(at) if at >= guard => Err(FsmError::UnguardedRecursion(var)),
             Some(at) => Ok(self.env[at].1),
-            None => Err(FsmError::UnboundVariable(name())),
+            None => Err(FsmError::UnboundVariable(var)),
         }
     }
 
@@ -343,11 +302,11 @@ impl MachineBuild<'_> {
                 // Row of the first branch; branch `i` is `first + i`.
                 let mut first = 0;
                 for (index, &(label, sort, _)) in branches.iter().enumerate() {
-                    let action = CompactAction {
+                    let action = Action {
                         direction,
-                        peer: peer.0,
-                        label: label.0,
-                        sort: sort.0,
+                        peer: *peer,
+                        label,
+                        sort,
                     };
                     first = self.machine.add_transition(action, state) - index;
                 }
@@ -384,7 +343,7 @@ mod tests {
         /// Recursion variables become back edges; `μt.T` shares the state of its
         /// body. Unguarded recursion (`μt.t`) is rejected.
         pub fn from_local(role: &Name, local: &LocalType) -> Result<Fsm, FsmError> {
-            let mut builder = FsmBuilder::new(role.clone());
+            let mut builder = FsmBuilder::new(*role);
             let mut env: HashMap<Name, StateIndex> = HashMap::new();
             let initial = build_state(&mut builder, local, &mut env, &mut Vec::new())?;
             builder.build(initial)
@@ -400,22 +359,20 @@ mod tests {
                 LocalType::End => Ok(builder.add_state()),
                 LocalType::Var(var) => {
                     if pending.contains(var) {
-                        return Err(FsmError::UnguardedRecursion(var.clone()));
+                        return Err(FsmError::UnguardedRecursion(*var));
                     }
-                    env.get(var)
-                        .copied()
-                        .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
+                    env.get(var).copied().ok_or(FsmError::UnboundVariable(*var))
                 }
                 LocalType::Rec { var, body } => {
                     // Reserve the state up front so back edges can point at it.
                     let state = builder.add_state();
-                    let shadowed = env.insert(var.clone(), state);
-                    pending.push(var.clone());
+                    let shadowed = env.insert(*var, state);
+                    pending.push(*var);
                     let body_state = build_branches_into(builder, state, body, env, pending)?;
                     pending.pop();
                     match shadowed {
                         Some(previous) => {
-                            env.insert(var.clone(), previous);
+                            env.insert(*var, previous);
                         }
                         None => {
                             env.remove(var);
@@ -444,22 +401,20 @@ mod tests {
                 LocalType::End => Ok(state),
                 LocalType::Var(var) => {
                     if pending.contains(var) {
-                        return Err(FsmError::UnguardedRecursion(var.clone()));
+                        return Err(FsmError::UnguardedRecursion(*var));
                     }
                     // `μt.t'`: alias to the outer variable's state; the reserved
                     // state is left unreachable and `t` maps to the alias target.
-                    env.get(var)
-                        .copied()
-                        .ok_or_else(|| FsmError::UnboundVariable(var.clone()))
+                    env.get(var).copied().ok_or(FsmError::UnboundVariable(*var))
                 }
                 LocalType::Rec { var, body } => {
-                    let shadowed = env.insert(var.clone(), state);
-                    pending.push(var.clone());
+                    let shadowed = env.insert(*var, state);
+                    pending.push(*var);
                     let result = build_branches_into(builder, state, body, env, pending);
                     pending.pop();
                     match shadowed {
                         Some(previous) => {
-                            env.insert(var.clone(), previous);
+                            env.insert(*var, previous);
                         }
                         None => {
                             env.remove(var);
@@ -493,9 +448,9 @@ mod tests {
                     state,
                     Action {
                         direction,
-                        peer: peer.clone(),
-                        label: branch.label.clone(),
-                        sort: branch.sort.clone(),
+                        peer: *peer,
+                        label: branch.label,
+                        sort: branch.sort,
                     },
                     target,
                 );
@@ -508,18 +463,18 @@ mod tests {
         terms.intern_local(&parse(text).unwrap())
     }
 
-    /// `local`'s compact machine against the tree walk's machine of the
-    /// materialised term: resolved, the same machine — the same states in
-    /// the same order with the same rows — or the same error.
+    /// `local`'s machine against the tree walk's machine of the
+    /// materialised term: the same machine — the same states in the same
+    /// order with the same rows — or the same error.
     fn converts_as_from_local(local: &LocalType) -> Result<(), FsmError> {
         let mut terms = Terms::default();
         let id = terms.intern_local(local);
         let role = "r".into();
         let expected = reference::from_local(&role, &terms.to_local(id));
-        let mut machine = CompactFsm::default();
+        let mut machine = Fsm::new(role);
         match (terms.machine(id, &mut machine), expected) {
             (Ok(()), Ok(fsm)) => {
-                assert_eq!(terms.symbols().resolve(&role, &machine), fsm, "`{local}`");
+                assert_eq!(machine, fsm, "`{local}`");
                 Ok(())
             }
             (Err(ours), Err(theirs)) => {
@@ -586,7 +541,7 @@ mod tests {
                 proptest::collection::vec(branch, 1..3),
             )
                 .prop_map(|(send, peer, mut branches)| {
-                    branches.sort_by(|x, y| x.label.cmp(&y.label));
+                    branches.sort_by_key(|x| x.label);
                     branches.dedup_by(|x, y| x.label == y.label);
                     let peer = peer.into();
                     if send {
@@ -632,10 +587,10 @@ mod tests {
         // `μy.x` is an alias: `y`'s state is left terminal and unreachable.
         let mut terms = Terms::default();
         let id = intern(&mut terms, "rec x . p!a . rec y . x");
-        let mut alias = CompactFsm::default();
+        let mut alias = Fsm::new("r");
         terms.machine(id, &mut alias).unwrap();
         assert_eq!(alias.len(), 2);
-        assert_eq!(alias.transitions(alias.initial())[0].1, 0);
+        assert_eq!(alias.transitions(alias.initial())[0].1, StateIndex(0));
         assert!(alias.transitions(StateIndex(1)).is_empty());
     }
 

@@ -156,21 +156,21 @@ fn savings(hoisted: &Sort, crossed: &Sort) -> [f64; 3] {
         Step::HoistPastReceive {
             send_peer: "q".into(),
             receive_peer: "p".into(),
-            send_sorts: vec![Sort::Unit, hoisted.clone()],
-            receive_sort: crossed.clone(),
+            send_sorts: vec![Sort::Unit, *hoisted],
+            receive_sort: *crossed,
         },
         Step::HoistFromBranches {
             send_peer: "q".into(),
             receive_peer: "p".into(),
             label: "ack".into(),
-            sort: hoisted.clone(),
-            receive_sorts: vec![crossed.clone(), Sort::I64],
+            sort: *hoisted,
+            receive_sorts: vec![*crossed, Sort::I64],
         },
         Step::Anticipate {
             peer: "q".into(),
             label: "ready".into(),
-            sort: hoisted.clone(),
-            crossed_receives: vec![crossed.clone(), Sort::Unit],
+            sort: *hoisted,
+            crossed_receives: vec![*crossed, Sort::Unit],
         },
     ]
     .map(|step| step_saving_ns(&step))

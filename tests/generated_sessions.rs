@@ -40,15 +40,15 @@ fn pascalize(local: &LocalType) -> LocalType {
     fn branch(b: &LocalBranch) -> LocalBranch {
         LocalBranch {
             label: Name::new(pascal_case(b.label.as_str())),
-            sort: b.sort.clone(),
+            sort: b.sort,
             continuation: pascalize(&b.continuation),
         }
     }
     match local {
         LocalType::End => LocalType::End,
-        LocalType::Var(v) => LocalType::Var(v.clone()),
+        LocalType::Var(v) => LocalType::Var(*v),
         LocalType::Rec { var, body } => LocalType::Rec {
-            var: var.clone(),
+            var: *var,
             body: Box::new(pascalize(body)),
         },
         LocalType::Select { peer, branches } => LocalType::Select {

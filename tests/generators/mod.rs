@@ -25,7 +25,7 @@ pub fn binary_local_type() -> impl Strategy<Value = LocalType> {
             },
         );
         let dedup = |mut branches: Vec<LocalBranch>| {
-            branches.sort_by(|x, y| x.label.cmp(&y.label));
+            branches.sort_by_key(|x| x.label);
             branches.dedup_by(|x, y| x.label == y.label);
             branches
         };
@@ -95,17 +95,17 @@ pub fn optimised_pipeline(n: usize, depth: usize) -> Vec<Fsm> {
 pub fn dual(t: &LocalType) -> LocalType {
     match t {
         LocalType::End => LocalType::End,
-        LocalType::Var(v) => LocalType::Var(v.clone()),
+        LocalType::Var(v) => LocalType::Var(*v),
         LocalType::Rec { var, body } => LocalType::Rec {
-            var: var.clone(),
+            var: *var,
             body: Box::new(dual(body)),
         },
         LocalType::Select { peer, branches } => LocalType::Branch {
-            peer: peer.clone(),
+            peer: *peer,
             branches: branches.iter().map(dual_branch).collect(),
         },
         LocalType::Branch { peer, branches } => LocalType::Select {
-            peer: peer.clone(),
+            peer: *peer,
             branches: branches.iter().map(dual_branch).collect(),
         },
     }
@@ -113,8 +113,8 @@ pub fn dual(t: &LocalType) -> LocalType {
 
 fn dual_branch(b: &LocalBranch) -> LocalBranch {
     LocalBranch {
-        label: b.label.clone(),
-        sort: b.sort.clone(),
+        label: b.label,
+        sort: b.sort,
         continuation: dual(&b.continuation),
     }
 }
@@ -123,9 +123,9 @@ fn dual_branch(b: &LocalBranch) -> LocalBranch {
 pub fn retarget(t: &LocalType, peer: &str) -> LocalType {
     match t {
         LocalType::End => LocalType::End,
-        LocalType::Var(v) => LocalType::Var(v.clone()),
+        LocalType::Var(v) => LocalType::Var(*v),
         LocalType::Rec { var, body } => LocalType::Rec {
-            var: var.clone(),
+            var: *var,
             body: Box::new(retarget(body, peer)),
         },
         LocalType::Select { branches, .. } => LocalType::Select {
@@ -141,8 +141,8 @@ pub fn retarget(t: &LocalType, peer: &str) -> LocalType {
 
 fn retarget_branch(b: &LocalBranch, peer: &str) -> LocalBranch {
     LocalBranch {
-        label: b.label.clone(),
-        sort: b.sort.clone(),
+        label: b.label,
+        sort: b.sort,
         continuation: retarget(&b.continuation, peer),
     }
 }
