@@ -11,7 +11,8 @@
 //! t: rec x . s!ready . &{ s?value.x, s?stop.end }
 //! ```
 //!
-//! Exits 0 when the system is k-MC safe, 1 on a violation.
+//! Exits 0 when the system is k-MC safe, 1 on a violation, 2 on a usage,
+//! I/O or system error.
 
 use std::process::ExitCode;
 
@@ -23,9 +24,9 @@ fn main() -> ExitCode {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--k" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(value) => k = value,
-                None => {
-                    eprintln!("--k requires an integer");
+                Some(value) if value >= 1 => k = value,
+                _ => {
+                    eprintln!("--k requires an integer >= 1");
                     return ExitCode::from(2);
                 }
             },

@@ -117,3 +117,14 @@ fn invalid_systems_exit_2() {
         "{stderr}"
     );
 }
+
+#[test]
+fn k_below_1_exits_2() {
+    for k in ["0", "x"] {
+        assert_eq!(
+            check("bound", STREAMING, &["--k", k]),
+            (2, String::new(), line("--k requires an integer >= 1")),
+            "--k {k}"
+        );
+    }
+}
