@@ -106,10 +106,24 @@ impl IndexExpr {
                 .get(var)
                 .copied()
                 .ok_or_else(|| ScribbleError::unpositioned(format!("unbound parameter `{var}`"))),
-            IndexExpr::Add(left, right) => Ok(left.eval(env)? + right.eval(env)?),
-            IndexExpr::Sub(left, right) => Ok(left.eval(env)? - right.eval(env)?),
-            IndexExpr::Mul(left, right) => Ok(left.eval(env)? * right.eval(env)?),
+            IndexExpr::Add(left, right) => {
+                self.checked(left.eval(env)?.checked_add(right.eval(env)?))
+            }
+            IndexExpr::Sub(left, right) => {
+                self.checked(left.eval(env)?.checked_sub(right.eval(env)?))
+            }
+            IndexExpr::Mul(left, right) => {
+                self.checked(left.eval(env)?.checked_mul(right.eval(env)?))
+            }
         }
+    }
+
+    /// `value`, the result of evaluating `self`, or the error naming
+    /// `self` when it overflowed.
+    fn checked(&self, value: Option<i64>) -> Result<i64, ScribbleError> {
+        value.ok_or_else(|| {
+            ScribbleError::unpositioned(format!("`{self}` overflows a 64-bit integer"))
+        })
     }
 
     fn free_vars(&self, out: &mut BTreeSet<Name>) {
@@ -1296,6 +1310,16 @@ mod tests {
         let template = parse_template(source).unwrap();
         let err = template.instantiate(&bind(&[("n", 2)])).unwrap_err();
         assert!(err.message.contains("outside the declared range"), "{err}");
+    }
+
+    #[test]
+    fn index_overflow_is_an_error_naming_the_expression() {
+        let gather = include_str!("../../codegen/tests/protocols/gather.scr");
+        let template = parse_template(gather).unwrap();
+        let err = template
+            .instantiate(&bind(&[("n", 4_611_686_018_427_387_904)]))
+            .unwrap_err();
+        assert_eq!(err.message, "`2*n` overflows a 64-bit integer");
     }
 
     #[test]
