@@ -502,9 +502,10 @@ fn split_choice_branch(
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Token {
-    Ident(String),
+/// A token of Scribble source; an identifier is a slice of the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Token<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     LBrace,
@@ -520,18 +521,18 @@ enum Token {
 }
 
 #[derive(Clone, Debug)]
-struct Spanned {
-    token: Token,
+struct Spanned<'a> {
+    token: Token<'a>,
     line: usize,
     column: usize,
 }
 
-fn lex(source: &str) -> Result<Vec<Spanned>, ScribbleError> {
+fn lex(source: &str) -> Result<Vec<Spanned<'_>>, ScribbleError> {
     let mut tokens = Vec::new();
     let mut line = 1;
     let mut column = 1;
-    let mut chars = source.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut chars = source.char_indices().peekable();
+    while let Some(&(start, c)) = chars.peek() {
         let (token_line, token_column) = (line, column);
         match c {
             '\n' => {
@@ -549,8 +550,8 @@ fn lex(source: &str) -> Result<Vec<Spanned>, ScribbleError> {
                 // Line comment `// ...`.
                 chars.next();
                 column += 1;
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
+                if matches!(chars.peek(), Some((_, '/'))) {
+                    for (_, c) in chars.by_ref() {
                         if c == '\n' {
                             line += 1;
                             column = 1;
@@ -568,7 +569,7 @@ fn lex(source: &str) -> Result<Vec<Spanned>, ScribbleError> {
             '.' => {
                 chars.next();
                 column += 1;
-                if chars.peek() == Some(&'.') {
+                if matches!(chars.peek(), Some((_, '.'))) {
                     chars.next();
                     column += 1;
                     tokens.push(Spanned {
@@ -607,10 +608,10 @@ fn lex(source: &str) -> Result<Vec<Spanned>, ScribbleError> {
                 });
             }
             c if c.is_alphanumeric() || c == '_' => {
-                let mut ident = String::new();
-                while let Some(&c) = chars.peek() {
+                let mut end = start;
+                while let Some(&(at, c)) = chars.peek() {
                     if c.is_alphanumeric() || c == '_' {
-                        ident.push(c);
+                        end = at + c.len_utf8();
                         chars.next();
                         column += 1;
                     } else {
@@ -618,7 +619,7 @@ fn lex(source: &str) -> Result<Vec<Spanned>, ScribbleError> {
                     }
                 }
                 tokens.push(Spanned {
-                    token: Token::Ident(ident),
+                    token: Token::Ident(&source[start..end]),
                     line: token_line,
                     column: token_column,
                 });
@@ -663,7 +664,7 @@ pub fn parse_template(source: &str) -> Result<Template, ScribbleError> {
 }
 
 struct Parser<'a> {
-    tokens: &'a [Spanned],
+    tokens: &'a [Spanned<'a>],
     position: usize,
     /// Declared plain roles.
     singles: BTreeSet<Name>,
@@ -674,7 +675,7 @@ struct Parser<'a> {
     index_vars: Vec<Name>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn error(&self, message: impl Into<String>) -> ScribbleError {
         let (line, column) = self
             .tokens
@@ -688,11 +689,11 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.position).map(|t| &t.token)
     }
 
-    fn next(&mut self) -> Option<&Token> {
+    fn next(&mut self) -> Option<&Token<'a>> {
         let token = self.tokens.get(self.position).map(|t| &t.token);
         if token.is_some() {
             self.position += 1;
@@ -700,7 +701,7 @@ impl Parser<'_> {
         token
     }
 
-    fn expect(&mut self, expected: &Token, what: &str) -> Result<(), ScribbleError> {
+    fn expect(&mut self, expected: &Token<'a>, what: &str) -> Result<(), ScribbleError> {
         if self.peek() == Some(expected) {
             self.position += 1;
             Ok(())
@@ -711,7 +712,7 @@ impl Parser<'_> {
 
     fn keyword(&mut self, word: &str) -> Result<(), ScribbleError> {
         match self.next() {
-            Some(Token::Ident(ident)) if ident == word => Ok(()),
+            Some(&Token::Ident(ident)) if ident == word => Ok(()),
             _ => {
                 self.position = self.position.saturating_sub(1);
                 Err(self.error(format!("expected keyword `{word}`")))
@@ -719,9 +720,9 @@ impl Parser<'_> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ScribbleError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ScribbleError> {
         match self.next() {
-            Some(Token::Ident(ident)) => Ok(ident.clone()),
+            Some(&Token::Ident(ident)) => Ok(ident),
             _ => {
                 self.position = self.position.saturating_sub(1);
                 Err(self.error(format!("expected {what}")))
@@ -876,7 +877,7 @@ impl Parser<'_> {
     fn parse_block(&mut self, in_foreach: bool) -> Result<TemplateType, ScribbleError> {
         match self.peek() {
             None | Some(Token::RBrace) => Ok(TemplateType::End),
-            Some(Token::Ident(word)) => match word.as_str() {
+            Some(&Token::Ident(word)) => match word {
                 "rec" | "continue" | "choice" if in_foreach => Err(self.error(format!(
                     "`{word}` is not allowed inside a `foreach` body \
                      (only messages and nested `foreach`s are)"
@@ -909,7 +910,7 @@ impl Parser<'_> {
                         self.expect(&Token::LBrace, "`{`")?;
                         branches.push(self.parse_block(false)?);
                         self.expect(&Token::RBrace, "`}`")?;
-                        if let Some(Token::Ident(word)) = self.peek() {
+                        if let Some(&Token::Ident(word)) = self.peek() {
                             if word == "or" {
                                 self.position += 1;
                                 continue;
@@ -969,7 +970,7 @@ impl Parser<'_> {
                         Some(Token::RParen) => Sort::Unit,
                         Some(Token::Ident(_)) => {
                             let sort = self.ident("sort")?;
-                            Sort::from_str(&sort).expect("sort parsing is infallible")
+                            Sort::from_str(sort).expect("sort parsing is infallible")
                         }
                         _ => return Err(self.error("expected sort or `)`")),
                     };
@@ -1310,6 +1311,22 @@ mod tests {
         let template = parse_template(source).unwrap();
         let err = template.instantiate(&bind(&[("n", 2)])).unwrap_err();
         assert!(err.message.contains("outside the declared range"), "{err}");
+    }
+
+    #[test]
+    fn identifiers_are_source_slices_with_char_columns() {
+        let tokens = lex("rôle_1(é)\n  w").unwrap();
+        let found: Vec<_> = tokens.iter().map(|t| (t.token, t.line, t.column)).collect();
+        assert_eq!(
+            found,
+            [
+                (Token::Ident("rôle_1"), 1, 1),
+                (Token::LParen, 1, 7),
+                (Token::Ident("é"), 1, 8),
+                (Token::RParen, 1, 9),
+                (Token::Ident("w"), 2, 3),
+            ]
+        );
     }
 
     #[test]
