@@ -30,10 +30,10 @@
 //!
 //! Only the `c` channels some machine sends on get a queue, in
 //! `from * n + to` order; a channel nobody sends on stays empty forever
-//! and costs no word. A queued label is its [`Name::id`], oldest first. Empty queues
-//! cost one length word whatever `k` is, and equal configurations are
-//! equal word for word, so hashing and comparing a configuration is
-//! hashing and comparing a slice.
+//! and costs no word. A queued label is its [`Name::id`], oldest first.
+//! Empty queues cost one length word whatever `k` is, and equal
+//! configurations are equal word for word, so hashing and comparing a
+//! configuration is hashing and comparing a slice.
 //!
 //! **The machines are read as they are.** An [`Fsm`]'s rows are flat
 //! arrays of actions whose names are interned, so a label's id is the

@@ -43,6 +43,8 @@ impl Name {
     /// The name of `value`, made on first use.
     pub fn new(value: impl AsRef<str>) -> Self {
         let text = value.as_ref();
+        // Every update is one insert, so the table is valid even after a
+        // panic elsewhere poisoned the lock.
         let mut table = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&entry) = table.get(text) {
             return Self(entry);
