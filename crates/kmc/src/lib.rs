@@ -22,7 +22,7 @@
 //! # How configurations are stored
 //!
 //! The search never builds a [`Config`]. A configuration is one
-//! variable-length record of `u32` words:
+//! variable-length record of words:
 //!
 //! ```text
 //! [ state of machine 0 .. n-1 | length of queue 0 .. c-1 | labels of queue 0 | labels of queue 1 | .. ]
@@ -30,42 +30,66 @@
 //!
 //! Only the `c` channels some machine sends on get a queue, in
 //! `from * n + to` order; a channel nobody sends on stays empty forever
-//! and costs no word. A queued label is its [`Name::id`], oldest first.
-//! Empty queues cost one length word whatever `k` is, and equal
+//! and costs no word. A queued label is its label index (below), oldest
+//! first. Empty queues cost one length word whatever `k` is, and equal
 //! configurations are equal word for word, so hashing and comparing a
 //! configuration is hashing and comparing a slice.
 //!
-//! **The machines are read as they are.** An [`Fsm`]'s rows are flat
-//! arrays of actions whose names are interned, so a label's id is the
-//! word a queue holds. [`System::new`] maps each row's peer to its
-//! machine index once, in a table beside the rows. The explorer reads a
-//! state's `(action, target)` rows straight from the machine, their peers
-//! from that table, and finds the queue an action touches in one
-//! `from * n + to → queue` table; it never hashes a name or searches the
-//! role list.
+//! **The word width is chosen once per [`check`].** A word holds a state
+//! index, a label index or a queue length, and no queue is longer than
+//! `k`. When every state index and every label index fit in 16 bits and
+//! so does `k`, records are `u16` words; otherwise they are `u32` words.
+//! Both widths run one generic explorer. Values are narrowed only by
+//! checked conversions: a truncating cast would make two configurations
+//! one record, and the second would read as already explored.
+//!
+//! **The machines are compiled once, by [`System::new`].** [`Name::id`]s
+//! are process-wide and keep growing, so the system numbers its own labels
+//! densely, in order of first appearance, and a queue holds those label
+//! indices. Beside each [`Fsm`]'s rows the system keeps one step per row:
+//! send or receive, the queue the row appends to or takes the head of
+//! (from a `from * n + to → queue` table built there too), the label
+//! index and the target state. For every state it also records where a
+//! reception error could show: nowhere when the state sends or has no
+//! rows, at the one inbound queue when every row receives from the same
+//! peer, or at several queues when the rows receive from mixed peers. The
+//! explorer reads steps and these tables only; it never hashes a name,
+//! searches the role list or scans a state's actions to classify it.
 //!
 //! **The arena is the breadth-first queue.** Records are appended to one
-//! `Vec<u32>` in the order they are discovered and never move or change;
-//! record `id` is the `id`-th record appended. A cursor walks the record
-//! ids from 0: everything before it has been expanded, everything from it
-//! on is the FIFO frontier, so discovery order *is* breadth-first order
-//! and the first violation found is the one a `VecDeque` of
-//! configurations would find. Each successor is assembled in one reused
-//! scratch buffer and copied into the arena only if it is new.
+//! `Vec` of words in the order they are discovered and never move or
+//! change; record `id` is the `id`-th record appended, and a `u32` per
+//! record says where it starts. A cursor walks the record ids from 0:
+//! everything before it has been expanded, everything from it on is the
+//! FIFO frontier, so discovery order *is* breadth-first order and the
+//! first violation found is the one a `VecDeque` of configurations would
+//! find. Each successor is assembled in one reused scratch buffer and
+//! copied into the arena only if it is new.
 //!
 //! **The visited set** is an open-addressing table (linear probing, a
-//! power-of-two number of slots) of record ids with each record's 64-bit
-//! hash stored beside its id. Its invariants: at most half the slots are
-//! occupied, so a probe always ends at a free slot; a slot's stored hash
-//! is the hash of the record its id names, so growth re-places entries
-//! from the stored hashes without reading the arena; ids never change once
-//! handed out, so doubling the table moves slots, not records. A lookup
-//! compares the arena slice only when the full hash matches.
+//! power-of-two number of slots, at most 2^32) of `u64` slots. A slot
+//! holds a record id in its low 32 bits and the top 32 bits of the
+//! record's 64-bit hash, its tag, above them, so a probe reads one word.
+//! Its invariants: at most half the slots are occupied, so a probe always
+//! ends at a free slot; the first slot probed for a record is given by the
+//! top bits of its hash, which the tag keeps, so growth re-places entries
+//! from their tags without reading the arena; ids never change once handed
+//! out, so doubling the table moves slots, not records. A lookup compares
+//! the arena slice only when the tag matches.
 //!
+//! **Violations are looked for per state.** Each machine's reception
+//! error is looked for right after its steps fire. A machine committed to
+//! receiving from one peer has one exactly when its queue from that peer
+//! is non-empty and none of its steps fired, so that costs one length
+//! word; a state receiving from mixed peers tests the head of each
+//! inbound queue against its labels. Checking machine by machine finds
+//! the error a scan after all of them would: the lowest machine's, in
+//! the same configuration. Orphans are looked for only when some machine
+//! is terminal, reading each queue's receiver from a table.
 //! [`Config`]s are materialised only for the one configuration a
 //! [`Violation`] carries.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use theory::fsm::{Direction, Fsm, StateIndex};
@@ -73,23 +97,70 @@ use theory::name::Name;
 
 /// A communicating system: one FSM per participant.
 ///
-/// Machine roles must be pairwise distinct, and every action's peer must
-/// name another machine in the system.
+/// Every machine must have a state, machine roles must be pairwise
+/// distinct, and every action's peer must name another machine in the
+/// system.
 #[derive(Clone, Debug)]
 pub struct System {
     machines: Vec<Fsm>,
     /// The machines' roles, in machine order.
     roles: Vec<Name>,
-    /// Per machine, the machine index of each row's peer, indexed like
+    /// Every label of the system, once, in order of first appearance; a
+    /// queued label is its index here.
+    labels: Vec<Name>,
+    /// Per machine, its rows as the explorer reads them, indexed like
     /// [`Fsm::rows`].
-    peers: Vec<Vec<u32>>,
+    steps: Vec<Vec<Step>>,
+    /// Per machine, its states, indexed by state.
+    states: Vec<Vec<State>>,
+    /// Queue → its channel `from * n + to`: only the channels some
+    /// machine sends on get a queue, in ascending order.
+    channels: Vec<usize>,
+    /// Queue → the machine index it leads to.
+    receivers: Vec<usize>,
+    /// The largest state index or label index, which every word must hold.
+    widest: usize,
 }
+
+/// One row of a machine, compiled against its [`System`].
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    send: bool,
+    /// The queue a send appends to or a receive takes the head of;
+    /// [`NO_QUEUE`] for a receive on a channel nobody sends on.
+    queue: u32,
+    /// Index into [`System::labels`].
+    label: u32,
+    target: u32,
+}
+
+/// A state of a machine, compiled against its [`System`].
+#[derive(Clone, Copy, Debug)]
+struct State {
+    /// The state's steps are `steps[start..end]` of its machine.
+    start: u32,
+    end: u32,
+    /// Where a reception error can show: the one queue the state receives
+    /// on, [`NOT_RECEIVING`] or [`MIXED_PEERS`].
+    inbound: u32,
+}
+
+/// The queue of a channel no machine sends on: it has none, and stays
+/// empty forever.
+const NO_QUEUE: u32 = u32::MAX;
+/// In [`State::inbound`]: the state sends, has no rows, or receives only
+/// on channels without a queue, so it has no reception error.
+const NOT_RECEIVING: u32 = u32::MAX;
+/// In [`State::inbound`]: the state receives from several peers.
+const MIXED_PEERS: u32 = u32::MAX - 1;
 
 /// Errors constructing a [`System`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SystemError {
     /// Two machines share a role name.
     DuplicateRole(Name),
+    /// A machine has no states, so it has no initial state.
+    NoStates(Name),
     /// An action references a participant with no machine.
     UnknownPeer { role: Name, peer: Name },
 }
@@ -98,6 +169,7 @@ impl fmt::Display for SystemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SystemError::DuplicateRole(role) => write!(f, "duplicate role {role}"),
+            SystemError::NoStates(role) => write!(f, "machine {role} has no states"),
             SystemError::UnknownPeer { role, peer } => {
                 write!(f, "machine {role} references unknown peer {peer}")
             }
@@ -116,24 +188,96 @@ impl System {
                 return Err(SystemError::DuplicateRole(*role));
             }
         }
-        let mut peers = Vec::with_capacity(machines.len());
-        for machine in &machines {
+        let n = machines.len();
+        // Each row's peer as a machine index, and each channel some
+        // machine sends on.
+        let mut peers = Vec::with_capacity(n);
+        let mut queues = vec![NO_QUEUE; n * n];
+        for (index, machine) in machines.iter().enumerate() {
+            if machine.is_empty() {
+                return Err(SystemError::NoStates(machine.role));
+            }
             let mut indices = Vec::with_capacity(machine.rows().len());
             for (action, _) in machine.rows() {
-                let Some(index) = roles.iter().position(|role| *role == action.peer) else {
+                let Some(peer) = roles.iter().position(|role| *role == action.peer) else {
                     return Err(SystemError::UnknownPeer {
                         role: machine.role,
                         peer: action.peer,
                     });
                 };
-                indices.push(index as u32);
+                if action.direction == Direction::Send {
+                    queues[index * n + peer] = 0;
+                }
+                indices.push(peer);
             }
             peers.push(indices);
         }
+        let channels: Vec<usize> = (0..queues.len())
+            .filter(|&channel| queues[channel] != NO_QUEUE)
+            .collect();
+        for (queue, &channel) in channels.iter().enumerate() {
+            queues[channel] = index_u32(queue);
+        }
+        let receivers = channels.iter().map(|&channel| channel % n).collect();
+
+        let mut labels = Vec::new();
+        let mut label_index = HashMap::new();
+        let mut steps = Vec::with_capacity(n);
+        let mut states = Vec::with_capacity(n);
+        for (index, (machine, peers)) in machines.iter().zip(&peers).enumerate() {
+            let machine_steps: Vec<Step> = machine
+                .rows()
+                .iter()
+                .zip(peers)
+                .map(|((action, target), &peer)| {
+                    let send = action.direction == Direction::Send;
+                    let channel = if send {
+                        index * n + peer
+                    } else {
+                        peer * n + index
+                    };
+                    let label = *label_index.entry(action.label).or_insert_with(|| {
+                        labels.push(action.label);
+                        index_u32(labels.len() - 1)
+                    });
+                    Step {
+                        send,
+                        queue: queues[channel],
+                        label,
+                        target: index_u32(target.0),
+                    }
+                })
+                .collect();
+            states.push(
+                machine
+                    .states()
+                    .map(|state| {
+                        let rows = machine.row_range(state);
+                        State {
+                            start: index_u32(rows.start),
+                            end: index_u32(rows.end),
+                            inbound: inbound_queue(&machine_steps[rows]),
+                        }
+                    })
+                    .collect(),
+            );
+            steps.push(machine_steps);
+        }
+        let widest = machines
+            .iter()
+            .map(|machine| machine.len() - 1)
+            .chain(labels.len().checked_sub(1))
+            .max()
+            .unwrap_or(0);
         Ok(Self {
             machines,
             roles,
-            peers,
+            labels,
+            steps,
+            states,
+            channels,
+            receivers,
+            widest,
         })
     }
 
@@ -148,15 +292,32 @@ impl System {
     pub fn roles(&self) -> &[Name] {
         &self.roles
     }
+}
 
-    /// The label of some action of the system whose id is `id`.
-    fn label(&self, id: u32) -> Name {
-        self.machines
-            .iter()
-            .flat_map(Fsm::rows)
-            .map(|(action, _)| action.label)
-            .find(|label| label.id() == id)
-            .expect("queued labels are labels of the system's actions")
+/// `value` as a `u32`; states and rows of an [`Fsm`] always fit.
+fn index_u32(value: usize) -> u32 {
+    u32::try_from(value).expect("fewer than 2^32 states, rows and labels")
+}
+
+/// Where a state with `steps` can show a reception error: its
+/// [`State::inbound`].
+fn inbound_queue(steps: &[Step]) -> u32 {
+    if steps.is_empty() || steps.iter().any(|step| step.send) {
+        return NOT_RECEIVING;
+    }
+    // Receives on a channel nobody sends on never find a head.
+    let mut inbound = steps
+        .iter()
+        .map(|step| step.queue)
+        .filter(|&q| q != NO_QUEUE);
+    let Some(first) = inbound.next() else {
+        return NOT_RECEIVING;
+    };
+    // The queue of a receive names its peer, so one queue is one peer.
+    if inbound.all(|queue| queue == first) {
+        first
+    } else {
+        MIXED_PEERS
     }
 }
 
@@ -247,31 +408,58 @@ impl Report {
     }
 }
 
-/// Marks a free slot of [`Explored::ids`]; never a record id.
-const EMPTY: u32 = u32::MAX;
+/// A record word: `u16` or `u32`, chosen per [`check`].
+trait Word: Copy + Eq + Into<u32> + TryFrom<u32> {
+    /// The word's width in bits.
+    const BITS: u32;
+}
+
+impl Word for u16 {
+    const BITS: u32 = u16::BITS;
+}
+
+impl Word for u32 {
+    const BITS: u32 = u32::BITS;
+}
+
+/// `value` as a `W`. [`check`] picks a width that holds every state, label
+/// and queue length, so this never fails; it is checked anyway, because a
+/// truncated word would alias two records.
+fn word<W: Word>(value: u32) -> W {
+    W::try_from(value)
+        .ok()
+        .expect("the record width holds every state, label and queue length")
+}
+
+/// `word` as an index.
+fn unword<W: Word>(word: W) -> usize {
+    word.into() as usize
+}
+
+/// A free slot of [`Explored::slots`]: no record id is `u32::MAX`.
+const EMPTY: u64 = u64::MAX;
+/// The tag half of a slot.
+const TAG: u64 = 0xFFFF_FFFF_0000_0000;
 
 /// Every configuration discovered so far: the arena of packed records,
 /// which is also the breadth-first queue, and the visited table over it
 /// (layout and invariants in the module docs).
-struct Explored {
+struct Explored<W> {
     /// The records, back to back in discovery order.
-    words: Vec<u32>,
+    words: Vec<W>,
     /// Record `id` is `words[starts[id]..starts[id + 1]]`.
-    starts: Vec<usize>,
-    /// Open-addressing table: a record id per slot, or [`EMPTY`].
-    ids: Vec<u32>,
-    /// Hash of the record named by the same slot of `ids`.
-    hashes: Vec<u64>,
+    starts: Vec<u32>,
+    /// Open-addressing table: `tag | id` per slot, or [`EMPTY`].
+    slots: Vec<u64>,
 }
 
-impl Explored {
+impl<W: Word> Explored<W> {
     fn new() -> Self {
         const SLOTS: usize = 64;
         Self {
             words: Vec::new(),
             starts: vec![0],
-            ids: vec![EMPTY; SLOTS],
-            hashes: vec![0; SLOTS],
+            slots: vec![EMPTY; SLOTS],
         }
     }
 
@@ -280,121 +468,125 @@ impl Explored {
         self.starts.len() - 1
     }
 
-    fn record(&self, id: usize) -> &[u32] {
-        &self.words[self.starts[id]..self.starts[id + 1]]
+    fn record(&self, id: usize) -> &[W] {
+        &self.words[self.starts[id] as usize..self.starts[id + 1] as usize]
     }
 
-    /// Word-wise multiplicative hash. The multiplier pushes every input
-    /// bit towards the top, which is where [`Self::home`] reads.
-    fn hash(record: &[u32]) -> u64 {
-        record.iter().fold(0u64, |hash, &word| {
-            (hash.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        })
+    /// Multiplicative hash over the record packed into `u64`s, so a
+    /// `u16` record takes one multiply per four words. The multiplier
+    /// pushes every input bit towards the top, which is where the tag and
+    /// [`Self::home`] read.
+    fn hash(record: &[W]) -> u64 {
+        let pack = |words: &[W]| {
+            words.iter().fold(0u64, |packed, &word| {
+                packed << W::BITS | u64::from(word.into())
+            })
+        };
+        let mix = |hash: u64, packed: u64| {
+            (hash.rotate_left(5) ^ packed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        };
+        let chunks = record.chunks_exact((u64::BITS / W::BITS) as usize);
+        let rest = pack(chunks.remainder());
+        mix(chunks.map(pack).fold(0, mix), rest)
     }
 
-    /// First slot probed for `hash`: its top `log2(slots)` bits.
-    fn home(&self, hash: u64) -> usize {
-        (hash >> (u64::BITS - self.ids.len().trailing_zeros())) as usize
+    /// First slot probed for a record tagged `tag`: the tag's top
+    /// `log2(slots)` bits.
+    fn home(&self, tag: u64) -> usize {
+        (tag >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
     }
 
     /// Appends `record` unless an equal one is already there.
-    fn insert(&mut self, record: &[u32]) {
-        if (self.len() + 1) * 2 > self.ids.len() {
+    fn insert(&mut self, record: &[W]) {
+        if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let hash = Self::hash(record);
-        let mask = self.ids.len() - 1;
-        let mut slot = self.home(hash);
-        while self.ids[slot] != EMPTY {
-            if self.hashes[slot] == hash && self.record(self.ids[slot] as usize) == record {
+        let tag = Self::hash(record) & TAG;
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(tag);
+        while self.slots[slot] != EMPTY {
+            let entry = self.slots[slot];
+            if entry & TAG == tag && self.record((entry & !TAG) as usize) == record {
                 return;
             }
             slot = (slot + 1) & mask;
         }
-        // A wrapped id would alias an earlier record and read as "already
-        // seen": stop instead.
-        self.ids[slot] = u32::try_from(self.len())
-            .ok()
-            .filter(|&id| id != EMPTY)
-            .expect("k-MC: exploration exceeds 2^32 - 1 configurations");
-        self.hashes[slot] = hash;
+        // The table holds at most 2^31 records (see `grow`), so an id
+        // never reaches `u32::MAX`, and a slot is never EMPTY.
+        self.slots[slot] = tag | u64::from(index_u32(self.len()));
         self.words.extend_from_slice(record);
-        self.starts.push(self.words.len());
+        self.starts
+            .push(u32::try_from(self.words.len()).expect("k-MC: the arena exceeds 2^32 words"));
     }
 
-    /// Doubles the table, re-placing every entry from its stored hash.
+    /// Doubles the table, re-placing every entry from its tag.
     fn grow(&mut self) {
-        let slots = self.ids.len() * 2;
-        let ids = std::mem::replace(&mut self.ids, vec![EMPTY; slots]);
-        let hashes = std::mem::replace(&mut self.hashes, vec![0; slots]);
-        for (id, hash) in ids.into_iter().zip(hashes) {
-            if id == EMPTY {
+        // A home is read from the tag's 32 bits, so 2^32 slots is the most
+        // a table can address.
+        assert!(
+            self.slots.len().trailing_zeros() < u32::BITS,
+            "k-MC: exploration exceeds 2^31 configurations"
+        );
+        let slots = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for entry in old {
+            if entry == EMPTY {
                 continue;
             }
-            let mut slot = self.home(hash);
-            while self.ids[slot] != EMPTY {
+            let mut slot = self.home(entry & TAG);
+            while self.slots[slot] != EMPTY {
                 slot = (slot + 1) & (slots - 1);
             }
-            self.ids[slot] = id;
-            self.hashes[slot] = hash;
+            self.slots[slot] = entry;
         }
     }
 }
 
 /// Unpacks a record of `system` into the [`Config`] a [`Violation`]
 /// carries.
-fn materialise(system: &System, record: &[u32], channels: &[usize]) -> Config {
+fn materialise<W: Word>(system: &System, record: &[W]) -> Config {
     let machine_count = system.machines.len();
     let (states, rest) = record.split_at(machine_count);
-    let (lens, mut labels) = rest.split_at(channels.len());
+    let (lens, mut labels) = rest.split_at(system.channels.len());
     let mut queues = vec![VecDeque::new(); machine_count * machine_count];
-    for (&channel, &len) in channels.iter().zip(lens) {
-        let (queue, later) = labels.split_at(len as usize);
-        queues[channel] = queue.iter().map(|&label| system.label(label)).collect();
+    for (&channel, &len) in system.channels.iter().zip(lens) {
+        let (queue, later) = labels.split_at(unword(len));
+        queues[channel] = queue
+            .iter()
+            .map(|&label| system.labels[unword(label)])
+            .collect();
         labels = later;
     }
     Config {
-        states: states.iter().map(|&s| StateIndex(s as usize)).collect(),
+        states: states.iter().map(|&s| StateIndex(unword(s))).collect(),
         channels: queues,
     }
 }
-
-/// Marks a channel no machine sends on in the `from * n + to → queue`
-/// table of [`check`]: it has no queue and stays empty forever.
-const NO_QUEUE: u32 = u32::MAX;
 
 /// Runs the k-MC check with channel bound `k` (`k ≥ 1`).
 pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // Queue lengths are record words. No queue can hold 2^32 messages, so
     // clamping a larger bound changes no verdict.
     let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
+    if u16::try_from(k).is_ok() && u16::try_from(system.widest).is_ok() {
+        explore::<u16>(system, k)
+    } else {
+        explore::<u32>(system, k)
+    }
+}
+
+/// [`check`] on records of `W` words; `k` fits a `W`.
+fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
     let machines = &system.machines;
     let machine_count = machines.len();
-    // `queues` maps a channel (`from * n + to`) to its queue in a record
-    // and `channels` a queue back to its channel: only the channels some
-    // machine sends on get a queue, in ascending order.
-    let mut queues = vec![NO_QUEUE; machine_count * machine_count];
-    for (index, (machine, peers)) in machines.iter().zip(&system.peers).enumerate() {
-        for ((action, _), &peer) in machine.rows().iter().zip(peers) {
-            if action.direction == Direction::Send {
-                queues[index * machine_count + peer as usize] = 0;
-            }
-        }
-    }
-    let channels: Vec<usize> = (0..queues.len())
-        .filter(|&channel| queues[channel] != NO_QUEUE)
-        .collect();
-    for (queue, &channel) in channels.iter().enumerate() {
-        queues[channel] = queue as u32;
-    }
     // Words before the first queued label: the states, then the lengths.
-    let fixed = machine_count + channels.len();
+    let fixed = machine_count + system.channels.len();
 
-    let mut scratch: Vec<u32> = machines
+    let mut scratch: Vec<W> = machines
         .iter()
-        .map(|machine| machine.initial().0 as u32)
+        .map(|machine| word(index_u32(machine.initial().0)))
         .collect();
-    scratch.resize(fixed, 0);
+    scratch.resize(fixed, word(0));
     let mut explored = Explored::new();
     explored.insert(&scratch);
 
@@ -405,11 +597,10 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
     // The configuration being expanded, copied out of the arena so that
     // successors can be appended to it meanwhile, and where in that copy
     // each queue's oldest label sits.
-    let mut current: Vec<u32> = Vec::new();
-    let mut heads = vec![0usize; channels.len()];
-    // Each machine's transitions in the configuration being expanded,
-    // with their peers' machine indices.
-    let mut rows = Vec::with_capacity(machine_count);
+    let mut current: Vec<W> = Vec::new();
+    let mut heads = vec![0usize; system.channels.len()];
+    // Each machine's state in the configuration being expanded.
+    let mut current_states: Vec<State> = Vec::with_capacity(machine_count);
 
     let mut cursor = 0;
     while cursor < explored.len() {
@@ -420,102 +611,99 @@ pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
         let mut next_head = fixed;
         for (head, &len) in heads.iter_mut().zip(lens) {
             *head = next_head;
-            next_head += len as usize;
+            next_head += unword(len);
         }
-        rows.clear();
-        rows.extend((machines.iter().zip(&system.peers).zip(states)).map(
-            |((machine, peers), &state)| {
-                let range = machine.row_range(StateIndex(state as usize));
-                (&machine.rows()[range.clone()], &peers[range])
-            },
-        ));
-        // The queue a receive of machine `index` from `peer` takes the
-        // head of, if anybody sends on that channel.
-        let inbound = |index: usize, peer: u32| {
-            let queue = queues[peer as usize * machine_count + index];
-            (queue != NO_QUEUE).then_some(queue as usize)
-        };
-        let config = || materialise(system, &current, &channels);
+        current_states.clear();
+        current_states
+            .extend((system.states.iter().zip(states)).map(|(table, &state)| table[unword(state)]));
+        let config = || materialise(system, &current);
 
-        let mut enabled_any = false;
-        for (index, &(row, peers)) in rows.iter().enumerate() {
-            for ((action, target), &peer) in row.iter().zip(peers) {
+        let fired_before = transitions;
+        for (index, (state, steps)) in current_states.iter().zip(&system.steps).enumerate() {
+            let fired_by_others = transitions;
+            for step in &steps[state.start as usize..state.end as usize] {
+                let queue = step.queue as usize;
                 scratch.clear();
-                match action.direction {
-                    Direction::Send => {
-                        // A machine's own sends always have a queue.
-                        let queue = queues[index * machine_count + peer as usize] as usize;
-                        let len = lens[queue];
-                        if len >= k {
-                            exhaustive = false;
-                            continue;
-                        }
-                        let end = heads[queue] + len as usize;
-                        scratch.extend_from_slice(&current[..end]);
-                        scratch.push(action.label.id());
-                        scratch.extend_from_slice(&current[end..]);
-                        scratch[machine_count + queue] = len + 1;
-                        let depth = &mut max_depths[channels[queue]];
-                        *depth = (*depth).max(len as usize + 1);
+                if step.send {
+                    let len = lens[queue].into();
+                    if len >= k {
+                        exhaustive = false;
+                        continue;
                     }
-                    Direction::Receive => {
-                        // A channel without a queue is empty forever.
-                        let Some(queue) = inbound(index, peer) else {
-                            continue;
-                        };
-                        let (head, len) = (heads[queue], lens[queue]);
-                        if len == 0 || current[head] != action.label.id() {
-                            continue;
-                        }
-                        scratch.extend_from_slice(&current[..head]);
-                        scratch.extend_from_slice(&current[head + 1..]);
-                        scratch[machine_count + queue] = len - 1;
+                    let end = heads[queue] + len as usize;
+                    scratch.extend_from_slice(&current[..end]);
+                    scratch.push(word(step.label));
+                    scratch.extend_from_slice(&current[end..]);
+                    scratch[machine_count + queue] = word(len + 1);
+                    let depth = &mut max_depths[system.channels[queue]];
+                    *depth = (*depth).max(len as usize + 1);
+                } else {
+                    // A channel without a queue is empty forever.
+                    if step.queue == NO_QUEUE {
+                        continue;
                     }
+                    let (head, len) = (heads[queue], lens[queue].into());
+                    if len == 0 || current[head].into() != step.label {
+                        continue;
+                    }
+                    scratch.extend_from_slice(&current[..head]);
+                    scratch.extend_from_slice(&current[head + 1..]);
+                    scratch[machine_count + queue] = word(len - 1);
                 }
-                scratch[index] = target.0 as u32;
-                enabled_any = true;
+                scratch[index] = word(step.target);
                 transitions += 1;
                 explored.insert(&scratch);
             }
-        }
 
-        // Reception errors: a machine committed to receiving whose
-        // matching channel head is unexpected.
-        for (index, &(all, peers)) in rows.iter().enumerate() {
-            if all.is_empty() || all.iter().any(|(a, _)| a.direction != Direction::Receive) {
-                // Not a receive-committed state (sends can still progress).
-                continue;
-            }
-            for ((action, _), &peer) in all.iter().zip(peers) {
-                let Some(queue) = inbound(index, peer).filter(|&queue| lens[queue] > 0) else {
-                    continue;
-                };
-                let found = current[heads[queue]];
-                let expected = all
-                    .iter()
-                    .any(|(a, _)| a.peer == action.peer && a.label.id() == found);
-                if !expected {
-                    return Err(Violation::ReceptionError {
-                        role: system.roles[index],
-                        peer: action.peer,
-                        found: system.label(found),
-                        config: config(),
-                    });
+            // Reception errors: a machine committed to receiving whose
+            // queue head is unexpected (why here, in the module docs).
+            let nonempty = |queue: u32| lens[queue as usize].into() > 0;
+            let unexpected = match state.inbound {
+                NOT_RECEIVING => None,
+                // Every step receives, from the one peer: none fired exactly
+                // when the head is none of their labels.
+                queue if queue != MIXED_PEERS => {
+                    (transitions == fired_by_others && nonempty(queue)).then_some(queue)
                 }
+                _ => {
+                    let steps = &steps[state.start as usize..state.end as usize];
+                    let head = |queue: u32| current[heads[queue as usize]].into();
+                    let receives = |queue: u32, label: u32| {
+                        steps
+                            .iter()
+                            .any(|step| step.queue == queue && step.label == label)
+                    };
+                    steps
+                        .iter()
+                        .map(|step| step.queue)
+                        .filter(|&queue| queue != NO_QUEUE && nonempty(queue))
+                        .find(|&queue| !receives(queue, head(queue)))
+                }
+            };
+            if let Some(queue) = unexpected {
+                let queue = queue as usize;
+                return Err(Violation::ReceptionError {
+                    role: system.roles[index],
+                    peer: system.roles[system.channels[queue] / machine_count],
+                    found: system.labels[unword(current[heads[queue]])],
+                    config: config(),
+                });
             }
         }
 
         // Orphans: a terminated machine receives nothing, so whatever is
         // queued towards it stays queued in every successor.
-        let terminal = |index: usize| rows[index].0.is_empty();
-        let orphaned = channels
-            .iter()
-            .zip(lens)
-            .any(|(&channel, &len)| len > 0 && terminal(channel % machine_count));
-        if orphaned {
-            return Err(Violation::OrphanMessages(config()));
+        let terminal = |state: &State| state.start == state.end;
+        if current_states.iter().any(terminal) {
+            let orphaned = lens
+                .iter()
+                .zip(&system.receivers)
+                .any(|(&len, &to)| len.into() > 0 && terminal(&current_states[to]));
+            if orphaned {
+                return Err(Violation::OrphanMessages(config()));
+            }
         }
-        if !enabled_any && !(0..machine_count).all(terminal) {
+        if transitions == fired_before && !current_states.iter().all(terminal) {
             return Err(Violation::Deadlock(config()));
         }
     }
@@ -698,6 +886,17 @@ mod tests {
     fn unknown_peer_rejected() {
         let result = system_from_locals(&[("a", "z!x.end")]);
         assert!(result.is_err());
+    }
+
+    /// A machine without states has no initial state to explore from.
+    #[test]
+    fn machine_without_states_rejected() {
+        let mut b = Fsm::new("b");
+        let only = b.add_state();
+        b.set_initial(only);
+        let error = System::new(vec![Fsm::new("a"), b]).unwrap_err();
+        assert_eq!(error, SystemError::NoStates(Name::from("a")));
+        assert_eq!(error.to_string(), "machine a has no states");
     }
 
     /// A label spelled like a role is that role's name, and still reads

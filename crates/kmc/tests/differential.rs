@@ -9,9 +9,14 @@
 //! * every `bench::verification` family (what `fig7` times) at small `n`,
 //! * the shapes of the benchmark's `verify_kmc` corpus,
 //!
+//! * random three-machine systems built row by row, whose states mix sends
+//!   and receives and receive from several peers,
+//!
 //! plus directed cases the random ones do not reach: a queue hundreds of
 //! labels long, a state space that doubles the visited table many times,
-//! and a message stranded at a terminated machine.
+//! a message stranded at a terminated machine, and the two ways a system
+//! outgrows `u16` record words — more than 65 535 states in a machine, or
+//! a `k` above 65 535 — which `check` explores with `u32` words.
 //!
 //! CI runs this in release as well (`cargo test --release -p kmc`): the
 //! reference is slow, and the large cases are the ones that exercise
@@ -20,7 +25,8 @@
 use bench::verification::to_fsm;
 use kmc::{Report, System, Violation};
 use proptest::prelude::*;
-use theory::{Fsm, Name};
+use theory::fsm::{Action, FsmBuilder, StateIndex};
+use theory::{Fsm, Name, Sort};
 
 #[path = "../../../tests/generators/mod.rs"]
 mod generators;
@@ -219,6 +225,67 @@ proptest! {
     }
 }
 
+/// A machine's rows: `(from, send, peer, label, to)`, with states taken
+/// modulo the machine's state count and `peer` among the other two roles.
+type Rows = Vec<(usize, bool, usize, usize, usize)>;
+
+fn random_rows() -> impl Strategy<Value = (usize, Rows)> {
+    (
+        1..=4usize,
+        proptest::collection::vec(
+            (
+                0..4usize,
+                proptest::bool::ANY,
+                0..2usize,
+                0..3usize,
+                0..4usize,
+            ),
+            0..8,
+        ),
+    )
+}
+
+/// Machine `index` of a three-role system `a`, `b`, `c` from random rows.
+fn random_machine(index: usize, (states, rows): &(usize, Rows)) -> Fsm {
+    let roles = ["a", "b", "c"];
+    let mut builder = FsmBuilder::new(roles[index]);
+    let states: Vec<_> = (0..*states).map(|_| builder.add_state()).collect();
+    for &(from, send, peer, label, to) in rows {
+        let peer = roles[(index + 1 + peer) % 3];
+        let label = ["x", "y", "z"][label];
+        let action = if send {
+            Action::send(peer, label, Sort::Unit)
+        } else {
+            Action::receive(peer, label, Sort::Unit)
+        };
+        builder.add_transition(
+            states[from % states.len()],
+            action,
+            states[to % states.len()],
+        );
+    }
+    builder.build(states[0]).expect("targets are states")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Three arbitrary machines: states that both send and receive, that
+    /// receive from two peers, or that receive on a channel nobody sends
+    /// on, none of which projections produce.
+    #[test]
+    fn random_machines_agree(a in random_rows(), b in random_rows(), c in random_rows()) {
+        let system = system_of(vec![
+            random_machine(0, &a),
+            random_machine(1, &b),
+            random_machine(2, &c),
+        ]);
+        for k in [1, 2] {
+            let _ = agree(&system, k, "random machines");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -356,4 +423,46 @@ fn stranded_message_agrees() {
         agree(&system, 1, "stranded message"),
         Err(Violation::OrphanMessages(_))
     ));
+}
+
+/// Directed: a two-machine loop of 70 000 states, more than a `u16` word
+/// holds, so `check` falls back to `u32` words. A state index truncated to
+/// 16 bits would alias state 65 536 with state 0 and end the search early.
+#[test]
+fn more_states_than_a_narrow_word_holds_agree() {
+    const STATES: usize = 70_000;
+    let looped = |role: &str, action: &dyn Fn(Name) -> Action| {
+        let mut machine = Fsm::new(role);
+        let rows: Vec<usize> = (0..STATES)
+            .map(|index| {
+                let state = machine.add_state();
+                let label = Name::new(format!("m{}", index % 7));
+                machine.add_transition(action(label), state)
+            })
+            .collect();
+        // Each row leads to the next state, the last back to the first.
+        for (index, row) in rows.into_iter().enumerate() {
+            machine.set_target(row, StateIndex((index + 1) % STATES));
+        }
+        machine
+    };
+    let system = system_of(vec![
+        looped("a", &|label| Action::send("b", label, Sort::Unit)),
+        looped("b", &|label| Action::receive("a", label, Sort::Unit)),
+    ]);
+    let report = agree(&system, 1, "70 000-state loop").expect("safe");
+    // `a` never waits for `b`, so it fills the queue at any bound.
+    assert!(!report.exhaustive);
+    assert_eq!(report.configurations, 2 * STATES);
+}
+
+/// Directed: a bound above 65 535 does not fit a `u16` queue length, so
+/// `check` falls back to `u32` words here too.
+#[test]
+fn bound_beyond_a_narrow_word_agrees() {
+    let system =
+        kmc::system_from_locals(&[("a", "b!ping.b?pong.end"), ("b", "a?ping.a!pong.end")]).unwrap();
+    let report = agree(&system, 100_000, "ping-pong").expect("safe");
+    assert!(report.exhaustive);
+    assert_eq!(report.max_depths, [0, 1, 1, 0]);
 }
