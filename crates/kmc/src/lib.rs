@@ -75,7 +75,8 @@
 //! top bits of its hash, which the tag keeps, so growth re-places entries
 //! from their tags without reading the arena; ids never change once handed
 //! out, so doubling the table moves slots, not records. A lookup compares
-//! the arena slice only when the tag matches.
+//! the arena slice only when the tag matches. The hash takes the record
+//! packed into `u64`s, four `u16` words or two `u32` words a multiply.
 //!
 //! **Violations are looked for per state.** Each machine's reception
 //! error is looked for right after its steps fire. A machine committed to
@@ -618,9 +619,11 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
             .extend((system.states.iter().zip(states)).map(|(table, &state)| table[unword(state)]));
         let config = || materialise(system, &current);
 
-        let fired_before = transitions;
+        // A step fired in this configuration, or in this machine, exactly
+        // when `transitions` has moved past these.
+        let before_config = transitions;
         for (index, (state, steps)) in current_states.iter().zip(&system.steps).enumerate() {
-            let fired_by_others = transitions;
+            let before_machine = transitions;
             for step in &steps[state.start as usize..state.end as usize] {
                 let queue = step.queue as usize;
                 scratch.clear();
@@ -663,7 +666,7 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
                 // Every step receives, from the one peer: none fired exactly
                 // when the head is none of their labels.
                 queue if queue != MIXED_PEERS => {
-                    (transitions == fired_by_others && nonempty(queue)).then_some(queue)
+                    (transitions == before_machine && nonempty(queue)).then_some(queue)
                 }
                 _ => {
                     let steps = &steps[state.start as usize..state.end as usize];
@@ -703,7 +706,7 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
                 return Err(Violation::OrphanMessages(config()));
             }
         }
-        if transitions == fired_before && !current_states.iter().all(terminal) {
+        if transitions == before_config && !current_states.iter().all(terminal) {
             return Err(Violation::Deadlock(config()));
         }
     }

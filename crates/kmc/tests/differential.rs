@@ -8,7 +8,6 @@
 //!   generators are included from `tests/generators/`),
 //! * every `bench::verification` family (what `fig7` times) at small `n`,
 //! * the shapes of the benchmark's `verify_kmc` corpus,
-//!
 //! * random three-machine systems built row by row, whose states mix sends
 //!   and receives and receive from several peers,
 //!
