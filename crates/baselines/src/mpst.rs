@@ -12,11 +12,11 @@
 //! types); the static typing of the original is reproduced by `sesh` for
 //! the binary case.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// One endpoint of a blocking bidirectional link between two fixed roles.
 pub struct SyncLink<M> {
-    tx: Sender<Box<M>>,
+    tx: SyncSender<Box<M>>,
     rx: Receiver<Box<M>>,
 }
 
@@ -35,8 +35,8 @@ impl std::error::Error for Disconnected {}
 impl<M> SyncLink<M> {
     /// Creates both endpoints of a rendezvous link.
     pub fn pair() -> (Self, Self) {
-        let (a_tx, b_rx) = bounded(0);
-        let (b_tx, a_rx) = bounded(0);
+        let (a_tx, b_rx) = sync_channel(0);
+        let (b_tx, a_rx) = sync_channel(0);
         (Self { tx: a_tx, rx: a_rx }, Self { tx: b_tx, rx: b_rx })
     }
 
@@ -128,5 +128,17 @@ mod tests {
         let (a, b) = SyncLink::<u8>::pair();
         drop(b);
         assert_eq!(a.send(1).unwrap_err(), Disconnected);
+    }
+
+    /// Sends really are synchronous: with no receiver waiting, a link
+    /// cannot hand its message over.
+    #[test]
+    fn rendezvous_blocks_sender() {
+        use std::sync::mpsc::TrySendError;
+        let (a, _b) = SyncLink::pair();
+        assert!(matches!(
+            a.tx.try_send(Box::new(1u8)),
+            Err(TrySendError::Full(_))
+        ));
     }
 }

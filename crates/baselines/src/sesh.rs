@@ -3,15 +3,15 @@
 //! Characteristics reproduced from the original:
 //!
 //! * **rendezvous communication** — sends block until the peer receives
-//!   (zero-capacity crossbeam channels), so threads stall on every
-//!   message;
+//!   (zero-capacity `std::sync::mpsc::sync_channel`s), so threads stall
+//!   on every message;
 //! * **fresh channel per interaction** — each `send`/`choose` allocates a
 //!   new channel pair carrying the continuation endpoint, the pattern the
 //!   paper identifies as a constant per-message cost;
 //! * **duality-typed endpoints** — protocol conformance is enforced by the
 //!   [`Session`] trait's `Dual` involution.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// A binary session endpoint.
 pub trait Session: Sized + core::marker::Send + 'static {
@@ -37,7 +37,7 @@ impl std::error::Error for Disconnected {}
 /// Send a `T`, then continue as `S`.
 #[must_use = "sessions must be driven to completion"]
 pub struct Send<T: core::marker::Send + 'static, S: Session> {
-    channel: Sender<(T, S::Dual)>,
+    channel: SyncSender<(T, S::Dual)>,
 }
 
 /// Receive a `T`, then continue as `S`.
@@ -54,7 +54,7 @@ impl<T: core::marker::Send + 'static, S: Session> Session for Send<T, S> {
 
     fn new_pair() -> (Self, Self::Dual) {
         // Zero capacity: a rendezvous channel, making sends blocking.
-        let (tx, rx) = bounded(0);
+        let (tx, rx) = sync_channel(0);
         (Self { channel: tx }, Recv { channel: rx })
     }
 }
@@ -110,7 +110,7 @@ pub enum Branching<L: Session, R: Session> {
 /// Make a binary choice; continue as `L` or `R`.
 #[must_use = "sessions must be driven to completion"]
 pub struct Choose<L: Session, R: Session> {
-    channel: Sender<Branching<L::Dual, R::Dual>>,
+    channel: SyncSender<Branching<L::Dual, R::Dual>>,
 }
 
 /// Offer a binary choice made by the peer.
@@ -123,7 +123,7 @@ impl<L: Session, R: Session> Session for Choose<L, R> {
     type Dual = Offer<L::Dual, R::Dual>;
 
     fn new_pair() -> (Self, Self::Dual) {
-        let (tx, rx) = bounded(0);
+        let (tx, rx) = sync_channel(0);
         (Self { channel: tx }, Offer { channel: rx })
     }
 }
@@ -221,26 +221,20 @@ mod tests {
         }
     }
 
-    /// Sends really are synchronous: a send cannot complete before the
-    /// matching receive starts.
+    /// Sends really are synchronous: with no receiver waiting, neither a
+    /// `Send` nor a `Choose` endpoint can hand its message over.
     #[test]
     fn rendezvous_blocks_sender() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        type Client = Send<u8, End>;
-        let received = Arc::new(AtomicBool::new(false));
-        let flag = received.clone();
-        let server = fork::<Client, _>(move |client| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            flag.store(true, Ordering::SeqCst);
-            // Receiving unblocks the main thread's send.
-            let _ = client;
-        });
-        // `server` is Recv; our peer holds Send and would block. Receive
-        // after the flag flips.
-        let result = server.recv();
-        // The peer thread dropped its endpoint without sending.
-        assert!(result.is_err());
-        assert!(received.load(Ordering::SeqCst));
+        use std::sync::mpsc::TrySendError;
+        let (send, _recv) = Send::<u8, End>::new_pair();
+        assert!(matches!(
+            send.channel.try_send((1, End)),
+            Err(TrySendError::Full(_))
+        ));
+        let (choose, _offer) = Choose::<End, End>::new_pair();
+        assert!(matches!(
+            choose.channel.try_send(Branching::Left(End)),
+            Err(TrySendError::Full(_))
+        ));
     }
 }

@@ -165,7 +165,7 @@ pub fn run_sesh(size: usize) -> u64 {
     });
 
     // Sink thread computes the digest and reports it over a channel.
-    let (result_tx, result_rx) = crossbeam::channel::bounded(1);
+    let (result_tx, result_rx) = std::sync::mpsc::sync_channel(1);
     let to_sink = sesh::fork::<<KernelToSink as SeshSession>::Dual, _>(move |s| {
         let s = s.send(()).unwrap();
         let (first, s) = s.recv().unwrap();

@@ -115,6 +115,9 @@ pub struct SendFuture<'q, Q: Role, R, L, S> {
     phantom: PhantomData<(R, L, S)>,
 }
 
+// No structural pinning: fields are only moved out, never pinned.
+impl<Q: Role, R, L, S> Unpin for SendFuture<'_, Q, R, L, S> {}
+
 impl<'q, Q, R, L, S> Future for SendFuture<'q, Q, R, L, S>
 where
     Q: Route<R>,
@@ -124,8 +127,7 @@ where
     type Output = Result<S>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
-        // No structural pinning: fields are only moved out, never pinned.
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut();
         let state = this.state.as_mut().expect("polled after completion");
         match state.role.route().poll_send(cx, &mut this.message) {
             Poll::Pending => Poll::Pending,
@@ -181,6 +183,9 @@ pub struct ReceiveFuture<'q, Q, R, L, S> {
     phantom: PhantomData<(R, L, S)>,
 }
 
+// No structural pinning: fields are only moved out, never pinned.
+impl<Q, R, L, S> Unpin for ReceiveFuture<'_, Q, R, L, S> {}
+
 impl<'q, Q, R, L, S> Future for ReceiveFuture<'q, Q, R, L, S>
 where
     Q: Route<R>,
@@ -190,8 +195,7 @@ where
     type Output = Result<(L, S)>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
-        // No structural pinning: all fields are Unpin.
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut();
         let state = this.state.as_mut().expect("polled after completion");
         // Non-blocking fast path first, falling back to `poll_recv` only
         // on an empty queue; `poll_recv` then registers the waker (and
@@ -275,6 +279,9 @@ pub struct SelectFuture<'q, Q: Role, R, C, L> {
     phantom: PhantomData<(R, C, L)>,
 }
 
+// No structural pinning: fields are only moved out, never pinned.
+impl<Q: Role, R, C, L> Unpin for SelectFuture<'_, Q, R, C, L> {}
+
 impl<'q, Q, R, C, L> Future for SelectFuture<'q, Q, R, C, L>
 where
     Q: Route<R>,
@@ -285,8 +292,7 @@ where
     type Output = Result<C::Continuation>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
-        // No structural pinning: fields are only moved out, never pinned.
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut();
         let state = this.state.as_mut().expect("polled after completion");
         match state.role.route().poll_send(cx, &mut this.message) {
             Poll::Pending => Poll::Pending,
@@ -357,6 +363,9 @@ pub struct BranchFuture<'q, Q, R, C> {
     phantom: PhantomData<(R, C)>,
 }
 
+// No structural pinning: fields are only moved out, never pinned.
+impl<Q, R, C> Unpin for BranchFuture<'_, Q, R, C> {}
+
 impl<'q, Q, R, C> Future for BranchFuture<'q, Q, R, C>
 where
     Q: Role + Route<R>,
@@ -365,7 +374,7 @@ where
     type Output = Result<C>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut std::task::Context<'_>) -> Poll<Self::Output> {
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut();
         let state = this.state.as_mut().expect("polled after completion");
         // Same non-blocking fast path as `ReceiveFuture`: pop an already
         // published choice before registering any waker.

@@ -1,5 +1,5 @@
 //! A minimal, API-compatible stand-in for the `crossbeam` crate (the build
-//! container has no crates.io access). Provides the two modules this
+//! container has no crates.io access). Provides the one module this
 //! workspace uses:
 //!
 //! * [`deque`] — `Worker`/`Stealer`/`Injector`/`Steal`, implemented as a
@@ -8,10 +8,5 @@
 //!   injector with batch takeover. No mutex anywhere on the
 //!   push/pop/steal path; see the module docs for the memory-ordering
 //!   argument.
-//! * [`channel`] — blocking MPMC `bounded` channels. Capacity 0 is a
-//!   true rendezvous: `send` returns only once a receiver has consumed
-//!   the message, matching the synchronous semantics the Sesh- and
-//!   MultiCrusty-style baselines are benchmarked under.
 
-pub mod channel;
 pub mod deque;

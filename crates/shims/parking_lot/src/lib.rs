@@ -1,14 +1,14 @@
 //! A minimal, API-compatible stand-in for the `parking_lot` crate, backed
 //! by `std::sync`. The build container has no crates.io access, so this
 //! shim provides exactly the subset the workspace uses: [`Mutex`] with a
-//! guard returned straight from `lock()` (no poison `Result`), and
-//! [`Condvar`] whose wait methods take the guard by `&mut`.
+//! guard returned straight from `lock()` (no poison `Result`).
 //!
 //! Poisoning is deliberately ignored (parking_lot has no poisoning): a
 //! panicking holder does not prevent later lock acquisitions.
 
 use std::sync::PoisonError;
-use std::time::Duration;
+
+pub use std::sync::MutexGuard;
 
 /// Mutual exclusion primitive; `lock()` returns the guard directly.
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -18,117 +18,12 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(guard) => Some(MutexGuard(Some(guard))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds an `Option` internally so [`Condvar`] can temporarily take the
-/// underlying std guard during a wait; the option is always `Some` outside
-/// `Condvar` internals.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
-
-impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.0.as_deref().expect("guard taken during wait")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_deref_mut().expect("guard taken during wait")
-    }
-}
-
-/// Result of a timed wait: reports whether the wait timed out.
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable; wait methods reborrow the guard instead of
-/// consuming it, matching parking_lot's signatures.
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Self(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard taken during wait");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard taken during wait");
-        let (inner, result) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wakes one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes all waiting threads.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Self::new()
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -142,34 +37,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let waiter = std::thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cvar.wait(&mut ready);
-            }
-        });
-        {
-            let (lock, cvar) = &*pair;
-            *lock.lock() = true;
-            cvar.notify_one();
-        }
-        waiter.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut guard = m.lock();
-        let result = cv.wait_for(&mut guard, Duration::from_millis(5));
-        assert!(result.timed_out());
     }
 
     #[test]

@@ -66,8 +66,8 @@ pass (the shape of the AMR optimiser's verification).
 options:
     --bound N   recursion-unrolling bound: how many times each pair of
                 states may be revisited on one derivation path
-                (default: 16); larger bounds verify deeper reorderings
-                at higher cost
+                (at least 1, default: 16); larger bounds verify deeper
+                reorderings at higher cost
     --json      print one JSON object instead of prose, with members
                 verdict (bool), bound and visited_pairs, where
                 visited_pairs counts the state-pair visits the search
@@ -97,9 +97,9 @@ fn main() -> ExitCode {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--bound" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(value) => bound = value,
-                None => {
-                    eprintln!("--bound requires an integer");
+                Some(value) if value >= 1 => bound = value,
+                _ => {
+                    eprintln!("--bound requires an integer >= 1");
                     return ExitCode::from(2);
                 }
             },

@@ -139,12 +139,15 @@ fn errors_exit_2() {
         "",
         "error: unguarded recursion on x",
     );
-    fails(
-        &["p!a.end", "p!a.end", "--bound", "x"],
-        2,
-        "",
-        "--bound requires an integer",
-    );
+    // A bound of 0 allows no visit, so nothing could ever be shown.
+    for bound in ["x", "0"] {
+        fails(
+            &["p!a.end", "p!a.end", "--bound", bound],
+            2,
+            "",
+            "--bound requires an integer >= 1",
+        );
+    }
     let (code, stdout, stderr) = subtype(&["p!a.end"]);
     assert_eq!((code, stdout.as_str()), (2, ""));
     assert!(stderr.starts_with("usage: subtype"), "{stderr}");
