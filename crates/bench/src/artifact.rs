@@ -86,6 +86,8 @@ json_record! {
         pub sibling_steals: u64,
         pub parks: u64,
         pub unparks: u64,
+        pub driver_parks: u64,
+        pub timeout_wakes_with_work: u64,
     }
 }
 
@@ -168,7 +170,7 @@ macro_rules! mirror {
 
 mirror!(Counters from telemetry::scheduler::CountersSnapshot: |s| {
     spawns, completions, polls, lifo_hits, local_pops, injector_pops, sibling_steals, parks,
-    unparks;
+    unparks, driver_parks, timeout_wakes_with_work;
 });
 
 mirror!(ChannelRow from telemetry::channel::LinkSnapshot: |link| {

@@ -132,16 +132,25 @@ mod tests {
         Runtime::new(1)
     }
 
+    /// No park ended on the park timeout and then found work: no wake
+    /// was lost and recovered only by the timeout (0 unless telemetry).
+    fn assert_no_timeout_wakes(rt: &Runtime) {
+        let total = rt.telemetry().total();
+        assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
+    }
+
     #[test]
     fn tcp_ping_pong_completes_every_round() {
         let rt = runtime();
         assert_eq!(tcp_ping_pong(&rt, 64), 64);
+        assert_no_timeout_wakes(&rt);
     }
 
     #[test]
     fn uds_ping_pong_completes_every_round() {
         let rt = runtime();
         assert_eq!(uds_ping_pong(&rt, 64), 64);
+        assert_no_timeout_wakes(&rt);
     }
 
     #[test]
@@ -149,6 +158,7 @@ mod tests {
         let _link = BURST_LINK.lock().unwrap_or_else(PoisonError::into_inner);
         let rt = runtime();
         assert_eq!(tcp_burst(&rt, 512), 512);
+        assert_no_timeout_wakes(&rt);
     }
 
     /// The producer runs thousands of frames ahead of the consumer (the
@@ -164,6 +174,7 @@ mod tests {
         let rt = runtime();
         let messages = 20_000;
         assert_eq!(tcp_burst(&rt, messages), u64::from(messages));
+        assert_no_timeout_wakes(&rt);
         let links = telemetry::channel::snapshot();
         let link = links
             .iter()

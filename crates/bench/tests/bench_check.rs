@@ -45,9 +45,11 @@ fn assert_rejected(subcommand: &str, name: &str, doctored: &impl Json, complaint
 const TELEMETRY: &str = r#"{
   "scheduler": [{"threads": 1, "workers": [
     {"spawns": 1, "completions": 1, "polls": 7, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 1, "sibling_steals": 0, "parks": 1, "unparks": 1}],
+     "injector_pops": 1, "sibling_steals": 0, "parks": 1, "unparks": 1,
+     "driver_parks": 0, "timeout_wakes_with_work": 0}],
     "external": {"spawns": 1, "completions": 0, "polls": 0, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1}}],
+     "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1,
+     "driver_parks": 0, "timeout_wakes_with_work": 0}}],
   "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "window": 6,
     "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
     "batched_messages": 40, "received": 0, "bytes_sent": 0, "bytes_received": 0,

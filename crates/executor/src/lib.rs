@@ -16,14 +16,15 @@
 //!   plain park loop that starts no threads — and [`yield_now`] for
 //!   cooperative rescheduling,
 //! * on Linux, [`io`]: readiness notification for non-blocking
-//!   descriptors. One `epoll` instance per process; workers that run out
-//!   of local work collect its edges before they search or park, and one
-//!   lazily started `io-reactor` thread collects them for everybody
-//!   else, so the park handshake is unchanged. `epoll` is reached
-//!   through three `extern "C"` declarations (std already links the C
-//!   library); the four call sites — `epoll_create1`, `epoll_wait`, and
-//!   `epoll_ctl` once to add and once to delete — are the module's only
-//!   `unsafe`, each with its `// Safety:` argument.
+//!   descriptors, with no thread of its own. One `epoll` instance per
+//!   process; workers that run out of local work collect its edges
+//!   before they search or park, and the one parked thread holding the
+//!   driver baton waits for them in `epoll_wait` instead of sleeping.
+//!   Workers and [`block_on`] park through one parker. `epoll` is
+//!   reached through three `extern "C"` declarations (std already links
+//!   the C library); the three call sites — `epoll_create1`,
+//!   `epoll_wait` and `epoll_ctl` — are the module's only `unsafe`, each
+//!   with its `// Safety:` argument.
 //!
 //! # Example
 //!

@@ -1,52 +1,185 @@
-//! Blocking a synchronous thread on a single future.
+//! Parking a thread: the one parker behind runtime workers and
+//! [`block_on`].
 
 use std::future::Future;
 use std::pin::pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-/// Waker that unparks a specific OS thread, with an `notified` flag to
-/// absorb wakes that arrive before the thread parks (avoiding lost wakeups).
-struct ThreadWaker {
-    thread: Thread,
-    notified: AtomicBool,
+const EMPTY: usize = 0;
+const PARKED: usize = 1;
+/// Parked in `epoll_wait`, holding the I/O driver baton ([`crate::io`]).
+const DRIVING: usize = 2;
+const NOTIFIED: usize = 3;
+
+/// A four-state atomic plus the owning thread's handle. `unpark` is
+/// wait-free and absorbs a wake that arrives before the thread parks;
+/// `park` blocks on `std::thread::park`, or in `epoll_wait` when the
+/// thread takes the I/O driver baton.
+pub(crate) struct Parker {
+    state: AtomicUsize,
+    /// Set once by the owning thread before it first parks.
+    thread: OnceLock<Thread>,
+    /// A runtime worker's parker rather than a `block_on` caller's; the
+    /// two follow different rules for the baton.
+    pub(crate) worker: bool,
 }
 
-impl Wake for ThreadWaker {
+/// How one [`Parker::park`] went.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Parked {
+    /// The park was spent in `epoll_wait`, holding the baton.
+    pub(crate) drove: bool,
+    /// Readiness edges were dispatched before `park` returned.
+    pub(crate) dispatched: bool,
+    /// Neither a notification nor an edge ended it: the timeout did.
+    pub(crate) timed_out: bool,
+}
+
+impl Parker {
+    pub(crate) fn new(worker: bool) -> Self {
+        Self {
+            state: AtomicUsize::new(EMPTY),
+            thread: OnceLock::new(),
+            worker,
+        }
+    }
+
+    /// Binds the parker to the calling thread, which alone may `park`.
+    pub(crate) fn bind(&self) {
+        self.thread
+            .set(std::thread::current())
+            .expect("parker bound twice");
+    }
+
+    /// Blocks until notified or `timeout` (if any) elapses. Consumes at
+    /// most one notification; spurious returns are allowed (the caller
+    /// re-checks). While no descriptor is registered this is a plain
+    /// thread park after one atomic load.
+    pub(crate) fn park(self: &Arc<Self>, timeout: Option<Duration>) -> Parked {
+        if self
+            .state
+            .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            // A notification already arrived.
+            self.state.store(EMPTY, Ordering::SeqCst);
+            return Parked::default();
+        }
+        #[cfg(target_os = "linux")]
+        if crate::io::registered() {
+            let parked = match crate::io::drive(self, timeout) {
+                Some(parked) => parked,
+                None => {
+                    let parked = self.sleep(timeout);
+                    crate::io::stop_waiting(self);
+                    parked
+                }
+            };
+            self.state.store(EMPTY, Ordering::SeqCst);
+            return parked;
+        }
+        let parked = self.sleep(timeout);
+        self.state.store(EMPTY, Ordering::SeqCst);
+        parked
+    }
+
+    /// The thread-park half of [`park`](Self::park), entered `PARKED`.
+    fn sleep(&self, timeout: Option<Duration>) -> Parked {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        while self.state.load(Ordering::SeqCst) != NOTIFIED {
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Parked {
+                            timed_out: true,
+                            ..Parked::default()
+                        };
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            }
+        }
+        Parked::default()
+    }
+
+    /// Moves a parked thread into `epoll_wait`; false if a notification
+    /// arrived first, in which case the thread must not wait at all.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn start_driving(&self) -> bool {
+        self.state
+            .compare_exchange(PARKED, DRIVING, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// The driver is awake: from here on a wake needs neither an unpark
+    /// nor an interrupt, and is consumed by `park` returning.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn stop_driving(&self) {
+        self.state.store(EMPTY, Ordering::SeqCst);
+    }
+
+    /// True while the owner is parked plainly (not in `epoll_wait`).
+    #[cfg(target_os = "linux")]
+    pub(crate) fn is_parked(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == PARKED
+    }
+
+    /// True while the owner waits in `epoll_wait`.
+    pub(crate) fn is_driving(&self) -> bool {
+        self.state.load(Ordering::Relaxed) == DRIVING
+    }
+
+    /// Wakes the owning thread if it is (or is about to start) parking.
+    pub(crate) fn unpark(&self) {
+        match self.state.swap(NOTIFIED, Ordering::SeqCst) {
+            PARKED => {
+                if let Some(thread) = self.thread.get() {
+                    thread.unpark();
+                }
+            }
+            #[cfg(target_os = "linux")]
+            DRIVING => crate::io::interrupt(),
+            _ => {}
+        }
+    }
+}
+
+impl Wake for Parker {
     fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
+        self.unpark();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        if !self.notified.swap(true, Ordering::SeqCst) {
-            self.thread.unpark();
-        }
+        self.unpark();
     }
 }
 
 /// Runs a future to completion on the current thread, parking it between
 /// polls. Starts no threads and needs no [`Runtime`](crate::Runtime):
-/// tasks the future awaits run wherever they were spawned.
+/// tasks the future awaits run wherever they were spawned, and while no
+/// runtime worker is alive the calling thread collects socket readiness
+/// itself ([`io`](crate::io)).
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = pin!(future);
-    let parker = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
+    let parker = Arc::new(Parker::new(false));
+    parker.bind();
     let waker = Waker::from(parker.clone());
     let mut cx = Context::from_waker(&waker);
 
     loop {
         if let Poll::Ready(output) = future.as_mut().poll(&mut cx) {
+            #[cfg(target_os = "linux")]
+            crate::io::leaving();
             return output;
         }
-        // Park until a wake arrives; consume a pre-delivered notification
-        // first so a wake between poll and park is never lost.
-        while !parker.notified.swap(false, Ordering::SeqCst) {
-            std::thread::park();
-        }
+        // A wake between poll and park is absorbed by the parker's state.
+        parker.park(None);
     }
 }
 

@@ -17,7 +17,11 @@
 //! * idle workers first drain the LIFO slot and local deque, then
 //!   dispatch pending socket readiness ([`io::turn_now`](crate::io::turn_now)),
 //!   then batch-steal from the injector, then batch-steal from a sibling
-//!   (random start index to spread contention), and finally park.
+//!   (random start index to spread contention), and finally park. A
+//!   parking worker that takes the I/O driver baton parks in
+//!   `epoll_wait` ([`io`](crate::io)), so the thread that would sleep is
+//!   the one that waits for socket edges, and an edge it collects wakes
+//!   its task into its own LIFO slot.
 //!
 //! Wake-ups are O(1) and lock-free: pushers consult a **searching-worker
 //! count** — if any worker is already hunting for work, no wake is needed
@@ -34,7 +38,7 @@ use std::cell::Cell;
 use std::future::Future;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::Duration;
 
@@ -44,7 +48,7 @@ use telemetry::scheduler::Counters;
 use telemetry::CachePadded;
 
 use crate::join::{self, JoinHandle};
-use crate::park;
+use crate::park::{self, Parker};
 use crate::task::Task;
 
 /// Upper bound on pool size: parked workers live in one `AtomicU64` bitmask.
@@ -56,72 +60,15 @@ const LIFO_STREAK_LIMIT: u32 = 32;
 
 /// Belt-and-braces park timeout: with a correct handshake no wake is ever
 /// lost, but a bounded sleep keeps the pool live under any missed-wake bug
-/// without measurable idle cost.
+/// without measurable idle cost. A timed-out park that then finds work is
+/// counted (`timeout_wakes_with_work`), so a bug it hides still shows.
 const PARK_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// A per-worker parker: a three-state atomic plus the worker's thread
-/// handle. `unpark` is wait-free; `park` blocks on `std::thread::park`.
-struct Parker {
-    /// 0 = empty, 1 = parked, 2 = notified.
-    state: AtomicUsize,
-    /// Set once by the worker thread before it first registers as parked.
-    thread: OnceLock<std::thread::Thread>,
-}
-
-const PARKER_EMPTY: usize = 0;
-const PARKER_PARKED: usize = 1;
-const PARKER_NOTIFIED: usize = 2;
-
-impl Parker {
-    fn new() -> Self {
-        Self {
-            state: AtomicUsize::new(PARKER_EMPTY),
-            thread: OnceLock::new(),
-        }
-    }
-
-    /// Blocks until notified or `timeout` elapses. Consumes at most one
-    /// notification; spurious returns are allowed (the caller re-checks).
-    fn park(&self, timeout: Duration) {
-        match self.state.compare_exchange(
-            PARKER_EMPTY,
-            PARKER_PARKED,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(_) => {}
-            Err(_) => {
-                // A notification already arrived.
-                self.state.store(PARKER_EMPTY, Ordering::SeqCst);
-                return;
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let now = std::time::Instant::now();
-            if now >= deadline || self.state.load(Ordering::SeqCst) == PARKER_NOTIFIED {
-                break;
-            }
-            std::thread::park_timeout(deadline - now);
-        }
-        self.state.store(PARKER_EMPTY, Ordering::SeqCst);
-    }
-
-    /// Wakes the owning worker if it is (or is about to start) parking.
-    fn unpark(&self) {
-        if self.state.swap(PARKER_NOTIFIED, Ordering::SeqCst) == PARKER_PARKED {
-            if let Some(thread) = self.thread.get() {
-                thread.unpark();
-            }
-        }
-    }
-}
 
 /// State shared between all workers and every external handle.
 pub(crate) struct Shared {
     injector: Injector<Arc<Task>>,
     stealers: Vec<Stealer<Arc<Task>>>,
-    parkers: Vec<Parker>,
+    parkers: Vec<Arc<Parker>>,
     /// Number of workers currently stealing (out of local work but not yet
     /// parked). Pushers skip the wake entirely while this is non-zero: a
     /// searcher is guaranteed to find the new task before it sleeps.
@@ -196,7 +143,7 @@ impl Shared {
     fn unpark_one(&self) {
         let mut mask = self.parked.load(Ordering::SeqCst);
         while mask != 0 {
-            let index = mask.trailing_zeros() as usize;
+            let index = self.pick(mask);
             match self.parked.compare_exchange(
                 mask,
                 mask & !(1 << index),
@@ -215,6 +162,20 @@ impl Shared {
                 }
                 Err(actual) => mask = actual,
             }
+        }
+    }
+
+    /// The parked worker to claim out of `mask`: the lowest, unless it is
+    /// the one in `epoll_wait` and another is parked — the driver keeps
+    /// watching the sockets (rule 4 of [`io`](crate::io)). At most one
+    /// thread drives, so one look suffices.
+    fn pick(&self, mask: u64) -> usize {
+        let lowest = mask.trailing_zeros() as usize;
+        let rest = mask & (mask - 1);
+        if rest != 0 && self.parkers[lowest].is_driving() {
+            rest.trailing_zeros() as usize
+        } else {
+            lowest
         }
     }
 
@@ -260,6 +221,16 @@ impl Shared {
     pub(crate) fn record_completion(&self) {
         if telemetry::ENABLED {
             self.counters_here().completions.incr();
+        }
+    }
+
+    /// A searcher found work. The last one to stop wakes a sibling if
+    /// more remains, to keep draining it in parallel.
+    fn stop_searching(&self, local: &Deque<Arc<Task>>) {
+        if self.searching.fetch_sub(1, Ordering::SeqCst) == 1
+            && (!local.is_empty() || !self.injector.is_empty())
+        {
+            self.unpark_one();
         }
     }
 
@@ -329,7 +300,7 @@ impl Runtime {
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             stealers,
-            parkers: (0..threads).map(|_| Parker::new()).collect(),
+            parkers: (0..threads).map(|_| Arc::new(Parker::new(true))).collect(),
             searching: AtomicUsize::new(0),
             parked: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -429,11 +400,31 @@ impl Rng {
     }
 }
 
+/// Counts a worker as alive for the I/O driver baton (rules 2 and 3 of
+/// [`io`](crate::io)) until it exits, unwinding included.
+#[cfg(target_os = "linux")]
+struct Alive(Arc<Parker>);
+
+#[cfg(target_os = "linux")]
+impl Alive {
+    fn new(parker: &Arc<Parker>) -> Self {
+        crate::io::worker_started(parker.clone());
+        Self(parker.clone())
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Alive {
+    fn drop(&mut self) {
+        crate::io::worker_exited(&self.0);
+    }
+}
+
 fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
-    shared.parkers[index]
-        .thread
-        .set(std::thread::current())
-        .expect("worker thread registered twice");
+    let parker = &shared.parkers[index];
+    parker.bind();
+    #[cfg(target_os = "linux")]
+    let _alive = Alive::new(parker);
 
     let context = WorkerContext {
         shared: Arc::as_ptr(&shared),
@@ -448,6 +439,13 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));
     let mut lifo_streak = 0u32;
     let mut tick = 0u32;
+    // The last park ended on `PARK_TIMEOUT` and no work was found since.
+    let mut after_timeout = false;
+    let found_work = |after_timeout: &mut bool| {
+        if std::mem::take(after_timeout) {
+            counters.timeout_wakes_with_work.incr();
+        }
+    };
 
     'run: loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -459,6 +457,7 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
         // starve externally spawned tasks.
         if tick.is_multiple_of(61) {
             if let Steal::Success(task) = shared.injector.steal_batch_and_pop(&context.deque) {
+                found_work(&mut after_timeout);
                 counters.injector_pops.incr();
                 task.run();
                 continue;
@@ -490,9 +489,10 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
         // 3. Out of local work: collect pending I/O readiness first. A
         // socket this thread's last task just wrote to may have made a
         // task of this worker runnable, and dispatching the edge here
-        // wakes it into the LIFO slot instead of via the reactor thread.
+        // wakes it into the LIFO slot without parking.
         #[cfg(target_os = "linux")]
         if crate::io::turn_now() {
+            found_work(&mut after_timeout);
             continue;
         }
 
@@ -504,13 +504,8 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
                 return;
             }
             if let Some(task) = steal_work(index, &context.deque, &shared, &mut rng) {
-                // Last searcher found work: if more remains, wake a sibling
-                // to keep draining it in parallel.
-                if shared.searching.fetch_sub(1, Ordering::SeqCst) == 1
-                    && (!context.deque.is_empty() || !shared.injector.is_empty())
-                {
-                    shared.unpark_one();
-                }
+                found_work(&mut after_timeout);
+                shared.stop_searching(&context.deque);
                 task.run();
                 continue 'run;
             }
@@ -538,11 +533,23 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
             }
 
             counters.parks.incr();
-            shared.parkers[index].park(PARK_TIMEOUT);
-            if shared.unregister_parked(index) {
+            let parked = parker.park(Some(PARK_TIMEOUT));
+            if parked.drove {
+                counters.driver_parks.incr();
+            }
+            let claimed = !shared.unregister_parked(index);
+            if !claimed {
                 // Timed out (or spurious wake): nobody claimed the bit.
                 shared.searching.fetch_add(1, Ordering::SeqCst);
             } // else: claimed by a waker, which incremented `searching`.
+            after_timeout = parked.timed_out && !claimed;
+            if parked.dispatched || after_timeout {
+                // Back to the top: edges this park dispatched may have
+                // woken tasks into the LIFO slot, and after a timeout
+                // `turn_now` collects any edge nobody collected meanwhile.
+                shared.stop_searching(&context.deque);
+                continue 'run;
+            }
         }
     }
 }

@@ -19,25 +19,27 @@
 //!
 //! The task that owns a link does its socket I/O itself. After the
 //! (blocking) handshake the socket is non-blocking and registered once
-//! with the executor's `epoll` reactor ([`executor::io`]):
+//! with the executor's `epoll` instance ([`executor::io`]), whose edges
+//! are collected by an idle worker or by the parked thread holding the
+//! driver baton — no thread of the link's or the executor's own:
 //!
 //! ```text
 //!  poll_send ── encode in place ──▶ [unwritten frames, at most k] ── write ──▶ socket
-//!                                        ▲ reactor, on a writable edge: finish the write, wake a parked sender
+//!                                        ▲ writable edge: finish the write, wake a parked sender
 //!  poll_recv ◀── decode in place ── [contiguous read buffer] ◀── read ── socket
-//!                                        ▲ reactor, on a readable edge: wake the parked receiver
+//!                                        ▲ readable edge: wake the parked receiver
 //! ```
 //!
 //! `poll_send` encodes the message behind whatever the socket has not
 //! taken yet and writes as much as the socket accepts; the *window* is
 //! the number of frames in that buffer not yet fully written, and a
 //! send that finds k of them parks. What a send could not write, the
-//! reactor finishes on the next writable edge, whatever the task is
+//! next writable edge finishes, whatever the task is
 //! awaiting by then — an accepted message always reaches the wire,
 //! which a verified protocol depends on (the peer's next message may be
 //! the very thing the task awaits). `poll_recv` decodes frames straight
 //! out of its read buffer, reads when none is complete, and parks on
-//! `WouldBlock` until the reactor reports a readable edge. Neither
+//! `WouldBlock` until a readable edge is reported. Neither
 //! direction has a thread, a queue of decoded messages or a copy of its
 //! own: a [`NetLink`] and an in-process
 //! [`Bidirectional`](executor::channel::Bidirectional) differ only in
@@ -398,7 +400,7 @@ impl Topology {
     }
 }
 
-/// The socket half: needs the `epoll` reactor, so Linux only.
+/// The socket half: needs `epoll`, so Linux only.
 #[cfg(target_os = "linux")]
 mod link {
     use std::collections::{HashMap, VecDeque};
@@ -454,7 +456,7 @@ mod link {
     }
 
     // On the shared reference, as for the std sockets: the owning task
-    // reads while the reactor may be finishing a write.
+    // reads while an edge's collector may be finishing a write.
     impl Read for &Socket {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             match *self {
@@ -623,7 +625,8 @@ mod link {
         }
     }
 
-    /// The part of a link its owning task shares with the reactor.
+    /// The part of a link its owning task shares with whichever thread
+    /// collects its edges.
     struct Shared {
         socket: Socket,
         out: Mutex<Out>,
@@ -644,7 +647,7 @@ mod link {
     impl Source for Shared {
         fn ready(&self, readable: bool, writable: bool) {
             if writable {
-                // The reactor's half of `poll_send`'s promise: what was
+                // The edge's half of `poll_send`'s promise: what was
                 // accepted goes out even if the task never polls this
                 // link again. (A poisoned lock is a sender that panicked
                 // mid-frame; its link dies with it.)
@@ -793,7 +796,7 @@ mod link {
         ) -> Poll<Result<(), Disconnected>> {
             let socket = &self.shared.socket;
             // First whatever the socket takes of the backlog by now; a
-            // write error found here (or by the reactor) ends the link.
+            // write error found here (or on an edge) ends the link.
             let flushed = self.shared.out.lock().ok().map(|mut out| {
                 out.flush(socket);
                 out
@@ -804,7 +807,7 @@ mod link {
                 return Poll::Ready(Err(Disconnected));
             };
             if self.window.is_some_and(|k| out.frame_ends.len() >= k) {
-                // The reactor's next flush (under this same lock) frees
+                // The next writable edge's flush (under this same lock) frees
                 // a slot and finds the waker.
                 out.waker = Some(cx.waker().clone());
                 // One stall per message, however many polls it pends.
@@ -935,7 +938,7 @@ mod link {
             // Flush-then-close: everything `poll_send` accepted is on
             // the wire before the peer sees EOF, at a frame boundary —
             // which may block, since the process may exit right after.
-            // Taking the buffer leaves a reactor callback that is still
+            // Taking the buffer leaves an edge callback that is still
             // in flight nothing to write.
             let mut socket = &self.shared.socket;
             let (buf, written) = match self.shared.out.lock() {

@@ -6,8 +6,9 @@
 //! unwritten — and then awaits something only `B` can provide, and only
 //! after `B` received the whole frame. `A` never polls its link again,
 //! so if finishing the write were left to the sending task's later
-//! polls, this verified (deadlock-free) exchange would hang. The
-//! reactor finishes it on the socket's writable edges instead.
+//! polls, this verified (deadlock-free) exchange would hang. Whichever
+//! thread collects the socket's writable edges — an idle worker, or the
+//! parked one in `epoll_wait` — finishes it instead.
 #![cfg(target_os = "linux")]
 
 mod common;
@@ -26,7 +27,7 @@ fn accepted_frame_is_flushed_without_its_task(
     let sender = rt.spawn(async move {
         a.send(vec![0xA5; FRAME]).await.expect("B alive");
         // Not the link: the only thing that can finish the write now is
-        // the reactor.
+        // a writable edge's collector.
         let seen = on_received.await.expect("B reports back");
         (a, seen)
     });
@@ -39,6 +40,7 @@ fn accepted_frame_is_flushed_without_its_task(
     let (_a, seen) = rt.block_on(sender).expect("sender task");
     assert_eq!(seen, FRAME);
     rt.block_on(receiver).expect("receiver task");
+    common::assert_no_timeout_wakes(&rt);
 }
 
 #[test]

@@ -18,7 +18,12 @@ use crate::Counter;
 /// * `local_pops` — polls served from the worker's own FIFO deque,
 /// * `injector_pops` — polls served by an injector batch takeover,
 /// * `sibling_steals` — polls served by stealing a sibling's deque,
-/// * `parks` / `unparks` — sleep cycles entered / wake-ups claimed.
+/// * `parks` / `unparks` — sleep cycles entered / wake-ups claimed,
+/// * `driver_parks` — parks spent in `epoll_wait` holding the I/O
+///   driver baton,
+/// * `timeout_wakes_with_work` — parks that ended on the park timeout
+///   and then found a task or dispatched an edge: a wake that was lost
+///   and only the timeout recovered. Zero in a correct run.
 ///
 /// Every poll is served from exactly one of the four queue sources, so
 /// `polls == lifo_hits + local_pops + injector_pops + sibling_steals`
@@ -44,6 +49,10 @@ pub struct Counters {
     pub parks: Counter,
     /// Wake-ups claimed for this worker by the O(1) wake protocol.
     pub unparks: Counter,
+    /// Parks spent in `epoll_wait`, holding the I/O driver baton.
+    pub driver_parks: Counter,
+    /// Parks ended by the timeout after which work turned up.
+    pub timeout_wakes_with_work: Counter,
 }
 
 impl Counters {
@@ -59,6 +68,8 @@ impl Counters {
             sibling_steals: self.sibling_steals.get(),
             parks: self.parks.get(),
             unparks: self.unparks.get(),
+            driver_parks: self.driver_parks.get(),
+            timeout_wakes_with_work: self.timeout_wakes_with_work.get(),
         }
     }
 }
@@ -85,6 +96,10 @@ pub struct CountersSnapshot {
     pub parks: u64,
     /// See [`Counters::unparks`].
     pub unparks: u64,
+    /// See [`Counters::driver_parks`].
+    pub driver_parks: u64,
+    /// See [`Counters::timeout_wakes_with_work`].
+    pub timeout_wakes_with_work: u64,
 }
 
 impl CountersSnapshot {
@@ -106,6 +121,8 @@ impl CountersSnapshot {
             sibling_steals: self.sibling_steals + other.sibling_steals,
             parks: self.parks + other.parks,
             unparks: self.unparks + other.unparks,
+            driver_parks: self.driver_parks + other.driver_parks,
+            timeout_wakes_with_work: self.timeout_wakes_with_work + other.timeout_wakes_with_work,
         }
     }
 }
