@@ -1,29 +1,26 @@
-//! Checks the artifacts the evaluation harness emits: schema and
+//! Checks the machine-readable files the toolchain emits: schema and
 //! cross-field invariants, no timing comparison.
 //!
 //! ```text
-//! bench-check telemetry ARTIFACT.json           # instrumented fig6 --json output
 //! bench-check report REPORT.json                # rumpsteak-gen --optimise --report output
 //! bench-check trace TRACE.json                  # rumpsteak-trace output
 //! ```
 //!
-//! Every input is decoded into the type its producer wrote it from
-//! (`bench::artifact::Artifact`, `optimiser::Report`), so a missing or
-//! mistyped member is reported with its path; the cross-field
-//! invariants on top are documented on the functions of `bench::check`.
+//! A report is decoded into the type its producer wrote it from
+//! (`optimiser::Report`), so a missing or mistyped member is reported
+//! with its path; the cross-field invariants on top are documented on
+//! `bench::check::report`.
 //!
 //! Exit codes: 0 pass, 1 malformed input or violated invariant, 2 usage
 //! or I/O error.
 
 use std::process::ExitCode;
 
-use bench::artifact::Artifact;
 use bench::check;
 use theory::json::{self, Json, Value};
 
 const USAGE: &str = "\
-usage: bench-check telemetry ARTIFACT.json
-       bench-check report REPORT.json
+usage: bench-check report REPORT.json
        bench-check trace TRACE.json";
 
 /// Reads and decodes `path`: `Err(2)` when unreadable, `Err(1)` when it
@@ -42,7 +39,6 @@ fn load<T: Json>(path: &str) -> Result<T, u8> {
 fn run(args: &[String]) -> Result<Vec<String>, u8> {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     match args.as_slice() {
-        ["telemetry", path] => Ok(check::telemetry(&load::<Artifact>(path)?)),
         ["report", path] => Ok(check::report(&load::<Vec<optimiser::Report>>(path)?)),
         ["trace", path] => Ok(match load::<Value>(path)?.get("traceEvents") {
             Some(Value::Array(events)) if !events.is_empty() => Vec::new(),

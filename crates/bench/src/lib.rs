@@ -7,25 +7,24 @@
 //! * [`verification`] — generators for the Fig 7 workloads (streaming
 //!   unrolls, nested choice, ring, k-buffering) targeting the subtyping
 //!   algorithm, k-MC and SoundBinary,
-//! * [`transport`] — networked-transport microbenchmarks (framed
-//!   loopback TCP/UDS ping-pong and k-bounded burst) measuring the
-//!   distributed backend's wire path, also swept by `fig6 --json`,
-//! * [`artifact`] — the `fig6 --json` artifact as Rust types, with its
-//!   one JSON encoding, and [`check`] — the invariants `bench-check`
-//!   (and `fig6` itself) hold it and the optimiser's report to,
+//! * [`transport`] — networked-transport workloads (framed loopback
+//!   TCP/UDS ping-pong and k-bounded burst) driving the distributed
+//!   backend's wire path,
+//! * [`check`] — the invariants `bench-check` holds the optimiser's
+//!   report to,
 //! * [`trace`] — Chrome trace-event rendering for `rumpsteak-trace`,
 //! * [`table1`] — the expressiveness matrix of Table 1,
 //! * [`timing`] — the harness's one wall-clock timing loop.
 //!
 //! The `fig6`, `fig7` and `table1` binaries print the corresponding
-//! tables; `bench-check` validates their machine-readable output in CI.
+//! tables; `bench-check` validates the optimiser's report and the
+//! `rumpsteak-trace` output in CI.
 //! None of this carries a performance claim: those belong to
 //! `BENCHMARK.json` and the standalone `benchmark/` package.
 //!
 //! The harness needs Linux: [`transport`] drives the socket half of
 //! `rumpsteak::net`, which sits on `epoll`.
 
-pub mod artifact;
 pub mod check;
 pub mod protocols;
 pub mod table1;

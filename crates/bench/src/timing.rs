@@ -1,6 +1,6 @@
 //! The harness's one timing loop: minimal wall-clock measurement (one
 //! warmup, then repeated runs until a time budget) behind every row the
-//! `fig6`/`fig7` binaries print or write.
+//! `fig6`/`fig7` binaries print.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,8 @@ pub fn measure(mut f: impl FnMut(), budget: Duration, max_runs: usize) -> Durati
 
 /// Throughput in items per microsecond, the unit of Fig 6.
 pub fn throughput(items: usize, duration: Duration) -> f64 {
-    items as f64 / duration.as_micros().max(1) as f64
+    let micros = duration.as_secs_f64() * 1e6;
+    items as f64 / if micros > 0.0 { micros } else { 1.0 }
 }
 
 #[cfg(test)]
@@ -50,5 +51,13 @@ mod tests {
     fn throughput_scales() {
         let d = Duration::from_micros(10);
         assert!((throughput(100, d) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn throughput_keeps_sub_microsecond_precision() {
+        // Whole microseconds would read 100 / 33 = 3.03.
+        let d = Duration::from_nanos(33_500);
+        assert!((throughput(100, d) - 100.0 / 33.5).abs() < 1e-9);
+        assert_eq!(throughput(7, Duration::ZERO), 7.0);
     }
 }

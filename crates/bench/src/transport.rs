@@ -1,4 +1,4 @@
-//! Networked-transport microbenchmarks behind `fig6 --json`.
+//! Networked-transport workloads over loopback sockets.
 //!
 //! The distributed backend frames session messages over a socket and
 //! caps each direction's in-flight window at the link's verified k-MC
@@ -18,8 +18,9 @@
 //!   engaged.
 //!
 //! Every link is labelled with the `Net*` role names below, so in an
-//! instrumented (`--features telemetry`) build its rows in the
-//! artifact's link table are told apart from the in-process rings'.
+//! instrumented (`--features telemetry`) build its rows in the link
+//! registry are told apart from the in-process rings'; the tests below
+//! check each link's ledgers there.
 
 use executor::Runtime;
 use rumpsteak::net::{loopback_pair_tcp, loopback_pair_uds, NetLink};
@@ -124,9 +125,9 @@ mod tests {
 
     use std::sync::{Mutex, PoisonError};
 
-    /// Serialises the tests that run the burst link: they share its
-    /// telemetry row, which one of them reads exactly.
-    static BURST_LINK: Mutex<()> = Mutex::new(());
+    /// Serialises the tests that run a link: each resets the link
+    /// registry and reads its own rows back exactly.
+    static LINKS: Mutex<()> = Mutex::new(());
 
     fn runtime() -> Runtime {
         Runtime::new(1)
@@ -139,23 +140,54 @@ mod tests {
         assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
     }
 
+    /// Runs `ping_pong` for `rounds` on a fresh link registry, then
+    /// checks both directions' ledgers: every frame sent was received,
+    /// byte for byte, each with one latency sample, through a window of
+    /// exactly the verified bound 1 (a no-op without telemetry).
+    fn assert_ping_pong_ledgers(ping_pong: fn(&Runtime, u32) -> u64, rounds: u32) {
+        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
+        telemetry::channel::reset();
+        let rt = runtime();
+        assert_eq!(ping_pong(&rt, rounds), u64::from(rounds));
+        assert_no_timeout_wakes(&rt);
+        let links = telemetry::channel::snapshot();
+        if !telemetry::ENABLED {
+            assert!(links.is_empty());
+            return;
+        }
+        for (from, to) in [(NET_PING, NET_PONG), (NET_PONG, NET_PING)] {
+            let link = links
+                .iter()
+                .find(|link| link.from == from && link.to == to)
+                .unwrap_or_else(|| panic!("ping-pong link {from} -> {to} registered"));
+            assert_eq!(link.sends, u64::from(rounds), "{from} -> {to}");
+            assert_eq!(link.received, link.sends, "{from} -> {to}");
+            assert_eq!(link.bytes_received, link.bytes_sent, "{from} -> {to}");
+            assert_eq!(link.latency.count, link.received, "{from} -> {to}");
+            assert_eq!(link.window, Some(PING_PONG_WINDOW as u64), "{from} -> {to}");
+            assert_eq!(
+                link.kmc_bound,
+                Some(PING_PONG_WINDOW as u64),
+                "{from} -> {to}"
+            );
+            assert!(!link.violates_bound(), "{from} -> {to}");
+        }
+        telemetry::channel::reset();
+    }
+
     #[test]
     fn tcp_ping_pong_completes_every_round() {
-        let rt = runtime();
-        assert_eq!(tcp_ping_pong(&rt, 64), 64);
-        assert_no_timeout_wakes(&rt);
+        assert_ping_pong_ledgers(tcp_ping_pong, 64);
     }
 
     #[test]
     fn uds_ping_pong_completes_every_round() {
-        let rt = runtime();
-        assert_eq!(uds_ping_pong(&rt, 64), 64);
-        assert_no_timeout_wakes(&rt);
+        assert_ping_pong_ledgers(uds_ping_pong, 64);
     }
 
     #[test]
     fn tcp_burst_delivers_in_order() {
-        let _link = BURST_LINK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
         let rt = runtime();
         assert_eq!(tcp_burst(&rt, 512), 512);
         assert_no_timeout_wakes(&rt);
@@ -169,7 +201,7 @@ mod tests {
         if !telemetry::ENABLED {
             return;
         }
-        let _link = BURST_LINK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
         telemetry::channel::reset();
         let rt = runtime();
         let messages = 20_000;

@@ -1,12 +1,13 @@
-//! `bench-check` end to end: the real artifacts pass, and for every
-//! invariant it enforces one doctored input fails with exit code 1.
-//! Plus the round-trip property behind all of it: any artifact value
-//! survives `to_json` → text → `from_json` unchanged.
+//! `bench-check report` end to end: a fresh optimisation report
+//! passes, and for every invariant it enforces one doctored report
+//! fails with exit code 1. Plus the round-trip property behind it: any
+//! report survives `to_json` → text → `from_json` unchanged, in both
+//! layouts.
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
-use bench::artifact::{Artifact, ChannelRow, Row};
 use optimiser::Report;
 use proptest::prelude::*;
 use theory::json::{self, Json, Value};
@@ -41,146 +42,17 @@ fn assert_rejected(subcommand: &str, name: &str, doctored: &impl Json, complaint
     assert!(stderr.contains(complaint), "{name}: {stderr}");
 }
 
-/// A minimal `telemetry` section satisfying every invariant.
-const TELEMETRY: &str = r#"{
-  "scheduler": [{"threads": 1, "workers": [
-    {"spawns": 1, "completions": 1, "polls": 7, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 1, "sibling_steals": 0, "parks": 1, "unparks": 1,
-     "driver_parks": 0, "timeout_wakes_with_work": 0}],
-    "external": {"spawns": 1, "completions": 0, "polls": 0, "lifo_hits": 0, "local_pops": 0,
-     "injector_pops": 0, "sibling_steals": 0, "parks": 0, "unparks": 1,
-     "driver_parks": 0, "timeout_wakes_with_work": 0}}],
-  "channels": [{"from": "S", "to": "T", "high_watermark": 3, "kmc_bound": 6, "window": 6,
-    "grows": 0, "waker_retries": 0, "sends": 40, "wakes": 9, "batches": 8,
-    "batched_messages": 40, "received": 0, "bytes_sent": 0, "bytes_received": 0,
-    "window_stalls": 0, "reconnects": 0, "instances": 2, "stamp_misses": 0,
-    "latency": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}},
-   {"from": "Ping", "to": "Pong", "high_watermark": 1, "kmc_bound": 1, "window": 1,
-    "grows": 0, "waker_retries": 0, "sends": 500, "wakes": 0, "batches": 0,
-    "batched_messages": 0, "received": 500, "bytes_sent": 8000, "bytes_received": 8000,
-    "window_stalls": 3, "reconnects": 0, "instances": 2, "stamp_misses": 0,
-    "latency": {"count": 500, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}],
-  "sessions": [{"role": "S",
-    "lifetime_ns": {"count": 10, "p50": 100, "p90": 200, "p99": 300, "p999": 400, "max": 500}}]
-}"#;
-
-/// A minimal artifact with every section present: one row and
-/// [`TELEMETRY`].
-fn instrumented() -> Artifact {
-    Artifact {
-        bench: "fig6".to_owned(),
-        host_parallelism: 2,
-        unit: "ns/op".to_owned(),
-        results: vec![Row {
-            protocol: "streaming".to_owned(),
-            threads: 1,
-            params: [("n".to_owned(), 50)].into(),
-            ops: 50,
-            ns_per_op: 133.6,
-        }],
-        telemetry: Some(json::decode(TELEMETRY).expect("fixture decodes")),
-    }
-}
-
-/// The fixture's in-process ring row.
-fn channel(artifact: &mut Artifact) -> &mut ChannelRow {
-    &mut artifact.telemetry.as_mut().unwrap().channels[0]
-}
-
-/// The fixture's socket row.
-fn socket(artifact: &mut Artifact) -> &mut ChannelRow {
-    &mut artifact.telemetry.as_mut().unwrap().channels[1]
-}
-
-#[test]
-fn telemetry_accepts_a_valid_artifact_and_rejects_each_violation() {
-    let path = temp_json("telemetry-valid", &instrumented());
-    let (code, stderr) = bench_check(&["telemetry", path.to_str().unwrap()]);
-    assert_eq!(code, Some(0), "{stderr}");
-
-    let mut doctored = instrumented();
-    channel(&mut doctored).high_watermark = 7;
-    assert_rejected(
-        "telemetry",
-        "watermark",
-        &doctored,
-        "high_watermark 7 exceeds",
-    );
-
-    // One window per link, ring or socket, checked as 1..=kmc_bound.
-    let mut doctored = instrumented();
-    channel(&mut doctored).window = Some(7);
-    assert_rejected(
-        "telemetry",
-        "window",
-        &doctored,
-        "(S -> T): window 7 is outside 1..=6",
-    );
-
-    let mut doctored = instrumented();
-    socket(&mut doctored).window = Some(0);
-    assert_rejected(
-        "telemetry",
-        "window-zero",
-        &doctored,
-        "(Ping -> Pong): window 0 is outside 1..=1",
-    );
-
-    // The ledgers of a socket link: frames, bytes and latency samples
-    // in against out.
-    let mut doctored = instrumented();
-    socket(&mut doctored).received = 499;
-    assert_rejected(
-        "telemetry",
-        "ledger-frames",
-        &doctored,
-        "(Ping -> Pong): received 499 != sends 500",
-    );
-
-    let mut doctored = instrumented();
-    socket(&mut doctored).bytes_received = 7999;
-    assert_rejected(
-        "telemetry",
-        "ledger-bytes",
-        &doctored,
-        "(Ping -> Pong): bytes_received 7999 != bytes_sent 8000",
-    );
-
-    let mut doctored = instrumented();
-    socket(&mut doctored).latency.as_mut().unwrap().count = 58;
-    assert_rejected(
-        "telemetry",
-        "ledger-latency",
-        &doctored,
-        "(Ping -> Pong): latency count 58 != received 500",
-    );
-
-    let mut doctored = instrumented();
-    channel(&mut doctored).latency.as_mut().unwrap().p99 = 150;
-    assert_rejected("telemetry", "ladder", &doctored, "not monotone");
-
-    // Shape is the decoder's job: a vanished counter is named by path.
-    let mut doctored = instrumented().to_json();
-    let Value::Object(members) = &mut doctored else {
-        unreachable!()
-    };
-    members.retain(|(key, _)| key != "host_parallelism");
-    assert_rejected(
-        "telemetry",
-        "shape",
-        &doctored,
-        "host_parallelism: expected",
-    );
+/// What `rumpsteak-gen kbuffering_opt.scr --param n=4 --optimise
+/// --report` writes.
+fn fresh_report() -> Vec<Report> {
+    let mut analysis =
+        codegen::analyse_with(KBUFFERING_OPT, &[("n".into(), 4)]).expect("protocol analyses");
+    codegen::optimise(&mut analysis, &optimiser::Config::with_depth(1)).expect("optimises")
 }
 
 #[test]
 fn report_accepts_fresh_output_and_rejects_each_violation() {
-    // What `rumpsteak-gen kbuffering_opt.scr --param n=4 --optimise
-    // --report` writes.
-    let mut analysis =
-        codegen::analyse_with(KBUFFERING_OPT, &[("n".into(), 4)]).expect("protocol analyses");
-    let fresh: Vec<Report> =
-        codegen::optimise(&mut analysis, &optimiser::Config::with_depth(1)).expect("optimises");
+    let fresh = fresh_report();
     let improved = fresh
         .iter()
         .position(|r| r.improved)
@@ -230,55 +102,16 @@ fn report_accepts_fresh_output_and_rejects_each_violation() {
     assert_rejected("report", "improved", &doctored, "`improved` disagrees");
 }
 
-#[test]
-fn fresh_fig6_output_decodes_and_passes() {
-    let out = std::env::temp_dir().join(format!("bench-check-fig6-{}.json", std::process::id()));
-    let out = out.to_str().unwrap();
-    let output = Command::new(env!("CARGO_BIN_EXE_fig6"))
-        .args(["--json", "--out", out])
-        .output()
-        .expect("fig6 runs");
-    assert!(
-        output.status.success(),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let text = std::fs::read_to_string(out).expect("fig6 wrote its artifact");
-    let artifact: Artifact = json::decode(&text).expect("fresh artifact decodes");
-    // The surviving row set by name: a vanished paper or `transport_*`
-    // row fails here.
-    const FAMILIES: [&str; 8] = [
-        "transport_tcp_pingpong",
-        "transport_uds_pingpong",
-        "transport_tcp_burst",
-        "streaming_proj",
-        "streaming",
-        "double_buffering_proj",
-        "double_buffering",
-        "fft",
-    ];
-    let rows: Vec<(&str, u64)> = artifact
-        .results
-        .iter()
-        .map(|row| (row.protocol.as_str(), row.threads))
-        .collect();
-    let expected: Vec<(&str, u64)> = [1, 2, 4, 8]
-        .iter()
-        .flat_map(|&threads| FAMILIES.map(|family| (family, threads)))
-        .collect();
-    assert_eq!(rows, expected);
-    if rumpsteak::telemetry::ENABLED {
-        let (code, stderr) = bench_check(&["telemetry", out]);
-        assert_eq!(code, Some(0), "{stderr}");
-    } else {
-        assert_eq!(artifact.telemetry, None);
-    }
-}
-
 // ---- from_json(to_json(x)) == x ------------------------------------
 
+/// [`fresh_report`] as JSON, built once for every case.
+fn fresh_report_json() -> &'static Value {
+    static JSON: OnceLock<Value> = OnceLock::new();
+    JSON.get_or_init(|| fresh_report().to_json())
+}
+
 /// Members the schema allows to be `null`.
-const NULLABLE: [&str; 5] = ["telemetry", "kmc_bound", "window", "latency", "lifetime_ns"];
+const NULLABLE: [&str; 1] = ["best"];
 
 /// Turns a well-shaped document into an arbitrary one of the same
 /// shape: every leaf becomes random data of its JSON type (strings over
@@ -335,11 +168,11 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 11
         };
-        let mut value = instrumented().to_json();
+        let mut value = fresh_report_json().clone();
         scramble(&mut value, &mut next);
-        let artifact = Artifact::from_json(&value).expect("scrambling preserves the shape");
+        let report = Vec::<Report>::from_json(&value).expect("scrambling preserves the shape");
         for text in [value.to_string(), format!("{value:#}")] {
-            prop_assert_eq!(json::decode::<Artifact>(&text), Ok(artifact.clone()));
+            prop_assert_eq!(json::decode::<Vec<Report>>(&text), Ok(report.clone()));
         }
     }
 }

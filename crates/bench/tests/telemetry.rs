@@ -8,8 +8,10 @@
 //!    from the serialised session types — the annotation cannot drift
 //!    from the verified truth.
 //! 2. After running the protocol (projected *and* optimised variants),
-//!    every link's observed high-watermark stays within its registered
-//!    bound: the static guarantee, checked against a real execution.
+//!    every link's observed high-watermark and batch window stay within
+//!    its registered bound: the static guarantee, checked against a
+//!    real execution. Latency and session-lifetime quantile ladders are
+//!    monotone.
 //!
 //! In disabled builds the registry is empty and only that is asserted.
 
@@ -17,21 +19,16 @@ use bench::protocols::{double_buffering, fft8, streaming};
 use rumpsteak::telemetry;
 
 /// The union of per-channel maxima over several variants of a system,
-/// computed by widening `k` until the exploration is exhaustive (the
+/// each checked exhaustively at `k =` [`codegen::MAX_BOUND_SEARCH`] (the
 /// depths are then tight bounds).
 fn kmc_bounds(variants: &[Vec<theory::Fsm>]) -> Vec<(String, String, u64)> {
     let mut merged: std::collections::BTreeMap<(String, String), u64> = Default::default();
     for fsms in variants {
         let system = kmc::System::new(fsms.clone()).expect("valid system");
-        // A too-small k can surface as a spurious deadlock (a send
-        // disabled by a full channel leaves no machine able to move), so
-        // widen on violations too; only an exhaustive pass is conclusive.
-        let report = (1..=16)
-            .find_map(|k| match kmc::check(&system, k) {
-                Ok(report) if report.exhaustive => Some(report),
-                _ => None,
-            })
-            .expect("system exhaustively checkable within k <= 16");
+        let report = kmc::check(&system, codegen::MAX_BOUND_SEARCH)
+            .ok()
+            .filter(|report| report.exhaustive)
+            .expect("system exhaustively checkable within the search bound");
         for (from, to, depth) in report.channel_bounds(&system) {
             let entry = merged
                 .entry((from.as_str().to_owned(), to.as_str().to_owned()))
@@ -45,10 +42,25 @@ fn kmc_bounds(variants: &[Vec<theory::Fsm>]) -> Vec<(String, String, u64)> {
         .collect()
 }
 
+/// Asserts that the quantile ladder of `hist` is monotone.
+fn assert_ladder(hist: &telemetry::hist::HistogramSnapshot, what: &str) {
+    let ladder = [hist.p50(), hist.p90(), hist.p99(), hist.p999(), hist.max];
+    assert!(
+        ladder.is_sorted(),
+        "{what}: quantile ladder p50..max is not monotone: {ladder:?}"
+    );
+}
+
 /// Asserts the registered bound and observed watermark for `(from, to)`
-/// after the protocol ran: bound matches the annotation, watermark is
-/// within it, and the link actually carried traffic.
-fn assert_link(snapshot: &[telemetry::channel::LinkSnapshot], from: &str, to: &str, bound: u64) {
+/// after the protocol ran: bound matches the annotation, watermark and
+/// any batch window are within it, and the link actually carried
+/// traffic. Returns the link for protocol-specific checks.
+fn assert_link<'a>(
+    snapshot: &'a [telemetry::channel::LinkSnapshot],
+    from: &str,
+    to: &str,
+    bound: u64,
+) -> &'a telemetry::channel::LinkSnapshot {
     let link = snapshot
         .iter()
         .find(|l| l.from == from && l.to == to)
@@ -63,6 +75,14 @@ fn assert_link(snapshot: &[telemetry::channel::LinkSnapshot], from: &str, to: &s
         "{from} -> {to}: watermark {} exceeds verified bound {bound}",
         link.high_watermark
     );
+    // A receive window wider than k would drain past what the
+    // verification covers.
+    if let Some(window) = link.window {
+        assert!(
+            (1..=bound).contains(&window),
+            "{from} -> {to}: window {window} is outside 1..={bound}"
+        );
+    }
     assert!(
         link.high_watermark > 0,
         "{from} -> {to} carried no traffic — the watermark check is vacuous"
@@ -74,13 +94,8 @@ fn assert_link(snapshot: &[telemetry::channel::LinkSnapshot], from: &str, to: &s
         !link.latency.is_empty(),
         "{from} -> {to} carried traffic but recorded no send->recv latency"
     );
-    let (p50, p99) = (link.latency.p50(), link.latency.p99());
-    assert!(
-        p50 <= p99 && p99 <= link.latency.max,
-        "{from} -> {to} latency quantiles are not monotone: \
-         p50={p50} p99={p99} max={}",
-        link.latency.max
-    );
+    assert_ladder(&link.latency, &format!("{from} -> {to} latency"));
+    link
 }
 
 #[test]
@@ -121,7 +136,16 @@ fn streaming_watermarks_stay_within_kmc_bounds() {
         assert!(snapshot.is_empty());
         return;
     }
-    assert_link(&snapshot, "S", "T", streaming::UNROLL as u64 + 1);
+    let link = assert_link(&snapshot, "S", "T", streaming::UNROLL as u64 + 1);
+    // The one session link with a batch window: whole windows of
+    // messages per waker round-trip, not one wake per message.
+    assert!(
+        link.wakes < link.sends,
+        "S -> T delivered {} wakes for {} sends — the batch window saved \
+         no waker round-trips",
+        link.wakes,
+        link.sends
+    );
     assert_link(&snapshot, "T", "S", streaming::UNROLL as u64 + 1);
 
     // Both roles ran to completion twice, so the session-lifetime
@@ -133,6 +157,7 @@ fn streaming_watermarks_stay_within_kmc_bounds() {
             .find(|(name, _)| *name == role)
             .unwrap_or_else(|| panic!("role {role} recorded no session lifetime"));
         assert!(lifetime.count >= 2, "role {role} ran twice");
+        assert_ladder(lifetime, &format!("role {role} session lifetime"));
     }
 }
 

@@ -210,33 +210,26 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 /// the payload of the `bounds { ... }` clause the emitter writes into
 /// generated `roles!` declarations.
 ///
-/// Tries k-MC with increasing `k` until the exploration is exhaustive
-/// (every send was enabled within the bound), at which point the observed
-/// maxima are tight static bounds. A deadlock below that `k` may be full
-/// queues disabling every send rather than the protocol, so it widens
-/// `k` too; a reception error or orphan message ends the search.
-/// Returns an empty vector if the system is invalid, unsafe, or not
-/// exhaustively checkable within `k <=` [`MAX_BOUND_SEARCH`] — emission
-/// then simply omits the clause rather than registering an unverified
-/// bound.
+/// Runs k-MC once at `k =` [`MAX_BOUND_SEARCH`]. An exhaustive run (no
+/// send ever found its queue full) explores the same configurations as
+/// every `k` from the smallest exhaustive one up, so its maxima are the
+/// tight static bounds; and since reachable configurations only grow
+/// with `k`, a violation at a smaller `k` shows here too. Returns an
+/// empty vector if the system is invalid, unsafe, or not exhaustively
+/// checkable within the bound — emission then simply omits the clause
+/// rather than registering an unverified bound.
 pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> {
     let Ok(system) = kmc::System::new(analysis.fsms.clone()) else {
         return Vec::new();
     };
-    for k in 1..=MAX_BOUND_SEARCH {
-        match kmc::check(&system, k) {
-            Ok(report) if report.exhaustive => {
-                return report.channel_bounds(&system);
-            }
-            Ok(_) | Err(kmc::Violation::Deadlock(_)) => continue,
-            Err(_) => return Vec::new(),
-        }
+    match kmc::check(&system, MAX_BOUND_SEARCH) {
+        Ok(report) if report.exhaustive => report.channel_bounds(&system),
+        _ => Vec::new(),
     }
-    Vec::new()
 }
 
-/// Largest channel bound [`verified_channel_bounds`] will try before
-/// giving up; real protocols in the corpus are exhaustive well below it.
+/// The channel bound [`verified_channel_bounds`] checks at; real
+/// protocols in the corpus are exhaustive well below it.
 pub const MAX_BOUND_SEARCH: usize = 16;
 
 #[cfg(test)]

@@ -144,12 +144,7 @@ impl WakerCell {
     /// a `will_wake` hit re-arm with a single `EMPTY -> WAITING` CAS —
     /// no clone, no cell access. Only a different waker (task migration)
     /// pays for the `LOCKED` replacement.
-    fn register(
-        &self,
-        waker: &Waker,
-        mirror: &mut Option<Waker>,
-        stats: &telemetry::channel::LinkStats,
-    ) {
+    fn register(&self, waker: &Waker, mirror: &mut Option<Waker>) {
         if mirror.as_ref().is_some_and(|armed| armed.will_wake(waker)) {
             loop {
                 match self
@@ -161,10 +156,7 @@ impl WakerCell {
                     Err(WAKER_WAITING) => break,
                     // Waking side mid-wake (of this very waker): wait out
                     // its short read-and-store section, then re-arm.
-                    Err(_) => {
-                        stats.record_waker_retry();
-                        std::hint::spin_loop();
-                    }
+                    Err(_) => std::hint::spin_loop(),
                 }
             }
             fence(SeqCst);
@@ -187,15 +179,11 @@ impl WakerCell {
                     {
                         break;
                     }
-                    stats.record_waker_retry();
                 }
                 // Waking side mid-wake: its critical section is a read
                 // plus a store, so spin it out rather than losing this
                 // waker.
-                Err(_) => {
-                    stats.record_waker_retry();
-                    std::hint::spin_loop();
-                }
+                Err(_) => std::hint::spin_loop(),
             }
         }
         // Safety: LOCKED grants cell ownership.
@@ -570,7 +558,6 @@ impl<T> SpscReceiver<T> {
         // One release store for the whole window: all slot reads above
         // complete before the producer can observe the new head.
         self.inner.head.store(self.head, Release);
-        self.inner.stats.record_batch(n as u64);
         if telemetry::ENABLED {
             self.inner.stats.stamp_recv_batch(n as u64);
         }
@@ -666,10 +653,7 @@ impl<T> SpscReceiver<T> {
     /// Arms the receive-side handoff with `waker` (see
     /// [`WakerCell::register`]).
     fn register(&mut self, waker: &Waker) {
-        let inner = &*self.inner;
-        inner
-            .rx_waiter
-            .register(waker, &mut self.armed_waker, &inner.stats);
+        self.inner.rx_waiter.register(waker, &mut self.armed_waker);
     }
 
     /// Best-effort disarm after a late value was found.

@@ -13,14 +13,13 @@
 //! accepted and not yet fully written.
 //!
 //! Beyond the watermark-vs-bound check, the cell carries the data-plane
-//! efficiency counters: `sends` against `wakes` (how many messages
-//! travelled per waker handoff) and `batches` against `batched_messages`
-//! (the realised batch factor) on rings; `received`, `bytes_sent` and
+//! counters: `sends` against `wakes` (how many messages travelled per
+//! waker handoff) on rings; `received`, `bytes_sent` and
 //! `bytes_received` (frames and bytes in against out), `window_stalls`
 //! (sends that found the window full) and `reconnects` (dial retries) on
 //! sockets. The registered `window` — a ring's batch-receive window or a
 //! socket's send window — mirrors the k-MC bound it was sized from, so
-//! tooling can assert `1 <= window <= kmc_bound` per link.
+//! a test can assert `1 <= window <= kmc_bound` per link.
 //!
 //! Hot-path updates (`LinkStats::record_depth` and friends) are relaxed
 //! atomic RMWs on the shared cell; the global registry mutex is touched
@@ -56,18 +55,11 @@ struct LinkCell {
     high_watermark: Counter,
     /// Ring growth events.
     grows: Counter,
-    /// Waker-handoff CAS retries (contended registration/wake races).
-    waker_retries: Counter,
     /// Messages published.
     sends: Counter,
     /// Consumer wakeups actually delivered (armed waker handed to the
     /// scheduler); `sends - wakes` messages travelled for free.
     wakes: Counter,
-    /// Batch-receive drains performed.
-    batches: Counter,
-    /// Messages moved by those drains (`batched_messages / batches` is
-    /// the realised window).
-    batched_messages: Counter,
     /// Frames decoded off the socket.
     received: Counter,
     /// Frame bytes written, header included.
@@ -148,11 +140,6 @@ impl LinkStats {
     }
 
     recorder! {
-        /// Records one waker-handoff CAS retry.
-        record_waker_retry => |cell| cell.waker_retries.incr()
-    }
-
-    recorder! {
         /// Records one published message.
         record_send => |cell| cell.sends.incr()
     }
@@ -160,15 +147,6 @@ impl LinkStats {
     recorder! {
         /// Records one delivered consumer wakeup.
         record_wake => |cell| cell.wakes.incr()
-    }
-
-    /// Records one batch-receive drain of `n` messages.
-    #[inline]
-    pub fn record_batch(&self, n: u64) {
-        if let Some(cell) = self.cell.attached() {
-            cell.batches.incr();
-            cell.batched_messages.add(n);
-        }
     }
 
     /// Records one frame written to the socket carrying `bytes` bytes
@@ -305,16 +283,10 @@ pub struct LinkSnapshot {
     pub high_watermark: u64,
     /// Ring growth events.
     pub grows: u64,
-    /// Waker-handoff CAS retries.
-    pub waker_retries: u64,
     /// Messages published.
     pub sends: u64,
     /// Consumer wakeups delivered.
     pub wakes: u64,
-    /// Batch-receive drains.
-    pub batches: u64,
-    /// Messages moved by batch drains.
-    pub batched_messages: u64,
     /// Frames decoded off the socket.
     pub received: u64,
     /// Frame bytes written (header included).
@@ -355,11 +327,8 @@ pub fn snapshot() -> Vec<LinkSnapshot> {
             to,
             high_watermark: cell.high_watermark.get(),
             grows: cell.grows.get(),
-            waker_retries: cell.waker_retries.get(),
             sends: cell.sends.get(),
             wakes: cell.wakes.get(),
-            batches: cell.batches.get(),
-            batched_messages: cell.batched_messages.get(),
             received: cell.received.get(),
             bytes_sent: cell.bytes_sent.get(),
             bytes_received: cell.bytes_received.get(),
@@ -429,15 +398,11 @@ mod tests {
             stats.record_send();
         }
         stats.record_wake();
-        stats.record_batch(6);
-        stats.record_batch(4);
         let links = snapshot();
         if crate::ENABLED {
             let link = links.iter().find(|l| l.from == "PlaneA").unwrap();
             assert_eq!(link.sends, 10);
             assert_eq!(link.wakes, 1);
-            assert_eq!(link.batches, 2);
-            assert_eq!(link.batched_messages, 10);
             assert_eq!(link.window, Some(8));
             // The messages-per-wake economy the batch path is judged by.
             assert!(link.wakes < link.sends);
@@ -538,10 +503,8 @@ mod tests {
         let stats = LinkStats::default();
         stats.record_depth(1000);
         stats.record_grow();
-        stats.record_waker_retry();
         stats.record_send();
         stats.record_wake();
-        stats.record_batch(10);
         stats.record_frame_sent(100);
         stats.record_frame_received(100);
         stats.record_window_stall();

@@ -19,7 +19,7 @@
 //!
 //! The module also owns the **session lifetime registry**: one
 //! histogram per role name recording `try_session` spawn→teardown
-//! wall time, snapshotted by an instrumented `fig6 --json`. Without the
+//! wall time, which the Fig 6 telemetry tests read back. Without the
 //! `telemetry` feature everything compiles to no-ops and empty
 //! snapshots.
 

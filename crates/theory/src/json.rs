@@ -1,8 +1,7 @@
 //! The workspace's one JSON reader and writer.
 //!
-//! Every machine-readable artifact — the `fig6` benchmark file with its
-//! `telemetry` section, the optimiser's `--report`, `subtype --json`,
-//! the Chrome traces — is built as a [`Value`] and rendered here, and
+//! Every machine-readable artifact — the optimiser's `--report`,
+//! `subtype --json`, the Chrome traces — is built as a [`Value`] and rendered here, and
 //! everything that reads one back (`bench-check`) parses here. It lives
 //! in `theory` because that is the one crate every producer and consumer
 //! already depends on.
@@ -21,7 +20,6 @@
 //!   `from_json` pair from its field list, so a schema change is a
 //!   compile error in every producer and consumer at once.
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 /// Deepest container nesting [`parse`] accepts.
@@ -493,21 +491,6 @@ impl<T: Json> Json for Vec<T> {
     }
 }
 
-/// An object whose keys are data, not schema.
-impl<T: Json> Json for BTreeMap<String, T> {
-    fn to_json(&self) -> Value {
-        Value::object(self.iter().map(|(k, v)| (k.as_str(), v.to_json())))
-    }
-    fn from_json(value: &Value) -> Result<Self, Error> {
-        let Value::Object(members) = value else {
-            return Err(Error::new("expected an object"));
-        };
-        let member =
-            |(k, v): &(String, Value)| Ok((k.clone(), T::from_json(v).map_err(|e| e.within(k))?));
-        members.iter().map(member).collect()
-    }
-}
-
 /// Rounds `value` to `decimals` places: artifacts carry a fixed
 /// precision so they diff cleanly across runs.
 pub fn rounded(value: f64, decimals: i32) -> f64 {
@@ -677,12 +660,5 @@ mod tests {
         assert_eq!(error.to_string(), "tags: [1]: expected a string");
         assert!(decode::<Sample>(r#"{"name": "s", "tags": []}"#).is_err());
         assert!(decode::<Sample>("[]").is_err());
-        assert_eq!(
-            decode::<BTreeMap<String, u64>>(r#"{"b": 2, "a": 1}"#)
-                .unwrap()
-                .to_json()
-                .to_string(),
-            r#"{"a": 1, "b": 2}"#
-        );
     }
 }
