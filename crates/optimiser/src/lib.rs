@@ -12,9 +12,9 @@
 //!    deduplication and budget caps. The search runs on one
 //!    [`theory::term`] arena per call, which the projection is interned
 //!    into: a rewrite interns only the nodes on its path, equal terms get
-//!    equal ids, so deduplication is one id lookup (structural identity —
-//!    the printed form's, except that a custom sort spelled like a
-//!    built-in one stays apart);
+//!    equal ids, and ids are dense, so deduplication reads and sets one
+//!    flag per id (structural identity — the printed form's, except that
+//!    a custom sort spelled like a built-in one stays apart);
 //! 2. **verify** — validate every candidate against the projection with
 //!    the sound asynchronous subtyping algorithm, so only provably safe
 //!    reorderings survive. Each candidate is checked as the machine
@@ -53,11 +53,8 @@
 pub mod cost;
 pub mod rewrite;
 
-use std::collections::HashSet;
-
 use subtyping::SubtypeVisitor;
 use theory::fsm::{self, Fsm, FsmError};
-use theory::hash::BuildWordHasher;
 use theory::json;
 use theory::json_record;
 use theory::local::LocalType;
@@ -287,8 +284,9 @@ pub fn optimise(
     terms.machine(root, &mut projection_machine)?;
 
     // ---- generate: breadth-first closure under the rewrites ----------
-    let mut seen: HashSet<TermId, BuildWordHasher> = HashSet::default();
-    seen.insert(root);
+    // One flag per arena id: ids are dense, and the search only adds.
+    let mut seen = vec![false; terms.node_count()];
+    seen[root.index()] = true;
     let mut generated: Vec<Generated> = Vec::new();
     // Entries of `generated` to expand next; `None` is the projection.
     let mut frontier: Vec<Option<usize>> = vec![None];
@@ -306,8 +304,9 @@ pub fn optimise(
             }
             let rewrites = rewrite::rewrites(&mut terms, term, anticipations < config.unfold_depth);
             pruned += rewrites.pruned;
+            seen.resize(terms.node_count(), false);
             for (candidate, step) in rewrites.candidates {
-                if !seen.insert(candidate) {
+                if std::mem::replace(&mut seen[candidate.index()], true) {
                     continue;
                 }
                 let anticipated = matches!(step, Step::Anticipate { .. });

@@ -12,7 +12,7 @@
 //!   2, the streaming source at depths 1–4 and every member of a ring,
 //! * the `verify_amr` optimise entries, whose totals the benchmark's
 //!   traced run reports (2 689 generated / 1 502 verified / 3 524
-//!   pruned),
+//!   pruned, and 19 448 of its 20 884 visited pairs),
 //! * random binary types (their generator is included from
 //!   `tests/generators/`), as they come, closed into loops, and with
 //!   `i32` payloads on every other branch, at depths 0–3 under a
@@ -641,7 +641,8 @@ fn every_ring_member_agrees() {
 }
 
 /// The optimise entries of the benchmark's `verify_amr` corpus: the kernel
-/// at depths 3 and 8 and every pmesh-5/6 role at depth 2.
+/// at depths 3 and 8 and every pmesh-5/6 role at depth 2, with the state
+/// pairs their verified candidates' checks visit.
 #[test]
 fn verify_amr_totals_are_unchanged() {
     let kernel = parse("rec x . s!ready . s?value . t?ready . t!value . x").unwrap();
@@ -650,7 +651,7 @@ fn verify_amr_totals_are_unchanged() {
     for n in [5, 6] {
         entries.extend(pmesh(n).into_iter().map(|(role, local)| (role, local, 2)));
     }
-    let (mut generated, mut verified, mut pruned) = (0, 0, 0);
+    let (mut generated, mut verified, mut pruned, mut visited) = (0, 0, 0, 0);
     for (role, projection, depth) in &entries {
         let what = format!("verify_amr {role} at depth {depth}");
         let outcome = agree(
@@ -662,8 +663,16 @@ fn verify_amr_totals_are_unchanged() {
         generated += outcome.generated;
         verified += outcome.candidates.len();
         pruned += outcome.pruned;
+        visited += outcome
+            .candidates
+            .iter()
+            .map(|candidate| candidate.stats.visited_pairs)
+            .sum::<usize>();
     }
     assert_eq!((generated, verified, pruned), (2689, 1502, 3524));
+    // What the benchmark re-checks: its six subtype entries add the rest
+    // of a traced run's 20 884 `subtyping.visited_pairs`.
+    assert_eq!(visited, 19448, "visited pairs of the verified candidates");
 }
 
 /// `t` with every `end` replaced by a loop back to its start.

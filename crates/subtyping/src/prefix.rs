@@ -5,18 +5,19 @@
 //! A prefix is a grow-only list of transitions. Elements are consumed
 //! either by advancing `start` (when the head is consumed) or by flagging
 //! them removed (when a reduction consumes an element in the middle — the
-//! `[)A]`/`[)B]` cases). [`Snapshot`]s record `(len, start, removed.len())`
-//! so the depth-first visitor can revert cheaply without copying. A
-//! prefix holds [`Action`]s by value: their names are interned, so pushing
-//! and reverting never touch a reference count and comparing two actions
-//! never reads a string.
+//! `[)A]`/`[)B]` cases). The flags sit in a vector of their own beside the
+//! actions, and every scan walks live elements by index. [`Snapshot`]s
+//! record `(len, start, removed.len())` so the depth-first visitor can
+//! revert cheaply without copying. A prefix holds [`Action`]s by value:
+//! their names are interned, so pushing and reverting never touch a
+//! reference count and comparing two actions never reads a string.
 
 use theory::fsm::{Action, Direction};
 
 /// A recorded point in a prefix's history; see [`Prefix::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Length of `transitions` at snapshot time.
+    /// Length of `actions` at snapshot time.
     pub size: usize,
     /// Value of `start` at snapshot time.
     pub start: usize,
@@ -28,8 +29,10 @@ pub struct Snapshot {
 /// not yet matched between subtype and supertype.
 #[derive(Clone, Debug, Default)]
 pub struct Prefix {
-    /// `(removed, transition)` pairs; `removed` marks lazy deletion.
-    transitions: Vec<(bool, Action)>,
+    /// Every action pushed and not reverted, in order.
+    actions: Vec<Action>,
+    /// `flagged[i]` marks `actions[i]` lazily removed.
+    flagged: Vec<bool>,
     /// Elements before `start` are consumed (a cheap bulk form of removal).
     start: usize,
     /// Log of indices removed by flagging, in removal order, for revert.
@@ -37,14 +40,27 @@ pub struct Prefix {
 }
 
 impl Prefix {
+    /// An empty prefix with room for `capacity` actions before it grows.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            actions: Vec::with_capacity(capacity),
+            flagged: Vec::with_capacity(capacity),
+            start: 0,
+            removed: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends an action to the prefix.
     pub fn push(&mut self, action: Action) {
-        self.transitions.push((false, action));
+        self.actions.push(action);
+        self.flagged.push(false);
     }
 
     /// True when no live elements remain.
     pub fn is_empty(&self) -> bool {
-        self.live().next().is_none()
+        self.flagged[self.start.min(self.flagged.len())..]
+            .iter()
+            .all(|&flagged| flagged)
     }
 
     /// Number of live elements.
@@ -54,12 +70,9 @@ impl Prefix {
 
     /// Iterates over `(index, action)` for live elements, in order.
     pub fn live(&self) -> impl Iterator<Item = (usize, &Action)> {
-        self.transitions
-            .iter()
-            .enumerate()
-            .skip(self.start)
-            .filter(|(_, (removed, _))| !removed)
-            .map(|(index, (_, action))| (index, action))
+        (self.start..self.actions.len())
+            .filter(|&index| !self.flagged[index])
+            .map(|index| (index, &self.actions[index]))
     }
 
     /// Removes the element at `index` (which must be live).
@@ -68,20 +81,16 @@ impl Prefix {
     /// flagged: removing the head advances `start` past any flagged run.
     pub fn remove(&mut self, index: usize) {
         debug_assert!(index >= self.start);
-        debug_assert!(!self.transitions[index].0, "double removal at {index}");
+        debug_assert!(!self.flagged[index], "double removal at {index}");
         if index == self.start {
             self.start += 1;
         } else {
-            self.transitions[index].0 = true;
+            self.flagged[index] = true;
             self.removed.push(index);
         }
         // Advance start past any previously flagged elements so the head
         // is always a live element.
-        while self
-            .transitions
-            .get(self.start)
-            .is_some_and(|(removed, _)| *removed)
-        {
+        while self.flagged.get(self.start).is_some_and(|&flagged| flagged) {
             self.start += 1;
         }
     }
@@ -89,7 +98,7 @@ impl Prefix {
     /// Records the current state for a later [`Prefix::revert`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            size: self.transitions.len(),
+            size: self.actions.len(),
             start: self.start,
             removed: self.removed.len(),
         }
@@ -99,17 +108,18 @@ impl Prefix {
     /// since, truncates appended elements and resets `start`.
     pub fn revert(&mut self, snapshot: Snapshot) {
         for &index in &self.removed[snapshot.removed..] {
-            self.transitions[index].0 = false;
+            self.flagged[index] = false;
         }
         self.removed.truncate(snapshot.removed);
-        self.transitions.truncate(snapshot.size);
+        self.actions.truncate(snapshot.size);
+        self.flagged.truncate(snapshot.size);
         self.start = snapshot.start;
     }
 
     /// The `[asm]` termination check of Appendix B.5, Eq. (2):
     ///
     /// ```text
-    /// transitions[start..] == transitions[..snapshot.size][snapshot.start..]
+    /// actions[start..] == actions[..snapshot.size][snapshot.start..]
     /// ```
     ///
     /// Both ranges are compared with their *current* flags; a supertype
@@ -117,9 +127,10 @@ impl Prefix {
     /// range strictly longer, failing the check — this is what rejects
     /// subtypes that forget actions (Fig A.14).
     pub fn matches_snapshot(&self, snapshot: Snapshot) -> bool {
-        let current = &self.transitions[self.start.min(self.transitions.len())..];
-        let recorded = &self.transitions[snapshot.start..snapshot.size];
-        current == recorded
+        let current = self.start.min(self.actions.len());
+        let recorded = snapshot.start..snapshot.size;
+        self.flagged[current..] == self.flagged[recorded.clone()]
+            && self.actions[current..] == self.actions[recorded]
     }
 }
 
@@ -144,20 +155,28 @@ pub enum Reduction {
 /// * `[)B]`: a head output `p!ℓ` matches across a context `B(p)` of inputs
 ///   (any) and outputs to participants other than `p`.
 pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
-    let Some((head_index, &head)) = sub.live().next() else {
+    // The element at `start` is live whenever there is one.
+    let head_index = sub.start;
+    let Some(&head) = sub.actions.get(head_index) else {
         return Reduction::Blocked;
     };
+    debug_assert!(!sub.flagged[head_index], "the head is live");
     let direction = head.direction;
-    let mut matched: Option<usize> = None;
-    for (index, action) in sup.live() {
+    for index in sup.start..sup.actions.len() {
+        if sup.flagged[index] {
+            continue;
+        }
+        let action = &sup.actions[index];
         if action.direction == direction && action.peer == head.peer && action.label == head.label {
-            if sorts_compatible(&head, action) {
-                matched = Some(index);
-                break;
+            if !sorts_compatible(&head, action) {
+                // Same action with incompatible payload: a permanent
+                // obstacle (it is in neither A(p) nor B(p), and precedes
+                // any later match).
+                return Reduction::DeadEnd;
             }
-            // Same action with incompatible payload: a permanent obstacle
-            // (it is in neither A(p) nor B(p), and precedes any later match).
-            return Reduction::DeadEnd;
+            sub.remove(head_index);
+            sup.remove(index);
+            return Reduction::Progress;
         }
         let context_ok = match direction {
             // A(p): inputs from participants other than p.
@@ -171,14 +190,7 @@ pub fn reduce_step(sub: &mut Prefix, sup: &mut Prefix) -> Reduction {
             return Reduction::DeadEnd;
         }
     }
-    match matched {
-        Some(index) => {
-            sub.remove(head_index);
-            sup.remove(index);
-            Reduction::Progress
-        }
-        None => Reduction::Blocked,
-    }
+    Reduction::Blocked
 }
 
 /// Exhaustively reduces the pair; returns `false` on a dead end.

@@ -1,26 +1,26 @@
 //! The depth-first subtyping visitor (Appendix B.5).
 //!
 //! The visitor walks the product of the candidate-subtype machine and the
-//! supertype machine. The `path` map plays the role of the assumption map
-//! `Σ` of Fig 5: it holds an entry for each state pair on the current
-//! derivation path, storing how many visits remain for that pair (the
-//! recursion bound `n`) and snapshots of both prefixes taken at its most
-//! recent visit (the `ρ` recorded with each assumption). A pair off the
-//! path has all `bound` visits left and no snapshots, and that is what an
-//! absent entry means: `visit` restores every entry it changes before it
-//! returns, so the map never holds more than the path. Memory is
-//! O(path depth), not O(states²).
+//! supertype machine. The `path` stack plays the role of the assumption
+//! map `Σ` of Fig 5: it holds a record for each visit on the current
+//! derivation path that went on to explore transitions, storing how many
+//! visits remain for its state pair (the recursion bound `n`) and
+//! snapshots of both prefixes taken at that visit (the `ρ` recorded with
+//! each assumption). A visit pushes its record in step (5) and pops it on
+//! return, so the stack never holds more than the path and memory is
+//! O(path depth), not O(states²). A pair's assumption is its innermost
+//! record, found by scanning the stack from the top; a pair with no
+//! record has all `bound` visits left and no snapshots. A lookup hashes
+//! nothing, and a visit allocates only when the stack or a prefix
+//! outgrows the room [`SubtypeVisitor::new`] gives it.
 //!
-//! A check leaves the path map and both prefixes empty, so one visitor
+//! A check leaves the path and both prefixes empty, so one visitor
 //! checks any number of pairs and keeps their buffers: the AMR optimiser
 //! runs every candidate through one. The visitor reads the [`Fsm`]s it is
 //! given as they are: their actions' names are interned, so matching two
 //! actions compares pointers.
 
-use std::collections::HashMap;
-
 use theory::fsm::{Direction, Fsm, StateIndex};
-use theory::hash::BuildWordHasher;
 
 use crate::prefix::{reduce, Prefix, Snapshot};
 use crate::CheckStats;
@@ -33,15 +33,18 @@ struct Previous {
     snapshots: [Snapshot; 2],
 }
 
-/// `Σ` keyed by `(sub_state, sup_state)`, hashed a word at a time.
-type PathMap = HashMap<(usize, usize), Previous, BuildWordHasher>;
+/// Room the path and each prefix get up front: the short checks the
+/// optimiser runs by the thousand never regrow them, and a deeper check
+/// grows them once.
+const CAPACITY: usize = 32;
 
 /// Checks `sub ≤ sup` by depth-first search over two machines; see
 /// [`crate::is_subtype`].
 pub struct SubtypeVisitor {
     bound: usize,
-    /// `Σ`: one entry per state pair on the current derivation path.
-    path: PathMap,
+    /// `Σ`: `(sub_state, sup_state)` and its record per exploring visit on
+    /// the current derivation path, outermost first.
+    path: Vec<((usize, usize), Previous)>,
     prefixes: [Prefix; 2],
     fail_early: bool,
     visited: usize,
@@ -52,8 +55,8 @@ impl SubtypeVisitor {
     pub fn new(bound: usize) -> Self {
         Self {
             bound,
-            path: PathMap::default(),
-            prefixes: Default::default(),
+            path: Vec::with_capacity(CAPACITY),
+            prefixes: std::array::from_fn(|_| Prefix::with_capacity(CAPACITY)),
             fail_early: true,
             visited: 0,
         }
@@ -89,7 +92,12 @@ impl SubtypeVisitor {
         // (1) Bound check ([μl]/[μr] with n = 0): each state pair may be
         // visited at most `bound` times along one derivation path.
         let pair = (sub_state, sup_state);
-        let previous = self.path.get(&pair).copied();
+        let previous = self
+            .path
+            .iter()
+            .rev()
+            .find(|(on_path, _)| *on_path == pair)
+            .map(|&(_, previous)| previous);
         let visits = previous.map_or(self.bound, |previous| previous.visits);
         if visits == 0 {
             return false;
@@ -131,13 +139,13 @@ impl SubtypeVisitor {
 
         // (5) Explore transitions according to the quantifier rules
         // [oo]/[oi]/[ii]/[io] of Fig 5, with the pair on the path.
-        self.path.insert(
+        self.path.push((
             pair,
             Previous {
                 visits: visits - 1,
                 snapshots: [self.prefixes[0].snapshot(), self.prefixes[1].snapshot()],
             },
-        );
+        ));
 
         // A non-terminal state's direction is its first transition's: a
         // machine built from a local type has uniform states, and a
@@ -166,12 +174,9 @@ impl SubtypeVisitor {
             }
         };
 
-        // Restore the entry for sibling branches of the search: the
-        // earlier visit's record, or off the path again.
-        match previous {
-            Some(previous) => self.path.insert(pair, previous),
-            None => self.path.remove(&pair),
-        };
+        // Off the path again: sibling branches of the search see the
+        // earlier visit's record, if there is one.
+        self.path.pop();
         result
     }
 

@@ -2,8 +2,10 @@
 //! that keeps a dense `sub.len() × sup.len()` history matrix and owned
 //! prefix actions — the visitor and prefix as they were before the path
 //! map and prefixes of copied actions replaced them. The visitor runs
-//! twice per pair: on the `Fsm`s `fsm::from_local` builds, one arena per
-//! type, as the entry points run it, and on the machines
+//! three times per pair: on the `Fsm`s `fsm::from_local` builds, one arena
+//! per type, as the entry points run it, once fresh and once through one
+//! long-lived visitor per bound and fail-early setting that every check
+//! of the test thread shares, and on the machines
 //! `theory::term::Terms` builds from one arena for both types, as the
 //! optimiser runs it. Both must agree with the reference — which reads
 //! the first pair — on the verdict *and* on the number of visited state
@@ -23,9 +25,11 @@
 //!   kernel at depths 1–3 and every pmesh-5 role at depth 2.
 //!
 //! Equal visit counts pin the search itself, not only its answer. A path
-//! entry left behind on return (an off-path pair keeping a reduced visit
+//! record left behind on return (an off-path pair keeping a reduced visit
 //! count and stale snapshots) passes every other test of this crate; here
-//! the looped random types and the pmesh-5 candidates fail on it. Trees
+//! the looped random types and the pmesh-5 candidates fail on it, and the
+//! long-lived visitors fail on it in release builds too, where the
+//! visitor's own empty-path assertion is compiled out. Trees
 //! and single loops never re-enter a pair from a sibling branch, so they
 //! cannot see it. Checking sorts the wrong way round in
 //! `prefix::sorts_compatible` (`sub.sort.is_subsort_of(&sup.sort)` for a
@@ -34,7 +38,8 @@
 //!
 //! CI runs this in release as well (`cargo test --release -p subtyping`).
 
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 use bench::verification::{k_buffering, nested_choice, streaming, to_fsm};
 use optimiser::rewrite::rewrites;
@@ -399,9 +404,17 @@ mod reference {
     }
 }
 
-/// Runs the reference, and the visitor on `from_local` machines and on the
-/// machines of one arena, with fail-early on or off, and insists
-/// on one verdict and visit count; returns the verdict.
+thread_local! {
+    /// One long-lived visitor per bound and fail-early setting, as the
+    /// optimiser keeps one: every check of a test thread goes through it
+    /// too, so it must come out of each check as a fresh one would.
+    static REUSED: RefCell<HashMap<(usize, bool), SubtypeVisitor>> = RefCell::default();
+}
+
+/// Runs the reference, and the visitor on `from_local` machines — fresh
+/// and long-lived — and on the machines of one arena, with fail-early on
+/// or off, and insists on one verdict and visit count; returns the
+/// verdict.
 fn agree_with(
     sub: &LocalType,
     sup: &LocalType,
@@ -441,6 +454,18 @@ fn agree_with(
         theirs,
         "{what} on one arena's machines"
     );
+    let reused = REUSED.with_borrow_mut(|visitors| {
+        let visitor = visitors.entry((bound, fail_early)).or_insert_with(|| {
+            let visitor = SubtypeVisitor::new(bound);
+            if fail_early {
+                visitor
+            } else {
+                visitor.without_fail_early()
+            }
+        });
+        visitor.check(&sub_fsm, &sup_fsm)
+    });
+    assert_eq!(pair(reused), theirs, "{what} through a long-lived visitor");
     theirs.0
 }
 

@@ -17,8 +17,6 @@
 //! * [`name`] — names interned once per process, so comparing and
 //!   hashing one never reads its text,
 //! * [`dot`] — Graphviz output for debugging protocols,
-//! * [`hash`] — the word hasher behind the workspace's integer-keyed
-//!   maps,
 //! * [`json`] — the workspace's one JSON reader and writer, behind every
 //!   machine-readable artifact the tools above emit or load.
 //!
@@ -50,7 +48,6 @@
 pub mod dot;
 pub mod fsm;
 pub mod global;
-pub mod hash;
 pub mod json;
 pub mod local;
 pub mod name;

@@ -2,8 +2,11 @@
 //! their machines.
 //!
 //! [`Terms`] stores each distinct subterm once, as a [`Node`] whose
-//! children are [`TermId`]s, and interns every new node through one map
-//! from node to id. Peers, labels and recursion variables are interned
+//! children are [`TermId`]s, and finds a node's id through one
+//! open-addressing table of ids over the nodes, the way k-MC's visited
+//! table finds a configuration. A choice is looked up from its fields,
+//! its branches a borrowed slice, and its branch list is boxed only when
+//! it is new. Peers, labels and recursion variables are interned
 //! [`Name`]s and payload sorts [`Sort`]s, so a node is a few words and
 //! hashing one touches no string.
 //!
@@ -18,13 +21,19 @@
 //! `==`). That is the printed form's identity with one refinement: a
 //! custom sort spelled like a built-in one (`Sort::Custom("i32")` beside
 //! `Sort::I32`) prints alike but interns apart, so ids tell terms apart
-//! at least as finely as their text does, never more coarsely.
+//! at least as finely as their text does, never more coarsely. The table
+//! compares a node with every node whose hash it shares field by field —
+//! direction, peer, and every label, sort and child — so a hash collision
+//! never merges two nodes.
 //!
 //! **Cost.** A rewrite at depth *d* (the AMR optimiser's rules) interns
 //! the O(*d*) nodes on its path — each ancestor rebuilt with one child id
 //! replaced by [`Terms::with_child`] — and shares every other subterm,
 //! and a rewrite that reproduces a term already seen adds no node at
-//! all: deduplicating candidates is one id comparison.
+//! all: deduplicating candidates is one id comparison. A node the arena
+//! already holds costs one table lookup and no allocation:
+//! [`Terms::with_child`] builds the rebuilt ancestor in a reused buffer
+//! and [`Terms::single`] from a one-element slice.
 //!
 //! ```
 //! use theory::local::parse;
@@ -40,11 +49,7 @@
 //! assert_eq!(terms.to_local(id), kernel);
 //! ```
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use crate::fsm::{Action, Direction, Fsm, FsmError, StateIndex};
-use crate::hash::BuildWordHasher;
 use crate::local::{LocalBranch, LocalType};
 use crate::name::Name;
 use crate::sort::Sort;
@@ -54,13 +59,21 @@ use crate::sort::Sort;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TermId(u32);
 
+impl TermId {
+    /// The id's position in its arena: ids are dense, `0..node_count()`,
+    /// so a `Vec` indexed by them is a map from terms.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One labelled continuation of a [`Node::Choice`]: label, payload sort,
 /// continuation.
 pub type Branch = (Name, Sort, TermId);
 
 /// One node of the arena: a [`LocalType`] constructor whose subterms are
 /// ids.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Node {
     /// `end`.
     End,
@@ -79,23 +92,134 @@ pub enum Node {
     },
 }
 
+/// One FxHash step: `word` folded into `hash`.
+fn step(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The table's hash of a choice: its direction, names and children, one
+/// step a word. Sorts are left out — nodes that differ only in a sort
+/// are rare — and told apart by the table's comparison.
+fn choice_hash(send: bool, peer: Name, branches: &[Branch]) -> u64 {
+    let start = step(u64::from(send), u64::from(peer.id()));
+    branches.iter().fold(start, |hash, &(label, _, child)| {
+        step(step(hash, u64::from(label.id())), u64::from(child.0))
+    })
+}
+
+impl Node {
+    /// The table's hash of the node; see [`choice_hash`].
+    fn hash(&self) -> u64 {
+        match self {
+            Node::End => step(2, 0),
+            Node::Var(var) => step(3, u64::from(var.id())),
+            Node::Rec(var, body) => step(step(4, u64::from(var.id())), u64::from(body.0)),
+            Node::Choice {
+                send,
+                peer,
+                branches,
+            } => choice_hash(*send, *peer, branches),
+        }
+    }
+}
+
+/// A free slot of [`Terms::slots`]: no id is `u32::MAX`.
+const EMPTY: u64 = u64::MAX;
+/// The hash half of a slot.
+const TAG: u64 = 0xFFFF_FFFF_0000_0000;
+
 /// A hash-consed store of local-type terms; see the [module docs](self).
 #[derive(Default)]
 pub struct Terms {
     nodes: Vec<Node>,
-    ids: HashMap<Node, TermId, BuildWordHasher>,
+    /// Open-addressing table over `nodes`, at most half full: the top
+    /// half of a node's hash and its id per slot, or [`EMPTY`].
+    slots: Vec<u64>,
+    /// The branches of the node [`Terms::with_child`] looks up.
+    scratch: Vec<Branch>,
 }
 
 impl Terms {
     /// The id of `node`, adding it if the arena has not seen it.
     pub fn intern(&mut self, node: Node) -> TermId {
-        match self.ids.entry(node) {
-            Entry::Occupied(entry) => *entry.get(),
-            Entry::Vacant(entry) => {
-                let id = TermId(u32::try_from(self.nodes.len()).expect("fewer than 2³² terms"));
-                self.nodes.push(entry.key().clone());
-                *entry.insert(id)
+        match self.find(node.hash(), |old| *old == node) {
+            Ok(id) => id,
+            Err(slot) => self.add(slot, node),
+        }
+    }
+
+    /// The id of the choice of `branches` with `peer`, looked up from its
+    /// fields: the branch list is boxed only when the node is new. The
+    /// comparison reads direction, peer, and every label, sort and child.
+    fn choice(&mut self, send: bool, peer: Name, branches: &[Branch]) -> TermId {
+        let same = |old: &Node| {
+            matches!(old, Node::Choice { send: s, peer: p, branches: b }
+                if *s == send && *p == peer && **b == *branches)
+        };
+        match self.find(choice_hash(send, peer, branches), same) {
+            Ok(id) => id,
+            Err(slot) => {
+                let branches = branches.into();
+                self.add(
+                    slot,
+                    Node::Choice {
+                        send,
+                        peer,
+                        branches,
+                    },
+                )
             }
+        }
+    }
+
+    /// The id of the node hashed `hash` that `same` accepts, or the free
+    /// slot to add it at with its tag. Makes room for one more node first.
+    fn find(&mut self, hash: u64, same: impl Fn(&Node) -> bool) -> Result<TermId, (usize, u64)> {
+        if (self.nodes.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let tag = hash & TAG;
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(tag);
+        while self.slots[slot] != EMPTY {
+            let entry = self.slots[slot];
+            let id = TermId((entry & !TAG) as u32);
+            if entry & TAG == tag && same(self.node(id)) {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err((slot, tag))
+    }
+
+    /// Adds `node` at the free `slot` [`Terms::find`] gave.
+    fn add(&mut self, (slot, tag): (usize, u64), node: Node) -> TermId {
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("fewer than 2³² − 1 terms");
+        self.slots[slot] = tag | u64::from(id);
+        self.nodes.push(node);
+        TermId(id)
+    }
+
+    /// First slot probed for a node tagged `tag`: the tag's top
+    /// `log2(slots)` bits.
+    fn home(&self, tag: u64) -> usize {
+        (tag >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Doubles the table (64 slots at first), re-placing every entry from
+    /// its tag.
+    fn grow(&mut self) {
+        let slots = (self.slots.len() * 2).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for entry in old.into_iter().filter(|&entry| entry != EMPTY) {
+            let mut slot = self.home(entry & TAG);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.slots[slot] = entry;
         }
     }
 
@@ -112,11 +236,7 @@ impl Terms {
     /// The single-branch choice `peer!label(sort).continuation` (`send`)
     /// or `peer?label(sort).continuation`.
     pub fn single(&mut self, send: bool, peer: Name, branch: Branch) -> TermId {
-        self.intern(Node::Choice {
-            send,
-            peer,
-            branches: Box::new([branch]),
-        })
+        self.choice(send, peer, &[branch])
     }
 
     /// `parent` with its `index`-th child (a `rec` body, or a branch's
@@ -127,24 +247,24 @@ impl Terms {
     /// When `parent` is a leaf (`end` or a variable), or a choice with no
     /// `index`-th branch.
     pub fn with_child(&mut self, parent: TermId, index: usize, child: TermId) -> TermId {
-        let node = match self.node(parent) {
-            Node::Rec(var, _) => Node::Rec(*var, child),
-            Node::Choice {
-                send,
-                peer,
-                branches,
-            } => {
-                let mut branches = branches.clone();
-                branches[index].2 = child;
-                Node::Choice {
-                    send: *send,
-                    peer: *peer,
-                    branches,
-                }
-            }
-            Node::End | Node::Var(_) => unreachable!("a leaf has no children"),
+        if let Node::Rec(var, _) = *self.node(parent) {
+            return self.intern(Node::Rec(var, child));
+        }
+        let Node::Choice {
+            send,
+            peer,
+            ref branches,
+        } = self.nodes[parent.index()]
+        else {
+            unreachable!("a leaf has no children")
         };
-        self.intern(node)
+        self.scratch.clear();
+        self.scratch.extend_from_slice(branches);
+        self.scratch[index].2 = child;
+        let scratch = std::mem::take(&mut self.scratch);
+        let id = self.choice(send, peer, &scratch);
+        self.scratch = scratch;
+        id
     }
 
     /// The `index`-th child of `id` — a `rec` body or a branch's
@@ -568,6 +688,37 @@ mod tests {
         #[test]
         fn random_terms_round_trip_through_to_local(local in binder_local_type()) {
             round_trips(&local);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A thousand random terms in one arena, so its table grows
+        /// several times: each term interns again to its id and reads
+        /// back as itself, and each node rebuilt around one of its own
+        /// children is that node; none of it adds a node.
+        #[test]
+        fn one_arena_finds_every_node_again(
+            locals in proptest::collection::vec(binder_local_type(), 1000)
+        ) {
+            let mut terms = Terms::default();
+            let ids: Vec<TermId> = locals.iter().map(|local| terms.intern_local(local)).collect();
+            let count = terms.node_count();
+            // Past 256 nodes the table has grown from 64 slots to 1 024.
+            prop_assert!(count > 256, "{count} nodes");
+            for (local, &id) in locals.iter().zip(&ids) {
+                prop_assert_eq!(terms.intern_local(local), id);
+                prop_assert_eq!(&terms.to_local(id), local);
+            }
+            for parent in (0..count).map(|index| TermId(index as u32)) {
+                let mut index = 0;
+                while let Some(child) = terms.child(parent, index) {
+                    prop_assert_eq!(terms.with_child(parent, index, child), parent);
+                    index += 1;
+                }
+            }
+            prop_assert_eq!(terms.node_count(), count, "nothing new was interned");
         }
     }
 
