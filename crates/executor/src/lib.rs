@@ -5,7 +5,8 @@
 //! in the paper relies on:
 //!
 //! * lightweight **tasks** multiplexed over a pool of worker threads
-//!   ([`Runtime::spawn`]),
+//!   ([`Runtime::spawn`]); a task poll takes no lock and no reference
+//!   count of its own,
 //! * a **work-stealing scheduler** (one local deque per worker plus a global
 //!   injector, in the style of Tokio/Rayon),
 //! * waker-based **asynchronous channels** ([`channel`]) used as the session

@@ -12,15 +12,21 @@
 //!   |             poll Pending           v    |
 //!   +------------------------------- Notified (re-queued after poll)
 //! ```
+//!
+//! The same machine makes each poll exclusive — a task sits in at most one
+//! queue, and only a dequeued entry runs — so a poll takes no lock: the
+//! future lives in a bare cell that only [`Task::run`] opens. The waker a
+//! poll hands its future borrows the task's own reference rather than
+//! taking a count of its own.
 
+use std::cell::UnsafeCell;
 use std::future::Future;
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
-
-use parking_lot::Mutex;
+use std::task::{Context, Wake, Waker};
 
 use crate::runtime::Shared;
 
@@ -40,12 +46,19 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// A spawned unit of work: a future plus its scheduling state.
 pub(crate) struct Task {
     state: AtomicU8,
-    /// The future being driven. `None` once complete. The mutex is
-    /// uncontended in practice: the state machine ensures a single poller.
-    future: Mutex<Option<BoxFuture>>,
+    /// The future being driven. `None` once complete. Only [`Task::run`]
+    /// touches it, and the state machine admits one `run` at a time: a
+    /// task is in at most one queue, and only a dequeued entry runs.
+    future: UnsafeCell<Option<BoxFuture>>,
     /// Handle back to the runtime used to re-queue on wake.
     shared: Arc<Shared>,
 }
+
+// SAFETY: `state` and `shared` are `Sync` by themselves. `future` holds a
+// `Send` future and is only reached from `run`, whose calls never overlap
+// and are ordered by a happens-before chain through `state` and the run
+// queues (see `run`), or by the drop of the last reference.
+unsafe impl Sync for Task {}
 
 impl Task {
     /// Wraps `future` in a new task bound to the runtime `shared`.
@@ -58,33 +71,33 @@ impl Task {
     ) -> Arc<Self> {
         Arc::new(Self {
             state: AtomicU8::new(SCHEDULED),
-            future: Mutex::new(Some(Box::pin(future))),
+            future: UnsafeCell::new(Some(Box::pin(future))),
             shared,
         })
     }
 
-    /// Transitions the task towards being queued, pushing it onto the
-    /// runtime's injector when the transition wins.
-    fn schedule(self: &Arc<Self>) {
+    /// The runtime the task belongs to.
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
+    }
+
+    /// Moves the task towards being queued. True when the move won the
+    /// right to queue it (`IDLE -> SCHEDULED`): the caller must push it.
+    fn claim(&self) -> bool {
         let mut state = self.state.load(Ordering::Acquire);
         loop {
             let next = match state {
                 IDLE => SCHEDULED,
                 RUNNING => NOTIFIED,
                 // Already queued, about to be re-queued, or finished.
-                SCHEDULED | NOTIFIED | DONE => return,
+                SCHEDULED | NOTIFIED | DONE => return false,
                 _ => unreachable!("invalid task state {state}"),
             };
             match self
                 .state
                 .compare_exchange_weak(state, next, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => {
-                    if next == SCHEDULED {
-                        self.shared.schedule(self.clone());
-                    }
-                    return;
-                }
+                Ok(_) => return next == SCHEDULED,
                 Err(actual) => state = actual,
             }
         }
@@ -97,33 +110,40 @@ impl Task {
         self.state.store(RUNNING, Ordering::Release);
         self.shared.record_poll();
 
-        let waker = Waker::from(self.clone());
-        let mut cx = Context::from_waker(&waker);
-
-        let poll = {
-            let mut slot = self.future.lock();
-            let Some(future) = slot.as_mut() else {
-                // Completed by a previous poll; stale queue entry.
-                self.state.store(DONE, Ordering::Release);
-                return;
-            };
-            // A panicking task must not poison the worker: treat a panic as
-            // completion. The JoinHandle observes it as a dropped result.
-            match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
-                Ok(poll) => {
-                    if poll.is_ready() {
-                        *slot = None;
-                    }
-                    poll
-                }
-                Err(_) => {
-                    *slot = None;
-                    Poll::Ready(())
-                }
-            }
+        // SAFETY: no other `run` of this task overlaps this one, and each
+        // happens after the last: the previous runner ended its poll with
+        // its `RUNNING -> IDLE` AcqRel CAS below, a waker then won
+        // `IDLE -> SCHEDULED` (AcqRel) in `claim` and pushed the task
+        // (release) onto the queue this worker popped it from (acquire) —
+        // or the previous runner saw `NOTIFIED` and re-pushed the task
+        // itself. The first run pairs `new` with the spawn's push the same
+        // way. Wakers only ever touch `state`, never this cell.
+        let slot = unsafe { &mut *self.future.get() };
+        let Some(future) = slot.as_mut() else {
+            // Completed by a previous poll; stale queue entry.
+            self.state.store(DONE, Ordering::Release);
+            return;
+        };
+        let ready = {
+            // The task's own reference, lent to the poll: no count is
+            // taken or dropped. A clone the future keeps goes through the
+            // `Wake` vtable and counts as usual, and `will_wake` sees the
+            // data pointer and vtable of any such clone.
+            // SAFETY: the pointer comes from the live `Arc` `self`, which
+            // outlives this block, and `ManuallyDrop` never releases the
+            // count the re-created `Arc` stands for.
+            let lent = unsafe { Arc::from_raw(Arc::as_ptr(&self)) };
+            let waker = ManuallyDrop::new(Waker::from(lent));
+            let mut cx = Context::from_waker(&waker);
+            // A panicking task must not poison the worker: treat a panic
+            // as completion. The JoinHandle observes it as a dropped
+            // result.
+            catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx)))
+                .map_or(true, |poll| poll.is_ready())
         };
 
-        if poll.is_ready() {
+        if ready {
+            *slot = None;
             self.state.store(DONE, Ordering::Release);
             self.shared.record_completion();
             return;
@@ -138,7 +158,7 @@ impl Task {
             Ok(_) => {}
             Err(NOTIFIED) => {
                 self.state.store(SCHEDULED, Ordering::Release);
-                self.shared.schedule(self.clone());
+                Shared::schedule_owned(self);
             }
             Err(other) => unreachable!("invalid post-poll task state {other}"),
         }
@@ -146,11 +166,16 @@ impl Task {
 }
 
 impl Wake for Task {
+    /// Hands the waker's own reference to the queue.
     fn wake(self: Arc<Self>) {
-        self.schedule();
+        if self.claim() {
+            Shared::schedule_owned(self);
+        }
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.schedule();
+        if self.claim() {
+            self.shared.schedule(self.clone());
+        }
     }
 }

@@ -1,13 +1,17 @@
 //! Executor stress suite: spawn storms, ping-pong latency pairs, a
-//! session backlog that must drain in linear time, and a randomized
-//! steal-correctness test asserting exactly-once execution.
+//! session backlog that must drain in linear time, a randomized
+//! steal-correctness test asserting exactly-once execution, polls of one
+//! task that must never overlap under foreign wakes, and the reference
+//! counts of the waker a poll lends its future.
 //!
 //! CI runs this file under `--release` (see `.github/workflows/ci.yml`);
 //! the iteration counts scale down in debug builds so plain `cargo test`
 //! stays fast.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::future::poll_fn;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 use executor::channel::{spsc, Bidirectional};
@@ -18,6 +22,12 @@ use executor::Runtime;
 const STEAL_ITERATIONS: u64 = 10;
 #[cfg(not(debug_assertions))]
 const STEAL_ITERATIONS: u64 = 100;
+
+/// Polls each task of `polls_of_one_task_never_overlap` takes to finish.
+#[cfg(debug_assertions)]
+const OVERLAP_POLLS: u32 = 20;
+#[cfg(not(debug_assertions))]
+const OVERLAP_POLLS: u32 = 200;
 
 #[cfg(debug_assertions)]
 const STORM_TASKS: u32 = 1_000;
@@ -265,5 +275,191 @@ fn randomized_steal_exactly_once() {
                  (iteration {iteration}, {workers} workers)"
             );
         }
+    }
+}
+
+/// One task of `polls_of_one_task_never_overlap`: what its polls saw.
+#[derive(Default)]
+struct PollProbe {
+    /// Set for the length of a poll.
+    in_poll: AtomicBool,
+    /// Polls that found `in_poll` already set on entry, or cleared on exit.
+    overlaps: AtomicU32,
+    polls: AtomicU32,
+    /// The waker of the latest poll, for the foreign threads to fire.
+    waker: Mutex<Option<Waker>>,
+}
+
+/// Sets the flag on drop, unwinding included.
+struct SetOnDrop(Arc<AtomicBool>);
+
+impl Drop for SetOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Polls of one task never overlap: a few hundred tasks on two workers,
+/// each re-woken through its stored waker by two foreign threads while it
+/// is being polled (the `NOTIFIED` path, and wakes by reference and by
+/// value). Each poll flags itself for its length and spins inside the
+/// flag, so a second poll of the same task that starts meanwhile is
+/// counted. Every task must finish after exactly [`OVERLAP_POLLS`] polls.
+#[test]
+fn polls_of_one_task_never_overlap() {
+    const TASKS: usize = 300;
+    let rt = Runtime::new(2);
+    let probes: Arc<Vec<PollProbe>> = Arc::new((0..TASKS).map(|_| PollProbe::default()).collect());
+    let finished = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let _stop_on_exit = SetOnDrop(stop.clone());
+
+    let wakers: Vec<_> = (0..2)
+        .map(|thread| {
+            let (probes, stop) = (probes.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    for probe in probes.iter() {
+                        let waker = probe.waker.lock().unwrap().clone();
+                        match (waker, thread) {
+                            (Some(waker), 0) => waker.wake_by_ref(),
+                            (Some(waker), _) => waker.wake(),
+                            (None, _) => {}
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+
+    for task in 0..TASKS {
+        let (probes, finished) = (probes.clone(), finished.clone());
+        rt.spawn(poll_fn(move |cx| {
+            let probe = &probes[task];
+            if probe.in_poll.swap(true, Ordering::SeqCst) {
+                probe.overlaps.fetch_add(1, Ordering::SeqCst);
+            }
+            *probe.waker.lock().unwrap() = Some(cx.waker().clone());
+            let polls = probe.polls.fetch_add(1, Ordering::SeqCst) + 1;
+            // Hold the poll open so that wakes, and any overlapping poll,
+            // land inside it.
+            for _ in 0..1_000 {
+                std::hint::spin_loop();
+            }
+            if !probe.in_poll.swap(false, Ordering::SeqCst) {
+                probe.overlaps.fetch_add(1, Ordering::SeqCst);
+            }
+            if polls < OVERLAP_POLLS {
+                return Poll::Pending;
+            }
+            // Drop the stored waker: the task is done.
+            probe.waker.lock().unwrap().take();
+            finished.fetch_add(1, Ordering::SeqCst);
+            Poll::Ready(())
+        }));
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while finished.load(Ordering::SeqCst) < TASKS && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stop.store(true, Ordering::SeqCst);
+    for waker in wakers {
+        waker.join().unwrap();
+    }
+    let overlaps: u32 = probes
+        .iter()
+        .map(|p| p.overlaps.load(Ordering::SeqCst))
+        .sum();
+    assert_eq!(overlaps, 0, "polls of one task overlapped");
+    assert_eq!(
+        finished.load(Ordering::SeqCst),
+        TASKS,
+        "tasks left unfinished after 20 s"
+    );
+    for (task, probe) in probes.iter().enumerate() {
+        assert_eq!(
+            probe.polls.load(Ordering::SeqCst),
+            OVERLAP_POLLS,
+            "task {task}"
+        );
+    }
+}
+
+/// A waker the future clones out of its poll outlives that poll: firing
+/// it after the poll returned re-polls the task to completion.
+#[test]
+fn stored_waker_completes_the_task_after_the_poll() {
+    let rt = Runtime::new(1);
+    let stored = Arc::new(Mutex::new(None::<Waker>));
+    let polls = Arc::new(AtomicU32::new(0));
+    let handle = {
+        let (stored, polls) = (stored.clone(), polls.clone());
+        rt.spawn(poll_fn(move |cx| {
+            if polls.fetch_add(1, Ordering::SeqCst) > 0 {
+                return Poll::Ready(7);
+            }
+            *stored.lock().unwrap() = Some(cx.waker().clone());
+            Poll::Pending
+        }))
+    };
+    let waker = wait_for_waker(&stored);
+    // The one worker polls one task at a time: once a task spawned now
+    // has run, the poll that stored the waker has returned.
+    rt.block_on(rt.spawn(async {})).unwrap();
+    assert_eq!(polls.load(Ordering::SeqCst), 1);
+    waker.wake();
+    assert_eq!(rt.block_on(handle).unwrap(), 7);
+    assert_eq!(polls.load(Ordering::SeqCst), 2);
+}
+
+/// Counts its drops.
+struct DropCounter(Arc<AtomicU32>);
+
+impl Drop for DropCounter {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The waker a poll lends its future takes no count, and its clones take
+/// exactly one each: a task that never finishes, polled several times, is
+/// freed — its future and the guard it owns dropped exactly once — as
+/// soon as the runtime and the one clone left are gone.
+#[test]
+fn lent_waker_leaves_the_counts_balanced() {
+    const POLLS: u32 = 5;
+    let drops = Arc::new(AtomicU32::new(0));
+    let stored = Arc::new(Mutex::new(None::<Waker>));
+    let rt = Runtime::new(2);
+    let _handle = {
+        let guard = DropCounter(drops.clone());
+        let stored = stored.clone();
+        rt.spawn(poll_fn(move |cx| {
+            let _owned = &guard;
+            *stored.lock().unwrap() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }))
+    };
+    for _ in 0..POLLS {
+        // Taken out, woken by value: the poll it causes stores a new clone.
+        wait_for_waker(&stored).wake();
+    }
+    let last = wait_for_waker(&stored);
+    drop(rt);
+    assert_eq!(drops.load(Ordering::SeqCst), 0, "the clone keeps the task");
+    drop(last);
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "task freed exactly once");
+}
+
+/// Takes the waker out of `stored` once a poll has put one there.
+fn wait_for_waker(stored: &Mutex<Option<Waker>>) -> Waker {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if let Some(waker) = stored.lock().unwrap().take() {
+            return waker;
+        }
+        assert!(Instant::now() < deadline, "no poll stored a waker in 60 s");
+        std::thread::yield_now();
     }
 }

@@ -6,8 +6,6 @@
 //! Listing 2); [`Message`] converts between that enum and individual label
 //! structs.
 
-use std::collections::HashMap;
-
 use executor::channel::{Bidirectional, LinkConfig};
 
 /// A protocol participant: a named struct owning its channels.
@@ -68,20 +66,28 @@ pub trait Label {
 /// `(from, to)` role names. Generated `connect()` functions use this to
 /// instantiate every role at once (the `#[derive(Roles)]` feature of the
 /// paper), eliminating manual channel wiring mistakes.
+///
+/// A mesh holds a handful of routes, so both tables are short vectors
+/// scanned linearly: no hashing, and no allocation until the first entry.
 pub struct Mesh<M> {
-    pending: HashMap<(&'static str, &'static str), Bidirectional<M>>,
+    /// Endpoints waiting for their peer, keyed by the `(from, to)` of the
+    /// [`take`](Self::take) that created the link, oldest first.
+    pending: Vec<(Pair, Bidirectional<M>)>,
     /// Verified k-MC bound per directed channel; consulted when the link
-    /// is created to size its batch window.
-    bounds: HashMap<(&'static str, &'static str), usize>,
+    /// is created to size its batch window. At most one entry per key.
+    bounds: Vec<(Pair, usize)>,
 }
+
+/// A directed `(from, to)` pair of role names.
+type Pair = (&'static str, &'static str);
 
 impl<M> Mesh<M> {
     /// Creates an empty mesh.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
         Self {
-            pending: HashMap::new(),
-            bounds: HashMap::new(),
+            pending: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
@@ -92,8 +98,18 @@ impl<M> Mesh<M> {
         if k == 0 {
             return;
         }
-        let bound = self.bounds.entry((from, to)).or_insert(k);
-        *bound = (*bound).max(k);
+        match self.bounds.iter_mut().find(|(key, _)| *key == (from, to)) {
+            Some((_, bound)) => *bound = (*bound).max(k),
+            None => self.bounds.push(((from, to), k)),
+        }
+    }
+
+    /// The bound registered for `from → to`, if any.
+    fn bound(&self, from: &'static str, to: &'static str) -> Option<usize> {
+        self.bounds
+            .iter()
+            .find(|(key, _)| *key == (from, to))
+            .map(|&(_, k)| k)
     }
 
     /// Returns `from`'s endpoint of the `from ↔ to` link, creating the
@@ -107,16 +123,16 @@ impl<M> Mesh<M> {
     /// bounds size the link's rings and set its batch window in every
     /// build; a send never waits, as a full ring grows.
     pub fn take(&mut self, from: &'static str, to: &'static str) -> Bidirectional<M> {
-        if let Some(endpoint) = self.pending.remove(&(to, from)) {
-            return endpoint;
+        if let Some(at) = self.pending.iter().position(|(key, _)| *key == (to, from)) {
+            return self.pending.remove(at).1;
         }
         let config = LinkConfig {
-            bound_ab: self.bounds.get(&(from, to)).copied(),
-            bound_ba: self.bounds.get(&(to, from)).copied(),
+            bound_ab: self.bound(from, to),
+            bound_ba: self.bound(to, from),
             ..LinkConfig::default()
         };
         let (mine, theirs) = Bidirectional::pair_configured(from, to, config);
-        self.pending.insert((from, to), theirs);
+        self.pending.push(((from, to), theirs));
         mine
     }
 
@@ -128,7 +144,7 @@ impl<M> Mesh<M> {
     /// The `(from, to)` pairs whose counterpart endpoint was never taken,
     /// sorted for stable reporting.
     pub fn unclaimed(&self) -> Vec<(&'static str, &'static str)> {
-        let mut pairs: Vec<_> = self.pending.keys().copied().collect();
+        let mut pairs: Vec<_> = self.pending.iter().map(|&(key, _)| key).collect();
         pairs.sort_unstable();
         pairs
     }
@@ -409,6 +425,24 @@ mod tests {
         assert_eq!(executor::block_on(b.recv()), Some(7));
         b.send(8).unwrap();
         assert_eq!(executor::block_on(a.recv()), Some(8));
+    }
+
+    #[test]
+    fn three_role_mesh_hands_each_role_its_own_link() {
+        let mut mesh = Mesh::<&'static str>::new();
+        let mut k_s = mesh.take("K", "S");
+        let mut k_t = mesh.take("K", "T");
+        let mut s_k = mesh.take("S", "K");
+        let mut t_k = mesh.take("T", "K");
+        assert!(mesh.is_balanced());
+        k_s.send("K -> S").unwrap();
+        k_t.send("K -> T").unwrap();
+        assert_eq!(executor::block_on(s_k.recv()), Some("K -> S"));
+        assert_eq!(executor::block_on(t_k.recv()), Some("K -> T"));
+        s_k.send("S -> K").unwrap();
+        t_k.send("T -> K").unwrap();
+        assert_eq!(executor::block_on(k_s.recv()), Some("S -> K"));
+        assert_eq!(executor::block_on(k_t.recv()), Some("T -> K"));
     }
 
     #[test]

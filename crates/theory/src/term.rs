@@ -107,6 +107,14 @@ fn choice_hash(send: bool, peer: Name, branches: &[Branch]) -> u64 {
     })
 }
 
+/// True if `node` is the choice of `branches` with `peer` in direction
+/// `send`: the table's comparison, which reads direction, peer, and every
+/// label, sort and child, whatever [`choice_hash`] leaves out.
+fn same_choice(node: &Node, send: bool, peer: Name, branches: &[Branch]) -> bool {
+    matches!(node, Node::Choice { send: s, peer: p, branches: b }
+        if *s == send && *p == peer && **b == *branches)
+}
+
 impl Node {
     /// The table's hash of the node; see [`choice_hash`].
     fn hash(&self) -> u64 {
@@ -149,13 +157,9 @@ impl Terms {
     }
 
     /// The id of the choice of `branches` with `peer`, looked up from its
-    /// fields: the branch list is boxed only when the node is new. The
-    /// comparison reads direction, peer, and every label, sort and child.
+    /// fields: the branch list is boxed only when the node is new.
     fn choice(&mut self, send: bool, peer: Name, branches: &[Branch]) -> TermId {
-        let same = |old: &Node| {
-            matches!(old, Node::Choice { send: s, peer: p, branches: b }
-                if *s == send && *p == peer && **b == *branches)
-        };
+        let same = |old: &Node| same_choice(old, send, peer, branches);
         match self.find(choice_hash(send, peer, branches), same) {
             Ok(id) => id,
             Err(slot) => {
@@ -787,6 +791,35 @@ mod tests {
         assert_ne!(ids[0], ids[1]);
         assert_ne!(ids[0], ids[2]);
         assert_ne!(ids[1], ids[2]);
+    }
+
+    #[test]
+    fn choices_differing_in_one_field_are_not_the_same() {
+        let (p, q) = (Name::new("p"), Name::new("q"));
+        let (a, b) = (Name::new("a"), Name::new("b"));
+        let branches = [(a, Sort::I32, TermId(0)), (b, Sort::Unit, TermId(1))];
+        let node = Node::Choice {
+            send: true,
+            peer: p,
+            branches: branches.into(),
+        };
+        assert!(same_choice(&node, true, p, &branches));
+
+        let with = |index: usize, branch: Branch| {
+            let mut changed = branches;
+            changed[index] = branch;
+            changed
+        };
+        assert!(!same_choice(&node, false, p, &branches), "direction");
+        assert!(!same_choice(&node, true, q, &branches), "peer");
+        let label = with(1, (a, Sort::Unit, TermId(1)));
+        assert!(!same_choice(&node, true, p, &label), "label");
+        let sort = with(0, (a, Sort::U32, TermId(0)));
+        assert!(!same_choice(&node, true, p, &sort), "sort");
+        let child = with(1, (b, Sort::Unit, TermId(0)));
+        assert!(!same_choice(&node, true, p, &child), "child");
+        assert!(!same_choice(&node, true, p, &branches[..1]), "branch count");
+        assert!(!same_choice(&Node::End, true, p, &branches), "not a choice");
     }
 
     #[test]
