@@ -98,23 +98,14 @@ impl Shared {
     /// Everywhere else the task goes through the injector.
     pub(crate) fn schedule(&self, task: Arc<Task>) {
         match self.worker_here() {
-            Some(context) => context.push_woken(task),
+            Some(context) => {
+                if let Some(displaced) = context.lifo.replace(Some(task)) {
+                    context.deque.push(displaced);
+                    // Surplus local work that siblings could pick up.
+                    self.notify();
+                }
+            }
             None => self.push(task),
-        }
-    }
-
-    /// [`schedule`](Self::schedule) for a caller that hands over its own
-    /// reference to `task` (a waker woken by value, a re-queue after a
-    /// poll). On a worker of the task's runtime that reference goes into
-    /// the LIFO slot as it is: the worker's loop keeps `Shared` alive.
-    /// Off the pool the task may hold the last reference to `Shared`,
-    /// which the push still reads after queueing it, so a second
-    /// reference is queued instead.
-    pub(crate) fn schedule_owned(task: Arc<Task>) {
-        let shared = task.shared();
-        match shared.worker_here() {
-            Some(context) => context.push_woken(task),
-            None => shared.push(task.clone()),
         }
     }
 
@@ -195,10 +186,7 @@ impl Shared {
 
     /// The calling thread's worker context, if it is a worker of *this*
     /// runtime; `None` off the pool and on a worker of any other runtime.
-    ///
-    /// The reference is not tied to `self`, so a caller may hand over the
-    /// task it reached `self` through while it holds the context.
-    fn worker_here<'w>(&self) -> Option<&'w WorkerContext> {
+    fn worker_here(&self) -> Option<&WorkerContext> {
         let context = CONTEXT.with(Cell::get);
         if context.is_null() {
             return None;
@@ -208,10 +196,9 @@ impl Shared {
         // dropped, so a non-null value is always live. The reference
         // cannot outlive it: `WorkerContext` is `!Sync`, so the borrow
         // stays on this thread, where everything that runs while the
-        // pointer is set is nested inside `worker_loop`'s frame, and every
-        // caller drops it before returning.
+        // pointer is set is nested inside `worker_loop`'s frame.
         let context = unsafe { &*context };
-        ptr::eq(self, Arc::as_ptr(&context.shared)).then_some(context)
+        ptr::eq(self, context.shared).then_some(context)
     }
 
     /// The counter block of the calling thread: the worker's own block on
@@ -272,25 +259,13 @@ impl Shared {
 /// Thread-local state of a worker, reachable from wakers running on that
 /// worker's thread via [`CONTEXT`].
 struct WorkerContext {
-    /// The runtime this worker belongs to.
-    shared: Arc<Shared>,
+    /// Identifies the runtime this worker belongs to.
+    shared: *const Shared,
     /// This worker's index into `Shared::stealers`/`parkers`/`counters`.
     index: usize,
     deque: Deque<Arc<Task>>,
     /// The most recently woken task; polled next, ahead of the deque.
     lifo: Cell<Option<Arc<Task>>>,
-}
-
-impl WorkerContext {
-    /// Puts a woken task into the LIFO slot, displacing any occupant into
-    /// the deque.
-    fn push_woken(&self, task: Arc<Task>) {
-        if let Some(displaced) = self.lifo.replace(Some(task)) {
-            self.deque.push(displaced);
-            // Surplus local work that siblings could pick up.
-            self.shared.notify();
-        }
-    }
 }
 
 thread_local! {
@@ -452,7 +427,7 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     let _alive = Alive::new(parker);
 
     let context = WorkerContext {
-        shared: shared.clone(),
+        shared: Arc::as_ptr(&shared),
         index,
         deque,
         lifo: Cell::new(None),

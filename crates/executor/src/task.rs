@@ -76,28 +76,28 @@ impl Task {
         })
     }
 
-    /// The runtime the task belongs to.
-    pub(crate) fn shared(&self) -> &Shared {
-        &self.shared
-    }
-
-    /// Moves the task towards being queued. True when the move won the
-    /// right to queue it (`IDLE -> SCHEDULED`): the caller must push it.
-    fn claim(&self) -> bool {
+    /// Transitions the task towards being queued, pushing it onto the
+    /// runtime's injector when the transition wins.
+    fn schedule(self: &Arc<Self>) {
         let mut state = self.state.load(Ordering::Acquire);
         loop {
             let next = match state {
                 IDLE => SCHEDULED,
                 RUNNING => NOTIFIED,
                 // Already queued, about to be re-queued, or finished.
-                SCHEDULED | NOTIFIED | DONE => return false,
+                SCHEDULED | NOTIFIED | DONE => return,
                 _ => unreachable!("invalid task state {state}"),
             };
             match self
                 .state
                 .compare_exchange_weak(state, next, Ordering::AcqRel, Ordering::Acquire)
             {
-                Ok(_) => return next == SCHEDULED,
+                Ok(_) => {
+                    if next == SCHEDULED {
+                        self.shared.schedule(self.clone());
+                    }
+                    return;
+                }
                 Err(actual) => state = actual,
             }
         }
@@ -113,7 +113,7 @@ impl Task {
         // SAFETY: no other `run` of this task overlaps this one, and each
         // happens after the last: the previous runner ended its poll with
         // its `RUNNING -> IDLE` AcqRel CAS below, a waker then won
-        // `IDLE -> SCHEDULED` (AcqRel) in `claim` and pushed the task
+        // `IDLE -> SCHEDULED` (AcqRel) in `schedule` and pushed the task
         // (release) onto the queue this worker popped it from (acquire) —
         // or the previous runner saw `NOTIFIED` and re-pushed the task
         // itself. The first run pairs `new` with the spawn's push the same
@@ -158,7 +158,7 @@ impl Task {
             Ok(_) => {}
             Err(NOTIFIED) => {
                 self.state.store(SCHEDULED, Ordering::Release);
-                Shared::schedule_owned(self);
+                self.shared.schedule(self.clone());
             }
             Err(other) => unreachable!("invalid post-poll task state {other}"),
         }
@@ -166,16 +166,11 @@ impl Task {
 }
 
 impl Wake for Task {
-    /// Hands the waker's own reference to the queue.
     fn wake(self: Arc<Self>) {
-        if self.claim() {
-            Shared::schedule_owned(self);
-        }
+        self.schedule();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        if self.claim() {
-            self.shared.schedule(self.clone());
-        }
+        self.schedule();
     }
 }

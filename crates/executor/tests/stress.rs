@@ -386,33 +386,6 @@ fn polls_of_one_task_never_overlap() {
     }
 }
 
-/// A waker the future clones out of its poll outlives that poll: firing
-/// it after the poll returned re-polls the task to completion.
-#[test]
-fn stored_waker_completes_the_task_after_the_poll() {
-    let rt = Runtime::new(1);
-    let stored = Arc::new(Mutex::new(None::<Waker>));
-    let polls = Arc::new(AtomicU32::new(0));
-    let handle = {
-        let (stored, polls) = (stored.clone(), polls.clone());
-        rt.spawn(poll_fn(move |cx| {
-            if polls.fetch_add(1, Ordering::SeqCst) > 0 {
-                return Poll::Ready(7);
-            }
-            *stored.lock().unwrap() = Some(cx.waker().clone());
-            Poll::Pending
-        }))
-    };
-    let waker = wait_for_waker(&stored);
-    // The one worker polls one task at a time: once a task spawned now
-    // has run, the poll that stored the waker has returned.
-    rt.block_on(rt.spawn(async {})).unwrap();
-    assert_eq!(polls.load(Ordering::SeqCst), 1);
-    waker.wake();
-    assert_eq!(rt.block_on(handle).unwrap(), 7);
-    assert_eq!(polls.load(Ordering::SeqCst), 2);
-}
-
 /// Counts its drops.
 struct DropCounter(Arc<AtomicU32>);
 
@@ -423,29 +396,38 @@ impl Drop for DropCounter {
 }
 
 /// The waker a poll lends its future takes no count, and its clones take
-/// exactly one each: a task that never finishes, polled several times, is
-/// freed — its future and the guard it owns dropped exactly once — as
-/// soon as the runtime and the one clone left are gone.
+/// exactly one each. A clone woken after the poll that stored it returned
+/// polls the task again, and a task that never finishes is freed — its
+/// future and the guard it owns dropped exactly once — as soon as the
+/// runtime and the one clone left are gone.
 #[test]
 fn lent_waker_leaves_the_counts_balanced() {
     const POLLS: u32 = 5;
     let drops = Arc::new(AtomicU32::new(0));
+    let polls = Arc::new(AtomicU32::new(0));
     let stored = Arc::new(Mutex::new(None::<Waker>));
-    let rt = Runtime::new(2);
+    let rt = Runtime::new(1);
     let _handle = {
         let guard = DropCounter(drops.clone());
-        let stored = stored.clone();
+        let (polls, stored) = (polls.clone(), stored.clone());
         rt.spawn(poll_fn(move |cx| {
             let _owned = &guard;
+            polls.fetch_add(1, Ordering::SeqCst);
             *stored.lock().unwrap() = Some(cx.waker().clone());
             Poll::<()>::Pending
         }))
     };
-    for _ in 0..POLLS {
-        // Taken out, woken by value: the poll it causes stores a new clone.
-        wait_for_waker(&stored).wake();
+    for poll in 1..=POLLS {
+        let waker = wait_for_waker(&stored);
+        // The one worker polls one task at a time: once a task spawned now
+        // has run, the poll that stored the waker has returned.
+        rt.block_on(rt.spawn(async {})).unwrap();
+        assert_eq!(polls.load(Ordering::SeqCst), poll);
+        // Woken by value: the poll it causes stores a new clone.
+        waker.wake();
     }
     let last = wait_for_waker(&stored);
+    assert_eq!(polls.load(Ordering::SeqCst), POLLS + 1);
     drop(rt);
     assert_eq!(drops.load(Ordering::SeqCst), 0, "the clone keeps the task");
     drop(last);
