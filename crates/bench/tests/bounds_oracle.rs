@@ -16,7 +16,7 @@ fn ladder(fsms: &[Fsm]) -> Vec<(Name, Name, usize)> {
         return Vec::new();
     };
     for k in 1..=MAX_BOUND_SEARCH {
-        match kmc::check(&system, k) {
+        match kmc::explore(&system, k) {
             Ok(report) if report.exhaustive => return report.channel_bounds(&system),
             Ok(_) | Err(kmc::Violation::Deadlock(_)) => continue,
             Err(_) => return Vec::new(),

@@ -25,7 +25,7 @@ fn kmc_bounds(variants: &[Vec<theory::Fsm>]) -> Vec<(String, String, u64)> {
     let mut merged: std::collections::BTreeMap<(String, String), u64> = Default::default();
     for fsms in variants {
         let system = kmc::System::new(fsms.clone()).expect("valid system");
-        let report = kmc::check(&system, codegen::MAX_BOUND_SEARCH)
+        let report = kmc::explore(&system, codegen::MAX_BOUND_SEARCH)
             .ok()
             .filter(|report| report.exhaustive)
             .expect("system exhaustively checkable within the search bound");

@@ -193,8 +193,10 @@ pub fn fsm_listing(analysis: &Analysis) -> String {
     out
 }
 
-/// Verifies the projected system before emission: k-MC with channel bound
-/// `k`, plus a reflexive-subtyping sanity pass over every projected FSM.
+/// Verifies the projected system before emission: the exact k-MC search
+/// with channel bound `k`, whose report says whether the verdict is
+/// k-exhaustive, plus a reflexive-subtyping sanity pass over every
+/// projected FSM.
 pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
     for machine in &analysis.fsms {
         if !subtyping::is_subtype(machine, machine, 2) {
@@ -202,7 +204,7 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
         }
     }
     let system = kmc::System::new(analysis.fsms.clone()).map_err(Error::System)?;
-    kmc::check(&system, k).map_err(Error::Violation)
+    kmc::explore(&system, k).map_err(Error::Violation)
 }
 
 /// The exhaustively verified per-channel depth bounds of the projected
@@ -210,19 +212,20 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 /// the payload of the `bounds { ... }` clause the emitter writes into
 /// generated `roles!` declarations.
 ///
-/// Runs k-MC once at `k =` [`MAX_BOUND_SEARCH`]. An exhaustive run (no
-/// send ever found its queue full) explores the same configurations as
-/// every `k` from the smallest exhaustive one up, so its maxima are the
-/// tight static bounds; and since reachable configurations only grow
-/// with `k`, a violation at a smaller `k` shows here too. Returns an
-/// empty vector if the system is invalid, unsafe, or not exhaustively
-/// checkable within the bound — emission then simply omits the clause
-/// rather than registering an unverified bound.
+/// Runs the exact k-MC search once at `k =` [`MAX_BOUND_SEARCH`]; the
+/// reduced verdict search skips queue depths, so it cannot give bounds.
+/// An exhaustive run (no send ever found its queue full) explores the
+/// same configurations as every `k` from the smallest exhaustive one up,
+/// so its maxima are the tight static bounds; and since reachable
+/// configurations only grow with `k`, a violation at a smaller `k` shows
+/// here too. Returns an empty vector if the system is invalid, unsafe, or
+/// not exhaustively checkable within the bound — emission then simply
+/// omits the clause rather than registering an unverified bound.
 pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> {
     let Ok(system) = kmc::System::new(analysis.fsms.clone()) else {
         return Vec::new();
     };
-    match kmc::check(&system, MAX_BOUND_SEARCH) {
+    match kmc::explore(&system, MAX_BOUND_SEARCH) {
         Ok(report) if report.exhaustive => report.channel_bounds(&system),
         _ => Vec::new(),
     }

@@ -36,6 +36,7 @@
 
 use std::cell::Cell;
 use std::future::Future;
+use std::io::Write;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -382,6 +383,8 @@ impl Drop for Runtime {
         for parker in &self.shared.parkers {
             parker.unpark();
         }
+        // A worker that panics aborts the process (`AbortOnUnwind`), so no
+        // join returns an error.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -420,6 +423,26 @@ impl Drop for Alive {
     }
 }
 
+/// Aborts the process when a worker unwinds. `Task::run` catches a task's
+/// own panic, so one that reaches here broke the scheduler itself; a pool
+/// left a worker short would show it only as tasks that never finish.
+struct AbortOnUnwind(usize);
+
+impl Drop for AbortOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Straight to the stream: a test harness captures `eprintln!`,
+            // and the abort would discard what it captured.
+            let _ = writeln!(
+                std::io::stderr(),
+                "executor-worker-{} panicked outside a task: aborting",
+                self.0
+            );
+            std::process::abort();
+        }
+    }
+}
+
 fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     let parker = &shared.parkers[index];
     parker.bind();
@@ -434,6 +457,8 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     };
     CONTEXT.with(|slot| slot.set(&context as *const WorkerContext));
     let _guard = ContextGuard;
+    // Dropped first on unwind: aborts before the queued tasks are dropped.
+    let _abort = AbortOnUnwind(index);
 
     let counters = &shared.counters[index];
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));

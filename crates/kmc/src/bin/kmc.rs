@@ -75,7 +75,7 @@ fn main() -> ExitCode {
         }
     };
 
-    match kmc::check(&system, k) {
+    match kmc::explore(&system, k) {
         Ok(report) => {
             println!(
                 "{}-MC safe: {} configurations, {} transitions{}",

@@ -19,6 +19,58 @@
 //! graph, which grows exponentially with the number of participants and
 //! with `k` — exactly the scaling the paper demonstrates in Fig 7.
 //!
+//! There are two entry points over one explorer. [`explore`] visits every
+//! reachable configuration and returns a [`Report`]: the verdict,
+//! k-exhaustivity and each channel's maximum depth. [`check`] returns only
+//! the verdict, from a search that skips most interleavings of
+//! independent moves (below). Whoever reads [`Report::exhaustive`] or
+//! [`Report::max_depths`] — codegen's channel bounds, `rumpsteak-gen
+//! --check`, the `kmc` binary, Fig 7's baseline column — calls
+//! [`explore`]; a caller that wants to know whether the system is safe
+//! calls [`check`].
+//!
+//! # Reduced verdicts
+//!
+//! [`check`] is a stubborn-set search (Valmari; Godefroid's persistent
+//! sets) with a cycle proviso. At a configuration, machine `i` is
+//! *eligible* when it has rows, every send row's queue has room
+//! (`len < k`), every receive row's queue exists and is non-empty, and at
+//! least one row is enabled. The search expands only the enabled rows of
+//! the lowest eligible machine, or every machine when none is eligible.
+//!
+//! Why that keeps every deadlock: each queue has exactly one sender and
+//! one receiver. Sends on `i`'s queues that have room keep room while
+//! others only dequeue from them, and the head of a queue `i` receives
+//! from stays where it is while others only append to it. So until `i`
+//! moves, no other machine can enable or disable one of `i`'s rows, and
+//! each of `i`'s moves commutes with theirs: the stubborn-set conditions
+//! D1 and D2.
+//!
+//! Why that keeps every reception error and orphan: both are *stable*.
+//! A message queued towards a terminated machine stays queued, and a
+//! machine that receives from one peer and finds an unexpected head can
+//! neither move nor see that head change. D1 and D2 keep a reachable
+//! stable violation reachable from every reduced expansion, and the
+//! *cycle proviso* stops the search from deferring it forever: when a
+//! reduced expansion finds a successor already explored, which is how
+//! every cycle of expansions closes, every other machine is expanded too.
+//! Since unexpanded machines fire nothing, reception errors and orphans
+//! are tested on every configuration, for every machine: an unexpanded
+//! machine's reception error is read from its queue heads, never inferred
+//! from rows that were not tried.
+//!
+//! A machine receiving from several peers can show a reception error and
+//! then receive from another peer, so that error is not stable: a system
+//! with such a state is searched without reduction.
+//!
+//! When the reduced search meets a violation, [`check`] runs [`explore`]
+//! and returns its violation. Every configuration the reduced search
+//! visits is reachable, so the exact search finds one too, and every
+//! reported [`Violation`] and [`Config`] is the exact search's. The
+//! reduced search's [`Report::exhaustive`] and [`Report::max_depths`]
+//! mean nothing, because it skips queue depths and full-queue sends, so
+//! [`check`] returns a [`Verdict`] without them.
+//!
 //! # How configurations are stored
 //!
 //! The search never builds a [`Config`]. A configuration is one
@@ -35,7 +87,7 @@
 //! configurations are equal word for word, so hashing and comparing a
 //! configuration is hashing and comparing a slice.
 //!
-//! **The word width is chosen once per [`check`].** A word holds a state
+//! **The word width is chosen once per search.** A word holds a state
 //! index, a label index or a queue length, and no queue is longer than
 //! `k`. When every state index and every label index fit in 16 bits and
 //! so does `k`, records are `u16` words; otherwise they are `u32` words.
@@ -81,10 +133,12 @@
 //! **Violations are looked for per state.** Each machine's reception
 //! error is looked for right after its steps fire. A machine committed to
 //! receiving from one peer has one exactly when its queue from that peer
-//! is non-empty and none of its steps fired, so that costs one length
-//! word; a state receiving from mixed peers tests the head of each
-//! inbound queue against its labels. Checking machine by machine finds
-//! the error a scan after all of them would: the lowest machine's, in
+//! is non-empty and no row receives the head. Once every row was tried,
+//! that is "none fired", which costs one length word; a machine the
+//! reduced search did not expand scans its rows for the head instead. A
+//! state receiving from mixed peers tests the head of each inbound queue
+//! against its labels. Checking machine by machine finds the error a scan
+//! after all of them would: in the exact search, the lowest machine's, in
 //! the same configuration. Orphans are looked for only when some machine
 //! is terminal, reading each queue's receiver from a table.
 //! [`Config`]s are materialised only for the one configuration a
@@ -121,6 +175,9 @@ pub struct System {
     receivers: Vec<usize>,
     /// The largest state index or label index, which every word must hold.
     widest: usize,
+    /// Some state receives from several peers: [`check`] then searches
+    /// without reduction.
+    mixed_peers: bool,
 }
 
 /// One row of a machine, compiled against its [`System`].
@@ -270,6 +327,10 @@ impl System {
             .chain(labels.len().checked_sub(1))
             .max()
             .unwrap_or(0);
+        let mixed_peers = states
+            .iter()
+            .flatten()
+            .any(|state: &State| state.inbound == MIXED_PEERS);
         Ok(Self {
             machines,
             roles,
@@ -279,6 +340,7 @@ impl System {
             channels,
             receivers,
             widest,
+            mixed_peers,
         })
     }
 
@@ -373,7 +435,7 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Statistics of a successful k-MC run.
+/// Statistics of a successful exact k-MC search, [`explore`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Report {
     /// Number of distinct configurations explored.
@@ -409,7 +471,7 @@ impl Report {
     }
 }
 
-/// A record word: `u16` or `u32`, chosen per [`check`].
+/// A record word: `u16` or `u32`, chosen per search.
 trait Word: Copy + Eq + Into<u32> + TryFrom<u32> {
     /// The word's width in bits.
     const BITS: u32;
@@ -423,7 +485,7 @@ impl Word for u32 {
     const BITS: u32 = u32::BITS;
 }
 
-/// `value` as a `W`. [`check`] picks a width that holds every state, label
+/// `value` as a `W`. [`search`] picks a width that holds every state, label
 /// and queue length, so this never fails; it is checked anyway, because a
 /// truncated word would alias two records.
 fn word<W: Word>(value: u32) -> W {
@@ -497,8 +559,9 @@ impl<W: Word> Explored<W> {
         (tag >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Appends `record` unless an equal one is already there.
-    fn insert(&mut self, record: &[W]) {
+    /// Appends `record` unless an equal one is already there; true when
+    /// it was appended.
+    fn insert(&mut self, record: &[W]) -> bool {
         if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -508,7 +571,7 @@ impl<W: Word> Explored<W> {
         while self.slots[slot] != EMPTY {
             let entry = self.slots[slot];
             if entry & TAG == tag && self.record((entry & !TAG) as usize) == record {
-                return;
+                return false;
             }
             slot = (slot + 1) & mask;
         }
@@ -518,6 +581,7 @@ impl<W: Word> Explored<W> {
         self.words.extend_from_slice(record);
         self.starts
             .push(u32::try_from(self.words.len()).expect("k-MC: the arena exceeds 2^32 words"));
+        true
     }
 
     /// Doubles the table, re-placing every entry from its tag.
@@ -564,24 +628,70 @@ fn materialise<W: Word>(system: &System, record: &[W]) -> Config {
     }
 }
 
-/// Runs the k-MC check with channel bound `k` (`k ≥ 1`).
-pub fn check(system: &System, k: usize) -> Result<Report, Violation> {
+/// A k-MC safe verdict from [`check`], with what its reduced search
+/// explored: a subset of the reachable configurations, so these counts are
+/// at most [`explore`]'s.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// Number of distinct configurations explored.
+    pub configurations: usize,
+    /// Number of transitions fired during exploration.
+    pub transitions: usize,
+}
+
+/// Decides k-MC safety with channel bound `k` (`k ≥ 1`): no deadlock, no
+/// reception error and no orphan message in any configuration reachable
+/// with at most `k` messages per queue.
+///
+/// The search is reduced (see "Reduced verdicts" in the module docs). A
+/// violation it reaches is reported as [`explore`] reports it, so every
+/// `Err` is [`explore`]'s, offending [`Config`] included. For
+/// exhaustivity and channel bounds, call [`explore`].
+pub fn check(system: &System, k: usize) -> Result<Verdict, Violation> {
+    match search::<true>(system, k) {
+        Ok(report) => Ok(Verdict {
+            configurations: report.configurations,
+            transitions: report.transitions,
+        }),
+        // Every configuration the reduced search visits is reachable, so
+        // the exact search finds a violation too: the first in its
+        // breadth-first order.
+        Err(_) => {
+            Err(explore(system, k)
+                .expect_err("a violation the reduced search reached is reachable"))
+        }
+    }
+}
+
+/// Runs the exact k-MC search with channel bound `k` (`k ≥ 1`): every
+/// reachable configuration, with the exhaustivity flag and the per-channel
+/// depths a [`Report`] carries.
+pub fn explore(system: &System, k: usize) -> Result<Report, Violation> {
+    search::<false>(system, k)
+}
+
+/// Picks the record width for `system` at bound `k` and searches,
+/// stubborn-set reduced when `REDUCE` holds. A constant, so the exact
+/// search compiles without the reduction's tests.
+fn search<const REDUCE: bool>(system: &System, k: usize) -> Result<Report, Violation> {
     // Queue lengths are record words. No queue can hold 2^32 messages, so
     // clamping a larger bound changes no verdict.
     let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
     if u16::try_from(k).is_ok() && u16::try_from(system.widest).is_ok() {
-        explore::<u16>(system, k)
+        search_words::<u16, REDUCE>(system, k)
     } else {
-        explore::<u32>(system, k)
+        search_words::<u32, REDUCE>(system, k)
     }
 }
 
-/// [`check`] on records of `W` words; `k` fits a `W`.
-fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
+/// [`search`] on records of `W` words; `k` fits a `W`.
+fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<Report, Violation> {
     let machines = &system.machines;
     let machine_count = machines.len();
     // Words before the first queued label: the states, then the lengths.
     let fixed = machine_count + system.channels.len();
+    // A mixed-peer reception error is not stable (module docs).
+    let reduce = REDUCE && !system.mixed_peers;
 
     let mut scratch: Vec<W> = machines
         .iter()
@@ -618,17 +728,57 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
         current_states
             .extend((system.states.iter().zip(states)).map(|(table, &state)| table[unword(state)]));
         let config = || materialise(system, &current);
+        let queued = |queue: u32| lens[queue as usize].into();
+        let oldest = |queue: u32| current[heads[queue as usize]].into();
+        let rows = |index: usize| {
+            let state = &current_states[index];
+            &system.steps[index][state.start as usize..state.end as usize]
+        };
 
-        // A step fired in this configuration, or in this machine, exactly
-        // when `transitions` has moved past these.
-        let before_config = transitions;
-        for (index, (state, steps)) in current_states.iter().zip(&system.steps).enumerate() {
+        // The lowest machine whose moves alone may be expanded: it has
+        // rows, each send has room, each receive has a head, and one of
+        // them is enabled (why that suffices, in the module docs).
+        let eligible = |index: usize| {
+            let mut enabled = false;
+            for step in rows(index) {
+                if step.send {
+                    if queued(step.queue) >= k {
+                        return false;
+                    }
+                    enabled = true;
+                } else {
+                    if step.queue == NO_QUEUE || queued(step.queue) == 0 {
+                        return false;
+                    }
+                    enabled |= oldest(step.queue) == step.label;
+                }
+            }
+            enabled
+        };
+        let chosen = if reduce {
+            (0..machine_count).find(|&index| eligible(index))
+        } else {
+            None
+        };
+
+        // Machine by machine, from the chosen one on and round to it
+        // again: fire a machine's enabled rows if it is expanded, then look
+        // for its reception error, a queue head none of its rows expects.
+        // The cycle proviso: once a successor of the chosen machine was
+        // seen before, it may close a cycle of reduced expansions, so every
+        // machine after it is expanded too.
+        let before = transitions;
+        let mut fresh = true;
+        let start = chosen.unwrap_or(0);
+        for index in (start..machine_count).chain(0..start) {
+            let steps = rows(index);
+            let expanded = chosen.is_none_or(|chosen| chosen == index) || !fresh;
             let before_machine = transitions;
-            for step in &steps[state.start as usize..state.end as usize] {
+            for step in if expanded { steps } else { &[] } {
                 let queue = step.queue as usize;
                 scratch.clear();
                 if step.send {
-                    let len = lens[queue].into();
+                    let len = queued(step.queue);
                     if len >= k {
                         exhaustive = false;
                         continue;
@@ -645,7 +795,7 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
                     if step.queue == NO_QUEUE {
                         continue;
                     }
-                    let (head, len) = (heads[queue], lens[queue].into());
+                    let (head, len) = (heads[queue], queued(step.queue));
                     if len == 0 || current[head].into() != step.label {
                         continue;
                     }
@@ -655,40 +805,37 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
                 }
                 scratch[index] = word(step.target);
                 transitions += 1;
-                explored.insert(&scratch);
+                fresh &= explored.insert(&scratch);
             }
 
-            // Reception errors: a machine committed to receiving whose
-            // queue head is unexpected (why here, in the module docs).
-            let nonempty = |queue: u32| lens[queue as usize].into() > 0;
-            let unexpected = match state.inbound {
+            let receives = |queue: u32| {
+                let found = oldest(queue);
+                steps
+                    .iter()
+                    .any(|step| step.queue == queue && step.label == found)
+            };
+            let unexpected = match current_states[index].inbound {
                 NOT_RECEIVING => None,
-                // Every step receives, from the one peer: none fired exactly
-                // when the head is none of their labels.
-                queue if queue != MIXED_PEERS => {
-                    (transitions == before_machine && nonempty(queue)).then_some(queue)
-                }
-                _ => {
-                    let steps = &steps[state.start as usize..state.end as usize];
-                    let head = |queue: u32| current[heads[queue as usize]].into();
-                    let receives = |queue: u32, label: u32| {
-                        steps
-                            .iter()
-                            .any(|step| step.queue == queue && step.label == label)
-                    };
-                    steps
-                        .iter()
-                        .map(|step| step.queue)
-                        .filter(|&queue| queue != NO_QUEUE && nonempty(queue))
-                        .find(|&queue| !receives(queue, head(queue)))
-                }
+                // Every row receives, from the one peer: once all of them
+                // were tried, none fired exactly when the head is none of
+                // their labels.
+                queue if queue != MIXED_PEERS => (queued(queue) > 0
+                    && if expanded {
+                        transitions == before_machine
+                    } else {
+                        !receives(queue)
+                    })
+                .then_some(queue),
+                _ => steps
+                    .iter()
+                    .map(|step| step.queue)
+                    .find(|&queue| queue != NO_QUEUE && queued(queue) > 0 && !receives(queue)),
             };
             if let Some(queue) = unexpected {
-                let queue = queue as usize;
                 return Err(Violation::ReceptionError {
                     role: system.roles[index],
-                    peer: system.roles[system.channels[queue] / machine_count],
-                    found: system.labels[unword(current[heads[queue]])],
+                    peer: system.roles[system.channels[queue as usize] / machine_count],
+                    found: system.labels[oldest(queue) as usize],
                     config: config(),
                 });
             }
@@ -706,7 +853,7 @@ fn explore<W: Word>(system: &System, k: u32) -> Result<Report, Violation> {
                 return Err(Violation::OrphanMessages(config()));
             }
         }
-        if transitions == before_config && !current_states.iter().all(terminal) {
+        if transitions == before && !current_states.iter().all(terminal) {
             return Err(Violation::Deadlock(config()));
         }
     }
@@ -737,7 +884,7 @@ mod tests {
     fn two_party_ping_pong_is_safe() {
         let system =
             system_from_locals(&[("a", "b!ping.b?pong.end"), ("b", "a?ping.a!pong.end")]).unwrap();
-        let report = check(&system, 1).unwrap();
+        let report = explore(&system, 1).unwrap();
         assert!(report.exhaustive);
         assert!(report.configurations >= 4);
     }
@@ -814,7 +961,7 @@ mod tests {
             ("t", "rec x . k!ready . k?value . x"),
         ])
         .unwrap();
-        let report = check(&system, 2).unwrap();
+        let report = explore(&system, 2).unwrap();
         assert!(report.configurations > 4);
     }
 
@@ -831,7 +978,7 @@ mod tests {
             ("t", "rec x . k!ready . k?value . x"),
         ])
         .unwrap();
-        let report = check(&system, 1).unwrap();
+        let report = explore(&system, 1).unwrap();
         assert!(!report.exhaustive);
     }
 
@@ -852,7 +999,7 @@ mod tests {
         // one message even with a generous bound.
         let system =
             system_from_locals(&[("a", "b!ping.b?pong.end"), ("b", "a?ping.a!pong.end")]).unwrap();
-        let report = check(&system, 4).unwrap();
+        let report = explore(&system, 4).unwrap();
         assert!(report.exhaustive);
         let bounds = report.channel_bounds(&system);
         assert_eq!(bounds.len(), 2);
@@ -869,7 +1016,7 @@ mod tests {
             ("t", "rec x . k!ready . k?value . x"),
         ])
         .unwrap();
-        let report = check(&system, 2).unwrap();
+        let report = explore(&system, 2).unwrap();
         assert!(report.exhaustive);
         let k_to_s = report
             .channel_bounds(&system)
@@ -907,7 +1054,7 @@ mod tests {
     #[test]
     fn roles_and_labels_share_one_name_table() {
         let safe = system_from_locals(&[("a", "b!b.end"), ("b", "a?b.end")]).unwrap();
-        assert!(check(&safe, 1).unwrap().exhaustive);
+        assert!(explore(&safe, 1).unwrap().exhaustive);
 
         let stranded = system_from_locals(&[("a", "b!b.end"), ("b", "end")]).unwrap();
         let Err(Violation::OrphanMessages(config)) = check(&stranded, 1) else {

@@ -1,8 +1,11 @@
-//! Differential test of `kmc::check`'s packed exploration against a
+//! Differential test of `kmc::explore`'s packed exploration against a
 //! reference explorer that keeps whole [`Config`]s in a `HashSet` and a
-//! `VecDeque` — the loop `check` ran before it packed configurations into
-//! one arena. The two must agree on the entire [`Report`] or on the
-//! identical [`Violation`], offending [`Config`] included, for
+//! `VecDeque` — the loop the search ran before it packed configurations
+//! into one arena — and of `kmc::check`'s reduced verdict against both.
+//! The exact search and the reference must agree on the entire [`Report`]
+//! or on the identical [`Violation`], offending [`Config`] included, and
+//! the reduced verdict must be safe exactly when they are and otherwise
+//! report that same [`Violation`], for
 //!
 //! * the random systems of the workspace's property tests (their
 //!   generators are included from `tests/generators/`),
@@ -13,9 +16,11 @@
 //!
 //! plus directed cases the random ones do not reach: a queue hundreds of
 //! labels long, a state space that doubles the visited table many times,
-//! a message stranded at a terminated machine, and the two ways a system
-//! outgrows `u16` record words — more than 65 535 states in a machine, or
-//! a `k` above 65 535 — which `check` explores with `u32` words.
+//! a message stranded at a terminated machine, one stranded by a machine
+//! the reduction would ignore without its cycle proviso, and the two ways
+//! a system outgrows `u16` record words — more than 65 535 states in a
+//! machine, or a `k` above 65 535 — which both searches explore with
+//! `u32` words.
 //!
 //! CI runs this in release as well (`cargo test --release -p kmc`): the
 //! reference is slow, and the large cases are the ones that exercise
@@ -177,11 +182,22 @@ mod reference {
     }
 }
 
-/// Runs both explorers and insists on identical results.
+/// Runs the exact search, the reference and the reduced verdict, and
+/// insists on identical results: the exact search and the reference on the
+/// whole [`Report`] or the identical [`Violation`], and the reduced verdict
+/// safe exactly when they are, with that same [`Violation`] otherwise.
 fn agree(system: &System, k: usize, what: &str) -> Result<Report, Violation> {
-    let packed = kmc::check(system, k);
-    assert_eq!(packed, reference::check(system, k), "{what} at k = {k}");
-    packed
+    let exact = kmc::explore(system, k);
+    assert_eq!(exact, reference::check(system, k), "{what} at k = {k}");
+    match (&exact, kmc::check(system, k)) {
+        (Ok(report), Ok(verdict)) => assert!(
+            verdict.configurations <= report.configurations,
+            "{what} at k = {k}: the reduced search explored {verdict:?}, more than {report:?}"
+        ),
+        (Err(violation), Err(reduced)) => assert_eq!(*violation, reduced, "{what} at k = {k}"),
+        (_, reduced) => panic!("{what} at k = {k}: exact {exact:?}, reduced {reduced:?}"),
+    }
+    exact
 }
 
 fn system_of(machines: Vec<Fsm>) -> System {
@@ -356,13 +372,22 @@ fn benchmark_corpus_shapes_agree() {
         ("amr-ring-8", amr_ring(8), 1),
     ];
     let (mut configurations, mut transitions) = (0, 0);
+    let mut explored = Vec::new();
     for (name, system, k) in &safe {
         let report = agree(system, *k, name).unwrap_or_else(|v| panic!("{name}: {v}"));
         configurations += report.configurations;
         transitions += report.transitions;
+        let verdict = kmc::check(system, *k).expect("agrees with the exact search");
+        explored.push((verdict.configurations, verdict.transitions));
     }
-    // The counts `benchmark/README.md` states for one `verify_kmc` pass.
+    // What the exact search explores of the corpus.
     assert_eq!((configurations, transitions), (23_254, 89_559));
+    // What one `verify_kmc` pass explores: the reduced verdicts, entry by
+    // entry, 553 configurations and 571 transitions in all.
+    assert_eq!(
+        explored,
+        [(142, 146), (226, 231), (56, 60), (92, 97), (37, 37)]
+    );
 
     // A ring in which nobody sends first can never move.
     let stuck = ring_of(3, |prev, next| format!("rec x . p{prev}?v . p{next}!v . x"));
@@ -420,6 +445,25 @@ fn stranded_message_agrees() {
     .unwrap();
     assert!(matches!(
         agree(&system, 1, "stranded message"),
+        Err(Violation::OrphanMessages(_))
+    ));
+}
+
+/// Directed: `a` strands `x` at the terminated `b`, but `c0` and `c1`
+/// come first and can always move, and their exchange closes a cycle. A
+/// reduced search that expanded only them would never move `a`; the cycle
+/// proviso expands `a` where the cycle closes.
+#[test]
+fn ignored_machine_is_expanded_where_a_cycle_closes() {
+    let system = kmc::system_from_locals(&[
+        ("c0", "rec t . c1!y . c1?z . t"),
+        ("c1", "rec t . c0?y . c0!z . t"),
+        ("a", "b!x . end"),
+        ("b", "end"),
+    ])
+    .unwrap();
+    assert!(matches!(
+        agree(&system, 1, "ignoring"),
         Err(Violation::OrphanMessages(_))
     ));
 }

@@ -89,10 +89,10 @@ fn main() {
 
     // Global k-MC verification of the optimised system.
     let system = kmc::System::new(vec![parallel.clone(), w1, w2]).unwrap();
-    let report = kmc::check(&system, 1).unwrap();
+    let verdict = kmc::check(&system, 1).unwrap();
     println!(
-        "system is 1-multiparty compatible ({} configurations)",
-        report.configurations
+        "system is 1-multiparty compatible ({} configurations explored)",
+        verdict.configurations
     );
 
     // The hybrid view (§2.3): the parallel coordinator is also an

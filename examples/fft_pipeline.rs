@@ -115,10 +115,10 @@ fn main() {
         rumpsteak::serialize::<WorkerLoop<'static>>().unwrap(),
     ])
     .unwrap();
-    let report = kmc::check(&system, 2).unwrap();
+    let verdict = kmc::check(&system, 2).unwrap();
     println!(
         "pipelined FFT protocol verified: {} configurations explored",
-        report.configurations
+        verdict.configurations
     );
 
     // Run the pipeline.
