@@ -15,9 +15,14 @@
 //!
 //! The k-MC column is the exact search (`kmc::explore`), which explores
 //! every interleaving as the paper's baseline tool does. The ring and
-//! pipeline tables add the reduced verdict (`kmc::check`) beside it,
-//! capped the same way, and close with the configurations each search
-//! explored at the largest `n` the exact column timed.
+//! pipeline tables add two reduced searches beside it, each capped the
+//! same way: the verdict (`kmc::check`), and the channel bounds codegen
+//! asks for (`kmc::bounds` at `codegen::MAX_BOUND_SEARCH`, one search per
+//! queue). A bounds cell reads `–` where some depth reaches that bound,
+//! since only the exact search could then say whether it is exhaustive.
+//! Both tables close with the configurations the verdict's searches
+//! explored at the largest `n` the exact column timed, and those the
+//! bound searches stored against the exact search's at k = 16, at n = 8.
 //!
 //! The `amr` table compares the verification cost of the projected →
 //! optimised step when the reordering is hand-written (one subtype
@@ -37,6 +42,13 @@ use bench::timing::measure;
 use bench::verification::{k_buffering, nested_choice, ring, streaming};
 
 const BUDGET: Duration = Duration::from_millis(200);
+
+/// The ring and pipeline size at which the bound searches' configurations
+/// are compared with the exact search's at the same bound. The exact
+/// search's reachable set grows with `k`, so this is a size it still
+/// explores at `codegen::MAX_BOUND_SEARCH`: ring 12 at k = 16 outgrows its
+/// arena.
+const BOUNDS_AT: usize = 8;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -93,13 +105,15 @@ fn time_capped(enabled: &mut bool, f: impl FnMut() -> bool) -> Option<f64> {
     })
 }
 
-/// The two k-MC columns of the ring and pipeline sweeps: the exact search
-/// (the paper's baseline) and the reduced verdict beside it, each under
-/// its own [`time_capped`] rule.
+/// The three k-MC columns of the ring and pipeline sweeps: the exact
+/// search (the paper's baseline), and the reduced verdict and the
+/// per-queue bound searches beside it, each under its own
+/// [`time_capped`] rule.
 struct KmcColumns {
     /// Whether each column still times its cells.
     exact: bool,
     reduced: bool,
+    bounds: bool,
     /// The largest `n` the exact column timed.
     largest: Option<usize>,
 }
@@ -109,28 +123,40 @@ impl KmcColumns {
         Self {
             exact: true,
             reduced: true,
+            bounds: true,
             largest: None,
         }
     }
 
-    /// The row's exact and reduced cells. [`time_check`] asserts that each
-    /// timed verdict is the safe one, so two cells of a row agree.
+    /// The row's exact, reduced and bounds cells. [`time_check`] asserts
+    /// that each timed verdict is the safe one, so two cells of a row
+    /// agree. A bound search that reaches the bound is not timed: its cell
+    /// reads `–`.
     fn cells(
         &mut self,
         n: usize,
         exact: impl FnMut() -> bool,
         reduced: impl FnMut() -> bool,
-    ) -> (Option<f64>, Option<f64>) {
+        mut bounds: impl FnMut() -> bool,
+    ) -> [String; 3] {
         let exact = time_capped(&mut self.exact, exact);
         if exact.is_some() {
             self.largest = Some(n);
         }
-        (exact, time_capped(&mut self.reduced, reduced))
+        let reduced = time_capped(&mut self.reduced, reduced);
+        let bounds = if self.bounds && !bounds() {
+            "–".into()
+        } else {
+            fmt(time_capped(&mut self.bounds, bounds))
+        };
+        [fmt(exact), fmt(reduced), bounds]
     }
 
-    /// Prints how many configurations each search explored at the largest
-    /// `n` the exact column timed: all reachable ones, and the reduced
-    /// search's share of them.
+    /// Prints how many configurations each search explored: at the
+    /// largest `n` the exact column timed, all reachable ones and the
+    /// reduced verdict's share of them; at `n =` [`BOUNDS_AT`], what the
+    /// per-queue bound searches stored against what the exact search
+    /// explores at their bound, whose depths they must equal.
     fn explored_vs_reachable(&self, instance: fn(usize) -> (kmc::System, usize)) {
         let n = self.largest.expect("the exact column timed its first row");
         let (system, k) = instance(n);
@@ -141,6 +167,19 @@ impl KmcColumns {
             "the reduced search explores reachable configurations"
         );
         println!("# n = {n}: the reduced search explored {explored} of {reachable} reachable configurations");
+        let (system, _) = instance(BOUNDS_AT);
+        let k = codegen::MAX_BOUND_SEARCH;
+        let bounds = (kmc::bounds(&system, k).expect("safe")).expect("the depths stay below k");
+        let report = kmc::explore(&system, k).expect("safe");
+        assert_eq!(
+            bounds.max_depths, report.max_depths,
+            "the bound searches find the exact depths"
+        );
+        println!(
+            "# n = {BOUNDS_AT}: the bound searches at k = {k} stored {} configurations; \
+             the exact search explores {}",
+            bounds.configurations, report.configurations
+        );
     }
 }
 
@@ -189,12 +228,17 @@ fn table_nested_choice() {
 
 fn table_ring() {
     println!("# Fig 7 / C.2 — Ring: seconds vs participants");
-    println!("n\tk-MC\tk-MC(reduced)\tRumpsteak");
+    println!("n\tk-MC\tk-MC(reduced)\tk-MC(bounds)\tRumpsteak");
     let mut kmc = KmcColumns::new();
     for n in (2..=30).step_by(2) {
-        let (exact, reduced) = kmc.cells(n, || ring::check_kmc(n), || ring::check_kmc_reduced(n));
-        let rumpsteak = Some(time_check(|| ring::check_rumpsteak(n)));
-        println!("{n}\t{}\t{}\t{}", fmt(exact), fmt(reduced), fmt(rumpsteak));
+        let [exact, reduced, bounds] = kmc.cells(
+            n,
+            || ring::check_kmc(n),
+            || ring::check_kmc_reduced(n),
+            || ring::kmc_bounds(n),
+        );
+        let rumpsteak = fmt(Some(time_check(|| ring::check_rumpsteak(n))));
+        println!("{n}\t{exact}\t{reduced}\t{bounds}\t{rumpsteak}");
     }
     kmc.explored_vs_reachable(ring::kmc_instance);
     println!();
@@ -202,16 +246,19 @@ fn table_ring() {
 
 fn table_pipeline() {
     println!("# k-buffering pipeline (generated from kbuffering.scr): seconds vs stages");
-    println!("n\tk-MC\tk-MC(reduced)\tRumpsteak(per-stage)");
+    println!("n\tk-MC\tk-MC(reduced)\tk-MC(bounds)\tRumpsteak(per-stage)");
     let mut kmc = KmcColumns::new();
-    for n in 1..=10 {
-        let (exact, reduced) = kmc.cells(
+    for n in 1..=12 {
+        let [exact, reduced, bounds] = kmc.cells(
             n,
             || k_buffering::check_kmc_pipeline(n),
             || k_buffering::check_kmc_pipeline_reduced(n),
+            || k_buffering::kmc_pipeline_bounds(n),
         );
-        let rumpsteak = Some(time_check(|| k_buffering::check_rumpsteak_pipeline(n)));
-        println!("{n}\t{}\t{}\t{}", fmt(exact), fmt(reduced), fmt(rumpsteak));
+        let rumpsteak = fmt(Some(time_check(|| {
+            k_buffering::check_rumpsteak_pipeline(n)
+        })));
+        println!("{n}\t{exact}\t{reduced}\t{bounds}\t{rumpsteak}");
     }
     kmc.explored_vs_reachable(k_buffering::kmc_pipeline_instance);
     println!();

@@ -60,6 +60,15 @@ fn kmc_safe_reduced((system, k): (kmc::System, usize)) -> bool {
     kmc::check(&system, k).is_ok()
 }
 
+/// The channel bounds [`codegen::verified_channel_bounds`] asks for: the
+/// per-queue searches of [`kmc::bounds`] at [`codegen::MAX_BOUND_SEARCH`]
+/// on a family's safe system. False when some depth reaches that bound.
+fn kmc_bounded((system, _): (kmc::System, usize)) -> bool {
+    kmc::bounds(&system, codegen::MAX_BOUND_SEARCH)
+        .expect("a safe system")
+        .is_some()
+}
+
 /// Fig 7 (left): the streaming protocol with `n` unrolled values.
 pub mod streaming {
     use super::*;
@@ -352,6 +361,12 @@ pub mod ring {
     pub fn check_kmc_reduced(n: usize) -> bool {
         super::kmc_safe_reduced(kmc_instance(n))
     }
+
+    /// The whole optimised system's channel bounds from the per-queue
+    /// searches; false when a depth reaches the bound.
+    pub fn kmc_bounds(n: usize) -> bool {
+        super::kmc_bounded(kmc_instance(n))
+    }
 }
 
 /// Fig 7 (right): k-buffering — double buffering generalised to `n`
@@ -492,6 +507,12 @@ pub mod k_buffering {
     /// [`check_kmc_pipeline`]'s verdict from the reduced search.
     pub fn check_kmc_pipeline_reduced(stages: usize) -> bool {
         super::kmc_safe_reduced(kmc_pipeline_instance(stages))
+    }
+
+    /// The pipeline's channel bounds from the per-queue searches; false
+    /// when a depth reaches the bound.
+    pub fn kmc_pipeline_bounds(stages: usize) -> bool {
+        super::kmc_bounded(kmc_pipeline_instance(stages))
     }
 }
 

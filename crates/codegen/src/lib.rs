@@ -212,9 +212,12 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 /// the payload of the `bounds { ... }` clause the emitter writes into
 /// generated `roles!` declarations.
 ///
-/// Runs the exact k-MC search once at `k =` [`MAX_BOUND_SEARCH`]; the
-/// reduced verdict search skips queue depths, so it cannot give bounds.
-/// An exhaustive run (no send ever found its queue full) explores the
+/// Asks [`kmc::bounds`] at `k =` [`MAX_BOUND_SEARCH`]: the k-MC verdict,
+/// then one reduced search per queue for that queue's exact maximum
+/// depth. When every depth stays below the bound, no send ever found its
+/// queue full, so these are the depths an exhaustive exact search reports;
+/// when some queue reaches the bound, the exact search, [`kmc::explore`],
+/// decides whether the run is exhaustive. An exhaustive run explores the
 /// same configurations as every `k` from the smallest exhaustive one up,
 /// so its maxima are the tight static bounds; and since reachable
 /// configurations only grow with `k`, a violation at a smaller `k` shows
@@ -225,9 +228,13 @@ pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> 
     let Ok(system) = kmc::System::new(analysis.fsms.clone()) else {
         return Vec::new();
     };
-    match kmc::explore(&system, MAX_BOUND_SEARCH) {
-        Ok(report) if report.exhaustive => report.channel_bounds(&system),
-        _ => Vec::new(),
+    match kmc::bounds(&system, MAX_BOUND_SEARCH) {
+        Ok(Some(bounds)) => bounds.channel_bounds(&system),
+        Ok(None) => match kmc::explore(&system, MAX_BOUND_SEARCH) {
+            Ok(report) if report.exhaustive => report.channel_bounds(&system),
+            _ => Vec::new(),
+        },
+        Err(_) => Vec::new(),
     }
 }
 

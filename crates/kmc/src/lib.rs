@@ -19,15 +19,18 @@
 //! graph, which grows exponentially with the number of participants and
 //! with `k` — exactly the scaling the paper demonstrates in Fig 7.
 //!
-//! There are two entry points over one explorer. [`explore`] visits every
-//! reachable configuration and returns a [`Report`]: the verdict,
-//! k-exhaustivity and each channel's maximum depth. [`check`] returns only
-//! the verdict, from a search that skips most interleavings of
-//! independent moves (below). Whoever reads [`Report::exhaustive`] or
-//! [`Report::max_depths`] — codegen's channel bounds, `rumpsteak-gen
-//! --check`, the `kmc` binary, Fig 7's baseline column — calls
-//! [`explore`]; a caller that wants to know whether the system is safe
-//! calls [`check`].
+//! There are three entry points over one arena of configurations.
+//! [`explore`] visits every reachable configuration and returns a
+//! [`Report`]: the verdict, k-exhaustivity and each channel's maximum
+//! depth. [`check`] returns only the verdict, from a search that skips
+//! most interleavings of independent moves (below). [`bounds`] returns the
+//! verdict and, when every channel stays below `k`, each channel's exact
+//! maximum depth, from one such reduced search per queue. Whoever reads
+//! [`Report::exhaustive`] — `rumpsteak-gen --check`, the `kmc` binary,
+//! Fig 7's baseline column, and codegen's channel bounds when [`bounds`]
+//! gives up — calls [`explore`]; codegen's channel bounds call [`bounds`]
+//! first; a caller that wants to know whether the system is safe calls
+//! [`check`].
 //!
 //! # Reduced verdicts
 //!
@@ -71,6 +74,71 @@
 //! mean nothing, because it skips queue depths and full-queue sends, so
 //! [`check`] returns a [`Verdict`] without them.
 //!
+//! # Exact bounds from per-queue searches
+//!
+//! [`bounds`] first asks [`check`] for the verdict. Then, for each queue,
+//! it runs a reduced depth-first search whose only result is that queue's
+//! largest length. The queue is *visible*: its sends and receives are the
+//! moves whose effect the result reads. This is Peled's ample-set
+//! reduction, whose conditions C0–C3 hold as follows.
+//!
+//! * **C0, C1.** The ample set at a configuration is every enabled move of
+//!   one machine that is eligible, as in "Reduced verdicts", and has no
+//!   row on the visible queue. Eligibility asks for an enabled row, so the
+//!   ample set is empty only where the configuration has no move (C0).
+//!   Until the machine moves, nobody else enables, disables or fails to
+//!   commute with one of its moves: the persistent-set argument of
+//!   "Reduced verdicts", which is C1.
+//! * **C2.** The machine has no row on the visible queue, so no ample move
+//!   changes that queue's length: an ample set that is not every enabled
+//!   move holds only invisible moves.
+//! * **C3.** The stack proviso (Holzmann & Peled): a machine is passed
+//!   over when one of its successors is on the depth-first stack, and
+//!   when every eligible machine is passed over, every machine is
+//!   expanded. A cycle of the reduced graph closes at a configuration on
+//!   the stack, so every cycle holds a configuration expanded in full,
+//!   and no move is deferred around a cycle forever.
+//!
+//! With C0–C3, every execution of the system is stutter equivalent, on
+//! the visible queue's length, to an execution of the reduced graph: both
+//! pass through the same lengths in the same order, each repeated some
+//! number of times. Repeating or collapsing values does not change their
+//! maximum, so the largest length any configuration the search expands
+//! holds is the queue's exact maximum depth. None of this needs a
+//! violation to be stable, and the system is already known safe, so
+//! unlike [`check`] the search reduces systems with mixed-peer states
+//! too.
+//!
+//! A search stops once its queue reaches `k`, and [`bounds`] returns
+//! `None`: the queue may have been full when a send needed it, which only
+//! [`explore`] can tell. When every queue stays below `k`, no send ever
+//! found its queue full, so the bound changed nothing, and [`explore`]
+//! would report an exhaustive search with these same depths.
+//!
+//! **Why depth-first.** The proviso needs a stack. The breadth-first
+//! proviso of [`check`] expands in full whenever a successor was seen
+//! before, which every two interleavings that join again trigger: with
+//! one queue visible, Fig 7's ring of 8 at k = 16 then stores 155 764 of
+//! its 157 184 configurations in its largest per-queue search, where the
+//! depth-first search stores 3 829 in all of them.
+//!
+//! **Why each eligible machine is tried.** Expanding every machine as
+//! soon as the lowest eligible machine's successors meet the stack, as
+//! [`check`] does with its proviso, stores 26 966 configurations on the
+//! benchmark's four Scribble systems at k = 16, more than the 10 384 the
+//! exact search explores. Trying the next eligible machine first usually
+//! finds one whose successors are all off the stack, and stores 6 061.
+//!
+//! **What a search keeps.** The per-queue searches share one arena and
+//! visited table, emptied between queues, and a mark per record: new,
+//! on the stack, or done. The stack is one frame per configuration being
+//! expanded — its record and where its successors start in one shared
+//! vector of record ids, which is why the visited table's insert hands back the
+//! id of a record it already holds. A search stores every successor it
+//! generates, those of machines the proviso passes over included, so on
+//! a small system it can store more configurations than are reachable:
+//! 643 on the benchmark's pmesh of 4, which has 326.
+//!
 //! # How configurations are stored
 //!
 //! The search never builds a [`Config`]. A configuration is one
@@ -108,7 +176,8 @@
 //! explorer reads steps and these tables only; it never hashes a name,
 //! searches the role list or scans a state's actions to classify it.
 //!
-//! **The arena is the breadth-first queue.** Records are appended to one
+//! **The arena is the breadth-first queue** of [`explore`] and [`check`]
+//! (the per-queue searches keep a stack beside it). Records are appended to one
 //! `Vec` of words in the order they are discovered and never move or
 //! change; record `id` is the `id`-th record appended, and a `u32` per
 //! record says where it starts. A cursor walks the record ids from 0:
@@ -459,16 +528,22 @@ impl Report {
     /// `(from, to, max_depth)` triples resolved against `system` (which
     /// must be the system this report was produced from).
     pub fn channel_bounds(&self, system: &System) -> Vec<(Name, Name, usize)> {
-        let n = system.roles.len();
-        assert_eq!(self.max_depths.len(), n * n, "report/system mismatch");
-        let mut bounds = Vec::new();
-        for (index, &depth) in self.max_depths.iter().enumerate() {
-            if depth > 0 {
-                bounds.push((system.roles[index / n], system.roles[index % n], depth));
-            }
-        }
-        bounds
+        channel_bounds(&self.max_depths, system)
     }
+}
+
+/// The non-zero `max_depths` of `system`'s channels as `(from, to, depth)`
+/// triples, in channel-index order.
+fn channel_bounds(max_depths: &[usize], system: &System) -> Vec<(Name, Name, usize)> {
+    let n = system.roles.len();
+    assert_eq!(max_depths.len(), n * n, "depths/system mismatch");
+    let mut bounds = Vec::new();
+    for (index, &depth) in max_depths.iter().enumerate() {
+        if depth > 0 {
+            bounds.push((system.roles[index / n], system.roles[index % n], depth));
+        }
+    }
+    bounds
 }
 
 /// A record word: `u16` or `u32`, chosen per search.
@@ -559,9 +634,9 @@ impl<W: Word> Explored<W> {
         (tag >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Appends `record` unless an equal one is already there; true when
-    /// it was appended.
-    fn insert(&mut self, record: &[W]) -> bool {
+    /// Appends `record` unless an equal one is already there. Returns the
+    /// record's id, and whether it was appended.
+    fn insert(&mut self, record: &[W]) -> (u32, bool) {
         if (self.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -570,18 +645,27 @@ impl<W: Word> Explored<W> {
         let mut slot = self.home(tag);
         while self.slots[slot] != EMPTY {
             let entry = self.slots[slot];
-            if entry & TAG == tag && self.record((entry & !TAG) as usize) == record {
-                return false;
+            let id = (entry & !TAG) as u32;
+            if entry & TAG == tag && self.record(id as usize) == record {
+                return (id, false);
             }
             slot = (slot + 1) & mask;
         }
         // The table holds at most 2^31 records (see `grow`), so an id
         // never reaches `u32::MAX`, and a slot is never EMPTY.
-        self.slots[slot] = tag | u64::from(index_u32(self.len()));
+        let id = index_u32(self.len());
+        self.slots[slot] = tag | u64::from(id);
         self.words.extend_from_slice(record);
         self.starts
             .push(u32::try_from(self.words.len()).expect("k-MC: the arena exceeds 2^32 words"));
-        true
+        (id, true)
+    }
+
+    /// Forgets every record, keeping the buffers and the table's size.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.starts.truncate(1);
+        self.slots.fill(EMPTY);
     }
 
     /// Doubles the table, re-placing every entry from its tag.
@@ -674,30 +758,150 @@ pub fn explore(system: &System, k: usize) -> Result<Report, Violation> {
 /// stubborn-set reduced when `REDUCE` holds. A constant, so the exact
 /// search compiles without the reduction's tests.
 fn search<const REDUCE: bool>(system: &System, k: usize) -> Result<Report, Violation> {
-    // Queue lengths are record words. No queue can hold 2^32 messages, so
-    // clamping a larger bound changes no verdict.
-    let k = u32::try_from(k.max(1)).unwrap_or(u32::MAX);
-    if u16::try_from(k).is_ok() && u16::try_from(system.widest).is_ok() {
+    let k = queue_bound(k);
+    if narrow(system, k) {
         search_words::<u16, REDUCE>(system, k)
     } else {
         search_words::<u32, REDUCE>(system, k)
     }
 }
 
+/// `k` as a queue-length word. No queue can hold 2^32 messages, so
+/// clamping a larger bound changes no verdict and no depth.
+fn queue_bound(k: usize) -> u32 {
+    u32::try_from(k.max(1)).unwrap_or(u32::MAX)
+}
+
+/// Whether `u16` words hold every state, label and queue length of
+/// `system` at bound `k`.
+fn narrow(system: &System, k: u32) -> bool {
+    u16::try_from(k).is_ok() && u16::try_from(system.widest).is_ok()
+}
+
+/// The record of `system`'s initial configuration: every machine in its
+/// initial state, every queue empty.
+fn initial<W: Word>(system: &System) -> Vec<W> {
+    let mut record: Vec<W> = (system.machines.iter())
+        .map(|machine| word(index_u32(machine.initial().0)))
+        .collect();
+    record.resize(system.machines.len() + system.channels.len(), word(0));
+    record
+}
+
+/// The configuration being expanded, copied out of the arena so that
+/// successors can be appended to the arena meanwhile, with where each
+/// queue's oldest label sits and each machine's compiled state.
+struct Current<W> {
+    words: Vec<W>,
+    heads: Vec<usize>,
+    states: Vec<State>,
+}
+
+impl<W: Word> Current<W> {
+    fn new() -> Self {
+        Self {
+            words: Vec::new(),
+            heads: Vec::new(),
+            states: Vec::new(),
+        }
+    }
+
+    /// Makes `record`, a configuration of `system`, the current one.
+    fn load(&mut self, system: &System, record: &[W]) {
+        let machine_count = system.machines.len();
+        let fixed = machine_count + system.channels.len();
+        self.words.clear();
+        self.words.extend_from_slice(record);
+        let (states, lens) = self.words[..fixed].split_at(machine_count);
+        self.heads.clear();
+        let mut next_head = fixed;
+        for &len in lens {
+            self.heads.push(next_head);
+            next_head += unword(len);
+        }
+        self.states.clear();
+        self.states
+            .extend((system.states.iter().zip(states)).map(|(table, &state)| table[unword(state)]));
+    }
+
+    /// How many labels `queue` holds.
+    fn queued(&self, queue: u32) -> u32 {
+        self.words[self.states.len() + queue as usize].into()
+    }
+
+    /// The oldest label of `queue`, which must not be empty.
+    fn oldest(&self, queue: u32) -> u32 {
+        self.words[self.heads[queue as usize]].into()
+    }
+
+    /// Machine `index`'s rows in its current state.
+    fn rows<'s>(&self, system: &'s System, index: usize) -> &'s [Step] {
+        let state = &self.states[index];
+        &system.steps[index][state.start as usize..state.end as usize]
+    }
+
+    /// Whether machine `index`'s moves alone may be expanded: it has rows,
+    /// each send has room, each receive has a head, and one of them is
+    /// enabled (why that suffices, in the module docs).
+    fn eligible(&self, system: &System, index: usize, k: u32) -> bool {
+        let mut enabled = false;
+        for step in self.rows(system, index) {
+            if step.send {
+                if self.queued(step.queue) >= k {
+                    return false;
+                }
+                enabled = true;
+            } else {
+                if step.queue == NO_QUEUE || self.queued(step.queue) == 0 {
+                    return false;
+                }
+                enabled |= self.oldest(step.queue) == step.label;
+            }
+        }
+        enabled
+    }
+
+    /// Whether `step` can fire: a send only disabled by a full queue, a
+    /// receive only enabled by its label at the head of a queue.
+    fn enabled(&self, step: &Step, k: u32) -> bool {
+        if step.send {
+            self.queued(step.queue) < k
+        } else {
+            // A channel without a queue is empty forever.
+            step.queue != NO_QUEUE
+                && self.queued(step.queue) > 0
+                && self.oldest(step.queue) == step.label
+        }
+    }
+
+    /// Writes into `scratch` the configuration machine `index` moves to by
+    /// firing `step`, which must be enabled.
+    fn fire(&self, index: usize, step: &Step, scratch: &mut Vec<W>) {
+        let queue = step.queue as usize;
+        let (head, len) = (self.heads[queue], self.queued(step.queue));
+        scratch.clear();
+        if step.send {
+            let end = head + len as usize;
+            scratch.extend_from_slice(&self.words[..end]);
+            scratch.push(word(step.label));
+            scratch.extend_from_slice(&self.words[end..]);
+            scratch[self.states.len() + queue] = word(len + 1);
+        } else {
+            scratch.extend_from_slice(&self.words[..head]);
+            scratch.extend_from_slice(&self.words[head + 1..]);
+            scratch[self.states.len() + queue] = word(len - 1);
+        }
+        scratch[index] = word(step.target);
+    }
+}
+
 /// [`search`] on records of `W` words; `k` fits a `W`.
 fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<Report, Violation> {
-    let machines = &system.machines;
-    let machine_count = machines.len();
-    // Words before the first queued label: the states, then the lengths.
-    let fixed = machine_count + system.channels.len();
+    let machine_count = system.machines.len();
     // A mixed-peer reception error is not stable (module docs).
     let reduce = REDUCE && !system.mixed_peers;
 
-    let mut scratch: Vec<W> = machines
-        .iter()
-        .map(|machine| word(index_u32(machine.initial().0)))
-        .collect();
-    scratch.resize(fixed, word(0));
+    let mut scratch: Vec<W> = initial(system);
     let mut explored = Explored::new();
     explored.insert(&scratch);
 
@@ -705,58 +909,16 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
     let mut exhaustive = true;
     let mut max_depths = vec![0usize; machine_count * machine_count];
 
-    // The configuration being expanded, copied out of the arena so that
-    // successors can be appended to it meanwhile, and where in that copy
-    // each queue's oldest label sits.
-    let mut current: Vec<W> = Vec::new();
-    let mut heads = vec![0usize; system.channels.len()];
-    // Each machine's state in the configuration being expanded.
-    let mut current_states: Vec<State> = Vec::with_capacity(machine_count);
-
+    let mut current = Current::new();
     let mut cursor = 0;
     while cursor < explored.len() {
-        current.clear();
-        current.extend_from_slice(explored.record(cursor));
+        current.load(system, explored.record(cursor));
         cursor += 1;
-        let (states, lens) = current[..fixed].split_at(machine_count);
-        let mut next_head = fixed;
-        for (head, &len) in heads.iter_mut().zip(lens) {
-            *head = next_head;
-            next_head += unword(len);
-        }
-        current_states.clear();
-        current_states
-            .extend((system.states.iter().zip(states)).map(|(table, &state)| table[unword(state)]));
-        let config = || materialise(system, &current);
-        let queued = |queue: u32| lens[queue as usize].into();
-        let oldest = |queue: u32| current[heads[queue as usize]].into();
-        let rows = |index: usize| {
-            let state = &current_states[index];
-            &system.steps[index][state.start as usize..state.end as usize]
-        };
+        let config = || materialise(system, &current.words);
 
-        // The lowest machine whose moves alone may be expanded: it has
-        // rows, each send has room, each receive has a head, and one of
-        // them is enabled (why that suffices, in the module docs).
-        let eligible = |index: usize| {
-            let mut enabled = false;
-            for step in rows(index) {
-                if step.send {
-                    if queued(step.queue) >= k {
-                        return false;
-                    }
-                    enabled = true;
-                } else {
-                    if step.queue == NO_QUEUE || queued(step.queue) == 0 {
-                        return false;
-                    }
-                    enabled |= oldest(step.queue) == step.label;
-                }
-            }
-            enabled
-        };
+        // The lowest machine whose moves alone may be expanded.
         let chosen = if reduce {
-            (0..machine_count).find(|&index| eligible(index))
+            (0..machine_count).find(|&index| current.eligible(system, index, k))
         } else {
             None
         };
@@ -771,71 +933,51 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
         let mut fresh = true;
         let start = chosen.unwrap_or(0);
         for index in (start..machine_count).chain(0..start) {
-            let steps = rows(index);
+            let steps = current.rows(system, index);
             let expanded = chosen.is_none_or(|chosen| chosen == index) || !fresh;
             let before_machine = transitions;
             for step in if expanded { steps } else { &[] } {
-                let queue = step.queue as usize;
-                scratch.clear();
-                if step.send {
-                    let len = queued(step.queue);
-                    if len >= k {
-                        exhaustive = false;
-                        continue;
-                    }
-                    let end = heads[queue] + len as usize;
-                    scratch.extend_from_slice(&current[..end]);
-                    scratch.push(word(step.label));
-                    scratch.extend_from_slice(&current[end..]);
-                    scratch[machine_count + queue] = word(len + 1);
-                    let depth = &mut max_depths[system.channels[queue]];
-                    *depth = (*depth).max(len as usize + 1);
-                } else {
-                    // A channel without a queue is empty forever.
-                    if step.queue == NO_QUEUE {
-                        continue;
-                    }
-                    let (head, len) = (heads[queue], queued(step.queue));
-                    if len == 0 || current[head].into() != step.label {
-                        continue;
-                    }
-                    scratch.extend_from_slice(&current[..head]);
-                    scratch.extend_from_slice(&current[head + 1..]);
-                    scratch[machine_count + queue] = word(len - 1);
+                if !current.enabled(step, k) {
+                    // A send is disabled only by a full queue.
+                    exhaustive &= !step.send;
+                    continue;
                 }
-                scratch[index] = word(step.target);
+                if step.send {
+                    let depth = &mut max_depths[system.channels[step.queue as usize]];
+                    *depth = (*depth).max(current.queued(step.queue) as usize + 1);
+                }
+                current.fire(index, step, &mut scratch);
                 transitions += 1;
-                fresh &= explored.insert(&scratch);
+                fresh &= explored.insert(&scratch).1;
             }
 
             let receives = |queue: u32| {
-                let found = oldest(queue);
+                let found = current.oldest(queue);
                 steps
                     .iter()
                     .any(|step| step.queue == queue && step.label == found)
             };
-            let unexpected = match current_states[index].inbound {
+            let unexpected = match current.states[index].inbound {
                 NOT_RECEIVING => None,
                 // Every row receives, from the one peer: once all of them
                 // were tried, none fired exactly when the head is none of
                 // their labels.
-                queue if queue != MIXED_PEERS => (queued(queue) > 0
+                queue if queue != MIXED_PEERS => (current.queued(queue) > 0
                     && if expanded {
                         transitions == before_machine
                     } else {
                         !receives(queue)
                     })
                 .then_some(queue),
-                _ => steps
-                    .iter()
-                    .map(|step| step.queue)
-                    .find(|&queue| queue != NO_QUEUE && queued(queue) > 0 && !receives(queue)),
+                _ => steps.iter().map(|step| step.queue).find(|&queue| {
+                    queue != NO_QUEUE && current.queued(queue) > 0 && !receives(queue)
+                }),
             };
             if let Some(queue) = unexpected {
                 return Err(Violation::ReceptionError {
                     role: system.roles[index],
                     peer: system.roles[system.channels[queue as usize] / machine_count],
-                    found: system.labels[oldest(queue) as usize],
+                    found: system.labels[current.oldest(queue) as usize],
                     config: config(),
                 });
             }
@@ -844,16 +986,15 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
         // Orphans: a terminated machine receives nothing, so whatever is
         // queued towards it stays queued in every successor.
         let terminal = |state: &State| state.start == state.end;
-        if current_states.iter().any(terminal) {
-            let orphaned = lens
-                .iter()
-                .zip(&system.receivers)
-                .any(|(&len, &to)| len.into() > 0 && terminal(&current_states[to]));
+        if current.states.iter().any(terminal) {
+            let orphaned = (system.receivers.iter().enumerate()).any(|(queue, &to)| {
+                current.queued(index_u32(queue)) > 0 && terminal(&current.states[to])
+            });
             if orphaned {
                 return Err(Violation::OrphanMessages(config()));
             }
         }
-        if transitions == before && !current_states.iter().all(terminal) {
+        if transitions == before && !current.states.iter().all(terminal) {
             return Err(Violation::Deadlock(config()));
         }
     }
@@ -864,6 +1005,203 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
         exhaustive,
         max_depths,
     })
+}
+
+/// Exact channel bounds from [`bounds`]: the depths [`explore`] reports of
+/// an exhaustive search, from one reduced search per queue.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Bounds {
+    /// Configurations the per-queue searches stored, summed over the
+    /// queues. A search stores every successor it generates, including
+    /// those of a machine the stack proviso then passes over, so on a
+    /// small system the sum can exceed the reachable configurations.
+    pub configurations: usize,
+    /// Maximum depth each channel reaches, indexed `from * n + to` like
+    /// [`Report::max_depths`]: each one below the `k` searched at, so no
+    /// send ever finds its queue full and these are tight static bounds.
+    pub max_depths: Vec<usize>,
+}
+
+impl Bounds {
+    /// The channels that ever carry a message, as `(from, to, max_depth)`
+    /// triples, like [`Report::channel_bounds`].
+    pub fn channel_bounds(&self, system: &System) -> Vec<(Name, Name, usize)> {
+        channel_bounds(&self.max_depths, system)
+    }
+}
+
+/// Each channel's maximum depth at bound `k` (`k ≥ 1`), when every depth
+/// stays below `k`.
+///
+/// First decides k-MC safety with [`check`] and returns its [`Violation`].
+/// Then runs one reduced depth-first search per queue (see "Exact bounds
+/// from per-queue searches" in the module docs). When every depth stays
+/// below `k`, no send ever found its queue full, so [`explore`] would
+/// report the search exhaustive with these same depths. When some queue
+/// reaches `k`, returns `Ok(None)`: whether the search is exhaustive then
+/// depends on whether a send found that queue full, which only
+/// [`explore`] answers.
+pub fn bounds(system: &System, k: usize) -> Result<Option<Bounds>, Violation> {
+    check(system, k)?;
+    let k = queue_bound(k);
+    Ok(if narrow(system, k) {
+        bounds_words::<u16>(system, k)
+    } else {
+        bounds_words::<u32>(system, k)
+    })
+}
+
+/// [`bounds`]' per-queue searches on records of `W` words; `k` fits a `W`.
+fn bounds_words<W: Word>(system: &System, k: u32) -> Option<Bounds> {
+    let machine_count = system.machines.len();
+    let mut search = DepthSearch::<W>::new();
+    let mut bounds = Bounds {
+        configurations: 0,
+        max_depths: vec![0; machine_count * machine_count],
+    };
+    for (queue, &channel) in system.channels.iter().enumerate() {
+        bounds.max_depths[channel] = search.max_depth(system, k, index_u32(queue))? as usize;
+        bounds.configurations += search.explored.len();
+    }
+    Some(bounds)
+}
+
+/// Where a record stands in [`DepthSearch`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Stored, never expanded.
+    New,
+    /// Expanded, and its successors are not all visited yet.
+    OnStack,
+    /// Expanded, and every successor visited.
+    Done,
+}
+
+/// A configuration on [`DepthSearch`]'s stack: its record, and its
+/// successors, `successors[start..]`, of which those before `next` were
+/// visited.
+struct Frame {
+    id: usize,
+    start: usize,
+    next: usize,
+}
+
+/// The reduced depth-first search of one queue's maximum depth. Its
+/// buffers outlive a search, so the searches of a system's queues reuse
+/// one arena and table.
+struct DepthSearch<W> {
+    explored: Explored<W>,
+    /// Indexed by record id.
+    marks: Vec<Mark>,
+    /// The successors of every frame on the stack, back to back.
+    successors: Vec<u32>,
+    stack: Vec<Frame>,
+    current: Current<W>,
+    scratch: Vec<W>,
+}
+
+impl<W: Word> DepthSearch<W> {
+    fn new() -> Self {
+        Self {
+            explored: Explored::new(),
+            marks: Vec::new(),
+            successors: Vec::new(),
+            stack: Vec::new(),
+            current: Current::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The largest depth `visible` reaches, or `None` once it reaches `k`.
+    fn max_depth(&mut self, system: &System, k: u32, visible: u32) -> Option<u32> {
+        self.explored.clear();
+        self.marks.clear();
+        self.successors.clear();
+        self.stack.clear();
+        self.scratch = initial(system);
+        self.store();
+
+        let mut depth = 0;
+        let mut next = Some(0);
+        loop {
+            if let Some(id) = next.take() {
+                self.marks[id] = Mark::OnStack;
+                self.current.load(system, self.explored.record(id));
+                let len = self.current.queued(visible);
+                if len >= k {
+                    return None;
+                }
+                depth = depth.max(len);
+                let start = self.successors.len();
+                self.expand(system, k, visible);
+                self.stack.push(Frame {
+                    id,
+                    start,
+                    next: start,
+                });
+            }
+            let Some(frame) = self.stack.last_mut() else {
+                return Some(depth);
+            };
+            if let Some(&successor) = self.successors.get(frame.next) {
+                frame.next += 1;
+                if self.marks[successor as usize] == Mark::New {
+                    next = Some(successor as usize);
+                }
+            } else {
+                self.marks[frame.id] = Mark::Done;
+                self.successors.truncate(frame.start);
+                self.stack.pop();
+            }
+        }
+    }
+
+    /// Pushes the successors the search follows from the current
+    /// configuration: the enabled moves of the first machine, in index
+    /// order, that is eligible, has no row on the `visible` queue and
+    /// reaches no configuration on the stack; every enabled move when no
+    /// machine qualifies.
+    fn expand(&mut self, system: &System, k: u32, visible: u32) {
+        let machine_count = system.machines.len();
+        for index in 0..machine_count {
+            let invisible =
+                (self.current.rows(system, index).iter()).all(|step| step.queue != visible);
+            if !invisible || !self.current.eligible(system, index, k) {
+                continue;
+            }
+            let start = self.successors.len();
+            self.fire_all(system, k, index);
+            // The stack proviso.
+            let marks = &self.marks;
+            if (self.successors[start..].iter()).all(|&id| marks[id as usize] != Mark::OnStack) {
+                return;
+            }
+            self.successors.truncate(start);
+        }
+        for index in 0..machine_count {
+            self.fire_all(system, k, index);
+        }
+    }
+
+    /// Pushes the successors of machine `index`'s enabled moves.
+    fn fire_all(&mut self, system: &System, k: u32, index: usize) {
+        for step in self.current.rows(system, index) {
+            if self.current.enabled(step, k) {
+                self.current.fire(index, step, &mut self.scratch);
+                let id = self.store();
+                self.successors.push(id);
+            }
+        }
+    }
+
+    /// Stores the record in `scratch` unless it is there already; its id.
+    fn store(&mut self) -> u32 {
+        let (id, new) = self.explored.insert(&self.scratch);
+        if new {
+            self.marks.push(Mark::New);
+        }
+        id
+    }
 }
 
 /// Builds a system from `(role, local type text)` pairs; test/bench helper.

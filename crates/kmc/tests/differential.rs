@@ -5,7 +5,9 @@
 //! The exact search and the reference must agree on the entire [`Report`]
 //! or on the identical [`Violation`], offending [`Config`] included, and
 //! the reduced verdict must be safe exactly when they are and otherwise
-//! report that same [`Violation`], for
+//! report that same [`Violation`]. On a safe system, `kmc::bounds`'
+//! per-queue searches must find the exact `max_depths`, or give up where
+//! an exact depth reaches `k`. All of this holds for
 //!
 //! * the random systems of the workspace's property tests (their
 //!   generators are included from `tests/generators/`),
@@ -17,9 +19,10 @@
 //! plus directed cases the random ones do not reach: a queue hundreds of
 //! labels long, a state space that doubles the visited table many times,
 //! a message stranded at a terminated machine, one stranded by a machine
-//! the reduction would ignore without its cycle proviso, and the two ways
+//! the reduction would ignore without its cycle proviso, a queue the
+//! bound search would never fill without its stack proviso, and the two ways
 //! a system outgrows `u16` record words — more than 65 535 states in a
-//! machine, or a `k` above 65 535 — which both searches explore with
+//! machine, or a `k` above 65 535 — which every search explores with
 //! `u32` words.
 //!
 //! CI runs this in release as well (`cargo test --release -p kmc`): the
@@ -27,6 +30,7 @@
 //! table growth.
 
 use bench::verification::to_fsm;
+use codegen::MAX_BOUND_SEARCH;
 use kmc::{Report, System, Violation};
 use proptest::prelude::*;
 use theory::fsm::{Action, FsmBuilder, StateIndex};
@@ -185,15 +189,29 @@ mod reference {
 /// Runs the exact search, the reference and the reduced verdict, and
 /// insists on identical results: the exact search and the reference on the
 /// whole [`Report`] or the identical [`Violation`], and the reduced verdict
-/// safe exactly when they are, with that same [`Violation`] otherwise.
+/// safe exactly when they are, with that same [`Violation`] otherwise. On
+/// a safe system the per-queue bound searches must find the exact
+/// `max_depths`, and may give up only where an exact depth reaches `k`.
 fn agree(system: &System, k: usize, what: &str) -> Result<Report, Violation> {
     let exact = kmc::explore(system, k);
     assert_eq!(exact, reference::check(system, k), "{what} at k = {k}");
     match (&exact, kmc::check(system, k)) {
-        (Ok(report), Ok(verdict)) => assert!(
-            verdict.configurations <= report.configurations,
-            "{what} at k = {k}: the reduced search explored {verdict:?}, more than {report:?}"
-        ),
+        (Ok(report), Ok(verdict)) => {
+            assert!(
+                verdict.configurations <= report.configurations,
+                "{what} at k = {k}: the reduced search explored {verdict:?}, more than {report:?}"
+            );
+            match kmc::bounds(system, k).expect("safe at k") {
+                Some(bounds) => {
+                    assert_eq!(bounds.max_depths, report.max_depths, "{what} at k = {k}");
+                    assert!(report.exhaustive, "{what} at k = {k}: {report:?}");
+                }
+                None => assert!(
+                    report.max_depths.iter().any(|&depth| depth >= k),
+                    "{what} at k = {k}: no bounds, but every depth of {report:?} is below k"
+                ),
+            }
+        }
         (Err(violation), Err(reduced)) => assert_eq!(*violation, reduced, "{what} at k = {k}"),
         (_, reduced) => panic!("{what} at k = {k}: exact {exact:?}, reduced {reduced:?}"),
     }
@@ -392,6 +410,21 @@ fn benchmark_corpus_shapes_agree() {
         explored,
         [(142, 146), (226, 231), (56, 60), (92, 97), (37, 37)]
     );
+    // The channel bounds of the four Scribble entries, which `verify_kmc`
+    // asks for at k = 16: what the exact search explores, 10 384 in all,
+    // and what the per-queue searches store, 6 061 in all. On pmesh-4 the
+    // per-queue searches store more than the exact search explores.
+    let (mut exact, mut per_queue) = (Vec::new(), Vec::new());
+    for (name, system, _) in &safe[..4] {
+        let report = agree(system, MAX_BOUND_SEARCH, name).expect("safe");
+        let bounds = kmc::bounds(system, MAX_BOUND_SEARCH)
+            .unwrap()
+            .expect("below k");
+        exact.push(report.configurations);
+        per_queue.push(bounds.configurations);
+    }
+    assert_eq!(exact, [1_451, 5_803, 326, 2_804]);
+    assert_eq!(per_queue, [1_237, 2_212, 643, 1_969]);
 
     // A ring in which nobody sends first can never move.
     let stuck = ring_of(3, |prev, next| format!("rec x . p{prev}?v . p{next}!v . x"));
@@ -470,6 +503,29 @@ fn ignored_machine_is_expanded_where_a_cycle_closes() {
         agree(&system, 1, "ignoring"),
         Err(Violation::OrphanMessages(_))
     ));
+}
+
+/// Directed: `a` and `c` exchange forever and come before `b`, which
+/// sends twice on its queue to `d`. A search of that queue's depth that
+/// expanded only `a` and `c` would close their cycle without ever moving
+/// `b`, and read depth 0; the stack proviso expands every machine where a
+/// reduced successor is on the depth-first stack.
+#[test]
+fn visible_queue_is_reached_where_a_cycle_closes() {
+    let system = kmc::system_from_locals(&[
+        ("a", "rec x . c!p . c?q . x"),
+        ("b", "d!v . d!v . end"),
+        ("c", "rec x . a?p . a!q . x"),
+        ("d", "b?v . b?v . end"),
+    ])
+    .unwrap();
+    let report = agree(&system, MAX_BOUND_SEARCH, "cycle before the visible queue").expect("safe");
+    let bounds = kmc::bounds(&system, MAX_BOUND_SEARCH)
+        .unwrap()
+        .expect("below k");
+    let b_to_d = 4 + 3;
+    assert_eq!(bounds.max_depths[b_to_d], 2);
+    assert_eq!(bounds.max_depths, report.max_depths);
 }
 
 /// Directed: a two-machine loop of 70 000 states, more than a `u16` word
