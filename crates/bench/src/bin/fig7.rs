@@ -18,8 +18,10 @@
 //! pipeline tables add two reduced searches beside it, each capped the
 //! same way: the verdict (`kmc::check`), and the channel bounds codegen
 //! asks for (`kmc::bounds` at `codegen::MAX_BOUND_SEARCH`, one search per
-//! queue). A bounds cell reads `–` where some depth reaches that bound,
-//! since only the exact search could then say whether it is exhaustive.
+//! queue). A bounds cell reads `–` where the exact search at that bound
+//! is not exhaustive, since some queue would hold more: `kmc::bounds`
+//! then gives no depths. A larger ring or pipeline only fills its queues
+//! further, so every later cell reads `–` without a search.
 //! Both tables close with the configurations the verdict's searches
 //! explored at the largest `n` the exact column timed, and those the
 //! bound searches stored against the exact search's at k = 16, at n = 8.
@@ -114,6 +116,8 @@ struct KmcColumns {
     exact: bool,
     reduced: bool,
     bounds: bool,
+    /// Whether a row's bound search gave no depths.
+    past_bound: bool,
     /// The largest `n` the exact column timed.
     largest: Option<usize>,
 }
@@ -124,14 +128,15 @@ impl KmcColumns {
             exact: true,
             reduced: true,
             bounds: true,
+            past_bound: false,
             largest: None,
         }
     }
 
     /// The row's exact, reduced and bounds cells. [`time_check`] asserts
     /// that each timed verdict is the safe one, so two cells of a row
-    /// agree. A bound search that reaches the bound is not timed: its cell
-    /// reads `–`.
+    /// agree. A bound search that gives no depths is not timed: its cell,
+    /// and every later one, reads `–`.
     fn cells(
         &mut self,
         n: usize,
@@ -144,7 +149,8 @@ impl KmcColumns {
             self.largest = Some(n);
         }
         let reduced = time_capped(&mut self.reduced, reduced);
-        let bounds = if self.bounds && !bounds() {
+        self.past_bound |= self.bounds && !bounds();
+        let bounds = if self.past_bound {
             "–".into()
         } else {
             fmt(time_capped(&mut self.bounds, bounds))
@@ -169,16 +175,17 @@ impl KmcColumns {
         println!("# n = {n}: the reduced search explored {explored} of {reachable} reachable configurations");
         let (system, _) = instance(BOUNDS_AT);
         let k = codegen::MAX_BOUND_SEARCH;
-        let bounds = (kmc::bounds(&system, k).expect("safe")).expect("the depths stay below k");
+        let (max_depths, stored) =
+            (kmc::bounds_stored(&system, k).expect("safe")).expect("exhaustive at k");
         let report = kmc::explore(&system, k).expect("safe");
         assert_eq!(
-            bounds.max_depths, report.max_depths,
+            max_depths, report.max_depths,
             "the bound searches find the exact depths"
         );
         println!(
             "# n = {BOUNDS_AT}: the bound searches at k = {k} stored {} configurations; \
              the exact search explores {}",
-            bounds.configurations, report.configurations
+            stored, report.configurations
         );
     }
 }

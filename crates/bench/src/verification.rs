@@ -62,7 +62,8 @@ fn kmc_safe_reduced((system, k): (kmc::System, usize)) -> bool {
 
 /// The channel bounds [`codegen::verified_channel_bounds`] asks for: the
 /// per-queue searches of [`kmc::bounds`] at [`codegen::MAX_BOUND_SEARCH`]
-/// on a family's safe system. False when some depth reaches that bound.
+/// on a family's safe system. False when the exact search at that bound
+/// would not be exhaustive, so the searches give no depths.
 fn kmc_bounded((system, _): (kmc::System, usize)) -> bool {
     kmc::bounds(&system, codegen::MAX_BOUND_SEARCH)
         .expect("a safe system")
@@ -363,7 +364,7 @@ pub mod ring {
     }
 
     /// The whole optimised system's channel bounds from the per-queue
-    /// searches; false when a depth reaches the bound.
+    /// searches; false when they give no depths.
     pub fn kmc_bounds(n: usize) -> bool {
         super::kmc_bounded(kmc_instance(n))
     }
@@ -510,7 +511,7 @@ pub mod k_buffering {
     }
 
     /// The pipeline's channel bounds from the per-queue searches; false
-    /// when a depth reaches the bound.
+    /// when they give no depths.
     pub fn kmc_pipeline_bounds(stages: usize) -> bool {
         super::kmc_bounded(kmc_pipeline_instance(stages))
     }

@@ -145,3 +145,26 @@ fn violating_and_unbounded_systems_agree_on_no_bounds() {
         assert!(bounds.is_empty(), "{what}: {bounds:?}");
     }
 }
+
+/// Directed: `a` sends `depth` messages before `b` receives any. At
+/// `depth = MAX_BOUND_SEARCH` the queue fills exactly to the bound and the
+/// search is exhaustive, so the bound is verified; one more message finds
+/// the queue full, and no bound is.
+#[test]
+fn a_queue_filled_exactly_to_the_bound_agrees() {
+    for depth in [MAX_BOUND_SEARCH - 1, MAX_BOUND_SEARCH, MAX_BOUND_SEARCH + 1] {
+        let sends = "b!v . ".repeat(depth) + "end";
+        let receives = "a?v . ".repeat(depth) + "end";
+        let what = format!("{depth} sends before a receive");
+        let bounds = assert_agrees(
+            &what,
+            &analysis_of(machines(&[("a", &sends), ("b", &receives)])),
+        );
+        let expected = if depth <= MAX_BOUND_SEARCH {
+            vec![(Name::from("a"), Name::from("b"), depth)]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(bounds, expected, "{what}");
+    }
+}

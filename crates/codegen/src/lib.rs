@@ -214,10 +214,8 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 ///
 /// Asks [`kmc::bounds`] at `k =` [`MAX_BOUND_SEARCH`]: the k-MC verdict,
 /// then one reduced search per queue for that queue's exact maximum
-/// depth. When every depth stays below the bound, no send ever found its
-/// queue full, so these are the depths an exhaustive exact search reports;
-/// when some queue reaches the bound, the exact search, [`kmc::explore`],
-/// decides whether the run is exhaustive. An exhaustive run explores the
+/// depth, given exactly when the exact search at that `k` is exhaustive
+/// (no send ever finds its queue full). An exhaustive run explores the
 /// same configurations as every `k` from the smallest exhaustive one up,
 /// so its maxima are the tight static bounds; and since reachable
 /// configurations only grow with `k`, a violation at a smaller `k` shows
@@ -229,12 +227,8 @@ pub fn verified_channel_bounds(analysis: &Analysis) -> Vec<(Name, Name, usize)> 
         return Vec::new();
     };
     match kmc::bounds(&system, MAX_BOUND_SEARCH) {
-        Ok(Some(bounds)) => bounds.channel_bounds(&system),
-        Ok(None) => match kmc::explore(&system, MAX_BOUND_SEARCH) {
-            Ok(report) if report.exhaustive => report.channel_bounds(&system),
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
+        Ok(Some(max_depths)) => kmc::channel_bounds(&max_depths, &system),
+        _ => Vec::new(),
     }
 }
 

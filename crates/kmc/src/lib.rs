@@ -24,13 +24,12 @@
 //! [`Report`]: the verdict, k-exhaustivity and each channel's maximum
 //! depth. [`check`] returns only the verdict, from a search that skips
 //! most interleavings of independent moves (below). [`bounds`] returns the
-//! verdict and, when every channel stays below `k`, each channel's exact
-//! maximum depth, from one such reduced search per queue. Whoever reads
-//! [`Report::exhaustive`] — `rumpsteak-gen --check`, the `kmc` binary,
-//! Fig 7's baseline column, and codegen's channel bounds when [`bounds`]
-//! gives up — calls [`explore`]; codegen's channel bounds call [`bounds`]
-//! first; a caller that wants to know whether the system is safe calls
-//! [`check`].
+//! verdict and, exactly when [`explore`] would report an exhaustive
+//! search, each channel's maximum depth, from one such reduced search per
+//! queue. Whoever reads [`Report::exhaustive`] — `rumpsteak-gen --check`,
+//! the `kmc` binary, Fig 7's baseline column — calls [`explore`];
+//! codegen's channel bounds call [`bounds`]; a caller that wants to know
+//! whether the system is safe calls [`check`].
 //!
 //! # Reduced verdicts
 //!
@@ -109,11 +108,15 @@
 //! unlike [`check`] the search reduces systems with mixed-peer states
 //! too.
 //!
-//! A search stops once its queue reaches `k`, and [`bounds`] returns
-//! `None`: the queue may have been full when a send needed it, which only
-//! [`explore`] can tell. When every queue stays below `k`, no send ever
-//! found its queue full, so the bound changed nothing, and [`explore`]
-//! would report an exhaustive search with these same depths.
+//! The searches run at bound `k + 1`, and one stops once its queue
+//! reaches `k + 1`, where [`bounds`] returns `None`. This is exactly when
+//! [`explore`] at `k` is not exhaustive. If a queue ever holds `k + 1`
+//! labels, take the shortest execution that gets it there: every queue
+//! holds at most `k` labels before its last send, which therefore runs at
+//! bound `k` too and finds its queue full there. If no queue ever holds
+//! more than `k`, no send finds its queue full at `k`, so bounds `k` and
+//! `k + 1` reach the same configurations, and [`explore`] reports an
+//! exhaustive search with these same depths.
 //!
 //! **Why depth-first.** The proviso needs a stack. The breadth-first
 //! proviso of [`check`] expands in full whenever a successor was seen
@@ -532,9 +535,10 @@ impl Report {
     }
 }
 
-/// The non-zero `max_depths` of `system`'s channels as `(from, to, depth)`
-/// triples, in channel-index order.
-fn channel_bounds(max_depths: &[usize], system: &System) -> Vec<(Name, Name, usize)> {
+/// The non-zero `max_depths` of `system`'s channels, indexed
+/// `from * n + to` as [`Report::max_depths`] and [`bounds`] give them, as
+/// `(from, to, depth)` triples in channel-index order.
+pub fn channel_bounds(max_depths: &[usize], system: &System) -> Vec<(Name, Name, usize)> {
     let n = system.roles.len();
     assert_eq!(max_depths.len(), n * n, "depths/system mismatch");
     let mut bounds = Vec::new();
@@ -1007,63 +1011,52 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
     })
 }
 
-/// Exact channel bounds from [`bounds`]: the depths [`explore`] reports of
-/// an exhaustive search, from one reduced search per queue.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Bounds {
-    /// Configurations the per-queue searches stored, summed over the
-    /// queues. A search stores every successor it generates, including
-    /// those of a machine the stack proviso then passes over, so on a
-    /// small system the sum can exceed the reachable configurations.
-    pub configurations: usize,
-    /// Maximum depth each channel reaches, indexed `from * n + to` like
-    /// [`Report::max_depths`]: each one below the `k` searched at, so no
-    /// send ever finds its queue full and these are tight static bounds.
-    pub max_depths: Vec<usize>,
-}
-
-impl Bounds {
-    /// The channels that ever carry a message, as `(from, to, max_depth)`
-    /// triples, like [`Report::channel_bounds`].
-    pub fn channel_bounds(&self, system: &System) -> Vec<(Name, Name, usize)> {
-        channel_bounds(&self.max_depths, system)
-    }
-}
-
-/// Each channel's maximum depth at bound `k` (`k ≥ 1`), when every depth
-/// stays below `k`.
+/// Each channel's maximum depth, indexed `from * n + to` like
+/// [`Report::max_depths`], when [`explore`] at bound `k` would report an
+/// exhaustive search; `None` when it would not.
 ///
 /// First decides k-MC safety with [`check`] and returns its [`Violation`].
-/// Then runs one reduced depth-first search per queue (see "Exact bounds
-/// from per-queue searches" in the module docs). When every depth stays
-/// below `k`, no send ever found its queue full, so [`explore`] would
-/// report the search exhaustive with these same depths. When some queue
-/// reaches `k`, returns `Ok(None)`: whether the search is exhaustive then
-/// depends on whether a send found that queue full, which only
-/// [`explore`] answers.
-pub fn bounds(system: &System, k: usize) -> Result<Option<Bounds>, Violation> {
+/// Then runs one reduced depth-first search per queue at bound `k + 1`
+/// (see "Exact bounds from per-queue searches" in the module docs). When
+/// every depth stays at or below `k`, no send ever finds its queue full at
+/// bound `k`, so [`explore`] reports an exhaustive search with these same
+/// depths, which are then tight static bounds. When some depth exceeds
+/// `k`, a send finds that queue full at bound `k`, and this returns
+/// `Ok(None)`.
+pub fn bounds(system: &System, k: usize) -> Result<Option<Vec<usize>>, Violation> {
+    Ok(bounds_stored(system, k)?.map(|(max_depths, _)| max_depths))
+}
+
+/// [`bounds`], with the configurations its per-queue searches stored,
+/// summed over the queues. A search stores every successor it generates,
+/// including those of a machine the stack proviso then passes over, so on
+/// a small system the sum can exceed the reachable configurations. For
+/// the differential test's pins and Fig 7's explored line.
+#[doc(hidden)]
+pub fn bounds_stored(system: &System, k: usize) -> Result<Option<(Vec<usize>, usize)>, Violation> {
     check(system, k)?;
-    let k = queue_bound(k);
-    Ok(if narrow(system, k) {
-        bounds_words::<u16>(system, k)
+    // The searches run one message past `k`, so that a queue that ever
+    // holds more than `k` shows as one that reaches the search's bound.
+    let limit = queue_bound(k).saturating_add(1);
+    Ok(if narrow(system, limit) {
+        bounds_words::<u16>(system, limit)
     } else {
-        bounds_words::<u32>(system, k)
+        bounds_words::<u32>(system, limit)
     })
 }
 
-/// [`bounds`]' per-queue searches on records of `W` words; `k` fits a `W`.
-fn bounds_words<W: Word>(system: &System, k: u32) -> Option<Bounds> {
+/// [`bounds_stored`]' per-queue searches at bound `limit` on records of
+/// `W` words; `limit` fits a `W`. `None` once a queue reaches `limit`.
+fn bounds_words<W: Word>(system: &System, limit: u32) -> Option<(Vec<usize>, usize)> {
     let machine_count = system.machines.len();
     let mut search = DepthSearch::<W>::new();
-    let mut bounds = Bounds {
-        configurations: 0,
-        max_depths: vec![0; machine_count * machine_count],
-    };
+    let mut max_depths = vec![0; machine_count * machine_count];
+    let mut configurations = 0;
     for (queue, &channel) in system.channels.iter().enumerate() {
-        bounds.max_depths[channel] = search.max_depth(system, k, index_u32(queue))? as usize;
-        bounds.configurations += search.explored.len();
+        max_depths[channel] = search.max_depth(system, limit, index_u32(queue))? as usize;
+        configurations += search.explored.len();
     }
-    Some(bounds)
+    Some((max_depths, configurations))
 }
 
 /// Where a record stands in [`DepthSearch`].

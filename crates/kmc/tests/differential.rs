@@ -6,8 +6,8 @@
 //! or on the identical [`Violation`], offending [`Config`] included, and
 //! the reduced verdict must be safe exactly when they are and otherwise
 //! report that same [`Violation`]. On a safe system, `kmc::bounds`'
-//! per-queue searches must find the exact `max_depths`, or give up where
-//! an exact depth reaches `k`. All of this holds for
+//! per-queue searches must give depths exactly when the exact search is
+//! exhaustive, and then its `max_depths`. All of this holds for
 //!
 //! * the random systems of the workspace's property tests (their
 //!   generators are included from `tests/generators/`),
@@ -190,8 +190,8 @@ mod reference {
 /// insists on identical results: the exact search and the reference on the
 /// whole [`Report`] or the identical [`Violation`], and the reduced verdict
 /// safe exactly when they are, with that same [`Violation`] otherwise. On
-/// a safe system the per-queue bound searches must find the exact
-/// `max_depths`, and may give up only where an exact depth reaches `k`.
+/// a safe system the per-queue bound searches must give depths exactly
+/// when the exact search is exhaustive, and then its `max_depths`.
 fn agree(system: &System, k: usize, what: &str) -> Result<Report, Violation> {
     let exact = kmc::explore(system, k);
     assert_eq!(exact, reference::check(system, k), "{what} at k = {k}");
@@ -201,15 +201,14 @@ fn agree(system: &System, k: usize, what: &str) -> Result<Report, Violation> {
                 verdict.configurations <= report.configurations,
                 "{what} at k = {k}: the reduced search explored {verdict:?}, more than {report:?}"
             );
-            match kmc::bounds(system, k).expect("safe at k") {
-                Some(bounds) => {
-                    assert_eq!(bounds.max_depths, report.max_depths, "{what} at k = {k}");
-                    assert!(report.exhaustive, "{what} at k = {k}: {report:?}");
-                }
-                None => assert!(
-                    report.max_depths.iter().any(|&depth| depth >= k),
-                    "{what} at k = {k}: no bounds, but every depth of {report:?} is below k"
-                ),
+            let bounds = kmc::bounds(system, k).expect("safe at k");
+            assert_eq!(
+                bounds.is_some(),
+                report.exhaustive,
+                "{what} at k = {k}: bounds {bounds:?}, exact {report:?}"
+            );
+            if let Some(max_depths) = bounds {
+                assert_eq!(max_depths, report.max_depths, "{what} at k = {k}");
             }
         }
         (Err(violation), Err(reduced)) => assert_eq!(*violation, reduced, "{what} at k = {k}"),
@@ -417,11 +416,11 @@ fn benchmark_corpus_shapes_agree() {
     let (mut exact, mut per_queue) = (Vec::new(), Vec::new());
     for (name, system, _) in &safe[..4] {
         let report = agree(system, MAX_BOUND_SEARCH, name).expect("safe");
-        let bounds = kmc::bounds(system, MAX_BOUND_SEARCH)
+        let (_, stored) = kmc::bounds_stored(system, MAX_BOUND_SEARCH)
             .unwrap()
-            .expect("below k");
+            .expect("exhaustive at k");
         exact.push(report.configurations);
-        per_queue.push(bounds.configurations);
+        per_queue.push(stored);
     }
     assert_eq!(exact, [1_451, 5_803, 326, 2_804]);
     assert_eq!(per_queue, [1_237, 2_212, 643, 1_969]);
@@ -520,12 +519,12 @@ fn visible_queue_is_reached_where_a_cycle_closes() {
     ])
     .unwrap();
     let report = agree(&system, MAX_BOUND_SEARCH, "cycle before the visible queue").expect("safe");
-    let bounds = kmc::bounds(&system, MAX_BOUND_SEARCH)
+    let max_depths = kmc::bounds(&system, MAX_BOUND_SEARCH)
         .unwrap()
-        .expect("below k");
+        .expect("exhaustive at k");
     let b_to_d = 4 + 3;
-    assert_eq!(bounds.max_depths[b_to_d], 2);
-    assert_eq!(bounds.max_depths, report.max_depths);
+    assert_eq!(max_depths[b_to_d], 2);
+    assert_eq!(max_depths, report.max_depths);
 }
 
 /// Directed: a two-machine loop of 70 000 states, more than a `u16` word
