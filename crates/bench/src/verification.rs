@@ -37,15 +37,14 @@ fn rediscover(role: &str, projected: &LocalType, expected: &LocalType, depth: us
     )
     .expect("projection converts to an FSM");
     let target = to_fsm(role, expected);
-    outcome
+    let found = outcome
         .candidates
         .iter()
         .find(|candidate| candidate.fsm == target)
         .unwrap_or_else(|| {
             panic!("optimiser no longer derives the hand-written reordering of {role}")
-        })
-        .local
-        .clone()
+        });
+    outcome.local(found)
 }
 
 /// Runs the exact k-MC search, the paper's unreduced baseline tool, on a
@@ -324,7 +323,7 @@ pub mod ring {
             &optimiser::Config::with_depth(0),
         )
         .expect("projection converts");
-        let best = outcome.best_local().clone();
+        let best = outcome.best_local();
         assert_eq!(
             super::to_fsm(&role(i), &best),
             super::to_fsm(&role(i), &optimised(i, n)),

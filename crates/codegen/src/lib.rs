@@ -166,7 +166,7 @@ pub fn optimise(
     let mut reports = Vec::with_capacity(analysis.locals.len());
     for ((role, local), machine) in analysis.locals.iter_mut().zip(&mut analysis.fsms) {
         let outcome = optimiser::optimise(role, local, config).map_err(|e| Error::Fsm(*role, e))?;
-        *local = outcome.best_local().clone();
+        *local = outcome.best_local();
         *machine = outcome.best_fsm().clone();
         reports.push(outcome.report());
     }

@@ -1,7 +1,8 @@
 //! Golden-file tests: the generated Rust for **every** protocol under
 //! `tests/protocols/` is pinned byte-for-byte — the corpus is discovered
 //! by globbing, so adding a protocol without a golden fails the suite —
-//! and so is what the optimise pass picks for each of them.
+//! and so are what the optimise pass picks for each of them and, by
+//! digest, the whole `--report` it writes.
 //!
 //! A protocol may carry a directive comment naming its generation flags
 //! (parameter bindings, skeleton emission):
@@ -21,6 +22,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use theory::json::Json;
 use theory::Name;
 
 fn fixture(dir: &str, name: &str) -> PathBuf {
@@ -159,8 +161,9 @@ fn optimiser_picks_are_pinned_across_the_corpus() {
         PICKS.map(|(stem, _)| stem),
         "corpus and pin table differ"
     );
-    for ((stem, source), (_, picks)) in corpus.iter().zip(PICKS) {
-        for (bound, expected) in (1..).zip(picks) {
+    let pins = PICKS.into_iter().zip(REPORT_DIGESTS);
+    for ((stem, source), ((_, picks), digests)) in corpus.iter().zip(pins) {
+        for ((bound, expected), digest) in (1..).zip(picks).zip(digests) {
             let mut analysis =
                 codegen::analyse_with(source, &directive(source).params).expect("analyses");
             let reports = codegen::optimise(&mut analysis, &optimiser::Config::with_depth(bound))
@@ -172,9 +175,38 @@ fn optimiser_picks_are_pinned_across_the_corpus() {
                 .collect();
             improved.sort();
             assert_eq!(improved, expected, "`{stem}` at --bound {bound}");
+            // The whole report, as `--report` writes it, byte for byte.
+            let text = format!("{:#}\n", reports.to_json());
+            assert_eq!(
+                fnv1a(text.as_bytes()),
+                digest,
+                "`{stem}`'s report at --bound {bound} changed"
+            );
         }
     }
 }
+
+/// 64-bit FNV-1a: a stable digest of a report's text.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// [`fnv1a`] of the JSON `--optimise --bound 1..=3 --report` writes for
+/// every corpus protocol at its directive's parameters, in `PICKS` order.
+const REPORT_DIGESTS: [[u64; 3]; 10] = [
+    [0x136fbd8bd3e46c5e, 0xab2fb5b603606353, 0xf7304cca61a6f6de], // double_buffering
+    [0x6b1151b67a0ba82f, 0xd151102c38e8e9bd, 0x0205f93a617480fb], // dstreaming
+    [0xff96320f7aabb1e8, 0xf7aa92e1997ffb65, 0xf4b01a41002aaad7], // gather
+    [0x12d4e4227aa6754f, 0xf5ab1e6951804aab, 0xf752e4c1bd58f785], // kbuffering
+    [0x12d4e4227aa6754f, 0xf5ab1e6951804aab, 0xf752e4c1bd58f785], // kbuffering_opt
+    [0xdd668ca98403a12c, 0xfae058f60be2e917, 0xadf1c6227bdb3f3c], // pmesh
+    [0x460c7d1a4b669754, 0x3961a292fa84ad48, 0x76bfeabe664df3cc], // pring
+    [0x4cb9e8cf30eff9cc, 0x913099ab74f1679b, 0x5de790263a8c1c96], // ring
+    [0x6b1151b67a0ba82f, 0xd151102c38e8e9bd, 0x0205f93a617480fb], // streaming
+    [0x14ab4b6fefd8a9c6, 0x42b1065053a998de, 0xfb920c671561c796], // swap
+];
 
 #[test]
 fn generation_is_deterministic_across_runs() {

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Exits 0 when the system is k-MC safe, 1 on a violation, 2 on a usage,
-//! I/O or system error.
+//! I/O or system error (a file with no machine in it is one).
 
 use std::process::ExitCode;
 

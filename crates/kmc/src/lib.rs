@@ -287,6 +287,8 @@ const MIXED_PEERS: u32 = u32::MAX - 1;
 /// Errors constructing a [`System`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SystemError {
+    /// There is no machine at all.
+    NoMachines,
     /// Two machines share a role name.
     DuplicateRole(Name),
     /// A machine has no states, so it has no initial state.
@@ -298,6 +300,7 @@ pub enum SystemError {
 impl fmt::Display for SystemError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SystemError::NoMachines => f.write_str("no machines"),
             SystemError::DuplicateRole(role) => write!(f, "duplicate role {role}"),
             SystemError::NoStates(role) => write!(f, "machine {role} has no states"),
             SystemError::UnknownPeer { role, peer } => {
@@ -312,6 +315,9 @@ impl std::error::Error for SystemError {}
 impl System {
     /// Builds a system from per-participant machines.
     pub fn new(machines: Vec<Fsm>) -> Result<Self, SystemError> {
+        if machines.is_empty() {
+            return Err(SystemError::NoMachines);
+        }
         let roles: Vec<Name> = machines.iter().map(|machine| machine.role).collect();
         for (index, role) in roles.iter().enumerate() {
             if roles[..index].contains(role) {
@@ -1367,6 +1373,16 @@ mod tests {
     fn unknown_peer_rejected() {
         let result = system_from_locals(&[("a", "z!x.end")]);
         assert!(result.is_err());
+    }
+
+    /// A system of no machines is an error, not a system with one
+    /// (empty) configuration that is trivially safe.
+    #[test]
+    fn system_without_machines_rejected() {
+        let error = System::new(Vec::new()).unwrap_err();
+        assert_eq!(error, SystemError::NoMachines);
+        assert_eq!(error.to_string(), "no machines");
+        assert!(system_from_locals(&[]).is_err());
     }
 
     /// A machine without states has no initial state to explore from.

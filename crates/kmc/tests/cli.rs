@@ -119,6 +119,17 @@ fn invalid_systems_exit_2() {
 }
 
 #[test]
+fn a_file_without_machines_exits_2() {
+    for (name, system) in [("empty", ""), ("comments_only", "# nothing\n\n  # here\n")] {
+        assert_eq!(
+            check(name, system, &[]),
+            (2, String::new(), line("invalid system: no machines")),
+            "{name}"
+        );
+    }
+}
+
+#[test]
 fn k_below_1_exits_2() {
     for k in ["0", "x"] {
         assert_eq!(

@@ -137,9 +137,10 @@ pub fn step_saving_ns(step: &Step) -> f64 {
 }
 
 /// Estimated nanoseconds a whole derivation saves: the sum of its steps'
-/// savings.
-pub fn saving_ns(derivation: &[Step]) -> f64 {
-    derivation.iter().map(step_saving_ns).sum()
+/// savings, taken in the order given (application order, for a
+/// derivation).
+pub fn saving_ns<'a>(derivation: impl IntoIterator<Item = &'a Step>) -> f64 {
+    derivation.into_iter().map(step_saving_ns).sum()
 }
 
 #[cfg(test)]

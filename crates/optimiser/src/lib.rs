@@ -20,16 +20,21 @@
 //!    reorderings survive. Each candidate is checked as the machine
 //!    [`Terms::machine`] builds from its arena id — the one builder,
 //!    which `fsm::from_local` runs too — against the projection's,
-//!    through one reused `subtyping::SubtypeVisitor`; only a verified
-//!    candidate becomes a [`LocalType`], and its [`Fsm`] is the machine
-//!    just checked;
+//!    through one reused `subtyping::SubtypeVisitor`. A verified
+//!    [`Candidate`] keeps the machine just checked, its arena id and its
+//!    generation record; its score and saving are summed along the
+//!    record's parent chain, root to leaf, without copying a step;
 //! 3. **score** — rank the verified candidates by *estimated nanoseconds
 //!    saved* under the [`cost`] price list (each crossed receive weighted
 //!    by its payload's wire size, minus the occupancy of hoisting the
 //!    payload earlier), then by receives crossed, then towards smaller
 //!    machines;
 //! 4. **report** — return the best verified subtype plus a
-//!    machine-readable [`Report`] of the whole search.
+//!    machine-readable [`Report`] of the whole search. The [`Optimised`]
+//!    outcome keeps the search's arena and generation records, so a
+//!    candidate's [`LocalType`] ([`Optimised::local`]) and derivation
+//!    ([`Optimised::derivation`]) are built only when they are asked for:
+//!    by the report, by emission of the winner, or by a test.
 //!
 //! Candidates whose hoisted payload data-depends on a crossed receive
 //! (the forwarding shape `p?value(S)…q!value(S)`) are pruned during
@@ -46,7 +51,7 @@
 //! // ...contains the hand-derived optimised kernel M'k (Fig 4b) among
 //! // its verified candidates, each a proven subtype of the projection.
 //! let fig4b = local::parse("s!ready . rec x . s!ready . s?value . t?ready . t!value . x").unwrap();
-//! assert!(outcome.candidates.iter().any(|c| c.local == fig4b));
+//! assert!(outcome.candidates.iter().any(|c| outcome.local(c) == fig4b));
 //! assert!(outcome.best().is_some());
 //! ```
 
@@ -102,15 +107,17 @@ impl Default for Config {
     }
 }
 
-/// One verified reordering of the projection.
+/// One verified reordering of the projection: a term of the search's
+/// arena, whose local type and derivation the [`Optimised`] it came from
+/// builds on demand ([`Optimised::local`], [`Optimised::derivation`]).
 #[derive(Clone, Debug)]
 pub struct Candidate {
-    /// The reordered local type.
-    pub local: LocalType,
+    /// The reordered term.
+    term: TermId,
+    /// Its generation record, the last step of its derivation.
+    entry: usize,
     /// Its FSM (what emission and k-MC consume).
     pub fsm: Fsm,
-    /// The rewrite steps that produced it, in application order.
-    pub derivation: Vec<Step>,
     /// Σ of step scores: receives that sends were moved ahead of.
     pub score: usize,
     /// Estimated nanoseconds the reordering saves ([`cost::saving_ns`]
@@ -142,6 +149,10 @@ pub struct Optimised {
     pub truncated: bool,
     /// The subtype bound the candidates were verified with.
     pub bound: usize,
+    /// The search's arena, which holds every candidate's term.
+    terms: Terms,
+    /// One record per generated candidate, in generation order.
+    generation: Vec<Generated>,
 }
 
 impl Optimised {
@@ -154,10 +165,26 @@ impl Optimised {
             .filter(|c| c.estimated_saving_ns > 0.0)
     }
 
+    /// The reordered local type of `candidate`, one of
+    /// [`candidates`](Self::candidates).
+    pub fn local(&self, candidate: &Candidate) -> LocalType {
+        self.terms.to_local(candidate.term)
+    }
+
+    /// The rewrite steps that produced `candidate`, in application order.
+    pub fn derivation(&self, candidate: &Candidate) -> Vec<Step> {
+        let mut steps: Vec<Step> = chain(&self.generation, candidate.entry)
+            .map(|entry| entry.step.clone())
+            .collect();
+        steps.reverse();
+        steps
+    }
+
     /// The local type to emit: the best improving candidate, or the
     /// projection unchanged.
-    pub fn best_local(&self) -> &LocalType {
-        self.best().map_or(&self.projection, |c| &c.local)
+    pub fn best_local(&self) -> LocalType {
+        self.best()
+            .map_or_else(|| self.projection.clone(), |c| self.local(c))
     }
 
     /// The FSM matching [`best_local`](Self::best_local).
@@ -169,12 +196,12 @@ impl Optimised {
     pub fn report(&self) -> Report {
         let saving = |c: &Candidate| json::rounded(c.estimated_saving_ns, 1);
         let best = self.best().map(|c| BestCandidate {
-            local: c.local.to_string(),
+            local: self.local(c).to_string(),
             score: c.score,
             states: c.fsm.len(),
             visited_pairs: c.stats.visited_pairs,
             estimated_saving_ns: saving(c),
-            derivation: c.derivation.iter().map(Step::to_string).collect(),
+            derivation: self.derivation(c).iter().map(Step::to_string).collect(),
         });
         Report {
             role: self.role.to_string(),
@@ -190,7 +217,7 @@ impl Optimised {
                 .candidates
                 .iter()
                 .map(|c| CandidateSummary {
-                    local: c.local.to_string(),
+                    local: self.local(c).to_string(),
                     score: c.score,
                     states: c.fsm.len(),
                     visited_pairs: c.stats.visited_pairs,
@@ -290,10 +317,12 @@ pub fn optimise(
     let mut generated: Vec<Generated> = Vec::new();
     // Entries of `generated` to expand next; `None` is the projection.
     let mut frontier: Vec<Option<usize>> = vec![None];
+    let mut next = Vec::new();
+    // One walk for every expansion, so its buffers are reused.
+    let mut walk = rewrite::Walk::default();
     let mut truncated = false;
     let mut pruned = 0usize;
     'search: while !frontier.is_empty() {
-        let mut next = Vec::new();
         for &parent in &frontier {
             let (term, depth, anticipations) = parent.map_or((root, 0, 0), |index| {
                 let entry = &generated[index];
@@ -302,10 +331,10 @@ pub fn optimise(
             if depth >= config.max_steps {
                 continue;
             }
-            let rewrites = rewrite::rewrites(&mut terms, term, anticipations < config.unfold_depth);
-            pruned += rewrites.pruned;
+            walk.run(&mut terms, term, anticipations < config.unfold_depth);
+            pruned += walk.found.pruned;
             seen.resize(terms.node_count(), false);
-            for (candidate, step) in rewrites.candidates {
+            for (candidate, step) in walk.found.candidates.drain(..) {
                 if std::mem::replace(&mut seen[candidate.index()], true) {
                     continue;
                 }
@@ -324,16 +353,18 @@ pub fn optimise(
                 next.push(Some(generated.len() - 1));
             }
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
     }
 
     // ---- verify: every candidate against the projection --------------
     // As machines of the arena, rebuilt in one buffer, through one
-    // visitor; only a verified candidate becomes a `LocalType` and keeps
-    // its machine.
+    // visitor; a verified candidate keeps its machine, its arena id and
+    // its generation record, from which its score and saving are summed.
     let mut machine = Fsm::new(*role);
     let mut visitor = SubtypeVisitor::new(config.bound);
     let mut candidates = Vec::new();
+    let mut steps: Vec<&Step> = Vec::new();
     for (index, entry) in generated.iter().enumerate() {
         // A rewrite cannot unguard recursion (no action is ever
         // removed), but stay defensive: drop inconvertible candidates.
@@ -344,14 +375,16 @@ pub fn optimise(
         if !stats.verdict {
             continue;
         }
-        let local = terms.to_local(entry.term);
-        let derivation = derivation(&generated, index);
+        steps.clear();
+        steps.extend(chain(&generated, index).map(|entry| &entry.step));
         candidates.push(Candidate {
+            term: entry.term,
+            entry: index,
             fsm: machine.clone(),
-            local,
-            score: derivation.iter().map(Step::score).sum(),
-            estimated_saving_ns: cost::saving_ns(&derivation),
-            derivation,
+            score: steps.iter().map(|step| step.score()).sum(),
+            // In application order, so the sum's bits are the
+            // derivation's (`cost::saving_ns` of it).
+            estimated_saving_ns: cost::saving_ns(steps.iter().rev().copied()),
             stats,
         });
     }
@@ -377,12 +410,15 @@ pub fn optimise(
         candidates,
         truncated,
         bound: config.bound,
+        terms,
+        generation: generated,
     })
 }
 
 /// One generated candidate: its term, the entry it was rewritten from
 /// (`None` for the projection), the step that did it, and its
 /// derivation's length and anticipations.
+#[derive(Clone, Debug)]
 struct Generated {
     term: TermId,
     parent: Option<usize>,
@@ -391,13 +427,12 @@ struct Generated {
     anticipations: usize,
 }
 
-/// The steps leading to `generated[index]`, in application order.
-fn derivation(generated: &[Generated], index: usize) -> Vec<Step> {
-    let mut steps: Vec<Step> = std::iter::successors(Some(index), |&at| generated[at].parent)
-        .map(|at| generated[at].step.clone())
-        .collect();
-    steps.reverse();
-    steps
+/// The records from `generation[index]` back to the projection: a
+/// derivation, last step first.
+fn chain(generation: &[Generated], index: usize) -> impl Iterator<Item = &Generated> {
+    std::iter::successors(Some(&generation[index]), |entry| {
+        entry.parent.map(|at| &generation[at])
+    })
 }
 
 /// [`optimise`] for a projection already in FSM form (e.g. a type
@@ -435,13 +470,79 @@ mod tests {
                 outcome.bound
             ));
         }
+        // ...and what is built on demand matches what was stored, for the
+        // kernel, a bulky send hoisted across three receives one at a
+        // time (whose savings, summed leaf to root, differ in the last
+        // bit), and every corpus protocol's roles at bounds 1 to 3.
+        on_demand_matches_stored(&outcome);
+        on_demand_matches_stored(&run("q?b . r?c . r?d(i32) . p!c(buf) . end", 1));
+        for path in corpus() {
+            let source = std::fs::read_to_string(&path).unwrap();
+            // The `--param name=value` bindings of its header line.
+            let bindings = source
+                .lines()
+                .next()
+                .and_then(|line| line.strip_prefix("// rumpsteak-gen:"))
+                .into_iter()
+                .flat_map(str::split_whitespace)
+                .filter_map(|word| word.split_once('='))
+                .map(|(name, value)| (Name::from(name), value.parse().unwrap()))
+                .collect();
+            let template = theory::scribble::parse_template(&source).unwrap();
+            let protocol = template.instantiate(&bindings).unwrap();
+            for role in &protocol.roles {
+                let projection = theory::projection::project(&protocol.body, role).unwrap();
+                for depth in 1..=3 {
+                    let config = Config::with_depth(depth);
+                    on_demand_matches_stored(&optimise(role, &projection, &config).unwrap());
+                }
+            }
+        }
+    }
+
+    /// Every `.scr` protocol of the code generator's test corpus.
+    fn corpus() -> Vec<std::path::PathBuf> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../codegen/tests/protocols");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|e| e == "scr"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no protocols under {dir}");
+        paths
+    }
+
+    /// Each candidate's machine, score and saving equal those of the
+    /// local type and derivation built for it on demand; the saving to
+    /// the bit, so a sum taken leaf to root shows.
+    fn on_demand_matches_stored(outcome: &Optimised) {
+        for candidate in &outcome.candidates {
+            let local = outcome.local(candidate);
+            let derivation = outcome.derivation(candidate);
+            assert_eq!(
+                fsm::from_local(&outcome.role, &local).unwrap(),
+                candidate.fsm,
+                "`{local}`"
+            );
+            assert_eq!(
+                derivation.iter().map(Step::score).sum::<usize>(),
+                candidate.score,
+                "`{local}`"
+            );
+            assert_eq!(
+                cost::saving_ns(&derivation).to_bits(),
+                candidate.estimated_saving_ns.to_bits(),
+                "`{local}`"
+            );
+        }
     }
 
     #[test]
     fn double_buffering_kernel_fig4b_is_derived() {
         let outcome = run("rec x . s!ready . s?value . t?ready . t!value . x", 1);
         let fig4b = parse("s!ready . rec x . s!ready . s?value . t?ready . t!value . x").unwrap();
-        assert!(outcome.candidates.iter().any(|c| c.local == fig4b));
+        assert!(outcome.candidates.iter().any(|c| outcome.local(c) == fig4b));
         // The winner strictly improves and is itself verified.
         let best = outcome.best().expect("kernel admits an optimisation");
         assert!(best.score >= 1);
@@ -453,7 +554,7 @@ mod tests {
         // variant): receive-then-send becomes send-then-receive.
         let outcome = run("rec x . p?v . q!v . x", 0);
         assert_eq!(
-            outcome.best().expect("ring optimises").local,
+            outcome.local(outcome.best().expect("ring optimises")),
             parse("rec x . q!v . p?v . x").unwrap()
         );
     }
@@ -465,7 +566,10 @@ mod tests {
         // depth-0 form is still among the verified candidates.
         let outcome = run("rec x . p?v . q!v . x", 1);
         let swapped = parse("rec x . q!v . p?v . x").unwrap();
-        assert!(outcome.candidates.iter().any(|c| c.local == swapped));
+        assert!(outcome
+            .candidates
+            .iter()
+            .any(|c| outcome.local(c) == swapped));
         assert!(outcome.best().expect("ring optimises").score >= 2);
     }
 
@@ -475,7 +579,7 @@ mod tests {
         assert!(outcome.best().is_none());
         assert_eq!(
             outcome.best_local(),
-            &parse("rec x . q!v . p?v . x").unwrap()
+            parse("rec x . q!v . p?v . x").unwrap()
         );
         assert!(!outcome.report().improved);
     }
@@ -488,12 +592,12 @@ mod tests {
         assert!(outcome.best().is_none());
         for candidate in &outcome.candidates {
             assert!(
-                !candidate
-                    .derivation
+                !outcome
+                    .derivation(candidate)
                     .iter()
                     .any(|s| matches!(s, Step::Anticipate { .. })),
                 "unsound anticipation slipped through: {}",
-                candidate.local
+                outcome.local(candidate)
             );
         }
     }
@@ -504,7 +608,7 @@ mod tests {
         // ready receive, so the source streams without blocking.
         let outcome = run("rec l . q?ready . +{ q!value . l, q!stop . end }", 1);
         assert_eq!(
-            outcome.best().expect("source optimises").local,
+            outcome.local(outcome.best().expect("source optimises")),
             parse("rec l . +{ q!value . q?ready . l, q!stop . q?ready . end }").unwrap()
         );
     }
@@ -518,7 +622,8 @@ mod tests {
                 .candidates
                 .iter()
                 .map(|c| {
-                    c.derivation
+                    outcome
+                        .derivation(c)
                         .iter()
                         .filter(|s| matches!(s, Step::Anticipate { .. }))
                         .count()
@@ -536,7 +641,7 @@ mod tests {
         let outcome = optimise_fsm(&machine, &Config::with_depth(0)).unwrap();
         // `to_local` renames recursion variables, so compare machines.
         assert_eq!(
-            fsm::from_local(&"r".into(), &outcome.best().expect("optimises").local).unwrap(),
+            fsm::from_local(&"r".into(), &outcome.best_local()).unwrap(),
             fsm::from_local(&"r".into(), &parse("rec x . q!v . p?v . x").unwrap()).unwrap()
         );
     }
@@ -546,7 +651,7 @@ mod tests {
         outcome
             .candidates
             .iter()
-            .position(|c| c.local.to_string() == local)
+            .position(|c| outcome.local(c).to_string() == local)
             .unwrap_or_else(|| panic!("candidate `{local}` not among the verified"))
     }
 
@@ -577,7 +682,7 @@ mod tests {
         assert!(outcome.candidates[0].score > 0);
         assert!(outcome.candidates[0].estimated_saving_ns < 0.0);
         assert!(outcome.best().is_none());
-        assert_eq!(outcome.best_local(), &outcome.projection);
+        assert_eq!(outcome.best_local(), outcome.projection);
         assert!(!outcome.report().improved);
     }
 
@@ -588,7 +693,7 @@ mod tests {
         assert!(outcome
             .candidates
             .iter()
-            .all(|c| c.derivation.iter().all(|s| s.score() == 0)));
+            .all(|c| outcome.derivation(c).iter().all(|s| s.score() == 0)));
         assert_eq!(outcome.report().pruned, outcome.pruned);
     }
 

@@ -172,6 +172,7 @@ impl fmt::Display for Step {
 
 /// The single-step rewrites of one term, plus how many applications the
 /// data-dependence filter pruned (see the module docs).
+#[derive(Default)]
 pub struct Rewrites {
     /// Every surviving candidate, an id of the rewritten arena, with the
     /// step that produced it.
@@ -189,16 +190,8 @@ pub struct Rewrites {
 /// `allow_anticipate` gates the loop-anticipation rule (the search turns
 /// it off once a candidate has used its unfold budget).
 pub fn rewrites(terms: &mut Terms, term: TermId, allow_anticipate: bool) -> Rewrites {
-    let mut walk = Walk {
-        terms,
-        allow_anticipate,
-        path: Vec::new(),
-        found: Rewrites {
-            candidates: Vec::new(),
-            pruned: 0,
-        },
-    };
-    walk.visit(term);
+    let mut walk = Walk::default();
+    walk.run(terms, term, allow_anticipate);
     walk.found
 }
 
@@ -216,56 +209,72 @@ fn data_depends(
         && (recv_sort.is_subsort_of(&send_sort) || send_sort.is_subsort_of(&recv_sort))
 }
 
-/// One pass of the rules over a term: every position depth-first, the
-/// rules rooted there first, then the subterms in order.
-struct Walk<'a> {
-    terms: &'a mut Terms,
+/// A send or receive action: peer, label and payload sort.
+type Action = (Name, Name, Sort);
+
+/// Passes of the rules over terms: every position depth-first, the rules
+/// rooted there first, then the subterms in order. The search keeps one
+/// walk for all its expansions, so its buffers are allocated once.
+#[derive(Default)]
+pub(crate) struct Walk {
     allow_anticipate: bool,
     /// `(ancestor, child index)` from the root down to the position being
     /// visited.
     path: Vec<(TermId, usize)>,
-    found: Rewrites,
+    /// The rewrites the last [`run`](Walk::run) found.
+    pub(crate) found: Rewrites,
+    /// A loop body's distinct sends and receives ([`body_actions`]).
+    sends: Vec<Action>,
+    receives: Vec<Action>,
 }
 
-impl Walk<'_> {
-    fn visit(&mut self, term: TermId) {
+impl Walk {
+    /// Replaces [`found`](Walk::found) with the rewrites of `term`.
+    pub(crate) fn run(&mut self, terms: &mut Terms, term: TermId, allow_anticipate: bool) {
+        self.allow_anticipate = allow_anticipate;
+        self.found.candidates.clear();
+        self.found.pruned = 0;
+        self.visit(terms, term);
+    }
+
+    fn visit(&mut self, terms: &mut Terms, term: TermId) {
         // Rewrites rooted at this node.
-        match self.terms.node(term) {
+        match terms.node(term) {
             Node::Choice {
                 send: false,
                 peer,
                 branches,
             } if branches.len() == 1 => {
                 let (peer, guard) = (*peer, branches[0]);
-                self.hoist_past_receive(peer, guard);
-                self.swap_receives(peer, guard);
+                self.hoist_past_receive(terms, peer, guard);
+                self.swap_receives(terms, peer, guard);
             }
             Node::Choice {
                 send: false,
                 branches,
                 ..
-            } if branches.len() > 1 => self.hoist_from_branches(term),
+            } if branches.len() > 1 => self.hoist_from_branches(terms, term),
             Node::Choice {
                 send: true,
                 peer,
                 branches,
             } if branches.len() == 1 => {
                 let (peer, outer) = (*peer, branches[0]);
-                self.hoist_past_send(peer, outer);
+                self.hoist_past_send(terms, peer, outer);
             }
             _ => {}
         }
         if self.allow_anticipate {
-            if let Node::Rec(_, body) = *self.terms.node(term) {
-                self.anticipate(term, body);
+            if let Node::Rec(_, body) = *terms.node(term) {
+                self.anticipate(terms, term, body);
             }
         }
 
         // Rewrites in subterms, spliced back into place.
         let mut index = 0;
-        while let Some(child) = self.terms.child(term, index) {
+        while let Some(child) = terms.child(term, index) {
             self.path.push((term, index));
-            self.visit(child);
+            self.visit(terms, child);
             self.path.pop();
             index += 1;
         }
@@ -274,13 +283,13 @@ impl Walk<'_> {
     /// Records the rewrite of the visited position into `replacement`:
     /// each ancestor on the path is rebuilt around its new child, bottom
     /// up, and every other subterm is shared.
-    fn emit(&mut self, replacement: TermId, step: Step) {
+    fn emit(&mut self, terms: &mut Terms, replacement: TermId, step: Step) {
         let term = self
             .path
             .iter()
             .rev()
             .fold(replacement, |child, &(parent, index)| {
-                self.terms.with_child(parent, index, child)
+                terms.with_child(parent, index, child)
             });
         self.found.candidates.push((term, step));
     }
@@ -289,7 +298,7 @@ impl Walk<'_> {
     /// `send_peer`, each continuation wrapped in the crossed single action
     /// (`crossed_send` towards `crossed_peer`).
     fn hoisted(
-        &mut self,
+        terms: &mut Terms,
         send_peer: Name,
         mut branches: Box<[Branch]>,
         crossed_send: bool,
@@ -297,11 +306,9 @@ impl Walk<'_> {
         (label, sort): (Name, Sort),
     ) -> TermId {
         for branch in branches.iter_mut() {
-            branch.2 = self
-                .terms
-                .single(crossed_send, crossed_peer, (label, sort, branch.2));
+            branch.2 = terms.single(crossed_send, crossed_peer, (label, sort, branch.2));
         }
-        self.terms.intern(Node::Choice {
+        terms.intern(Node::Choice {
             send: true,
             peer: send_peer,
             branches,
@@ -309,12 +316,17 @@ impl Walk<'_> {
     }
 
     /// Hoist past receive: `p?a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p?a.Tᵢ`.
-    fn hoist_past_receive(&mut self, peer: Name, (label, sort, continuation): Branch) {
+    fn hoist_past_receive(
+        &mut self,
+        terms: &mut Terms,
+        peer: Name,
+        (label, sort, continuation): Branch,
+    ) {
         let Node::Choice {
             send: true,
             peer: send_peer,
             branches: inner,
-        } = self.terms.node(continuation)
+        } = terms.node(continuation)
         else {
             return;
         };
@@ -332,17 +344,22 @@ impl Walk<'_> {
             send_sorts: inner.iter().map(|&(_, s, _)| s).collect(),
             receive_sort: sort,
         };
-        let replacement = self.hoisted(send_peer, inner, false, peer, (label, sort));
-        self.emit(replacement, step);
+        let replacement = Self::hoisted(terms, send_peer, inner, false, peer, (label, sort));
+        self.emit(terms, replacement, step);
     }
 
     /// Swap receives: `p?a.q?b.T ↦ q?b.p?a.T` for `p ≠ q`.
-    fn swap_receives(&mut self, peer: Name, (label, sort, continuation): Branch) {
+    fn swap_receives(
+        &mut self,
+        terms: &mut Terms,
+        peer: Name,
+        (label, sort, continuation): Branch,
+    ) {
         let Node::Choice {
             send: false,
             peer: moved_peer,
             branches: inner,
-        } = self.terms.node(continuation)
+        } = terms.node(continuation)
         else {
             return;
         };
@@ -353,23 +370,21 @@ impl Walk<'_> {
             return;
         }
         let moved_peer = *moved_peer;
-        let crossed = self.terms.single(false, peer, (label, sort, rest));
-        let replacement = self
-            .terms
-            .single(false, moved_peer, (moved_label, moved_sort, crossed));
+        let crossed = terms.single(false, peer, (label, sort, rest));
+        let replacement = terms.single(false, moved_peer, (moved_label, moved_sort, crossed));
         let step = Step::SwapReceives {
             moved: moved_peer,
             crossed: peer,
         };
-        self.emit(replacement, step);
+        self.emit(terms, replacement, step);
     }
 
     /// Hoist out of branches: `&ᵢ p?ℓᵢ.q!m.Tᵢ ↦ q!m.&ᵢ p?ℓᵢ.Tᵢ`.
-    fn hoist_from_branches(&mut self, term: TermId) {
-        let Node::Choice { peer, branches, .. } = self.terms.node(term) else {
+    fn hoist_from_branches(&mut self, terms: &mut Terms, term: TermId) {
+        let Node::Choice { peer, branches, .. } = terms.node(term) else {
             return;
         };
-        let Some((send_peer, label, sort)) = common_leading_send(self.terms, branches) else {
+        let Some((send_peer, label, sort)) = common_leading_send(terms, branches) else {
             return;
         };
         if branches
@@ -388,27 +403,31 @@ impl Walk<'_> {
             receive_sorts: stripped.iter().map(|&(_, s, _)| s).collect(),
         };
         for branch in stripped.iter_mut() {
-            branch.2 = self
-                .terms
+            branch.2 = terms
                 .child(branch.2, 0)
                 .expect("common_leading_send checked the shape");
         }
-        let crossed = self.terms.intern(Node::Choice {
+        let crossed = terms.intern(Node::Choice {
             send: false,
             peer,
             branches: stripped,
         });
-        let replacement = self.terms.single(true, send_peer, (label, sort, crossed));
-        self.emit(replacement, step);
+        let replacement = terms.single(true, send_peer, (label, sort, crossed));
+        self.emit(terms, replacement, step);
     }
 
     /// Hoist past send: `p!a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p!a.Tᵢ` for `p ≠ q`.
-    fn hoist_past_send(&mut self, peer: Name, (label, sort, continuation): Branch) {
+    fn hoist_past_send(
+        &mut self,
+        terms: &mut Terms,
+        peer: Name,
+        (label, sort, continuation): Branch,
+    ) {
         let Node::Choice {
             send: true,
             peer: inner_peer,
             branches: inner,
-        } = self.terms.node(continuation)
+        } = terms.node(continuation)
         else {
             return;
         };
@@ -418,18 +437,23 @@ impl Walk<'_> {
             return;
         }
         let (inner_peer, inner) = (*inner_peer, inner.clone());
-        let replacement = self.hoisted(inner_peer, inner, true, peer, (label, sort));
+        let replacement = Self::hoisted(terms, inner_peer, inner, true, peer, (label, sort));
         let step = Step::HoistPastSend {
             inner: inner_peer,
             outer: peer,
         };
-        self.emit(replacement, step);
+        self.emit(terms, replacement, step);
     }
 
     /// Anticipate: `μt.T ↦ q!ℓ.μt.T`, once per distinct send of the body.
-    fn anticipate(&mut self, term: TermId, body: TermId) {
-        let receives = body_actions(self.terms, body, false);
-        for (peer, label, sort) in body_actions(self.terms, body, true) {
+    fn anticipate(&mut self, terms: &mut Terms, term: TermId, body: TermId) {
+        // Taken out of the walk while `emit` borrows it, then put back.
+        let (mut sends, mut receives) = (
+            std::mem::take(&mut self.sends),
+            std::mem::take(&mut self.receives),
+        );
+        body_actions(terms, body, &mut sends, &mut receives);
+        for &(peer, label, sort) in &sends {
             if receives
                 .iter()
                 .any(|&(_, l, s)| data_depends((label, sort), (l, s)))
@@ -437,21 +461,22 @@ impl Walk<'_> {
                 self.found.pruned += 1;
                 continue;
             }
-            let replacement = self.terms.single(true, peer, (label, sort, term));
+            let replacement = terms.single(true, peer, (label, sort, term));
             let step = Step::Anticipate {
                 peer,
                 label,
                 sort,
                 crossed_receives: receives.iter().map(|&(_, _, s)| s).collect(),
             };
-            self.emit(replacement, step);
+            self.emit(terms, replacement, step);
         }
+        (self.sends, self.receives) = (sends, receives);
     }
 }
 
 /// When every branch of a multi-label external choice starts with the
 /// same single send, that common `(peer, label, sort)`.
-fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Name, Name, Sort)> {
+fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<Action> {
     let mut common = None;
     for &(_, _, continuation) in branches {
         let Node::Choice {
@@ -473,32 +498,34 @@ fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<(Name, Name
     common
 }
 
-/// Distinct send (`send`) or receive actions occurring anywhere in
-/// `body`, in term order. The receives are what one loop anticipation
-/// pipelines across (and what a forwarded payload may data-depend on).
-fn body_actions(terms: &Terms, body: TermId, send: bool) -> Vec<(Name, Name, Sort)> {
-    fn go(terms: &Terms, term: TermId, send: bool, out: &mut Vec<(Name, Name, Sort)>) {
+/// Replaces `sends` and `receives` with the distinct send and receive
+/// actions occurring anywhere in `body`, each in term order. The receives
+/// are what one loop anticipation pipelines across (and what a forwarded
+/// payload may data-depend on).
+fn body_actions(terms: &Terms, body: TermId, sends: &mut Vec<Action>, receives: &mut Vec<Action>) {
+    fn go(terms: &Terms, term: TermId, sends: &mut Vec<Action>, receives: &mut Vec<Action>) {
         match terms.node(term) {
             Node::End | Node::Var(_) => {}
-            Node::Rec(_, body) => go(terms, *body, send, out),
+            Node::Rec(_, body) => go(terms, *body, sends, receives),
             Node::Choice {
-                send: sends,
+                send,
                 peer,
                 branches,
             } => {
                 for &(label, sort, continuation) in branches.iter() {
                     let action = (*peer, label, sort);
-                    if *sends == send && !out.contains(&action) {
+                    let out = if *send { &mut *sends } else { &mut *receives };
+                    if !out.contains(&action) {
                         out.push(action);
                     }
-                    go(terms, continuation, send, out);
+                    go(terms, continuation, sends, receives);
                 }
             }
         }
     }
-    let mut out = Vec::new();
-    go(terms, body, send, &mut out);
-    out
+    sends.clear();
+    receives.clear();
+    go(terms, body, sends, receives);
 }
 
 #[cfg(test)]

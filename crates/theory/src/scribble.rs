@@ -127,16 +127,21 @@ impl IndexExpr {
     }
 
     fn free_vars(&self, out: &mut BTreeSet<Name>) {
+        self.each_var(&mut |var| {
+            out.insert(var);
+        });
+    }
+
+    /// Calls `visit` on every variable occurrence, left to right.
+    fn each_var(&self, visit: &mut impl FnMut(Name)) {
         match self {
             IndexExpr::Lit(_) => {}
-            IndexExpr::Var(var) => {
-                out.insert(*var);
-            }
+            IndexExpr::Var(var) => visit(*var),
             IndexExpr::Add(left, right)
             | IndexExpr::Sub(left, right)
             | IndexExpr::Mul(left, right) => {
-                left.free_vars(out);
-                right.free_vars(out);
+                left.each_var(visit);
+                right.each_var(visit);
             }
         }
     }
@@ -316,9 +321,9 @@ impl Template {
             }
         }
 
-        // Expand the role list, recording each family's bounds.
+        // Expand the role list, recording each family's bounds and members.
         let mut roles = Vec::new();
-        let mut families: BTreeMap<Name, (i64, i64)> = BTreeMap::new();
+        let mut families = Vec::new();
         for decl in &self.roles {
             match decl {
                 RoleDecl::Single(name) => roles.push(*name),
@@ -330,10 +335,16 @@ impl Template {
                             "role family {name}[{lo}..{hi}] is empty"
                         )));
                     }
-                    for i in lo..=hi {
-                        roles.push(Name::from(format!("{name}{i}")));
-                    }
-                    families.insert(*name, (lo, hi));
+                    let members: Vec<Name> = (lo..=hi)
+                        .map(|i| Name::from(format!("{name}{i}")))
+                        .collect();
+                    roles.extend(&members);
+                    families.push(Family {
+                        name: *name,
+                        lo,
+                        hi,
+                        members,
+                    });
                 }
             }
         }
@@ -358,18 +369,30 @@ impl Template {
     }
 }
 
+/// A role family of one instantiation: `name[lo..hi]` and its members'
+/// role names, `{name}{lo}` to `{name}{hi}`.
+struct Family {
+    name: Name,
+    lo: i64,
+    hi: i64,
+    members: Vec<Name>,
+}
+
 /// Resolves a role reference to a concrete role name under `env`.
-fn resolve_ref(
-    role: &RoleRef,
-    families: &BTreeMap<Name, (i64, i64)>,
-    env: &Bindings,
-) -> Result<Name, ScribbleError> {
+fn resolve_ref(role: &RoleRef, families: &[Family], env: &Bindings) -> Result<Name, ScribbleError> {
     match role {
         RoleRef::Plain(name) => Ok(*name),
         RoleRef::Indexed { family, index } => {
-            let (lo, hi) = families.get(family).ok_or_else(|| {
-                ScribbleError::unpositioned(format!("`{family}` is not a role family"))
-            })?;
+            // The last declaration of a name wins, as it always has.
+            let Family {
+                lo, hi, members, ..
+            } = families
+                .iter()
+                .rev()
+                .find(|declared| declared.name == *family)
+                .ok_or_else(|| {
+                    ScribbleError::unpositioned(format!("`{family}` is not a role family"))
+                })?;
             let i = index.eval(env)?;
             if i < *lo || i > *hi {
                 return Err(ScribbleError::unpositioned(format!(
@@ -377,7 +400,7 @@ fn resolve_ref(
                      declared range [{lo}..{hi}]"
                 )));
             }
-            Ok(Name::from(format!("{family}{i}")))
+            Ok(members[usize::try_from(i - lo).expect("lo <= i <= hi")])
         }
     }
 }
@@ -385,7 +408,7 @@ fn resolve_ref(
 /// Expands a template body to a concrete global type under `env`.
 fn expand(
     template: &TemplateType,
-    families: &BTreeMap<Name, (i64, i64)>,
+    families: &[Family],
     env: &mut Bindings,
 ) -> Result<GlobalType, ScribbleError> {
     match template {
@@ -472,13 +495,21 @@ fn expand(
 fn splice(body: GlobalType, rest: GlobalType) -> GlobalType {
     match body {
         GlobalType::End => rest,
-        GlobalType::Comm { from, to, branches } => {
-            let mut branches = branches;
+        GlobalType::Comm {
+            from,
+            to,
+            mut branches,
+        } => {
             // Foreach bodies contain only message statements, each with
-            // exactly one branch; splice into its continuation.
-            for branch in branches.iter_mut() {
-                let continuation = std::mem::replace(&mut branch.continuation, GlobalType::End);
-                branch.continuation = splice(continuation, rest.clone());
+            // exactly one branch; splice into its continuation. `rest` is
+            // moved into the last branch, copied only into any before it.
+            if let Some((last, others)) = branches.split_last_mut() {
+                for branch in others {
+                    let continuation = std::mem::replace(&mut branch.continuation, GlobalType::End);
+                    branch.continuation = splice(continuation, rest.clone());
+                }
+                let continuation = std::mem::replace(&mut last.continuation, GlobalType::End);
+                last.continuation = splice(continuation, rest);
             }
             GlobalType::Comm { from, to, branches }
         }
@@ -649,13 +680,7 @@ pub fn parse(source: &str) -> Result<Protocol, ScribbleError> {
 /// [`Template`] without instantiating it.
 pub fn parse_template(source: &str) -> Result<Template, ScribbleError> {
     let tokens = lex(source)?;
-    let mut parser = Parser {
-        tokens: &tokens,
-        position: 0,
-        singles: BTreeSet::new(),
-        families: BTreeSet::new(),
-        index_vars: Vec::new(),
-    };
+    let mut parser = Parser::new(&tokens);
     let template = parser.parse_protocol()?;
     if parser.position != parser.tokens.len() {
         return Err(parser.error("trailing tokens after protocol"));
@@ -666,16 +691,41 @@ pub fn parse_template(source: &str) -> Result<Template, ScribbleError> {
 struct Parser<'a> {
     tokens: &'a [Spanned<'a>],
     position: usize,
+    /// The name of every distinct identifier met so far, so the
+    /// process-wide table is consulted once per identifier and parse.
+    names: BTreeMap<&'a str, Name>,
     /// Declared plain roles.
-    singles: BTreeSet<Name>,
+    singles: Vec<Name>,
     /// Declared role families.
-    families: BTreeSet<Name>,
+    families: Vec<Name>,
     /// In-scope index variables: template parameters, then any enclosing
     /// `foreach` variables.
     index_vars: Vec<Name>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(tokens: &'a [Spanned<'a>]) -> Self {
+        Parser {
+            tokens,
+            position: 0,
+            names: BTreeMap::new(),
+            singles: Vec::new(),
+            families: Vec::new(),
+            index_vars: Vec::new(),
+        }
+    }
+
+    /// The name of `ident`.
+    fn intern(&mut self, ident: &'a str) -> Name {
+        *self.names.entry(ident).or_insert_with(|| Name::new(ident))
+    }
+
+    /// The next token as the name of a `what`.
+    fn name(&mut self, what: &str) -> Result<Name, ScribbleError> {
+        let ident = self.ident(what)?;
+        Ok(self.intern(ident))
+    }
+
     fn error(&self, message: impl Into<String>) -> ScribbleError {
         let (line, column) = self
             .tokens
@@ -733,22 +783,22 @@ impl<'a> Parser<'a> {
     fn parse_protocol(&mut self) -> Result<Template, ScribbleError> {
         self.keyword("global")?;
         self.keyword("protocol")?;
-        let name = Name::from(self.ident("protocol name")?);
+        let name = self.name("protocol name")?;
         self.expect(&Token::LParen, "`(`")?;
         let mut roles = Vec::new();
         loop {
             self.keyword("role")?;
-            let role = Name::from(self.ident("role name")?);
+            let role = self.name("role name")?;
             let decl = if self.peek() == Some(&Token::LBracket) {
                 self.position += 1;
                 let lo = self.parse_index_expr()?;
                 self.expect(&Token::DotDot, "`..` in role family range")?;
                 let hi = self.parse_index_expr()?;
                 self.expect(&Token::RBracket, "`]`")?;
-                self.families.insert(role);
+                self.families.push(role);
                 RoleDecl::Family { name: role, lo, hi }
             } else {
-                self.singles.insert(role);
+                self.singles.push(role);
                 RoleDecl::Single(role)
             };
             roles.push(decl);
@@ -817,17 +867,20 @@ impl<'a> Parser<'a> {
     /// enclosing `foreach` variable — otherwise the expression could
     /// never be evaluated by any instantiation.
     fn check_index_scope(&self, expr: &IndexExpr) -> Result<(), ScribbleError> {
-        let mut vars = BTreeSet::new();
-        expr.free_vars(&mut vars);
-        for var in vars {
+        // The error names the first unknown variable in text order.
+        let mut unknown: Option<Name> = None;
+        expr.each_var(&mut |var| {
             if !self.index_vars.contains(&var) {
-                return Err(self.error(format!(
-                    "unknown index variable `{var}` (not a parameter or \
-                     enclosing `foreach` variable)"
-                )));
+                unknown = Some(unknown.map_or(var, |first| first.min(var)));
             }
+        });
+        match unknown {
+            None => Ok(()),
+            Some(var) => Err(self.error(format!(
+                "unknown index variable `{var}` (not a parameter or \
+                 enclosing `foreach` variable)"
+            ))),
         }
-        Ok(())
     }
 
     fn parse_index_term(&mut self) -> Result<IndexExpr, ScribbleError> {
@@ -841,13 +894,13 @@ impl<'a> Parser<'a> {
                 }
             };
         }
-        Ok(IndexExpr::Var(Name::from(ident)))
+        Ok(IndexExpr::Var(self.intern(ident)))
     }
 
     /// Parses a role reference: `a` or `w[expr]`, checking declarations
     /// and index-variable scope.
     fn parse_role_ref(&mut self) -> Result<RoleRef, ScribbleError> {
-        let name = Name::from(self.ident("role name")?);
+        let name = self.name("role name")?;
         if self.peek() == Some(&Token::LBracket) {
             if !self.families.contains(&name) {
                 return Err(self.error(format!("`{name}` is not a role family")));
@@ -884,7 +937,7 @@ impl<'a> Parser<'a> {
                 ))),
                 "rec" => {
                     self.position += 1;
-                    let var = Name::from(self.ident("recursion label")?);
+                    let var = self.name("recursion label")?;
                     self.expect(&Token::LBrace, "`{`")?;
                     let body = self.parse_block(false)?;
                     self.expect(&Token::RBrace, "`}`")?;
@@ -896,7 +949,7 @@ impl<'a> Parser<'a> {
                 }
                 "continue" => {
                     self.position += 1;
-                    let var = Name::from(self.ident("recursion label")?);
+                    let var = self.name("recursion label")?;
                     self.expect(&Token::Semi, "`;`")?;
                     self.ensure_block_end("continue")?;
                     Ok(TemplateType::Var(var))
@@ -926,7 +979,7 @@ impl<'a> Parser<'a> {
                 }
                 "foreach" => {
                     self.position += 1;
-                    let var = Name::from(self.ident("foreach variable")?);
+                    let var = self.name("foreach variable")?;
                     if self.index_vars.contains(&var) {
                         return Err(self.error(format!(
                             "`foreach` variable `{var}` shadows a parameter or \
@@ -964,7 +1017,7 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     // Message statement: label(sort?) from a to b;
-                    let label = Name::from(self.ident("message label")?);
+                    let label = self.name("message label")?;
                     self.expect(&Token::LParen, "`(`")?;
                     let sort = match self.peek() {
                         Some(Token::RParen) => Sort::Unit,
@@ -1235,13 +1288,7 @@ mod tests {
     #[test]
     fn star_binds_tighter_than_additive_operators() {
         let tokens = lex("2*i-1+n*2").unwrap();
-        let mut parser = Parser {
-            tokens: &tokens,
-            position: 0,
-            singles: BTreeSet::new(),
-            families: BTreeSet::new(),
-            index_vars: Vec::new(),
-        };
+        let mut parser = Parser::new(&tokens);
         let expr = parser.parse_index_expr().unwrap();
         assert_eq!(expr.to_string(), "2*i-1+n*2");
         let env: Bindings = bind(&[("i", 3), ("n", 5)]);

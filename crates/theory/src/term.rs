@@ -137,7 +137,7 @@ const EMPTY: u64 = u64::MAX;
 const TAG: u64 = 0xFFFF_FFFF_0000_0000;
 
 /// A hash-consed store of local-type terms; see the [module docs](self).
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Terms {
     nodes: Vec<Node>,
     /// Open-addressing table over `nodes`, at most half full: the top

@@ -41,7 +41,7 @@ fn assert_reverified(outcome: &optimiser::Optimised, bound: usize) {
             subtyping::is_subtype(&candidate.fsm, &outcome.projection_fsm, bound),
             "accepted candidate of {} does not re-verify: {}",
             outcome.role,
-            candidate.local
+            outcome.local(candidate)
         );
     }
 }
@@ -84,8 +84,8 @@ fn branch_hoist_candidates_reverify_and_system_stays_safe() {
     );
     assert_reverified(&outcome, config.bound);
     let best = outcome.best().expect("branch hoist improves the role");
-    assert!(best
-        .derivation
+    assert!(outcome
+        .derivation(best)
         .iter()
         .any(|step| matches!(step, Step::HoistFromBranches { .. })));
     assert_system_safe(
@@ -98,7 +98,7 @@ fn branch_hoist_candidates_reverify_and_system_stays_safe() {
             ("q", "m?ack(i32) . end"),
         ],
         "m",
-        &best.local,
+        &outcome.local(best),
         2,
     );
 }
@@ -114,7 +114,8 @@ fn swapped_receives_reverify_and_system_stays_safe() {
         .candidates
         .iter()
         .find(|c| {
-            c.derivation
+            outcome
+                .derivation(c)
                 .iter()
                 .any(|step| matches!(step, Step::SwapReceives { .. }))
         })
@@ -126,7 +127,7 @@ fn swapped_receives_reverify_and_system_stays_safe() {
             ("r", "p?a . q?b . end"),
         ],
         "r",
-        &swapped.local,
+        &outcome.local(swapped),
         2,
     );
 }
@@ -212,19 +213,20 @@ fn step_saving_is_monotone_in_both_payloads() {
 /// than parking 4 bytes, so the cheap hoist ranks above it.
 #[test]
 fn price_list_ranks_cheap_payload_hoist_above_bulky_one() {
-    let single_hoist_on = |edge: &'static str| {
-        move |candidate: &optimiser::Candidate| {
-            matches!(
-                candidate.derivation.as_slice(),
-                [Step::HoistPastReceive { send_peer, .. }] if *send_peer == Name::from(edge)
-            )
-        }
-    };
     let outcome = optimise(
         "r",
         "p?a . q!big(str) . p?b . s!tiny(i32) . end",
         &Config::with_depth(1),
     );
+    let single_hoist_on = |edge: &'static str| {
+        let outcome = &outcome;
+        move |candidate: &optimiser::Candidate| {
+            matches!(
+                outcome.derivation(candidate).as_slice(),
+                [Step::HoistPastReceive { send_peer, .. }] if *send_peer == Name::from(edge)
+            )
+        }
+    };
     let rank_of = |pred: &dyn Fn(&optimiser::Candidate) -> bool| {
         outcome
             .candidates

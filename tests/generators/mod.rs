@@ -76,7 +76,7 @@ pub fn optimised_ring(n: usize, depth: usize) -> Vec<Fsm> {
             let projection = bench::verification::ring::projected(i, n);
             let outcome =
                 optimiser::optimise(&Name::from(role.as_str()), &projection, &config).unwrap();
-            bench::verification::to_fsm(&role, outcome.best_local())
+            bench::verification::to_fsm(&role, &outcome.best_local())
         })
         .collect()
 }

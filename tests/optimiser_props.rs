@@ -33,7 +33,7 @@ fn assert_candidates_verified(role: &str, projection: &theory::LocalType, depth:
         assert!(
             subtyping::is_subtype(&candidate.fsm, &outcome.projection_fsm, config.bound),
             "accepted candidate of {role} (depth {depth}) is not a subtype: {}",
-            candidate.local
+            outcome.local(candidate)
         );
         assert!(candidate.stats.verdict);
     }
