@@ -17,14 +17,18 @@
 //! every interleaving as the paper's baseline tool does. The ring and
 //! pipeline tables add two reduced searches beside it, each capped the
 //! same way: the verdict (`kmc::check`), and the channel bounds codegen
-//! asks for (`kmc::bounds` at `codegen::MAX_BOUND_SEARCH`, one search per
-//! queue). A bounds cell reads `–` where the exact search at that bound
+//! asks for (`kmc::bounds` at `codegen::MAX_BOUND_SEARCH`: the verdict's
+//! depths, certified where a search of a channel's two machines allows,
+//! and one search per queue left; no ring or pipeline queue is certified,
+//! since their machines synchronise through third parties). A bounds cell
+//! reads `–` where the exact search at that bound
 //! is not exhaustive, since some queue would hold more: `kmc::bounds`
 //! then gives no depths. A larger ring or pipeline only fills its queues
 //! further, so every later cell reads `–` without a search.
 //! Both tables close with the configurations the verdict's searches
 //! explored at the largest `n` the exact column timed, and those the
-//! bound searches stored against the exact search's at k = 16, at n = 8.
+//! bound searches stored, with the queues the channel pairs certified,
+//! against the exact search's at k = 16, at n = 8.
 //!
 //! The `amr` table compares the verification cost of the projected →
 //! optimised step when the reordering is hand-written (one subtype
@@ -108,8 +112,8 @@ fn time_capped(enabled: &mut bool, f: impl FnMut() -> bool) -> Option<f64> {
 }
 
 /// The three k-MC columns of the ring and pipeline sweeps: the exact
-/// search (the paper's baseline), and the reduced verdict and the
-/// per-queue bound searches beside it, each under its own
+/// search (the paper's baseline), and the reduced verdict and the bound
+/// searches beside it, each under its own
 /// [`time_capped`] rule.
 struct KmcColumns {
     /// Whether each column still times its cells.
@@ -161,8 +165,9 @@ impl KmcColumns {
     /// Prints how many configurations each search explored: at the
     /// largest `n` the exact column timed, all reachable ones and the
     /// reduced verdict's share of them; at `n =` [`BOUNDS_AT`], what the
-    /// per-queue bound searches stored against what the exact search
-    /// explores at their bound, whose depths they must equal.
+    /// bound searches stored, and how many queues the channel pairs
+    /// certified, against what the exact search explores at their bound,
+    /// whose depths they must equal.
     fn explored_vs_reachable(&self, instance: fn(usize) -> (kmc::System, usize)) {
         let n = self.largest.expect("the exact column timed its first row");
         let (system, k) = instance(n);
@@ -175,7 +180,7 @@ impl KmcColumns {
         println!("# n = {n}: the reduced search explored {explored} of {reachable} reachable configurations");
         let (system, _) = instance(BOUNDS_AT);
         let k = codegen::MAX_BOUND_SEARCH;
-        let (max_depths, stored) =
+        let (max_depths, stored, certified) =
             (kmc::bounds_stored(&system, k).expect("safe")).expect("exhaustive at k");
         let report = kmc::explore(&system, k).expect("safe");
         assert_eq!(
@@ -183,8 +188,8 @@ impl KmcColumns {
             "the bound searches find the exact depths"
         );
         println!(
-            "# n = {BOUNDS_AT}: the bound searches at k = {k} stored {} configurations; \
-             the exact search explores {}",
+            "# n = {BOUNDS_AT}: the bound searches at k = {k} stored {} configurations, \
+             {certified} queues certified by channel pairs; the exact search explores {}",
             stored, report.configurations
         );
     }

@@ -59,9 +59,9 @@ fn kmc_safe_reduced((system, k): (kmc::System, usize)) -> bool {
     kmc::check(&system, k).is_ok()
 }
 
-/// The channel bounds [`codegen::verified_channel_bounds`] asks for: the
-/// per-queue searches of [`kmc::bounds`] at [`codegen::MAX_BOUND_SEARCH`]
-/// on a family's safe system. False when the exact search at that bound
+/// The channel bounds [`codegen::verified_channel_bounds`] asks for:
+/// [`kmc::bounds`] at [`codegen::MAX_BOUND_SEARCH`] on a family's safe
+/// system. False when the exact search at that bound
 /// would not be exhaustive, so the searches give no depths.
 fn kmc_bounded((system, _): (kmc::System, usize)) -> bool {
     kmc::bounds(&system, codegen::MAX_BOUND_SEARCH)
@@ -362,8 +362,8 @@ pub mod ring {
         super::kmc_safe_reduced(kmc_instance(n))
     }
 
-    /// The whole optimised system's channel bounds from the per-queue
-    /// searches; false when they give no depths.
+    /// The whole optimised system's channel bounds from [`kmc::bounds`];
+    /// false when it gives no depths.
     pub fn kmc_bounds(n: usize) -> bool {
         super::kmc_bounded(kmc_instance(n))
     }
@@ -509,8 +509,8 @@ pub mod k_buffering {
         super::kmc_safe_reduced(kmc_pipeline_instance(stages))
     }
 
-    /// The pipeline's channel bounds from the per-queue searches; false
-    /// when they give no depths.
+    /// The pipeline's channel bounds from [`kmc::bounds`]; false when it
+    /// gives no depths.
     pub fn kmc_pipeline_bounds(stages: usize) -> bool {
         super::kmc_bounded(kmc_pipeline_instance(stages))
     }

@@ -17,7 +17,8 @@
 //! `SChoice2`, ... Collisions between mangled names resolve by numeric
 //! suffix for generated names and are an [`Error`] for user-supplied ones.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use theory::global::GlobalType;
 use theory::local::LocalType;
@@ -81,23 +82,23 @@ pub(crate) fn module_parts_with(
     // (`pub struct String(pub String)` would otherwise emit). User-named
     // roles/labels hitting these surface as NameCollision instead of
     // non-compiling output.
-    let mut used: HashSet<String> = [
+    let mut used: Vec<String> = [
         "Label", "Branch", "End", "Receive", "Select", "Send", "String", "Option", "Vec", "Box",
         "Result",
     ]
     .map(str::to_owned)
-    .into_iter()
-    .collect();
+    .into();
 
     let mut role_types: BTreeMap<Name, String> = BTreeMap::new();
     for role in &protocol.roles {
         let ty = pascal_case(role.as_str());
-        if !used.insert(ty.clone()) {
+        if used.contains(&ty) {
             return Err(Error::NameCollision {
                 kind: "role",
                 name: ty,
             });
         }
+        used.push(ty.clone());
         role_types.insert(*role, ty);
     }
 
@@ -105,18 +106,20 @@ pub(crate) fn module_parts_with(
     let mut label_types: BTreeMap<Name, String> = BTreeMap::new();
     for (label, _) in &labels {
         let ty = pascal_case(label.as_str());
-        if !used.insert(ty.clone()) {
+        if used.contains(&ty) {
             return Err(Error::NameCollision {
                 kind: "label",
                 name: ty,
             });
         }
+        used.push(ty.clone());
         label_types.insert(*label, ty);
     }
 
     // ---- per-role session types --------------------------------------
+    // The `session!` block's lines, each type written in place.
     let mut imports = Imports::default();
-    let mut sessions: Vec<String> = Vec::new();
+    let mut sessions = String::new();
     let mut choices: Vec<ChoiceDecl> = Vec::new();
     let mut role_parts: Vec<RoleParts> = Vec::new();
     for (role, local) in &analysis.locals {
@@ -131,10 +134,11 @@ pub(crate) fn module_parts_with(
             choices: Vec::new(),
             imports: &mut imports,
         };
-        let entry = gen.emit_type(local, &mut Vec::new());
-        sessions.push(format!("    type {entry_alias}<'q> = {entry};"));
-        for (name, inner) in gen.structs {
-            sessions.push(format!("    struct {name}<'q> for {role_ty} = {inner};"));
+        let _ = write!(sessions, "    type {entry_alias}<'q> = ");
+        gen.emit_type(local, &mut Vec::new(), &mut sessions);
+        sessions.push_str(";\n");
+        for (name, inner) in &gen.structs {
+            let _ = writeln!(sessions, "    struct {name}<'q> for {role_ty} = {inner};");
         }
         role_parts.push(RoleParts {
             role_ty: role_ty.clone(),
@@ -146,12 +150,13 @@ pub(crate) fn module_parts_with(
 
     // ---- assembly ----------------------------------------------------
     let mut out = String::new();
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "// Generated by `rumpsteak-gen` from global protocol `{}`. Do not edit.\n//\n// Projections:\n",
         protocol.name
-    ));
+    );
     for (role, local) in &analysis.locals {
-        out.push_str(&format!("//   {role}: {local}\n"));
+        let _ = writeln!(out, "//   {role}: {local}");
     }
     out.push('\n');
     if distributed {
@@ -159,17 +164,18 @@ pub(crate) fn module_parts_with(
         // plain `net` segment ahead of a brace group.
         out.push_str("use rumpsteak::net::{NetLink, RemoteMesh, Topology};\n");
     }
-    out.push_str(&imports.render(!choices.is_empty(), distributed));
+    imports.render(!choices.is_empty(), distributed, &mut out);
     out.push('\n');
 
     for (label, sort) in &labels {
         let ty = &label_types[label];
-        match payload(sort) {
-            None => out.push_str(&format!("/// Label `{label}`.\npub struct {ty};\n")),
-            Some((rust_ty, _)) => out.push_str(&format!(
+        let _ = match payload(sort) {
+            None => write!(out, "/// Label `{label}`.\npub struct {ty};\n"),
+            Some((rust_ty, _)) => write!(
+                out,
                 "/// Label `{label}` carrying `{rust_ty}`.\npub struct {ty}(pub {rust_ty});\n"
-            )),
-        }
+            ),
+        };
     }
     out.push('\n');
 
@@ -182,10 +188,10 @@ pub(crate) fn module_parts_with(
     }
     for (label, sort) in &labels {
         let ty = &label_types[label];
-        match payload(sort) {
-            None => out.push_str(&format!("        {ty}({ty}),\n")),
-            Some((_, suffix)) => out.push_str(&format!("        {ty}({ty}): {suffix},\n")),
-        }
+        let _ = match payload(sort) {
+            None => writeln!(out, "        {ty}({ty}),"),
+            Some((_, suffix)) => writeln!(out, "        {ty}({ty}): {suffix},"),
+        };
     }
     out.push_str("    }\n}\n\n");
 
@@ -202,10 +208,9 @@ pub(crate) fn module_parts_with(
     for (role, local) in &analysis.locals {
         let peers = local.peers();
         let mut fields: Vec<(String, String)> = Vec::new();
-        let mut field_names: HashSet<String> = HashSet::new();
         for peer in protocol.roles.iter().filter(|r| peers.contains(*r)) {
             let field = snake_case(peer.as_str());
-            if !field_names.insert(field.clone()) {
+            if fields.iter().any(|(name, _)| *name == field) {
                 return Err(Error::NameCollision {
                     kind: "role field",
                     name: field,
@@ -227,109 +232,108 @@ pub(crate) fn module_parts_with(
              // or accepts each peer.\n",
         );
         for (role_ty, fields) in &role_fields {
-            out.push('\n');
-            out.push_str(&format!(
-                "/// Distributed role `{role_ty}`: one framed socket link per peer.\n\
+            let _ = write!(
+                out,
+                "\n/// Distributed role `{role_ty}`: one framed socket link per peer.\n\
                  pub struct {role_ty} {{\n"
-            ));
+            );
             for (field, _) in fields {
-                out.push_str(&format!("    {field}: NetLink<Label>,\n"));
+                let _ = writeln!(out, "    {field}: NetLink<Label>,");
             }
             out.push_str("}\n\n");
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "impl rumpsteak::Role for {role_ty} {{\n\
                  \x20   type Message = Label;\n\
                  \x20   fn name() -> &'static str {{\n\
                  \x20       \"{role_ty}\"\n\
                  \x20   }}\n\
                  }}\n"
-            ));
+            );
             for (field, peer_ty) in fields {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "\nimpl rumpsteak::Route<{peer_ty}> for {role_ty} {{\n\
                      \x20   type Link = NetLink<Label>;\n\
                      \x20   fn route(&mut self) -> &mut Self::Link {{\n\
                      \x20       &mut self.{field}\n\
                      \x20   }}\n\
                      }}\n"
-                ));
+                );
             }
             let stem = fn_stem(role_ty);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\n/// Connects role `{role_ty}` to its peers as laid out in `topology`.\n\
                  pub fn connect_{stem}(topology: Topology) -> std::io::Result<{role_ty}> {{\n"
-            ));
+            );
             if fields.is_empty() {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "    let _mesh = RemoteMesh::<Label>::bind(topology, \"{role_ty}\")?;\n\
                      \x20   Ok({role_ty} {{}})\n}}\n"
-                ));
+                );
                 continue;
             }
-            out.push_str(&format!(
-                "    let mut mesh = RemoteMesh::<Label>::bind(topology, \"{role_ty}\")?;\n"
-            ));
+            let _ = writeln!(
+                out,
+                "    let mut mesh = RemoteMesh::<Label>::bind(topology, \"{role_ty}\")?;"
+            );
             for (from, to, depth) in &bounds {
                 let from_ty = &role_types[from];
                 let to_ty = &role_types[to];
                 if from_ty == role_ty || to_ty == role_ty {
-                    out.push_str(&format!(
-                        "    mesh.set_bound(\"{from_ty}\", \"{to_ty}\", {depth});\n"
-                    ));
+                    let _ = writeln!(
+                        out,
+                        "    mesh.set_bound(\"{from_ty}\", \"{to_ty}\", {depth});"
+                    );
                 }
             }
             for (field, peer_ty) in fields {
-                out.push_str(&format!("    let {field} = mesh.link(\"{peer_ty}\")?;\n"));
+                let _ = writeln!(out, "    let {field} = mesh.link(\"{peer_ty}\")?;");
             }
-            let names: Vec<&str> = fields.iter().map(|(field, _)| field.as_str()).collect();
-            out.push_str(&format!(
-                "    Ok({role_ty} {{ {} }})\n}}\n",
-                names.join(", ")
-            ));
+            let _ = write!(out, "    Ok({role_ty} {{");
+            for (index, (field, _)) in fields.iter().enumerate() {
+                let _ = write!(out, "{} {field}", separator(index));
+            }
+            out.push_str(" })\n}\n");
         }
         out.push('\n');
     } else {
         out.push_str("roles! {\n    message Label;\n");
         if !bounds.is_empty() {
-            let rendered: Vec<String> = bounds
-                .iter()
-                .map(|(from, to, depth)| {
-                    format!("{} -> {}: {depth}", role_types[from], role_types[to])
-                })
-                .collect();
-            out.push_str(&format!("    bounds {{ {} }};\n", rendered.join(", ")));
+            out.push_str("    bounds {");
+            for (index, (from, to, depth)) in bounds.iter().enumerate() {
+                let (from, to) = (&role_types[from], &role_types[to]);
+                let _ = write!(out, "{} {from} -> {to}: {depth}", separator(index));
+            }
+            out.push_str(" };\n");
         }
         for (role_ty, fields) in &role_fields {
-            let rendered: Vec<String> = fields
-                .iter()
-                .map(|(field, peer_ty)| format!("{field}: {peer_ty}"))
-                .collect();
-            let body = if rendered.is_empty() {
-                "{}".to_owned()
-            } else {
-                format!("{{ {} }}", rendered.join(", "))
-            };
-            out.push_str(&format!("    {role_ty} {body},\n"));
+            let _ = write!(out, "    {role_ty} {{");
+            for (index, (field, peer_ty)) in fields.iter().enumerate() {
+                let _ = write!(out, "{} {field}: {peer_ty}", separator(index));
+            }
+            if !fields.is_empty() {
+                out.push(' ');
+            }
+            out.push_str("},\n");
         }
         out.push_str("}\n\n");
     }
 
     out.push_str("session! {\n");
-    for line in &sessions {
-        out.push_str(line);
-        out.push('\n');
-    }
+    out.push_str(&sessions);
     out.push_str("}\n");
 
     for choice in &choices {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "\nchoice! {{\n    enum {}<'q> for {} {{\n",
             choice.name, choice.role_ty
-        ));
+        );
         for (label_ty, continuation) in &choice.variants {
-            out.push_str(&format!(
-                "        {label_ty}({label_ty}) => {continuation},\n"
-            ));
+            let _ = writeln!(out, "        {label_ty}({label_ty}) => {continuation},");
         }
         out.push_str("    }\n}\n");
     }
@@ -374,17 +378,26 @@ fn collect_labels(global: &GlobalType) -> Result<Vec<(Name, Sort)>, Error> {
 
 /// Maps a sort to its Rust payload type and `messages!` sort suffix;
 /// `None` for unit (no payload).
-fn payload(sort: &Sort) -> Option<(String, String)> {
+fn payload(sort: &Sort) -> Option<(&'static str, &'static str)> {
     match sort {
         Sort::Unit => None,
-        Sort::I32 => Some(("i32".into(), "i32".into())),
-        Sort::U32 => Some(("u32".into(), "u32".into())),
-        Sort::I64 => Some(("i64".into(), "i64".into())),
-        Sort::U64 => Some(("u64".into(), "u64".into())),
-        Sort::F64 => Some(("f64".into(), "f64".into())),
-        Sort::Bool => Some(("bool".into(), "bool".into())),
-        Sort::Str => Some(("String".into(), "str".into())),
-        Sort::Custom(name) => Some((name.to_string(), name.to_string())),
+        Sort::I32 => Some(("i32", "i32")),
+        Sort::U32 => Some(("u32", "u32")),
+        Sort::I64 => Some(("i64", "i64")),
+        Sort::U64 => Some(("u64", "u64")),
+        Sort::F64 => Some(("f64", "f64")),
+        Sort::Bool => Some(("bool", "bool")),
+        Sort::Str => Some(("String", "str")),
+        Sort::Custom(name) => Some((name.as_str(), name.as_str())),
+    }
+}
+
+/// What goes before the `index`-th item of a comma-separated list.
+fn separator(index: usize) -> &'static str {
+    if index == 0 {
+        ""
+    } else {
+        ","
     }
 }
 
@@ -400,18 +413,16 @@ pub(crate) fn fn_stem(role_ty: &str) -> String {
 
 /// Claims `base` in `used`, appending the smallest numeric suffix ≥ 2 on
 /// collision. Deterministic: allocation order is traversal order.
-fn alloc(used: &mut HashSet<String>, base: &str) -> String {
-    if used.insert(base.to_owned()) {
-        return base.to_owned();
-    }
+fn alloc(used: &mut Vec<String>, base: &str) -> String {
+    let mut candidate = base.to_owned();
     let mut n = 2usize;
-    loop {
-        let candidate = format!("{base}{n}");
-        if used.insert(candidate.clone()) {
-            return candidate;
-        }
+    while used.contains(&candidate) {
+        candidate.truncate(base.len());
+        let _ = write!(candidate, "{n}");
         n += 1;
     }
+    used.push(candidate.clone());
+    candidate
 }
 
 /// Which `rumpsteak` items the generated module references.
@@ -425,7 +436,8 @@ struct Imports {
 }
 
 impl Imports {
-    fn render(&self, any_choice: bool, distributed: bool) -> String {
+    /// Writes the `use rumpsteak::{...};` line.
+    fn render(&self, any_choice: bool, distributed: bool, out: &mut String) {
         let mut items: Vec<&str> = Vec::new();
         if any_choice {
             items.push("choice");
@@ -448,7 +460,7 @@ impl Imports {
                 items.push(item);
             }
         }
-        format!("use rumpsteak::{{{}}};\n", items.join(", "))
+        let _ = writeln!(out, "use rumpsteak::{{{}}};", items.join(", "));
     }
 }
 
@@ -465,7 +477,7 @@ struct RoleGen<'a> {
     role_ty: &'a str,
     role_types: &'a BTreeMap<Name, String>,
     label_types: &'a BTreeMap<Name, String>,
-    used: &'a mut HashSet<String>,
+    used: &'a mut Vec<String>,
     /// `(struct name, inner type)` per `rec` binder, outer-first.
     structs: Vec<(String, String)>,
     choices: Vec<ChoiceDecl>,
@@ -473,47 +485,45 @@ struct RoleGen<'a> {
 }
 
 impl RoleGen<'_> {
-    /// Renders `local` as a session type expression, accumulating any
-    /// recursion structs and choice enums it needs. `rec_env` maps bound
-    /// recursion variables to their struct names (innermost last).
-    fn emit_type(&mut self, local: &LocalType, rec_env: &mut Vec<(Name, String)>) -> String {
+    /// Writes `local` into `out` as a session type expression,
+    /// accumulating any recursion structs and choice enums it needs.
+    /// `rec_env` maps bound recursion variables to their structs' indices
+    /// in [`Self::structs`] (innermost last).
+    fn emit_type(&mut self, local: &LocalType, rec_env: &mut Vec<(Name, usize)>, out: &mut String) {
         let role_ty = self.role_ty;
         match local {
             LocalType::End => {
                 self.imports.end = true;
-                format!("End<'q, {role_ty}>")
+                let _ = write!(out, "End<'q, {role_ty}>");
             }
             LocalType::Var(var) => {
-                let name = rec_env
-                    .iter()
-                    .rev()
+                let &(_, slot) = (rec_env.iter().rev())
                     .find(|(v, _)| v == var)
-                    .map(|(_, name)| name.clone())
                     .expect("projection output has no free variables");
-                format!("{name}<'q>")
+                let _ = write!(out, "{}<'q>", self.structs[slot].0);
             }
             LocalType::Rec { var, body } => {
                 let name = alloc(
                     self.used,
                     &format!("{role_ty}{}", pascal_case(var.as_str())),
                 );
+                let _ = write!(out, "{name}<'q>");
                 // Reserve the slot so nested binders appear after their
                 // parent, then fill it once the body is rendered.
                 let slot = self.structs.len();
-                self.structs.push((name.clone(), String::new()));
-                rec_env.push((*var, name.clone()));
-                let inner = self.emit_type(body, rec_env);
+                self.structs.push((name, String::new()));
+                rec_env.push((*var, slot));
+                let mut inner = String::new();
+                self.emit_type(body, rec_env, &mut inner);
                 rec_env.pop();
                 self.structs[slot].1 = inner;
-                format!("{name}<'q>")
             }
             LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
                 let is_select = matches!(local, LocalType::Select { .. });
-                let peer_ty = self.role_types[peer].clone();
+                let (role_types, label_types) = (self.role_types, self.label_types);
+                let peer_ty = &role_types[peer];
                 if branches.len() == 1 {
                     let branch = &branches[0];
-                    let label_ty = self.label_types[&branch.label].clone();
-                    let continuation = self.emit_type(&branch.continuation, rec_env);
                     let primitive = if is_select {
                         self.imports.send = true;
                         "Send"
@@ -521,25 +531,12 @@ impl RoleGen<'_> {
                         self.imports.receive = true;
                         "Receive"
                     };
-                    format!("{primitive}<'q, {role_ty}, {peer_ty}, {label_ty}, {continuation}>")
+                    let label_ty = &label_types[&branch.label];
+                    let _ = write!(out, "{primitive}<'q, {role_ty}, {peer_ty}, {label_ty}, ");
+                    self.emit_type(&branch.continuation, rec_env, out);
+                    out.push('>');
                 } else {
                     let name = alloc(self.used, &format!("{role_ty}Choice"));
-                    let slot = self.choices.len();
-                    self.choices.push(ChoiceDecl {
-                        name: name.clone(),
-                        role_ty: role_ty.to_owned(),
-                        variants: Vec::new(),
-                    });
-                    let variants = branches
-                        .iter()
-                        .map(|branch| {
-                            (
-                                self.label_types[&branch.label].clone(),
-                                self.emit_type(&branch.continuation, rec_env),
-                            )
-                        })
-                        .collect();
-                    self.choices[slot].variants = variants;
                     let primitive = if is_select {
                         self.imports.select = true;
                         "Select"
@@ -547,7 +544,19 @@ impl RoleGen<'_> {
                         self.imports.branch = true;
                         "Branch"
                     };
-                    format!("{primitive}<'q, {role_ty}, {peer_ty}, {name}<'q>>")
+                    let _ = write!(out, "{primitive}<'q, {role_ty}, {peer_ty}, {name}<'q>>");
+                    let slot = self.choices.len();
+                    self.choices.push(ChoiceDecl {
+                        name,
+                        role_ty: role_ty.to_owned(),
+                        variants: Vec::with_capacity(branches.len()),
+                    });
+                    for branch in branches {
+                        let mut continuation = String::new();
+                        self.emit_type(&branch.continuation, rec_env, &mut continuation);
+                        let label_ty = label_types[&branch.label].clone();
+                        self.choices[slot].variants.push((label_ty, continuation));
+                    }
                 }
             }
         }

@@ -212,10 +212,12 @@ pub fn check(analysis: &Analysis, k: usize) -> Result<kmc::Report, Error> {
 /// the payload of the `bounds { ... }` clause the emitter writes into
 /// generated `roles!` declarations.
 ///
-/// Asks [`kmc::bounds`] at `k =` [`MAX_BOUND_SEARCH`]: the k-MC verdict,
-/// then one reduced search per queue for that queue's exact maximum
-/// depth, given exactly when the exact search at that `k` is exhaustive
-/// (no send ever finds its queue full). An exhaustive run explores the
+/// Asks [`kmc::bounds`] at `k =` [`MAX_BOUND_SEARCH`]: the k-MC verdict
+/// and each queue's exact maximum depth — the depth the verdict's reduced
+/// search reached, where a search of the queue's two machines certifies
+/// it, and otherwise one reduced search of that queue — given exactly
+/// when the exact search at that `k` is exhaustive (no send ever finds its
+/// queue full). An exhaustive run explores the
 /// same configurations as every `k` from the smallest exhaustive one up,
 /// so its maxima are the tight static bounds; and since reachable
 /// configurations only grow with `k`, a violation at a smaller `k` shows

@@ -25,8 +25,10 @@
 //! depth. [`check`] returns only the verdict, from a search that skips
 //! most interleavings of independent moves (below). [`bounds`] returns the
 //! verdict and, exactly when [`explore`] would report an exhaustive
-//! search, each channel's maximum depth, from one such reduced search per
-//! queue. Whoever reads [`Report::exhaustive`] — `rumpsteak-gen --check`,
+//! search, each channel's maximum depth: the depths the verdict's search
+//! reached, where a search of the channel's two machines certifies them,
+//! and otherwise one reduced search per queue. Whoever reads
+//! [`Report::exhaustive`] — `rumpsteak-gen --check`,
 //! the `kmc` binary, Fig 7's baseline column — calls [`explore`];
 //! codegen's channel bounds call [`bounds`]; a caller that wants to know
 //! whether the system is safe calls [`check`].
@@ -69,17 +71,63 @@
 //! and returns its violation. Every configuration the reduced search
 //! visits is reachable, so the exact search finds one too, and every
 //! reported [`Violation`] and [`Config`] is the exact search's. The
-//! reduced search's [`Report::exhaustive`] and [`Report::max_depths`]
-//! mean nothing, because it skips queue depths and full-queue sends, so
-//! [`check`] returns a [`Verdict`] without them.
+//! reduced search skips queue depths and full-queue sends, so its
+//! [`Report::exhaustive`] means nothing and its [`Report::max_depths`]
+//! are only lower bounds (which [`bounds`] starts from), and [`check`]
+//! returns a [`Verdict`] without them.
+//!
+//! # Certified bounds from channel pairs
+//!
+//! [`bounds`] first runs [`check`]'s reduced search, and returns
+//! [`check`]'s violation if there is one. Otherwise every configuration
+//! that search visited is reachable, so the largest length `L` it saw on
+//! a queue is a lower bound of the queue's maximum depth, and `L ≤ k`.
+//! Then, for each pair of machines `p`, `r` with a queue between them, a
+//! breadth-first search of two machines tries to show that neither queue
+//! ever holds more than its `L`. It tracks `p`'s and `r`'s states and the
+//! queues `p → r` and `r → p` exactly, labels in order, and abstracts
+//! every other machine away: a send to a third machine never blocks, a
+//! receive from a third machine is always enabled, whatever the label,
+//! and a receive on a channel nobody sends on never is. The search stops,
+//! and certifies nothing, at the first send that would take a queue past
+//! its `L`, that is, to the limit `L + 1`. When it never gets there, both
+//! queues' maximum depths are exactly their `L`.
+//!
+//! Why that is sound:
+//!
+//! * **The abstraction holds every real configuration.** A move of `p` or
+//!   `r` in the system is a move of the two-machine search from the same
+//!   states and queues: the abstraction only enables more. A move of any
+//!   other machine leaves `p`, `r` and their two queues as they are. So
+//!   the projection onto `(p, r, p → r, r → p)` of every configuration
+//!   the system reaches, with no bound on its queues, is a configuration
+//!   the abstraction reaches with no bound.
+//! * **The limit cuts nothing off.** A queue grows one label at a time,
+//!   so the shortest path of the abstraction to a configuration with a
+//!   queue past its `L` first passes a configuration with a queue at its
+//!   limit, through configurations that are all within their `L`s, every
+//!   one of which the search expands. A search that never reaches a limit
+//!   therefore shows that the unbounded abstraction, and with it the
+//!   system, never holds more than `L` on either queue.
+//! * **So a certified depth is exact** — reached by the verdict's search,
+//!   never exceeded — and it is at most `k`, so no send on the queue ever
+//!   finds it full at bound `k`. The contract of [`bounds`] holds: it
+//!   gives depths exactly when [`explore`] at `k` is exhaustive, and then
+//!   [`explore`]'s depths.
+//!
+//! A queue whose two machines synchronise through a third, as around a
+//! ring, is not certified: the abstraction lets its sender run ahead.
+//! Nor is one where the verdict's search, which expands the lowest
+//! eligible machine first, never filled the queue as far as the system
+//! can. Each such queue gets the search of the next section.
 //!
 //! # Exact bounds from per-queue searches
 //!
-//! [`bounds`] first asks [`check`] for the verdict. Then, for each queue,
-//! it runs a reduced depth-first search whose only result is that queue's
-//! largest length. The queue is *visible*: its sends and receives are the
-//! moves whose effect the result reads. This is Peled's ample-set
-//! reduction, whose conditions C0–C3 hold as follows.
+//! For each queue no channel pair certified, [`bounds`] runs a reduced
+//! depth-first search whose only result is that queue's largest length.
+//! The queue is *visible*: its sends and receives are the moves whose
+//! effect the result reads. This is Peled's ample-set reduction, whose
+//! conditions C0–C3 hold as follows.
 //!
 //! * **C0, C1.** The ample set at a configuration is every enabled move of
 //!   one machine that is eligible, as in "Reduced verdicts", and has no
@@ -131,16 +179,20 @@
 //! benchmark's four Scribble systems at k = 16, more than the 10 384 the
 //! exact search explores. Trying the next eligible machine first usually
 //! finds one whose successors are all off the stack, and stores 6 061.
+//! (Both figures search every queue; the channel pairs now certify all of
+//! those queues, and store 1 328.)
 //!
-//! **What a search keeps.** The per-queue searches share one arena and
-//! visited table, emptied between queues, and a mark per record: new,
-//! on the stack, or done. The stack is one frame per configuration being
-//! expanded — its record and where its successors start in one shared
-//! vector of record ids, which is why the visited table's insert hands back the
-//! id of a record it already holds. A search stores every successor it
+//! **What a search keeps.** The channel pairs' and the per-queue searches
+//! share one arena and visited table, emptied between searches. A
+//! per-queue search also keeps a mark per record: new, on the stack, or
+//! done. Its stack is one frame per configuration being expanded — its
+//! record and where its successors start in one shared vector of record
+//! ids, which is why the visited table's insert hands back the id of a
+//! record it already holds. A per-queue search stores every successor it
 //! generates, those of machines the proviso passes over included, so on
 //! a small system it can store more configurations than are reachable:
-//! 643 on the benchmark's pmesh of 4, which has 326.
+//! searching every queue of the benchmark's pmesh of 4, which has 326,
+//! stores 643.
 //!
 //! # How configurations are stored
 //!
@@ -179,8 +231,9 @@
 //! explorer reads steps and these tables only; it never hashes a name,
 //! searches the role list or scans a state's actions to classify it.
 //!
-//! **The arena is the breadth-first queue** of [`explore`] and [`check`]
-//! (the per-queue searches keep a stack beside it). Records are appended to one
+//! **The arena is the breadth-first queue** of [`explore`], [`check`] and
+//! the channel pairs' searches (the per-queue searches keep a stack beside
+//! it). Records are appended to one
 //! `Vec` of words in the order they are discovered and never move or
 //! change; record `id` is the `id`-th record appended, and a `u32` per
 //! record says where it starts. A cursor walks the record ids from 0:
@@ -432,6 +485,11 @@ impl System {
     /// [`Config`]'s channel vector and in [`Report::max_depths`].
     pub fn roles(&self) -> &[Name] {
         &self.roles
+    }
+
+    /// The queue of channel `from * n + to`, or [`NO_QUEUE`].
+    fn queue(&self, channel: usize) -> u32 {
+        (self.channels.binary_search(&channel)).map_or(NO_QUEUE, index_u32)
     }
 }
 
@@ -742,19 +800,21 @@ pub struct Verdict {
 /// `Err` is [`explore`]'s, offending [`Config`] included. For
 /// exhaustivity and channel bounds, call [`explore`].
 pub fn check(system: &System, k: usize) -> Result<Verdict, Violation> {
-    match search::<true>(system, k) {
-        Ok(report) => Ok(Verdict {
-            configurations: report.configurations,
-            transitions: report.transitions,
-        }),
+    let report = verdict(system, k)?;
+    Ok(Verdict {
+        configurations: report.configurations,
+        transitions: report.transitions,
+    })
+}
+
+/// The reduced search's [`Report`], or [`explore`]'s violation.
+fn verdict(system: &System, k: usize) -> Result<Report, Violation> {
+    search::<true>(system, k).map_err(|_| {
         // Every configuration the reduced search visits is reachable, so
         // the exact search finds a violation too: the first in its
         // breadth-first order.
-        Err(_) => {
-            Err(explore(system, k)
-                .expect_err("a violation the reduced search reached is reachable"))
-        }
-    }
+        explore(system, k).expect_err("a violation the reduced search reached is reachable")
+    })
 }
 
 /// Runs the exact k-MC search with channel bound `k` (`k ≥ 1`): every
@@ -1021,48 +1081,85 @@ fn search_words<W: Word, const REDUCE: bool>(system: &System, k: u32) -> Result<
 /// [`Report::max_depths`], when [`explore`] at bound `k` would report an
 /// exhaustive search; `None` when it would not.
 ///
-/// First decides k-MC safety with [`check`] and returns its [`Violation`].
-/// Then runs one reduced depth-first search per queue at bound `k + 1`
-/// (see "Exact bounds from per-queue searches" in the module docs). When
-/// every depth stays at or below `k`, no send ever finds its queue full at
-/// bound `k`, so [`explore`] reports an exhaustive search with these same
-/// depths, which are then tight static bounds. When some depth exceeds
-/// `k`, a send finds that queue full at bound `k`, and this returns
-/// `Ok(None)`.
+/// First decides k-MC safety with [`check`]'s reduced search and returns
+/// [`check`]'s [`Violation`]. The depths that search reached are lower
+/// bounds; each pair of machines with a queue between them then tries to
+/// certify its queues at those depths, and each queue no certificate
+/// settles gets one reduced depth-first search at bound `k + 1` (see
+/// "Certified bounds from channel pairs" and "Exact bounds from per-queue
+/// searches" in the module docs). When every depth stays at or below `k`,
+/// no send ever finds its queue full at bound `k`, so [`explore`] reports
+/// an exhaustive search with these same depths, which are then tight
+/// static bounds. When some depth exceeds `k`, a send finds that queue
+/// full at bound `k`, and this returns `Ok(None)`.
 pub fn bounds(system: &System, k: usize) -> Result<Option<Vec<usize>>, Violation> {
-    Ok(bounds_stored(system, k)?.map(|(max_depths, _)| max_depths))
+    Ok(bounds_stored(system, k)?.map(|(max_depths, _, _)| max_depths))
 }
 
-/// [`bounds`], with the configurations its per-queue searches stored,
-/// summed over the queues. A search stores every successor it generates,
+/// [`bounds`], with the configurations its searches stored, summed over
+/// the channel pairs and the queues, and how many queues a channel pair
+/// certified. A per-queue search stores every successor it generates,
 /// including those of a machine the stack proviso then passes over, so on
 /// a small system the sum can exceed the reachable configurations. For
 /// the differential test's pins and Fig 7's explored line.
 #[doc(hidden)]
-pub fn bounds_stored(system: &System, k: usize) -> Result<Option<(Vec<usize>, usize)>, Violation> {
-    check(system, k)?;
-    // The searches run one message past `k`, so that a queue that ever
-    // holds more than `k` shows as one that reaches the search's bound.
+pub fn bounds_stored(
+    system: &System,
+    k: usize,
+) -> Result<Option<(Vec<usize>, usize, usize)>, Violation> {
+    // Every configuration the reduced search visits is reachable, so the
+    // depths it reached are lower bounds, each at most `k`.
+    let lower = verdict(system, k)?.max_depths;
+    // The per-queue searches run one message past `k`, so that a queue
+    // that ever holds more than `k` shows as one that reaches the
+    // search's bound.
     let limit = queue_bound(k).saturating_add(1);
     Ok(if narrow(system, limit) {
-        bounds_words::<u16>(system, limit)
+        bounds_words::<u16>(system, lower, limit)
     } else {
-        bounds_words::<u32>(system, limit)
+        bounds_words::<u32>(system, lower, limit)
     })
 }
 
-/// [`bounds_stored`]' per-queue searches at bound `limit` on records of
-/// `W` words; `limit` fits a `W`. `None` once a queue reaches `limit`.
-fn bounds_words<W: Word>(system: &System, limit: u32) -> Option<(Vec<usize>, usize)> {
+/// [`bounds_stored`]' searches on records of `W` words, from the depths
+/// `lower` the verdict search reached: the channel pairs' certificates,
+/// then a per-queue search at bound `limit`, which fits a `W`, for each
+/// queue no certificate settled. `None` once such a queue reaches `limit`.
+fn bounds_words<W: Word>(
+    system: &System,
+    lower: Vec<usize>,
+    limit: u32,
+) -> Option<(Vec<usize>, usize, usize)> {
     let machine_count = system.machines.len();
     let mut search = DepthSearch::<W>::new();
-    let mut max_depths = vec![0; machine_count * machine_count];
+    let mut certified = vec![false; system.channels.len()];
     let mut configurations = 0;
+    // Each pair once, from its lower queue. A queue from a machine to
+    // itself is its own reverse and is left to its per-queue search.
     for (queue, &channel) in system.channels.iter().enumerate() {
-        max_depths[channel] = search.max_depth(system, limit, index_u32(queue))? as usize;
+        let (from, to) = (channel / machine_count, channel % machine_count);
+        let back = system.queue(to * machine_count + from);
+        if back <= index_u32(queue) {
+            continue;
+        }
+        let queues = [index_u32(queue), back];
+        let holds = search.certify(system, [from, to], queues, &lower);
         configurations += search.explored.len();
+        if holds {
+            for queue in queues.into_iter().filter(|&queue| queue != NO_QUEUE) {
+                certified[queue as usize] = true;
+            }
+        }
     }
-    Some((max_depths, configurations))
+    let mut max_depths = lower;
+    for (queue, &channel) in system.channels.iter().enumerate() {
+        if !certified[queue] {
+            max_depths[channel] = search.max_depth(system, limit, index_u32(queue))? as usize;
+            configurations += search.explored.len();
+        }
+    }
+    let certified = certified.into_iter().filter(|&holds| holds).count();
+    Some((max_depths, configurations, certified))
 }
 
 /// Where a record stands in [`DepthSearch`].
@@ -1085,9 +1182,10 @@ struct Frame {
     next: usize,
 }
 
-/// The reduced depth-first search of one queue's maximum depth. Its
-/// buffers outlive a search, so the searches of a system's queues reuse
-/// one arena and table.
+/// The reduced depth-first search of one queue's maximum depth, and the
+/// breadth-first search of a channel pair's certificate. Its buffers
+/// outlive a search, so all the searches of a system's bounds reuse one
+/// arena and table.
 struct DepthSearch<W> {
     explored: Explored<W>,
     /// Indexed by record id.
@@ -1153,6 +1251,76 @@ impl<W: Word> DepthSearch<W> {
                 self.stack.pop();
             }
         }
+    }
+
+    /// Whether the channel pair `pair` keeps its queues `queues` (the
+    /// second [`NO_QUEUE`] when the pair has one queue only) within the
+    /// depths `lower`, indexed by channel: a breadth-first search of the
+    /// two machines with every other machine abstracted away, which stops
+    /// at the first send that would take a queue past its depth ("Certified
+    /// bounds from channel pairs" in the module docs). A record is
+    /// `[state of pair[0], state of pair[1], length of queues[0], length
+    /// of queues[1] | labels of queues[0] | labels of queues[1]]`.
+    fn certify(
+        &mut self,
+        system: &System,
+        pair: [usize; 2],
+        queues: [u32; 2],
+        lower: &[usize],
+    ) -> bool {
+        self.explored.clear();
+        self.scratch.clear();
+        (self.scratch)
+            .extend(pair.map(|index| word::<W>(index_u32(system.machines[index].initial().0))));
+        self.scratch.extend([word::<W>(0); 2]);
+        self.explored.insert(&self.scratch);
+
+        let record = &mut self.current.words;
+        let mut cursor = 0;
+        while cursor < self.explored.len() {
+            record.clear();
+            record.extend_from_slice(self.explored.record(cursor));
+            cursor += 1;
+            let lens = [unword(record[2]), unword(record[3])];
+            let heads = [4, 4 + lens[0]];
+            for (side, &index) in pair.iter().enumerate() {
+                let state = system.states[index][unword(record[side])];
+                for step in &system.steps[index][state.start as usize..state.end as usize] {
+                    // A channel nobody sends on stays empty.
+                    if step.queue == NO_QUEUE {
+                        continue;
+                    }
+                    let scratch = &mut self.scratch;
+                    scratch.clear();
+                    scratch.extend_from_slice(record);
+                    match queues.iter().position(|&queue| queue == step.queue) {
+                        // A queue to or from a third machine: a send never
+                        // blocks, and a receive finds any label it wants.
+                        None => {}
+                        Some(tracked) if step.send => {
+                            // The send would fill the queue to its limit,
+                            // one past the verdict's depth.
+                            let depth = lower[system.channels[step.queue as usize]];
+                            if lens[tracked] >= depth {
+                                return false;
+                            }
+                            scratch.insert(heads[tracked] + lens[tracked], word(step.label));
+                            scratch[2 + tracked] = word(index_u32(lens[tracked] + 1));
+                        }
+                        Some(tracked) => {
+                            if lens[tracked] == 0 || record[heads[tracked]].into() != step.label {
+                                continue;
+                            }
+                            scratch.remove(heads[tracked]);
+                            scratch[2 + tracked] = word(index_u32(lens[tracked] - 1));
+                        }
+                    }
+                    scratch[side] = word(step.target);
+                    self.explored.insert(scratch);
+                }
+            }
+        }
+        true
     }
 
     /// Pushes the successors the search follows from the current
@@ -1361,6 +1529,40 @@ mod tests {
             .find(|(from, to, _)| from.as_str() == "k" && to.as_str() == "s")
             .expect("k -> s channel used");
         assert_eq!(k_to_s.2, 2);
+    }
+
+    /// Ping-pong: the verdict's search reaches depth 1 on both queues,
+    /// and the pair {a, b} never passes it, so both are certified; at
+    /// lower depths the certificate fails.
+    #[test]
+    fn channel_pair_certifies_the_verdict_depths() {
+        let system =
+            system_from_locals(&[("a", "b!ping.b?pong.end"), ("b", "a?ping.a!pong.end")]).unwrap();
+        assert_eq!(
+            bounds_stored(&system, 4).unwrap(),
+            Some((vec![0, 1, 1, 0], 5, 2))
+        );
+        let mut search = DepthSearch::<u16>::new();
+        let queues = [system.queue(1), system.queue(2)];
+        assert!(search.certify(&system, [0, 1], queues, &[0, 1, 1, 0]));
+        assert!(!search.certify(&system, [0, 1], queues, &[0, 1, 0, 0]));
+        assert!(!search.certify(&system, [0, 1], queues, &[0, 0, 1, 0]));
+    }
+
+    /// In the pair {b, d}, `b`'s receive from the third machine `c` is
+    /// always enabled when `c` sends to `b`, whatever `c` sends, and never
+    /// when nobody does.
+    #[test]
+    fn channel_pair_abstracts_third_machines() {
+        let certify = |c: &str| {
+            let system =
+                system_from_locals(&[("b", "c?go . d!v . end"), ("c", c), ("d", "b?v . end")])
+                    .unwrap();
+            let queues = [system.queue(2), system.queue(2 * 3)];
+            DepthSearch::<u16>::new().certify(&system, [0, 2], queues, &[0; 9])
+        };
+        assert!(!certify("b!stop . end"));
+        assert!(certify("end"));
     }
 
     #[test]

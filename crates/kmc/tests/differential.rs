@@ -29,11 +29,14 @@
 //! reference is slow, and the large cases are the ones that exercise
 //! table growth.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use bench::verification::to_fsm;
 use codegen::MAX_BOUND_SEARCH;
 use kmc::{Report, System, Violation};
 use proptest::prelude::*;
-use theory::fsm::{Action, FsmBuilder, StateIndex};
+use theory::fsm::{Action, Direction, FsmBuilder, StateIndex};
 use theory::{Fsm, Name, Sort};
 
 #[path = "../../../tests/generators/mod.rs"]
@@ -239,22 +242,71 @@ proptest! {
             prop_assert!(agree(&safe, k, "random dual pair").is_ok());
         }
     }
+}
 
-    /// Projections of a random three-role message sequence.
-    #[test]
-    fn random_projections_agree(global in sequence_global()) {
-        let machines = ["a", "b", "c"]
-            .iter()
-            .map(|role| {
-                let local = theory::projection::project(&global, &Name::from(*role)).unwrap();
-                to_fsm(role, &local)
-            })
-            .collect();
-        let system = system_of(machines);
-        for k in [1, 2, 8] {
-            prop_assert!(agree(&system, k, "random projections").is_ok());
+/// The proptest body of [`random_projections_agree`], in a module of its
+/// own so that it keeps the test's name, which seeds its random cases.
+mod projections {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Projections of a random three-role message sequence.
+        fn random_projections_agree(global in sequence_global()) {
+            let machines = ["a", "b", "c"]
+                .iter()
+                .map(|role| {
+                    let local = theory::projection::project(&global, &Name::from(*role)).unwrap();
+                    to_fsm(role, &local)
+                })
+                .collect();
+            let system = system_of(machines);
+            for k in [1, 2, 8] {
+                prop_assert!(agree(&system, k, "random projections").is_ok());
+                count_bound_paths(&system, k);
+            }
         }
     }
+
+    pub(super) fn cases() {
+        random_projections_agree();
+    }
+}
+
+/// Over [`projections::cases`], the queues a channel pair certified
+/// and those left to a per-queue search, where every queue stays within
+/// `k`.
+static BOUND_PATHS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+fn count_bound_paths(system: &System, k: usize) {
+    let Some((_, _, certified)) = kmc::bounds_stored(system, k).expect("safe") else {
+        return;
+    };
+    let queues: HashSet<(Name, Name)> = (system.machines().iter())
+        .flat_map(|machine| {
+            (machine.rows().iter())
+                .filter(|(action, _)| action.direction == Direction::Send)
+                .map(|(action, _)| (machine.role, action.peer))
+        })
+        .collect();
+    BOUND_PATHS[0].fetch_add(certified, Ordering::Relaxed);
+    BOUND_PATHS[1].fetch_add(queues.len() - certified, Ordering::Relaxed);
+}
+
+/// The random projections of [`projections::cases`], which must settle
+/// some queue's bound by a channel pair's certificate and some by a
+/// per-queue search.
+#[test]
+fn random_projections_agree() {
+    projections::cases();
+    let [certified, searched] = BOUND_PATHS
+        .each_ref()
+        .map(|count| count.load(Ordering::Relaxed));
+    assert!(
+        certified > 0 && searched > 0,
+        "{certified} queues certified, {searched} searched"
+    );
 }
 
 /// A machine's rows: `(from, send, peer, label, to)`, with states taken
@@ -411,19 +463,22 @@ fn benchmark_corpus_shapes_agree() {
     );
     // The channel bounds of the four Scribble entries, which `verify_kmc`
     // asks for at k = 16: what the exact search explores, 10 384 in all,
-    // and what the per-queue searches store, 6 061 in all. On pmesh-4 the
-    // per-queue searches store more than the exact search explores.
-    let (mut exact, mut per_queue) = (Vec::new(), Vec::new());
+    // what the bound searches store, and how many of the entries' 10, 12,
+    // 12 and 20 queues the channel pairs certify: all of them, so no
+    // per-queue search runs.
+    let (mut exact, mut stored, mut certified) = (Vec::new(), Vec::new(), Vec::new());
     for (name, system, _) in &safe[..4] {
         let report = agree(system, MAX_BOUND_SEARCH, name).expect("safe");
-        let (_, stored) = kmc::bounds_stored(system, MAX_BOUND_SEARCH)
+        let (_, configurations, queues) = kmc::bounds_stored(system, MAX_BOUND_SEARCH)
             .unwrap()
             .expect("exhaustive at k");
         exact.push(report.configurations);
-        per_queue.push(stored);
+        stored.push(configurations);
+        certified.push(queues);
     }
     assert_eq!(exact, [1_451, 5_803, 326, 2_804]);
-    assert_eq!(per_queue, [1_237, 2_212, 643, 1_969]);
+    assert_eq!(stored, [89, 111, 294, 834]);
+    assert_eq!(certified, [10, 12, 12, 20]);
 
     // A ring in which nobody sends first can never move.
     let stuck = ring_of(3, |prev, next| format!("rec x . p{prev}?v . p{next}!v . x"));
@@ -508,7 +563,10 @@ fn ignored_machine_is_expanded_where_a_cycle_closes() {
 /// sends twice on its queue to `d`. A search of that queue's depth that
 /// expanded only `a` and `c` would close their cycle without ever moving
 /// `b`, and read depth 0; the stack proviso expands every machine where a
-/// reduced successor is on the depth-first stack.
+/// reduced successor is on the depth-first stack. The verdict search
+/// reaches depth 2 here, so the channel pair {b, d} certifies it and no
+/// per-queue search runs: [`ring_queues_are_reached_where_a_cycle_closes`]
+/// is the case that needs the proviso.
 #[test]
 fn visible_queue_is_reached_where_a_cycle_closes() {
     let system = kmc::system_from_locals(&[
@@ -525,6 +583,58 @@ fn visible_queue_is_reached_where_a_cycle_closes() {
     let b_to_d = 4 + 3;
     assert_eq!(max_depths[b_to_d], 2);
     assert_eq!(max_depths, report.max_depths);
+}
+
+/// Directed: `a` and `c` exchange forever and come before a ring of
+/// three. No channel pair certifies a ring queue: in the pair {p0, p1},
+/// `p0`'s receive from `p2` is always enabled, so `p0` sends a second `v`
+/// before `p1` takes the first, past the verdict search's depth 1. Each
+/// ring queue is left to its per-queue search, which reads depth 0 unless
+/// the stack proviso expands the ring where the cycle of `a` and `c`
+/// closes.
+#[test]
+fn ring_queues_are_reached_where_a_cycle_closes() {
+    let system = kmc::system_from_locals(&[
+        ("a", "rec x . c!p . c?q . x"),
+        ("c", "rec x . a?p . a!q . x"),
+        ("p0", "rec x . p1!v . p2?v . x"),
+        ("p1", "rec x . p0?v . p2!v . x"),
+        ("p2", "rec x . p1?v . p0!v . x"),
+    ])
+    .unwrap();
+    let report = agree(&system, MAX_BOUND_SEARCH, "ring after a cycle").expect("safe");
+    let (max_depths, _, certified) = kmc::bounds_stored(&system, MAX_BOUND_SEARCH)
+        .unwrap()
+        .expect("exhaustive at k");
+    // a → c and c → a only.
+    assert_eq!(certified, 2);
+    let ring = [2 * 5 + 3, 3 * 5 + 4, 4 * 5 + 2];
+    assert_eq!(ring.map(|channel| max_depths[channel]), [1, 1, 1]);
+    assert_eq!(max_depths, report.max_depths);
+}
+
+/// Directed: `d` comes first and takes each `v` as soon as `b` sends it,
+/// so the verdict search reaches depth 1 on b → d, where the system
+/// reaches 2 once `b` has received `go` from `c`. The channel pair {d, b}
+/// must let `b` receive from the third machine `c`, see the second `v`
+/// pass depth 1, and leave b → d to its per-queue search; the pair {b, c}
+/// certifies c → b at depth 1.
+#[test]
+fn third_party_receive_lets_a_queue_pass_the_verdict_depth() {
+    let system = kmc::system_from_locals(&[
+        ("d", "b?v . b?v . end"),
+        ("b", "c?go . d!v . d!v . end"),
+        ("c", "b!go . end"),
+    ])
+    .unwrap();
+    let report = agree(&system, MAX_BOUND_SEARCH, "third-party receive").expect("safe");
+    let (max_depths, _, certified) = kmc::bounds_stored(&system, MAX_BOUND_SEARCH)
+        .unwrap()
+        .expect("exhaustive at k");
+    let b_to_d = 3;
+    assert_eq!(max_depths[b_to_d], 2);
+    assert_eq!(max_depths, report.max_depths);
+    assert_eq!(certified, 1);
 }
 
 /// Directed: a two-machine loop of 70 000 states, more than a `u16` word

@@ -181,9 +181,11 @@ impl GlobalType {
                         to: *to,
                     });
                 }
+                // A single message has no label to repeat, and an empty
+                // set allocates nothing.
                 let mut seen = BTreeSet::new();
                 for branch in branches {
-                    if !seen.insert(&branch.label) {
+                    if branches.len() > 1 && !seen.insert(&branch.label) {
                         return Err(GlobalError::DuplicateLabel {
                             from: *from,
                             to: *to,
