@@ -637,6 +637,66 @@ fn third_party_receive_lets_a_queue_pass_the_verdict_depth() {
     assert_eq!(certified, 1);
 }
 
+/// Directed: a mixed-peer receive state on a queue left to its per-queue
+/// search. `b` and `d` synchronise through `c`: `b` sends `v` to `d`, `d`
+/// reports `done` to `c`, and only then does `c` send `b` the `ok` it
+/// waits for before its next `v`, so no queue ever holds more than one
+/// message. `d`'s receiving state also takes a `w` from `c`, which `c`
+/// never sends: a state receiving from two peers, which projections never
+/// produce. A channel pair abstracts the third machine away — its sends
+/// are always received and sends to it never block — so in each pair
+/// search one side runs ahead and a queue passes the verdict's depth 1:
+/// no queue is certified, and the per-queue search must find depth 1 on
+/// each, mixed-peer state included.
+#[test]
+fn mixed_peer_receive_state_is_searched_per_queue() {
+    let machine = |role: &str, rows: &[(usize, Action, usize)], states: usize| {
+        let mut builder = FsmBuilder::new(role);
+        let states: Vec<_> = (0..states).map(|_| builder.add_state()).collect();
+        for (from, action, to) in rows {
+            builder.add_transition(states[*from], *action, states[*to]);
+        }
+        builder.build(states[0]).expect("targets are states")
+    };
+    let (send, receive) = (Action::send, Action::receive);
+    let system = system_of(vec![
+        machine(
+            "b",
+            &[
+                (0, send("d", "v", Sort::Unit), 1),
+                (1, receive("c", "ok", Sort::Unit), 0),
+            ],
+            2,
+        ),
+        machine(
+            "c",
+            &[
+                (0, receive("d", "done", Sort::Unit), 1),
+                (1, send("b", "ok", Sort::Unit), 0),
+            ],
+            2,
+        ),
+        machine(
+            "d",
+            &[
+                (0, receive("b", "v", Sort::Unit), 1),
+                (0, receive("c", "w", Sort::Unit), 0),
+                (1, send("c", "done", Sort::Unit), 0),
+            ],
+            2,
+        ),
+    ]);
+    let report = agree(&system, MAX_BOUND_SEARCH, "mixed-peer receive").expect("safe");
+    let (max_depths, _, certified) = kmc::bounds_stored(&system, MAX_BOUND_SEARCH)
+        .unwrap()
+        .expect("exhaustive at k");
+    // b → d, c → b and d → c, channel `from * 3 + to` in machine order.
+    let queues = [2, 3, 2 * 3 + 1];
+    assert_eq!(queues.map(|channel| max_depths[channel]), [1, 1, 1]);
+    assert_eq!(max_depths, report.max_depths);
+    assert_eq!(certified, 0, "every queue is left to its per-queue search");
+}
+
 /// Directed: a two-machine loop of 70 000 states, more than a `u16` word
 /// holds, so `check` falls back to `u32` words. A state index truncated to
 /// 16 bits would alias state 65 536 with state 0 and end the search early.

@@ -14,7 +14,8 @@
 //!    into: a rewrite interns only the nodes on its path, equal terms get
 //!    equal ids, and ids are dense, so deduplication reads and sets one
 //!    flag per id (structural identity — the printed form's, except that
-//!    a custom sort spelled like a built-in one stays apart);
+//!    a custom sort spelled like a built-in one stays apart), in the
+//!    rewrite walk, before a duplicate's step is built;
 //! 2. **verify** — validate every candidate against the projection with
 //!    the sound asynchronous subtyping algorithm, so only provably safe
 //!    reorderings survive. Each candidate is checked as the machine
@@ -311,15 +312,14 @@ pub fn optimise(
     terms.machine(root, &mut projection_machine)?;
 
     // ---- generate: breadth-first closure under the rewrites ----------
-    // One flag per arena id: ids are dense, and the search only adds.
-    let mut seen = vec![false; terms.node_count()];
-    seen[root.index()] = true;
     let mut generated: Vec<Generated> = Vec::new();
     // Entries of `generated` to expand next; `None` is the projection.
     let mut frontier: Vec<Option<usize>> = vec![None];
     let mut next = Vec::new();
-    // One walk for every expansion, so its buffers are reused.
-    let mut walk = rewrite::Walk::default();
+    // One walk for every expansion, so its buffers are reused. It keeps
+    // one flag per arena id (ids are dense, and the search only adds) and
+    // returns each candidate at its first occurrence only.
+    let mut walk = rewrite::Walk::first_occurrences(root);
     let mut truncated = false;
     let mut pruned = 0usize;
     'search: while !frontier.is_empty() {
@@ -333,11 +333,7 @@ pub fn optimise(
             }
             walk.run(&mut terms, term, anticipations < config.unfold_depth);
             pruned += walk.found.pruned;
-            seen.resize(terms.node_count(), false);
             for (candidate, step) in walk.found.candidates.drain(..) {
-                if std::mem::replace(&mut seen[candidate.index()], true) {
-                    continue;
-                }
                 let anticipated = matches!(step, Step::Anticipate { .. });
                 generated.push(Generated {
                     term: candidate,

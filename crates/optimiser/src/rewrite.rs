@@ -44,6 +44,14 @@
 //! on its path, each with one child id replaced: O(*d*) nodes interned,
 //! every other subterm shared. A candidate that another rewrite already
 //! produced comes back as the same id, so the search deduplicates by id.
+//! A rule builds its replacement's branch list in the walk's reused
+//! buffer and interns it by slice, so a rule copies no branch list it
+//! matched.
+//!
+//! [`rewrites`] returns every occurrence of every candidate. The search
+//! keeps one flag per arena id in its walk instead, and a rewrite into a
+//! term already found is dropped before its [`Step`] is built: a step is
+//! built only for a candidate's first occurrence.
 //!
 //! # Data-dependence pruning
 //!
@@ -64,7 +72,7 @@ use std::fmt;
 
 use theory::name::Name;
 use theory::sort::Sort;
-use theory::term::{Branch, Node, TermId, Terms};
+use theory::term::{Branch, Branches, Node, TermId, Terms};
 
 /// One rewrite application, recorded in a candidate's derivation.
 #[derive(Clone, Debug, PartialEq)]
@@ -226,9 +234,26 @@ pub(crate) struct Walk {
     /// A loop body's distinct sends and receives ([`body_actions`]).
     sends: Vec<Action>,
     receives: Vec<Action>,
+    /// The branch list of the replacement a rule is building.
+    branches: Vec<Branch>,
+    /// For a walk that keeps first occurrences only, one flag per arena
+    /// id, set for every term found so far.
+    seen: Option<Vec<bool>>,
 }
 
 impl Walk {
+    /// A walk that keeps only first occurrences: a rewrite into `root`,
+    /// or into a term an earlier run of this walk found, is dropped
+    /// before its step is built.
+    pub(crate) fn first_occurrences(root: TermId) -> Self {
+        let mut seen = vec![false; root.index() + 1];
+        seen[root.index()] = true;
+        Walk {
+            seen: Some(seen),
+            ..Walk::default()
+        }
+    }
+
     /// Replaces [`found`](Walk::found) with the rewrites of `term`.
     pub(crate) fn run(&mut self, terms: &mut Terms, term: TermId, allow_anticipate: bool) {
         self.allow_anticipate = allow_anticipate;
@@ -239,27 +264,27 @@ impl Walk {
 
     fn visit(&mut self, terms: &mut Terms, term: TermId) {
         // Rewrites rooted at this node.
-        match terms.node(term) {
+        match *terms.node(term) {
             Node::Choice {
                 send: false,
                 peer,
                 branches,
             } if branches.len() == 1 => {
-                let (peer, guard) = (*peer, branches[0]);
+                let guard = terms.branches(branches)[0];
                 self.hoist_past_receive(terms, peer, guard);
                 self.swap_receives(terms, peer, guard);
             }
             Node::Choice {
                 send: false,
+                peer,
                 branches,
-                ..
-            } if branches.len() > 1 => self.hoist_from_branches(terms, term),
+            } if branches.len() > 1 => self.hoist_from_branches(terms, peer, branches),
             Node::Choice {
                 send: true,
                 peer,
                 branches,
             } if branches.len() == 1 => {
-                let (peer, outer) = (*peer, branches[0]);
+                let outer = terms.branches(branches)[0];
                 self.hoist_past_send(terms, peer, outer);
             }
             _ => {}
@@ -280,10 +305,12 @@ impl Walk {
         }
     }
 
-    /// Records the rewrite of the visited position into `replacement`:
-    /// each ancestor on the path is rebuilt around its new child, bottom
-    /// up, and every other subterm is shared.
-    fn emit(&mut self, terms: &mut Terms, replacement: TermId, step: Step) {
+    /// Records the rewrite of the visited position into `replacement`,
+    /// with the step `step` builds: each ancestor on the path is rebuilt
+    /// around its new child, bottom up, and every other subterm is
+    /// shared. A walk that keeps first occurrences drops a term it has
+    /// found before without building its step.
+    fn emit(&mut self, terms: &mut Terms, replacement: TermId, step: impl FnOnce(&Terms) -> Step) {
         let term = self
             .path
             .iter()
@@ -291,6 +318,15 @@ impl Walk {
             .fold(replacement, |child, &(parent, index)| {
                 terms.with_child(parent, index, child)
             });
+        if let Some(seen) = &mut self.seen {
+            if term.index() >= seen.len() {
+                seen.resize(terms.node_count(), false);
+            }
+            if std::mem::replace(&mut seen[term.index()], true) {
+                return;
+            }
+        }
+        let step = step(terms);
         self.found.candidates.push((term, step));
     }
 
@@ -298,21 +334,21 @@ impl Walk {
     /// `send_peer`, each continuation wrapped in the crossed single action
     /// (`crossed_send` towards `crossed_peer`).
     fn hoisted(
+        &mut self,
         terms: &mut Terms,
         send_peer: Name,
-        mut branches: Box<[Branch]>,
+        branches: Branches,
         crossed_send: bool,
         crossed_peer: Name,
         (label, sort): (Name, Sort),
     ) -> TermId {
-        for branch in branches.iter_mut() {
-            branch.2 = terms.single(crossed_send, crossed_peer, (label, sort, branch.2));
+        self.branches.clear();
+        for index in 0..branches.len() {
+            let (inner_label, inner_sort, continuation) = terms.branches(branches)[index];
+            let crossed = terms.single(crossed_send, crossed_peer, (label, sort, continuation));
+            self.branches.push((inner_label, inner_sort, crossed));
         }
-        terms.intern(Node::Choice {
-            send: true,
-            peer: send_peer,
-            branches,
-        })
+        terms.choice(true, send_peer, &self.branches)
     }
 
     /// Hoist past receive: `p?a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p?a.Tᵢ`.
@@ -326,26 +362,25 @@ impl Walk {
             send: true,
             peer: send_peer,
             branches: inner,
-        } = terms.node(continuation)
+        } = *terms.node(continuation)
         else {
             return;
         };
-        if inner
+        if terms
+            .branches(inner)
             .iter()
             .any(|&(l, s, _)| data_depends((l, s), (label, sort)))
         {
             self.found.pruned += 1;
             return;
         }
-        let (send_peer, inner) = (*send_peer, inner.clone());
-        let step = Step::HoistPastReceive {
+        let replacement = self.hoisted(terms, send_peer, inner, false, peer, (label, sort));
+        self.emit(terms, replacement, |terms| Step::HoistPastReceive {
             send_peer,
             receive_peer: peer,
-            send_sorts: inner.iter().map(|&(_, s, _)| s).collect(),
+            send_sorts: sorts(terms, inner),
             receive_sort: sort,
-        };
-        let replacement = Self::hoisted(terms, send_peer, inner, false, peer, (label, sort));
-        self.emit(terms, replacement, step);
+        });
     }
 
     /// Swap receives: `p?a.q?b.T ↦ q?b.p?a.T` for `p ≠ q`.
@@ -359,61 +394,58 @@ impl Walk {
             send: false,
             peer: moved_peer,
             branches: inner,
-        } = terms.node(continuation)
+        } = *terms.node(continuation)
         else {
             return;
         };
-        let &[(moved_label, moved_sort, rest)] = &inner[..] else {
+        let &[(moved_label, moved_sort, rest)] = terms.branches(inner) else {
             return;
         };
-        if *moved_peer == peer {
+        if moved_peer == peer {
             return;
         }
-        let moved_peer = *moved_peer;
         let crossed = terms.single(false, peer, (label, sort, rest));
         let replacement = terms.single(false, moved_peer, (moved_label, moved_sort, crossed));
-        let step = Step::SwapReceives {
+        self.emit(terms, replacement, |_| Step::SwapReceives {
             moved: moved_peer,
             crossed: peer,
-        };
-        self.emit(terms, replacement, step);
+        });
     }
 
-    /// Hoist out of branches: `&ᵢ p?ℓᵢ.q!m.Tᵢ ↦ q!m.&ᵢ p?ℓᵢ.Tᵢ`.
-    fn hoist_from_branches(&mut self, terms: &mut Terms, term: TermId) {
-        let Node::Choice { peer, branches, .. } = terms.node(term) else {
+    /// Hoist out of branches: `&ᵢ p?ℓᵢ.q!m.Tᵢ ↦ q!m.&ᵢ p?ℓᵢ.Tᵢ`, for the
+    /// external choice of `branches` from `peer`.
+    fn hoist_from_branches(&mut self, terms: &mut Terms, peer: Name, branches: Branches) {
+        let Some((send_peer, label, sort)) = common_leading_send(terms, terms.branches(branches))
+        else {
             return;
         };
-        let Some((send_peer, label, sort)) = common_leading_send(terms, branches) else {
-            return;
-        };
-        if branches
+        if terms
+            .branches(branches)
             .iter()
             .any(|&(l, s, _)| data_depends((label, sort), (l, s)))
         {
             self.found.pruned += 1;
             return;
         }
-        let (peer, mut stripped) = (*peer, branches.clone());
-        let step = Step::HoistFromBranches {
+        self.branches.clear();
+        self.branches.extend(
+            terms
+                .branches(branches)
+                .iter()
+                .map(|&(l, s, continuation)| {
+                    let rest = terms.child(continuation, 0);
+                    (l, s, rest.expect("common_leading_send checked the shape"))
+                }),
+        );
+        let crossed = terms.choice(false, peer, &self.branches);
+        let replacement = terms.single(true, send_peer, (label, sort, crossed));
+        self.emit(terms, replacement, |terms| Step::HoistFromBranches {
             send_peer,
             receive_peer: peer,
             label,
             sort,
-            receive_sorts: stripped.iter().map(|&(_, s, _)| s).collect(),
-        };
-        for branch in stripped.iter_mut() {
-            branch.2 = terms
-                .child(branch.2, 0)
-                .expect("common_leading_send checked the shape");
-        }
-        let crossed = terms.intern(Node::Choice {
-            send: false,
-            peer,
-            branches: stripped,
+            receive_sorts: sorts(terms, branches),
         });
-        let replacement = terms.single(true, send_peer, (label, sort, crossed));
-        self.emit(terms, replacement, step);
     }
 
     /// Hoist past send: `p!a.⊕ᵢq!ℓᵢ.Tᵢ ↦ ⊕ᵢq!ℓᵢ.p!a.Tᵢ` for `p ≠ q`.
@@ -427,22 +459,20 @@ impl Walk {
             send: true,
             peer: inner_peer,
             branches: inner,
-        } = terms.node(continuation)
+        } = *terms.node(continuation)
         else {
             return;
         };
         // Same-peer crossings violate the subtyping relation's
         // FIFO-per-peer discipline; don't bother generating them.
-        if *inner_peer == peer {
+        if inner_peer == peer {
             return;
         }
-        let (inner_peer, inner) = (*inner_peer, inner.clone());
-        let replacement = Self::hoisted(terms, inner_peer, inner, true, peer, (label, sort));
-        let step = Step::HoistPastSend {
+        let replacement = self.hoisted(terms, inner_peer, inner, true, peer, (label, sort));
+        self.emit(terms, replacement, |_| Step::HoistPastSend {
             inner: inner_peer,
             outer: peer,
-        };
-        self.emit(terms, replacement, step);
+        });
     }
 
     /// Anticipate: `μt.T ↦ q!ℓ.μt.T`, once per distinct send of the body.
@@ -462,16 +492,24 @@ impl Walk {
                 continue;
             }
             let replacement = terms.single(true, peer, (label, sort, term));
-            let step = Step::Anticipate {
+            self.emit(terms, replacement, |_| Step::Anticipate {
                 peer,
                 label,
                 sort,
                 crossed_receives: receives.iter().map(|&(_, _, s)| s).collect(),
-            };
-            self.emit(terms, replacement, step);
+            });
         }
         (self.sends, self.receives) = (sends, receives);
     }
+}
+
+/// The payload sorts of a choice's `branches`, in term order.
+fn sorts(terms: &Terms, branches: Branches) -> Vec<Sort> {
+    terms
+        .branches(branches)
+        .iter()
+        .map(|&(_, s, _)| s)
+        .collect()
 }
 
 /// When every branch of a multi-label external choice starts with the
@@ -483,14 +521,14 @@ fn common_leading_send(terms: &Terms, branches: &[Branch]) -> Option<Action> {
             send: true,
             peer,
             branches,
-        } = terms.node(continuation)
+        } = *terms.node(continuation)
         else {
             return None;
         };
-        let &[(label, sort, _)] = &branches[..] else {
+        let &[(label, sort, _)] = terms.branches(branches) else {
             return None;
         };
-        let lead = (*peer, label, sort);
+        let lead = (peer, label, sort);
         if *common.get_or_insert(lead) != lead {
             return None;
         }
@@ -512,7 +550,7 @@ fn body_actions(terms: &Terms, body: TermId, sends: &mut Vec<Action>, receives: 
                 peer,
                 branches,
             } => {
-                for &(label, sort, continuation) in branches.iter() {
+                for &(label, sort, continuation) in terms.branches(*branches) {
                     let action = (*peer, label, sort);
                     let out = if *send { &mut *sends } else { &mut *receives };
                     if !out.contains(&action) {

@@ -21,6 +21,8 @@
 //! * the shapes of the benchmark's `verify_amr` corpus: nested choice at
 //!   levels 1–4 in both directions, the streaming source unrolled 0–100
 //!   times and the k-buffering kernel with 0–8 `ready`s sent ahead,
+//! * deep paths: the streaming source unrolled 400 times and the kernel
+//!   with 16 `ready`s sent ahead,
 //! * every candidate the optimiser *generates*, verified or not, for the
 //!   kernel at depths 1–3 and every pmesh-5 role at depth 2.
 //!
@@ -665,6 +667,39 @@ fn verify_amr_shapes_agree() {
             agree(&kernel, &sent, ahead + 4, &format!("{what} reversed")),
             ahead == 0
         );
+    }
+}
+
+/// Deep paths, where the visitor's incremental prefix scan skips the
+/// most: the streaming source unrolled 100 and 400 times and the
+/// k-buffering kernel with 8 and 16 `ready`s sent ahead, at bound n + 4.
+/// Each visit pushes one action onto a prefix that is hundreds of actions
+/// long, so a watermark left stale by a fresh head or a revert would show
+/// here as a wrong visit count long before a wrong verdict. Both visitors
+/// recurse once per path step, so an unoptimised build, whose frames are
+/// larger, stops at 200 unrolls to stay within a test thread's stack.
+#[test]
+fn deep_shapes_agree() {
+    let stream = streaming::projected();
+    let deepest = if cfg!(debug_assertions) { 200 } else { 400 };
+    for unrolls in [100, deepest] {
+        let what = format!("streaming unrolled {unrolls}");
+        assert!(agree(
+            &streaming::optimised(unrolls),
+            &stream,
+            unrolls + 4,
+            &what
+        ));
+    }
+    let kernel = k_buffering::projected();
+    for ahead in [8, 16] {
+        let what = format!("kernel sent ahead {ahead}");
+        assert!(agree(
+            &k_buffering::optimised(ahead),
+            &kernel,
+            ahead + 4,
+            &what
+        ));
     }
 }
 

@@ -5,10 +5,18 @@
 //! children are [`TermId`]s, and finds a node's id through one
 //! open-addressing table of ids over the nodes, the way k-MC's visited
 //! table finds a configuration. A choice is looked up from its fields,
-//! its branches a borrowed slice, and its branch list is boxed only when
-//! it is new. Peers, labels and recursion variables are interned
-//! [`Name`]s and payload sorts [`Sort`]s, so a node is a few words and
-//! hashing one touches no string.
+//! its branches a borrowed slice. Peers, labels and recursion variables
+//! are interned [`Name`]s and payload sorts [`Sort`]s, so a node is a few
+//! words and hashing one touches no string.
+//!
+//! **The pool.** Every branch list of an arena lives in one pool, list
+//! after list, and a choice node holds its list's range there
+//! ([`Branches`], read with [`Terms::branches`]). A new choice appends
+//! its branches to the pool; the pool only grows, so a range stays valid
+//! for the arena's life. An arena is three buffers — nodes, pool and
+//! table — however many nodes it holds: interning a node allocates only
+//! when one of them grows, and dropping an arena frees three buffers,
+//! not one per choice.
 //!
 //! **Machines.** [`Terms::machine`] builds a term's [`Fsm`] straight from
 //! the arena, its actions made of the node's names and sorts as they are.
@@ -32,8 +40,9 @@
 //! and a rewrite that reproduces a term already seen adds no node at
 //! all: deduplicating candidates is one id comparison. A node the arena
 //! already holds costs one table lookup and no allocation:
-//! [`Terms::with_child`] builds the rebuilt ancestor in a reused buffer
-//! and [`Terms::single`] from a one-element slice.
+//! [`Terms::with_child`] builds the rebuilt ancestor in a reused buffer,
+//! [`Terms::single`] from a one-element slice, and [`Terms::choice`]
+//! takes the caller's slice.
 //!
 //! ```
 //! use theory::local::parse;
@@ -71,9 +80,35 @@ impl TermId {
 /// continuation.
 pub type Branch = (Name, Sort, TermId);
 
+/// Where a choice's branch list sits in its arena's pool; read it with
+/// [`Terms::branches`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Branches {
+    start: u32,
+    len: u32,
+}
+
+impl Branches {
+    /// Number of branches.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for a choice with no branch.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The list's range in the pool.
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
 /// One node of the arena: a [`LocalType`] constructor whose subterms are
 /// ids.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Node {
     /// `end`.
     End,
@@ -88,7 +123,7 @@ pub enum Node {
         /// The peer every branch talks to.
         peer: Name,
         /// The branches, in term order.
-        branches: Box<[Branch]>,
+        branches: Branches,
     },
 }
 
@@ -107,28 +142,13 @@ fn choice_hash(send: bool, peer: Name, branches: &[Branch]) -> u64 {
     })
 }
 
-/// True if `node` is the choice of `branches` with `peer` in direction
-/// `send`: the table's comparison, which reads direction, peer, and every
-/// label, sort and child, whatever [`choice_hash`] leaves out.
-fn same_choice(node: &Node, send: bool, peer: Name, branches: &[Branch]) -> bool {
-    matches!(node, Node::Choice { send: s, peer: p, branches: b }
-        if *s == send && *p == peer && **b == *branches)
-}
-
-impl Node {
-    /// The table's hash of the node; see [`choice_hash`].
-    fn hash(&self) -> u64 {
-        match self {
-            Node::End => step(2, 0),
-            Node::Var(var) => step(3, u64::from(var.id())),
-            Node::Rec(var, body) => step(step(4, u64::from(var.id())), u64::from(body.0)),
-            Node::Choice {
-                send,
-                peer,
-                branches,
-            } => choice_hash(*send, *peer, branches),
-        }
-    }
+/// True if `node`, whose branches are in `pool`, is the choice of
+/// `branches` with `peer` in direction `send`: the table's comparison,
+/// which reads direction, peer, and every label, sort and child, whatever
+/// [`choice_hash`] leaves out.
+fn same_choice(pool: &[Branch], node: &Node, send: bool, peer: Name, branches: &[Branch]) -> bool {
+    matches!(*node, Node::Choice { send: s, peer: p, branches: b }
+        if s == send && p == peer && pool[b.range()] == *branches)
 }
 
 /// A free slot of [`Terms::slots`]: no id is `u32::MAX`.
@@ -140,30 +160,51 @@ const TAG: u64 = 0xFFFF_FFFF_0000_0000;
 #[derive(Clone, Debug, Default)]
 pub struct Terms {
     nodes: Vec<Node>,
+    /// Every choice's branch list, in the order the choices were added.
+    pool: Vec<Branch>,
     /// Open-addressing table over `nodes`, at most half full: the top
     /// half of a node's hash and its id per slot, or [`EMPTY`].
     slots: Vec<u64>,
-    /// The branches of the node [`Terms::with_child`] looks up.
+    /// Branch lists being built: the node [`Terms::with_child`] looks up,
+    /// or the choices [`Terms::intern_local`] has open, innermost last.
     scratch: Vec<Branch>,
 }
 
 impl Terms {
-    /// The id of `node`, adding it if the arena has not seen it.
-    pub fn intern(&mut self, node: Node) -> TermId {
-        match self.find(node.hash(), |old| *old == node) {
+    /// The id of `node`, a leaf or a `rec`, adding it if the arena has
+    /// not seen it. Choices are interned by [`Terms::choice`].
+    fn intern(&mut self, node: Node) -> TermId {
+        let hash = match node {
+            Node::End => step(2, 0),
+            Node::Var(var) => step(3, u64::from(var.id())),
+            Node::Rec(var, body) => step(step(4, u64::from(var.id())), u64::from(body.0)),
+            Node::Choice { .. } => unreachable!("a choice is interned from its fields"),
+        };
+        match self.find(hash, |_, old| *old == node) {
             Ok(id) => id,
             Err(slot) => self.add(slot, node),
         }
     }
 
-    /// The id of the choice of `branches` with `peer`, looked up from its
-    /// fields: the branch list is boxed only when the node is new.
-    fn choice(&mut self, send: bool, peer: Name, branches: &[Branch]) -> TermId {
-        let same = |old: &Node| same_choice(old, send, peer, branches);
+    /// The id of the choice of `branches` with `peer`, internal when
+    /// `send` is set, looked up from its fields: the branches are copied
+    /// into the pool only when the node is new.
+    pub fn choice(&mut self, send: bool, peer: Name, branches: &[Branch]) -> TermId {
+        let same = |pool: &[Branch], old: &Node| same_choice(pool, old, send, peer, branches);
         match self.find(choice_hash(send, peer, branches), same) {
             Ok(id) => id,
             Err(slot) => {
-                let branches = branches.into();
+                let start = self.pool.len();
+                self.pool.extend_from_slice(branches);
+                assert!(
+                    u32::try_from(self.pool.len()).is_ok(),
+                    "fewer than 2³² branches"
+                );
+                // Both fit: they are at most the pool's length.
+                let branches = Branches {
+                    start: start as u32,
+                    len: branches.len() as u32,
+                };
                 self.add(
                     slot,
                     Node::Choice {
@@ -176,9 +217,14 @@ impl Terms {
         }
     }
 
-    /// The id of the node hashed `hash` that `same` accepts, or the free
-    /// slot to add it at with its tag. Makes room for one more node first.
-    fn find(&mut self, hash: u64, same: impl Fn(&Node) -> bool) -> Result<TermId, (usize, u64)> {
+    /// The id of the node hashed `hash` that `same` accepts (given the
+    /// pool and a node), or the free slot to add it at with its tag. Makes
+    /// room for one more node first.
+    fn find(
+        &mut self,
+        hash: u64,
+        same: impl Fn(&[Branch], &Node) -> bool,
+    ) -> Result<TermId, (usize, u64)> {
         if (self.nodes.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -188,7 +234,7 @@ impl Terms {
         while self.slots[slot] != EMPTY {
             let entry = self.slots[slot];
             let id = TermId((entry & !TAG) as u32);
-            if entry & TAG == tag && same(self.node(id)) {
+            if entry & TAG == tag && same(&self.pool, self.node(id)) {
                 return Ok(id);
             }
             slot = (slot + 1) & mask;
@@ -232,6 +278,11 @@ impl Terms {
         &self.nodes[id.0 as usize]
     }
 
+    /// The branches of a choice node of this arena, in term order.
+    pub fn branches(&self, branches: Branches) -> &[Branch] {
+        &self.pool[branches.range()]
+    }
+
     /// Number of distinct terms interned so far.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -257,15 +308,20 @@ impl Terms {
         let Node::Choice {
             send,
             peer,
-            ref branches,
-        } = self.nodes[parent.index()]
+            branches,
+        } = *self.node(parent)
         else {
             unreachable!("a leaf has no children")
         };
-        self.scratch.clear();
-        self.scratch.extend_from_slice(branches);
-        self.scratch[index].2 = child;
-        let scratch = std::mem::take(&mut self.scratch);
+        // Most choices have one branch, rebuilt on the stack.
+        if let [(label, sort, _)] = *self.branches(branches) {
+            assert_eq!(index, 0, "no branch {index}");
+            return self.choice(send, peer, &[(label, sort, child)]);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend_from_slice(self.branches(branches));
+        scratch[index].2 = child;
         let id = self.choice(send, peer, &scratch);
         self.scratch = scratch;
         id
@@ -277,35 +333,37 @@ impl Terms {
         match self.node(id) {
             Node::End | Node::Var(_) => None,
             Node::Rec(_, body) => (index == 0).then_some(*body),
-            Node::Choice { branches, .. } => branches.get(index).map(|branch| branch.2),
+            Node::Choice { branches, .. } => {
+                self.branches(*branches).get(index).map(|branch| branch.2)
+            }
         }
     }
 
     /// Interns `local` and every subterm of it.
     pub fn intern_local(&mut self, local: &LocalType) -> TermId {
-        let node = match local {
-            LocalType::End => Node::End,
-            LocalType::Var(var) => Node::Var(*var),
+        match local {
+            LocalType::End => self.intern(Node::End),
+            LocalType::Var(var) => self.intern(Node::Var(*var)),
             LocalType::Rec { var, body } => {
                 let body = self.intern_local(body);
-                Node::Rec(*var, body)
+                self.intern(Node::Rec(*var, body))
             }
             LocalType::Select { peer, branches } | LocalType::Branch { peer, branches } => {
-                let branches = branches
-                    .iter()
-                    .map(|b| {
-                        let continuation = self.intern_local(&b.continuation);
-                        (b.label, b.sort, continuation)
-                    })
-                    .collect();
-                Node::Choice {
-                    send: matches!(local, LocalType::Select { .. }),
-                    peer: *peer,
-                    branches,
+                // This choice's branches go on top of `scratch`, above those
+                // of the choices enclosing it, once each continuation is in.
+                let open = self.scratch.len();
+                for branch in branches {
+                    let continuation = self.intern_local(&branch.continuation);
+                    self.scratch.push((branch.label, branch.sort, continuation));
                 }
+                let scratch = std::mem::take(&mut self.scratch);
+                let send = matches!(local, LocalType::Select { .. });
+                let id = self.choice(send, *peer, &scratch[open..]);
+                self.scratch = scratch;
+                self.scratch.truncate(open);
+                id
             }
-        };
-        self.intern(node)
+        }
     }
 
     /// Materialises `id` as a [`LocalType`] tree.
@@ -323,7 +381,8 @@ impl Terms {
                 branches,
             } => {
                 let peer = *peer;
-                let branches = branches
+                let branches = self
+                    .branches(*branches)
                     .iter()
                     .map(|&(label, sort, continuation)| LocalBranch {
                         label,
@@ -351,12 +410,27 @@ impl Terms {
         let mut build = MachineBuild {
             terms: self,
             machine,
-            env: Vec::new(),
         };
-        let initial = build.state(id, 0)?;
+        let initial = build.state(id, None, 0)?;
         build.machine.set_initial(initial);
         Ok(())
     }
+}
+
+/// A bound recursion variable and its state, with the bindings around it:
+/// the environment of [`MachineBuild`], innermost first, kept on the walk's
+/// call stack so a build allocates nothing of its own.
+struct Binding<'a> {
+    var: Name,
+    state: StateIndex,
+    /// Bindings around this one.
+    depth: usize,
+    outer: Option<&'a Binding<'a>>,
+}
+
+/// The number of bindings in `env`.
+fn depth(env: Option<&Binding<'_>>) -> usize {
+    env.map_or(0, |binding| binding.depth + 1)
 }
 
 /// The walk behind [`Terms::machine`]. A state gets all its transitions
@@ -366,30 +440,41 @@ impl Terms {
 struct MachineBuild<'a> {
     terms: &'a Terms,
     machine: &'a mut Fsm,
-    /// Bound recursion variables and their states, innermost last.
-    env: Vec<(Name, StateIndex)>,
 }
 
 impl MachineBuild<'_> {
-    /// The state `var` names. `guard` is the length of `env` at the last
-    /// action on the path: a binding at or above it was made with no
-    /// action in between, so reaching it is unguarded recursion.
-    fn var(&self, var: Name, guard: usize) -> Result<StateIndex, FsmError> {
-        match self.env.iter().rposition(|&(bound, _)| bound == var) {
-            Some(at) if at >= guard => Err(FsmError::UnguardedRecursion(var)),
-            Some(at) => Ok(self.env[at].1),
-            None => Err(FsmError::UnboundVariable(var)),
+    /// The state `var` names in `env`. `guard` is the depth of the
+    /// environment at the last action on the path: a binding at or above
+    /// it was made with no action in between, so reaching it is unguarded
+    /// recursion.
+    fn var(var: Name, env: Option<&Binding<'_>>, guard: usize) -> Result<StateIndex, FsmError> {
+        let mut at = env;
+        while let Some(binding) = at {
+            if binding.var == var {
+                return if binding.depth >= guard {
+                    Err(FsmError::UnguardedRecursion(var))
+                } else {
+                    Ok(binding.state)
+                };
+            }
+            at = binding.outer;
         }
+        Err(FsmError::UnboundVariable(var))
     }
 
     /// A fresh state for `id`, or the state a variable names.
-    fn state(&mut self, id: TermId, guard: usize) -> Result<StateIndex, FsmError> {
+    fn state(
+        &mut self,
+        id: TermId,
+        env: Option<&Binding<'_>>,
+        guard: usize,
+    ) -> Result<StateIndex, FsmError> {
         match self.terms.node(id) {
             Node::End => Ok(self.machine.add_state()),
-            Node::Var(var) => self.var(*var, guard),
+            Node::Var(var) => Self::var(*var, env, guard),
             Node::Rec(..) | Node::Choice { .. } => {
                 let state = self.machine.add_state();
-                self.fill(state, id, guard)
+                self.fill(state, id, env, guard)
             }
         }
     }
@@ -401,17 +486,21 @@ impl MachineBuild<'_> {
         &mut self,
         state: StateIndex,
         id: TermId,
+        env: Option<&Binding<'_>>,
         guard: usize,
     ) -> Result<StateIndex, FsmError> {
         let terms = self.terms;
         match terms.node(id) {
             Node::End => Ok(state),
-            Node::Var(var) => self.var(*var, guard),
+            Node::Var(var) => Self::var(*var, env, guard),
             Node::Rec(var, body) => {
-                self.env.push((*var, state));
-                let result = self.fill(state, *body, guard);
-                self.env.pop();
-                result
+                let binding = Binding {
+                    var: *var,
+                    state,
+                    depth: depth(env),
+                    outer: env,
+                };
+                self.fill(state, *body, Some(&binding), guard)
             }
             Node::Choice {
                 send,
@@ -423,6 +512,7 @@ impl MachineBuild<'_> {
                 } else {
                     Direction::Receive
                 };
+                let branches = terms.branches(*branches);
                 // Row of the first branch; branch `i` is `first + i`.
                 let mut first = 0;
                 for (index, &(label, sort, _)) in branches.iter().enumerate() {
@@ -436,7 +526,7 @@ impl MachineBuild<'_> {
                 }
                 for (index, &(_, _, continuation)) in branches.iter().enumerate() {
                     // Recursion below an action is guarded again.
-                    let target = self.state(continuation, self.env.len())?;
+                    let target = self.state(continuation, env, depth(env))?;
                     self.machine.set_target(first + index, target);
                 }
                 Ok(state)
@@ -801,7 +891,12 @@ mod tests {
         let node = Node::Choice {
             send: true,
             peer: p,
-            branches: branches.into(),
+            branches: Branches { start: 1, len: 2 },
+        };
+        // The node's branches sit in the pool after another list's.
+        let pool = [(b, Sort::Unit, TermId(0)), branches[0], branches[1]];
+        let same_choice = |node: &Node, send, peer, branches: &[Branch]| {
+            same_choice(&pool, node, send, peer, branches)
         };
         assert!(same_choice(&node, true, p, &branches));
 

@@ -14,10 +14,12 @@
 #
 # Pair i (1-based) runs both sides with `--seed i` for SECONDS (default
 # 15, the benchmark's own run length); odd pairs run the parent first,
-# even pairs the change first. Every run is printed as it finishes, then
-# each side's median and quartiles of `ops_per_s` (linear interpolation
-# between order statistics), the pairs the change won (higher
-# `ops_per_s`) and the median of the per-pair ratios change / parent.
+# even pairs the change first. Every run is printed as it finishes, then,
+# for each end-to-end metric the benchmark declares — `ops_per_s` (higher
+# is better), `peak_rss_mb` and `setup_s` (lower is better) — each side's
+# median and quartiles (linear interpolation between order statistics)
+# and the pairs the change won, and last the median of the per-pair
+# `ops_per_s` ratios change / parent.
 #
 # Needs only git, tar, cargo, sort and awk. The working tree and the
 # index are left as they are; staging the change adds objects to git's
@@ -89,25 +91,43 @@ for ((pair = 1; pair <= pairs; pair++)); do
     fi
 done
 
-# Median and quartiles of the sorted numbers on stdin.
+# Median and quartiles of the sorted numbers on stdin, with $1 decimals.
 quartiles() {
-    awk '{ v[NR] = $1 }
+    awk -v digits="$1" '{ v[NR] = $1 }
          function q(p,   h, i) {
              h = 1 + p * (NR - 1); i = int(h)
              return i < NR ? v[i] + (h - i) * (v[i + 1] - v[i]) : v[NR]
          }
-         END { printf "median %.2f  q1 %.2f  q3 %.2f  iqr %.2f", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+         END {
+             f = "%." digits "f"
+             printf "median " f "  q1 " f "  q3 " f "  iqr " f, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25)
+         }'
 }
 
 echo "# $workload, $pairs pairs of ${seconds} s, parent $parent against the working tree"
-for side in parent change; do
-    printf '%-6s ops_per_s %s\n' "$side" \
-        "$(awk -v side=$side '$2 == side { print $3 }' "$work/runs" | sort -g | quartiles)"
+# Each end-to-end metric: its column in the runs file, whether higher is
+# better, and the decimals to print.
+for spec in "ops_per_s 3 higher 2" "peak_rss_mb 4 lower 2" "setup_s 5 lower 4"; do
+    read -r name column better digits <<<"$spec"
+    for side in parent change; do
+        printf '%-6s %-11s %s\n' "$side" "$name" \
+            "$(awk -v side=$side -v c=$column '$2 == side { print $c }' "$work/runs" |
+                sort -g | quartiles "$digits")"
+    done
+    awk -v c=$column -v better=$better '
+        $2 == "parent" { p[$1] = $c } $2 == "change" { ch[$1] = $c }
+        END {
+            for (k in p) {
+                n++
+                if (better == "higher" ? ch[k] > p[k] : ch[k] < p[k]) wins++
+            }
+            printf "change won %d of %d pairs on %s (%s is better)\n", wins, n, name, better
+        }' name="$name" "$work/runs"
 done
 awk '$2 == "parent" { p[$1] = $3 } $2 == "change" { c[$1] = $3 }
-     END { for (k in p) print c[k] / p[k], (c[k] > p[k]) }' "$work/runs" | sort -g |
-    awk '{ r[NR] = $1; wins += $2 }
+     END { for (k in p) print c[k] / p[k] }' "$work/runs" | sort -g |
+    awk '{ r[NR] = $1 }
          END {
              m = NR % 2 ? r[(NR + 1) / 2] : (r[NR / 2] + r[NR / 2 + 1]) / 2
-             printf "change won %d of %d pairs; median pair ratio change/parent %.3f\n", wins, NR, m
+             printf "median pair ratio of ops_per_s, change/parent %.3f\n", m
          }'
