@@ -7,8 +7,9 @@
 //! * lightweight **tasks** multiplexed over a pool of worker threads
 //!   ([`Runtime::spawn`]); a task poll takes no lock and no reference
 //!   count of its own,
-//! * a **work-stealing scheduler** (one local deque per worker plus a global
-//!   injector, in the style of Tokio/Rayon),
+//! * a **work-stealing scheduler** (one local run queue per worker plus a
+//!   global injector, in the style of Tokio/Rayon; each queue a
+//!   mutex-guarded `VecDeque`),
 //! * waker-based **asynchronous channels** ([`channel`]) used as the session
 //!   transport: lock-free SPSC rings behind the bidirectional role-to-role
 //!   links and an atomic oneshot rendezvous (also behind every
@@ -53,6 +54,7 @@ pub mod channel;
 pub mod io;
 mod join;
 mod park;
+mod queue;
 mod runtime;
 mod task;
 mod yield_now;

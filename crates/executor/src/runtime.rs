@@ -2,19 +2,19 @@
 //!
 //! Architecture (a deliberately small cousin of Tokio's scheduler):
 //!
-//! * every worker thread owns a `crossbeam_deque::Worker` (local FIFO run
-//!   queue) plus a **LIFO slot** holding the most recently woken task, so a
-//!   wake performed *by* a worker (the ping-pong message-passing pattern)
-//!   is polled next on the same core without touching any shared queue,
+//! * every worker thread owns a FIFO run `Queue` (a mutex-guarded
+//!   `VecDeque`) plus a **LIFO slot** holding the most recently woken
+//!   task, so a wake performed *by* a worker (the ping-pong
+//!   message-passing pattern) is polled next on the same core without
+//!   touching any queue,
 //! * the LIFO slot is reserved for *wakes* — the channel layer's waker
 //!   handoff lands the woken receiver exactly there, which is the
 //!   direct-handoff path for session ping-pong. Fresh spawns from a
-//!   worker go to the back of its FIFO deque instead; the deque's one
-//!   overflow policy is to double its buffer, and a backlog reaches
+//!   worker go to the back of its queue instead, and a backlog reaches
 //!   siblings through their batch steals,
-//! * a global lock-free `Injector` receives tasks scheduled from outside
-//!   the pool (spawns, cross-thread wakes),
-//! * idle workers first drain the LIFO slot and local deque, then
+//! * one more queue of the same type, the injector, receives tasks
+//!   scheduled from outside the pool (spawns, cross-thread wakes),
+//! * idle workers first drain the LIFO slot and local queue, then
 //!   dispatch pending socket readiness ([`io::turn_now`](crate::io::turn_now)),
 //!   then batch-steal from the injector, then batch-steal from a sibling
 //!   (random start index to spread contention), and finally park. A
@@ -32,9 +32,14 @@
 //! *before* reading the searching count/bitmask, a parking worker
 //! publishes its bitmask bit *before* re-checking the queues, with `SeqCst`
 //! fences supplying the store-load ordering on both sides, so at least one
-//! side always observes the other and no wake is lost.
+//! side always observes the other and no wake is lost. The re-check reads
+//! each queue's length without its lock: a pusher stores the new length
+//! under the lock, before `notify`'s fence, and the parker reads it after
+//! its own fence, so a snapshot that misses the push means the pusher's
+//! read of the bitmask sees the parked bit and wakes the worker.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::io::Write;
 use std::ptr;
@@ -43,20 +48,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::Duration;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use dep_telemetry as telemetry;
 use telemetry::scheduler::Counters;
 use telemetry::CachePadded;
 
 use crate::join::{self, JoinHandle};
 use crate::park::{self, Parker};
+use crate::queue::Queue;
 use crate::task::Task;
 
 /// Upper bound on pool size: parked workers live in one `AtomicU64` bitmask.
 const MAX_WORKERS: usize = 64;
 
 /// Consecutive polls a worker may take from its LIFO slot before deferring
-/// to the FIFO deque, so a hot ping-pong pair cannot starve queued tasks.
+/// to the FIFO queue, so a hot ping-pong pair cannot starve queued tasks.
 const LIFO_STREAK_LIMIT: u32 = 32;
 
 /// Belt-and-braces park timeout: with a correct handshake no wake is ever
@@ -67,8 +72,9 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// State shared between all workers and every external handle.
 pub(crate) struct Shared {
-    injector: Injector<Arc<Task>>,
-    stealers: Vec<Stealer<Arc<Task>>>,
+    injector: CachePadded<Queue<Arc<Task>>>,
+    /// One run queue per worker, indexed like `parkers`.
+    queues: Box<[CachePadded<Queue<Arc<Task>>>]>,
     parkers: Vec<Arc<Parker>>,
     /// Number of workers currently stealing (out of local work but not yet
     /// parked). Pushers skip the wake entirely while this is non-zero: a
@@ -92,7 +98,7 @@ impl Shared {
 
     /// Schedules a *woken* task — the receiver of a message, a completed
     /// join, any waker fire. On a worker thread of this runtime the task
-    /// goes into the LIFO slot (displacing any occupant into the deque):
+    /// goes into the LIFO slot (displacing any occupant into its queue):
     /// this is the direct-handoff path — a channel send performed by a
     /// worker places the woken receiver where that same worker polls next,
     /// so ping-pong message passing never touches a shared queue.
@@ -101,7 +107,7 @@ impl Shared {
         match self.worker_here() {
             Some(context) => {
                 if let Some(displaced) = context.lifo.replace(Some(task)) {
-                    context.deque.push(displaced);
+                    self.queues[context.index].push(displaced);
                     // Surplus local work that siblings could pick up.
                     self.notify();
                 }
@@ -113,13 +119,13 @@ impl Shared {
     /// Schedules a freshly *spawned* task. Unlike a wake, a spawn never
     /// claims the LIFO slot (that would let a spawn storm displace the hot
     /// message-passing task): on a worker thread of this runtime it goes
-    /// to the back of the local FIFO deque, elsewhere through the
+    /// to the back of the local FIFO queue, elsewhere through the
     /// injector.
     pub(crate) fn schedule_new(&self, task: Arc<Task>) {
         match self.worker_here() {
             Some(context) => {
                 self.counters[context.index].spawns.incr();
-                context.deque.push(task);
+                self.queues[context.index].push(task);
                 self.notify();
             }
             None => {
@@ -132,7 +138,7 @@ impl Shared {
     /// Wakes one parked worker, unless a searcher already has it covered.
     fn notify(&self) {
         // Order the preceding queue push before the searching/parked reads
-        // (store-load: the Release queue publication alone is not enough).
+        // (store-load: the queue's unlock alone is not enough).
         fence(Ordering::SeqCst);
         if self.searching.load(Ordering::Relaxed) > 0 {
             return;
@@ -180,9 +186,9 @@ impl Shared {
         }
     }
 
-    /// True if any shared queue (injector or a sibling deque) has work.
+    /// True if any queue (the injector or a worker's) has work.
     fn work_available(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|stealer| !stealer.is_empty())
+        !self.injector.is_empty() || self.queues.iter().any(|queue| !queue.is_empty())
     }
 
     /// The calling thread's worker context, if it is a worker of *this*
@@ -227,7 +233,7 @@ impl Shared {
 
     /// A searcher found work. The last one to stop wakes a sibling if
     /// more remains, to keep draining it in parallel.
-    fn stop_searching(&self, local: &Deque<Arc<Task>>) {
+    fn stop_searching(&self, local: &Queue<Arc<Task>>) {
         if self.searching.fetch_sub(1, Ordering::SeqCst) == 1
             && (!local.is_empty() || !self.injector.is_empty())
         {
@@ -262,10 +268,9 @@ impl Shared {
 struct WorkerContext {
     /// Identifies the runtime this worker belongs to.
     shared: *const Shared,
-    /// This worker's index into `Shared::stealers`/`parkers`/`counters`.
+    /// This worker's index into `Shared::queues`/`parkers`/`counters`.
     index: usize,
-    deque: Deque<Arc<Task>>,
-    /// The most recently woken task; polled next, ahead of the deque.
+    /// The most recently woken task; polled next, ahead of the queue.
     lifo: Cell<Option<Arc<Task>>>,
 }
 
@@ -295,12 +300,11 @@ impl Runtime {
     /// Creates a runtime with `threads` worker threads (clamped to 1..=64).
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_WORKERS);
-        let deques: Vec<_> = (0..threads).map(|_| Deque::new_fifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
-
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
+            injector: CachePadded::new(Queue::new()),
+            queues: (0..threads)
+                .map(|_| CachePadded::new(Queue::new()))
+                .collect(),
             parkers: (0..threads).map(|_| Arc::new(Parker::new(true))).collect(),
             searching: AtomicUsize::new(0),
             parked: AtomicU64::new(0),
@@ -309,14 +313,12 @@ impl Runtime {
             counters: (0..threads + 1).map(|_| CachePadded::default()).collect(),
         });
 
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
+        let workers = (0..threads)
+            .map(|index| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("executor-worker-{index}"))
-                    .spawn(move || worker_loop(index, deque, shared))
+                    .spawn(move || worker_loop(index, shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -443,7 +445,7 @@ impl Drop for AbortOnUnwind {
     }
 }
 
-fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
+fn worker_loop(index: usize, shared: Arc<Shared>) {
     let parker = &shared.parkers[index];
     parker.bind();
     #[cfg(target_os = "linux")]
@@ -452,7 +454,6 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     let context = WorkerContext {
         shared: Arc::as_ptr(&shared),
         index,
-        deque,
         lifo: Cell::new(None),
     };
     CONTEXT.with(|slot| slot.set(&context as *const WorkerContext));
@@ -460,6 +461,10 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
     // Dropped first on unwind: aborts before the queued tasks are dropped.
     let _abort = AbortOnUnwind(index);
 
+    let local = &shared.queues[index];
+    // Carries a steal's batch from its victim to `local`; kept for its
+    // capacity.
+    let mut batch = VecDeque::new();
     let counters = &shared.counters[index];
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));
     let mut lifo_streak = 0u32;
@@ -481,7 +486,7 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
         // Periodically service the injector first so local floods cannot
         // starve externally spawned tasks.
         if tick.is_multiple_of(61) {
-            if let Steal::Success(task) = shared.injector.steal_batch_and_pop(&context.deque) {
+            if let Some(task) = shared.injector.steal_all(local, &mut batch) {
                 found_work(&mut after_timeout);
                 counters.injector_pops.incr();
                 task.run();
@@ -498,14 +503,14 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
                 continue;
             }
         } else if let Some(task) = context.lifo.take() {
-            // Streak exhausted: demote the slot occupant to the deque and
+            // Streak exhausted: demote the slot occupant to the queue and
             // take fairness path below.
-            context.deque.push(task);
+            local.push(task);
         }
         lifo_streak = 0;
 
-        // 2. Local FIFO deque.
-        if let Some(task) = context.deque.pop() {
+        // 2. Local FIFO queue.
+        if let Some(task) = local.pop() {
             counters.local_pops.incr();
             task.run();
             continue;
@@ -528,9 +533,9 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
                 shared.searching.fetch_sub(1, Ordering::SeqCst);
                 return;
             }
-            if let Some(task) = steal_work(index, &context.deque, &shared, &mut rng) {
+            if let Some(task) = steal_work(index, &shared, &mut batch, &mut rng) {
                 found_work(&mut after_timeout);
-                shared.stop_searching(&context.deque);
+                shared.stop_searching(local);
                 task.run();
                 continue 'run;
             }
@@ -572,7 +577,7 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
                 // Back to the top: edges this park dispatched may have
                 // woken tasks into the LIFO slot, and after a timeout
                 // `turn_now` collects any edge nobody collected meanwhile.
-                shared.stop_searching(&context.deque);
+                shared.stop_searching(local);
                 continue 'run;
             }
         }
@@ -583,37 +588,26 @@ fn worker_loop(index: usize, deque: Deque<Arc<Task>>, shared: Arc<Shared>) {
 /// at a random starting index.
 fn steal_work(
     index: usize,
-    local: &Deque<Arc<Task>>,
     shared: &Shared,
+    batch: &mut VecDeque<Arc<Task>>,
     rng: &mut Rng,
 ) -> Option<Arc<Task>> {
     let counters = &shared.counters[index];
-    loop {
-        match shared.injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => {
-                counters.injector_pops.incr();
-                return Some(task);
-            }
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
+    let local = &shared.queues[index];
+    if let Some(task) = shared.injector.steal_all(local, batch) {
+        counters.injector_pops.incr();
+        return Some(task);
     }
-    let siblings = shared.stealers.len();
-    let start = (rng.next() % siblings.max(1) as u64) as usize;
+    let siblings = shared.queues.len();
+    let start = (rng.next() % siblings as u64) as usize;
     for offset in 0..siblings {
         let victim = (start + offset) % siblings;
         if victim == index {
             continue;
         }
-        loop {
-            match shared.stealers[victim].steal_batch_and_pop(local) {
-                Steal::Success(task) => {
-                    counters.sibling_steals.incr();
-                    return Some(task);
-                }
-                Steal::Empty => break,
-                Steal::Retry => {}
-            }
+        if let Some(task) = shared.queues[victim].steal_half(local, batch) {
+            counters.sibling_steals.incr();
+            return Some(task);
         }
     }
     None

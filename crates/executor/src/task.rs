@@ -114,7 +114,8 @@ impl Task {
         // happens after the last: the previous runner ended its poll with
         // its `RUNNING -> IDLE` AcqRel CAS below, a waker then won
         // `IDLE -> SCHEDULED` (AcqRel) in `schedule` and pushed the task
-        // (release) onto the queue this worker popped it from (acquire) —
+        // onto the queue this worker popped it from, the push's unlock of
+        // the queue mutex happening before the pop's lock —
         // or the previous runner saw `NOTIFIED` and re-pushed the task
         // itself. The first run pairs `new` with the spawn's push the same
         // way. Wakers only ever touch `state`, never this cell.

@@ -184,11 +184,11 @@ fn drain_backlog(workers: usize, sessions: u64) -> Duration {
 /// backlog misses it by a factor on every attempt.
 ///
 /// The hub wakes two peers back to back on purpose. The second wake
-/// displaces the first from the worker's LIFO slot into its deque, which
-/// is the one push a worker makes onto a deque that already holds a whole
-/// injector takeover. A strict ping-pong never displaces the slot — each
-/// wake is polled before the next is made — so it never exercises what a
-/// worker does with a long deque.
+/// displaces the first from the worker's LIFO slot into its run queue,
+/// which is the one push a worker makes onto a queue that already holds a
+/// whole injector takeover. A strict ping-pong never displaces the slot —
+/// each wake is polled before the next is made — so it never exercises
+/// what a worker does with a long queue.
 #[test]
 fn backlog_drains_in_linear_time() {
     for workers in [1, 2] {
@@ -231,7 +231,7 @@ fn randomized_steal_exactly_once() {
 
         // Random pairing: even-indexed tasks message their odd partner a
         // random number of times, forcing waker-driven reschedules that
-        // land in the LIFO slot, the local deque or the injector depending
+        // land in the LIFO slot, the local queue or the injector depending
         // on which thread the send happens on.
         let handles: Vec<_> = (0..TASKS / 2)
             .flat_map(|pair| {

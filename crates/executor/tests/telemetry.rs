@@ -109,6 +109,12 @@ fn counters_balance_after_stress() {
     // have happened; with 4 workers under this load the pool parked and
     // woke at least once.
     assert!(total.injector_pops > 0, "injector_pops: {total:?}");
+
+    // No wake was lost: a park that timed out never found work waiting.
+    assert_eq!(
+        total.timeout_wakes_with_work, 0,
+        "timeout_wakes_with_work: {total:?}"
+    );
 }
 
 /// A single-worker runtime cannot steal from siblings, and the LIFO

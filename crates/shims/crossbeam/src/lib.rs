@@ -1,12 +1,6 @@
-//! A minimal, API-compatible stand-in for the `crossbeam` crate (the build
-//! container has no crates.io access). Provides the one module this
-//! workspace uses:
-//!
-//! * [`deque`] — `Worker`/`Stealer`/`Injector`/`Steal`, implemented as a
-//!   real lock-free Chase–Lev deque (growable ring buffer, CAS-validated
-//!   steals, epoch-free retired-buffer reclamation) plus a Treiber-chain
-//!   injector with batch takeover. No mutex anywhere on the
-//!   push/pop/steal path; see the module docs for the memory-ordering
-//!   argument.
-
-pub mod deque;
+//! An empty placeholder. This crate once stood in for `crossbeam`'s
+//! work-stealing deque; the executor's run queues are now its own
+//! `queue::Queue`, so nothing here is used. It stays a workspace member
+//! only because `benchmark/Cargo.lock` records the `executor -> crossbeam`
+//! and `crossbeam -> parking_lot` edges, and removing the crate rewrites
+//! that lock file; it goes when the benchmark is next changed.

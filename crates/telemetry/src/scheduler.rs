@@ -15,9 +15,9 @@ use crate::Counter;
 /// * `completions` — task futures driven to completion on this worker,
 /// * `polls` — `Task::run` invocations (every poll of a scheduled task),
 /// * `lifo_hits` — polls served from the LIFO wake slot (direct handoff),
-/// * `local_pops` — polls served from the worker's own FIFO deque,
+/// * `local_pops` — polls served from the worker's own FIFO run queue,
 /// * `injector_pops` — polls served by an injector batch takeover,
-/// * `sibling_steals` — polls served by stealing a sibling's deque,
+/// * `sibling_steals` — polls served by stealing from a sibling's queue,
 /// * `parks` / `unparks` — sleep cycles entered / wake-ups claimed,
 /// * `driver_parks` — parks spent in `epoll_wait` holding the I/O
 ///   driver baton,
@@ -39,7 +39,7 @@ pub struct Counters {
     pub polls: Counter,
     /// Polls served from the LIFO wake slot.
     pub lifo_hits: Counter,
-    /// Polls served from the local FIFO deque.
+    /// Polls served from the local FIFO run queue.
     pub local_pops: Counter,
     /// Polls served by an injector batch takeover.
     pub injector_pops: Counter,
