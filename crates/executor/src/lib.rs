@@ -50,11 +50,12 @@
 //! ```
 
 pub mod channel;
+#[doc(hidden)]
+pub mod deque;
 #[cfg(target_os = "linux")]
 pub mod io;
 mod join;
 mod park;
-mod queue;
 mod runtime;
 mod task;
 mod yield_now;

@@ -52,9 +52,9 @@ use dep_telemetry as telemetry;
 use telemetry::scheduler::Counters;
 use telemetry::CachePadded;
 
+use crate::deque::Queue;
 use crate::join::{self, JoinHandle};
 use crate::park::{self, Parker};
-use crate::queue::Queue;
 use crate::task::Task;
 
 /// Upper bound on pool size: parked workers live in one `AtomicU64` bitmask.
