@@ -375,6 +375,46 @@ mod tests {
         assert_eq!(finish.get("ts"), Some(&Value::F64(3.0)));
     }
 
+    /// The merged timeline of a fixed two-process run, as
+    /// `rumpsteak-trace --merge` writes it, byte for byte.
+    #[test]
+    fn two_process_timeline_is_pinned() {
+        let t_dump = dump(
+            "T",
+            &[("S", 1_000_000)],
+            "netlink-reader S->T",
+            vec![
+                frame_event(Kind::FrameRecv, 5_000, 1),
+                TraceEvent {
+                    label: "Value",
+                    ..frame_event(Kind::Receive, 5_250, 0)
+                },
+            ],
+        );
+        let s_dump = dump(
+            "S",
+            &[],
+            "netlink-writer S->T",
+            vec![
+                TraceEvent {
+                    label: "Value",
+                    ..frame_event(Kind::Send, 1_001_500, 0)
+                },
+                frame_event(Kind::FrameSend, 1_002_000, 1),
+                frame_event(Kind::FrameSend, 1_002_700, 2),
+            ],
+        );
+        let text = merge_chrome_trace(&[t_dump, s_dump]).0.to_string();
+        // 64-bit FNV-1a, as `codegen`'s golden tests digest reports.
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            fnv1a, 0x622791f2d3a79b83,
+            "the merged timeline changed:\n{text}"
+        );
+    }
+
     #[test]
     fn merge_reports_unmatched_edges() {
         let only_sends = dump("A", &[], "w", vec![frame_event(Kind::FrameSend, 10, 1)]);
