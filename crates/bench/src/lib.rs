@@ -10,22 +10,18 @@
 //! * [`transport`] — networked-transport workloads (framed loopback
 //!   TCP/UDS ping-pong and k-bounded burst) driving the distributed
 //!   backend's wire path,
-//! * [`check`] — the invariants `bench-check` holds the optimiser's
-//!   report to,
 //! * [`trace`] — Chrome trace-event rendering for `rumpsteak-trace`,
 //! * [`table1`] — the expressiveness matrix of Table 1,
 //! * [`timing`] — the harness's one wall-clock timing loop.
 //!
 //! The `fig6`, `fig7` and `table1` binaries print the corresponding
-//! tables; `bench-check` validates the optimiser's report and the
-//! `rumpsteak-trace` output in CI.
+//! tables; `rumpsteak-trace` writes and merges Chrome traces.
 //! None of this carries a performance claim: those belong to
 //! `BENCHMARK.json` and the standalone `benchmark/` package.
 //!
 //! The harness needs Linux: [`transport`] drives the socket half of
 //! `rumpsteak::net`, which sits on `epoll`.
 
-pub mod check;
 pub mod protocols;
 pub mod table1;
 pub mod timing;

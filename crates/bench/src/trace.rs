@@ -278,11 +278,10 @@ mod tests {
         }
     }
 
-    /// The `traceEvents` of a document re-read through the JSON reader.
-    fn events_of(document: &Value) -> Vec<Value> {
-        let parsed = theory::json::parse(&document.to_string()).expect("output parses");
-        match parsed.get("traceEvents") {
-            Some(Value::Array(events)) => events.clone(),
+    /// The `traceEvents` of a document.
+    fn events_of(document: &Value) -> &[Value] {
+        match document.get("traceEvents") {
+            Some(Value::Array(events)) => events,
             other => panic!("no traceEvents array: {other:?}"),
         }
     }
@@ -310,13 +309,13 @@ mod tests {
             merge_chrome_trace(&[dump("solo", &[], "worker-0", vec![early, event])]);
         assert_eq!(report.flows, 0);
         let events = events_of(&document);
-        assert_eq!(with_member(&events, "name", "process_name").len(), 1);
-        let threads = with_member(&events, "name", "thread_name");
+        assert_eq!(with_member(events, "name", "process_name").len(), 1);
+        let threads = with_member(events, "name", "thread_name");
         assert_eq!(
             threads[0].get("args").and_then(|a| a.get("name")),
             Some(&Value::String("worker-0".into()))
         );
-        let sends = with_member(&events, "cat", "send");
+        let sends = with_member(events, "cat", "send");
         assert_eq!(sends.len(), 2);
         assert_eq!(sends[1].get("ts"), Some(&Value::F64(1.5)));
         assert_eq!(
@@ -362,10 +361,10 @@ mod tests {
         assert_eq!((edge.sends, edge.recvs, edge.matched), (1, 1, 1));
         // Both phases of the flow pair are present, in distinct lanes.
         let events = events_of(&document);
-        assert_eq!(with_member(&events, "name", "process_name").len(), 2);
+        assert_eq!(with_member(events, "name", "process_name").len(), 2);
         let (start, finish) = (
-            with_member(&events, "ph", "s")[0],
-            with_member(&events, "ph", "f")[0],
+            with_member(events, "ph", "s")[0],
+            with_member(events, "ph", "f")[0],
         );
         assert_ne!(start.get("pid"), finish.get("pid"));
         // S's event shifted by -offset: 1_002_000 - 1_000_000 = 2_000 ns

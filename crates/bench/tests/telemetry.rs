@@ -1,6 +1,6 @@
 //! Channel-telemetry invariants on the Fig 6 protocols.
 //!
-//! Two properties per protocol, exercised with and without the
+//! Three properties per protocol, exercised with and without the
 //! `telemetry` feature (CI runs both):
 //!
 //! 1. The hand-annotated `bounds { ... }` clauses in the `roles!`
@@ -12,8 +12,11 @@
 //!    its registered bound: the static guarantee, checked against a
 //!    real execution. Latency and session-lifetime quantile ladders are
 //!    monotone.
+//! 3. No worker's park ended on its timeout and then found work: a
+//!    lost wake fails here instead of hiding behind the park timeout.
 //!
-//! In disabled builds the registry is empty and only that is asserted.
+//! In disabled builds the registry is empty and the scheduler counts
+//! nothing, and only that is asserted.
 
 use bench::protocols::{double_buffering, fft8, streaming};
 use rumpsteak::telemetry;
@@ -40,6 +43,14 @@ fn kmc_bounds(variants: &[Vec<theory::Fsm>]) -> Vec<(String, String, u64)> {
         .into_iter()
         .map(|((from, to), depth)| (from, to, depth))
         .collect()
+}
+
+/// No park of `rt`'s workers ended on the park timeout and then found
+/// work: no wake was lost and recovered only by the timeout (0 unless
+/// telemetry).
+fn assert_no_timeout_wakes(rt: &executor::Runtime) {
+    let total = rt.telemetry().total();
+    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
 }
 
 /// Asserts that the quantile ladder of `hist` is monotone.
@@ -130,6 +141,7 @@ fn streaming_watermarks_stay_within_kmc_bounds() {
         streaming::run_rumpsteak(&rt, count, true),
         streaming::expected(count)
     );
+    assert_no_timeout_wakes(&rt);
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {
@@ -196,6 +208,7 @@ fn double_buffering_watermarks_stay_within_kmc_bounds() {
         double_buffering::run_rumpsteak(&rt, size, true),
         double_buffering::expected(size)
     );
+    assert_no_timeout_wakes(&rt);
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {
@@ -234,6 +247,7 @@ fn fft_watermarks_stay_within_kmc_bounds() {
     let out = fft8::run_rumpsteak(&rt, rows);
     let expected = fft8::run_sequential(rows);
     assert!((fft8::checksum(&out) - fft8::checksum(&expected)).abs() < 1e-6);
+    assert_no_timeout_wakes(&rt);
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {

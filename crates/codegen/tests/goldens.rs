@@ -2,7 +2,8 @@
 //! `tests/protocols/` is pinned byte-for-byte — the corpus is discovered
 //! by globbing, so adding a protocol without a golden fails the suite —
 //! and so are what the optimise pass picks for each of them and, by
-//! digest, the whole `--report` it writes.
+//! digest, the whole `--report` it writes. Every report also holds the
+//! cross-field invariants of [`report_violations`].
 //!
 //! A protocol may carry a directive comment naming its generation flags
 //! (parameter bindings, skeleton emission):
@@ -22,6 +23,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use optimiser::Report;
 use theory::json::Json;
 use theory::Name;
 
@@ -175,6 +177,11 @@ fn optimiser_picks_are_pinned_across_the_corpus() {
                 .collect();
             improved.sort();
             assert_eq!(improved, expected, "`{stem}` at --bound {bound}");
+            let violations = report_violations(&reports);
+            assert!(
+                violations.is_empty(),
+                "`{stem}` at --bound {bound}: {violations:?}"
+            );
             // The whole report, as `--report` writes it, byte for byte.
             let text = format!("{:#}\n", reports.to_json());
             assert_eq!(
@@ -207,6 +214,128 @@ const REPORT_DIGESTS: [[u64; 3]; 10] = [
     [0x6b1151b67a0ba82f, 0xd151102c38e8e9bd, 0x0205f93a617480fb], // streaming
     [0x14ab4b6fefd8a9c6, 0x42b1065053a998de, 0xfb920c671561c796], // swap
 ];
+
+/// What a well-formed `--report` array must satisfy beyond its shape,
+/// one line per violation:
+///
+/// * it lists at least one role, and no role or projection is empty,
+/// * `candidates` lists exactly the `verified` candidates, each with a
+///   type and states, in non-increasing `estimated_saving_ns` order,
+/// * `verified` never exceeds `generated`,
+/// * `best` is present exactly when the first candidate's saving is
+///   positive, and is then that candidate, with derivation steps, and
+/// * `improved` is true exactly when `best` is present.
+fn report_violations(roles: &[Report]) -> Vec<String> {
+    let mut errors = Vec::new();
+    if roles.is_empty() {
+        errors.push("report lists no roles".to_owned());
+    }
+    for (i, role) in roles.iter().enumerate() {
+        let at = format!("report[{i}] ({})", role.role);
+        if role.role.is_empty() || role.projection.is_empty() {
+            errors.push(format!("{at}: empty `role` or `projection`"));
+        }
+        if role.candidates.len() != role.verified {
+            errors.push(format!(
+                "{at}: `candidates` lists {} entries but `verified` is {}",
+                role.candidates.len(),
+                role.verified
+            ));
+        }
+        if role.verified > role.generated {
+            errors.push(format!(
+                "{at}: `verified` {} exceeds `generated` {}",
+                role.verified, role.generated
+            ));
+        }
+        if role
+            .candidates
+            .iter()
+            .any(|c| c.local.is_empty() || c.states == 0)
+        {
+            errors.push(format!("{at}: a candidate has no `local` or no states"));
+        }
+        if !role
+            .candidates
+            .is_sorted_by(|a, b| a.estimated_saving_ns >= b.estimated_saving_ns)
+        {
+            errors.push(format!(
+                "{at}: `candidates` are not in non-increasing `estimated_saving_ns` order"
+            ));
+        }
+        let first_saves = role
+            .candidates
+            .first()
+            .is_some_and(|c| c.estimated_saving_ns > 0.0);
+        if role.best.is_some() != first_saves {
+            errors.push(format!(
+                "{at}: `best` must be present exactly when the first candidate's \
+                 `estimated_saving_ns` is positive"
+            ));
+        }
+        if role.improved != role.best.is_some() {
+            errors.push(format!(
+                "{at}: `improved` disagrees with `best` being present"
+            ));
+        }
+        if let Some(best) = &role.best {
+            if best.derivation.is_empty() || best.derivation.iter().any(String::is_empty) {
+                errors.push(format!("{at}: `best` has no derivation steps"));
+            }
+            if role.candidates.first().map(|c| &c.local) != Some(&best.local) {
+                errors.push(format!("{at}: `best` is not the first ranked candidate"));
+            }
+        }
+    }
+    errors
+}
+
+/// A fresh report passes [`report_violations`], and each invariant
+/// rejects one doctored copy of it.
+#[test]
+fn report_invariants_accept_fresh_output_and_reject_each_violation() {
+    // `rumpsteak-gen kbuffering_opt.scr --param n=4 --optimise --report`.
+    let source = std::fs::read_to_string(fixture("protocols", "kbuffering_opt.scr")).unwrap();
+    let mut analysis = codegen::analyse_with(&source, &[("n".into(), 4)]).expect("analyses");
+    let fresh = codegen::optimise(&mut analysis, &optimiser::Config::with_depth(1))
+        .expect("optimise pass succeeds");
+    let violations = report_violations(&fresh);
+    assert!(violations.is_empty(), "{violations:?}");
+    let improved = fresh
+        .iter()
+        .position(|r| r.improved)
+        .expect("something improved");
+    let rejects = |doctor: &dyn Fn(&mut Report), complaint: &str| {
+        let mut doctored = fresh.clone();
+        doctor(&mut doctored[improved]);
+        let violations = report_violations(&doctored);
+        assert!(
+            violations.iter().any(|v| v.contains(complaint)),
+            "expected `{complaint}` among {violations:?}"
+        );
+    };
+    rejects(
+        &|role| role.best.as_mut().unwrap().local = "end".into(),
+        "not the first ranked candidate",
+    );
+    rejects(&|role| role.generated = 0, "exceeds `generated`");
+    // A runner-up that would have saved more than the winner.
+    rejects(
+        &|role| {
+            let mut runner_up = role.candidates[0].clone();
+            runner_up.estimated_saving_ns += 1.0;
+            role.candidates.push(runner_up);
+            role.verified += 1;
+        },
+        "not in non-increasing `estimated_saving_ns` order",
+    );
+    // A winner that saves nothing.
+    rejects(
+        &|role| role.candidates[0].estimated_saving_ns = 0.0,
+        "`best` must be present exactly when",
+    );
+    rejects(&|role| role.improved = false, "`improved` disagrees");
+}
 
 #[test]
 fn generation_is_deterministic_across_runs() {

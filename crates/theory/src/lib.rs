@@ -17,8 +17,8 @@
 //! * [`name`] — names interned once per process, so comparing and
 //!   hashing one never reads its text,
 //! * [`dot`] — Graphviz output for debugging protocols,
-//! * [`json`] — the workspace's one JSON reader and writer, behind every
-//!   machine-readable artifact the tools above emit or load.
+//! * [`json`] — the workspace's one JSON writer, behind every
+//!   machine-readable artifact the tools above emit.
 //!
 //! # Example: the streaming protocol of §2
 //!

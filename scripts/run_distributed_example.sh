@@ -3,7 +3,7 @@
 # loopback and checks both sides ran the session to completion.
 #
 # Usage:
-#     run_distributed_example.sh tcp|uds [BINARY] [--telemetry TRACE_BIN [CHECK_BIN]]
+#     run_distributed_example.sh tcp|uds [BINARY] [--telemetry TRACE_BIN]
 #
 # BINARY defaults to the release build of examples/distributed_streaming
 # (built with `cargo build --release --example distributed_streaming`);
@@ -15,8 +15,6 @@
 # write trace dumps and TRACE_BIN (a `rumpsteak-trace` build) merges
 # them into one timeline — failing unless every protocol edge with
 # frame sends produced at least one cross-process flow event.
-# CHECK_BIN (a `bench-check` build, by default the one beside TRACE_BIN)
-# validates the merged timeline with `bench-check trace`.
 #
 # Topology: role S is listed first so role T (listed later) dials S;
 # S accepts. Starting T first exercises the dial-retry path.
@@ -26,7 +24,7 @@ mode="${1:-}"
 case "$mode" in
     tcp | uds) ;;
     *)
-        echo "usage: $0 tcp|uds [BINARY] [--telemetry TRACE_BIN [CHECK_BIN]]" >&2
+        echo "usage: $0 tcp|uds [BINARY] [--telemetry TRACE_BIN]" >&2
         exit 2
         ;;
 esac
@@ -34,18 +32,11 @@ shift
 
 binary=""
 trace_bin=""
-check_bin=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --telemetry)
             trace_bin="${2:?--telemetry requires a rumpsteak-trace binary}"
             shift 2
-            # Both are `bench` binaries, so cargo builds them side by side.
-            check_bin="$(dirname "$trace_bin")/bench-check"
-            if [[ $# -gt 0 && "$1" != --* ]]; then
-                check_bin="$1"
-                shift
-            fi
             ;;
         *)
             binary="$1"
@@ -131,7 +122,6 @@ if [[ -n "$trace_bin" ]]; then
     echo "== trace merge =="
     "$trace_bin" --merge "$workdir/s.trace" "$workdir/t.trace" \
         --out "$workdir/merged.json"
-    "$check_bin" trace "$workdir/merged.json"
 fi
 
 echo "run_distributed_example: ok ($mode)"
