@@ -11,7 +11,7 @@
 //!   increasing `usize` counters; a value with logical index `i` lives in
 //!   slot `i & (cap - 1)`. The producer caches `head` and the consumer
 //!   caches `tail`, so the uncontended fast paths touch the shared
-//!   counters only to publish their own side (one release store each) and
+//!   counters only to publish their own side (one store each) and
 //!   re-read the opposite counter only when the cached copy says
 //!   full/empty (the classic cached-index SPSC optimisation).
 //! * **Reserve/commit sends.** [`SpscSender::poll_reserve`] hands out a
@@ -44,14 +44,35 @@
 //!   parked side keeps a private mirror so that on the next empty poll a
 //!   `will_wake` hit re-arms with a single CAS (`EMPTY` → `WAITING`) —
 //!   no waker clone, no cell write. Only a genuinely different waker
-//!   (task migration) pays for the `LOCKED` cell replacement. The waking
-//!   side, after publishing its index, executes a `SeqCst` fence and
-//!   peeks at the state with a relaxed load — only when it observes a
-//!   (possible) waiter does it pay for the CAS that claims the cell. The
-//!   parked side mirrors the fence between publishing `WAITING` and
-//!   re-checking the queue, the same Dekker-style store/load handshake as
-//!   the scheduler's sleep protocol, so a wake can never be lost. The
+//!   (task migration) pays for the `LOCKED` cell replacement. The
 //!   receiver is the only side that ever parks, so a ring has one cell.
+//!
+//! # Why no wake is lost
+//!
+//! The handoff is a store-buffering (Dekker) shape. The producer
+//! publishes `tail` (or clears `tx_alive`) and then reads the waker
+//! state; the parked side publishes `WAITING` and then re-reads `tail`
+//! (and `tx_alive`). A wake is lost only if *both* reads miss the other
+//! side's write. All four accesses are `SeqCst`: the publications are
+//! `SeqCst` stores or CASes, the reads `SeqCst` loads (a failed
+//! `SeqCst` CAS that finds `WAITING` still armed is one too). Under the
+//! C++20 rules Rust follows, SC accesses lie in one total order `S`
+//! consistent with program order, and an SC read that misses an SC
+//! write of the same location — it reads a value coherence-ordered
+//! before that write — precedes the write in `S`. Both reads missing
+//! would put each side's write before its own read, its read before
+//! the other side's write, and so on around a cycle in `S`; so one of
+//! them sees the other's write, with no barrier of its own on either
+//! side. On x86 the cost is the producer's locked store and the parked
+//! side's CAS; the loads are plain.
+//!
+//! The one store in the handshake that is not `SeqCst` is the waking
+//! side's final `WAKING → EMPTY`, a release store: it only hands the
+//! cell back to the next CAS (which, being an RMW, always reads the
+//! latest state). A producer read that finds that `EMPTY` stale — from
+//! before a later `WAITING` — is coherence-ordered before that
+//! `WAITING` write, which is `SeqCst`, so the argument above still
+//! places the read before it in `S`.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -60,7 +81,7 @@ use std::mem::MaybeUninit;
 use std::pin::Pin;
 use std::ptr;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU8, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
@@ -101,12 +122,13 @@ impl WakerCell {
         }
     }
 
-    /// True when a waiter may be armed; pair with a preceding `SeqCst`
-    /// fence so the check cannot be reordered before the index
-    /// publication it guards.
+    /// True when a waiter may be armed. A `SeqCst` load, so that after
+    /// the caller's `SeqCst` publication of `tail` or `tx_alive` it is
+    /// the producer's half of the store-buffering handshake (see the
+    /// module docs).
     #[inline]
     fn is_armed(&self) -> bool {
-        self.state.load(Relaxed) != WAKER_EMPTY
+        self.state.load(SeqCst) != WAKER_EMPTY
     }
 
     /// Wakes the armed waker (if any) by reference; returns whether a
@@ -134,16 +156,20 @@ impl WakerCell {
             // rather than a shared queue.
             waker.wake_by_ref();
         }
-        self.state.store(WAKER_EMPTY, SeqCst);
+        // Release: hands the cell back to the parked side's next CAS.
+        self.state.store(WAKER_EMPTY, Release);
         true
     }
 
-    /// Arms the handoff with `waker` and publishes `WAITING` followed by
-    /// a `SeqCst` fence. `mirror` is the parked side's private copy of
-    /// the cell's contents (the waking side never replaces them), letting
-    /// a `will_wake` hit re-arm with a single `EMPTY -> WAITING` CAS —
-    /// no clone, no cell access. Only a different waker (task migration)
-    /// pays for the `LOCKED` replacement.
+    /// Arms the handoff with `waker` and publishes `WAITING` with a
+    /// `SeqCst` CAS or store: the parked side's half of the
+    /// store-buffering handshake, whose other half is the caller's
+    /// `SeqCst` re-check of the queue. `mirror` is the parked side's
+    /// private copy of the cell's contents (the waking side never
+    /// replaces them), letting a `will_wake` hit re-arm with a single
+    /// `EMPTY -> WAITING` CAS — no clone, no cell access. Only a
+    /// different waker (task migration) pays for the `LOCKED`
+    /// replacement.
     fn register(&self, waker: &Waker, mirror: &mut Option<Waker>) {
         if mirror.as_ref().is_some_and(|armed| armed.will_wake(waker)) {
             loop {
@@ -159,7 +185,6 @@ impl WakerCell {
                     Err(_) => std::hint::spin_loop(),
                 }
             }
-            fence(SeqCst);
             return;
         }
         loop {
@@ -190,7 +215,6 @@ impl WakerCell {
         unsafe { *self.cell.get() = Some(waker.clone()) };
         *mirror = Some(waker.clone());
         self.state.store(WAKER_WAITING, SeqCst);
-        fence(SeqCst);
     }
 
     /// Best-effort disarm after the awaited condition resolved anyway;
@@ -252,13 +276,15 @@ struct Inner<T> {
     /// consumer (release), read by the producer (acquire) on the slow path.
     head: AtomicUsize,
     /// Producer index: one past the last published value. Written only by
-    /// the producer (release), read by the consumer (acquire) on refresh.
+    /// the producer and read by the consumer on refresh, both `SeqCst`
+    /// (the store-buffering handshake; the module docs say why).
     tail: AtomicUsize,
     /// The live ring buffer; retired predecessors hang off its chain.
     buffer: AtomicPtr<Buffer<T>>,
     /// Waker handoff for a consumer parked on an empty queue.
     rx_waiter: WakerCell,
-    /// Cleared by `Sender::drop`; pushes happen-before via release/acquire.
+    /// Cleared by `Sender::drop` (`SeqCst` store, read `SeqCst` after
+    /// `register`); pushes happen-before it.
     tx_alive: AtomicBool,
     /// Cleared by `Receiver::drop`; later sends fail fast.
     rx_alive: AtomicBool,
@@ -415,7 +441,9 @@ impl<T> SpscSender<T> {
             self.inner.stats.stamp_send();
         }
         self.tail += 1;
-        self.inner.tail.store(self.tail, Release);
+        // SeqCst: the producer's publication in the store-buffering
+        // handshake with `WakerCell::register` (see the module docs).
+        self.inner.tail.store(self.tail, SeqCst);
 
         if telemetry::ENABLED {
             // Occupancy immediately after publishing. The head read may
@@ -429,10 +457,8 @@ impl<T> SpscSender<T> {
             self.inner.stats.record_send();
         }
 
-        // Dekker handshake with `WakerCell::register`: order the tail
-        // publication before the waker-state read, so either we observe
-        // the waiter or the waiter's queue re-check observes our value.
-        fence(SeqCst);
+        // Either this `SeqCst` read sees the waiter, or the waiter's
+        // `SeqCst` queue re-check sees the tail stored above.
         if self.inner.rx_waiter.is_armed() && self.inner.rx_waiter.wake() {
             self.inner.stats.record_wake();
         }
@@ -462,10 +488,9 @@ impl<T> SpscSender<T> {
 
 impl<T> Drop for SpscSender<T> {
     fn drop(&mut self) {
-        self.inner.tx_alive.store(false, Release);
         // Same handshake as `commit`: the closure must not be missed by a
         // receiver that just went to sleep.
-        fence(SeqCst);
+        self.inner.tx_alive.store(false, SeqCst);
         if self.inner.rx_waiter.is_armed() {
             self.inner.rx_waiter.wake();
         }
@@ -490,7 +515,7 @@ impl<T> SendSlot<'_, T> {
     pub fn write(self, value: T) {
         let sender = self.sender;
         // Safety: slot `tail` is outside the live range `[head, tail)`,
-        // so the consumer is not reading it; the release store in
+        // so the consumer is not reading it; the `SeqCst` store in
         // `commit` publishes the write.
         unsafe { ptr::write((*sender.buffer).slot(sender.tail), MaybeUninit::new(value)) };
         sender.commit();
@@ -585,9 +610,9 @@ impl<T> SpscReceiver<T> {
             self.unregister();
             return Poll::Ready(Some(value));
         }
-        if !self.inner.tx_alive.load(Acquire) {
-            // The closure store is release-ordered after the final tail
-            // store, so one more pop attempt observes any last messages.
+        if !self.inner.tx_alive.load(SeqCst) {
+            // The closure store is ordered after the final tail store, so
+            // one more pop attempt observes any last messages.
             let value = self.try_recv();
             self.unregister();
             return Poll::Ready(value);
@@ -614,7 +639,7 @@ impl<T> SpscReceiver<T> {
             self.unregister();
             return Poll::Ready(n);
         }
-        if !self.inner.tx_alive.load(Acquire) {
+        if !self.inner.tx_alive.load(SeqCst) {
             let n = self.try_recv_batch(window, out);
             self.unregister();
             return Poll::Ready(n);
@@ -639,13 +664,16 @@ impl<T> SpscReceiver<T> {
     /// pointer); returns whether any message is now visible.
     #[inline]
     fn refresh(&mut self) -> bool {
-        self.cached_tail = self.inner.tail.load(Acquire);
+        // SeqCst: after `register`, this is the parked side's re-check
+        // in the store-buffering handshake (see the module docs); on x86
+        // it is a plain load.
+        self.cached_tail = self.inner.tail.load(SeqCst);
         if self.head == self.cached_tail {
             return false;
         }
-        // Reload *after* tail: seeing tail = t (acquire) makes every
-        // producer write before that store visible, including any
-        // buffer replacement covering indices < t.
+        // Reload *after* tail: seeing tail = t (a `SeqCst` load, so an
+        // acquire) makes every producer write before that store visible,
+        // including any buffer replacement covering indices < t.
         self.buffer = self.inner.buffer.load(Acquire);
         true
     }
@@ -687,6 +715,23 @@ impl<T> Future for SpscRecv<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::task::Wake;
+
+    /// Counts how often it was woken.
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
+    impl CountingWaker {
+        fn wakes(&self) -> usize {
+            self.0.load(SeqCst)
+        }
+    }
 
     #[test]
     fn fifo_order_preserved_across_growth() {
@@ -856,5 +901,61 @@ mod tests {
             ..SpscConfig::default()
         });
         assert_eq!(tx.cap, 128);
+    }
+
+    #[test]
+    fn re_arming_the_same_waker_wakes_once_without_a_clone() {
+        let (mut tx, mut rx) = spsc::<u32>();
+        let wakes = Arc::new(CountingWaker::default());
+        let waker = Waker::from(wakes.clone());
+        let mut cx = Context::from_waker(&waker);
+        assert!(rx.poll_recv(&mut cx).is_pending());
+        // The first registration stores two clones: the cell's and the
+        // receiver's mirror.
+        let armed = Arc::strong_count(&wakes);
+        assert!(rx.poll_recv(&mut cx).is_pending());
+        assert_eq!(Arc::strong_count(&wakes), armed);
+        tx.send(1).unwrap();
+        assert_eq!(wakes.wakes(), 1);
+        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Some(1)));
+        // After the wake the cell is `EMPTY` but keeps its waker: the
+        // next empty poll re-arms with one CAS and no clone.
+        assert!(rx.poll_recv(&mut cx).is_pending());
+        assert_eq!(Arc::strong_count(&wakes), armed);
+        tx.send(2).unwrap();
+        assert_eq!(wakes.wakes(), 2);
+        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Some(2)));
+    }
+
+    #[test]
+    fn a_different_waker_replaces_the_armed_one() {
+        let (mut tx, mut rx) = spsc::<u32>();
+        let old = Arc::new(CountingWaker::default());
+        let new = Arc::new(CountingWaker::default());
+        let old_waker = Waker::from(old.clone());
+        let new_waker = Waker::from(new.clone());
+        assert!(rx
+            .poll_recv(&mut Context::from_waker(&old_waker))
+            .is_pending());
+        assert!(rx
+            .poll_recv(&mut Context::from_waker(&new_waker))
+            .is_pending());
+        tx.send(1).unwrap();
+        assert_eq!((old.wakes(), new.wakes()), (0, 1));
+        // The replaced waker's clones went with it.
+        assert_eq!(Arc::strong_count(&old), 2);
+    }
+
+    #[test]
+    fn sender_drop_wakes_an_armed_receiver_once() {
+        let (tx, mut rx) = spsc::<u32>();
+        let wakes = Arc::new(CountingWaker::default());
+        let waker = Waker::from(wakes.clone());
+        let mut cx = Context::from_waker(&waker);
+        assert!(rx.poll_recv(&mut cx).is_pending());
+        drop(tx);
+        assert_eq!(wakes.wakes(), 1);
+        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(None));
+        assert_eq!(wakes.wakes(), 1);
     }
 }

@@ -66,8 +66,9 @@ const LIFO_STREAK_LIMIT: u32 = 32;
 
 /// Belt-and-braces park timeout: with a correct handshake no wake is ever
 /// lost, but a bounded sleep keeps the pool live under any missed-wake bug
-/// without measurable idle cost. A timed-out park that then finds work is
-/// counted (`timeout_wakes_with_work`), so a bug it hides still shows.
+/// without measurable idle cost. A timed-out park that ends with every
+/// other worker parked and then finds work is counted
+/// (`timeout_wakes_with_work`), so a bug it hides still shows.
 const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// State shared between all workers and every external handle.
@@ -239,6 +240,12 @@ impl Shared {
         {
             self.unpark_one();
         }
+    }
+
+    /// True if every worker but `index` has its parked bit set.
+    fn others_parked(&self, index: usize) -> bool {
+        let others = (u64::MAX >> (MAX_WORKERS - self.parkers.len())) & !(1 << index);
+        self.parked.load(Ordering::SeqCst) & others == others
     }
 
     /// Removes this worker's parked bit. Returns false if a waker claimed
@@ -469,7 +476,8 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));
     let mut lifo_streak = 0u32;
     let mut tick = 0u32;
-    // The last park ended on `PARK_TIMEOUT` and no work was found since.
+    // The last park ended on `PARK_TIMEOUT` with every other worker
+    // parked too, and no work was found since.
     let mut after_timeout = false;
     let found_work = |after_timeout: &mut bool| {
         if std::mem::take(after_timeout) {
@@ -572,8 +580,14 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
                 // Timed out (or spurious wake): nobody claimed the bit.
                 shared.searching.fetch_add(1, Ordering::SeqCst);
             } // else: claimed by a waker, which incremented `searching`.
-            after_timeout = parked.timed_out && !claimed;
-            if parked.dispatched || after_timeout {
+            let timed_out = parked.timed_out && !claimed;
+            // Work found after a timeout shows a lost wake only if no
+            // other worker was awake: one that is (searching, running, or
+            // claimed and waking) finds queued work before it parks, and
+            // the timeout merely beat it to that work. On an
+            // oversubscribed host that race is common.
+            after_timeout = timed_out && shared.others_parked(index);
+            if parked.dispatched || timed_out {
                 // Back to the top: edges this park dispatched may have
                 // woken tasks into the LIFO slot, and after a timeout
                 // `turn_now` collects any edge nobody collected meanwhile.

@@ -4,10 +4,15 @@
 //!
 //! CI runs this file under `--release` (see `.github/workflows/ci.yml`);
 //! the iteration counts scale down in debug builds so plain `cargo test`
-//! stays fast.
+//! stays fast. Every test that parks a receiver runs under a watchdog,
+//! so a lost wake fails that test by name within a minute, and the
+//! runtime-driven ones also assert that no worker park ended on its
+//! timeout with work waiting (`--features telemetry`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::task::{Context, Poll, Waker};
+use std::time::Duration;
 
 use executor::channel::{spsc, Bidirectional, LinkConfig, SendSlot, SpscSender};
 use executor::Runtime;
@@ -32,6 +37,33 @@ fn link<T>(bound: usize) -> (Bidirectional<T>, Bidirectional<T>) {
     Bidirectional::pair_configured("StressA", "StressB", config)
 }
 
+/// Runs `test` on its own thread and panics with `name` if it has not
+/// finished within a minute (these tests take seconds): a lost wake
+/// leaves a receiver parked for good, and this turns that hang into a
+/// failure naming the test. A panic in `test` is passed on as is.
+fn watchdog(name: &str, test: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let body = std::thread::spawn(move || {
+        test();
+        let _ = done.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+        panic!("{name} hung for 60 s: a receiver was never woken");
+    }
+    // Finished, or panicked before reporting: pass that panic on.
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// No park of `rt`'s workers ended on its timeout, with every other
+/// worker parked, and then found work: the scheduler lost no wake. Checked with `--features telemetry`; the
+/// counter reads 0 in other builds.
+fn assert_no_timeout_wakes(rt: &Runtime) {
+    let total = rt.telemetry().total();
+    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
+}
+
 /// Splitmix-style deterministic RNG so failures reproduce.
 fn next_rand(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -46,24 +78,26 @@ fn next_rand(state: &mut u64) -> u64 {
 /// exactly once, in order, across many buffer growths and wraparounds.
 #[test]
 fn two_thread_exactly_once_in_order() {
-    let (mut tx, mut rx) = spsc::<u64>();
-    let producer = std::thread::spawn(move || {
-        for i in 0..MESSAGES {
-            tx.send(i).unwrap();
-            if i % 4096 == 0 {
-                // Let the consumer catch up sometimes so the ring sees
-                // both near-empty and deeply-backlogged (grown) phases.
-                std::thread::yield_now();
+    watchdog("two_thread_exactly_once_in_order", || {
+        let (mut tx, mut rx) = spsc::<u64>();
+        let producer = std::thread::spawn(move || {
+            for i in 0..MESSAGES {
+                tx.send(i).unwrap();
+                if i % 4096 == 0 {
+                    // Let the consumer catch up sometimes so the ring sees
+                    // both near-empty and deeply-backlogged (grown) phases.
+                    std::thread::yield_now();
+                }
             }
-        }
+        });
+        executor::block_on(async {
+            for expected in 0..MESSAGES {
+                assert_eq!(rx.recv().await, Some(expected));
+            }
+            assert_eq!(rx.recv().await, None);
+        });
+        producer.join().unwrap();
     });
-    executor::block_on(async {
-        for expected in 0..MESSAGES {
-            assert_eq!(rx.recv().await, Some(expected));
-        }
-        assert_eq!(rx.recv().await, None);
-    });
-    producer.join().unwrap();
 }
 
 /// Forces growth *while* the consumer is actively popping: the producer
@@ -137,27 +171,29 @@ fn receiver_drop_races_sender() {
 /// the waker path (the drop must wake a parked receiver).
 #[test]
 fn sender_drop_races_receiver() {
-    for iteration in 0..RACE_ITERATIONS {
-        let (mut tx, mut rx) = spsc::<u64>();
-        let mut seed = 0xBEEF ^ iteration;
-        let count = next_rand(&mut seed) % 128;
-        let producer = std::thread::spawn(move || {
-            for i in 0..count {
-                tx.send(i).unwrap();
-            }
-            // tx drops here, mid-race with the draining receiver.
-        });
-        let drained = executor::block_on(async {
-            let mut drained = 0u64;
-            while let Some(value) = rx.recv().await {
-                assert_eq!(value, drained, "iteration {iteration}");
-                drained += 1;
-            }
-            drained
-        });
-        assert_eq!(drained, count, "iteration {iteration}");
-        producer.join().unwrap();
-    }
+    watchdog("sender_drop_races_receiver", || {
+        for iteration in 0..RACE_ITERATIONS {
+            let (mut tx, mut rx) = spsc::<u64>();
+            let mut seed = 0xBEEF ^ iteration;
+            let count = next_rand(&mut seed) % 128;
+            let producer = std::thread::spawn(move || {
+                for i in 0..count {
+                    tx.send(i).unwrap();
+                }
+                // tx drops here, mid-race with the draining receiver.
+            });
+            let drained = executor::block_on(async {
+                let mut drained = 0u64;
+                while let Some(value) = rx.recv().await {
+                    assert_eq!(value, drained, "iteration {iteration}");
+                    drained += 1;
+                }
+                drained
+            });
+            assert_eq!(drained, count, "iteration {iteration}");
+            producer.join().unwrap();
+        }
+    });
 }
 
 /// Zero-sized payloads: indices, not slot contents, carry the protocol.
@@ -203,58 +239,61 @@ fn zero_sized_payloads() {
 /// maximises cross-thread register/wake races).
 #[test]
 fn waker_handoff_interleavings() {
-    const PAIRS: usize = 4;
-    #[cfg(debug_assertions)]
-    const ROUNDS: u32 = 200;
-    #[cfg(not(debug_assertions))]
-    const ROUNDS: u32 = 2000;
+    watchdog("waker_handoff_interleavings", || {
+        const PAIRS: usize = 4;
+        #[cfg(debug_assertions)]
+        const ROUNDS: u32 = 200;
+        #[cfg(not(debug_assertions))]
+        const ROUNDS: u32 = 2000;
 
-    for workers in [1, 2, 8] {
-        let rt = Runtime::new(workers);
-        let handles: Vec<_> = (0..PAIRS)
-            .flat_map(|pair| {
-                let (mut ping, mut pong) = Bidirectional::pair();
-                let ponger = rt.spawn(async move {
-                    let mut count = 0u64;
-                    while let Some(value) = pong.recv().await {
-                        count += 1;
-                        if pong.send(value).is_err() {
-                            break;
+        for workers in [1, 2, 8] {
+            let rt = Runtime::new(workers);
+            let handles: Vec<_> = (0..PAIRS)
+                .flat_map(|pair| {
+                    let (mut ping, mut pong) = Bidirectional::pair();
+                    let ponger = rt.spawn(async move {
+                        let mut count = 0u64;
+                        while let Some(value) = pong.recv().await {
+                            count += 1;
+                            if pong.send(value).is_err() {
+                                break;
+                            }
+                            if value % 7 == pair as u32 % 7 {
+                                executor::yield_now().await;
+                            }
                         }
-                        if value % 7 == pair as u32 % 7 {
-                            executor::yield_now().await;
+                        count
+                    });
+                    let pinger = rt.spawn(async move {
+                        let mut sum = 0u64;
+                        for round in 1..=ROUNDS {
+                            ping.send(round).unwrap();
+                            if round % 5 == 0 {
+                                executor::yield_now().await;
+                            }
+                            sum += u64::from(ping.recv().await.unwrap());
                         }
-                    }
-                    count
-                });
-                let pinger = rt.spawn(async move {
-                    let mut sum = 0u64;
-                    for round in 1..=ROUNDS {
-                        ping.send(round).unwrap();
-                        if round % 5 == 0 {
-                            executor::yield_now().await;
-                        }
-                        sum += u64::from(ping.recv().await.unwrap());
-                    }
-                    sum
-                });
-                [pinger, ponger]
-            })
-            .collect();
-        let expected = u64::from(ROUNDS) * u64::from(ROUNDS + 1) / 2;
-        for (index, handle) in handles.into_iter().enumerate() {
-            let value = rt.block_on(handle).unwrap();
-            if index % 2 == 0 {
-                assert_eq!(value, expected, "pinger {index}, {workers} workers");
-            } else {
-                assert_eq!(
-                    value,
-                    u64::from(ROUNDS),
-                    "ponger {index}, {workers} workers"
-                );
+                        sum
+                    });
+                    [pinger, ponger]
+                })
+                .collect();
+            let expected = u64::from(ROUNDS) * u64::from(ROUNDS + 1) / 2;
+            for (index, handle) in handles.into_iter().enumerate() {
+                let value = rt.block_on(handle).unwrap();
+                if index % 2 == 0 {
+                    assert_eq!(value, expected, "pinger {index}, {workers} workers");
+                } else {
+                    assert_eq!(
+                        value,
+                        u64::from(ROUNDS),
+                        "ponger {index}, {workers} workers"
+                    );
+                }
             }
+            assert_no_timeout_wakes(&rt);
         }
-    }
+    });
 }
 
 /// Two-thread in-place sends: the producer thread commits every message
@@ -304,40 +343,43 @@ fn two_thread_in_place_send_exactly_once_in_order() {
 /// and the receive resolves to `None` only after the producer is gone.
 #[test]
 fn recv_batch_waker_handoff_across_workers() {
-    #[cfg(debug_assertions)]
-    const STREAM: u64 = 5_000;
-    #[cfg(not(debug_assertions))]
-    const STREAM: u64 = 200_000;
+    watchdog("recv_batch_waker_handoff_across_workers", || {
+        #[cfg(debug_assertions)]
+        const STREAM: u64 = 5_000;
+        #[cfg(not(debug_assertions))]
+        const STREAM: u64 = 200_000;
 
-    for workers in [1usize, 2, 8] {
-        for window in [1usize, 3, 16] {
-            let rt = Runtime::new(workers);
-            let (mut tx, mut rx) = link::<u64>(window);
-            assert_eq!(rx.batch_window(), window);
-            let producer = rt.spawn(async move {
-                for i in 0..STREAM {
-                    tx.send(i).unwrap();
-                    if i % 64 == 0 {
-                        executor::yield_now().await;
+        for workers in [1usize, 2, 8] {
+            for window in [1usize, 3, 16] {
+                let rt = Runtime::new(workers);
+                let (mut tx, mut rx) = link::<u64>(window);
+                assert_eq!(rx.batch_window(), window);
+                let producer = rt.spawn(async move {
+                    for i in 0..STREAM {
+                        tx.send(i).unwrap();
+                        if i % 64 == 0 {
+                            executor::yield_now().await;
+                        }
                     }
-                }
-            });
-            let consumer = rt.spawn(async move {
-                let mut expected = 0u64;
-                while let Some(value) = rx.recv().await {
-                    assert_eq!(value, expected, "{workers} workers, window {window}");
-                    expected += 1;
-                }
-                expected
-            });
-            rt.block_on(producer).unwrap();
-            assert_eq!(
-                rt.block_on(consumer).unwrap(),
-                STREAM,
-                "{workers} workers, window {window}"
-            );
+                });
+                let consumer = rt.spawn(async move {
+                    let mut expected = 0u64;
+                    while let Some(value) = rx.recv().await {
+                        assert_eq!(value, expected, "{workers} workers, window {window}");
+                        expected += 1;
+                    }
+                    expected
+                });
+                rt.block_on(producer).unwrap();
+                assert_eq!(
+                    rt.block_on(consumer).unwrap(),
+                    STREAM,
+                    "{workers} workers, window {window}"
+                );
+                assert_no_timeout_wakes(&rt);
+            }
         }
-    }
+    });
 }
 
 /// Drop-mid-batch leak check: payloads drained into the batch stash but
@@ -400,15 +442,17 @@ fn drop_mid_batch_is_leak_free() {
 /// parked in the WAITING state when the wake arrives.
 #[test]
 fn wakes_parked_receiver_from_foreign_thread() {
-    for delay_us in [0u64, 50, 200] {
-        let (mut tx, mut rx) = spsc::<u64>();
-        let sender = std::thread::spawn(move || {
-            if delay_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            }
-            tx.send(delay_us).unwrap();
-        });
-        assert_eq!(executor::block_on(rx.recv()), Some(delay_us));
-        sender.join().unwrap();
-    }
+    watchdog("wakes_parked_receiver_from_foreign_thread", || {
+        for delay_us in [0u64, 50, 200] {
+            let (mut tx, mut rx) = spsc::<u64>();
+            let sender = std::thread::spawn(move || {
+                if delay_us > 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(delay_us));
+                }
+                tx.send(delay_us).unwrap();
+            });
+            assert_eq!(executor::block_on(rx.recv()), Some(delay_us));
+            sender.join().unwrap();
+        }
+    });
 }

@@ -22,8 +22,10 @@ use crate::Counter;
 /// * `driver_parks` — parks spent in `epoll_wait` holding the I/O
 ///   driver baton,
 /// * `timeout_wakes_with_work` — parks that ended on the park timeout
-///   and then found a task or dispatched an edge: a wake that was lost
-///   and only the timeout recovered. Zero in a correct run.
+///   while every other worker was parked too, and then found a task or
+///   dispatched an edge: a wake that was lost and only the timeout
+///   recovered. Zero in a correct run. (With another worker awake, that
+///   worker covers queued work, and the timeout only raced it.)
 ///
 /// Every poll is served from exactly one of the four queue sources, so
 /// `polls == lifo_hits + local_pops + injector_pops + sibling_steals`
@@ -51,7 +53,8 @@ pub struct Counters {
     pub unparks: Counter,
     /// Parks spent in `epoll_wait`, holding the I/O driver baton.
     pub driver_parks: Counter,
-    /// Parks ended by the timeout after which work turned up.
+    /// Parks ended by the timeout, every other worker parked, after
+    /// which work turned up.
     pub timeout_wakes_with_work: Counter,
 }
 

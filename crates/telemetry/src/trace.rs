@@ -564,8 +564,20 @@ mod ring {
 mod tests {
     use super::*;
 
+    /// Held by every test that drains: `drain` empties every thread's
+    /// ring, so a concurrent drain would take part of another test's
+    /// events.
+    static DRAINING: Mutex<()> = Mutex::new(());
+
+    fn draining() -> std::sync::MutexGuard<'static, ()> {
+        DRAINING
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn events_round_trip_through_drain() {
+        let _draining = draining();
         let _ = drain(); // isolate from other tests on this thread
         event(Kind::Send, "RoleA", "RoleB", "Ping");
         event(Kind::Receive, "RoleB", "RoleA", "Ping");
@@ -589,6 +601,7 @@ mod tests {
         if !crate::ENABLED {
             return;
         }
+        let _draining = draining();
         std::thread::spawn(|| {
             let overflow = 100;
             for i in 0..RING_CAPACITY + overflow {
