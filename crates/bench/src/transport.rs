@@ -133,13 +133,6 @@ mod tests {
         Runtime::new(1)
     }
 
-    /// No park ended on the park timeout and then found work: no wake
-    /// was lost and recovered only by the timeout (0 unless telemetry).
-    fn assert_no_timeout_wakes(rt: &Runtime) {
-        let total = rt.telemetry().total();
-        assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
-    }
-
     /// Runs `ping_pong` for `rounds` on a fresh link registry, then
     /// checks both directions' ledgers: every frame sent was received,
     /// byte for byte, each with one latency sample, through a window of
@@ -149,7 +142,7 @@ mod tests {
         telemetry::channel::reset();
         let rt = runtime();
         assert_eq!(ping_pong(&rt, rounds), u64::from(rounds));
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
         let links = telemetry::channel::snapshot();
         if !telemetry::ENABLED {
             assert!(links.is_empty());
@@ -190,7 +183,7 @@ mod tests {
         let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
         let rt = runtime();
         assert_eq!(tcp_burst(&rt, 512), 512);
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
     }
 
     /// The producer runs thousands of frames ahead of the consumer (the
@@ -206,7 +199,7 @@ mod tests {
         let rt = runtime();
         let messages = 20_000;
         assert_eq!(tcp_burst(&rt, messages), u64::from(messages));
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
         let links = telemetry::channel::snapshot();
         let link = links
             .iter()

@@ -45,14 +45,6 @@ fn kmc_bounds(variants: &[Vec<theory::Fsm>]) -> Vec<(String, String, u64)> {
         .collect()
 }
 
-/// No park of `rt`'s workers ended on the park timeout and then found
-/// work: no wake was lost and recovered only by the timeout (0 unless
-/// telemetry).
-fn assert_no_timeout_wakes(rt: &executor::Runtime) {
-    let total = rt.telemetry().total();
-    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
-}
-
 /// Asserts that the quantile ladder of `hist` is monotone.
 fn assert_ladder(hist: &telemetry::hist::HistogramSnapshot, what: &str) {
     let ladder = [hist.p50(), hist.p90(), hist.p99(), hist.p999(), hist.max];
@@ -141,7 +133,7 @@ fn streaming_watermarks_stay_within_kmc_bounds() {
         streaming::run_rumpsteak(&rt, count, true),
         streaming::expected(count)
     );
-    assert_no_timeout_wakes(&rt);
+    rt.telemetry().assert_no_timeout_wakes();
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {
@@ -208,7 +200,7 @@ fn double_buffering_watermarks_stay_within_kmc_bounds() {
         double_buffering::run_rumpsteak(&rt, size, true),
         double_buffering::expected(size)
     );
-    assert_no_timeout_wakes(&rt);
+    rt.telemetry().assert_no_timeout_wakes();
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {
@@ -247,7 +239,7 @@ fn fft_watermarks_stay_within_kmc_bounds() {
     let out = fft8::run_rumpsteak(&rt, rows);
     let expected = fft8::run_sequential(rows);
     assert!((fft8::checksum(&out) - fft8::checksum(&expected)).abs() < 1e-6);
-    assert_no_timeout_wakes(&rt);
+    rt.telemetry().assert_no_timeout_wakes();
 
     let snapshot = telemetry::channel::snapshot();
     if !telemetry::ENABLED {

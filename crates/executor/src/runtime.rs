@@ -66,8 +66,8 @@ const LIFO_STREAK_LIMIT: u32 = 32;
 
 /// Belt-and-braces park timeout: with a correct handshake no wake is ever
 /// lost, but a bounded sleep keeps the pool live under any missed-wake bug
-/// without measurable idle cost. A timed-out park that ends with every
-/// other worker parked and then finds work is counted
+/// without measurable idle cost. A timed-out park that ends with no other
+/// worker searching or claimed and then finds work is counted
 /// (`timeout_wakes_with_work`), so a bug it hides still shows.
 const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 
@@ -240,12 +240,6 @@ impl Shared {
         {
             self.unpark_one();
         }
-    }
-
-    /// True if every worker but `index` has its parked bit set.
-    fn others_parked(&self, index: usize) -> bool {
-        let others = (u64::MAX >> (MAX_WORKERS - self.parkers.len())) & !(1 << index);
-        self.parked.load(Ordering::SeqCst) & others == others
     }
 
     /// Removes this worker's parked bit. Returns false if a waker claimed
@@ -476,8 +470,8 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));
     let mut lifo_streak = 0u32;
     let mut tick = 0u32;
-    // The last park ended on `PARK_TIMEOUT` with every other worker
-    // parked too, and no work was found since.
+    // The last park ended on `PARK_TIMEOUT` with no other worker
+    // searching or claimed, and no work was found since.
     let mut after_timeout = false;
     let found_work = |after_timeout: &mut bool| {
         if std::mem::take(after_timeout) {
@@ -576,17 +570,19 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
                 counters.driver_parks.incr();
             }
             let claimed = !shared.unregister_parked(index);
+            // Searchers besides this worker as it rejoins them.
+            let mut others_searching = 0;
             if !claimed {
                 // Timed out (or spurious wake): nobody claimed the bit.
-                shared.searching.fetch_add(1, Ordering::SeqCst);
+                others_searching = shared.searching.fetch_add(1, Ordering::SeqCst);
             } // else: claimed by a waker, which incremented `searching`.
             let timed_out = parked.timed_out && !claimed;
-            // Work found after a timeout shows a lost wake only if no
-            // other worker was awake: one that is (searching, running, or
-            // claimed and waking) finds queued work before it parks, and
-            // the timeout merely beat it to that work. On an
-            // oversubscribed host that race is common.
-            after_timeout = timed_out && shared.others_parked(index);
+            // Work found after a timeout shows a lost wake unless another
+            // worker was searching or claimed: that one covers queued work
+            // before it parks, and the timeout only raced it (common on an
+            // oversubscribed host). A worker that is just running tasks
+            // covers nothing, so a pusher that skipped its wake counts.
+            after_timeout = timed_out && others_searching == 0;
             if parked.dispatched || timed_out {
                 // Back to the top: edges this park dispatched may have
                 // woken tasks into the LIFO slot, and after a timeout

@@ -56,14 +56,6 @@ fn watchdog(name: &str, test: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// No park of `rt`'s workers ended on its timeout, with every other
-/// worker parked, and then found work: the scheduler lost no wake. Checked with `--features telemetry`; the
-/// counter reads 0 in other builds.
-fn assert_no_timeout_wakes(rt: &Runtime) {
-    let total = rt.telemetry().total();
-    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
-}
-
 /// Splitmix-style deterministic RNG so failures reproduce.
 fn next_rand(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -291,7 +283,7 @@ fn waker_handoff_interleavings() {
                     );
                 }
             }
-            assert_no_timeout_wakes(&rt);
+            rt.telemetry().assert_no_timeout_wakes();
         }
     });
 }
@@ -376,7 +368,7 @@ fn recv_batch_waker_handoff_across_workers() {
                     STREAM,
                     "{workers} workers, window {window}"
                 );
-                assert_no_timeout_wakes(&rt);
+                rt.telemetry().assert_no_timeout_wakes();
             }
         }
     });

@@ -111,10 +111,7 @@ fn counters_balance_after_stress() {
     assert!(total.injector_pops > 0, "injector_pops: {total:?}");
 
     // No wake was lost: a park that timed out never found work waiting.
-    assert_eq!(
-        total.timeout_wakes_with_work, 0,
-        "timeout_wakes_with_work: {total:?}"
-    );
+    snapshot.assert_no_timeout_wakes();
 }
 
 /// A single-worker runtime cannot steal from siblings, and the LIFO
@@ -152,4 +149,52 @@ fn single_worker_has_no_sibling_steals() {
     } else {
         assert_eq!(total, Default::default());
     }
+}
+
+/// A task spawned on a worker that keeps running must wake a parked
+/// sibling at once, not when the sibling's park times out. The spawner
+/// busy-waits for its child, so only the sibling can run it; a spawn
+/// that skipped its wake leaves the child until the timeout, which the
+/// sibling then counts in `timeout_wakes_with_work`.
+#[test]
+fn spawn_from_a_busy_worker_wakes_a_sibling() {
+    const ROUNDS: u32 = 10;
+
+    let rt = Arc::new(Runtime::new(2));
+    let spawner = rt.clone();
+    let parent = rt.spawn(async move {
+        for round in 0..ROUNDS {
+            // Let the idle sibling park before the spawn.
+            std::thread::sleep(Duration::from_millis(5));
+            let ran = Arc::new(AtomicU64::new(0));
+            let flag = ran.clone();
+            drop(spawner.spawn(async move { flag.store(1, Ordering::SeqCst) }));
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while ran.load(Ordering::SeqCst) == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "round {round}: the child never ran"
+                );
+                std::hint::spin_loop();
+            }
+        }
+    });
+    rt.block_on(parent).unwrap();
+
+    settled(&rt, u64::from(ROUNDS) + 1).assert_no_timeout_wakes();
+}
+
+/// The external twin: a spawn from off the pool, made after every worker
+/// has parked, must wake one of them at once.
+#[test]
+fn spawn_into_a_parked_pool_wakes_a_worker() {
+    const ROUNDS: u64 = 10;
+
+    let rt = Runtime::new(2);
+    for round in 0..ROUNDS {
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(rt.block_on(rt.spawn(async move { round })).unwrap(), round);
+    }
+
+    settled(&rt, ROUNDS).assert_no_timeout_wakes();
 }

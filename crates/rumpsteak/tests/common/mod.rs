@@ -13,12 +13,3 @@ pub fn within<T: Send + 'static>(test: impl FnOnce() -> T + Send + 'static) -> T
         .recv_timeout(Duration::from_secs(60))
         .expect("the link hung (or its test panicked)")
 }
-
-/// No park of `rt`'s workers ended on the park timeout and then found
-/// work: no wake was lost and recovered only by the timeout. Checked
-/// with `--features telemetry`; the counter reads 0 in other builds.
-#[allow(dead_code)] // Not every socket test binary runs a runtime.
-pub fn assert_no_timeout_wakes(rt: &executor::Runtime) {
-    let total = rt.telemetry().total();
-    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
-}

@@ -16,7 +16,6 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::Duration;
 
-use common::assert_no_timeout_wakes;
 use executor::Runtime;
 use rumpsteak::net::{loopback_pair_tcp, loopback_pair_uds, NetLink};
 
@@ -65,7 +64,7 @@ fn dropping_a_runtime_leaves_the_baton_to_a_waiting_block_on() {
         rt.block_on(rt.spawn(async {})).expect("task");
         let waiter = thread::spawn(move || executor::block_on(b.recv()));
         thread::sleep(Duration::from_millis(20));
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
         drop(rt);
         thread::sleep(Duration::from_millis(50));
         executor::block_on(a.send(7)).expect("waiter alive");
@@ -91,7 +90,7 @@ fn ping_pong((mut a, mut b): (NetLink<u64>, NetLink<u64>)) {
     });
     rt.block_on(pinger).expect("pinger");
     rt.block_on(ponger).expect("ponger");
-    assert_no_timeout_wakes(&rt);
+    rt.telemetry().assert_no_timeout_wakes();
 }
 
 #[test]
@@ -124,7 +123,7 @@ fn the_first_link_rouses_a_worker_parked_before_it() {
         });
         assert_eq!(executor::block_on(b.recv()), Some(3));
         sender.join().expect("sender thread");
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
     });
 }
 
@@ -150,6 +149,6 @@ fn a_bare_block_on_completes_while_the_only_worker_spins() {
         assert_eq!(executor::block_on(b.recv()), Some(9));
         rt.block_on(spin).expect("spinning task");
         sender.join().expect("sender thread");
-        assert_no_timeout_wakes(&rt);
+        rt.telemetry().assert_no_timeout_wakes();
     });
 }

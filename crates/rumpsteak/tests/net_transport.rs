@@ -128,10 +128,7 @@ fn run_session(link_s: NetLink<Label>, link_t: NetLink<Label>, count: u32) -> u6
     let sink_task = rt.spawn(async move { sink(&mut t).await });
     rt.block_on(source_task).unwrap().unwrap();
     let sum = rt.block_on(sink_task).unwrap().unwrap();
-    // No park ended on the park timeout and then found work (0 unless
-    // built with telemetry).
-    let total = rt.telemetry().total();
-    assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
+    rt.telemetry().assert_no_timeout_wakes();
     sum
 }
 

@@ -22,10 +22,10 @@ use crate::Counter;
 /// * `driver_parks` — parks spent in `epoll_wait` holding the I/O
 ///   driver baton,
 /// * `timeout_wakes_with_work` — parks that ended on the park timeout
-///   while every other worker was parked too, and then found a task or
-///   dispatched an edge: a wake that was lost and only the timeout
-///   recovered. Zero in a correct run. (With another worker awake, that
-///   worker covers queued work, and the timeout only raced it.)
+///   with no other worker searching or claimed, and then found a task
+///   or dispatched an edge: a wake that was lost and only the timeout
+///   recovered. Zero in a correct run. (A searching or claimed worker
+///   covers queued work, so a timeout beside one only raced it.)
 ///
 /// Every poll is served from exactly one of the four queue sources, so
 /// `polls == lifo_hits + local_pops + injector_pops + sibling_steals`
@@ -53,7 +53,7 @@ pub struct Counters {
     pub unparks: Counter,
     /// Parks spent in `epoll_wait`, holding the I/O driver baton.
     pub driver_parks: Counter,
-    /// Parks ended by the timeout, every other worker parked, after
+    /// Parks ended by the timeout, no other worker searching, after
     /// which work turned up.
     pub timeout_wakes_with_work: Counter,
 }
@@ -147,6 +147,15 @@ impl RuntimeSnapshot {
         self.workers
             .iter()
             .fold(self.external, |acc, w| acc.merge(w))
+    }
+
+    /// Panics unless the total `timeout_wakes_with_work` is 0: no wake was
+    /// lost and recovered only by the park timeout. For tests; passes in
+    /// builds without telemetry, where every counter reads 0.
+    #[track_caller]
+    pub fn assert_no_timeout_wakes(&self) {
+        let total = self.total();
+        assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
     }
 }
 
