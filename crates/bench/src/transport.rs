@@ -123,11 +123,32 @@ mod tests {
     use super::*;
     use dep_telemetry as telemetry;
 
+    use std::sync::mpsc;
     use std::sync::{Mutex, PoisonError};
+    use std::time::Duration;
 
     /// Serialises the tests that run a link: each resets the link
     /// registry and reads its own rows back exactly.
     static LINKS: Mutex<()> = Mutex::new(());
+
+    /// Runs `test` on its own thread and panics if it has not finished
+    /// within a minute: workers park without a timeout, so a lost wake
+    /// or baton hand-off would otherwise hang the test binary. A panic
+    /// in `test` is passed on as is.
+    fn within(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let body = std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60))
+        {
+            panic!("hung for 60 s: a task was never woken");
+        }
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 
     fn runtime() -> Runtime {
         Runtime::new(1)
@@ -138,34 +159,35 @@ mod tests {
     /// byte for byte, each with one latency sample, through a window of
     /// exactly the verified bound 1 (a no-op without telemetry).
     fn assert_ping_pong_ledgers(ping_pong: fn(&Runtime, u32) -> u64, rounds: u32) {
-        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
-        telemetry::channel::reset();
-        let rt = runtime();
-        assert_eq!(ping_pong(&rt, rounds), u64::from(rounds));
-        rt.telemetry().assert_no_timeout_wakes();
-        let links = telemetry::channel::snapshot();
-        if !telemetry::ENABLED {
-            assert!(links.is_empty());
-            return;
-        }
-        for (from, to) in [(NET_PING, NET_PONG), (NET_PONG, NET_PING)] {
-            let link = links
-                .iter()
-                .find(|link| link.from == from && link.to == to)
-                .unwrap_or_else(|| panic!("ping-pong link {from} -> {to} registered"));
-            assert_eq!(link.sends, u64::from(rounds), "{from} -> {to}");
-            assert_eq!(link.received, link.sends, "{from} -> {to}");
-            assert_eq!(link.bytes_received, link.bytes_sent, "{from} -> {to}");
-            assert_eq!(link.latency.count, link.received, "{from} -> {to}");
-            assert_eq!(link.window, Some(PING_PONG_WINDOW as u64), "{from} -> {to}");
-            assert_eq!(
-                link.kmc_bound,
-                Some(PING_PONG_WINDOW as u64),
-                "{from} -> {to}"
-            );
-            assert!(!link.violates_bound(), "{from} -> {to}");
-        }
-        telemetry::channel::reset();
+        within(move || {
+            let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
+            telemetry::channel::reset();
+            let rt = runtime();
+            assert_eq!(ping_pong(&rt, rounds), u64::from(rounds));
+            let links = telemetry::channel::snapshot();
+            if !telemetry::ENABLED {
+                assert!(links.is_empty());
+                return;
+            }
+            for (from, to) in [(NET_PING, NET_PONG), (NET_PONG, NET_PING)] {
+                let link = links
+                    .iter()
+                    .find(|link| link.from == from && link.to == to)
+                    .unwrap_or_else(|| panic!("ping-pong link {from} -> {to} registered"));
+                assert_eq!(link.sends, u64::from(rounds), "{from} -> {to}");
+                assert_eq!(link.received, link.sends, "{from} -> {to}");
+                assert_eq!(link.bytes_received, link.bytes_sent, "{from} -> {to}");
+                assert_eq!(link.latency.count, link.received, "{from} -> {to}");
+                assert_eq!(link.window, Some(PING_PONG_WINDOW as u64), "{from} -> {to}");
+                assert_eq!(
+                    link.kmc_bound,
+                    Some(PING_PONG_WINDOW as u64),
+                    "{from} -> {to}"
+                );
+                assert!(!link.violates_bound(), "{from} -> {to}");
+            }
+            telemetry::channel::reset();
+        });
     }
 
     #[test]
@@ -180,10 +202,11 @@ mod tests {
 
     #[test]
     fn tcp_burst_delivers_in_order() {
-        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
-        let rt = runtime();
-        assert_eq!(tcp_burst(&rt, 512), 512);
-        rt.telemetry().assert_no_timeout_wakes();
+        within(|| {
+            let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
+            let rt = runtime();
+            assert_eq!(tcp_burst(&rt, 512), 512);
+        });
     }
 
     /// The producer runs thousands of frames ahead of the consumer (the
@@ -194,26 +217,27 @@ mod tests {
         if !telemetry::ENABLED {
             return;
         }
-        let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
-        telemetry::channel::reset();
-        let rt = runtime();
-        let messages = 20_000;
-        assert_eq!(tcp_burst(&rt, messages), u64::from(messages));
-        rt.telemetry().assert_no_timeout_wakes();
-        let links = telemetry::channel::snapshot();
-        let link = links
-            .iter()
-            .find(|link| link.from == NET_BURST_FROM && link.to == NET_BURST_TO)
-            .expect("burst link registered");
-        assert_eq!(link.sends, u64::from(messages));
-        assert_eq!(link.received, link.sends);
-        assert_eq!(link.bytes_received, link.bytes_sent);
-        assert!(link.bytes_sent > link.sends);
-        assert_eq!(link.latency.count, link.received);
-        assert_eq!(link.stamp_misses, 0);
-        assert_eq!(link.window, Some(BURST_WINDOW as u64));
-        assert_eq!(link.kmc_bound, Some(BURST_WINDOW as u64));
-        assert!(!link.violates_bound());
-        telemetry::channel::reset();
+        within(|| {
+            let _links = LINKS.lock().unwrap_or_else(PoisonError::into_inner);
+            telemetry::channel::reset();
+            let rt = runtime();
+            let messages = 20_000;
+            assert_eq!(tcp_burst(&rt, messages), u64::from(messages));
+            let links = telemetry::channel::snapshot();
+            let link = links
+                .iter()
+                .find(|link| link.from == NET_BURST_FROM && link.to == NET_BURST_TO)
+                .expect("burst link registered");
+            assert_eq!(link.sends, u64::from(messages));
+            assert_eq!(link.received, link.sends);
+            assert_eq!(link.bytes_received, link.bytes_sent);
+            assert!(link.bytes_sent > link.sends);
+            assert_eq!(link.latency.count, link.received);
+            assert_eq!(link.stamp_misses, 0);
+            assert_eq!(link.window, Some(BURST_WINDOW as u64));
+            assert_eq!(link.kmc_bound, Some(BURST_WINDOW as u64));
+            assert!(!link.violates_bound());
+            telemetry::channel::reset();
+        });
     }
 }

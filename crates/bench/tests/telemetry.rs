@@ -12,14 +12,33 @@
 //!    its registered bound: the static guarantee, checked against a
 //!    real execution. Latency and session-lifetime quantile ladders are
 //!    monotone.
-//! 3. No worker's park ended on its timeout and then found work: a
-//!    lost wake fails here instead of hiding behind the park timeout.
+//! 3. Every run finishes: workers park without a timeout, so a lost
+//!    wake hangs a protocol, and [`within`] fails the test instead.
 //!
-//! In disabled builds the registry is empty and the scheduler counts
-//! nothing, and only that is asserted.
+//! In disabled builds the registry is empty, and only that is asserted.
+
+use std::sync::mpsc;
+use std::time::Duration;
 
 use bench::protocols::{double_buffering, fft8, streaming};
 use rumpsteak::telemetry;
+
+/// Runs `test` on its own thread and panics if it has not finished
+/// within a minute (these protocols take well under a second). A panic
+/// in `test` is passed on as is.
+fn within(test: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let body = std::thread::spawn(move || {
+        test();
+        let _ = done.send(());
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+        panic!("hung for 60 s: a task was never woken");
+    }
+    if let Err(panic) = body.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
 
 /// The union of per-channel maxima over several variants of a system,
 /// each checked exhaustively at `k =` [`codegen::MAX_BOUND_SEARCH`] (the
@@ -103,150 +122,153 @@ fn assert_link<'a>(
 
 #[test]
 fn streaming_watermarks_stay_within_kmc_bounds() {
-    // Annotation cross-check: projected and optimised sources, same sink.
-    let variants = vec![
-        vec![
-            rumpsteak::serialize::<streaming::Source<'static>>().unwrap(),
-            rumpsteak::serialize::<streaming::Sink<'static>>().unwrap(),
-        ],
-        vec![
-            rumpsteak::serialize::<streaming::OptSource<'static>>().unwrap(),
-            rumpsteak::serialize::<streaming::Sink<'static>>().unwrap(),
-        ],
-    ];
-    assert_eq!(
-        kmc_bounds(&variants),
-        vec![
-            ("S".to_owned(), "T".to_owned(), streaming::UNROLL as u64 + 1),
-            ("T".to_owned(), "S".to_owned(), streaming::UNROLL as u64 + 1),
-        ],
-        "hand-annotated bounds in streaming's roles! clause are stale"
-    );
+    within(|| {
+        // Annotation cross-check: projected and optimised sources, same sink.
+        let variants = vec![
+            vec![
+                rumpsteak::serialize::<streaming::Source<'static>>().unwrap(),
+                rumpsteak::serialize::<streaming::Sink<'static>>().unwrap(),
+            ],
+            vec![
+                rumpsteak::serialize::<streaming::OptSource<'static>>().unwrap(),
+                rumpsteak::serialize::<streaming::Sink<'static>>().unwrap(),
+            ],
+        ];
+        assert_eq!(
+            kmc_bounds(&variants),
+            vec![
+                ("S".to_owned(), "T".to_owned(), streaming::UNROLL as u64 + 1),
+                ("T".to_owned(), "S".to_owned(), streaming::UNROLL as u64 + 1),
+            ],
+            "hand-annotated bounds in streaming's roles! clause are stale"
+        );
 
-    let rt = executor::Runtime::new(2);
-    let count = 40;
-    assert_eq!(
-        streaming::run_rumpsteak(&rt, count, false),
-        streaming::expected(count)
-    );
-    assert_eq!(
-        streaming::run_rumpsteak(&rt, count, true),
-        streaming::expected(count)
-    );
-    rt.telemetry().assert_no_timeout_wakes();
+        let rt = executor::Runtime::new(2);
+        let count = 40;
+        assert_eq!(
+            streaming::run_rumpsteak(&rt, count, false),
+            streaming::expected(count)
+        );
+        assert_eq!(
+            streaming::run_rumpsteak(&rt, count, true),
+            streaming::expected(count)
+        );
 
-    let snapshot = telemetry::channel::snapshot();
-    if !telemetry::ENABLED {
-        assert!(snapshot.is_empty());
-        return;
-    }
-    let link = assert_link(&snapshot, "S", "T", streaming::UNROLL as u64 + 1);
-    // The one session link with a batch window: whole windows of
-    // messages per waker round-trip, not one wake per message.
-    assert!(
-        link.wakes < link.sends,
-        "S -> T delivered {} wakes for {} sends — the batch window saved \
-         no waker round-trips",
-        link.wakes,
-        link.sends
-    );
-    assert_link(&snapshot, "T", "S", streaming::UNROLL as u64 + 1);
+        let snapshot = telemetry::channel::snapshot();
+        if !telemetry::ENABLED {
+            assert!(snapshot.is_empty());
+            return;
+        }
+        let link = assert_link(&snapshot, "S", "T", streaming::UNROLL as u64 + 1);
+        // The one session link with a batch window: whole windows of
+        // messages per waker round-trip, not one wake per message.
+        assert!(
+            link.wakes < link.sends,
+            "S -> T delivered {} wakes for {} sends — the batch window saved \
+             no waker round-trips",
+            link.wakes,
+            link.sends
+        );
+        assert_link(&snapshot, "T", "S", streaming::UNROLL as u64 + 1);
 
-    // Both roles ran to completion twice, so the session-lifetime
-    // registry must hold a spawn-to-teardown histogram per role.
-    let sessions = telemetry::hist::sessions_snapshot();
-    for role in ["S", "T"] {
-        let (_, lifetime) = sessions
-            .iter()
-            .find(|(name, _)| *name == role)
-            .unwrap_or_else(|| panic!("role {role} recorded no session lifetime"));
-        assert!(lifetime.count >= 2, "role {role} ran twice");
-        assert_ladder(lifetime, &format!("role {role} session lifetime"));
-    }
+        // Both roles ran to completion twice, so the session-lifetime
+        // registry must hold a spawn-to-teardown histogram per role.
+        let sessions = telemetry::hist::sessions_snapshot();
+        for role in ["S", "T"] {
+            let (_, lifetime) = sessions
+                .iter()
+                .find(|(name, _)| *name == role)
+                .unwrap_or_else(|| panic!("role {role} recorded no session lifetime"));
+            assert!(lifetime.count >= 2, "role {role} ran twice");
+            assert_ladder(lifetime, &format!("role {role} session lifetime"));
+        }
+    });
 }
 
 #[test]
 fn double_buffering_watermarks_stay_within_kmc_bounds() {
-    let variants = vec![
-        vec![
-            rumpsteak::serialize::<double_buffering::Kernel<'static>>().unwrap(),
-            rumpsteak::serialize::<double_buffering::Source<'static>>().unwrap(),
-            rumpsteak::serialize::<double_buffering::Sink<'static>>().unwrap(),
-        ],
-        vec![
-            rumpsteak::serialize::<double_buffering::KernelOpt<'static>>().unwrap(),
-            rumpsteak::serialize::<double_buffering::Source<'static>>().unwrap(),
-            rumpsteak::serialize::<double_buffering::Sink<'static>>().unwrap(),
-        ],
-    ];
-    assert_eq!(
-        kmc_bounds(&variants),
-        vec![
-            ("K".to_owned(), "S".to_owned(), 2),
-            ("K".to_owned(), "T".to_owned(), 1),
-            ("S".to_owned(), "K".to_owned(), 2),
-            ("T".to_owned(), "K".to_owned(), 1),
-        ],
-        "hand-annotated bounds in double_buffering's roles! clause are stale"
-    );
+    within(|| {
+        let variants = vec![
+            vec![
+                rumpsteak::serialize::<double_buffering::Kernel<'static>>().unwrap(),
+                rumpsteak::serialize::<double_buffering::Source<'static>>().unwrap(),
+                rumpsteak::serialize::<double_buffering::Sink<'static>>().unwrap(),
+            ],
+            vec![
+                rumpsteak::serialize::<double_buffering::KernelOpt<'static>>().unwrap(),
+                rumpsteak::serialize::<double_buffering::Source<'static>>().unwrap(),
+                rumpsteak::serialize::<double_buffering::Sink<'static>>().unwrap(),
+            ],
+        ];
+        assert_eq!(
+            kmc_bounds(&variants),
+            vec![
+                ("K".to_owned(), "S".to_owned(), 2),
+                ("K".to_owned(), "T".to_owned(), 1),
+                ("S".to_owned(), "K".to_owned(), 2),
+                ("T".to_owned(), "K".to_owned(), 1),
+            ],
+            "hand-annotated bounds in double_buffering's roles! clause are stale"
+        );
 
-    let rt = executor::Runtime::new(2);
-    let size = 64;
-    assert_eq!(
-        double_buffering::run_rumpsteak(&rt, size, false),
-        double_buffering::expected(size)
-    );
-    assert_eq!(
-        double_buffering::run_rumpsteak(&rt, size, true),
-        double_buffering::expected(size)
-    );
-    rt.telemetry().assert_no_timeout_wakes();
+        let rt = executor::Runtime::new(2);
+        let size = 64;
+        assert_eq!(
+            double_buffering::run_rumpsteak(&rt, size, false),
+            double_buffering::expected(size)
+        );
+        assert_eq!(
+            double_buffering::run_rumpsteak(&rt, size, true),
+            double_buffering::expected(size)
+        );
 
-    let snapshot = telemetry::channel::snapshot();
-    if !telemetry::ENABLED {
-        assert!(snapshot.is_empty());
-        return;
-    }
-    assert_link(&snapshot, "K", "S", 2);
-    assert_link(&snapshot, "S", "K", 2);
-    assert_link(&snapshot, "K", "T", 1);
-    assert_link(&snapshot, "T", "K", 1);
+        let snapshot = telemetry::channel::snapshot();
+        if !telemetry::ENABLED {
+            assert!(snapshot.is_empty());
+            return;
+        }
+        assert_link(&snapshot, "K", "S", 2);
+        assert_link(&snapshot, "S", "K", 2);
+        assert_link(&snapshot, "K", "T", 1);
+        assert_link(&snapshot, "T", "K", 1);
+    });
 }
 
 #[test]
 fn fft_watermarks_stay_within_kmc_bounds() {
-    use fft8::{P0, P1, P2, P3, P4, P5, P6, P7};
-    let variants = vec![vec![
-        rumpsteak::serialize::<fft8::FftSession<'static, P0, P1, P2, P4>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P1, P0, P3, P5>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P2, P3, P0, P6>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P3, P2, P1, P7>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P4, P5, P6, P0>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P5, P4, P7, P1>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P6, P7, P4, P2>>().unwrap(),
-        rumpsteak::serialize::<fft8::FftSession<'static, P7, P6, P5, P3>>().unwrap(),
-    ]];
-    let bounds = kmc_bounds(&variants);
-    // 8 processes × 3 partners, every directed channel carries one column.
-    assert_eq!(bounds.len(), 24, "directed channel count");
-    assert!(
-        bounds.iter().all(|(_, _, depth)| *depth == 1),
-        "hand-annotated bounds in fft8's roles! clause are stale: {bounds:?}"
-    );
+    within(|| {
+        use fft8::{P0, P1, P2, P3, P4, P5, P6, P7};
+        let variants = vec![vec![
+            rumpsteak::serialize::<fft8::FftSession<'static, P0, P1, P2, P4>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P1, P0, P3, P5>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P2, P3, P0, P6>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P3, P2, P1, P7>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P4, P5, P6, P0>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P5, P4, P7, P1>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P6, P7, P4, P2>>().unwrap(),
+            rumpsteak::serialize::<fft8::FftSession<'static, P7, P6, P5, P3>>().unwrap(),
+        ]];
+        let bounds = kmc_bounds(&variants);
+        // 8 processes × 3 partners, every directed channel carries one column.
+        assert_eq!(bounds.len(), 24, "directed channel count");
+        assert!(
+            bounds.iter().all(|(_, _, depth)| *depth == 1),
+            "hand-annotated bounds in fft8's roles! clause are stale: {bounds:?}"
+        );
 
-    let rt = executor::Runtime::new(4);
-    let rows = 16;
-    let out = fft8::run_rumpsteak(&rt, rows);
-    let expected = fft8::run_sequential(rows);
-    assert!((fft8::checksum(&out) - fft8::checksum(&expected)).abs() < 1e-6);
-    rt.telemetry().assert_no_timeout_wakes();
+        let rt = executor::Runtime::new(4);
+        let rows = 16;
+        let out = fft8::run_rumpsteak(&rt, rows);
+        let expected = fft8::run_sequential(rows);
+        assert!((fft8::checksum(&out) - fft8::checksum(&expected)).abs() < 1e-6);
 
-    let snapshot = telemetry::channel::snapshot();
-    if !telemetry::ENABLED {
-        assert!(snapshot.is_empty());
-        return;
-    }
-    for (from, to, depth) in &bounds {
-        assert_link(&snapshot, from, to, *depth);
-    }
+        let snapshot = telemetry::channel::snapshot();
+        if !telemetry::ENABLED {
+            assert!(snapshot.is_empty());
+            return;
+        }
+        for (from, to, depth) in &bounds {
+            assert_link(&snapshot, from, to, *depth);
+        }
+    });
 }

@@ -51,7 +51,6 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -279,7 +278,7 @@ pub(crate) fn registered() -> bool {
 /// baton is free and the rules let it drive, and returns how that went.
 /// Otherwise lists the thread as waiting and returns `None`; the caller
 /// then parks it plainly and calls [`stop_waiting`] afterwards.
-pub(crate) fn drive(parker: &Arc<Parker>, timeout: Option<Duration>) -> Option<Parked> {
+pub(crate) fn drive(parker: &Arc<Parker>) -> Option<Parked> {
     let Some(instance) = instance() else {
         return Some(Parked::default());
     };
@@ -296,10 +295,7 @@ pub(crate) fn drive(parker: &Arc<Parker>, timeout: Option<Duration>) -> Option<P
         ..Parked::default()
     };
     let batch = parker.start_driving().then(|| {
-        let timeout_ms = timeout.map_or(-1, |timeout| {
-            i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
-        });
-        let batch = Batch::wait(instance.epfd, timeout_ms);
+        let batch = Batch::wait(instance.epfd, -1);
         parker.stop_driving();
         batch
     });
@@ -311,7 +307,6 @@ pub(crate) fn drive(parker: &Arc<Parker>, timeout: Option<Duration>) -> Option<P
             while matches!((&instance.woken).read(&mut sink), Ok(n) if n > 0) {}
         }
         parked.dispatched = dispatched;
-        parked.timed_out = batch.collected == 0;
     }
     Some(parked)
 }
@@ -422,7 +417,7 @@ mod tests {
     use super::*;
     use std::os::fd::AsRawFd;
     use std::sync::mpsc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Forwards every edge to a channel.
     struct Probe(mpsc::Sender<(bool, bool)>);

@@ -7,7 +7,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
 
 const EMPTY: usize = 0;
 const PARKED: usize = 1;
@@ -35,8 +34,6 @@ pub(crate) struct Parked {
     pub(crate) drove: bool,
     /// Readiness edges were dispatched before `park` returned.
     pub(crate) dispatched: bool,
-    /// Neither a notification nor an edge ended it: the timeout did.
-    pub(crate) timed_out: bool,
 }
 
 impl Parker {
@@ -55,11 +52,11 @@ impl Parker {
             .expect("parker bound twice");
     }
 
-    /// Blocks until notified or `timeout` (if any) elapses. Consumes at
-    /// most one notification; spurious returns are allowed (the caller
-    /// re-checks). While no descriptor is registered this is a plain
-    /// thread park after one atomic load.
-    pub(crate) fn park(self: &Arc<Self>, timeout: Option<Duration>) -> Parked {
+    /// Blocks until notified. Consumes at most one notification;
+    /// spurious returns are allowed (the caller re-checks). While no
+    /// descriptor is registered this is a plain thread park after one
+    /// atomic load.
+    pub(crate) fn park(self: &Arc<Self>) -> Parked {
         if self
             .state
             .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
@@ -71,41 +68,27 @@ impl Parker {
         }
         #[cfg(target_os = "linux")]
         if crate::io::registered() {
-            let parked = match crate::io::drive(self, timeout) {
+            let parked = match crate::io::drive(self) {
                 Some(parked) => parked,
                 None => {
-                    let parked = self.sleep(timeout);
+                    self.sleep();
                     crate::io::stop_waiting(self);
-                    parked
+                    Parked::default()
                 }
             };
             self.state.store(EMPTY, Ordering::SeqCst);
             return parked;
         }
-        let parked = self.sleep(timeout);
+        self.sleep();
         self.state.store(EMPTY, Ordering::SeqCst);
-        parked
+        Parked::default()
     }
 
     /// The thread-park half of [`park`](Self::park), entered `PARKED`.
-    fn sleep(&self, timeout: Option<Duration>) -> Parked {
-        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+    fn sleep(&self) {
         while self.state.load(Ordering::SeqCst) != NOTIFIED {
-            match deadline {
-                None => std::thread::park(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Parked {
-                            timed_out: true,
-                            ..Parked::default()
-                        };
-                    }
-                    std::thread::park_timeout(deadline - now);
-                }
-            }
+            std::thread::park();
         }
-        Parked::default()
     }
 
     /// Moves a parked thread into `epoll_wait`; false if a notification
@@ -179,7 +162,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
             return output;
         }
         // A wake between poll and park is absorbed by the parker's state.
-        parker.park(None);
+        parker.park();
     }
 }
 

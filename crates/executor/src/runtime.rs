@@ -46,7 +46,6 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle as ThreadHandle;
-use std::time::Duration;
 
 use dep_telemetry as telemetry;
 use telemetry::scheduler::Counters;
@@ -63,13 +62,6 @@ const MAX_WORKERS: usize = 64;
 /// Consecutive polls a worker may take from its LIFO slot before deferring
 /// to the FIFO queue, so a hot ping-pong pair cannot starve queued tasks.
 const LIFO_STREAK_LIMIT: u32 = 32;
-
-/// Belt-and-braces park timeout: with a correct handshake no wake is ever
-/// lost, but a bounded sleep keeps the pool live under any missed-wake bug
-/// without measurable idle cost. A timed-out park that ends with no other
-/// worker searching or claimed and then finds work is counted
-/// (`timeout_wakes_with_work`), so a bug it hides still shows.
-const PARK_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// State shared between all workers and every external handle.
 pub(crate) struct Shared {
@@ -470,14 +462,6 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1));
     let mut lifo_streak = 0u32;
     let mut tick = 0u32;
-    // The last park ended on `PARK_TIMEOUT` with no other worker
-    // searching or claimed, and no work was found since.
-    let mut after_timeout = false;
-    let found_work = |after_timeout: &mut bool| {
-        if std::mem::take(after_timeout) {
-            counters.timeout_wakes_with_work.incr();
-        }
-    };
 
     'run: loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -489,7 +473,6 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
         // starve externally spawned tasks.
         if tick.is_multiple_of(61) {
             if let Some(task) = shared.injector.steal_all(local, &mut batch) {
-                found_work(&mut after_timeout);
                 counters.injector_pops.incr();
                 task.run();
                 continue;
@@ -524,7 +507,6 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
         // wakes it into the LIFO slot without parking.
         #[cfg(target_os = "linux")]
         if crate::io::turn_now() {
-            found_work(&mut after_timeout);
             continue;
         }
 
@@ -536,7 +518,6 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
                 return;
             }
             if let Some(task) = steal_work(index, &shared, &mut batch, &mut rng) {
-                found_work(&mut after_timeout);
                 shared.stop_searching(local);
                 task.run();
                 continue 'run;
@@ -565,28 +546,20 @@ fn worker_loop(index: usize, shared: Arc<Shared>) {
             }
 
             counters.parks.incr();
-            let parked = parker.park(Some(PARK_TIMEOUT));
+            // No timeout: a wake lost here hangs the pool, and the
+            // tests' watchdogs name the hang.
+            let parked = parker.park();
             if parked.drove {
                 counters.driver_parks.incr();
             }
-            let claimed = !shared.unregister_parked(index);
-            // Searchers besides this worker as it rejoins them.
-            let mut others_searching = 0;
-            if !claimed {
-                // Timed out (or spurious wake): nobody claimed the bit.
-                others_searching = shared.searching.fetch_add(1, Ordering::SeqCst);
+            if shared.unregister_parked(index) {
+                // Nobody claimed the bit (a baton hand-off, shutdown or a
+                // spurious return): rejoin the searchers.
+                shared.searching.fetch_add(1, Ordering::SeqCst);
             } // else: claimed by a waker, which incremented `searching`.
-            let timed_out = parked.timed_out && !claimed;
-            // Work found after a timeout shows a lost wake unless another
-            // worker was searching or claimed: that one covers queued work
-            // before it parks, and the timeout only raced it (common on an
-            // oversubscribed host). A worker that is just running tasks
-            // covers nothing, so a pusher that skipped its wake counts.
-            after_timeout = timed_out && others_searching == 0;
-            if parked.dispatched || timed_out {
+            if parked.dispatched {
                 // Back to the top: edges this park dispatched may have
-                // woken tasks into the LIFO slot, and after a timeout
-                // `turn_now` collects any edge nobody collected meanwhile.
+                // woken tasks into the LIFO slot.
                 shared.stop_searching(local);
                 continue 'run;
             }

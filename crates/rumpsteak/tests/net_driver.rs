@@ -2,9 +2,9 @@
 //! parked thread at a time holds the driver baton and parks in
 //! `epoll_wait` (`executor::io` lists the rules). These tests hand the
 //! baton between bare `block_on` callers and runtime workers and check
-//! that no waiter is stranded: a lost hand-off hangs a bare `block_on`
-//! (which parks without a timeout) into the watchdog, and shows in a
-//! runtime as `timeout_wakes_with_work`, which must stay 0.
+//! that no waiter is stranded: neither a bare `block_on` nor a runtime
+//! worker parks with a timeout, so a lost hand-off hangs into the
+//! watchdog.
 //!
 //! The baton and the count of live runtime workers are process-wide,
 //! so the tests take turns.
@@ -12,7 +12,9 @@
 
 mod common;
 
+use std::future::Future;
 use std::sync::Mutex;
+use std::task::{Context, Poll, Waker};
 use std::thread;
 use std::time::Duration;
 
@@ -28,6 +30,18 @@ fn serial(test: impl FnOnce() + Send + 'static) {
 
 fn tcp_pair(name: &'static str) -> (NetLink<u64>, NetLink<u64>) {
     loopback_pair_tcp(name, "Peer", Some(1), Some(1)).expect("loopback sockets")
+}
+
+/// Sends `value` in one poll, outside any `block_on`: a `block_on`
+/// that returns hands the baton on itself (rule 3), which would cover
+/// for a hand-off the test means to check.
+fn send_now(link: &mut NetLink<u64>, value: u64) {
+    let mut send = std::pin::pin!(link.send(value));
+    let poll = send.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+    assert!(
+        matches!(poll, Poll::Ready(Ok(()))),
+        "window full or peer gone"
+    );
 }
 
 /// (a) Two bare `block_on` threads wait for a readable edge each. The
@@ -54,7 +68,8 @@ fn the_driver_hands_the_baton_to_the_other_block_on() {
 
 /// (b) A runtime whose worker holds the baton is dropped while a bare
 /// `block_on` waits (without the baton: a worker was alive); the peer
-/// sends only afterwards.
+/// sends only afterwards, so only the exiting worker's hand-off lets
+/// the waiter collect the edge.
 #[test]
 fn dropping_a_runtime_leaves_the_baton_to_a_waiting_block_on() {
     serial(|| {
@@ -64,10 +79,9 @@ fn dropping_a_runtime_leaves_the_baton_to_a_waiting_block_on() {
         rt.block_on(rt.spawn(async {})).expect("task");
         let waiter = thread::spawn(move || executor::block_on(b.recv()));
         thread::sleep(Duration::from_millis(20));
-        rt.telemetry().assert_no_timeout_wakes();
         drop(rt);
         thread::sleep(Duration::from_millis(50));
-        executor::block_on(a.send(7)).expect("waiter alive");
+        send_now(&mut a, 7);
         assert_eq!(waiter.join().expect("waiter thread"), Some(7));
     });
 }
@@ -90,16 +104,15 @@ fn ping_pong((mut a, mut b): (NetLink<u64>, NetLink<u64>)) {
     });
     rt.block_on(pinger).expect("pinger");
     rt.block_on(ponger).expect("ponger");
-    rt.telemetry().assert_no_timeout_wakes();
 }
 
 #[test]
-fn two_workers_ping_pong_over_tcp_without_timeout_wakes() {
+fn two_workers_ping_pong_over_tcp() {
     serial(|| ping_pong(tcp_pair("PingTcp")));
 }
 
 #[test]
-fn two_workers_ping_pong_over_uds_without_timeout_wakes() {
+fn two_workers_ping_pong_over_uds() {
     serial(|| {
         ping_pong(loopback_pair_uds("PingUds", "Peer", Some(1), Some(1)).expect("sockets"));
     });
@@ -107,7 +120,7 @@ fn two_workers_ping_pong_over_uds_without_timeout_wakes() {
 
 /// A runtime's only worker parked before any socket existed, so it
 /// sleeps plainly; the first registration must rouse it to drive, or
-/// the edge a bare `block_on` awaits waits for the park timeout.
+/// the edge a bare `block_on` awaits is never collected.
 #[test]
 fn the_first_link_rouses_a_worker_parked_before_it() {
     serial(|| {
@@ -123,7 +136,6 @@ fn the_first_link_rouses_a_worker_parked_before_it() {
         });
         assert_eq!(executor::block_on(b.recv()), Some(3));
         sender.join().expect("sender thread");
-        rt.telemetry().assert_no_timeout_wakes();
     });
 }
 
@@ -149,6 +161,5 @@ fn a_bare_block_on_completes_while_the_only_worker_spins() {
         assert_eq!(executor::block_on(b.recv()), Some(9));
         rt.block_on(spin).expect("spinning task");
         sender.join().expect("sender thread");
-        rt.telemetry().assert_no_timeout_wakes();
     });
 }

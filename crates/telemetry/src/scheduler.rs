@@ -6,6 +6,10 @@
 //! relaxed RMWs — no sharing, no ordering, no measurable cost on the hot
 //! path — and `Runtime::telemetry()` folds the blocks into a
 //! [`RuntimeSnapshot`] on demand.
+//!
+//! No counter stands for a lost wake: a worker parks until it is woken,
+//! with no timeout, so a lost wake hangs the pool and a test's watchdog
+//! reports it by name.
 
 use crate::Counter;
 
@@ -20,12 +24,7 @@ use crate::Counter;
 /// * `sibling_steals` — polls served by stealing from a sibling's queue,
 /// * `parks` / `unparks` — sleep cycles entered / wake-ups claimed,
 /// * `driver_parks` — parks spent in `epoll_wait` holding the I/O
-///   driver baton,
-/// * `timeout_wakes_with_work` — parks that ended on the park timeout
-///   with no other worker searching or claimed, and then found a task
-///   or dispatched an edge: a wake that was lost and only the timeout
-///   recovered. Zero in a correct run. (A searching or claimed worker
-///   covers queued work, so a timeout beside one only raced it.)
+///   driver baton.
 ///
 /// Every poll is served from exactly one of the four queue sources, so
 /// `polls == lifo_hits + local_pops + injector_pops + sibling_steals`
@@ -53,9 +52,6 @@ pub struct Counters {
     pub unparks: Counter,
     /// Parks spent in `epoll_wait`, holding the I/O driver baton.
     pub driver_parks: Counter,
-    /// Parks ended by the timeout, no other worker searching, after
-    /// which work turned up.
-    pub timeout_wakes_with_work: Counter,
 }
 
 impl Counters {
@@ -72,7 +68,6 @@ impl Counters {
             parks: self.parks.get(),
             unparks: self.unparks.get(),
             driver_parks: self.driver_parks.get(),
-            timeout_wakes_with_work: self.timeout_wakes_with_work.get(),
         }
     }
 }
@@ -101,8 +96,6 @@ pub struct CountersSnapshot {
     pub unparks: u64,
     /// See [`Counters::driver_parks`].
     pub driver_parks: u64,
-    /// See [`Counters::timeout_wakes_with_work`].
-    pub timeout_wakes_with_work: u64,
 }
 
 impl CountersSnapshot {
@@ -125,7 +118,6 @@ impl CountersSnapshot {
             parks: self.parks + other.parks,
             unparks: self.unparks + other.unparks,
             driver_parks: self.driver_parks + other.driver_parks,
-            timeout_wakes_with_work: self.timeout_wakes_with_work + other.timeout_wakes_with_work,
         }
     }
 }
@@ -147,15 +139,6 @@ impl RuntimeSnapshot {
         self.workers
             .iter()
             .fold(self.external, |acc, w| acc.merge(w))
-    }
-
-    /// Panics unless the total `timeout_wakes_with_work` is 0: no wake was
-    /// lost and recovered only by the park timeout. For tests; passes in
-    /// builds without telemetry, where every counter reads 0.
-    #[track_caller]
-    pub fn assert_no_timeout_wakes(&self) {
-        let total = self.total();
-        assert_eq!(total.timeout_wakes_with_work, 0, "{total:?}");
     }
 }
 
